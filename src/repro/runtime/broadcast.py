@@ -170,6 +170,7 @@ class ReliableBroadcast(BroadcastService):
             # partial dispatches through C, one frame cheaper than a
             # per-pid closure on the hottest call path in the simulator
             network.attach(pid, partial(self._receive, pid))
+            network.attach_dedup(pid, partial(self._is_seen, pid))
 
     # ------------------------------------------------------------------
     # Dedup bookkeeping

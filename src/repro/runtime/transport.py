@@ -39,7 +39,7 @@ Timer semantics the implementations must honour:
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Tuple
 
 Handler = Callable[[int, Any], None]
 
@@ -60,8 +60,23 @@ class Transport:
         """Register ``handler(src, payload)`` as ``pid``'s message sink."""
         raise NotImplementedError
 
+    def attach_dedup(
+        self, pid: int, seen: Callable[[Tuple[int, int]], bool]
+    ) -> None:
+        """Offer ``seen((origin, seq)) -> bool``, ``pid``'s "already saw
+        this broadcast message" test.  Optional on both sides: a
+        transport that can read a message's id without decoding it may
+        drop a frame for which ``seen`` is true before it reaches
+        ``pid``'s handler; the handler must keep its own check, because
+        a transport may just as well ignore the offer — this base
+        implementation does, and the simulated plane inherits it."""
+
     def send(self, src: int, dst: int, payload: Any) -> None:
-        """Asynchronously deliver ``payload`` from ``src`` to ``dst``."""
+        """Asynchronously deliver ``payload`` from ``src`` to ``dst``.
+
+        A handler that passes on the very message object it was handed
+        (a relay) must not have modified it: a transport may forward the
+        bytes that object arrived in rather than encode it again."""
         raise NotImplementedError
 
     def multicast(self, src: int, payload: Any) -> None:

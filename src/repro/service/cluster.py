@@ -192,7 +192,9 @@ class ClientSession:
             self._send_wake = asyncio.Event()
             self._send_task = asyncio.ensure_future(self._send_loop())
 
-    def _resolve(self, frame: Dict[str, Any]) -> None:
+    def _resolve(self, frame: Any) -> None:
+        if not isinstance(frame, dict):
+            raise ValueError(f"reply is not a dict: {type(frame).__name__}")
         fut = self._pending.pop(frame.get("rid"), None)
         if fut is not None and not fut.done():
             fut.set_result(frame)
@@ -245,9 +247,9 @@ class ClientSession:
         self, request: Dict[str, Any], timeout: float = 10.0
     ) -> Dict[str, Any]:
         await self._sem.acquire()
+        rid = self._next_rid
+        self._next_rid += 1
         try:
-            rid = self._next_rid
-            self._next_rid += 1
             request = dict(request)
             request["rid"] = rid
             fut = asyncio.get_event_loop().create_future()
@@ -260,6 +262,9 @@ class ClientSession:
                 await self._writer.drain()
             return await asyncio.wait_for(fut, timeout)
         finally:
+            # a reply pops its own entry; a timeout or cancellation must
+            # not leave one behind for a reply that may never come
+            self._pending.pop(rid, None)
             self._sem.release()
 
     async def close(self) -> None:

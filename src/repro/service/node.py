@@ -325,7 +325,7 @@ class ServiceNode:
                 if wire.is_batch(body):
                     reply_bodies = []
                     for sub in wire.split_batch(body):
-                        req = wire.decode(sub)
+                        req = self._request(sub)
                         codec = wire.body_codec(sub)
                         reply = await self._handle_client(req, writer, codec)
                         if reply is not None:
@@ -337,7 +337,7 @@ class ServiceNode:
                         writer.write(wire.encode_batch(reply_bodies))
                         await writer.drain()
                     continue
-                req = wire.decode(body)
+                req = self._request(body)
                 codec = wire.body_codec(body)
                 reply = await self._handle_client(req, writer, codec)
                 if reply is not None:
@@ -355,6 +355,13 @@ class ServiceNode:
             pass
         finally:
             writer.close()
+
+    @staticmethod
+    def _request(body: bytes) -> Dict[str, Any]:
+        req = wire.decode(body)
+        if not isinstance(req, dict):
+            raise ValueError(f"request is not a dict: {type(req).__name__}")
+        return req
 
     async def _handle_client(
         self,

@@ -27,6 +27,21 @@ through ``repro status --json``.  ``coalesce=False`` restores the PR 9
 frame-at-a-time pump — the A/B baseline in
 ``benchmarks/bench_service.py``.
 
+Message frames (PR 13).  The eager flood puts n(n-1) message frames on
+the wire per write, of which all but n-1 are duplicates, and every relay
+is a message decoded a microsecond earlier.  The binary codec's packed
+message layout (``repro.service.wire``) lets the inbound path spend
+nothing on either: a header peek (:func:`~repro.service.wire.msg_id`)
+plus the broadcast layer's own "seen?" predicate (registered through
+:meth:`~repro.runtime.transport.Transport.attach_dedup`) drops a
+duplicate before it is decoded, and a relay of the message being
+dispatched re-addresses the bytes it arrived in.  The flood still sends
+every copy — agreement under a mid-send crash is unchanged — and frames
+in any other shape (JSON senders, generic TLV) take the old path, dedup
+in the handler included.  ``wire_stats`` counts it all
+(``msg_frames_in``, ``dups_dropped``, ``relays_spliced``): the duplicate
+share the broadcast handler no longer sees is still in the node's status.
+
 The crucial difference from the simulated plane: in the simulator one
 ``Network`` carries all ``n`` processes; live, each node owns one
 ``AsyncioTransport`` and only its own pid is *active*.  The broadcast
@@ -165,8 +180,18 @@ class AsyncioTransport(Transport):
             "max_batch": 0,
             "frames_in": 0,
             "batches_in": 0,
+            "msg_frames_in": 0,  # broadcast-message frames among frames_in
+            "dups_dropped": 0,  # ...dropped on their header, never decoded
+            "relays_spliced": 0,  # relays re-addressed instead of encoded
         }
         self.handlers: Dict[int, Handler] = {}
+        #: ``my_pid``'s "already seen this message id?" predicate, once
+        #: the broadcast layer has offered one (:meth:`attach_dedup`)
+        self._seen: Optional[Callable[[Tuple[int, int]], bool]] = None
+        #: ``(decoded message, its raw body)`` while a packed message
+        #: frame is being dispatched — a relay of that same object from
+        #: inside the handler re-addresses the bytes instead of encoding
+        self._inflight: Optional[Tuple[Any, bytes]] = None
         #: frames other than broadcast messages land here (digests,
         #: resync RPCs) — the service node registers this
         self.control_handler: Optional[Callable[[int, Any], None]] = None
@@ -199,6 +224,13 @@ class AsyncioTransport(Transport):
     def attach(self, pid: int, handler: Handler) -> None:
         self.handlers[pid] = handler
 
+    def attach_dedup(
+        self, pid: int, seen: Callable[[Tuple[int, int]], bool]
+    ) -> None:
+        # only my_pid's frames are ever dispatched on a live node
+        if pid == self.my_pid:
+            self._seen = seen
+
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Queue a broadcast-layer message frame for ``dst``.
 
@@ -207,16 +239,30 @@ class AsyncioTransport(Transport):
         stays truthful in the frame so the receiver's dedup and causal
         layers see the same ``(src, message)`` pairs as in the simulator.
         """
-        self._send_frame(dst, {"t": "msg", "src": src, "body": payload})
+        if dst == self.my_pid:
+            self._send_frame(dst, {"t": "msg", "src": src, "body": payload})
+        elif not self.crashed_local:
+            self._enqueue(dst, self._msg_body(src, payload))
 
     def multicast(self, src: int, payload: Any) -> None:
         if self.crashed_local:
             return
-        body = wire.encode_body(
-            {"t": "msg", "src": src, "body": payload}, self.codec
-        )
+        body = self._msg_body(src, payload)
         for dst in self._queues:
             self._enqueue(dst, body)
+
+    def _msg_body(self, src: int, payload: Any) -> bytes:
+        """Encoded message frame body — spliced from the bytes it arrived
+        in when ``payload`` is the very message being dispatched (the
+        flood relay, the lazy family's push), encoded otherwise (original
+        broadcasts, resync resends from the log, pull replies)."""
+        inflight = self._inflight
+        if inflight is not None and inflight[0] is payload:
+            self.wire_stats["relays_spliced"] += 1
+            return wire.readdress(inflight[1], src)
+        return wire.encode_body(
+            {"t": "msg", "src": src, "body": payload}, self.codec
+        )
 
     @property
     def now(self) -> float:
@@ -399,12 +445,14 @@ class AsyncioTransport(Transport):
             while True:
                 body = await wire.read_body(reader)
                 if wire.is_batch(body):
-                    # unfold in order: per-link FIFO preserved
+                    # unfold in order, one frame at a time: per-link
+                    # FIFO preserved, and an earlier frame of the batch
+                    # makes a later copy of it a duplicate
                     self.wire_stats["batches_in"] += 1
                     for sub in wire.split_batch(body):
-                        self._dispatch(wire.decode(sub))
+                        self._receive_body(sub)
                 else:
-                    self._dispatch(wire.decode(body))
+                    self._receive_body(body)
         except (
             OSError,
             asyncio.IncompleteReadError,
@@ -419,14 +467,48 @@ class AsyncioTransport(Transport):
         finally:
             writer.close()
 
-    def _dispatch(self, frame: Dict[str, Any]) -> None:
+    def _receive_body(self, body: bytes) -> None:
+        """One inbound frame body.  A packed message frame gives up its
+        ``(origin, seq)`` to a header peek, so a copy the broadcast layer
+        has already seen is counted and dropped without being decoded;
+        a fresh one is remembered with its bytes while it is dispatched
+        (see :meth:`_msg_body`).  Every other body — JSON, generic TLV,
+        control — decodes and dispatches as before, deduplicated by the
+        broadcast layer itself."""
         if self.crashed_local:
             self.stats.dropped_to_crashed += 1
             return
+        mid = wire.msg_id(body)
+        if mid is None:
+            self._dispatch(wire.decode(body))
+            return
+        seen = self._seen
+        if seen is not None and seen(mid):
+            wstats = self.wire_stats
+            wstats["frames_in"] += 1
+            wstats["msg_frames_in"] += 1
+            wstats["dups_dropped"] += 1
+            return
+        frame = wire.decode(body)
+        if self.codec == wire.CODEC_BINARY:
+            # a JSON node relays in JSON: nothing to splice
+            self._inflight = (frame["body"], body)
+        try:
+            self._dispatch(frame)
+        finally:
+            self._inflight = None
+
+    def _dispatch(self, frame: Any) -> None:
+        if self.crashed_local:
+            self.stats.dropped_to_crashed += 1
+            return
+        if not isinstance(frame, dict):
+            raise ValueError(f"frame is not a dict: {type(frame).__name__}")
         self.wire_stats["frames_in"] += 1
         kind = frame.get("t")
         src = frame.get("src")
         if kind == "msg":
+            self.wire_stats["msg_frames_in"] += 1
             self.stats.delivered += 1
             handler = self.handlers.get(self.my_pid)
             if handler is not None:

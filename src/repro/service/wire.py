@@ -1,5 +1,6 @@
 """Wire format of the live service plane: length-prefixed frames, two
-self-describing body codecs.
+self-describing body codecs — the binary one with a packed layout for
+the one hot frame shape.
 
 One frame is a 4-byte big-endian length followed by a body.  Two body
 codecs share the framing, distinguished by the body's first byte:
@@ -22,6 +23,39 @@ codecs share the framing, distinguished by the body's first byte:
     five bytes each, and the dict keys the runtime actually sends
     (``src``, ``stamp``, ``payload``, …) intern to two bytes via a
     frozen key table.  The body starts with the magic byte ``0xB1``.
+
+    One frame shape dominates a saturated cluster — the broadcast body
+    envelope ``{"t": "msg", "src": s, "body": {"id": (origin, seq),
+    "origin": origin, "payload": p[, "stamp": (...)]}}``, sent n-1 times
+    per write and relayed (n-1)(n-2) times more by the eager flood — so
+    the binary codec gives it a **packed layout** (PR 13), a third
+    self-describing body kind with first byte ``0xB3``::
+
+        0xB3 | src u16 | origin u16 | seq u32 | stamp length u16
+             | stamp entries u32 ... | TLV-encoded payload
+
+    (big-endian; stamp length ``0xFFFF`` = no ``stamp`` key).  It is a
+    codec-internal optimisation, not a protocol knob: ``encode_body``
+    recognises the envelope and packs it, and **falls back to generic
+    TLV** whenever the shape does not fit exactly — a non-tuple id, a
+    ``kind`` key (every control message of the lazy family and the
+    sequencer), any extra or missing key, an int outside its header
+    field, a bool where a pid belongs — never an error; ``decode`` of a
+    ``0xB3`` body returns the *equal* envelope a generic frame would.
+    Callers cannot tell, which is what keeps the fault proxy, captures
+    and mixed JSON/binary clusters codec-blind.  Three things ride on
+    the fixed header:
+
+    * the header is one ``struct`` call where TLV spends ~15 recursive
+      value calls, and only ``payload`` goes through TLV at all;
+    * :func:`msg_id` reads ``(origin, seq)`` off the header without
+      decoding — the transport asks the broadcast layer "seen?" first
+      and drops a duplicate (two of every three message frames at n=3)
+      unparsed;
+    * the encoding is canonical, so :func:`readdress` — overwrite the
+      two ``src`` bytes — yields byte for byte what encoding the same
+      message from the new sender would; the flood relay forwards the
+      bytes it received instead of re-encoding the dict it just decoded.
 
 A third body shape rides above both codecs: the **batch container**
 (first byte ``0xB2``), a concatenation of length-prefixed sub-bodies.
@@ -47,7 +81,12 @@ Both codecs round-trip ints exactly and floats bit-for-bit (JSON via
 ``repr``, binary via IEEE-754 doubles), so a decoded frame compares
 equal to what was sent — which the dedup frontiers and causal stamps
 rely on.  The framing helpers cap the body size so a corrupt length
-prefix cannot balloon a read.
+prefix cannot balloon a read, and every decoder here — TLV, packed
+header and peek, batch split, JSON — turns truncation, unknown tags,
+out-of-table key indices and nesting past :data:`MAX_DEPTH` into
+``ValueError``, the one exception the connection loops treat as "close
+this connection": hostile bytes cost a peer its socket, never a node its
+task.
 """
 
 from __future__ import annotations
@@ -55,7 +94,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: frame length prefix: unsigned 32-bit big-endian
 _LEN = struct.Struct(">I")
@@ -82,6 +121,14 @@ MAGIC_BINARY = 0xB1
 #: once, when first queued, and a multicast shares one encoding across
 #: every peer.
 MAGIC_BATCH = 0xB2
+
+#: first body byte of a packed broadcast-message frame — the binary
+#: codec's layout for the one hot frame shape (see the module docstring)
+MAGIC_MSG = 0xB3
+
+#: deepest container nesting the decoders accept; runtime payloads nest
+#: a handful of levels, so anything near the cap is hostile input
+MAX_DEPTH = 64
 
 
 # ----------------------------------------------------------------------
@@ -272,12 +319,16 @@ def _enc_value(obj: Any, out: bytearray) -> None:
 
 
 def _encode_binary(obj: Any) -> bytes:
+    if obj.__class__ is dict and len(obj) == 3 and obj.get("t") == "msg":
+        packed = _pack_msg(obj)
+        if packed is not None:
+            return packed
     out = bytearray((MAGIC_BINARY,))
     _enc_value(obj, out)
     return bytes(out)
 
 
-def _dec_value(buf: bytes, pos: int) -> Tuple[Any, int]:
+def _dec_value(buf: bytes, pos: int, depth: int) -> Tuple[Any, int]:
     tag = buf[pos]
     pos += 1
     if tag == _T_INT8:
@@ -296,10 +347,13 @@ def _dec_value(buf: bytes, pos: int) -> Tuple[Any, int]:
         else:
             size = _U32.unpack_from(buf, pos)[0]
             pos += 4
+        if depth >= MAX_DEPTH:
+            raise ValueError(f"binary codec: nesting deeper than {MAX_DEPTH}")
+        depth += 1
         result: Dict[Any, Any] = {}
         for _ in range(size):
-            key, pos = _dec_value(buf, pos)
-            value, pos = _dec_value(buf, pos)
+            key, pos = _dec_value(buf, pos, depth)
+            value, pos = _dec_value(buf, pos, depth)
             result[key] = value
         return result, pos
     if tag == _T_LIST8 or tag == _T_LIST32 or tag == _T_TUPLE8 or tag == _T_TUPLE32:
@@ -309,9 +363,12 @@ def _dec_value(buf: bytes, pos: int) -> Tuple[Any, int]:
         else:
             size = _U32.unpack_from(buf, pos)[0]
             pos += 4
+        if depth >= MAX_DEPTH:
+            raise ValueError(f"binary codec: nesting deeper than {MAX_DEPTH}")
+        depth += 1
         items: List[Any] = []
         for _ in range(size):
-            value, pos = _dec_value(buf, pos)
+            value, pos = _dec_value(buf, pos, depth)
             items.append(value)
         if tag == _T_TUPLE8 or tag == _T_TUPLE32:
             return tuple(items), pos
@@ -350,13 +407,127 @@ def _dec_value(buf: bytes, pos: int) -> Tuple[Any, int]:
     raise ValueError(f"binary codec: unknown tag 0x{tag:02x} at {pos - 1}")
 
 
-def _decode_binary(body: bytes) -> Any:
-    value, pos = _dec_value(body, 1)
-    if pos != len(body):
-        raise ValueError(
-            f"binary codec: {len(body) - pos} trailing bytes after value"
-        )
+#: what a truncated or corrupt body makes the decoders trip over — a
+#: read past the end, a short fixed-width field, an unhashable dict key
+#: — all surfaced as the one exception the connection loops catch
+_MALFORMED = (IndexError, struct.error, TypeError)
+
+
+def _decode_tail(body: bytes, pos: int) -> Any:
+    """The one TLV value that runs from ``pos`` to the end of ``body``."""
+    try:
+        value, end = _dec_value(body, pos, 0)
+    except _MALFORMED as exc:
+        raise ValueError(f"binary codec: malformed frame ({exc})") from None
+    if end != len(body):
+        raise ValueError("binary codec: frame length does not match its value")
     return value
+
+
+def _decode_binary(body: bytes) -> Any:
+    return _decode_tail(body, 1)
+
+
+# ----------------------------------------------------------------------
+# Packed broadcast-message frames (binary codec, first byte 0xB3)
+# ----------------------------------------------------------------------
+#: fixed header after the magic byte: src, origin (u16), seq (u32),
+#: stamp length (u16; _NO_STAMP = the message carries no stamp), then
+#: that many u32 stamp entries, then the TLV-encoded payload
+_MSG_HEAD = struct.Struct(">HHIH")
+_MSG_ID = struct.Struct(">HI")  # (origin, seq) at _MSG_ID_AT
+_MSG_ID_AT = 3
+_MSG_BODY_AT = 1 + _MSG_HEAD.size
+_U16 = struct.Struct(">H")
+_NO_STAMP = 0xFFFF
+
+
+def _pack_msg(obj: Dict[str, Any]) -> Optional[bytes]:
+    """Packed encoding of ``{"t": "msg", "src": s, "body": {"id":
+    (origin, seq), "origin": origin, "payload": p[, "stamp": (...)]}}``,
+    or ``None`` when ``obj`` is not *exactly* that shape with every
+    header int in range — the caller then encodes it as generic TLV, so
+    a near-miss (non-tuple id, a ``kind`` key, a bool pid) costs bytes,
+    never an error."""
+    src = obj.get("src")
+    message = obj.get("body")
+    if src.__class__ is not int or message.__class__ is not dict:
+        return None
+    mid = message.get("id")
+    origin = message.get("origin")
+    if (
+        mid.__class__ is not tuple
+        or len(mid) != 2
+        or origin.__class__ is not int
+        or mid[0].__class__ is not int
+        or mid[0] != origin
+        or mid[1].__class__ is not int
+        or "payload" not in message
+    ):
+        return None
+    stamp: Any = ()
+    count = _NO_STAMP
+    if len(message) != 3:
+        stamp = message.get("stamp")
+        if len(message) != 4 or stamp.__class__ is not tuple:
+            return None
+        count = len(stamp)
+        if count >= _NO_STAMP:
+            return None
+        for entry in stamp:
+            if entry.__class__ is not int:
+                return None
+    try:
+        out = bytearray(
+            struct.pack(
+                ">BHHIH%dI" % len(stamp),
+                MAGIC_MSG, src, origin, mid[1], count, *stamp,
+            )
+        )
+    except struct.error:  # an int outside its header field
+        return None
+    _enc_value(message["payload"], out)
+    return bytes(out)
+
+
+def _decode_msg(body: bytes) -> Dict[str, Any]:
+    pos = _MSG_BODY_AT
+    stamp = None
+    try:
+        src, origin, seq, count = _MSG_HEAD.unpack_from(body, 1)
+        if count != _NO_STAMP:
+            stamp = struct.unpack_from(">%dI" % count, body, pos)
+            pos += 4 * count
+    except struct.error:
+        raise ValueError("binary codec: truncated message header") from None
+    message = {
+        "id": (origin, seq),
+        "origin": origin,
+        "payload": _decode_tail(body, pos),
+    }
+    if stamp is not None:
+        message["stamp"] = stamp
+    return {"t": "msg", "src": src, "body": message}
+
+
+def msg_id(body: bytes) -> Optional[Tuple[int, int]]:
+    """``(origin, seq)`` of a packed broadcast-message body read straight
+    off its header — no decode — or ``None`` for any other body.  This is
+    what lets a receiver drop a duplicate before paying for its parse."""
+    if not body or body[0] != MAGIC_MSG:
+        return None
+    try:
+        return _MSG_ID.unpack_from(body, _MSG_ID_AT)
+    except struct.error:
+        raise ValueError("binary codec: truncated message header") from None
+
+
+def readdress(body: bytes, src: int) -> bytes:
+    """A packed broadcast-message body re-addressed as sent by ``src``:
+    one concat, and — the encoding being canonical — byte for byte what
+    :func:`encode_body` would produce for the same message from ``src``
+    (which must fit the header's u16, as every pid that packs does)."""
+    return body[:1] + _U16.pack(src) + body[_MSG_ID_AT:]
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +563,7 @@ def encode(obj: Any, codec: str = CODEC_JSON) -> bytes:
 
 def body_codec(body: bytes) -> str:
     """Which codec a frame body is in (first-byte dispatch)."""
-    if body and body[0] == MAGIC_BINARY:
+    if body and body[0] in (MAGIC_BINARY, MAGIC_MSG):
         return CODEC_BINARY
     return CODEC_JSON
 
@@ -428,6 +599,8 @@ def split_batch(body: bytes) -> List[bytes]:
     pos = 1
     end = len(body)
     while pos < end:
+        if pos + 4 > end:
+            raise ValueError("batch container: truncated length prefix")
         (length,) = _LEN.unpack_from(body, pos)
         pos += 4
         if pos + length > end:
@@ -452,9 +625,16 @@ def decode(body: bytes) -> Any:
     interleave on one connection and no negotiation state is needed to
     read — senders choose, receivers just decode.
     """
-    if body and body[0] == MAGIC_BINARY:
-        return _decode_binary(body)
-    return _untag(json.loads(body.decode("utf-8")))
+    if body:
+        magic = body[0]
+        if magic == MAGIC_BINARY:
+            return _decode_binary(body)
+        if magic == MAGIC_MSG:
+            return _decode_msg(body)
+    try:
+        return _untag(json.loads(body.decode("utf-8")))
+    except RecursionError:
+        raise ValueError("json codec: nesting too deep") from None
 
 
 async def read_body(reader: asyncio.StreamReader) -> bytes:

@@ -1,0 +1,340 @@
+"""Header-only dedup, relay by splice and hostile bytes on the live
+transport (PR 13).
+
+The packed broadcast-message frame lets :class:`AsyncioTransport` ask
+the broadcast layer "seen?" off the frame header and drop a duplicate
+undecoded, and lets a relay re-address the bytes a message arrived in.
+Both are optimisations the layer above must not be able to observe:
+
+* **dedup equivalence** — the same seeded frame sequence (duplicates,
+  reordering, batch containers, generic-TLV and JSON message frames,
+  control frames) produces the identical first-seen handler sequence
+  with and without the predicate registered, and every message frame is
+  accounted for: ``msg_frames_in == handler calls + dups_dropped``;
+* **splice** — relaying the dispatched object queues exactly the bytes a
+  fresh encode would, an equal copy of it (a resync resend) encodes;
+* **hostile bytes** — a peer or client connection fed a malformed body
+  is closed, nothing reaches the loop's exception handler, and the node
+  keeps serving; a client whose server never answers does not leak its
+  pending entry.
+"""
+
+import asyncio
+import gc
+import random
+
+import pytest
+
+from repro.service import wire
+from repro.service.cluster import ClientSession, LiveCluster, client_call
+from repro.service.transport import AsyncioTransport
+
+BASE_PORT = 7720
+ADDRS = {pid: ("127.0.0.1", BASE_PORT + pid) for pid in range(3)}
+
+
+class NullWriter:
+    """The part of a StreamWriter the inbound loop touches."""
+
+    def get_extra_info(self, _name):
+        return None
+
+    def close(self):
+        pass
+
+
+def serve(transport, stream: bytes) -> None:
+    """Run ``transport``'s inbound loop over an in-memory byte stream."""
+
+    async def body():
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire.encode({"t": "hello", "src": 0}) + stream)
+        reader.feed_eof()
+        await transport._serve_conn(reader, NullWriter())
+
+    asyncio.run(body())
+
+
+def message(origin, seq, n=3, **extra):
+    body = {
+        "id": (origin, seq),
+        "origin": origin,
+        "payload": (seq % 2, 1000 * origin + seq, seq, origin),
+        "stamp": tuple(seq + 1 if i == origin else 0 for i in range(n)),
+    }
+    body.update(extra)
+    return body
+
+
+def seeded_stream(seed):
+    """Wire bytes of a shuffled message sequence: every message two to
+    three times (the flood's copies), a fifth of them in a shape that
+    falls back to generic TLV, a tenth from a JSON sender, heartbeats in
+    between, folded into batch containers of random size."""
+    rng = random.Random(seed)
+    bodies = []
+    for origin in (0, 2):
+        for seq in range(40):
+            roll = rng.random()
+            if roll < 0.2:
+                msg, codec = message(origin, seq, kind="bcast"), wire.CODEC_BINARY
+            elif roll < 0.3:
+                msg, codec = message(origin, seq), wire.CODEC_JSON
+            else:
+                msg, codec = message(origin, seq), wire.CODEC_BINARY
+            for src in rng.sample((0, 2, 0), rng.randint(2, 3)):
+                bodies.append(
+                    wire.encode_body({"t": "msg", "src": src, "body": msg}, codec)
+                )
+    for i in range(10):
+        bodies.append(
+            wire.encode_body(
+                {"t": "ctl", "src": 0, "body": {"kind": "hb", "count": i}},
+                wire.CODEC_BINARY,
+            )
+        )
+    rng.shuffle(bodies)
+    stream = b""
+    while bodies:
+        take = rng.randint(1, 7)
+        chunk, bodies = bodies[:take], bodies[take:]
+        stream += (
+            wire.frame(chunk[0]) if len(chunk) == 1 else wire.encode_batch(chunk)
+        )
+    return stream
+
+
+def receiver(with_predicate):
+    """Transport for pid 1 under a broadcast-shaped handler: first-seen
+    messages are recorded, later copies counted as handler-level dups."""
+    transport = AsyncioTransport(1, ADDRS)
+    seen, first_seen, calls, controls = set(), [], [], []
+
+    def handler(src, msg):
+        calls.append(msg["id"])
+        if msg["id"] not in seen:
+            seen.add(msg["id"])
+            first_seen.append((src, msg))
+
+    transport.attach(1, handler)
+    transport.control_handler = lambda src, body: controls.append((src, body))
+    if with_predicate:
+        transport.attach_dedup(1, seen.__contains__)
+    return transport, first_seen, calls, controls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_header_dedup_is_invisible_above_the_transport(seed):
+    stream = seeded_stream(seed)
+    plain, plain_first, plain_calls, plain_ctl = receiver(False)
+    dedup, dedup_first, dedup_calls, dedup_ctl = receiver(True)
+    serve(plain, stream)
+    serve(dedup, stream)
+
+    assert dedup_first == plain_first
+    assert len(plain_first) == 80
+    assert dedup_ctl == plain_ctl and len(plain_ctl) == 10
+
+    for transport, calls in ((plain, plain_calls), (dedup, dedup_calls)):
+        stats = transport.wire_stats
+        assert stats["msg_frames_in"] == len(calls) + stats["dups_dropped"]
+        assert stats["frames_in"] == stats["msg_frames_in"] + 10
+    assert plain.wire_stats["dups_dropped"] == 0
+    assert plain.wire_stats["msg_frames_in"] == dedup.wire_stats["msg_frames_in"]
+    # only copies of packed frames can be dropped on the header; copies
+    # in the generic/JSON shapes still reach the handler's own check
+    dropped = dedup.wire_stats["dups_dropped"]
+    assert 0 < dropped == len(plain_calls) - len(dedup_calls)
+    assert len(dedup_calls) > len(dedup_first)
+
+
+def test_an_earlier_frame_of_a_batch_makes_a_later_copy_a_duplicate():
+    transport, first_seen, calls, _ = receiver(True)
+    body = wire.encode_body(
+        {"t": "msg", "src": 0, "body": message(0, 0)}, wire.CODEC_BINARY
+    )
+    serve(transport, wire.encode_batch([body, wire.readdress(body, 2), body]))
+    assert calls == [(0, 0)] and first_seen == [(0, message(0, 0))]
+    assert transport.wire_stats["dups_dropped"] == 2
+
+
+def test_crashed_transport_drops_before_the_peek():
+    transport, first_seen, calls, _ = receiver(True)
+    transport.crashed_local = True
+    serve(transport, seeded_stream(1))
+    assert calls == [] and transport.wire_stats["msg_frames_in"] == 0
+    assert transport.stats.dropped_to_crashed > 0
+
+
+def relaying_transport(codec):
+    transport = AsyncioTransport(1, ADDRS, codec=codec)
+    log = []
+
+    def handler(_src, msg):
+        log.append(msg)
+        transport.multicast(1, msg)  # the flood relay
+        transport.send(1, 2, msg)  # the lazy family's push
+
+    transport.attach(1, handler)
+    return transport, log
+
+
+def test_relay_of_the_dispatched_object_is_spliced_byte_for_byte():
+    transport, log = relaying_transport(wire.CODEC_BINARY)
+    msg = message(0, 7)
+    serve(
+        transport,
+        wire.encode({"t": "msg", "src": 0, "body": msg}, wire.CODEC_BINARY),
+    )
+    fresh = wire.encode_body({"t": "msg", "src": 1, "body": msg}, wire.CODEC_BINARY)
+    assert list(transport._queues[0]) == [fresh]
+    assert list(transport._queues[2]) == [fresh, fresh]
+    assert transport.wire_stats["relays_spliced"] == 2
+    # outside the dispatch an equal message (a resync resend from the
+    # log) is encoded, not spliced — and comes to the same bytes
+    transport.send(1, 2, log[0])
+    assert transport._queues[2][-1] == fresh
+    assert transport.wire_stats["relays_spliced"] == 2
+
+
+def test_a_copy_of_the_dispatched_message_is_not_spliced():
+    transport = AsyncioTransport(1, ADDRS)
+    transport.attach(1, lambda _src, msg: transport.multicast(1, dict(msg)))
+    serve(
+        transport,
+        wire.encode({"t": "msg", "src": 0, "body": message(0, 7)}, wire.CODEC_BINARY),
+    )
+    assert transport.wire_stats["relays_spliced"] == 0
+    assert wire.decode(transport._queues[0][0])["src"] == 1
+
+
+def test_a_json_node_relays_in_json():
+    transport, _ = relaying_transport(wire.CODEC_JSON)
+    serve(
+        transport,
+        wire.encode({"t": "msg", "src": 0, "body": message(0, 7)}, wire.CODEC_BINARY),
+    )
+    assert transport.wire_stats["relays_spliced"] == 0
+    assert wire.body_codec(transport._queues[0][0]) == wire.CODEC_JSON
+
+
+# ----------------------------------------------------------------------
+# Hostile bytes on real connections
+# ----------------------------------------------------------------------
+HOSTILE_BODIES = [
+    b"\xb1\x0e\x05",
+    b"\xb1\x04\x00",
+    b"\xb1\x12\xff",
+    b"\xb1" + b"\x0c\x01" * 5000 + b"\x00",
+    b"\xb3\x00\x02\x00",  # packed header cut short: fails the peek
+    b"\xb3\x00\x02\x00\x01\x00\x00\x00\x05\xff\xff",  # ...and the decode
+    b"\xb2\x00\x00",
+    b"\xb1\x0c\x00",  # well-formed, but a list is not a frame
+]
+
+
+async def closes(addr, payload: bytes) -> bool:
+    """Write ``payload`` to ``addr``; did the far end close on us?"""
+    reader, writer = await asyncio.open_connection(*addr)
+    try:
+        writer.write(payload)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), 2.0) == b""
+    finally:
+        writer.close()
+
+
+def test_garbage_closes_the_connection_and_the_node_keeps_serving():
+    async def body():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        cluster = LiveCluster(2, base_port=BASE_PORT + 10, seed=3, proxied=False)
+        await cluster.start()
+        try:
+            await asyncio.sleep(0.2)
+            peer = cluster.layout["peer"][0]
+            client = cluster.client_addr(0)
+            hello = wire.encode({"t": "hello", "src": 1, "codec": "binary"})
+            for hostile in HOSTILE_BODIES:
+                assert await closes(peer, hello + wire.frame(hostile)), hostile
+                assert await closes(client, wire.frame(hostile)), hostile
+            # a connection task that died on an uncaught exception tells
+            # the loop's handler when it is collected
+            gc.collect()
+            await asyncio.sleep(0)
+            assert errors == []
+            # still serving: a write through node 0 reaches node 1
+            reply = await client_call(client, {"cmd": "put", "x": 0, "v": 41})
+            assert reply["ok"]
+            for _ in range(40):
+                await asyncio.sleep(0.05)
+                seen = await client_call(
+                    cluster.client_addr(1), {"cmd": "window", "x": 0}
+                )
+                if 41 in seen["value"]:
+                    break
+            else:
+                pytest.fail("write did not propagate after the garbage")
+            status = (await client_call(client, {"cmd": "status"}))["status"]
+            assert status["monitor"]["ok"]
+            for counter in ("msg_frames_in", "dups_dropped", "relays_spliced"):
+                assert counter in status["wire"]
+        finally:
+            await cluster.close()
+
+    asyncio.run(body())
+
+
+def test_client_session_fails_pending_calls_on_a_garbage_reply():
+    async def body():
+        async def garbage_server(reader, writer):
+            await wire.read_body(reader)
+            writer.write(wire.frame(b"\xb1\x0c\x00"))  # a list, not a reply
+            await writer.drain()
+            writer.close()
+
+        server = await asyncio.start_server(
+            garbage_server, "127.0.0.1", BASE_PORT + 20
+        )
+        session = ClientSession(("127.0.0.1", BASE_PORT + 20))
+        await session.connect()
+        try:
+            with pytest.raises(ConnectionError):
+                await session.call({"cmd": "ping"}, timeout=2.0)
+            assert session._pending == {}
+        finally:
+            await session.close()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(body())
+
+
+@pytest.mark.parametrize("window", [1, 4])
+def test_client_call_timeout_does_not_leak_its_pending_entry(window):
+    async def body():
+        async def silent_server(reader, writer):
+            await reader.read()  # swallow requests, never answer
+            writer.close()
+
+        server = await asyncio.start_server(
+            silent_server, "127.0.0.1", BASE_PORT + 21
+        )
+        session = ClientSession(("127.0.0.1", BASE_PORT + 21), window=window)
+        await session.connect()
+        try:
+            results = await asyncio.gather(
+                *(session.call({"cmd": "ping"}, timeout=0.1) for _ in range(6)),
+                return_exceptions=True,
+            )
+            assert all(isinstance(r, asyncio.TimeoutError) for r in results)
+            assert session._pending == {}
+        finally:
+            await session.close()
+            await asyncio.sleep(0.05)  # let the server side see the EOF
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(body())

@@ -12,6 +12,14 @@ that makes that safe:
 * a seeded structural fuzz over the value grammar agrees across codecs;
 * the framing-level batch container is codec-neutral (sub-bodies of
   different codecs coexist in one container);
+* the packed broadcast-message layout (first byte ``0xB3``) is a
+  codec-internal detail: seeded random body messages round-trip to the
+  equal envelope, the header peek agrees with the decoded id, a
+  re-addressed body equals a fresh encode byte for byte, and every
+  shape that does not fit the header falls back to generic TLV;
+* no malformed body — truncated, bad tag, bad key index, over-deep —
+  raises anything but ``ValueError`` (the one exception the connection
+  loops catch);
 * a live cluster with one JSON node among binary peers converges with
   clean monitors (the compat-fallback smoke).
 """
@@ -232,6 +240,215 @@ class TestBatchContainer:
         batch = wire.encode_batch(bodies)[4:]
         with pytest.raises(ValueError):
             wire.split_batch(batch[:-1])
+
+
+# ----------------------------------------------------------------------
+# Packed broadcast-message frames (0xB3)
+# ----------------------------------------------------------------------
+SEQ_EDGES = (0, 1, 127, 128, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1)
+
+
+def random_message(rng):
+    """A body-message envelope as the broadcast layers send it: n up to
+    64, seq up to the header's last value, with or without a stamp,
+    tuple / str / nested payloads."""
+    n = rng.randint(1, 64)
+    origin = rng.randrange(n)
+    seq = rng.choice([rng.choice(SEQ_EDGES), rng.randrange(2**32)])
+    payload = rng.choice(
+        [
+            (rng.randrange(4), rng.randrange(2**31), rng.randrange(2**20), origin),
+            "payload-%d" % rng.randrange(100),
+            random_value(rng),
+        ]
+    )
+    message = {"id": (origin, seq), "origin": origin, "payload": payload}
+    if rng.random() < 0.7:
+        message["stamp"] = tuple(
+            rng.choice([rng.randrange(100), rng.choice(SEQ_EDGES)])
+            for _ in range(n)
+        )
+    return {"t": "msg", "src": rng.randrange(n), "body": message}
+
+
+def envelope(**changes):
+    message = {"id": (1, 5), "origin": 1, "payload": ("w", 0, 3), "stamp": (1, 6, 0)}
+    message.update(changes)
+    return {"t": "msg", "src": 2, "body": message}
+
+
+#: envelopes one step away from the packed shape: each must encode as
+#: generic TLV (never an error) and still round-trip
+FALLBACK_SHAPES = {
+    "list id": envelope(id=[1, 5]),
+    "id of three": envelope(id=(1, 5, 0)),
+    "id origin differs": envelope(id=(2, 5)),
+    "kind present": envelope(kind="bcast"),
+    "extra key": {**envelope(), "hop": 1},
+    "no payload": {"t": "msg", "src": 2, "body": {"id": (1, 5), "origin": 1, "stamp": ()}},
+    "fourth key is not stamp": {
+        "t": "msg", "src": 2,
+        "body": {"id": (1, 5), "origin": 1, "payload": 0, "adv": ()},
+    },
+    "seq past u32": envelope(id=(1, 2**32)),
+    "negative seq": envelope(id=(1, -1)),
+    "origin past u16": envelope(id=(2**16, 5), origin=2**16),
+    "stamp entry past u32": envelope(stamp=(1, 2**32)),
+    "negative stamp entry": envelope(stamp=(1, -1)),
+    "list stamp": envelope(stamp=[1, 6, 0]),
+    "bool stamp entry": envelope(stamp=(1, True)),
+    "bool seq": envelope(id=(1, True)),
+    "str origin": envelope(id=("a", 5), origin="a"),
+    "src past u16": {**envelope(), "src": 2**16},
+    "negative src": {**envelope(), "src": -1},
+    "str src": {**envelope(), "src": "p2"},
+    "body is not a dict": {"t": "msg", "src": 2, "body": [1, 2]},
+    "control frame": {"t": "ctl", "src": 2, "body": envelope()["body"]},
+}
+
+
+class TestPackedMessageFrames:
+    def test_seeded_messages_round_trip_peek_and_readdress(self):
+        rng = random.Random(20260930)
+        for _ in range(400):
+            frame = random_message(rng)
+            body = wire.encode_body(frame, wire.CODEC_BINARY)
+            assert body[0] == wire.MAGIC_MSG
+            assert wire.body_codec(body) == wire.CODEC_BINARY
+            decoded = wire.decode(body)
+            assert decoded == frame == roundtrip(frame, wire.CODEC_JSON)
+            assert type(decoded["body"]["id"]) is tuple
+            assert type(decoded["body"].get("stamp", ())) is tuple
+            # the peek reads what a full decode would
+            assert wire.msg_id(body) == decoded["body"]["id"]
+            # canonical: what was decoded encodes back to the same bytes
+            assert wire.encode_body(decoded, wire.CODEC_BINARY) == body
+            # splice == fresh encode, byte for byte
+            relay_src = rng.randrange(64)
+            assert wire.readdress(body, relay_src) == wire.encode_body(
+                {**frame, "src": relay_src}, wire.CODEC_BINARY
+            )
+
+    def test_stamp_and_no_stamp_stay_distinct(self):
+        bare = envelope()
+        del bare["body"]["stamp"]
+        empty = envelope(stamp=())
+        for frame in (bare, empty):
+            body = wire.encode_body(frame, wire.CODEC_BINARY)
+            assert body[0] == wire.MAGIC_MSG
+            assert wire.decode(body) == frame
+        assert "stamp" not in wire.decode(
+            wire.encode_body(bare, wire.CODEC_BINARY)
+        )["body"]
+
+    @pytest.mark.parametrize("shape", sorted(FALLBACK_SHAPES))
+    def test_near_misses_fall_back_to_generic_tlv(self, shape):
+        frame = FALLBACK_SHAPES[shape]
+        body = wire.encode_body(frame, wire.CODEC_BINARY)
+        assert body[0] == wire.MAGIC_BINARY
+        assert wire.msg_id(body) is None
+        decoded = wire.decode(body)
+        assert decoded == frame
+        # equal *and* the same types: a bool pid must not come back an int
+        assert repr(decoded) == repr(frame)
+
+    def test_peek_ignores_every_other_body_kind(self):
+        frame = envelope()
+        assert wire.msg_id(wire.encode_body(frame, wire.CODEC_JSON)) is None
+        assert wire.msg_id(wire.encode_batch([b"x"])[4:]) is None
+        assert wire.msg_id(b"") is None
+
+    def test_packed_frames_ride_batch_containers(self):
+        rng = random.Random(5)
+        frames = [random_message(rng) for _ in range(6)]
+        bodies = [wire.encode_body(f, wire.CODEC_BINARY) for f in frames]
+        batch = wire.encode_batch(bodies)[4:]
+        assert wire.split_batch(batch) == bodies
+        assert wire.decode_frames(batch) == frames
+
+
+# ----------------------------------------------------------------------
+# Malformed bodies raise ValueError, nothing else
+# ----------------------------------------------------------------------
+def valid_bodies():
+    frame = {
+        "t": "ctl",
+        "src": 0,
+        "body": {"kind": "hb", "frontier": [3, 2**20, 0], "note": "é" * 3},
+    }
+    return {
+        "json": wire.encode_body(frame, wire.CODEC_JSON),
+        "binary": wire.encode_body(frame, wire.CODEC_BINARY),
+        "packed": wire.encode_body(
+            envelope(payload={"op": ("w", "x", 2**40), "seq": 6}),
+            wire.CODEC_BINARY,
+        ),
+    }
+
+
+class TestMalformedBodies:
+    @pytest.mark.parametrize("kind", ["json", "binary", "packed"])
+    def test_every_proper_prefix_raises_value_error(self, kind):
+        body = valid_bodies()[kind]
+        wire.decode(body)
+        for cut in range(len(body)):
+            with pytest.raises(ValueError):
+                wire.decode(body[:cut])
+
+    def test_truncated_packed_header_fails_the_peek(self):
+        body = valid_bodies()["packed"]
+        for cut in range(1, 9):  # magic present, (origin, seq) cut short
+            with pytest.raises(ValueError):
+                wire.msg_id(body[:cut])
+        assert wire.msg_id(body[:9]) == (1, 5)
+
+    def test_batch_prefix_is_an_error_or_a_prefix_of_the_frames(self):
+        # a container carries no count, so a cut on a sub-body boundary
+        # is a shorter container; anywhere else it must be a ValueError
+        bodies = list(valid_bodies().values())
+        frames = [wire.decode(b) for b in bodies]
+        batch = wire.encode_batch(bodies)[4:]
+        assert wire.decode_frames(batch) == frames
+        boundaries = 0
+        for cut in range(1, len(batch)):
+            try:
+                got = wire.decode_frames(batch[:cut])
+            except ValueError:
+                continue
+            boundaries += 1
+            assert got == frames[: len(got)] and len(got) < len(frames)
+        assert boundaries == len(frames)  # the empty container + 2 cuts
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\xb1\x0e\x05",  # tuple of five, no items
+            b"\xb1\x04\x00",  # int32 cut short
+            b"\xb1\x12\xff",  # key index past the intern table
+            b"\xb1" + b"\x0c\x01" * 5000 + b"\x00",  # 5000 nested lists
+            b"\xb1\x10\x01\x0c\x00\x00",  # a list as a dict key
+            b"\xb1\x13",  # unknown tag
+            b"\xb1\x09\xff\xff\xff\xffab",  # str32 longer than the body
+            b"\xb3\x00\x02\x00\x01\x00\x00\x00\x05\x00\x40" + b"\x00" * 8,
+            b"\xb3\x00\x02\x00\x01\x00\x00\x00\x05\xff\xff\x13",
+            b"\xb3\x00\x02\x00\x01\x00\x00\x00\x05\xff\xff\x00\x00",
+            b"\xb2\x00\x00",  # batch: length prefix cut short
+            b"\xb2\x00\x00\x00\x09\x00",  # batch: sub-body cut short
+            b"[" * 5000,  # JSON nested past the parser's recursion
+            b"\xff\xfe",  # not UTF-8
+        ],
+    )
+    def test_hostile_bodies_raise_value_error(self, body):
+        with pytest.raises(ValueError):
+            wire.decode_frames(body)
+
+    def test_nesting_up_to_the_cap_still_decodes(self):
+        value = []
+        for _ in range(wire.MAX_DEPTH - 1):
+            value = [value]
+        assert roundtrip(value, wire.CODEC_BINARY) == value
+        with pytest.raises(ValueError):
+            roundtrip([value], wire.CODEC_BINARY)
 
 
 # ----------------------------------------------------------------------
