@@ -1,9 +1,9 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's artifacts (DESIGN.md §4)
-and *emits* the corresponding table/figure as text: printed to stderr (so
-pytest capture does not swallow it) and appended to
-``benchmarks/results/<name>.txt`` for EXPERIMENTS.md.
+Every ``bench_*.py`` regenerates one of the paper's artifacts and *emits*
+the corresponding table/figure as text: printed to stderr (so pytest
+capture does not swallow it) and appended to
+``benchmarks/results/<name>.txt``, the committed record.
 """
 
 from __future__ import annotations

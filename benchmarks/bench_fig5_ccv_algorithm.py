@@ -6,7 +6,8 @@ The model-check/convergence experiment is specified declaratively as a
 condition is re-checked under a mid-run partition).  Also regenerates the
 transcription-note artifact: the pseudocode as printed
 (``paper_literal=True``) fails the sequential window semantics, the
-corrected insertion does not (DESIGN.md §7).
+corrected insertion does not (the transcription note in
+``repro/algorithms/ccv_window.py``).
 """
 
 import random
@@ -105,7 +106,7 @@ def test_fig5_convergent_across_partition(benchmark):
 def test_fig5_ablation_specialised_vs_generic(benchmark):
     """Fig. 5's window insertion is O(k) per delivery; the generic CCv
     construction replays a growing log.  Compare host cost on identical
-    workloads (the ablation DESIGN.md calls out)."""
+    workloads."""
     import time
 
     n, length = 4, 60

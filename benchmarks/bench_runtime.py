@@ -12,7 +12,7 @@ fast-mode explore matrix wall (runtime + checkers end to end)::
     PYTHONPATH=src python benchmarks/bench_runtime.py                   # full sweep
     PYTHONPATH=src python benchmarks/bench_runtime.py --smoke           # CI guard
     PYTHONPATH=src python benchmarks/bench_runtime.py \
-        --baseline benchmarks/results/BENCH_runtime_seed.json           # compare
+        --baseline BENCH_runtime.json                                   # compare
     PYTHONPATH=src python benchmarks/bench_runtime.py --scale           # + 10k-op cells
 
 Every cell's recorded history is fingerprinted (sha256 over the per
@@ -332,19 +332,8 @@ def _fanout_spec(n: int) -> ScenarioSpec:
 
 
 def _delivered_sets(service: Any) -> List[frozenset]:
-    """Per-replica set of seen message ids, reassembled from the compact
-    frontier + spill representation."""
-    n = len(service._frontier)
-    sets = []
-    for pid in range(n):
-        mids = {
-            (origin, seq)
-            for origin in range(n)
-            for seq in range(service._frontier[pid][origin])
-        }
-        mids.update(service._seen[pid])
-        sets.append(frozenset(mids))
-    return sets
+    """Per-replica set of seen message ids."""
+    return [frozenset(service.seen_ids(pid)) for pid in range(service.n)]
 
 
 def run_fanout_cell(
@@ -365,14 +354,16 @@ def run_fanout_cell(
         wall = min(wall, time.perf_counter() - t0)
     service = result.algorithm.broadcast
     stats = result.network_stats
-    broadcasts = sum(service._next_id)
+    broadcasts = service.broadcasts_issued()
     delivered = _delivered_sets(service)
     complete = all(len(mids) == broadcasts for mids in delivered)
     digest = hashlib.sha256(
         repr([sorted(mids) for mids in delivered]).encode()
     ).hexdigest()
     pending = (
-        sum(service._npending) if hasattr(service, "_npending") else 0
+        sum(service.pending_messages(pid) for pid in range(spec.n))
+        if hasattr(service, "pending_messages")
+        else 0
     )
     missing = (
         sum(service.missing_count(pid) for pid in range(spec.n))

@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Optional
 
 from ..core.operations import Invocation
+from ..runtime.broadcast import ReliableBroadcast
 from ..runtime.network import Network
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
@@ -79,13 +80,8 @@ class ReplicatedObject(ABC):
         cannot rejoin (``supports_recovery = False``) leave this a no-op
         and simply resume with stale state."""
         service = getattr(self, "broadcast", None)
-        start = getattr(service, "start_resync", None)
-        if start is not None:
-            start(pid)
-            return
-        resync = getattr(service, "resync", None)
-        if resync is not None:
-            resync(pid)
+        if isinstance(service, ReliableBroadcast):
+            service.start_resync(pid)
 
     # ------------------------------------------------------------------
     def _complete(

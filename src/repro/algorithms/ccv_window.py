@@ -6,7 +6,8 @@ per stream, the k timestamp-largest writes in timestamp order, so all
 replicas converge to the same window once they have received the same
 messages (Prop. 7).
 
-Transcription note (documented in DESIGN.md §7 and tested in
+Transcription note (its artifact is
+``benchmarks/results/fig5_transcription_note.txt``; tested in
 ``tests/test_algorithms.py::TestPaperLiteralInsertion``): the pseudocode
 as printed has an off-by-one — the insertion loop is bounded by
 ``y < k - 1`` and shifts ``str[x][y] <- str[x][y+1]`` *before* placing the

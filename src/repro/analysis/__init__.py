@@ -1,4 +1,5 @@
-"""Experiment drivers (one per experiment id of DESIGN.md §4)."""
+"""Experiment drivers, one per ``benchmarks/bench_*.py`` artifact (the
+``repro.analysis`` row of README "Architecture")."""
 
 from .consensus import ConsensusRun, consensus_matrix, format_matrix, window_consensus
 from .convergence import ConvergenceResult, divergence_rate, measure_convergence

@@ -1,4 +1,5 @@
-"""Broadcast primitives over the asynchronous network (Sec. 6.1).
+"""Broadcast primitives over the asynchronous network (Sec. 6.1), written
+as *code for process pᵢ*.
 
 The paper's algorithms assume a *reliable causal broadcast* [10]:
 
@@ -8,74 +9,100 @@ The paper's algorithms assume a *reliable causal broadcast* [10]:
 - causal order: if ``m`` was broadcast after delivering ``m'``, no process
   delivers ``m`` before ``m'``.
 
-We provide the full lattice used by the algorithms and baselines:
+Like Figs. 4 and 5, every primitive is a per-process state machine, an
+:class:`Endpoint`: process ``pid`` owns its endpoint's fields and learns
+everything else from messages.
 
-``ReliableBroadcast``
-    agreement via eager flooding (every first-seen message is relayed),
-    which tolerates the broadcaster crashing mid-send; no ordering.
-``FifoBroadcast``
-    adds per-sender FIFO order (sequence numbers) — the substrate of the
-    PRAM baseline.
-``CausalBroadcast``
-    adds vector-clock causal order — the substrate of Figs. 4 and 5.
-``TotalOrderBroadcast``
-    a sequencer-based total order.  *Not* wait-free: a broadcast is only
-    delivered after a round trip through the sequencer, which is exactly
-    why sequentially consistent objects cannot have latency independent of
-    the network (Sec. 1, [3, 16]); the latency experiment E6 measures it.
-``LazyReliableBroadcast`` / ``LazyCausalBroadcast``
-    the push/lazy-push hybrid family (PR 8): full bodies are pushed to a
-    deterministic per-seed relay subset of ~log2(n) peers, bare message
-    ids are advertised (batched) to the rest, and receivers pull missing
-    bodies with supervised timeout/failover.  ~n·log n messages per
-    broadcast instead of n(n-1) — the scale-n32/n64 tiers run on it.
-    Delivery schedules differ from the eager classes, so it is a
-    side-by-side registry family, not a replacement (the bit-identity
-    baseline stays on the eager flood).
+**Own state.**  What pᵢ has seen — a contiguous per-origin *frontier*
+(everything of ``origin`` below ``frontier[origin]``; ``frontier[pid]``
+doubles as pᵢ's own next sequence number) plus a small *spill* set of
+out-of-order ids, so dedup is O(1) without hashing on the common path —
+the retained *log* of those messages in seen order (the substrate of
+crash-recovery anti-entropy), and the ordering layer's buffers.
 
-Throughput notes (PR 5).  Dedup bookkeeping is a per-(receiver, origin)
-*contiguous frontier* — pid has seen every message of ``origin`` below
-``_frontier[pid][origin]`` — plus a small spill set for out-of-order ids,
-so membership tests are O(1) without hashing on the common path and the
-seen-set no longer grows with the run.  A causal-stability sweep
-(:meth:`ReliableBroadcast._gc`) prunes from the anti-entropy logs every
-message whose id lies below *every* replica's frontier: such a message
-can never be resent by :meth:`ReliableBroadcast.resync` (the recovering
-replica has provably seen it), so long runs keep a bounded log.  Crashed
-replicas freeze their frontier, which automatically retains exactly the
-messages a recovering replica may still need.  Causal delivery is indexed
-(:class:`CausalBroadcast`): per-receiver deficit counters replace the
-quadratic re-scan, with the old drain kept as the executable spec
-(:class:`ReferenceCausalBroadcast`) for equivalence tests.
+**Peer view.**  What pᵢ knows of everyone's seen-set (:class:`PeerView`:
+a frontier row and a spill per process).  One code path each computes
+from it the *stability frontier* (per-origin minimum: seen by everyone,
+so :meth:`ReliableEndpoint.sweep` prunes it from the log; a crashed
+peer's row stops moving, which retains exactly what it may still need),
+the resync *verification cutoff* (per-origin maximum: what is known to
+exist) and "does a live peer hold something I lack"
+(:meth:`ReliableEndpoint._behind`).
+
+**Hosted and remote peers.**  A :class:`BroadcastService` is the
+run-scoped container ``algorithm.broadcast`` names: deliver-handler
+table, counters, runtime monitor, chaos sentinel switches, GC cadence.
+It builds one endpoint per pid its transport hosts
+(``Transport.hosted``).  A peer hosted by the same service has its row
+*aliased* into the view — free and exact; a remote peer's row is
+whatever its last digest said.  The simulator hosts all n processes on
+one ``Network``: every row is aliased and the control call is an
+in-line function call — the all-peers-hosted special case of the code a
+live node runs with one endpoint, heartbeat digests and control frames.
+
+Each ``XBroadcast`` service builds ``XEndpoint`` machines: ``Reliable``
+(eager flood, no order), ``Fifo`` (the PRAM baseline's substrate),
+``Causal`` (Figs. 4 and 5's; ``ReferenceCausal`` is its executable
+spec), ``LazyReliable``/``LazyCausal`` (the push/lazy-push family of
+PR 8 — different delivery schedules, so a side-by-side registry family;
+the bit-identity baseline stays on the eager flood) and ``TotalOrder``
+(sequencer-based and *not* wait-free, which is exactly why sequentially
+consistent objects cannot have latency independent of the network —
+Sec. 1, [3, 16]; experiment E6 measures it).
 """
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .clocks import VectorClock
 from .transport import Transport
 
 Handler = Callable[[int, Any], None]  # (origin pid, payload)
+Mid = Tuple[int, int]  # (origin pid, origin's sequence number)
 
 
-class _Endpoint:
-    """Per-process endpoint of a broadcast service."""
+class Endpoint:
+    """Process ``pid``'s end of a broadcast service.  Subclasses supply
+    ``originate(payload)`` and ``receive(src, message)``, the transport's
+    message sink for this process."""
 
     def __init__(self, service: "BroadcastService", pid: int) -> None:
         self.service = service
+        self.transport = service.network
         self.pid = pid
+        self.n = service.n
 
     def broadcast(self, payload: Any) -> None:
+        # by way of the service class, so a run-scoped observer wrapping
+        # ``<Service>.broadcast`` sees every original broadcast once
         self.service.broadcast(self.pid, payload)
+
+    def digest(self) -> Dict[str, Any]:
+        """What this process tells its peers about itself in a heartbeat."""
+        return {}
+
+    def _deliver(self, origin: int, payload: Any) -> None:
+        if self.transport.is_crashed(self.pid):
+            return
+        service = self.service
+        service.delivered_count += 1
+        # looked up per delivery: observers re-bind the table's entries
+        handler = service.delivery_handlers.get(self.pid)
+        if handler is not None:
+            handler(origin, payload)
 
 
 class BroadcastService:
-    """Base class: one instance per run, one endpoint per process."""
+    """One instance per run: the container of the hosted endpoints."""
 
     name = "broadcast"
+    endpoint_cls = Endpoint
+
+    # what :meth:`stats` reports; zero for good in a layer without resync
+    resync_attempts = resync_retries = resync_converged = resync_gave_up = 0
+    resyncs_requested = resyncs_served = 0
 
     def __init__(self, network: Transport) -> None:
         self.network = network
@@ -87,236 +114,262 @@ class BroadcastService:
         #: read-only observers (no rng draws, no scheduling), so runs
         #: are bit-identical with and without one attached.
         self.monitor: Optional[Any] = None
+        self.endpoints: Dict[int, Any] = {
+            pid: self.endpoint_cls(self, pid) for pid in network.hosted
+        }
+        for pid, endpoint in self.endpoints.items():
+            network.attach(pid, endpoint.receive)
 
-    def endpoint(self, pid: int, handler: Handler) -> _Endpoint:
-        """Register ``handler`` as process ``pid``'s deliver callback."""
+    def endpoint(self, pid: int, handler: Handler) -> Optional[Any]:
+        """Register ``handler`` as process ``pid``'s deliver callback;
+        returns its endpoint (``None`` for a pid hosted elsewhere)."""
         self.delivery_handlers[pid] = handler
-        return _Endpoint(self, pid)
+        return self.endpoints.get(pid)
 
     def broadcast(self, pid: int, payload: Any) -> None:
-        raise NotImplementedError
+        self.endpoints[pid].originate(payload)
 
-    def _deliver(self, pid: int, origin: int, payload: Any) -> None:
-        if self.network.is_crashed(pid):
-            return
-        self.delivered_count += 1
-        handler = self.delivery_handlers.get(pid)
-        if handler is not None:
-            handler(origin, payload)
+    def log_sizes(self) -> List[int]:
+        """Retained anti-entropy log entries per hosted process."""
+        return []
+
+    def stats(self) -> Dict[str, Any]:
+        """The counters a node's ``status`` document shows."""
+        return {
+            "delivered": self.delivered_count,
+            "log_sizes": self.log_sizes(),
+            "resync_attempts": self.resync_attempts,
+            "resync_retries": self.resync_retries,
+            "resync_converged": self.resync_converged,
+            "resync_gave_up": self.resync_gave_up,
+            "resyncs_served": self.resyncs_served,
+            "resyncs_requested": self.resyncs_requested,
+        }
 
 
-class ReliableBroadcast(BroadcastService):
+class PeerView:
+    """What one process knows of every process's seen-set: per pid (its
+    own included) a contiguous frontier row and an out-of-order spill.
+    Rows of processes hosted beside the owner are the owners' own lists,
+    aliased; a remote row only moves when :meth:`learn` is told so."""
+
+    def __init__(self, n: int, hosted: Dict[int, "ReliableEndpoint"]) -> None:
+        self.rows: List[List[int]] = [
+            hosted[q].frontier if q in hosted else [0] * n for q in range(n)
+        ]
+        self.spills: List[Set[Mid]] = [
+            hosted[q].spill if q in hosted else set() for q in range(n)
+        ]
+        self.remote = frozenset(range(n)).difference(hosted)
+
+    def learn(
+        self, pid: int, frontier: Sequence[int], spill: Optional[Any] = None
+    ) -> None:
+        """Digest receipt: ``pid`` says it has seen everything below
+        ``frontier`` and, when it says so, exactly ``spill`` above it."""
+        if pid not in self.remote:
+            return  # aliased, already exact
+        row = self.rows[pid]
+        for origin, head in enumerate(frontier[: len(row)]):
+            if head > row[origin]:
+                row[origin] = head
+        if spill is not None:
+            self.spills[pid] = {tuple(mid) for mid in spill}
+
+    def seen(self, pid: int, mid: Mid) -> bool:
+        return mid[1] < self.rows[pid][mid[0]] or mid in self.spills[pid]
+
+    def stable(self, inflate: Any = ()) -> List[int]:
+        """The stability frontier: per origin, what every process has
+        seen (``inflate``: pids counted one message ahead — the
+        ``gc-frontier`` chaos sentinel's off-by-one)."""
+        if not inflate:
+            return list(map(min, zip(*self.rows)))
+        return [
+            min(row[origin] + (q in inflate) for q, row in enumerate(self.rows))
+            for origin in range(len(self.rows))
+        ]
+
+    def cutoff(self) -> Tuple[int, ...]:
+        """Per origin, how many messages are known to exist: every
+        message was seen by its origin before anyone else, so no row
+        exceeds the origin's own and any row bounds it from below."""
+        return tuple(map(max, zip(*self.rows)))
+
+
+class ReliableEndpoint(Endpoint):
     """Eager reliable broadcast (flooding).
 
-    Every process relays each message the first time it sees it, so a
+    A process relays each message the first time it sees it, so a
     message delivered anywhere reaches every non-faulty process even if
     the broadcaster crashes mid-broadcast.  ``flood=False`` degrades to
     best-effort direct sends (n-1 messages instead of O(n^2)); the fault
     injection tests exercise the difference.
 
-    Memory stays bounded on long runs through causal-stability GC: every
-    ``GC_INTERVAL`` first-seen notes, messages below the *stability
-    frontier* (the per-origin minimum of all replicas' contiguous seen
-    frontiers — crashed replicas' frontiers freeze, so nothing a downed
-    replica still needs is touched) are pruned from the anti-entropy
-    logs.  :meth:`resync` is unaffected: a pruned message is, by
-    construction, already seen by every possible resync target.
+    Memory stays bounded on long runs through causal-stability GC
+    (:meth:`sweep`), and a crash-recovered process catches up by
+    supervised anti-entropy (:meth:`start_resync`); a pruned message is,
+    by construction, already seen by every possible resync target.
     """
 
-    name = "reliable"
-
-    #: first-seen notes between causal-stability GC sweeps
-    GC_INTERVAL = 1024
-
-    #: supervised-resync parameters: first verification check after
-    #: RESYNC_TIMEOUT, backing off geometrically, giving up after
-    #: RESYNC_MAX_ATTEMPTS catch-up attempts
-    RESYNC_TIMEOUT = 6.0
-    RESYNC_BACKOFF = 1.6
-    RESYNC_MAX_ATTEMPTS = 8
-
-    #: chaos sentinel switch: ``False`` degrades :meth:`start_resync` to
-    #: the pre-supervision one-shot catch-up (``--inject oneshot-resync``)
-    supervised_resync = True
-    #: chaos sentinel bug: mis-handle crashed replicas' frozen frontiers
-    #: in :meth:`_gc` (``--inject gc-frontier``); the invariant monitors
-    #: must catch the resulting premature prune
-    gc_frontier_bug = False
-
-    def __init__(self, network: Transport, flood: bool = True) -> None:
-        super().__init__(network)
-        self.flood = flood
-        n = self.n
-        # supervised-resync bookkeeping: epoch per target (a re-crash +
-        # re-recover orphans the old supervision chain) and stats
-        self._resync_epoch: Dict[int, int] = {}
-        self.resync_attempts = 0
-        self.resync_retries = 0
-        self.resync_converged = 0
-        self.resync_gave_up = 0
-        # dedup state: contiguous per-origin frontier + out-of-order spill
-        self._frontier: List[List[int]] = [[0] * n for _ in range(n)]
-        self._seen: List[Set[Tuple[int, int]]] = [set() for _ in range(n)]
-        # every message each process has seen, in seen order — the
-        # substrate of crash-recovery anti-entropy (see resync), pruned
-        # below the stability frontier by _gc
-        self._log: List[List[Any]] = [[] for _ in range(n)]
-        self._stable: List[int] = [0] * n
-        self._notes_since_gc = 0
-        self.gc_runs = 0
-        self.gc_pruned = 0
-        self._next_id: List[int] = [0] * n
-        for pid in range(n):
-            # partial dispatches through C, one frame cheaper than a
-            # per-pid closure on the hottest call path in the simulator
-            network.attach(pid, partial(self._receive, pid))
-            network.attach_dedup(pid, partial(self._is_seen, pid))
+    def __init__(self, service: "ReliableBroadcast", pid: int) -> None:
+        super().__init__(service, pid)
+        self.frontier: List[int] = [0] * self.n
+        self.spill: Set[Mid] = set()
+        self.log: List[Any] = []
+        self.stable: List[int] = [0] * self.n
+        # per origin, below what the log has been pruned: ``stable``,
+        # unless an unsound sweep (the chaos sentinel) let it regress
+        self.pruned: List[int] = [0] * self.n
+        self.peers: PeerView  # built once every hosted endpoint exists
+        # a re-crash + re-recover orphans the old supervision chain
+        self._resync_epoch = 0
 
     # ------------------------------------------------------------------
     # Dedup bookkeeping
     # ------------------------------------------------------------------
-    def _is_seen(self, pid: int, mid: Tuple[int, int]) -> bool:
-        return mid[1] < self._frontier[pid][mid[0]] or mid in self._seen[pid]
+    def is_seen(self, mid: Mid) -> bool:
+        return mid[1] < self.frontier[mid[0]] or mid in self.spill
 
-    def _note_seen(self, pid: int, message: Any) -> None:
+    def digest(self) -> Dict[str, Any]:
+        return {"frontier": list(self.frontier)}
+
+    def _note_seen(self, message: Any) -> None:
         mid = message["id"]
         origin, seq = mid
-        frontier = self._frontier[pid]
+        frontier = self.frontier
         if seq == frontier[origin]:
             nxt = seq + 1
-            spill = self._seen[pid]
+            spill = self.spill
             if spill:
                 while (origin, nxt) in spill:
                     spill.discard((origin, nxt))
                     nxt += 1
             frontier[origin] = nxt
         else:
-            self._seen[pid].add(mid)
-        self._log[pid].append(message)
-        self._notes_since_gc += 1
-        if self._notes_since_gc >= self.GC_INTERVAL:
-            self._gc()
+            self.spill.add(mid)
+        self.log.append(message)
+        service = self.service
+        service._notes_since_gc += 1
+        if service._notes_since_gc >= service.GC_INTERVAL:
+            service.sweep()
 
-    def _gc(self) -> None:
-        """Causal-stability sweep: prune log entries below every
-        replica's seen frontier (see class docstring)."""
-        self._notes_since_gc = 0
-        self.gc_runs += 1
-        n = self.n
-        frontiers = self._frontier
-        stable = [
-            min(frontiers[pid][origin] for pid in range(n))
-            for origin in range(n)
-        ]
+    def sweep(self) -> None:
+        """Causal-stability GC: prune the log below the stability
+        frontier of this process's peer view."""
+        service = self.service
+        transport = self.transport
         # membership through the Transport contract — `.crashed` is a
         # Network implementation detail the live transport doesn't have
-        crashed = {pid for pid in range(n) if self.network.is_crashed(pid)}
-        if self.gc_frontier_bug and crashed:
-            # chaos sentinel (--inject gc-frontier): pretend every
-            # crashed replica has seen one message more per origin than
-            # its frozen frontier records — an off-by-one that can prune
-            # a message a downed replica still needs
-            stable = [
-                min(
-                    frontiers[pid][origin] + (1 if pid in crashed else 0)
-                    for pid in range(n)
-                )
-                for origin in range(n)
-            ]
-        if stable == self._stable:
+        crashed = {q for q in range(self.n) if transport.is_crashed(q)}
+        # chaos sentinel (--inject gc-frontier): pretend every crashed
+        # replica has seen one message more per origin than its frozen
+        # frontier records — an off-by-one that can prune a message a
+        # downed replica still needs
+        stable = self.peers.stable(crashed if service.gc_frontier_bug else ())
+        if stable == self.stable:
             return
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.on_gc(stable, frontiers, crashed)
-        self._stable = stable
-        for pid in range(n):
-            log = self._log[pid]
-            kept = [m for m in log if m["id"][1] >= stable[m["id"][0]]]
-            if len(kept) != len(log):
-                self.gc_pruned += len(log) - len(kept)
-                self._log[pid] = kept
-
-    def log_sizes(self) -> List[int]:
-        """Retained anti-entropy log entries per replica (observability:
-        the causal-stability GC keeps these bounded on long runs)."""
-        return [len(log) for log in self._log]
+        if service.monitor is not None:
+            service.monitor.on_gc(stable, self.peers.rows, crashed)
+        self.stable = stable
+        self.pruned = list(map(max, self.pruned, stable))
+        log = self.log
+        self.log = [m for m in log if m["id"][1] >= stable[m["id"][0]]]
+        service.gc_pruned += len(log) - len(self.log)
 
     # ------------------------------------------------------------------
-    def broadcast(self, pid: int, payload: Any) -> None:
-        if self.network.is_crashed(pid):
+    # The send and receive paths, shared by every ordering layer below:
+    # a layer is its ``_accept`` (and, for causal order, its stamp)
+    # ------------------------------------------------------------------
+    def originate(self, payload: Any) -> None:
+        if self.transport.is_crashed(self.pid):
             return
-        mid = (pid, self._next_id[pid])
-        self._next_id[pid] += 1
-        message = {"id": mid, "origin": pid, "payload": payload}
-        # immediate local delivery (Sec. 6.1, third bullet)
-        self._note_seen(pid, message)
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.on_deliver(pid, mid)
-        self._deliver(pid, pid, payload)
-        self._relay(pid, message)
+        message = self._new_message(payload)
+        self._note_seen(message)
+        # immediate local delivery (Sec. 6.1, third bullet): nothing can
+        # precede a process's own next message at that process
+        self._accept(message)
+        self._relay(message)
 
-    def _relay(self, pid: int, message: Any) -> None:
-        self.network.multicast(pid, message)
+    def _new_message(self, payload: Any) -> Dict[str, Any]:
+        pid = self.pid
+        return {"id": (pid, self.frontier[pid]), "origin": pid, "payload": payload}
 
-    def _receive(self, pid: int, src: int, message: Any) -> None:
+    def _relay(self, message: Any) -> None:
+        self.transport.multicast(self.pid, message)
+
+    def receive(self, src: int, message: Any) -> None:
         mid = message["id"]
-        # inlined _is_seen (hot path) — keep in sync with that helper
-        if mid[1] < self._frontier[pid][mid[0]] or mid in self._seen[pid]:
+        # inlined is_seen (hot path) — keep in sync with that helper
+        if mid[1] < self.frontier[mid[0]] or mid in self.spill:
             return
-        self._note_seen(pid, message)
-        monitor = self.monitor
+        self._first_seen(message)
+
+    def _first_seen(self, message: Any) -> None:
+        self._note_seen(message)
+        if self.service.flood:
+            self._relay(message)
+        self._accept(message)
+
+    def _accept(self, message: Any) -> None:
+        """A first-seen message enters the delivery layer — with no
+        ordering to enforce, it is delivered at once."""
+        monitor = self.service.monitor
         if monitor is not None:
-            monitor.on_deliver(pid, mid)
-        self._deliver(pid, message["origin"], message["payload"])
-        if self.flood:
-            self._relay(pid, message)
+            monitor.on_deliver(self.pid, message["id"])
+        self._deliver(message["origin"], message["payload"])
 
     # ------------------------------------------------------------------
-    def resync(self, target: int, helper: Optional[int] = None) -> int:
-        """Anti-entropy catch-up for a crash-recovered process.
-
-        A live ``helper`` (lowest live pid by default) re-sends the
-        messages it has seen but ``target`` has not (the digest exchange
-        of a real anti-entropy session, read off the seen frontiers
-        directly here) over the network.  The ordering layers (FIFO
-        sequence numbers, causal vector clocks) buffer and deliver them
-        in the right order, so the recovered replica replays exactly the
-        deliveries it missed.  Messages pruned by the stability GC never
-        need resending: they were seen by every replica — ``target``
-        included — before pruning.  Returns the number of messages
-        re-sent."""
+    # Resync: request -> serve, over the transport's control call
+    # ------------------------------------------------------------------
+    def resync(self, helper: Optional[int] = None) -> int:
+        """Anti-entropy catch-up after a crash: tell a live ``helper``
+        (lowest live pid by default) what this process has seen; the
+        helper replays from its own log what that does not cover
+        (:meth:`on_control`), and the ordering layer delivers the
+        replayed messages in the right order.  Returns the number of
+        messages re-sent when the control call is in-line, else 0."""
         if helper is None:
-            live = [
-                pid
-                for pid in range(self.n)
-                if pid != target and not self.network.is_crashed(pid)
-            ]
-            if not live:
+            helper = self._resync_helper(0)
+            if helper is None:
                 return 0
-            helper = live[0]
-        missing = [
-            message
-            for message in self._log[helper]
-            if not self._is_seen(target, message["id"])
-        ]
+        self.service.resyncs_requested += 1
+        request = {
+            "kind": "resync-req",
+            "frontier": list(self.frontier),
+            "spill": sorted(self.spill),
+        }
+        return self.transport.control(self.pid, helper, request) or 0
+
+    def on_control(self, src: int, body: Dict[str, Any]) -> Optional[int]:
+        """The transport's control sink: any control body may carry its
+        sender's digest; a ``resync-req`` also asks for a replay."""
+        frontier = body.get("frontier")
+        if frontier is not None:
+            self.peers.learn(src, frontier, body.get("spill"))
+        if body.get("kind") != "resync-req":
+            return None
+        self.service.resyncs_served += 1
+        seen = self.peers.seen
+        missing = [m for m in self.log if not seen(src, m["id"])]
+        send = self.transport.send
         for message in missing:
-            self.network.send(helper, target, message)
+            send(self.pid, src, message)
         return len(missing)
 
     # ------------------------------------------------------------------
     # Supervised resync: timeout + exponential backoff + helper failover
     # ------------------------------------------------------------------
-    def start_resync(self, target: int) -> None:
+    def start_resync(self) -> None:
         """Supervised anti-entropy catch-up for a recovered process.
 
-        The one-shot :meth:`resync` silently strands ``target`` when its
-        helper crashes mid-catch-up, the catch-up messages are lost, or
-        the helper is on the wrong side of a partition.  This wrapper
+        The one-shot :meth:`resync` silently strands this process when
+        its helper crashes mid-catch-up, the catch-up messages are lost,
+        or the helper is on the wrong side of a partition.  This wrapper
         supervises it: the first attempt is byte-identical to the
         one-shot (lowest live helper), then a verification check fires
         ``RESYNC_TIMEOUT`` later — if any live peer still holds a
-        message ``target`` has not seen (restricted to messages that
+        message this process has not seen (restricted to messages that
         existed when the attempt started, so fresh traffic never fakes a
         gap), the catch-up is retried against the next reachable helper
         with geometric backoff, up to ``RESYNC_MAX_ATTEMPTS``.
@@ -327,165 +380,216 @@ class ReliableBroadcast(BroadcastService):
         deliver the identical values in the identical order as the
         pre-supervision one-shot (the pending verification check does
         extend simulated quiescence by the timeout tail)."""
-        if not self.supervised_resync:
-            self.resync(target)
+        service = self.service
+        if not service.supervised_resync:
+            self.resync()
             return
-        epoch = self._resync_epoch.get(target, 0) + 1
-        self._resync_epoch[target] = epoch
-        self._resync_attempt(target, epoch, 0, self.RESYNC_TIMEOUT)
+        self._resync_epoch += 1
+        self._resync_attempt(self._resync_epoch, 0, service.RESYNC_TIMEOUT)
 
-    def _resync_helper(self, target: int, attempt: int) -> Optional[int]:
-        network = self.network
-        live = [
-            pid
-            for pid in range(self.n)
-            if pid != target and not network.is_crashed(pid)
-        ]
+    def _live_peers(self) -> List[int]:
+        crashed = self.transport.is_crashed
+        return [q for q in range(self.n) if q != self.pid and not crashed(q)]
+
+    def _resync_helper(self, attempt: int) -> Optional[int]:
+        live = self._live_peers()
         if not live:
             return None
         if attempt == 0:
             # the pre-supervision one-shot choice, preserved exactly so
             # recorded-history fingerprints only move when a retry fires
             return live[0]
-        reachable = [
-            pid for pid in live if not network.separated(pid, target)
-        ]
-        pool = reachable or live
+        separated = self.transport.separated
+        pool = [q for q in live if not separated(q, self.pid)] or live
         return pool[attempt % len(pool)]
 
-    def _resync_attempt(
-        self, target: int, epoch: int, attempt: int, timeout: float
-    ) -> None:
-        if self._resync_epoch.get(target) != epoch:
-            return  # orphaned: target re-crashed and re-recovered
-        network = self.network
-        if network.is_crashed(target):
+    def _resync_attempt(self, epoch: int, attempt: int, timeout: float) -> None:
+        if self._resync_epoch != epoch:
+            return  # orphaned: this process re-crashed and re-recovered
+        if self.transport.is_crashed(self.pid):
             return  # re-crashed: the next recover starts a fresh epoch
-        helper = self._resync_helper(target, attempt)
+        helper = self._resync_helper(attempt)
         if helper is not None:
-            self.resync_attempts += 1
+            service = self.service
+            service.resync_attempts += 1
             if attempt:
-                self.resync_retries += 1
-            self.resync(target, helper=helper)
+                service.resync_retries += 1
+            self.resync(helper)
         # verification cutoff: only messages that already exist count as
         # missing at the check, so traffic broadcast after this attempt
         # can never turn a complete catch-up into a spurious retry
-        cutoff = tuple(self._next_id)
-        network.schedule(
-            timeout, self._resync_check, target, epoch, attempt, timeout, cutoff
+        cutoff = self.peers.cutoff()
+        self.transport.schedule(
+            timeout, self._resync_check, epoch, attempt, timeout, cutoff
         )
 
     def _resync_check(
-        self,
-        target: int,
-        epoch: int,
-        attempt: int,
-        timeout: float,
-        cutoff: Tuple[int, ...],
+        self, epoch: int, attempt: int, timeout: float, cutoff: Tuple[int, ...]
     ) -> None:
-        if self._resync_epoch.get(target) != epoch:
+        if self._resync_epoch != epoch or self.transport.is_crashed(self.pid):
             return
-        if self.network.is_crashed(target):
+        service = self.service
+        if not self._behind(cutoff):
+            service.resync_converged += 1
             return
-        if not self._catchup_missing(target, cutoff):
-            self.resync_converged += 1
-            return
-        if attempt + 1 >= self.RESYNC_MAX_ATTEMPTS:
-            self.resync_gave_up += 1
-            monitor = self.monitor
-            if monitor is not None:
-                monitor.on_resync_stranded(target, attempt + 1)
+        if attempt + 1 >= service.RESYNC_MAX_ATTEMPTS:
+            service.resync_gave_up += 1
+            if service.monitor is not None:
+                service.monitor.on_resync_stranded(self.pid, attempt + 1)
             return
         self._resync_attempt(
-            target, epoch, attempt + 1, timeout * self.RESYNC_BACKOFF
+            epoch, attempt + 1, timeout * service.RESYNC_BACKOFF
         )
 
-    def _catchup_missing(self, target: int, cutoff: Tuple[int, ...]) -> bool:
-        """Does any live peer's log hold a message (below ``cutoff``)
-        that ``target`` has not seen?  Also monitors stability-frontier
-        soundness: a gap *below* the stability frontier is unrepairable
-        (the message is pruned from every log), which a sound GC makes
-        impossible — flagged as ``pruned-gap`` when it happens."""
-        monitor = self.monitor
+    def _gap(self, origin: int, lo: int, hi: int) -> Optional[int]:
+        """The first of ``origin``'s ids in ``[lo, hi)`` not seen here
+        (``lo`` at or above the frontier), if any."""
+        spill = self.spill
+        for seq in range(lo, hi):
+            if (origin, seq) not in spill:
+                return seq
+        return None
+
+    def _behind(self, cutoff: Tuple[int, ...]) -> bool:
+        """Does any live peer still hold a message (below ``cutoff``)
+        that this process has not seen?  A gap *below* the stability
+        frontier is pruned from every log and so unrepairable, which a
+        sound GC makes impossible — flagged as ``pruned-gap``, never
+        retried."""
+        frontier, stable, pruned = self.frontier, self.stable, self.pruned
+        monitor = self.service.monitor
         if monitor is not None:
-            frontier = self._frontier[target]
-            spill = self._seen[target]
             for origin in range(self.n):
-                limit = min(self._stable[origin], cutoff[origin])
-                seq = frontier[origin]
-                while seq < limit:
-                    if (origin, seq) not in spill:
-                        monitor.on_pruned_gap(target, origin, seq)
-                        break
-                    seq += 1
-        network = self.network
-        for helper in range(self.n):
-            if helper == target or network.is_crashed(helper):
-                continue
-            for message in self._log[helper]:
-                mid = message["id"]
-                if mid[1] < cutoff[mid[0]] and not self._is_seen(target, mid):
-                    return True
-        return False
+                limit = min(stable[origin], cutoff[origin])
+                seq = self._gap(origin, frontier[origin], limit)
+                if seq is not None:
+                    monitor.on_pruned_gap(self.pid, origin, seq)
+        live = self._live_peers()
+        rows, spills = self.peers.rows, self.peers.spills
+        for origin in range(self.n):
+            held = max((rows[q][origin] for q in live), default=0)
+            floor = max(frontier[origin], pruned[origin])
+            if self._gap(origin, floor, min(held, cutoff[origin])) is not None:
+                return True
+        return any(
+            pruned[mid[0]] <= mid[1] < cutoff[mid[0]] and not self.is_seen(mid)
+            for q in live
+            for mid in spills[q]
+        )
+
+
+class ReliableBroadcast(BroadcastService):
+    """The eager reliable broadcast service: see :class:`ReliableEndpoint`."""
+
+    name = "reliable"
+    endpoint_cls = ReliableEndpoint
+
+    #: first-seen notes (across the hosted endpoints) between sweeps
+    GC_INTERVAL = 1024
+
+    #: supervised-resync parameters: first verification check after
+    #: RESYNC_TIMEOUT, backing off geometrically, giving up after
+    #: RESYNC_MAX_ATTEMPTS catch-up attempts
+    RESYNC_TIMEOUT = 6.0
+    RESYNC_BACKOFF = 1.6
+    RESYNC_MAX_ATTEMPTS = 8
+
+    #: chaos sentinel switch: ``False`` degrades ``start_resync`` to the
+    #: pre-supervision one-shot catch-up (``--inject oneshot-resync``)
+    supervised_resync = True
+    #: chaos sentinel bug: mis-handle crashed replicas' frozen frontiers
+    #: in the sweep (``--inject gc-frontier``); the invariant monitors
+    #: must catch the resulting premature prune
+    gc_frontier_bug = False
+
+    def __init__(self, network: Transport, flood: bool = True) -> None:
+        super().__init__(network)
+        self.flood = flood
+        self._notes_since_gc = 0
+        self.gc_runs = 0
+        self.gc_pruned = 0
+        for pid, endpoint in self.endpoints.items():
+            endpoint.peers = PeerView(self.n, self.endpoints)
+            network.attach_dedup(pid, endpoint.is_seen)
+            network.attach_control(pid, endpoint.on_control)
+
+    def sweep(self) -> None:
+        """One stability sweep of every hosted endpoint."""
+        self._notes_since_gc = 0
+        self.gc_runs += 1
+        for endpoint in self.endpoints.values():
+            endpoint.sweep()
+
+    def resync(self, target: int, helper: Optional[int] = None) -> int:
+        return self.endpoints[target].resync(helper)
+
+    def start_resync(self, target: int) -> None:
+        self.endpoints[target].start_resync()
+
+    # -- read-only observability ---------------------------------------
+    def log_sizes(self) -> List[int]:
+        return [len(endpoint.log) for endpoint in self.endpoints.values()]
+
+    def retained_log(self, pid: int) -> List[Any]:
+        """The messages ``pid`` retains for anti-entropy, in seen order."""
+        return list(self.endpoints[pid].log)
+
+    def seen_ids(self, pid: int) -> Set[Mid]:
+        """Every message id ``pid`` has seen (frontier + spill, expanded)."""
+        endpoint = self.endpoints[pid]
+        return {
+            (origin, seq)
+            for origin, head in enumerate(endpoint.frontier)
+            for seq in range(head)
+        } | endpoint.spill
+
+    def stability_frontier(self, pid: int) -> List[int]:
+        """Per origin, below what ``pid`` has pruned its log."""
+        return list(self.endpoints[pid].stable)
+
+    def broadcasts_issued(self) -> int:
+        """Original broadcasts by the hosted processes."""
+        return sum(e.frontier[pid] for pid, e in self.endpoints.items())
+
+
+class FifoEndpoint(ReliableEndpoint):
+    """Reliable broadcast + per-sender FIFO delivery order."""
+
+    def __init__(self, service: "FifoBroadcast", pid: int) -> None:
+        super().__init__(service, pid)
+        self.expected: List[int] = [0] * self.n  # next seq per origin
+        self.pending: Dict[Mid, Any] = {}
+
+    def _accept(self, message: Any) -> None:
+        origin = message["origin"]
+        pending = self.pending
+        pending[message["id"]] = message
+        # deliver as many in-order messages as possible
+        monitor = self.service.monitor
+        while True:
+            nxt = self.expected[origin]
+            queued = pending.pop((origin, nxt), None)
+            if queued is None:
+                break
+            self.expected[origin] = nxt + 1
+            if monitor is not None:
+                monitor.on_fifo_deliver(self.pid, origin, nxt)
+            self._deliver(origin, queued["payload"])
 
 
 class FifoBroadcast(ReliableBroadcast):
-    """Reliable broadcast + per-sender FIFO delivery order."""
-
     name = "fifo"
-
-    def __init__(self, network: Transport, flood: bool = True) -> None:
-        super().__init__(network, flood)
-        # next expected sequence number per (receiver, origin)
-        self._expected: List[List[int]] = [[0] * self.n for _ in range(self.n)]
-        self._pending: List[Dict[Tuple[int, int], Any]] = [
-            {} for _ in range(self.n)
-        ]
-
-    def broadcast(self, pid: int, payload: Any) -> None:
-        if self.network.is_crashed(pid):
-            return
-        mid = (pid, self._next_id[pid])
-        self._next_id[pid] += 1
-        message = {"id": mid, "origin": pid, "payload": payload}
-        self._note_seen(pid, message)
-        self._fifo_accept(pid, message)
-        self._relay(pid, message)
-
-    def _receive(self, pid: int, src: int, message: Any) -> None:
-        mid = message["id"]
-        # inlined _is_seen (hot path) — keep in sync with that helper
-        if mid[1] < self._frontier[pid][mid[0]] or mid in self._seen[pid]:
-            return
-        self._note_seen(pid, message)
-        if self.flood:
-            self._relay(pid, message)
-        self._fifo_accept(pid, message)
-
-    def _fifo_accept(self, pid: int, message: Any) -> None:
-        origin, seq = message["id"]
-        self._pending[pid][(origin, seq)] = message
-        # deliver as many in-order messages as possible
-        monitor = self.monitor
-        while True:
-            nxt = self._expected[pid][origin]
-            key = (origin, nxt)
-            if key not in self._pending[pid]:
-                break
-            queued = self._pending[pid].pop(key)
-            self._expected[pid][origin] += 1
-            if monitor is not None:
-                monitor.on_fifo_deliver(pid, origin, nxt)
-            self._deliver(pid, origin, queued["payload"])
+    endpoint_cls = FifoEndpoint
 
 
-class CausalBroadcast(ReliableBroadcast):
+class CausalEndpoint(ReliableEndpoint):
     """Reliable broadcast + vector-clock causal delivery order.
 
     A message is stamped with the broadcaster's delivery vector (after
     counting the message itself); a receiver delays it until it has
     delivered every causally preceding message.  Local delivery is
-    immediate, matching the paper's primitive.
+    immediate, matching the paper's primitive: the broadcaster's own
+    message passes the same test with nothing to wait for.
 
     Delivery is *indexed*: a buffered message registers, per vector
     component it still lacks, in a wait table keyed by ``(component,
@@ -500,64 +604,35 @@ class CausalBroadcast(ReliableBroadcast):
     delivery identical (property-tested in ``tests/test_runtime_perf.py``).
     """
 
-    name = "causal"
+    def __init__(self, service: "CausalBroadcast", pid: int) -> None:
+        super().__init__(service, pid)
+        self.vc = VectorClock(self.n)
+        # indexed pending state: arrival counter, wait table
+        # {(component, threshold): [entry]}, blocked count; an entry is
+        # [arrival_index, message, deficit]
+        self.arrivals = 0
+        self.wait: Dict[Tuple[int, int], List[List[Any]]] = {}
+        self.npending = 0
 
-    def __init__(self, network: Transport, flood: bool = True) -> None:
-        super().__init__(network, flood)
-        n = self.n
-        self._vc: List[VectorClock] = [VectorClock(n) for _ in range(n)]
-        # indexed pending state, per receiver: arrival counter, wait
-        # table {(component, threshold): [entry]}, blocked count; an
-        # entry is [arrival_index, message, deficit]
-        self._arrivals: List[int] = [0] * n
-        self._wait: List[Dict[Tuple[int, int], List[List[Any]]]] = [
-            {} for _ in range(n)
-        ]
-        self._npending: List[int] = [0] * n
-
-    def broadcast(self, pid: int, payload: Any) -> None:
-        if self.network.is_crashed(pid):
-            return
-        mid = (pid, self._next_id[pid])
-        self._next_id[pid] += 1
-        vc = self._vc[pid]
-        vc.deliver(pid)  # local delivery counts first
-        message = {
-            "id": mid,
-            "origin": pid,
-            "payload": payload,
-            "stamp": vc.snapshot(),
-        }
-        self._note_seen(pid, message)
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.on_causal_deliver(pid, mid, pid, message["stamp"])
-        self._deliver(pid, pid, payload)
-        # no buffered message at pid can be waiting on pid's own
-        # component (pid's own-broadcast count is maximal at pid), so the
-        # local clock advance cannot unblock anything — no cascade here,
-        # matching the reference semantics
-        self._relay(pid, message)
-
-    def _receive(self, pid: int, src: int, message: Any) -> None:
-        mid = message["id"]
-        # inlined _is_seen (hot path) — keep in sync with that helper
-        if mid[1] < self._frontier[pid][mid[0]] or mid in self._seen[pid]:
-            return
-        self._note_seen(pid, message)
-        if self.flood:
-            self._relay(pid, message)
-        self._accept(pid, message)
+    def _new_message(self, payload: Any) -> Dict[str, Any]:
+        pid = self.pid
+        # the stamp counts the message itself, so at its origin it is
+        # deliverable at once, and no buffered message there can be
+        # waiting on it (the origin's own-broadcast count is maximal)
+        stamp = list(self.vc.v)
+        stamp[pid] += 1
+        mid = (pid, self.frontier[pid])
+        return {"id": mid, "origin": pid, "payload": payload, "stamp": tuple(stamp)}
 
     # ------------------------------------------------------------------
-    def _accept(self, pid: int, message: Any) -> None:
+    def _accept(self, message: Any) -> None:
         """A first-seen message enters the delivery layer."""
-        idx = self._arrivals[pid]
-        self._arrivals[pid] = idx + 1
-        self._npending[pid] += 1
-        v = self._vc[pid].v
+        idx = self.arrivals
+        self.arrivals = idx + 1
+        self.npending += 1
+        v = self.vc.v
         origin = message["origin"]
-        wait = self._wait[pid]
+        wait = self.wait
         entry = None
         deficit = 0
         j = 0
@@ -576,17 +651,17 @@ class CausalBroadcast(ReliableBroadcast):
                     bucket.append(entry)
             j += 1
         if entry is None:
-            self._cascade(pid, idx, message)
+            self._cascade(idx, message)
         else:
             entry[2] = deficit
 
-    def _cascade(self, pid: int, idx: int, message: Any) -> None:
+    def _cascade(self, idx: int, message: Any) -> None:
         """Deliver ``message`` and everything it transitively unblocks,
         in reference pass order (see class docstring)."""
-        v = self._vc[pid].v
-        wait = self._wait[pid]
-        npending = self._npending
-        monitor = self.monitor
+        pid = self.pid
+        v = self.vc.v
+        wait = self.wait
+        monitor = self.service.monitor
         cur: List[Tuple[int, Any]] = [(idx, message)]
         nxt: List[Tuple[int, Any]] = []
         while cur:
@@ -597,8 +672,8 @@ class CausalBroadcast(ReliableBroadcast):
                     pid, message["id"], origin, message["stamp"]
                 )
             v[origin] += 1
-            npending[pid] -= 1
-            self._deliver(pid, origin, message["payload"])
+            self.npending -= 1
+            self._deliver(origin, message["payload"])
             unblocked = wait.pop((origin, v[origin]), None)
             if unblocked:
                 for entry in unblocked:
@@ -612,58 +687,70 @@ class CausalBroadcast(ReliableBroadcast):
                 cur = nxt
                 nxt = []
 
+    def pending(self) -> int:
+        """Messages buffered awaiting causal predecessors."""
+        return self.npending
+
+
+class CausalBroadcast(ReliableBroadcast):
+    name = "causal"
+    endpoint_cls = CausalEndpoint
+
+    def broadcast(self, pid: int, payload: Any) -> None:
+        # restated, not inherited: the benchmark's per-layer ledger wraps
+        # ``vars(CausalBroadcast)["broadcast"]`` to time original broadcasts
+        self.endpoints[pid].originate(payload)
+
     def pending_messages(self, pid: int) -> int:
         """Messages buffered awaiting causal predecessors (observability)."""
-        return self._npending[pid]
+        return self.endpoints[pid].pending()
 
 
-class ReferenceCausalBroadcast(CausalBroadcast):
+class ReferenceCausalEndpoint(CausalEndpoint):
     """The pre-indexing causal delivery drain, kept as executable spec.
 
     Delivery re-scans the whole pending buffer (in arrival order) after
     every arrival until a full pass makes no progress — obviously
     correct, quadratic in the buffer size.  The equivalence property
     tests replay identical runs through this class and through
-    :class:`CausalBroadcast` and assert delivery-for-delivery identical
+    :class:`CausalEndpoint` and assert delivery-for-delivery identical
     logs (the same pattern as the PR 1 ``_propagate`` reference
     fixpoint).
     """
 
-    name = "causal-reference"
+    def __init__(self, service: "CausalBroadcast", pid: int) -> None:
+        super().__init__(service, pid)
+        self.buffer: List[Any] = []
 
-    def __init__(self, network: Transport, flood: bool = True) -> None:
-        super().__init__(network, flood)
-        self._buffer: List[List[Any]] = [[] for _ in range(self.n)]
-
-    def _accept(self, pid: int, message: Any) -> None:
-        self._buffer[pid].append(message)
-        self._drain(pid)
-
-    def _drain(self, pid: int) -> None:
-        vc = self._vc[pid]
-        monitor = self.monitor
+    def _accept(self, message: Any) -> None:
+        self.buffer.append(message)
+        vc = self.vc
+        monitor = self.service.monitor
         progress = True
         while progress:
             progress = False
-            for message in list(self._buffer[pid]):
-                if vc.can_deliver(message["origin"], message["stamp"]):
-                    self._buffer[pid].remove(message)
-                    vc.deliver(message["origin"])
+            for message in list(self.buffer):
+                origin = message["origin"]
+                if vc.can_deliver(origin, message["stamp"]):
+                    self.buffer.remove(message)
+                    vc.deliver(origin)
                     if monitor is not None:
                         monitor.on_causal_deliver(
-                            pid,
-                            message["id"],
-                            message["origin"],
-                            message["stamp"],
+                            self.pid, message["id"], origin, message["stamp"]
                         )
-                    self._deliver(pid, message["origin"], message["payload"])
+                    self._deliver(origin, message["payload"])
                     progress = True
 
-    def pending_messages(self, pid: int) -> int:
-        return len(self._buffer[pid])
+    def pending(self) -> int:
+        return len(self.buffer)
 
 
-class _LazyTransport:
+class ReferenceCausalBroadcast(CausalBroadcast):
+    name = "causal-reference"
+    endpoint_cls = ReferenceCausalEndpoint
+
+
+class _LazyEndpoint:
     """Mixin: push/lazy-push hybrid transport (Plumtree-style) replacing
     the eager flood's relay.
 
@@ -672,10 +759,10 @@ class _LazyTransport:
     ``pid+1, pid+2, pid+4, ...`` rotated by the run's seed, so the eager
     overlay has out-degree ~log2(n) and diameter O(log n) — and
     *advertised* (bare ``(origin, seq)`` id) to every other peer.
-    Advertisements are batched: ids accumulate per sender and flush as
-    one ``adv`` message per lazy peer when ``ADV_BATCH`` ids are pending
-    or ``ADV_FLUSH_DELAY`` elapses, and any outgoing pull/pull-reply to
-    a lazy peer piggybacks the pending ids for free.  A receiver that
+    Advertisements are batched: ids accumulate and flush as one ``adv``
+    message per lazy peer when ``ADV_BATCH`` ids are pending or
+    ``ADV_FLUSH_DELAY`` elapses, and any outgoing pull/pull-reply to a
+    lazy peer piggybacks the pending ids for free.  A receiver that
     holds an advertised id without the body *pulls* it: after a grace
     period (the body is usually still in flight through the push
     overlay), a pull request goes to an advertiser, with timeout,
@@ -693,12 +780,234 @@ class _LazyTransport:
     beside them and benchmarked side by side instead of replacing the
     bit-identity baseline.
 
-    Cooperates with :class:`ReliableBroadcast`'s machinery unchanged:
+    Cooperates with :class:`ReliableEndpoint`'s machinery unchanged:
     bodies (messages without a ``"kind"`` key — including anti-entropy
-    resends from :meth:`ReliableBroadcast.resync`) flow through the
-    same frontier dedup, anti-entropy logs and causal-stability GC; a
-    global body index for answering pulls is pruned alongside the logs.
+    resends) flow through the same frontier dedup, retained log and
+    stability sweep; the index of the log that answers pulls is pruned
+    with it.
     """
+
+    def __init__(self, service: "_LazyTransport", pid: int) -> None:
+        super().__init__(service, pid)
+        n = self.n
+        self.push_peers = service.relay_subset(pid, n, self.transport.seed)
+        self.lazy_peers: Tuple[int, ...] = tuple(
+            q for q in range(n) if q != pid and q not in self.push_peers
+        )
+        # the retained log by id, for answering pulls
+        self.bodies: Dict[Mid, Any] = {}
+        # advertised-but-missing bodies:
+        # mid -> [known holders, attempts, pending timer handle]
+        self.missing: Dict[Mid, List[Any]] = {}
+        # advertisement batching: id backlog (with the absolute index of
+        # its first entry) + per-lazy-peer cursors
+        self.adv_log: List[Mid] = []
+        self.adv_base = 0
+        self.adv_cursor: Dict[int, int] = {q: 0 for q in self.lazy_peers}
+        self.adv_timer: Optional[Any] = None
+
+    # ------------------------------------------------------------------
+    # Send side: push to the relay subset, advertise to the rest
+    # ------------------------------------------------------------------
+    def _relay(self, message: Any) -> None:
+        transport = self.transport
+        send = transport.send
+        pid = self.pid
+        for q in self.push_peers:
+            send(pid, q, message)
+        if not self.lazy_peers:
+            return
+        # relays an eager flood would have sent minus the pushes we do
+        transport.stats.suppressed_relays += len(self.lazy_peers)
+        self.adv_log.append(message["id"])
+        if len(self.adv_log) >= self.service.ADV_BATCH:
+            self._flush_adv()
+        elif self.adv_timer is None:
+            self.adv_timer = transport.schedule(
+                self.service.ADV_FLUSH_DELAY, self._flush_adv
+            )
+
+    def _flush_adv(self) -> None:
+        transport = self.transport
+        if self.adv_timer is not None:
+            transport.cancel(self.adv_timer)  # no-op when it just fired
+            self.adv_timer = None
+        log = self.adv_log
+        if not log:
+            return
+        base = self.adv_base
+        end = base + len(log)
+        cursors = self.adv_cursor
+        for q in self.lazy_peers:
+            cur = cursors[q]
+            if cur >= end:
+                continue  # already piggybacked on an organic send
+            cursors[q] = end
+            self.service.adv_sent += 1
+            transport.send(
+                self.pid, q, {"kind": "adv", "ids": tuple(log[cur - base :])}
+            )
+        self.adv_base = end
+        log.clear()
+
+    def _attach_adv(self, dst: int, message: Any) -> None:
+        """Piggyback the pending advertisement ids for ``dst`` onto an
+        outgoing protocol message (pull or pull-reply)."""
+        cur = self.adv_cursor.get(dst)
+        if cur is None:
+            return  # push peer: it gets full bodies, not advertisements
+        end = self.adv_base + len(self.adv_log)
+        if cur < end:
+            message["adv"] = tuple(self.adv_log[cur - self.adv_base :])
+            self.adv_cursor[dst] = end
+
+    # ------------------------------------------------------------------
+    # Receive side: dispatch bodies vs control messages
+    # ------------------------------------------------------------------
+    def receive(self, src: int, message: Any) -> None:
+        kind = message.get("kind")
+        if kind is None:
+            # a full body: a push, a pushed relay, or a resync resend
+            self._body(message)
+            return
+        if kind == "adv":
+            for mid in message["ids"]:
+                self._advertised(src, mid)
+            return
+        for mid in message.get("adv", ()):
+            self._advertised(src, mid)
+        if kind == "pull":
+            self._pull_request(src, message["mid"])
+        elif kind == "pull-reply":
+            self._body(message["body"])
+        elif kind == "pull-miss":
+            self._pull_missed(src, message["mid"])
+
+    def _body(self, body: Any) -> None:
+        mid = body["id"]
+        # inlined is_seen (hot path) — keep in sync with that helper
+        if mid[1] < self.frontier[mid[0]] or mid in self.spill:
+            return
+        entry = self.missing.pop(mid, None)
+        if entry is not None and entry[2] is not None:
+            self.transport.cancel(entry[2])
+        self._first_seen(body)
+
+    def _note_seen(self, message: Any) -> None:
+        self.bodies[message["id"]] = message
+        super()._note_seen(message)
+
+    def sweep(self) -> None:
+        super().sweep()
+        if len(self.bodies) != len(self.log):
+            self.bodies = {m["id"]: m for m in self.log}
+
+    # ------------------------------------------------------------------
+    # Pull path: grace, timeout, backoff, holder failover
+    # ------------------------------------------------------------------
+    def _advertised(self, src: int, mid: Mid) -> None:
+        if mid[1] < self.frontier[mid[0]] or mid in self.spill:
+            return
+        entry = self.missing.get(mid)
+        if entry is not None:
+            if src not in entry[0]:
+                entry[0].append(src)  # one more candidate for failover
+            return
+        handle = self.transport.schedule(
+            self.service.PULL_GRACE, self._pull_fire, mid
+        )
+        self.missing[mid] = [[src], 0, handle]
+
+    def _pull_holder(self, holders: List[int], attempt: int) -> Optional[int]:
+        """Supervised-retry holder choice, the resync-helper shape:
+        prefer reachable advertisers, then any other reachable live
+        peer, then separated-but-live advertisers (partitions hold
+        messages, so a cross-partition pull completes at the heal);
+        rotate through the pool on retries."""
+        transport = self.transport
+        pid = self.pid
+
+        def reachable(q: int) -> bool:
+            return not (
+                transport.is_crashed(q)
+                or transport.separated(pid, q)
+                or transport.separated(q, pid)
+            )
+
+        pool = [h for h in holders if reachable(h)] + [
+            q
+            for q in range(self.n)
+            if q != pid and q not in holders and reachable(q)
+        ] or [h for h in holders if not transport.is_crashed(h)]
+        if not pool:
+            return None
+        return pool[attempt % len(pool)]
+
+    def _pull_fire(self, mid: Mid) -> None:
+        entry = self.missing.get(mid)
+        if entry is None:
+            return
+        entry[2] = None
+        transport = self.transport
+        service = self.service
+        if transport.is_crashed(self.pid):
+            # a crashed puller stops pulling; the recovery-time resync
+            # repairs whatever it missed
+            del self.missing[mid]
+            return
+        attempt = entry[1]
+        if attempt >= service.PULL_MAX_ATTEMPTS:
+            del self.missing[mid]
+            service.pulls_stranded += 1
+            if service.monitor is not None:
+                service.monitor.on_pull_stranded(self.pid, mid, attempt)
+            return
+        holder = self._pull_holder(entry[0], attempt)
+        entry[1] = attempt + 1
+        if holder is not None:
+            service.pulls_sent += 1
+            transport.stats.pulled += 1
+            request = {"kind": "pull", "mid": mid}
+            self._attach_adv(holder, request)
+            transport.send(self.pid, holder, request)
+        entry[2] = transport.schedule(
+            service.PULL_TIMEOUT * (service.PULL_BACKOFF**attempt),
+            self._pull_fire,
+            mid,
+        )
+
+    def _pull_request(self, requester: int, mid: Any) -> None:
+        service = self.service
+        if service.pull_starve_bug:
+            # chaos sentinel (--inject pull-starve): drop the request on
+            # the floor — receivers the push overlay misses strand, and
+            # the invariant monitors / convergence checks must catch it
+            return
+        body = self.bodies.get(mid)
+        if body is not None:
+            service.pull_replies += 1
+            reply = {"kind": "pull-reply", "body": body}
+            self._attach_adv(requester, reply)
+        else:
+            # unseen here, or pruned by the stability GC: tell the
+            # requester explicitly so it fails over without the timeout
+            service.pull_misses += 1
+            reply = {"kind": "pull-miss", "mid": mid}
+        self.transport.send(self.pid, requester, reply)
+
+    def _pull_missed(self, src: int, mid: Mid) -> None:
+        entry = self.missing.get(mid)
+        if entry is None:
+            return
+        if src in entry[0]:
+            entry[0].remove(src)  # a known non-holder
+        if entry[2] is not None:
+            self.transport.cancel(entry[2])
+        entry[2] = self.transport.schedule(0.0, self._pull_fire, mid)
+
+
+class _LazyTransport:
+    """Service mixin of the lazy family: see :class:`_LazyEndpoint`."""
 
     #: pending advertisement ids that force a flush
     ADV_BATCH = 16
@@ -718,45 +1027,8 @@ class _LazyTransport:
     #: drop pull requests, so advertised-but-unpushed bodies strand
     pull_starve_bug = False
 
-    def __init__(self, network: Transport, flood: bool = True) -> None:
-        super().__init__(network, flood)
-        n = self.n
-        seed = network.seed
-        self._push_peers: List[Tuple[int, ...]] = [
-            self.relay_subset(pid, n, seed) for pid in range(n)
-        ]
-        self._lazy_peers: List[Tuple[int, ...]] = [
-            tuple(
-                q
-                for q in range(n)
-                if q != pid and q not in self._push_peers[pid]
-            )
-            for pid in range(n)
-        ]
-        #: relays an eager flood would have sent minus the pushes we do
-        self._suppressed: List[int] = [
-            len(peers) for peers in self._lazy_peers
-        ]
-        # global body index for answering pulls, pruned with the logs
-        self._bodies: Dict[Tuple[int, int], Any] = {}
-        # per-receiver advertised-but-missing bodies:
-        # mid -> [known holders, attempts, pending timer handle]
-        self._missing: List[Dict[Tuple[int, int], List[Any]]] = [
-            {} for _ in range(n)
-        ]
-        # advertisement batching: per-sender id backlog (with the
-        # absolute index of its first entry) + per-lazy-peer cursors
-        self._adv_log: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        self._adv_base: List[int] = [0] * n
-        self._adv_cursor: List[Dict[int, int]] = [
-            {q: 0 for q in self._lazy_peers[pid]} for pid in range(n)
-        ]
-        self._adv_timer: List[Optional[int]] = [None] * n
-        self.pulls_sent = 0
-        self.pull_replies = 0
-        self.pull_misses = 0
-        self.pulls_stranded = 0
-        self.adv_sent = 0
+    # counters
+    pulls_sent = pull_replies = pull_misses = pulls_stranded = adv_sent = 0
 
     @staticmethod
     def relay_subset(pid: int, n: int, seed: int) -> Tuple[int, ...]:
@@ -775,241 +1047,13 @@ class _LazyTransport:
             offsets.add(2 + (((1 << j) - 2 + rot) % (n - 2)))
         return tuple(sorted((pid + off) % n for off in offsets))
 
-    # ------------------------------------------------------------------
-    # Send side: push to the relay subset, advertise to the rest
-    # ------------------------------------------------------------------
-    def _relay(self, pid: int, message: Any) -> None:
-        network = self.network
-        send = network.send
-        for q in self._push_peers[pid]:
-            send(pid, q, message)
-        network.stats.suppressed_relays += self._suppressed[pid]
-        self._queue_adv(pid, message["id"])
-
-    def _queue_adv(self, pid: int, mid: Tuple[int, int]) -> None:
-        if not self._lazy_peers[pid]:
-            return
-        log = self._adv_log[pid]
-        log.append(mid)
-        if len(log) >= self.ADV_BATCH:
-            self._flush_adv(pid)
-        elif self._adv_timer[pid] is None:
-            self._adv_timer[pid] = self.network.schedule(
-                self.ADV_FLUSH_DELAY, self._adv_timer_fire, pid
-            )
-
-    def _adv_timer_fire(self, pid: int) -> None:
-        self._adv_timer[pid] = None
-        self._flush_adv(pid)
-
-    def _flush_adv(self, pid: int) -> None:
-        timer = self._adv_timer[pid]
-        if timer is not None:
-            self.network.cancel(timer)
-            self._adv_timer[pid] = None
-        log = self._adv_log[pid]
-        if not log:
-            return
-        base = self._adv_base[pid]
-        end = base + len(log)
-        network = self.network
-        cursors = self._adv_cursor[pid]
-        for q in self._lazy_peers[pid]:
-            cur = cursors[q]
-            if cur >= end:
-                continue  # already piggybacked on an organic send
-            ids = tuple(log[cur - base :])
-            cursors[q] = end
-            self.adv_sent += 1
-            network.send(pid, q, {"kind": "adv", "ids": ids})
-        self._adv_base[pid] = end
-        log.clear()
-
-    def _attach_adv(self, pid: int, dst: int, message: Any) -> None:
-        """Piggyback ``pid``'s pending advertisement ids for ``dst``
-        onto an outgoing protocol message (pull or pull-reply)."""
-        cur = self._adv_cursor[pid].get(dst)
-        if cur is None:
-            return  # push peer: it gets full bodies, not advertisements
-        log = self._adv_log[pid]
-        if not log:
-            return
-        base = self._adv_base[pid]
-        end = base + len(log)
-        if cur < end:
-            message["adv"] = tuple(log[cur - base :])
-            self._adv_cursor[pid][dst] = end
-
-    # ------------------------------------------------------------------
-    # Receive side: dispatch bodies vs control messages
-    # ------------------------------------------------------------------
-    def _receive(self, pid: int, src: int, message: Any) -> None:
-        kind = message.get("kind")
-        if kind is None:
-            # a full body: a push, a pushed relay, or a resync resend
-            self._body(pid, message)
-            return
-        if kind == "adv":
-            for mid in message["ids"]:
-                self._advertised(pid, src, mid)
-            return
-        adv = message.get("adv")
-        if adv is not None:
-            for mid in adv:
-                self._advertised(pid, src, mid)
-        if kind == "pull":
-            self._pull_request(pid, src, message["mid"])
-        elif kind == "pull-reply":
-            self._body(pid, message["body"])
-        elif kind == "pull-miss":
-            self._pull_missed(pid, src, message["mid"])
-
-    def _body(self, pid: int, body: Any) -> None:
-        mid = body["id"]
-        # inlined _is_seen (hot path) — keep in sync with that helper
-        if mid[1] < self._frontier[pid][mid[0]] or mid in self._seen[pid]:
-            return
-        entry = self._missing[pid].pop(mid, None)
-        if entry is not None and entry[2] is not None:
-            self.network.cancel(entry[2])
-        self._note_seen(pid, body)
-        if self.flood:
-            self._relay(pid, body)
-        self._on_first_body(pid, body)
-
-    def _on_first_body(self, pid: int, body: Any) -> None:
-        raise NotImplementedError  # delivery layer of the subclass
-
-    def _note_seen(self, pid: int, message: Any) -> None:
-        self._bodies.setdefault(message["id"], message)
-        super()._note_seen(pid, message)
-
-    def _gc(self) -> None:
-        super()._gc()
-        bodies = self._bodies
-        if bodies:
-            stable = self._stable
-            dead = [mid for mid in bodies if mid[1] < stable[mid[0]]]
-            for mid in dead:
-                del bodies[mid]
-
-    # ------------------------------------------------------------------
-    # Pull path: grace, timeout, backoff, holder failover
-    # ------------------------------------------------------------------
-    def _advertised(self, pid: int, src: int, mid: Tuple[int, int]) -> None:
-        if mid[1] < self._frontier[pid][mid[0]] or mid in self._seen[pid]:
-            return
-        missing = self._missing[pid]
-        entry = missing.get(mid)
-        if entry is not None:
-            holders = entry[0]
-            if src not in holders:
-                holders.append(src)  # one more candidate for failover
-            return
-        handle = self.network.schedule(
-            self.PULL_GRACE, self._pull_fire, pid, mid
-        )
-        missing[mid] = [[src], 0, handle]
-
-    def _pull_holder(
-        self, pid: int, holders: List[int], attempt: int
-    ) -> Optional[int]:
-        """Supervised-retry holder choice, the resync-helper shape:
-        prefer reachable advertisers, then any other reachable live
-        peer, then separated-but-live advertisers (partitions hold
-        messages, so a cross-partition pull completes at the heal);
-        rotate through the pool on retries."""
-        network = self.network
-        live = [h for h in holders if not network.is_crashed(h)]
-        reachable = [
-            h
-            for h in live
-            if not network.separated(pid, h)
-            and not network.separated(h, pid)
-        ]
-        others = [
-            q
-            for q in range(self.n)
-            if q != pid
-            and q not in holders
-            and not network.is_crashed(q)
-            and not network.separated(pid, q)
-            and not network.separated(q, pid)
-        ]
-        pool = reachable + others or live
-        if not pool:
-            return None
-        return pool[attempt % len(pool)]
-
-    def _pull_fire(self, pid: int, mid: Tuple[int, int]) -> None:
-        missing = self._missing[pid]
-        entry = missing.get(mid)
-        if entry is None:
-            return
-        entry[2] = None
-        network = self.network
-        if network.is_crashed(pid):
-            # a crashed puller stops pulling; the recovery-time resync
-            # repairs whatever it missed
-            del missing[mid]
-            return
-        attempt = entry[1]
-        if attempt >= self.PULL_MAX_ATTEMPTS:
-            del missing[mid]
-            self.pulls_stranded += 1
-            monitor = self.monitor
-            if monitor is not None:
-                monitor.on_pull_stranded(pid, mid, attempt)
-            return
-        holder = self._pull_holder(pid, entry[0], attempt)
-        entry[1] = attempt + 1
-        if holder is not None:
-            self.pulls_sent += 1
-            network.stats.pulled += 1
-            request = {"kind": "pull", "mid": mid}
-            self._attach_adv(pid, holder, request)
-            network.send(pid, holder, request)
-        entry[2] = network.schedule(
-            self.PULL_TIMEOUT * (self.PULL_BACKOFF**attempt),
-            self._pull_fire,
-            pid,
-            mid,
-        )
-
-    def _pull_request(self, holder: int, requester: int, mid: Any) -> None:
-        if self.pull_starve_bug:
-            # chaos sentinel (--inject pull-starve): drop the request on
-            # the floor — receivers the push overlay misses strand, and
-            # the invariant monitors / convergence checks must catch it
-            return
-        body = self._bodies.get(mid)
-        if body is not None and self._is_seen(holder, mid):
-            self.pull_replies += 1
-            reply = {"kind": "pull-reply", "body": body}
-            self._attach_adv(holder, requester, reply)
-            self.network.send(holder, requester, reply)
-        else:
-            # unseen here, or pruned by the stability GC: tell the
-            # requester explicitly so it fails over without the timeout
-            self.pull_misses += 1
-            self.network.send(
-                holder, requester, {"kind": "pull-miss", "mid": mid}
-            )
-
-    def _pull_missed(self, pid: int, src: int, mid: Tuple[int, int]) -> None:
-        entry = self._missing[pid].get(mid)
-        if entry is None:
-            return
-        holders = entry[0]
-        if src in holders:
-            holders.remove(src)  # a known non-holder
-        if entry[2] is not None:
-            self.network.cancel(entry[2])
-        entry[2] = self.network.schedule(0.0, self._pull_fire, pid, mid)
-
     def missing_count(self, pid: int) -> int:
         """Advertised bodies ``pid`` is still waiting on (observability)."""
-        return len(self._missing[pid])
+        return len(self.endpoints[pid].missing)
+
+
+class LazyReliableEndpoint(_LazyEndpoint, ReliableEndpoint):
+    pass
 
 
 class LazyReliableBroadcast(_LazyTransport, ReliableBroadcast):
@@ -1018,12 +1062,11 @@ class LazyReliableBroadcast(_LazyTransport, ReliableBroadcast):
     eager flood's n(n-1)."""
 
     name = "lazy-reliable"
+    endpoint_cls = LazyReliableEndpoint
 
-    def _on_first_body(self, pid: int, body: Any) -> None:
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.on_deliver(pid, body["id"])
-        self._deliver(pid, body["origin"], body["payload"])
+
+class LazyCausalEndpoint(_LazyEndpoint, CausalEndpoint):
+    pass
 
 
 class LazyCausalBroadcast(_LazyTransport, CausalBroadcast):
@@ -1037,89 +1080,99 @@ class LazyCausalBroadcast(_LazyTransport, CausalBroadcast):
     n=32/64 scales the enumeration search cannot reach."""
 
     name = "lazy-causal"
-
-    def _on_first_body(self, pid: int, body: Any) -> None:
-        self._accept(pid, body)
+    endpoint_cls = LazyCausalEndpoint
 
 
-class TotalOrderBroadcast(BroadcastService):
+class TotalOrderEndpoint(Endpoint):
     """Sequencer-based total-order (atomic) broadcast.
 
-    Process 0 acts as the sequencer: every broadcast is unicast to it, it
-    assigns a global sequence number and reliably re-broadcasts; receivers
+    One process acts as the sequencer: every broadcast is unicast to it,
+    it assigns a global sequence number and re-broadcasts; receivers
     deliver strictly in sequence order.  A broadcaster therefore observes
     its own message only after a full round trip — the communication-delay
     dependence that the weak criteria avoid (experiment E6).
-
-    ``on_delivered_own`` callbacks let the SC object implementation block
-    an operation until its message comes back sequenced.
     """
 
-    name = "total-order"
+    def __init__(self, service: "TotalOrderBroadcast", pid: int) -> None:
+        super().__init__(service, pid)
+        self.expected = 0
+        self.pending: Dict[int, Any] = {}
+        self.next_local_id = 0
+        # sequencer-side state.  Duplicate tolerance: a retransmitted
+        # to-seq request must not be sequenced twice, and a stale
+        # sequenced copy must not re-enter the pending window
+        self.next_seq = 0
+        self.sequenced: Set[Mid] = set()
 
-    def __init__(self, network: Transport, sequencer: int = 0) -> None:
-        super().__init__(network)
-        self.sequencer = sequencer
-        self._next_seq = 0
-        self._expected: List[int] = [0] * self.n
-        self._pending: List[Dict[int, Any]] = [{} for _ in range(self.n)]
-        self._next_local_id: List[int] = [0] * self.n
-        # duplicate tolerance: a retransmitted to-seq request must not be
-        # sequenced twice, and a stale sequenced copy must not re-enter
-        # the pending window after delivery
-        self._sequenced: Set[Tuple[int, int]] = set()
-        for pid in range(self.n):
-            network.attach(pid, partial(self._receive, pid))
-
-    def _receive(self, pid: int, src: int, message: Any) -> None:
+    def receive(self, src: int, message: Any) -> None:
         if message["kind"] == "to-seq":
-            self._sequence(pid, message)
+            self._sequence(message)
         else:
-            self._accept(pid, message)
+            self._accept(message)
 
-    def broadcast(self, pid: int, payload: Any) -> None:
-        if self.network.is_crashed(pid):
+    def originate(self, payload: Any) -> None:
+        pid = self.pid
+        if self.transport.is_crashed(pid):
             return
         message = {
             "kind": "to-seq",
             "origin": pid,
-            "local_id": self._next_local_id[pid],
+            "local_id": self.next_local_id,
             "payload": payload,
         }
-        self._next_local_id[pid] += 1
-        if pid == self.sequencer:
-            self._sequence(pid, message)
+        self.next_local_id += 1
+        sequencer = self.service.sequencer
+        if pid == sequencer:
+            self._sequence(message)
         else:
-            self.network.send(pid, self.sequencer, message)
+            self.transport.send(pid, sequencer, message)
 
-    def _sequence(self, pid: int, message: Any) -> None:
-        if pid != self.sequencer or self.network.is_crashed(pid):
+    def _sequence(self, message: Any) -> None:
+        pid = self.pid
+        if pid != self.service.sequencer or self.transport.is_crashed(pid):
             return
         key = (message["origin"], message["local_id"])
-        if key in self._sequenced:
+        if key in self.sequenced:
             return
-        self._sequenced.add(key)
+        self.sequenced.add(key)
         sequenced = {
             "kind": "sequenced",
-            "seq": self._next_seq,
+            "seq": self.next_seq,
             "origin": message["origin"],
             "local_id": message["local_id"],
             "payload": message["payload"],
         }
-        self._next_seq += 1
-        self._accept(pid, sequenced)
+        self.next_seq += 1
+        self._accept(sequenced)
         for dst in range(self.n):
             if dst != pid:
-                self.network.send(pid, dst, sequenced)
+                self.transport.send(pid, dst, sequenced)
 
-    def _accept(self, pid: int, message: Any) -> None:
-        if message["seq"] < self._expected[pid]:
+    def _accept(self, message: Any) -> None:
+        if message["seq"] < self.expected:
             return  # duplicate of an already-delivered sequence number
-        self._pending[pid][message["seq"]] = message
-        monitor = self.monitor
-        while self._expected[pid] in self._pending[pid]:
-            queued = self._pending[pid].pop(self._expected[pid])
-            self._expected[pid] += 1
+        pending = self.pending
+        pending[message["seq"]] = message
+        monitor = self.service.monitor
+        while self.expected in pending:
+            queued = pending.pop(self.expected)
+            self.expected += 1
             if monitor is not None:
-                monitor.on_deliver(pid, (queued["origin"], queued["local_id"]))
-            self._deliver(pid, queued["origin"], queued)
+                monitor.on_deliver(
+                    self.pid, (queued["origin"], queued["local_id"])
+                )
+            self._deliver(queued["origin"], queued)
+
+
+class TotalOrderBroadcast(BroadcastService):
+    """The sequencer-based total-order service: see
+    :class:`TotalOrderEndpoint`.  Delivered payloads are the whole
+    sequenced message, which lets the SC object implementation block an
+    operation until its own message comes back."""
+
+    name = "total-order"
+    endpoint_cls = TotalOrderEndpoint
+
+    def __init__(self, network: Transport, sequencer: int = 0) -> None:
+        super().__init__(network)
+        self.sequencer = sequencer

@@ -172,7 +172,12 @@ class RuntimeMonitor:
         crashed: Any,
     ) -> None:
         """Stability sweep: frontier sound (≤ every replica's seen
-        frontier, crashed ones included) and monotone."""
+        frontier, crashed ones included) and monotone.  Endpoints hosted
+        side by side each report the frontier they computed from the
+        same rows; frontiers only grow, so one already checked needs no
+        second look."""
+        if self._stable_seen == list(stable):
+            return
         for origin, s in enumerate(stable):
             for pid in range(len(frontiers)):
                 if s > frontiers[pid][origin]:

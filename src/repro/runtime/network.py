@@ -18,7 +18,7 @@ from heapq import heappush
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .simulator import Simulator
-from .transport import Transport
+from .transport import ControlHandler, Transport
 
 
 class DelayModel:
@@ -224,6 +224,9 @@ class Network(Transport):
         self.loss_rate = loss_rate
         self.delay_scale = 1.0
         self.handlers: Dict[int, Callable[[int, Any], None]] = {}
+        #: one Network carries every process (see ``Transport.hosted``)
+        self.hosted = range(n)
+        self._control: Dict[int, ControlHandler] = {}
         self.crashed: Set[int] = set()
         self.stats = NetworkStats()
         #: all other processes, per source — the broadcast fan-out order
@@ -261,6 +264,15 @@ class Network(Transport):
         if not (0 <= pid < self.n):
             raise ValueError(f"process id {pid} out of range")
         self.handlers[pid] = handler
+
+    def attach_control(self, pid: int, handler: ControlHandler) -> None:
+        self._control[pid] = handler
+
+    def control(self, src: int, dst: int, body: Any) -> Any:
+        """In-line call of ``dst``'s control sink: no delay, no rng draw,
+        no ``stats`` entry, blind to partitions and crashes (what the
+        sink *sends* in response goes through :meth:`send` as usual)."""
+        return self._control[dst](src, body)
 
     def crash(self, pid: int) -> None:
         """Crash-stop ``pid``: it stops sending and receiving immediately."""

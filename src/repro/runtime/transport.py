@@ -2,10 +2,22 @@
 
 The runtime algorithms (``ReliableBroadcast``, ``CausalBroadcast``, the
 lazy-push variants, and every ``ReplicatedObject`` subclass) need exactly
-five things from the layer below them:
+seven things from the layer below them:
 
+- which processes it **hosts** (``hosted``): the pids whose handlers it
+  dispatches.  The broadcast layer builds one endpoint per hosted pid
+  and treats every other pid as a remote peer it only hears from;
 - point-to-point **send** and pid-ordered **multicast** with asynchronous
   delivery into per-process handlers (``attach``);
+- an out-of-band **control call** (``control``, into the sink given to
+  ``attach_control``) for the layer's own requests — today the resync
+  request, which carries the requester's seen-digest to a helper.  Not a
+  broadcast message: never deduplicated, relayed or delivered.  The
+  simulated plane makes it an immediate in-line call — no delay, no rng
+  draw, no ``NetworkStats`` entry, blind to partitions and crashes — and
+  returns the sink's result; what the sink *sends* in response (the
+  replayed messages) is what the fault model acts on.  The live plane
+  sends one control frame and returns ``None``;
 - a **clock** (``now``) and **deferred scheduling** (``schedule`` /
   ``cancel``) for timers — advertisement batching, pull retries, and the
   supervised resync timeouts;
@@ -39,9 +51,10 @@ Timer semantics the implementations must honour:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Sequence, Tuple
 
 Handler = Callable[[int, Any], None]
+ControlHandler = Callable[[int, Any], Any]  # (src pid, control body)
 
 
 class Transport:
@@ -54,6 +67,8 @@ class Transport:
 
     #: number of processes (pids ``0..n-1``)
     n: int
+    #: the pids whose handlers this transport dispatches
+    hosted: Sequence[int]
 
     # -- delivery -------------------------------------------------------
     def attach(self, pid: int, handler: Handler) -> None:
@@ -82,6 +97,17 @@ class Transport:
     def multicast(self, src: int, payload: Any) -> None:
         """Send ``payload`` from ``src`` to every other process, in pid
         order (one independent delay per destination)."""
+        raise NotImplementedError
+
+    # -- control call ---------------------------------------------------
+    def attach_control(self, pid: int, handler: ControlHandler) -> None:
+        """Register ``handler(src, body)`` as ``pid``'s control sink."""
+        raise NotImplementedError
+
+    def control(self, src: int, dst: int, body: Any) -> Any:
+        """Hand ``body`` to ``dst``'s control sink on behalf of ``src``;
+        returns the sink's result when the call is in-line, else
+        ``None`` (see the module docstring for the two semantics)."""
         raise NotImplementedError
 
     # -- clock and timers ----------------------------------------------

@@ -1,49 +1,44 @@
 """One live node: a registry algorithm behind a TCP client protocol.
 
-A :class:`ServiceNode` hosts the full n-wide algorithm instance the
-simulator would run — same constructor, same broadcast stack, same
+A :class:`ServiceNode` builds the algorithm instance the simulator would
+run — same constructor, same broadcast stack, same
 :class:`~repro.runtime.recorder.HistoryRecorder` and
-:class:`~repro.runtime.monitors.RuntimeMonitor` — but over an
-:class:`~repro.service.transport.AsyncioTransport`, where only
-``my_pid`` is locally active.  Three adaptations bridge the gap between
-"one instance carries all replicas" (simulator) and "one instance per
-node" (live):
-
-**Digests.**  Heartbeats carry the sender's contiguous seen-frontier
-row; the receiver merges it (elementwise max) into its own broadcast
-bookkeeping.  That keeps the causal-stability GC sound (crashed peers'
-rows freeze, retaining exactly what they may still need), lets a resync
-helper filter what the target has already seen, and feeds the
-supervised-resync verification check.
-
-**Resync as an RPC.**  ``ReliableBroadcast.resync`` assumes helper and
-target share one instance.  Live, the recovering node sends a
-``resync-req`` control frame (its frontier + spill) to the helper, which
-merges the digest and replays its log through the normal send path.  The
-*supervision* skeleton — ``start_resync``'s epochs, timeout checks,
-geometric backoff, helper failover, the ``resync-stranded`` monitor hook
-— runs completely unmodified on the recovering node, its timers now real
-wall-clock RPC timeouts on the event loop.
+:class:`~repro.runtime.monitors.RuntimeMonitor` — over an
+:class:`~repro.service.transport.AsyncioTransport`, which hosts only
+``my_pid``: the broadcast layer builds one endpoint, and everything that
+endpoint knows of its peers it learns from frames.  The node adds the
+two things a process cannot get from the simulator's shared memory:
 
 **Membership.**  ``Transport.is_crashed`` is wired to the heartbeat
 view (:class:`~repro.service.view.ViewManager`), so helper selection
 skips peers that stopped answering — whether crashed or cut off by the
 fault proxy.
 
+**Digests.**  Each heartbeat carries the endpoint's ``digest()`` (its
+contiguous seen-frontier row), and the transport hands every control
+frame to the endpoint's control sink as well as to the node: peers' rows
+reach the endpoint's peer view — what keeps the stability GC sound and
+feeds the resync verification check — without the node touching them.
+Resync itself (request, serve, supervision) is the broadcast layer's own
+code, its timers now wall-clock timeouts on the event loop; the node
+only sets ``RESYNC_TIMEOUT`` to wall seconds.
+
 The client protocol is tiny: length-prefixed JSON request/response
 frames with a correlation id (``rid``), commands ``get`` / ``put`` /
 ``ops`` / ``window`` / ``history`` / ``status`` / ``watch`` and the
 operator controls ``crash`` / ``recover``.  ``status`` exposes the
 monitor's violations and ``NetworkStats``-style counters; ``watch``
-streams it.
+streams it.  Request fields are validated here, at the boundary.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from typing import Any, Dict, List, Optional
 
 from ..core.operations import BOTTOM, HIDDEN, Invocation
+from ..runtime.broadcast import BroadcastService
 from ..runtime.monitors import RuntimeMonitor
 from ..runtime.recorder import HistoryRecorder
 from . import wire
@@ -107,6 +102,7 @@ class ServiceNode:
             raise ValueError(f"unknown tap mode {tap!r} (ring|sync)")
         self.my_pid = my_pid
         self.n = len(addrs)
+        self.streams = streams
         self.client_addr = client_addr
         self.algorithm_key = algorithm
         self.codec = codec
@@ -140,142 +136,38 @@ class ServiceNode:
         )
         self.transport.crash_oracle = self.view.is_down
         self.transport.control_handler = self._on_control
+        #: the algorithm's broadcast service (state-based gossip has none)
+        self.broadcast: Optional[BroadcastService] = getattr(
+            self.algorithm, "broadcast", None
+        )
         #: the real monitor (verdict reads always come from here)
         self.monitor: Optional[RuntimeMonitor] = None
-        broadcast = getattr(self.algorithm, "broadcast", None)
-        if broadcast is not None and hasattr(broadcast, "monitor"):
+        if self.broadcast is not None:
             self.monitor = RuntimeMonitor(self.n, sim=self.clock)
-            if self.tap is not None:
-                broadcast.monitor = MonitorTap(self.tap, self.monitor)
-            else:
-                broadcast.monitor = self.monitor
-        #: freshest digest row received per peer (feeds the supervised
-        #: resync verification check)
-        self._peer_frontier: Dict[int, List[int]] = {}
-        self.resyncs_served = 0
-        self.resyncs_requested = 0
-        if broadcast is not None and hasattr(broadcast, "resync"):
-            self._patch_resync(broadcast)
+            self.broadcast.monitor = (
+                self.monitor
+                if self.tap is None
+                else MonitorTap(self.tap, self.monitor)
+            )
+            self.broadcast.RESYNC_TIMEOUT = self.RESYNC_TIMEOUT
         self._server: Optional[asyncio.AbstractServer] = None
         self._hb_task: Optional[asyncio.Task] = None
         self._closed = False
 
     # ------------------------------------------------------------------
-    # Live resync: RPC to the helper, digest-driven verification
-    # ------------------------------------------------------------------
-    def _patch_resync(self, b: Any) -> None:
-        b.RESYNC_TIMEOUT = self.RESYNC_TIMEOUT
-        original_resync = b.resync
-        my_pid = self.my_pid
-        transport = self.transport
-
-        def live_resync(target: int, helper: Optional[int] = None) -> int:
-            if target == my_pid:
-                # recovering side: ship our frontier to the helper and
-                # let it replay what we are missing
-                if helper is None:
-                    live = [
-                        p
-                        for p in range(self.n)
-                        if p != target and not transport.is_crashed(p)
-                    ]
-                    if not live:
-                        return 0
-                    helper = live[0]
-                self.resyncs_requested += 1
-                transport.send_control(
-                    helper,
-                    {
-                        "kind": "resync-req",
-                        "target": target,
-                        "frontier": list(b._frontier[target]),
-                        "spill": sorted(b._seen[target]),
-                    },
-                )
-                return 0
-            # helper side (we were asked to serve): replay from our log
-            return original_resync(target, helper=my_pid)
-
-        def live_catchup_missing(target: int, cutoff: Tuple[int, ...]) -> bool:
-            # "does any live peer hold a message target has not seen?",
-            # answered from digests: a peer whose advertised contiguous
-            # frontier exceeds ours (below the attempt's cutoff) has one
-            frontier = b._frontier[target]
-            spill = b._seen[target]
-            for helper, head in self._peer_frontier.items():
-                if self.view.is_down(helper):
-                    continue
-                for origin in range(self.n):
-                    limit = min(head[origin], cutoff[origin])
-                    seq = frontier[origin]
-                    while seq < limit:
-                        if (origin, seq) not in spill:
-                            return True
-                        seq += 1
-            return False
-
-        b.resync = live_resync
-        b._catchup_missing = live_catchup_missing
-
-    # ------------------------------------------------------------------
-    # Control frames: heartbeats + digests, resync RPCs
+    # Heartbeats: membership in, digest out
     # ------------------------------------------------------------------
     def _on_control(self, src: int, body: Dict[str, Any]) -> None:
-        kind = body.get("kind")
-        if kind == "hb":
+        if body.get("kind") == "hb":
             asyncio.ensure_future(self.view.heartbeat(src))
-            digest = body.get("frontier")
-            if digest is not None:
-                self._merge_digest(src, list(digest))
-        elif kind == "resync-req":
-            target = body["target"]
-            b = getattr(self.algorithm, "broadcast", None)
-            if b is None:
-                return
-            self._merge_target_view(
-                b, target, body.get("frontier"), body.get("spill")
-            )
-            self.resyncs_served += 1
-            b.resync(target)  # helper branch of live_resync
-
-    def _merge_digest(self, src: int, digest: List[int]) -> None:
-        b = getattr(self.algorithm, "broadcast", None)
-        if b is None or not hasattr(b, "_frontier"):
-            return
-        row = b._frontier[src]
-        for origin, head in enumerate(digest[: self.n]):
-            if head > row[origin]:
-                row[origin] = head
-            # every message was seen by its origin before anyone else,
-            # so peers' frontiers bound the true next ids from below —
-            # which is what the resync verification cutoff needs
-            if head > b._next_id[origin]:
-                b._next_id[origin] = head
-        self._peer_frontier[src] = list(digest[: self.n])
-
-    @staticmethod
-    def _merge_target_view(
-        b: Any,
-        target: int,
-        frontier: Optional[List[int]],
-        spill: Optional[List[Any]],
-    ) -> None:
-        if frontier is not None:
-            row = b._frontier[target]
-            for origin, head in enumerate(frontier[: len(row)]):
-                if head > row[origin]:
-                    row[origin] = head
-        if spill:
-            b._seen[target].update(tuple(mid) for mid in spill)
 
     async def _heartbeat_loop(self) -> None:
         while not self._closed:
             await self.view.sweep()
             if not self.transport.crashed_local:
                 body: Dict[str, Any] = {"kind": "hb"}
-                b = getattr(self.algorithm, "broadcast", None)
-                if b is not None and hasattr(b, "_frontier"):
-                    body["frontier"] = list(b._frontier[self.my_pid])
+                if self.broadcast is not None:
+                    body.update(self.broadcast.endpoints[self.my_pid].digest())
                 self.transport.multicast_control(body)
             await asyncio.sleep(self.HB_INTERVAL)
 
@@ -290,18 +182,14 @@ class ServiceNode:
         """Crash-stop this node: drop all frames, reject client ops,
         stop heartbeating (peers time us out of their views)."""
         self.transport.crashed_local = True
-        on_crash = getattr(self.algorithm, "on_crash", None)
-        if on_crash is not None:
-            on_crash(self.my_pid)
+        self.algorithm.on_crash(self.my_pid)
 
     def recover(self) -> None:
         """Rejoin: resume frames and heartbeats, then let the algorithm
         drive its supervised catch-up (``on_recover`` → ``start_resync``
         → resync RPC + wall-clock verification timers)."""
         self.transport.crashed_local = False
-        on_recover = getattr(self.algorithm, "on_recover", None)
-        if on_recover is not None:
-            on_recover(self.my_pid)
+        self.algorithm.on_recover(self.my_pid)
 
     # ------------------------------------------------------------------
     # Client protocol
@@ -363,6 +251,17 @@ class ServiceNode:
             raise ValueError(f"request is not a dict: {type(req).__name__}")
         return req
 
+    def _bad_stream(self, req: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """An error reply unless ``req["x"]`` is a stream index.  Checked
+        at the protocol boundary: past it, an out-of-range ``x`` raises
+        inside the broadcast's local delivery — after the message was
+        stamped and logged, before it was relayed — and wedges every
+        peer's causal buffer behind a message that never leaves."""
+        x = req.get("x")
+        if type(x) is int and 0 <= x < self.streams:
+            return None
+        return {"ok": False, "error": f"x must be an int in [0, {self.streams})"}
+
     async def _handle_client(
         self,
         req: Dict[str, Any],
@@ -372,27 +271,33 @@ class ServiceNode:
         cmd = req.get("cmd")
         if cmd == "ping":
             return {"ok": True, "pid": self.my_pid}
+        if cmd in ("put", "get", "window"):
+            bad = self._bad_stream(req)
+            if bad is not None:
+                return bad
         if cmd == "put":
+            if "v" not in req:
+                return {"ok": False, "error": "put needs a value v"}
             if self.crashed:
                 return {"ok": False, "error": "crashed"}
             if self.transport.backlog() > self.transport.HIGH_WATER:
                 await self.transport.drained()
                 if self.crashed:
                     return {"ok": False, "error": "crashed"}
-            inv = Invocation("w", (int(req["x"]), req["v"]))
+            inv = Invocation("w", (req["x"], req["v"]))
             self.algorithm.invoke(self.my_pid, inv)
             return {"ok": True}
         if cmd == "get":
             if self.crashed:
                 return {"ok": False, "error": "crashed"}
-            inv = Invocation("r", (int(req["x"]),))
+            inv = Invocation("r", (req["x"],))
             out = self.algorithm.invoke(self.my_pid, inv)
             return {"ok": True, "value": out}
         if cmd == "window":
             window = getattr(self.algorithm, "window", None)
             if window is None:
                 return {"ok": False, "error": "no window observability"}
-            return {"ok": True, "value": window(self.my_pid, int(req["x"]))}
+            return {"ok": True, "value": window(self.my_pid, req["x"])}
         if cmd == "ops":
             if self.tap is not None:
                 self.tap.flush()
@@ -400,9 +305,14 @@ class ServiceNode:
         if cmd == "history":
             return {"ok": True, "ops": self._history_row()}
         if cmd == "status":
-            return {"ok": True, "status": self.status(req.get("since", 0))}
+            since = req.get("since", 0)
+            if type(since) is not int or since < 0:
+                return {"ok": False, "error": "since must be an int >= 0"}
+            return {"ok": True, "status": self.status(since)}
         if cmd == "watch":
-            interval = float(req.get("interval", 0.5))
+            interval = req.get("interval", 0.5)
+            if type(interval) not in (int, float) or not 0 < interval < math.inf:
+                return {"ok": False, "error": "interval must be finite and > 0"}
             while not self._closed:
                 frame = {"ok": True, "status": self.status(0)}
                 frame["rid"] = req.get("rid")
@@ -469,18 +379,8 @@ class ServiceNode:
         }
         if self.tap is not None:
             doc["tap"] = self.tap.stats()
-        b = getattr(self.algorithm, "broadcast", None)
-        if b is not None:
-            doc["broadcast"] = {
-                "delivered": b.delivered_count,
-                "log_sizes": b.log_sizes() if hasattr(b, "log_sizes") else [],
-                "resync_attempts": getattr(b, "resync_attempts", 0),
-                "resync_retries": getattr(b, "resync_retries", 0),
-                "resync_converged": getattr(b, "resync_converged", 0),
-                "resync_gave_up": getattr(b, "resync_gave_up", 0),
-                "resyncs_served": self.resyncs_served,
-                "resyncs_requested": self.resyncs_requested,
-            }
+        if self.broadcast is not None:
+            doc["broadcast"] = self.broadcast.stats()
         if self.monitor is not None:
             doc["monitor"] = {
                 "ok": self.monitor.ok,
@@ -503,9 +403,8 @@ class ServiceNode:
         self._server = await asyncio.start_server(
             self._serve_client, host, port
         )
-        start_gossip = getattr(self.algorithm, "start_gossip", None)
-        if self.entry.gossip and start_gossip is not None:
-            start_gossip()
+        if self.entry.gossip:
+            self.algorithm.start_gossip()
         self._hb_task = asyncio.ensure_future(self._heartbeat_loop())
 
     async def close(self) -> None:

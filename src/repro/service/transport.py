@@ -43,12 +43,12 @@ in the handler included.  ``wire_stats`` counts it all
 share the broadcast handler no longer sees is still in the node's status.
 
 The crucial difference from the simulated plane: in the simulator one
-``Network`` carries all ``n`` processes; live, each node owns one
-``AsyncioTransport`` and only its own pid is *active*.  The broadcast
-layers still attach handlers for every pid (they are written n-wide),
-but incoming frames dispatch only ``my_pid``'s handler — the other rows
-of the node's broadcast instance are reconstructed from digests (see
-``repro.service.node``).  Timers run on the event loop
+``Network`` hosts all ``n`` processes; live, each node owns one
+``AsyncioTransport`` that hosts only ``my_pid`` (``hosted``).  The
+broadcast layer therefore builds a single endpoint here and knows its
+peers only through what arrives: message frames, and control frames —
+the node's heartbeats, whose digests feed the endpoint's peer view, and
+the resync request (``control``).  Timers run on the event loop
 (``loop.call_later``), so the supervised-resync chain and the lazy-push
 pull timeouts run unmodified against wall-clock RPC timeouts.
 """
@@ -61,7 +61,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..runtime.network import NetworkStats
-from ..runtime.transport import Handler, Transport
+from ..runtime.transport import ControlHandler, Handler, Transport
 from . import wire
 
 Address = Tuple[str, int]
@@ -163,6 +163,7 @@ class AsyncioTransport(Transport):
             )
         self.my_pid = my_pid
         self.n = len(addrs)
+        self.hosted = (my_pid,)
         self.addrs = dict(addrs)
         self.my_addr = my_addr or addrs[my_pid]
         self.clock = clock or WallClock(seed)
@@ -192,9 +193,11 @@ class AsyncioTransport(Transport):
         #: frame is being dispatched — a relay of that same object from
         #: inside the handler re-addresses the bytes instead of encoding
         self._inflight: Optional[Tuple[Any, bytes]] = None
-        #: frames other than broadcast messages land here (digests,
-        #: resync RPCs) — the service node registers this
+        #: every control frame lands here first (the service node
+        #: registers this: heartbeats are its membership signal) ...
         self.control_handler: Optional[Callable[[int, Any], None]] = None
+        #: ... and then in ``my_pid``'s control sink (:meth:`attach_control`)
+        self._control_sink: Optional[ControlHandler] = None
         #: local crash-stop flag: while set, this node neither sends nor
         #: dispatches incoming frames (the live analogue of
         #: ``Network.crash(my_pid)``)
@@ -230,6 +233,10 @@ class AsyncioTransport(Transport):
         # only my_pid's frames are ever dispatched on a live node
         if pid == self.my_pid:
             self._seen = seen
+
+    def attach_control(self, pid: int, handler: ControlHandler) -> None:
+        if pid == self.my_pid:
+            self._control_sink = handler
 
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Queue a broadcast-layer message frame for ``dst``.
@@ -292,10 +299,10 @@ class AsyncioTransport(Transport):
         return self._seed
 
     # ------------------------------------------------------------------
-    # Control frames (digests, resync RPCs)
+    # Control frames (heartbeat digests, resync requests)
     # ------------------------------------------------------------------
-    def send_control(self, dst: int, body: Any) -> None:
-        self._send_frame(dst, {"t": "ctl", "src": self.my_pid, "body": body})
+    def control(self, src: int, dst: int, body: Any) -> None:
+        self._send_frame(dst, {"t": "ctl", "src": src, "body": body})
 
     def multicast_control(self, body: Any) -> None:
         if self.crashed_local:
@@ -516,6 +523,8 @@ class AsyncioTransport(Transport):
         elif kind == "ctl":
             if self.control_handler is not None:
                 self.control_handler(src, frame["body"])
+            if self._control_sink is not None:
+                self._control_sink(src, frame["body"])
 
     # ------------------------------------------------------------------
     # Lifecycle

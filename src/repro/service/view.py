@@ -10,11 +10,8 @@ drops out of the helper pools off real RPC timeouts, exactly the role
 ``Network.crashed`` plays in the simulator.
 
 Heartbeats double as anti-entropy digests: each carries the sender's
-contiguous seen-frontier row, which the receiving node merges into its
-n-wide broadcast bookkeeping (``repro.service.node`` does the merging).
-That is what makes causal-stability GC, helper-side resync filtering and
-the supervised-resync verification check all work on nodes that only
-ever observe their own deliveries.
+broadcast endpoint's ``digest()``, which the transport also hands to the
+receiving endpoint's control sink — the view manager only times them.
 
 View transitions are serialized through an ``asyncio.Lock`` — heartbeat
 arrivals, the sweep timer and operator crash/recover RPCs all mutate the

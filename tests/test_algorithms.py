@@ -130,7 +130,8 @@ class TestFig5CausalConvergence:
 
 
 class TestPaperLiteralInsertion:
-    """Demonstrates the off-by-one in Fig. 5 as printed (DESIGN.md §7)."""
+    """Demonstrates the off-by-one in Fig. 5 as printed (the
+    transcription note in ``repro/algorithms/ccv_window.py``)."""
 
     def test_literal_k1_register_ignores_all_writes(self):
         sim = Simulator(seed=0)

@@ -386,17 +386,19 @@ class TestDuplicateTolerance:
         for i in range(8):
             service.broadcast(0, ("m", i))
         sim.run()
-        assert service._stable[0] > 0, "GC never advanced the frontier"
-        assert all(m["id"][1] >= service._stable[0] for m in service._log[1])
+        stable_before = service.stability_frontier(1)
+        assert stable_before[0] > 0, "GC never advanced the frontier"
+        assert all(
+            m["id"][1] >= stable_before[0] for m in service.retained_log(1)
+        )
         delivered_before = list(logs[1])
-        frontier_before = list(service._frontier[1])
-        stable_before = list(service._stable)
+        seen_before = service.seen_ids(1)
         # replay an ancient, pruned message straight into pid 1
-        service._receive(1, 0, {"id": (0, 0), "origin": 0, "payload": ("m", 0)})
+        net.handlers[1](0, {"id": (0, 0), "origin": 0, "payload": ("m", 0)})
         sim.run()
         assert logs[1] == delivered_before
-        assert service._frontier[1] == frontier_before
-        assert service._stable == stable_before
+        assert service.seen_ids(1) == seen_before
+        assert service.stability_frontier(1) == stable_before
         assert monitor.ok, monitor.summary()
 
 

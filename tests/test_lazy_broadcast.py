@@ -40,18 +40,7 @@ relay_subset = _LazyTransport.relay_subset
 
 def _seen_sets(service):
     """Per-replica set of seen message ids (frontier + spill)."""
-    n = service.n
-    return [
-        frozenset(
-            {
-                (origin, seq)
-                for origin in range(n)
-                for seq in range(service._frontier[pid][origin])
-            }
-            | service._seen[pid]
-        )
-        for pid in range(n)
-    ]
+    return [frozenset(service.seen_ids(pid)) for pid in range(service.n)]
 
 
 def _rig(cls=LazyReliableBroadcast, n=6, seed=0, delay=1.0, **kw):
@@ -137,7 +126,7 @@ class TestLazyDelivery:
             for i in range(8):
                 eps[pid].broadcast((pid, i))
         sim.run()
-        broadcasts = sum(svc._next_id)
+        broadcasts = svc.broadcasts_issued()
         eager_msgs = broadcasts * (n - 1) * (n - 1)  # flood: n-1 relays each
         assert net.stats.sent < eager_msgs / 2
         assert net.stats.suppressed_relays > 0
@@ -163,42 +152,42 @@ class TestAdvBatching:
     def test_full_batch_flushes_immediately(self):
         n = 6
         sim, net, svc, eps, _ = _rig(n=n, seed=0)
-        lazy = len(svc._lazy_peers[0])
+        lazy = len(eps[0].lazy_peers)
         assert lazy > 0
         for i in range(svc.ADV_BATCH):
             eps[0].broadcast(("m", i))
         # the batch filled synchronously: one adv per lazy peer, no timer
         assert svc.adv_sent == lazy
-        assert svc._adv_log[0] == []
+        assert eps[0].adv_log == []
 
     def test_short_batch_flushes_on_deadline(self):
         sim, net, svc, eps, delivered = _rig(n=6, seed=0)
         eps[0].broadcast("solo")
         assert svc.adv_sent == 0  # one pending id: waiting for the timer
         sim.run(until=svc.ADV_FLUSH_DELAY + 0.01)
-        assert svc.adv_sent == len(svc._lazy_peers[0])
+        assert svc.adv_sent == len(eps[0].lazy_peers)
         sim.run()
         assert all(("solo" in [p for _, p in row]) for row in delivered)
 
     def test_piggyback_rides_on_protocol_messages(self):
         sim, net, svc, eps, _ = _rig(n=6, seed=0)
         eps[0].broadcast("x")
-        (lazy_peer,) = [q for q in svc._lazy_peers[0]][:1]
+        (lazy_peer,) = [q for q in eps[0].lazy_peers][:1]
         message = {"kind": "pull-reply", "body": None}
-        svc._attach_adv(0, lazy_peer, message)
+        eps[0]._attach_adv(lazy_peer, message)
         assert message["adv"] == ((0, 0),)
         # the cursor advanced: the deadline flush skips this peer
-        svc._flush_adv(0)
+        eps[0]._flush_adv()
         assert all(
-            cur == 1 for cur in svc._adv_cursor[0].values()
+            cur == 1 for cur in eps[0].adv_cursor.values()
         )
 
     def test_push_peers_never_get_advertisements(self):
         sim, net, svc, eps, _ = _rig(n=6, seed=0)
         eps[0].broadcast("x")
-        push_peer = svc._push_peers[0][0]
+        push_peer = eps[0].push_peers[0]
         message = {"kind": "pull", "mid": (0, 0)}
-        svc._attach_adv(0, push_peer, message)
+        eps[0]._attach_adv(push_peer, message)
         assert "adv" not in message
 
 
@@ -210,7 +199,7 @@ def _pull_rig(n=4, seed=0):
     so the lazy peers of the origin can *only* learn the body by
     pulling — the pull path in isolation."""
     sim, net, svc, eps, delivered = _rig(n=n, seed=seed, flood=False)
-    push = set(svc._push_peers[0])
+    push = set(eps[0].push_peers)
     lazy = [q for q in range(1, n) if q not in push]
     assert lazy, "seed/n must leave the origin at least one lazy peer"
     return sim, net, svc, eps, delivered, lazy
@@ -258,13 +247,15 @@ class TestPullPath:
         sim.run(until=4.0)
         # simulate the stability GC having pruned the body index: every
         # holder now answers pull-miss instead of timing the puller out
-        body = svc._bodies.pop((0, 0))
+        holders = [ep for ep in eps if (0, 0) in ep.bodies]
+        body = [ep.bodies.pop((0, 0)) for ep in holders][0]
         sim.run(until=svc.ADV_FLUSH_DELAY + 1.0 + svc.PULL_GRACE + 3.0)
         assert svc.pull_misses >= 1
         assert all((0, "pruned") not in delivered[pid] for pid in lazy)
         # the index recovers (a holder re-learns the body): the already
         # scheduled re-pull completes without further advertisements
-        svc._bodies[(0, 0)] = body
+        for ep in holders:
+            ep.bodies[(0, 0)] = body
         sim.run()
         for pid in lazy:
             assert (0, "pruned") in delivered[pid]

@@ -294,7 +294,7 @@ class TestStabilityGC:
             service.endpoint(pid, lambda o, p: None)
         self._flood(service, sim, n, 3000)
         sim.run()
-        service._gc()  # final sweep: traffic has fully quiesced
+        service.sweep()  # final sweep: traffic has fully quiesced
         assert service.gc_runs > 1
         assert service.gc_pruned > 0
         # without GC every replica would retain all 3000 messages
@@ -316,10 +316,9 @@ class TestStabilityGC:
         sim.run()
         # everything p2 missed must still be in the live logs (its
         # frontier froze, pinning the stability frontier)
+        seen_by_2 = service.seen_ids(2)
         missed = [
-            m
-            for m in service._log[0]
-            if not service._is_seen(2, m["id"])
+            m for m in service.retained_log(0) if m["id"] not in seen_by_2
         ]
         assert len(missed) > 200
         net.recover(2)
@@ -368,8 +367,8 @@ class TestStabilityGC:
         # replay a stale copy straight through the receive path: the
         # frontier (not the spill set) must reject it
         stale = {"id": (0, 0), "origin": 0, "payload": 0}
-        assert service._frontier[1][0] == 10
-        service._receive(1, 0, stale)
+        assert service.seen_ids(1) == {(0, seq) for seq in range(10)}
+        net.handlers[1](0, stale)
         assert count[0] == 10
 
 

@@ -9,6 +9,7 @@ the simulated plane's whole observability story, on real sockets.
 """
 
 import asyncio
+import gc
 import json
 
 import pytest
@@ -28,6 +29,7 @@ from repro.service import (
     run_load,
 )
 from repro.service import wire
+from repro.service.cluster import ClientSession, client_call
 
 
 # ----------------------------------------------------------------------
@@ -259,3 +261,136 @@ def test_live_cluster_crash_rejoin_classifies_ccv(tmp_path):
     assert verdict.conclusive(), verdict
     assert verdict.ok is True, (verdict.ok, verdict.reason)
     assert verdict.violation is None
+
+
+# ----------------------------------------------------------------------
+# A node is one process: one endpoint, peers known from digests only
+# ----------------------------------------------------------------------
+def _frame(node, frame):
+    node.transport._receive_body(wire.encode_body(frame, wire.CODEC_BINARY))
+
+
+def test_node_hosts_one_endpoint_and_learns_peers_from_digests_only():
+    async def body():
+        cluster = LiveCluster(3, base_port=BASE_PORT + 40, proxied=False)
+        node = cluster.nodes[1]  # never started: frames are fed by hand
+        assert list(node.broadcast.endpoints) == [1]
+        assert list(node.transport.handlers) == [1]
+        endpoint = node.broadcast.endpoints[1]
+        view = endpoint.peers
+        assert view.remote == {0, 2} and view.rows[1] is endpoint.frontier
+
+        def peer_rows():
+            return [list(view.rows[0]), list(view.rows[2])]
+
+        # messages move the node's own row, never a peer's
+        for seq in range(3):
+            message = {
+                "id": (0, seq),
+                "origin": 0,
+                "payload": (0, 10 + seq, seq + 1, 0),
+                "stamp": (seq + 1, 0, 0),
+            }
+            _frame(node, {"t": "msg", "src": 0, "body": message})
+        assert endpoint.frontier == [3, 0, 0]
+        assert node.broadcast.delivered_count == 3
+        assert peer_rows() == [[0, 0, 0], [0, 0, 0]]
+        # a heartbeat's digest moves its sender's row, and only that
+        hb = {"kind": "hb", "frontier": [3, 0, 0]}
+        _frame(node, {"t": "ctl", "src": 0, "body": hb})
+        assert peer_rows() == [[3, 0, 0], [0, 0, 0]]
+        # rows are monotone: a stale digest changes nothing
+        _frame(node, {"t": "ctl", "src": 0, "body": dict(hb, frontier=[1, 0, 0])})
+        _frame(node, {"t": "ctl", "src": 2, "body": dict(hb, frontier=[2, 0, 1])})
+        assert peer_rows() == [[3, 0, 0], [2, 0, 1]]
+        # the stability frontier is what every row has reached
+        node.broadcast.sweep()
+        assert node.broadcast.stability_frontier(1) == [2, 0, 0]
+        assert [m["id"] for m in node.broadcast.retained_log(1)] == [(0, 2)]
+        await asyncio.sleep(0)  # let the view's heartbeat tasks finish
+
+    asyncio.run(body())
+
+
+#: `repro status --json` is an interface: dashboards key on these
+STATUS_KEYS = {
+    "pid", "algorithm", "crashed", "now", "ops", "backlog", "connected",
+    "view", "stats", "wire", "tap", "broadcast", "monitor",
+}
+BROADCAST_STATUS_KEYS = {
+    "delivered", "log_sizes", "resync_attempts", "resync_retries",
+    "resync_converged", "resync_gave_up", "resyncs_served",
+    "resyncs_requested",
+}
+
+
+@pytest.mark.parametrize("algorithm", ["ccv-fig5", "sc-sequencer", "lww-lazy"])
+def test_status_document_keys_are_pinned(algorithm):
+    async def body():
+        cluster = LiveCluster(
+            3, base_port=BASE_PORT + 50, proxied=False, algorithm=algorithm
+        )
+        doc = cluster.nodes[0].status()
+        assert set(doc) == STATUS_KEYS
+        assert set(doc["broadcast"]) == BROADCAST_STATUS_KEYS
+        assert set(doc["monitor"]) == {"ok", "total", "dropped", "violations"}
+        json.dumps(doc)  # what `repro status --json` prints
+
+    asyncio.run(body())
+
+
+# ----------------------------------------------------------------------
+# Bad client requests are answered, not executed
+# ----------------------------------------------------------------------
+BAD_REQUESTS = [
+    {"cmd": "put", "v": 5},  # no stream
+    {"cmd": "get", "x": None},
+    {"cmd": "put", "x": 99, "v": 5},  # out of range: used to wedge the node
+    {"cmd": "put", "x": -1, "v": 5},  # used to alias the last stream
+    {"cmd": "put", "x": True, "v": 5},
+    {"cmd": "put", "x": 0},  # no value
+    {"cmd": "window", "x": "0"},
+    {"cmd": "watch", "interval": 0},
+    {"cmd": "watch", "interval": float("inf")},
+    {"cmd": "status", "since": "0"},
+]
+
+
+def test_bad_client_requests_get_an_error_reply_and_wedge_nothing():
+    async def body():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        cluster = LiveCluster(3, base_port=BASE_PORT + 60, streams=2, proxied=False)
+        await cluster.start()
+        try:
+            await asyncio.sleep(0.2)
+            addrs = {pid: cluster.client_addr(pid) for pid in range(3)}
+            session = ClientSession(addrs[0])
+            await session.connect()
+            for request in BAD_REQUESTS:
+                reply = await session.call(dict(request))
+                assert reply["ok"] is False and reply["error"], request
+            # same connection, still serving; the write leaves the node
+            assert (await session.call({"cmd": "put", "x": 1, "v": 7}))["ok"]
+            await session.close()
+            for _ in range(40):
+                await asyncio.sleep(0.05)
+                if await converged_windows(addrs, 2):
+                    break
+            else:
+                pytest.fail("replicas did not converge after the bad requests")
+            for pid in range(3):
+                window = await client_call(addrs[pid], {"cmd": "window", "x": 1})
+                assert 7 in window["value"]
+                status = (await client_call(addrs[pid], {"cmd": "status"}))["status"]
+                assert status["monitor"]["ok"] and status["ops"] == (pid == 0)
+                assert cluster.nodes[pid].broadcast.pending_messages(pid) == 0
+            gc.collect()
+            await asyncio.sleep(0)
+            assert errors == []
+        finally:
+            await cluster.close()
+
+    asyncio.run(body())

@@ -11,16 +11,20 @@ classification run.
 
 Covered: point-to-point and multicast delivery with source fidelity,
 per-link FIFO order, timer scheduling (ordering, cancellation,
-cancel-after-fire as a no-op), the local/remote crash surface, and
+cancel-after-fire as a no-op), the local/remote crash surface,
 duplicate *surfacing* (a duplication fault reaches the layer above on
 both planes — dedup is the broadcast layer's job, and it must get the
-same raw stream to dedup either way).
+same raw stream to dedup either way), and the control call: one
+crash → traffic → recover script whose resync request reaches a helper
+in-line on the simulated plane and as a control frame on the live one.
 """
 
 import asyncio
 
 import pytest
 
+from repro.runtime.broadcast import CausalBroadcast
+from repro.runtime.monitors import RuntimeMonitor
 from repro.runtime.network import DelayModel, Network
 from repro.runtime.simulator import Simulator
 from repro.runtime.transport import Transport
@@ -312,5 +316,85 @@ def test_duplication_fault_surfaces_to_the_layer_above(plane):
         await world.close()
         payloads = sorted(payload for _src, payload in logs[1])
         assert payloads == sorted(list(range(5)) * 2)
+
+    run(body())
+
+
+# ----------------------------------------------------------------------
+# The control call: resync request -> serve, one script on both planes
+# ----------------------------------------------------------------------
+def broadcast_stacks(world, n):
+    """One ``CausalBroadcast`` per transport — so one for the simulated
+    world, hosting all n endpoints, and n single-endpoint ones live —
+    with per-pid delivery logs and a monitor each."""
+    services, logs = {}, {pid: [] for pid in range(n)}
+    for pid in range(n):
+        transport = world.transport(pid)
+        service = services.get(id(transport))
+        if service is None:
+            service = services[id(transport)] = CausalBroadcast(transport)
+            service.GC_INTERVAL = 4
+            service.RESYNC_TIMEOUT = 0.25
+            service.monitor = RuntimeMonitor(n, sim=transport)
+        service.endpoint(pid, lambda origin, p, me=pid: logs[me].append(p))
+    by_pid = [services[id(world.transport(pid))] for pid in range(n)]
+    return by_pid, logs
+
+
+def gossip_digests(world, services):
+    """What a node's heartbeat does: every live remote peer learns each
+    endpoint's digest.  Hosted peers need none — their rows are aliased."""
+    for pid, service in enumerate(services):
+        transport = world.transport(pid)
+        body = service.endpoints[pid].digest()
+        for dst in range(world.n):
+            if dst != pid and dst not in transport.hosted:
+                transport.control(pid, dst, dict(body, kind="hb"))
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_crash_traffic_recover_resyncs_through_the_control_call(plane):
+    async def body():
+        n = 3
+        world = await make_world(plane, n)
+        services, logs = broadcast_stacks(world, n)
+        hosts = 1 if plane == "sim" else n
+        assert len({id(s) for s in services}) == hosts
+        assert all(len(s.endpoints) == n // hosts for s in services)
+
+        async def round_of(senders, tag):
+            for pid in senders:
+                for i in range(4):
+                    services[pid].broadcast(pid, (tag, pid, i))
+            await world.settle(0.25)
+            gossip_digests(world, services)
+            await world.settle(0.15)
+            for service in set(services):
+                service.sweep()
+
+        await round_of(range(n), "all")  # seen by everyone: pruned
+        assert all(s.gc_pruned > 0 for s in services)
+        world.crash(2)
+        await round_of((0, 1), "missed")  # 2's frozen row retains these
+        assert [m for m in logs[2] if m[0] == "missed"] == []
+        for helper in (0, 1):
+            retained = {m["id"] for m in services[helper].retained_log(helper)}
+            assert {(p, i) for p in (0, 1) for i in range(4, 8)} <= retained
+        world.recover(2)
+        gossip_digests(world, services)  # the rejoiner hears its peers
+        await world.settle(0.15)
+        services[2].start_resync(2)
+        await world.settle(0.6)  # past the RESYNC_TIMEOUT check
+        await world.close()
+
+        assert services[2].seen_ids(2) == services[0].seen_ids(0)
+        assert sorted(logs[2]) == sorted(logs[0]) and len(logs[0]) == 20
+        assert services[2].resync_attempts >= 1
+        assert services[2].resync_converged == 1
+        assert services[2].resync_gave_up == 0
+        assert services[2].resyncs_requested >= 1
+        assert sum(s.resyncs_served for s in set(services)) >= 1
+        for service in set(services):
+            assert service.monitor.ok, service.monitor.summary()
 
     run(body())
