@@ -57,7 +57,7 @@ _ROOT = _HERE.parent
 if str(_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(_ROOT / "src"))
 
-from repro.scenarios.matrix import ALGORITHMS, _build_kwargs, run_matrix  # noqa: E402
+from repro.scenarios.matrix import ALGORITHMS, run_matrix  # noqa: E402
 from repro.scenarios.scenario import RunResult, Scenario  # noqa: E402
 from repro.scenarios.spec import (  # noqa: E402
     DelaySpec,
@@ -224,7 +224,7 @@ def run_cell(
         t0 = time.perf_counter()      # only the wall clock is noisy
         result = Scenario(spec).run(
             entry.cls, seed=seed, max_events=50_000_000,
-            **_build_kwargs(entry, spec),
+            **entry.kwargs(spec.streams, spec.k),
         )
         wall = min(wall, time.perf_counter() - t0)
     events = result.sim.events_executed
@@ -349,7 +349,7 @@ def run_fanout_cell(
         t0 = time.perf_counter()
         result = Scenario(spec).run(
             entry.cls, seed=seed, max_events=50_000_000,
-            post_setup=post_setup, **_build_kwargs(entry, spec),
+            post_setup=post_setup, **entry.kwargs(spec.streams, spec.k),
         )
         wall = min(wall, time.perf_counter() - t0)
     service = result.algorithm.broadcast
@@ -370,8 +370,7 @@ def run_fanout_cell(
         if hasattr(service, "missing_count")
         else 0
     )
-    state = getattr(result.algorithm, "state", None)
-    converged = state is not None and all(row == state[0] for row in state)
+    converged = result.algorithm.converged()
     ops = result.ops
     return {
         "name": spec.name,

@@ -1,24 +1,26 @@
-"""Replication algorithms: Figs. 4–5 and baselines."""
+"""Replication algorithms: Figs. 4–5 and baselines, each a per-process
+:class:`Replica` under one :class:`ReplicatedObject` host."""
 
-from .base import ReplicatedObject
+from .base import Replica, ReplicatedObject
 from .cc_window import CCWindowArray
-from .ccv_window import CCvWindowArray
-from .generic_causal import GenericCausal
-from .generic_ccv import GenericCCv
+from .ccv_window import CCvWindowArray, LazyCCvWindowArray
+from .generic_causal import GenericCausal, PramReplication
+from .generic_ccv import GenericCCv, LazyLwwReplication, LwwReplication
 from .gossip_ccv import GossipCCvWindowArray, merge_windows
-from .lww import LwwReplication
-from .pram import PramReplication
 from .sc_sequencer import ScSequencer
 
 __all__ = [
+    "Replica",
     "ReplicatedObject",
     "CCWindowArray",
     "CCvWindowArray",
+    "LazyCCvWindowArray",
     "GenericCausal",
     "GenericCCv",
     "GossipCCvWindowArray",
     "merge_windows",
     "LwwReplication",
+    "LazyLwwReplication",
     "PramReplication",
     "ScSequencer",
 ]

@@ -14,65 +14,63 @@ from typing import Any, List, Optional, Tuple
 
 from ..core.operations import BOTTOM, Invocation
 from ..runtime.broadcast import CausalBroadcast
-from ..runtime.network import Network
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
-from .base import Callback, ReplicatedObject
+from ..runtime.transport import Transport
+from .base import Replica, ReplicatedObject
+
+
+class CCWindowReplica(Replica):
+    """The algorithm of Fig. 4: code for process ``p_i``."""
+
+    def __init__(self, pid: int, streams: int, k: int, default: Any) -> None:
+        super().__init__(pid)
+        self.k = k
+        # str_i in the paper: this process's copy of the K windows
+        self.str: List[List[Any]] = [[default] * k for _ in range(streams)]
+
+    def invoke(self, invocation: Invocation) -> Any:
+        if invocation.method == "r":
+            (x,) = invocation.args
+            return tuple(self.str[x])
+        if invocation.method == "w":
+            x, value = invocation.args
+            # the local delivery of the causal broadcast applies the write
+            # synchronously (Sec. 6.1), so the operation is complete here
+            self.endpoint.broadcast((x, value))
+            return BOTTOM
+        raise ValueError(f"window array has no method {invocation.method!r}")
+
+    def on_deliver(self, _origin: int, payload: Tuple[int, Any]) -> None:
+        x, value = payload
+        row = self.str[x]
+        # lines 10-13 of Fig. 4: shift left, append at the end
+        for y in range(self.k - 1):
+            row[y] = row[y + 1]
+        row[self.k - 1] = value
+
+    def state(self) -> Tuple[Tuple[Any, ...], ...]:
+        return tuple(tuple(row) for row in self.str)
 
 
 class CCWindowArray(ReplicatedObject):
-    """The algorithm of Fig. 4 (code for process ``p_i`` replicated n times)."""
+    """Fig. 4 hosted: one :class:`CCWindowReplica` per hosted process."""
 
     name = "CC(W_k^K) [Fig.4]"
-    wait_free = True
+    replica_cls = CCWindowReplica
+    broadcast_cls = CausalBroadcast
 
     def __init__(
         self,
         sim: Simulator,
-        network: Network,
+        network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
         default: Any = 0,
         flood: bool = True,
     ) -> None:
-        super().__init__(sim, network, recorder)
-        self.streams = streams
-        self.k = k
-        # str_i in the paper: one copy per process
-        self.state: List[List[List[Any]]] = [
-            [[default] * k for _ in range(streams)] for _ in range(self.n)
-        ]
-        self.broadcast = CausalBroadcast(network, flood=flood)
-        self.endpoints = [
-            self.broadcast.endpoint(pid, self._receiver(pid)) for pid in range(self.n)
-        ]
-
-    # ------------------------------------------------------------------
-    def _receiver(self, pid: int):
-        def on_deliver(_origin: int, payload: Tuple[int, Any]) -> None:
-            x, value = payload
-            row = self.state[pid][x]
-            # lines 10-13 of Fig. 4: shift left, append at the end
-            for y in range(self.k - 1):
-                row[y] = row[y + 1]
-            row[self.k - 1] = value
-
-        return on_deliver
-
-    # ------------------------------------------------------------------
-    def invoke(
-        self, pid: int, invocation: Invocation, callback: Optional[Callback] = None
-    ) -> Optional[Any]:
-        start = self.sim.now
-        if invocation.method == "r":
-            (x,) = invocation.args
-            output = tuple(self.state[pid][x])
-            return self._complete(pid, invocation, output, start, callback)
-        if invocation.method == "w":
-            x, value = invocation.args
-            # the local delivery of the causal broadcast applies the write
-            # synchronously (Sec. 6.1), so the operation is complete here
-            self.endpoints[pid].broadcast((x, value))
-            return self._complete(pid, invocation, BOTTOM, start, callback)
-        raise ValueError(f"window array has no method {invocation.method!r}")
+        super().__init__(
+            sim, network, recorder, {"flood": flood},
+            streams=streams, k=k, default=default,
+        )

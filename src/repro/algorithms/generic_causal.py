@@ -16,63 +16,76 @@ For operations that are update *and* query (e.g. ``pop``), the output is
 evaluated on the local state at invocation (its causal past) and the side
 effect is propagated; this loose coupling is exactly the behaviour the
 paper discusses around Fig. 3f.
+
+**PRAM / pipelined consistency** (Lipton & Sandberg [16]) is the same
+construction over a *FIFO* broadcast: updates are applied in per-sender
+order only, so causality across processes is not preserved — the classic
+"answer before question" anomaly becomes observable (a WCC violation
+witness that the causal algorithms never produce; experiment E9 measures
+the rates).  :class:`PramReplication` is that one declaration.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional, Tuple
 
 from ..core.adt import AbstractDataType
 from ..core.operations import Invocation
-from ..runtime.broadcast import CausalBroadcast
-from ..runtime.network import Network
+from ..runtime.broadcast import CausalBroadcast, FifoBroadcast
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
-from .base import Callback, ReplicatedObject
+from ..runtime.transport import Transport
+from .base import Replica, ReplicatedObject
+
+
+class GenericCausalReplica(Replica):
+    """Process ``p_i``'s copy of the transducer state, updated in
+    delivery order."""
+
+    def __init__(self, pid: int, adt: AbstractDataType) -> None:
+        super().__init__(pid)
+        self.adt = adt
+        self.local = adt.initial_state()
+
+    def invoke(self, invocation: Invocation) -> Any:
+        # evaluate lambda on the state of the causal past, before the
+        # (synchronous, local-first) delivery applies delta
+        output = self.adt.output(self.local, invocation)
+        if self.adt.is_update(invocation):
+            self.endpoint.broadcast((invocation.method, invocation.args))
+        return output
+
+    def on_deliver(self, _origin: int, payload: Tuple[str, Tuple[Any, ...]]) -> None:
+        self.local = self.adt.transition(self.local, Invocation(*payload))
+
+    def state(self) -> Any:
+        return self.local
 
 
 class GenericCausal(ReplicatedObject):
     """Op-based causal replication of an arbitrary ADT."""
 
-    wait_free = True
+    label = "CC({}) [generic]"
+    replica_cls = GenericCausalReplica
+    broadcast_cls = CausalBroadcast
 
     def __init__(
         self,
         sim: Simulator,
-        network: Network,
+        network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
         flood: bool = True,
     ) -> None:
-        super().__init__(sim, network, recorder)
         if adt is None:
-            raise ValueError("GenericCausal requires an ADT")
+            raise ValueError(f"{type(self).__name__} requires an ADT")
         self.adt = adt
-        self.name = f"CC({adt.name}) [generic]"
-        self.states: List[Any] = [adt.initial_state() for _ in range(self.n)]
-        self.applied: List[int] = [0] * self.n
-        self.broadcast = CausalBroadcast(network, flood=flood)
-        self.endpoints = [
-            self.broadcast.endpoint(pid, self._receiver(pid)) for pid in range(self.n)
-        ]
+        self.name = self.label.format(adt.name)
+        super().__init__(sim, network, recorder, {"flood": flood}, adt=adt)
 
-    def _receiver(self, pid: int):
-        def on_deliver(_origin: int, invocation: Invocation) -> None:
-            self.states[pid] = self.adt.transition(self.states[pid], invocation)
-            self.applied[pid] += 1
 
-        return on_deliver
+class PramReplication(GenericCausal):
+    """Op-based replication over FIFO broadcast (pipelined consistency)."""
 
-    def invoke(
-        self, pid: int, invocation: Invocation, callback: Optional[Callback] = None
-    ) -> Optional[Any]:
-        start = self.sim.now
-        # evaluate lambda on the state of the causal past, before the
-        # (synchronous, local-first) delivery applies delta
-        output = self.adt.output(self.states[pid], invocation)
-        if self.adt.is_update(invocation):
-            self.endpoints[pid].broadcast(invocation)
-        return self._complete(pid, invocation, output, start, callback)
-
-    def state_of(self, pid: int) -> Any:
-        return self.states[pid]
+    label = "PC({}) [PRAM]"
+    broadcast_cls = FifoBroadcast

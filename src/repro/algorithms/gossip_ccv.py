@@ -20,10 +20,10 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from ..core.operations import BOTTOM, Invocation
-from ..runtime.network import Network
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
-from .base import Callback, ReplicatedObject
+from ..runtime.transport import Transport
+from .base import Replica, ReplicatedObject
 
 Stamp = Tuple[int, int]
 Cell = Tuple[Any, Stamp]
@@ -42,19 +42,62 @@ def merge_windows(a: List[Cell], b: List[Cell], k: int) -> List[Cell]:
     return cells[-k:] if len(cells) >= k else cells
 
 
+class GossipReplica(Replica):
+    """Process ``p_i``'s window array (a semilattice element) and
+    Lamport clock; it has no broadcast endpoint — its host pushes
+    :meth:`snapshot` to a peer each round, whose ``on_deliver`` joins it."""
+
+    def __init__(self, pid: int, streams: int, k: int, default: Any) -> None:
+        super().__init__(pid)
+        self.k = k
+        self.str: List[List[Cell]] = [
+            [(default, (0, 0))] * k for _ in range(streams)
+        ]
+        self.vtime = 0
+
+    def invoke(self, invocation: Invocation) -> Any:
+        if invocation.method == "r":
+            (x,) = invocation.args
+            return tuple(cell[0] for cell in self.str[x])
+        if invocation.method == "w":
+            x, value = invocation.args
+            self.vtime += 1
+            stamp = (self.vtime, self.pid)
+            self.str[x] = merge_windows(self.str[x], [(value, stamp)], self.k)
+            return BOTTOM
+        raise ValueError(f"window array has no method {invocation.method!r}")
+
+    def snapshot(self) -> Tuple[str, int, List[List[Cell]]]:
+        """The state message of one anti-entropy push."""
+        return ("state", self.vtime, [list(stream) for stream in self.str])
+
+    def on_deliver(self, _src: int, payload: Any) -> None:
+        kind, vtime, snapshot = payload
+        if kind != "state":
+            return
+        self.vtime = max(self.vtime, vtime)
+        for x, stream in enumerate(self.str):
+            self.str[x] = merge_windows(stream, snapshot[x], self.k)
+
+    def state(self) -> Tuple[Tuple[Any, ...], ...]:
+        return tuple(tuple(cell[0] for cell in row) for row in self.str)
+
+    def on_recover(self) -> None:
+        """State-based: the first gossip exchange after recovery rejoins
+        the full window state, no explicit resync needed."""
+
+
 class GossipCCvWindowArray(ReplicatedObject):
     """Anti-entropy replication of an array of K window streams."""
 
     name = "CCv(W_k^K) [gossip]"
-    wait_free = True
-    # state-based: the first gossip exchange after recovery rejoins the
-    # full window state, no explicit resync needed
-    supports_recovery = True
+    replica_cls = GossipReplica
+    broadcast_cls = None
 
     def __init__(
         self,
         sim: Simulator,
-        network: Network,
+        network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
@@ -62,22 +105,17 @@ class GossipCCvWindowArray(ReplicatedObject):
         gossip_interval: float = 1.0,
         fanout: int = 1,
     ) -> None:
-        super().__init__(sim, network, recorder)
-        self.streams = streams
-        self.k = k
         self.gossip_interval = gossip_interval
         self.fanout = max(1, fanout)
-        self.state: List[List[List[Cell]]] = [
-            [[(default, (0, 0))] * k for _ in range(streams)] for _ in range(self.n)
-        ]
-        self.vtime: List[int] = [0] * self.n
         self.rounds = 0
         self._running = False
-        for pid in range(self.n):
-            network.attach(pid, self._receiver(pid))
+        super().__init__(
+            sim, network, recorder, {}, streams=streams, k=k, default=default
+        )
 
     # ------------------------------------------------------------------
-    # Gossip engine
+    # Gossip engine: one scheduled tick per round for every hosted
+    # replica (per-replica timers would renumber the simulator's events)
     # ------------------------------------------------------------------
     def start_gossip(self, rounds: Optional[int] = None) -> None:
         """Schedule periodic anti-entropy; ``rounds=None`` keeps gossiping
@@ -99,58 +137,13 @@ class GossipCCvWindowArray(ReplicatedObject):
                 return
             self._budget -= 1
         self.rounds += 1
-        for pid in range(self.n):
+        for pid, replica in self.replicas.items():
             if self.network.is_crashed(pid):
                 continue
             for _ in range(self.fanout):
                 peer = self.sim.rng.randrange(self.n - 1)
                 if peer >= pid:
                     peer += 1
-                snapshot = [list(stream) for stream in self.state[pid]]
-                self.network.send(pid, peer, ("state", self.vtime[pid], snapshot))
+                self.network.send(pid, peer, replica.snapshot())
         if self._running and (self._budget is None or self._budget > 0):
             self.sim.schedule(self.gossip_interval, self._gossip_tick)
-
-    def _receiver(self, pid: int):
-        def on_receive(_src: int, payload: Any) -> None:
-            kind, vtime, snapshot = payload
-            if kind != "state":
-                return
-            self.vtime[pid] = max(self.vtime[pid], vtime)
-            for x in range(self.streams):
-                self.state[pid][x] = merge_windows(
-                    self.state[pid][x], snapshot[x], self.k
-                )
-
-        return on_receive
-
-    # ------------------------------------------------------------------
-    def invoke(
-        self, pid: int, invocation: Invocation, callback: Optional[Callback] = None
-    ) -> Optional[Any]:
-        start = self.sim.now
-        if invocation.method == "r":
-            (x,) = invocation.args
-            output = tuple(cell[0] for cell in self.state[pid][x])
-            return self._complete(pid, invocation, output, start, callback)
-        if invocation.method == "w":
-            x, value = invocation.args
-            self.vtime[pid] += 1
-            stamp = (self.vtime[pid], pid)
-            self.state[pid][x] = merge_windows(
-                self.state[pid][x], [(value, stamp)], self.k
-            )
-            return self._complete(pid, invocation, BOTTOM, start, callback)
-        raise ValueError(f"window array has no method {invocation.method!r}")
-
-    def window(self, pid: int, x: int) -> Tuple[Any, ...]:
-        return tuple(cell[0] for cell in self.state[pid][x])
-
-    def converged(self) -> bool:
-        """True when all live replicas expose identical windows."""
-        live = [pid for pid in range(self.n) if not self.network.is_crashed(pid)]
-        reference = [self.window(live[0], x) for x in range(self.streams)]
-        return all(
-            [self.window(pid, x) for x in range(self.streams)] == reference
-            for pid in live[1:]
-        )

@@ -14,15 +14,59 @@ tests).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..core.adt import AbstractDataType
 from ..core.operations import Invocation
 from ..runtime.broadcast import TotalOrderBroadcast
-from ..runtime.network import Network
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
-from .base import Callback, ReplicatedObject
+from ..runtime.transport import Transport
+from .base import Callback, Replica, ReplicatedObject
+
+
+class ScReplica(Replica):
+    """Process ``p_i``'s copy of the state machine, and the operations it
+    has submitted that have not come back sequenced yet."""
+
+    def __init__(self, pid: int, adt: AbstractDataType) -> None:
+        super().__init__(pid)
+        self.adt = adt
+        self.local = adt.initial_state()
+        # operations in flight at this origin: local op id -> continuation
+        self.inflight: Dict[int, Callable[[Any], None]] = {}
+        self._next_op = 0
+
+    def invoke(self, invocation: Invocation, done: Callable[[Any], None]) -> None:
+        """Not wait-free: ``done(output)`` runs when the operation comes
+        back sequenced, a round trip later."""
+        op_id = self._next_op
+        self._next_op += 1
+        self.inflight[op_id] = done
+        self.endpoint.broadcast((op_id, invocation.method, invocation.args))
+
+    def on_deliver(self, origin: int, message: Any) -> None:
+        op_id, method, args = message["payload"]
+        invocation = Invocation(method, args)
+        # every replica applies the operation in the same global order;
+        # the origin also computes the output and completes the op
+        output = self.adt.output(self.local, invocation)
+        self.local = self.adt.transition(self.local, invocation)
+        if origin == self.pid and op_id in self.inflight:
+            self.inflight.pop(op_id)(output)
+
+    def state(self) -> Any:
+        return self.local
+
+    def on_crash(self) -> None:
+        """Crash-stop voids this process's in-flight operations: their
+        continuations died with the process (the sequenced updates still
+        apply everywhere — a committed-but-unacknowledged write)."""
+        self.inflight.clear()
+
+    def on_recover(self) -> None:
+        """Total-order broadcast has no anti-entropy path: the process
+        resumes with stale state."""
 
 
 class ScSequencer(ReplicatedObject):
@@ -32,58 +76,29 @@ class ScSequencer(ReplicatedObject):
     # total-order broadcast has no anti-entropy path, and a crashed
     # sequencer takes the whole object down with it
     supports_recovery = False
+    replica_cls = ScReplica
+    broadcast_cls = TotalOrderBroadcast
 
     def __init__(
         self,
         sim: Simulator,
-        network: Network,
+        network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
         sequencer: int = 0,
     ) -> None:
-        super().__init__(sim, network, recorder)
         if adt is None:
             raise ValueError("ScSequencer requires an ADT")
         self.adt = adt
         self.name = f"SC({adt.name}) [sequencer]"
-        self.states: List[Any] = [adt.initial_state() for _ in range(self.n)]
-        self.broadcast = TotalOrderBroadcast(network, sequencer=sequencer)
-        # operations in flight at their origin: (pid, local op id) -> info
-        self._inflight: Dict[Tuple[int, int], Tuple[Invocation, float, Optional[Callback]]] = {}
-        self._next_op: List[int] = [0] * self.n
-        self.endpoints = [
-            self.broadcast.endpoint(pid, self._receiver(pid)) for pid in range(self.n)
-        ]
-
-    def _receiver(self, pid: int):
-        def on_deliver(origin: int, message: Any) -> None:
-            op_key: Tuple[int, int] = message["payload"]["op"]
-            invocation: Invocation = message["payload"]["invocation"]
-            # every replica applies the operation in the same global order;
-            # the origin also computes the output and completes the op
-            output = self.adt.output(self.states[pid], invocation)
-            self.states[pid] = self.adt.transition(self.states[pid], invocation)
-            if pid == origin and op_key in self._inflight:
-                inv, start, callback = self._inflight.pop(op_key)
-                self._complete(pid, inv, output, start, callback)
-
-        return on_deliver
-
-    def on_crash(self, pid: int) -> None:
-        """Crash-stop voids ``pid``'s in-flight operations: their
-        continuations died with the process (the sequenced updates still
-        apply everywhere — a committed-but-unacknowledged write)."""
-        for op_key in [key for key in self._inflight if key[0] == pid]:
-            del self._inflight[op_key]
+        super().__init__(sim, network, recorder, {"sequencer": sequencer}, adt=adt)
 
     def invoke(
         self, pid: int, invocation: Invocation, callback: Optional[Callback] = None
     ) -> Optional[Any]:
-        op_key = (pid, self._next_op[pid])
-        self._next_op[pid] += 1
-        self._inflight[op_key] = (invocation, self.sim.now, callback)
-        self.endpoints[pid].broadcast({"op": op_key, "invocation": invocation})
+        start = self.sim.now
+        self.replicas[pid].invoke(
+            invocation,
+            lambda output: self._complete(pid, invocation, output, start, callback),
+        )
         return None  # completes asynchronously after the round trip
-
-    def state_of(self, pid: int) -> Any:
-        return self.states[pid]

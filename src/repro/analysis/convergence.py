@@ -25,8 +25,6 @@ from ..runtime.network import DelayModel, Network
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
 from ..algorithms.base import ReplicatedObject
-from ..algorithms.cc_window import CCWindowArray
-from ..algorithms.ccv_window import CCvWindowArray
 
 
 @dataclass
@@ -38,20 +36,8 @@ class ConvergenceResult:
     last_update_time: float
 
 
-def _snapshot(obj: ReplicatedObject, streams: int) -> List[Tuple[Any, ...]]:
-    out = []
-    for pid in range(obj.n):
-        row: List[Any] = []
-        for x in range(streams):
-            if isinstance(obj, CCWindowArray):
-                row.append(tuple(obj.state[pid][x]))
-            elif isinstance(obj, CCvWindowArray):
-                row.append(obj.window(pid, x))
-            else:  # generic log-based objects
-                row.append(obj.state_of(pid))
-                break
-        out.append(tuple(row))
-    return out
+def _snapshot(obj: ReplicatedObject) -> List[Tuple[Any, ...]]:
+    return [obj.state_of(pid) for pid in range(obj.n)]
 
 
 def measure_convergence(
@@ -86,13 +72,13 @@ def measure_convergence(
     samples: List[Tuple[float, List[Tuple[Any, ...]]]] = []
 
     def sample() -> None:
-        samples.append((sim.now, _snapshot(obj, streams)))
+        samples.append((sim.now, _snapshot(obj)))
         if sim.pending > 1:  # keep sampling while traffic is in flight
             sim.schedule(sample_step, sample)
 
     sim.schedule(sample_step, sample)
     sim.run()
-    samples.append((sim.now, _snapshot(obj, streams)))
+    samples.append((sim.now, _snapshot(obj)))
 
     final = samples[-1][1]
     converged = all(state == final[0] for state in final)

@@ -13,17 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple, Type
+from typing import List, Sequence
 
-from ..adts.window_stream import WindowStreamArray
 from ..runtime.network import DelayModel
-from ..algorithms.base import ReplicatedObject
-from ..algorithms.cc_window import CCWindowArray
-from ..algorithms.ccv_window import CCvWindowArray
-from ..algorithms.generic_causal import GenericCausal
-from ..algorithms.lww import LwwReplication
-from ..algorithms.pram import PramReplication
-from ..algorithms.sc_sequencer import ScSequencer
+from ..scenarios.matrix import ALGORITHMS
 from .harness import run_workload, window_script
 
 
@@ -36,20 +29,10 @@ class LatencyPoint:
     messages_per_op: float
 
 
-def _window_kwargs(cls: Type[ReplicatedObject], streams: int, k: int) -> Dict[str, Any]:
-    if cls in (CCWindowArray, CCvWindowArray):
-        return {"streams": streams, "k": k}
-    return {"adt": WindowStreamArray(streams, k)}
-
-
 def latency_sweep(
     delays: Sequence[float] = (0.5, 1.0, 2.0, 5.0, 10.0),
-    algorithms: Sequence[Type[ReplicatedObject]] = (
-        CCWindowArray,
-        CCvWindowArray,
-        PramReplication,
-        LwwReplication,
-        ScSequencer,
+    algorithms: Sequence[str] = (
+        "cc-fig4", "ccv-fig5", "pram", "lww", "sc-sequencer"
     ),
     n: int = 3,
     streams: int = 2,
@@ -64,14 +47,15 @@ def latency_sweep(
             window_script(random.Random(seed * 7_919 + pid), ops_per_process, streams)
             for pid in range(n)
         ]
-        for cls in algorithms:
+        for key in algorithms:
+            entry = ALGORITHMS[key]
             result = run_workload(
-                cls,
+                entry.cls,
                 n,
                 scripts,
                 seed=seed,
                 delay=DelayModel.uniform(0.5 * mean_delay, 1.5 * mean_delay),
-                **_window_kwargs(cls, streams, k),
+                **entry.kwargs(streams, k),
             )
             points.append(
                 LatencyPoint(

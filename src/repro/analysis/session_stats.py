@@ -26,10 +26,8 @@ from ..core.operations import Invocation
 from ..criteria.session import all_session_guarantees
 from ..runtime.network import DelayModel
 from ..algorithms.base import ReplicatedObject
-from ..algorithms.generic_causal import GenericCausal
-from ..algorithms.generic_ccv import GenericCCv
-from ..algorithms.lww import LwwReplication
-from ..algorithms.pram import PramReplication
+from ..algorithms.generic_causal import GenericCausal, PramReplication
+from ..algorithms.generic_ccv import GenericCCv, LwwReplication
 from .harness import run_workload
 
 GUARANTEES = ("RYW", "MR", "MW", "WFR")

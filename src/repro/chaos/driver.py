@@ -52,8 +52,6 @@ from ..scenarios.matrix import (
     ALGORITHMS,
     CHECK_BUDGET,
     AlgorithmEntry,
-    _build_kwargs,
-    _replicas_converged,
     build_post_setup,
 )
 from ..scenarios.scenario import RunResult, Scenario
@@ -125,7 +123,7 @@ def _chaos_post_setup(
     def post_setup(algorithm: Any) -> None:
         if gossip_setup is not None:
             gossip_setup(algorithm)
-        service = getattr(algorithm, "broadcast", None)
+        service = algorithm.broadcast
         if isinstance(service, ReliableBroadcast):
             service.GC_INTERVAL = CHAOS_GC_INTERVAL
             if inject == "gc-frontier":
@@ -160,13 +158,13 @@ def run_chaos_trial(
         entry.cls,
         seed=run_seed,
         post_setup=_chaos_post_setup(entry, spec, inject),
-        **_build_kwargs(entry, spec),
+        **entry.kwargs(spec.streams, spec.k),
     )
     outcome = TrialOutcome(result=result)
     if result.monitor is not None:
         for violation in result.monitor.violations:
             outcome.failures.append((violation.kind, str(violation)))
-    if not _replicas_converged(result.algorithm, spec):
+    if not result.algorithm.converged():
         outcome.failures.append(
             ("divergence", "live replicas disagree after the final heal")
         )

@@ -524,19 +524,28 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     events = load_fault_schedule(args.faults) if args.faults else []
 
+    def refused(exc: ValueError) -> int:
+        """A node rejected its configuration (unknown or not wait-free
+        algorithm) at construction, before anything was started."""
+        print(f"repro serve: {exc}", file=sys.stderr)
+        return 2
+
     async def run_cluster() -> int:
-        cluster = LiveCluster(
-            args.n,
-            base_port=args.base_port,
-            algorithm=args.algorithm,
-            streams=args.streams,
-            k=args.k,
-            seed=args.seed,
-            proxied=not args.no_proxy,
-            codec=args.codec,
-            coalesce=not args.no_coalesce,
-            tap=args.tap,
-        )
+        try:
+            cluster = LiveCluster(
+                args.n,
+                base_port=args.base_port,
+                algorithm=args.algorithm,
+                streams=args.streams,
+                k=args.k,
+                seed=args.seed,
+                proxied=not args.no_proxy,
+                codec=args.codec,
+                coalesce=not args.no_coalesce,
+                tap=args.tap,
+            )
+        except ValueError as exc:
+            return refused(exc)
         await cluster.start()
         ports = ", ".join(
             f"{pid}:{cluster.client_addr(pid)[1]}" for pid in range(args.n)
@@ -575,19 +584,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
         layout = port_layout(
             args.n, args.base_port, proxied=not args.no_proxy
         )
-        node = ServiceNode(
-            args.pid,
-            addrs=layout["dial"],
-            my_addr=layout["peer"][args.pid],
-            client_addr=layout["client"][args.pid],
-            algorithm=args.algorithm,
-            streams=args.streams,
-            k=args.k,
-            seed=args.seed,
-            codec=args.codec,
-            coalesce=not args.no_coalesce,
-            tap=args.tap,
-        )
+        try:
+            node = ServiceNode(
+                args.pid,
+                addrs=layout["dial"],
+                my_addr=layout["peer"][args.pid],
+                client_addr=layout["client"][args.pid],
+                algorithm=args.algorithm,
+                streams=args.streams,
+                k=args.k,
+                seed=args.seed,
+                codec=args.codec,
+                coalesce=not args.no_coalesce,
+                tap=args.tap,
+            )
+        except ValueError as exc:
+            return refused(exc)
         await node.start()
         print(
             f"node {args.pid}/{args.n} up: algorithm={args.algorithm} "

@@ -36,10 +36,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 from ..runtime.network import Network
 from ..runtime.simulator import Simulator
-from .spec import FAULT_ACTIONS, FaultEvent
-
-# backwards-compatible alias (the action list now lives with the spec)
-_ACTIONS = FAULT_ACTIONS
+from .spec import FaultEvent
 
 
 class FaultSchedule:

@@ -28,6 +28,8 @@ from ..algorithms import (
     GenericCausal,
     GenericCCv,
     GossipCCvWindowArray,
+    LazyCCvWindowArray,
+    LazyLwwReplication,
     LwwReplication,
     PramReplication,
     ScSequencer,
@@ -68,14 +70,19 @@ class AlgorithmEntry:
     #: operation take effect remotely without ever completing at its
     #: origin, so the recorded history can expose unwritten values
     needs_reliable: bool = False
-    #: extra constructor kwargs, as a hashable (key, value) tuple — how
-    #: the lazy-transport variants select ``lazy=True``
-    extra: Tuple[Tuple[str, Any], ...] = ()
     #: part of the default sweep?  Non-default entries (the lazy family)
     #: are resolvable by explicit ``--algorithm`` / the scale tiers but
     #: excluded from :func:`algorithm_names`, so the bit-identity
     #: runtime-bench baseline never gains rows
     default: bool = True
+
+    def kwargs(self, streams: int, k: int) -> Dict[str, Any]:
+        """Constructor kwargs of ``cls`` for an array of ``streams``
+        window streams of size ``k`` — the one place ``kwargs_style`` is
+        decoded, for the matrix runner and the service node alike."""
+        if self.kwargs_style == "window":
+            return {"streams": streams, "k": k}
+        return {"adt": WindowStreamArray(streams, k)}
 
 
 ALGORITHMS: Dict[str, AlgorithmEntry] = {
@@ -97,20 +104,10 @@ ALGORITHMS: Dict[str, AlgorithmEntry] = {
         # the default sweep (default=False keeps the bit-identity
         # baseline untouched); the n=32/64 scale tiers run on them.
         AlgorithmEntry(
-            "lww-lazy",
-            LwwReplication,
-            "CONV",
-            "adt",
-            extra=(("lazy", True),),
-            default=False,
+            "lww-lazy", LazyLwwReplication, "CONV", "adt", default=False
         ),
         AlgorithmEntry(
-            "ccv-lazy",
-            CCvWindowArray,
-            "CCV",
-            "window",
-            extra=(("lazy", True),),
-            default=False,
+            "ccv-lazy", LazyCCvWindowArray, "CCV", "window", default=False
         ),
     )
 }
@@ -148,15 +145,6 @@ def algorithm_names() -> List[str]:
     return [key for key, entry in ALGORITHMS.items() if entry.default]
 
 
-def _build_kwargs(entry: AlgorithmEntry, spec: ScenarioSpec) -> Dict[str, Any]:
-    if entry.kwargs_style == "window":
-        kwargs: Dict[str, Any] = {"streams": spec.streams, "k": spec.k}
-    else:
-        kwargs = {"adt": WindowStreamArray(spec.streams, spec.k)}
-    kwargs.update(entry.extra)
-    return kwargs
-
-
 def build_post_setup(entry: AlgorithmEntry, spec: ScenarioSpec):
     """Post-construction hook for ``Scenario.run``: gossip algorithms
     need their periodic anti-entropy started, budgeted past the last
@@ -176,24 +164,6 @@ def build_post_setup(entry: AlgorithmEntry, spec: ScenarioSpec):
         obj.start_gossip(rounds=rounds)
 
     return post_setup
-
-
-def _replicas_converged(algorithm: Any, spec: ScenarioSpec) -> bool:
-    """The CONV verdict: all live replicas expose identical state."""
-    live = [
-        pid for pid in range(algorithm.n)
-        if not algorithm.network.is_crashed(pid)
-    ]
-    if not live:
-        return True
-    if hasattr(algorithm, "window"):
-        states = [
-            tuple(algorithm.window(pid, x) for x in range(spec.streams))
-            for pid in live
-        ]
-    else:
-        states = [algorithm.state_of(pid) for pid in live]
-    return all(state == states[0] for state in states[1:])
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +225,7 @@ def run_scenario_cell(
     return Scenario(spec).run(
         entry.cls, seed=seed, post_setup=build_post_setup(entry, spec),
         subscriber=subscriber,
-        **_build_kwargs(entry, spec),
+        **entry.kwargs(spec.streams, spec.k),
     )
 
 
@@ -300,7 +270,8 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
     note = ""
     failures: List[Tuple[str, Any]] = []
     if entry.criterion == "CONV":
-        ok: Optional[bool] = _replicas_converged(result.algorithm, spec)
+        # the CONV verdict: all live replicas expose identical state
+        ok: Optional[bool] = result.algorithm.converged()
         if ok is False:
             failures.append(
                 ("divergence", "live replicas disagree at quiescence")

@@ -157,8 +157,8 @@ class Scenario:
             post_setup(algorithm)
         monitor: Optional[RuntimeMonitor] = None
         if monitors:
-            service = getattr(algorithm, "broadcast", None)
-            if service is not None and hasattr(service, "monitor"):
+            service = algorithm.broadcast
+            if service is not None:
                 monitor = RuntimeMonitor(spec.n, sim=sim)
                 service.monitor = monitor
 

@@ -244,8 +244,9 @@ async def converged_windows(
     client_addrs: Dict[int, Address], streams: int
 ) -> Optional[bool]:
     """Do all live replicas report identical windows on every stream?
-    Returns None when a node is unreachable or lacks the observability
-    hook."""
+    Every algorithm answers ``window`` (it is ``state_of(pid)[x]``), so
+    the verdict is ``None`` only when a node rejects the request — a
+    stream index it does not have."""
     windows: List[List[Any]] = []
     for pid in sorted(client_addrs):
         session = ClientSession(client_addrs[pid])

@@ -56,8 +56,9 @@ def build_algorithm(
     k: int,
 ):
     """Instantiate a registry algorithm against an arbitrary transport —
-    the live counterpart of the matrix runner's construction."""
-    from ..adts.window_stream import WindowStreamArray
+    the live counterpart of the matrix runner's construction.  The
+    request handler replies synchronously, so an algorithm that is not
+    wait-free is refused here rather than on its first operation."""
     from ..scenarios.matrix import ALGORITHMS
 
     try:
@@ -65,12 +66,12 @@ def build_algorithm(
     except KeyError:
         known = ", ".join(sorted(ALGORITHMS))
         raise ValueError(f"unknown algorithm {key!r}; known: {known}") from None
-    if entry.kwargs_style == "window":
-        kwargs: Dict[str, Any] = {"streams": streams, "k": k}
-    else:
-        kwargs = {"adt": WindowStreamArray(streams, k)}
-    kwargs.update(entry.extra)
-    return entry, entry.cls(clock, transport, recorder, **kwargs)
+    if not entry.cls.wait_free:
+        raise ValueError(
+            f"algorithm {key!r} is not wait-free: a live node answers each "
+            "client operation before it returns to the event loop"
+        )
+    return entry, entry.cls(clock, transport, recorder, **entry.kwargs(streams, k))
 
 
 class ServiceNode:
@@ -137,9 +138,7 @@ class ServiceNode:
         self.transport.crash_oracle = self.view.is_down
         self.transport.control_handler = self._on_control
         #: the algorithm's broadcast service (state-based gossip has none)
-        self.broadcast: Optional[BroadcastService] = getattr(
-            self.algorithm, "broadcast", None
-        )
+        self.broadcast: Optional[BroadcastService] = self.algorithm.broadcast
         #: the real monitor (verdict reads always come from here)
         self.monitor: Optional[RuntimeMonitor] = None
         if self.broadcast is not None:
@@ -294,10 +293,7 @@ class ServiceNode:
             out = self.algorithm.invoke(self.my_pid, inv)
             return {"ok": True, "value": out}
         if cmd == "window":
-            window = getattr(self.algorithm, "window", None)
-            if window is None:
-                return {"ok": False, "error": "no window observability"}
-            return {"ok": True, "value": window(self.my_pid, req["x"])}
+            return {"ok": True, "value": self.algorithm.window(self.my_pid, req["x"])}
         if cmd == "ops":
             if self.tap is not None:
                 self.tap.flush()

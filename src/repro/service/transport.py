@@ -84,9 +84,8 @@ class WallClock:
     ``schedule``/``cancel``, ``seed`` — with time measured from the
     clock's creation so recorded timestamps are small and comparable
     across a cluster started together.  The rng is seeded with the
-    *cluster* seed: every node draws the identical sequence during
-    construction, so seed-derived structure that must agree across
-    replicas (LWW clock skews, lazy-push relay subsets) does.
+    *cluster* seed, so what a node derives from it (its LWW clock skew,
+    its gossip peer picks) is reproducible per seed.
     """
 
     def __init__(

@@ -122,7 +122,7 @@ class TestFig5CausalConvergence:
         obj = CCvWindowArray(sim, net, None, streams=1, k=1)
         obj.invoke(0, Invocation("w", (0, 7)))
         sim.run()
-        assert obj.vtime[1] >= 1
+        assert obj.replicas[1].vtime >= 1
         obj.invoke(1, Invocation("w", (0, 8)))
         sim.run()
         # p1's write is timestamped after p0's: the register holds 8

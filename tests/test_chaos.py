@@ -47,7 +47,7 @@ from repro.scenarios import (
     ScenarioSpec,
     get_scenario,
 )
-from repro.scenarios.matrix import _build_kwargs, run_matrix
+from repro.scenarios.matrix import run_matrix
 
 F = FaultEvent
 
@@ -568,7 +568,7 @@ class TestRuntimeMonitor:
             spec = get_scenario(scenario_name).fast(3)
             entry = ALGORITHMS["ccv-fig5"]
             result = Scenario(spec).run(
-                entry.cls, seed=0, **_build_kwargs(entry, spec)
+                entry.cls, seed=0, **entry.kwargs(spec.streams, spec.k)
             )
             assert result.monitor is not None
             assert result.monitor.ok, result.monitor.summary()
@@ -582,7 +582,7 @@ class TestRuntimeMonitor:
         def rows(monitors):
             result = Scenario(spec).run(
                 entry.cls, seed=1, monitors=monitors,
-                **_build_kwargs(entry, spec),
+                **entry.kwargs(spec.streams, spec.k),
             )
             return [
                 (pid, rec.invocation.method, rec.invocation.args,
@@ -694,7 +694,7 @@ class TestChaosGenerate:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
         entry = ALGORITHMS["lww"]
         result = Scenario(spec).run(
-            entry.cls, seed=0, **_build_kwargs(entry, spec)
+            entry.cls, seed=0, **entry.kwargs(spec.streams, spec.k)
         )
         assert result.monitor is not None and result.monitor.ok
 

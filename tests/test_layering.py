@@ -1,4 +1,5 @@
-"""Layering: the service plane uses the broadcast layer's public surface.
+"""Layering: the service plane uses the broadcast layer's public surface,
+and the algorithms are code for process pᵢ.
 
 ``repro.service`` hosts a broadcast stack it did not write.  It may call
 its public methods and set its public data attributes (``monitor``,
@@ -7,6 +8,10 @@ broadcast object, probe it with ``getattr``/``hasattr``, or replace one
 of its methods at run time — each of those is the service knowing how
 the layer below is built.  (The CI ``hygiene`` job runs the first check
 as a plain ``grep`` so a reach-in fails in seconds.)
+
+``repro.algorithms`` is per-process code: a replica holds its own state
+and nothing sized by the number of processes, and a host holds exactly
+the replicas of the pids its transport hosts.
 """
 
 import ast
@@ -16,9 +21,13 @@ import re
 import pytest
 
 from repro.runtime.broadcast import LazyCausalBroadcast
+from repro.scenarios import Scenario, get_scenario
+from repro.scenarios.matrix import ALGORITHMS
+from repro.service import LiveCluster
 
 SERVICE = pathlib.Path(__file__).resolve().parent.parent / "src/repro/service"
 SOURCES = sorted(SERVICE.glob("*.py"))
+ALGORITHM_SOURCES = sorted((SERVICE.parent / "algorithms").glob("*.py"))
 
 #: the names a broadcast object goes by in the service plane
 REACH_IN = re.compile(
@@ -69,3 +78,65 @@ def test_no_probing_and_no_method_patching(path):
                     f"{path.name}:{target.lineno}: replaces broadcast.{target.attr}"
                 )
     assert not offences, "\n".join(offences)
+
+
+# ----------------------------------------------------------------------
+# The algorithms are code for process p_i
+# ----------------------------------------------------------------------
+def _is_n(node: ast.AST) -> bool:
+    """``n`` or ``<anything>.n``."""
+    return (isinstance(node, ast.Name) and node.id == "n") or (
+        isinstance(node, ast.Attribute) and node.attr == "n"
+    )
+
+
+@pytest.mark.parametrize("path", ALGORITHM_SOURCES, ids=lambda p: p.name)
+def test_no_table_sized_by_the_number_of_processes(path):
+    """No ``range(n)`` / ``range(self.n)`` / ``[...] * self.n``: a host
+    walks ``transport.hosted``, a replica walks nothing."""
+    offences = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "range"
+            and any(_is_n(arg) for arg in node.args)
+        ):
+            offences.append(f"{path.name}:{node.lineno}: range over n")
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and (_is_n(node.left) or _is_n(node.right))
+        ):
+            offences.append(f"{path.name}:{node.lineno}: table of n rows")
+    assert not offences, "\n".join(offences)
+
+
+def test_no_replica_reaches_for_another_replica():
+    """A replica class never names ``replicas`` — the host's table of
+    everyone's state is not its to index."""
+    replica_classes, offences = 0, []
+    for path in ALGORITHM_SOURCES:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(cls, ast.ClassDef) and cls.name.endswith("Replica")):
+                continue
+            replica_classes += 1
+            offences += [
+                f"{path.name}:{node.lineno}: {cls.name} names .replicas"
+                for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and node.attr == "replicas"
+            ]
+    assert replica_classes >= 7
+    assert not offences, "\n".join(offences)
+
+
+@pytest.mark.parametrize("key", sorted(ALGORITHMS))
+def test_a_host_holds_the_replicas_of_the_hosted_pids_only(key):
+    entry = ALGORITHMS[key]
+    spec = get_scenario("partition-during-writes").fast(2)
+    run = Scenario(spec).run(entry.cls, **entry.kwargs(spec.streams, spec.k))
+    assert list(run.algorithm.replicas) == list(range(spec.n))
+    if entry.cls.wait_free:  # a live node refuses the sequencer
+        cluster = LiveCluster(3, base_port=7990, algorithm=key, proxied=False)
+        for node in cluster.nodes:  # never started
+            assert list(node.algorithm.replicas) == [node.my_pid]

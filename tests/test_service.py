@@ -14,8 +14,10 @@ import json
 
 import pytest
 
-from repro.cli import load_history
+from repro.cli import load_history, main
 from repro.criteria.streaming_monitor import replay_history
+from repro.runtime.broadcast import CausalBroadcast
+from repro.scenarios.matrix import ALGORITHMS
 from repro.scenarios.spec import FaultEvent, WorkloadSpec
 from repro.service import (
     FaultProxy,
@@ -324,7 +326,7 @@ BROADCAST_STATUS_KEYS = {
 }
 
 
-@pytest.mark.parametrize("algorithm", ["ccv-fig5", "sc-sequencer", "lww-lazy"])
+@pytest.mark.parametrize("algorithm", ["ccv-fig5", "pram", "lww-lazy"])
 def test_status_document_keys_are_pinned(algorithm):
     async def body():
         cluster = LiveCluster(
@@ -394,3 +396,100 @@ def test_bad_client_requests_get_an_error_reply_and_wedge_nothing():
             await cluster.close()
 
     asyncio.run(body())
+
+
+# ----------------------------------------------------------------------
+# Any registry algorithm behind real sockets
+# ----------------------------------------------------------------------
+WAIT_FREE = sorted(key for key, entry in ALGORITHMS.items() if entry.cls.wait_free)
+LIVE_CASES = [(key, codec) for key in WAIT_FREE for codec in wire.CODECS]
+
+
+@pytest.mark.parametrize(
+    "case,algorithm,codec",
+    [(i, key, codec) for i, (key, codec) in enumerate(LIVE_CASES)],
+    ids=[f"{key}-{codec}" for key, codec in LIVE_CASES],
+)
+def test_every_wait_free_algorithm_serves_a_put_on_the_live_plane(
+    case, algorithm, codec
+):
+    """put on node 0 -> get on node 1 returns it -> windows converge ->
+    no causal buffer holds anything -> the loop saw no exception."""
+
+    async def body():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        cluster = LiveCluster(
+            3, base_port=7800 + 10 * case, algorithm=algorithm,
+            streams=2, proxied=False, codec=codec,
+        )
+        if ALGORITHMS[algorithm].gossip:
+            for node in cluster.nodes:
+                node.algorithm.gossip_interval = 0.02
+        await cluster.start()
+        try:
+            await asyncio.sleep(0.2)
+            addrs = {pid: cluster.client_addr(pid) for pid in range(3)}
+            put = await client_call(addrs[0], {"cmd": "put", "x": 1, "v": 41})
+            assert put["ok"], put
+            for _ in range(100):
+                await asyncio.sleep(0.05)
+                seen = await client_call(addrs[1], {"cmd": "get", "x": 1})
+                assert seen["ok"], seen
+                if 41 in seen["value"] and await converged_windows(addrs, 2):
+                    break
+            else:
+                pytest.fail(f"{algorithm}: the put never reached every node")
+            assert await converged_windows(addrs, 2) is True
+            for node in cluster.nodes:
+                if isinstance(node.broadcast, CausalBroadcast):
+                    assert node.broadcast.pending_messages(node.my_pid) == 0
+            gc.collect()
+            await asyncio.sleep(0)
+            assert errors == []
+        finally:
+            await cluster.close()
+
+    asyncio.run(body())
+
+
+def test_a_live_gossip_node_speaks_only_for_itself():
+    """Every state frame a node sends carries its own pid as source, and
+    a round costs ``fanout`` frames — not n times that under pids the
+    node does not host."""
+
+    async def body():
+        rounds, fanout = 3, 1
+        cluster = LiveCluster(
+            3, base_port=BASE_PORT + 70, algorithm="gossip", proxied=False
+        )
+        for node in cluster.nodes:  # never started: sends are recorded
+            sent = []
+            node.transport.send = lambda src, dst, payload, sent=sent: sent.append(
+                (src, dst, payload[0])
+            )
+            node.algorithm.gossip_interval = 0.01
+            node.algorithm.start_gossip(rounds=rounds)
+            for _ in range(100):
+                await asyncio.sleep(0.01)
+                if node.algorithm.rounds == rounds:
+                    break
+            await asyncio.sleep(0.03)  # a tick past the budget sends nothing
+            assert node.algorithm.fanout == fanout
+            assert len(sent) == rounds * fanout, sent
+            assert {src for src, _dst, _kind in sent} == {node.my_pid}
+            assert all(dst != node.my_pid and kind == "state" for _s, dst, kind in sent)
+
+    asyncio.run(body())
+
+
+def test_a_node_refuses_an_algorithm_that_is_not_wait_free(capsys):
+    """The request handler replies synchronously: the sequencer is
+    rejected at construction, not on the first operation."""
+    with pytest.raises(ValueError, match="'sc-sequencer' is not wait-free"):
+        LiveCluster(3, base_port=BASE_PORT + 80, algorithm="sc-sequencer")
+    for shape in ([], ["--pid", "1"]):
+        assert main(["serve", "--algorithm", "sc-sequencer", *shape]) == 2
+        assert "'sc-sequencer' is not wait-free" in capsys.readouterr().err
