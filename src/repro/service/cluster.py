@@ -154,6 +154,15 @@ class ClientSession:
     window costs two writes total instead of ``2·window``.  ``codec``
     picks the wire encoding for this session's frames; the server
     always answers in the request's codec.
+
+    Timeouts cost one loop timer per session, not one per call: each
+    in-flight call's deadline sits next to its future, and a single
+    ``call_at`` is armed at the earliest of them.  When it fires it
+    fails every expired call and re-arms at the earliest left, so a call
+    still times out at its own ``timeout``.  A session whose read pump
+    has stopped — ``close()``, EOF, a garbage reply — is dead: its
+    in-flight calls fail with ``ConnectionError`` at once and it refuses
+    new ones.
     """
 
     #: most requests folded into one batch container
@@ -174,8 +183,13 @@ class ClientSession:
         self.window = window
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: Dict[int, asyncio.Future] = {}
+        #: rid -> (reply future, deadline on the loop's clock)
+        self._pending: Dict[int, Tuple[asyncio.Future, float]] = {}
         self._next_rid = 0
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: the one deadline timer; armed no later than any pending deadline
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._dead = False
         self._pump: Optional[asyncio.Task] = None
         self._sendq: Deque[Dict[str, Any]] = deque()
         self._send_wake: Optional[asyncio.Event] = None
@@ -186,6 +200,7 @@ class ClientSession:
         host, port = self.addr
         self._reader, self._writer = await asyncio.open_connection(host, port)
         enable_nodelay(self._writer)
+        self._loop = asyncio.get_running_loop()
         self._pump = asyncio.ensure_future(self._read_loop())
         self._sem = asyncio.Semaphore(self.window)
         if self.window > 1:
@@ -195,9 +210,9 @@ class ClientSession:
     def _resolve(self, frame: Any) -> None:
         if not isinstance(frame, dict):
             raise ValueError(f"reply is not a dict: {type(frame).__name__}")
-        fut = self._pending.pop(frame.get("rid"), None)
-        if fut is not None and not fut.done():
-            fut.set_result(frame)
+        entry = self._pending.pop(frame.get("rid"), None)
+        if entry is not None and not entry[0].done():
+            entry[0].set_result(frame)
 
     async def _read_loop(self) -> None:
         try:
@@ -208,16 +223,44 @@ class ClientSession:
                         self._resolve(wire.decode(sub))
                 else:
                     self._resolve(wire.decode(body))
-        except (
-            OSError,
-            asyncio.IncompleteReadError,
-            ValueError,
-            ConnectionResetError,
-        ):
-            for fut in self._pending.values():
+        except (OSError, asyncio.IncompleteReadError, ValueError):
+            pass
+        finally:
+            # by any route, cancellation included: nobody is left to
+            # resolve a reply future
+            self._die()
+
+    def _die(self) -> None:
+        """Fail every in-flight call and refuse new ones."""
+        self._dead = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        for fut, _deadline in self._pending.values():
+            if not fut.done():
+                fut.set_exception(ConnectionError("session closed"))
+        self._pending.clear()
+
+    def _arm(self, deadline: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self._loop.call_at(deadline, self._expire)
+
+    def _expire(self) -> None:
+        """The deadline timer fired: time out what is due, re-arm at the
+        earliest deadline left (none: the next call arms)."""
+        self._timer = None
+        now = self._loop.time()
+        earliest = None
+        for rid, (fut, deadline) in list(self._pending.items()):
+            if deadline <= now:
+                del self._pending[rid]
                 if not fut.done():
-                    fut.set_exception(ConnectionError("session closed"))
-            self._pending.clear()
+                    fut.set_exception(asyncio.TimeoutError())
+            elif earliest is None or deadline < earliest:
+                earliest = deadline
+        if earliest is not None:
+            self._arm(earliest)
 
     async def _send_loop(self) -> None:
         wake = self._send_wake
@@ -250,20 +293,27 @@ class ClientSession:
         rid = self._next_rid
         self._next_rid += 1
         try:
+            if self._dead:  # possibly while this call waited for its slot
+                raise ConnectionError("session closed")
             request = dict(request)
             request["rid"] = rid
-            fut = asyncio.get_event_loop().create_future()
-            self._pending[rid] = fut
+            fut = self._loop.create_future()
+            deadline = self._loop.time() + timeout
+            self._pending[rid] = (fut, deadline)
+            timer = self._timer
+            if timer is None or deadline < timer.when():
+                self._arm(deadline)
             if self._send_task is not None:
                 self._sendq.append(request)
                 self._send_wake.set()
             else:
                 wire.write_frame(self._writer, request, self.codec)
                 await self._writer.drain()
-            return await asyncio.wait_for(fut, timeout)
+            return await fut
         finally:
-            # a reply pops its own entry; a timeout or cancellation must
-            # not leave one behind for a reply that may never come
+            # a reply, a timeout and a dead session pop the entry
+            # themselves; a cancellation or a failed write must not leave
+            # one behind for a reply that may never come
             self._pending.pop(rid, None)
             self._sem.release()
 
@@ -274,3 +324,4 @@ class ClientSession:
             self._pump.cancel()
         if self._writer is not None:
             self._writer.close()
+        self._die()

@@ -23,19 +23,23 @@ Resync itself (request, serve, supervision) is the broadcast layer's own
 code, its timers now wall-clock timeouts on the event loop; the node
 only sets ``RESYNC_TIMEOUT`` to wall seconds.
 
-The client protocol is tiny: length-prefixed JSON request/response
-frames with a correlation id (``rid``), commands ``get`` / ``put`` /
+The client protocol is tiny: length-prefixed request/response frames
+with a correlation id (``rid``), in either :mod:`~repro.service.wire`
+codec — each reply goes back in the codec its request arrived in, and
+the binary codec (the default since PR 10) packs ``put``/``get`` and
+their ``ok`` replies into fixed headers.  Commands: ``get`` / ``put`` /
 ``ops`` / ``window`` / ``history`` / ``status`` / ``watch`` and the
 operator controls ``crash`` / ``recover``.  ``status`` exposes the
 monitor's violations and ``NetworkStats``-style counters; ``watch``
-streams it.  Request fields are validated here, at the boundary.
+streams it.  Request fields are validated here, at the boundary, on the
+decoded dict — whichever layout carried it.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.operations import BOTTOM, HIDDEN, Invocation
 from ..runtime.broadcast import BroadcastService
@@ -149,6 +153,9 @@ class ServiceNode:
                 else MonitorTap(self.tap, self.monitor)
             )
             self.broadcast.RESYNC_TIMEOUT = self.RESYNC_TIMEOUT
+        #: client requests read, and how many of them arrived packed
+        #: (the rest fell back to generic TLV, or are JSON)
+        self.client_stats = {"client_frames_in": 0, "client_frames_packed": 0}
         self._server: Optional[asyncio.AbstractServer] = None
         self._hb_task: Optional[asyncio.Task] = None
         self._closed = False
@@ -212,8 +219,7 @@ class ServiceNode:
                 if wire.is_batch(body):
                     reply_bodies = []
                     for sub in wire.split_batch(body):
-                        req = self._request(sub)
-                        codec = wire.body_codec(sub)
+                        req, codec = self._request(sub)
                         reply = await self._handle_client(req, writer, codec)
                         if reply is not None:
                             reply["rid"] = req.get("rid")
@@ -224,8 +230,7 @@ class ServiceNode:
                         writer.write(wire.encode_batch(reply_bodies))
                         await writer.drain()
                     continue
-                req = self._request(body)
-                codec = wire.body_codec(body)
+                req, codec = self._request(body)
                 reply = await self._handle_client(req, writer, codec)
                 if reply is not None:
                     reply["rid"] = req.get("rid")
@@ -243,12 +248,16 @@ class ServiceNode:
         finally:
             writer.close()
 
-    @staticmethod
-    def _request(body: bytes) -> Dict[str, Any]:
+    def _request(self, body: bytes) -> Tuple[Dict[str, Any], str]:
+        """One decoded request and the codec to answer it in."""
         req = wire.decode(body)
         if not isinstance(req, dict):
             raise ValueError(f"request is not a dict: {type(req).__name__}")
-        return req
+        stats = self.client_stats
+        stats["client_frames_in"] += 1
+        if body[0] == wire.MAGIC_REQUEST:
+            stats["client_frames_packed"] += 1
+        return req, wire.body_codec(body)
 
     def _bad_stream(self, req: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """An error reply unless ``req["x"]`` is a stream index.  Checked
@@ -371,6 +380,7 @@ class ServiceNode:
                 "codec": self.codec,
                 "coalesce": self.transport.coalesce,
                 **self.transport.wire_stats,
+                **self.client_stats,
             },
         }
         if self.tap is not None:

@@ -1,6 +1,7 @@
 """Wire format of the live service plane: length-prefixed frames, two
-self-describing body codecs — the binary one with a packed layout for
-the one hot frame shape.
+self-describing body codecs — the binary one with packed layouts for
+the hot frame shapes (the broadcast message, the ``put``/``get`` request
+and its reply).
 
 One frame is a 4-byte big-endian length followed by a body.  Two body
 codecs share the framing, distinguished by the body's first byte:
@@ -56,6 +57,24 @@ codecs share the framing, distinguished by the body's first byte:
       two ``src`` bytes — yields byte for byte what encoding the same
       message from the new sender would; the flood relay forwards the
       bytes it received instead of re-encoding the dict it just decoded.
+
+    The client hop gets the same treatment for the frames every
+    operation pays for — one request and one reply — as two more
+    self-describing body kinds::
+
+        0xB4 | verb u8 | rid u32 | x u16 | TLV-encoded v   (put only)
+        0xB5 | flags u8 | rid u32 | TLV-encoded value      (flags 1 only)
+
+    ``0xB4`` is ``{"cmd": "put", "x", "v", "rid"}`` (verb 1) or
+    ``{"cmd": "get", "x", "rid"}`` (verb 2; other verb bytes are free
+    for later commands); ``0xB5`` is ``{"ok": True, "rid"}`` (flags 0)
+    or ``{"ok": True, "value", "rid"}`` (flags 1).  The same fallback
+    rule holds: any near-miss — another ``cmd``, ``ok: False`` or an
+    ``error``, an extra or missing key, an ``x`` or ``rid`` that is not
+    an ``int`` (a ``bool`` is not) or does not fit its field — encodes
+    as generic TLV, never an error, and ``decode`` returns the equal
+    dict either way, so the server validates a packed request exactly
+    as it validates any other.
 
 A third body shape rides above both codecs: the **batch container**
 (first byte ``0xB2``), a concatenation of length-prefixed sub-bodies.
@@ -123,8 +142,13 @@ MAGIC_BINARY = 0xB1
 MAGIC_BATCH = 0xB2
 
 #: first body byte of a packed broadcast-message frame — the binary
-#: codec's layout for the one hot frame shape (see the module docstring)
+#: codec's layout for the hot peer frame shape (see the module docstring)
 MAGIC_MSG = 0xB3
+
+#: first body bytes of a packed ``put``/``get`` client request and of a
+#: packed ``ok`` reply — the binary codec's layouts for the client hop
+MAGIC_REQUEST = 0xB4
+MAGIC_REPLY = 0xB5
 
 #: deepest container nesting the decoders accept; runtime payloads nest
 #: a handful of levels, so anything near the cap is hostile input
@@ -319,8 +343,14 @@ def _enc_value(obj: Any, out: bytearray) -> None:
 
 
 def _encode_binary(obj: Any) -> bytes:
-    if obj.__class__ is dict and len(obj) == 3 and obj.get("t") == "msg":
-        packed = _pack_msg(obj)
+    if obj.__class__ is dict:
+        packed = None
+        if len(obj) == 3 and obj.get("t") == "msg":
+            packed = _pack_msg(obj)
+        elif "cmd" in obj:
+            packed = _pack_request(obj)
+        elif obj.get("ok") is True:
+            packed = _pack_reply(obj)
         if packed is not None:
             return packed
     out = bytearray((MAGIC_BINARY,))
@@ -531,11 +561,107 @@ def readdress(body: bytes, src: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
+# Packed client frames (binary codec, first bytes 0xB4 / 0xB5)
+# ----------------------------------------------------------------------
+#: request: magic, verb, rid (u32), x (u16), then the TLV value of a put
+_REQ_HEAD = struct.Struct(">BBIH")
+_VERB_PUT = 1
+_VERB_GET = 2
+#: reply: magic, flags, rid (u32), then the TLV value when flags say so
+_REPLY_HEAD = struct.Struct(">BBI")
+_REPLY_ACK = 0
+_REPLY_VALUE = 1
+
+
+def _pack_request(obj: Dict[str, Any]) -> Optional[bytes]:
+    """Packed encoding of ``{"cmd": "put", "x", "v", "rid"}`` or
+    ``{"cmd": "get", "x", "rid"}``, or ``None`` when ``obj`` is not
+    exactly one of the two with ``x`` and ``rid`` ints inside their
+    header fields — the caller then encodes it as generic TLV."""
+    cmd = obj["cmd"]
+    rid = obj.get("rid")
+    x = obj.get("x")
+    if rid.__class__ is not int or x.__class__ is not int:
+        return None
+    try:
+        if cmd == "get":
+            if len(obj) != 3:
+                return None
+            return _REQ_HEAD.pack(MAGIC_REQUEST, _VERB_GET, rid, x)
+        if cmd != "put" or len(obj) != 4 or "v" not in obj:
+            return None
+        out = bytearray(_REQ_HEAD.pack(MAGIC_REQUEST, _VERB_PUT, rid, x))
+    except struct.error:  # negative, or too wide for its field
+        return None
+    _enc_value(obj["v"], out)
+    return bytes(out)
+
+
+def _decode_request(body: bytes) -> Dict[str, Any]:
+    try:
+        _magic, verb, rid, x = _REQ_HEAD.unpack_from(body)
+    except struct.error:
+        raise ValueError("binary codec: truncated request header") from None
+    if verb == _VERB_PUT:
+        value = _decode_tail(body, _REQ_HEAD.size)
+        return {"cmd": "put", "x": x, "v": value, "rid": rid}
+    if verb != _VERB_GET:
+        raise ValueError(f"binary codec: unknown request verb {verb}")
+    if len(body) != _REQ_HEAD.size:
+        raise ValueError("binary codec: trailing bytes after a get request")
+    return {"cmd": "get", "x": x, "rid": rid}
+
+
+def _pack_reply(obj: Dict[str, Any]) -> Optional[bytes]:
+    """Packed encoding of ``{"ok": True, "rid"}`` or ``{"ok": True,
+    "value", "rid"}`` (the caller checked ``ok``), or ``None`` for any
+    other reply — errors, extra keys, a ``rid`` that is not an int in
+    the header's u32."""
+    rid = obj.get("rid")
+    if rid.__class__ is not int:
+        return None
+    try:
+        if len(obj) == 2:
+            return _REPLY_HEAD.pack(MAGIC_REPLY, _REPLY_ACK, rid)
+        if len(obj) != 3 or "value" not in obj:
+            return None
+        out = bytearray(_REPLY_HEAD.pack(MAGIC_REPLY, _REPLY_VALUE, rid))
+    except struct.error:
+        return None
+    _enc_value(obj["value"], out)
+    return bytes(out)
+
+
+def _decode_reply(body: bytes) -> Dict[str, Any]:
+    try:
+        _magic, flags, rid = _REPLY_HEAD.unpack_from(body)
+    except struct.error:
+        raise ValueError("binary codec: truncated reply header") from None
+    if flags == _REPLY_VALUE:
+        value = _decode_tail(body, _REPLY_HEAD.size)
+        return {"ok": True, "value": value, "rid": rid}
+    if flags != _REPLY_ACK:
+        raise ValueError(f"binary codec: unknown reply flags {flags}")
+    if len(body) != _REPLY_HEAD.size:
+        raise ValueError("binary codec: trailing bytes after an ack")
+    return {"ok": True, "rid": rid}
+
+
+# ----------------------------------------------------------------------
 # Public frame API
 # ----------------------------------------------------------------------
 _ENCODERS: Dict[str, Callable[[Any], bytes]] = {
     CODEC_JSON: _encode_json,
     CODEC_BINARY: _encode_binary,
+}
+
+
+#: the binary codec's body kinds, by first byte
+_DECODERS: Dict[int, Callable[[bytes], Any]] = {
+    MAGIC_BINARY: _decode_binary,
+    MAGIC_MSG: _decode_msg,
+    MAGIC_REQUEST: _decode_request,
+    MAGIC_REPLY: _decode_reply,
 }
 
 
@@ -563,7 +689,7 @@ def encode(obj: Any, codec: str = CODEC_JSON) -> bytes:
 
 def body_codec(body: bytes) -> str:
     """Which codec a frame body is in (first-byte dispatch)."""
-    if body and body[0] in (MAGIC_BINARY, MAGIC_MSG):
+    if body and body[0] in _DECODERS:
         return CODEC_BINARY
     return CODEC_JSON
 
@@ -626,11 +752,9 @@ def decode(body: bytes) -> Any:
     read — senders choose, receivers just decode.
     """
     if body:
-        magic = body[0]
-        if magic == MAGIC_BINARY:
-            return _decode_binary(body)
-        if magic == MAGIC_MSG:
-            return _decode_msg(body)
+        decoder = _DECODERS.get(body[0])
+        if decoder is not None:
+            return decoder(body)
     try:
         return _untag(json.loads(body.decode("utf-8")))
     except RecursionError:

@@ -17,6 +17,12 @@ that makes that safe:
   equal envelope, the header peek agrees with the decoded id, a
   re-addressed body equals a fresh encode byte for byte, and every
   shape that does not fit the header falls back to generic TLV;
+* the packed client frames (``0xB4`` request, ``0xB5`` reply) are the
+  same kind of detail one hop out: generated requests and replies —
+  the four exact shapes and every near-miss — round-trip to the equal
+  dict, only the exact shapes pack, and every truncation or single-byte
+  corruption of a packed body decodes to a dict or raises
+  ``ValueError``;
 * no malformed body — truncated, bad tag, bad key index, over-deep —
   raises anything but ``ValueError`` (the one exception the connection
   loops catch);
@@ -28,6 +34,8 @@ import asyncio
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios.spec import WorkloadSpec
 from repro.service import wire
@@ -365,6 +373,210 @@ class TestPackedMessageFrames:
         batch = wire.encode_batch(bodies)[4:]
         assert wire.split_batch(batch) == bodies
         assert wire.decode_frames(batch) == frames
+
+
+# ----------------------------------------------------------------------
+# Packed client frames (0xB4 request, 0xB5 reply)
+# ----------------------------------------------------------------------
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.sampled_from(["v", "rid", "a", "__t"]), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+EDGES = (0, 1, 2**16 - 1, 2**16, 2**32 - 1, 2**32, -1)
+#: header fields: in range, just outside, and not an int at all
+fields = st.one_of(
+    st.sampled_from(EDGES),
+    st.integers(-3, 2**33),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+)
+rids = st.integers(0, 2**32 - 1)
+streams = st.integers(0, 2**16 - 1)
+exact_frames = st.one_of(
+    st.fixed_dictionaries({"cmd": st.just("put"), "x": streams, "v": values, "rid": rids}),
+    st.fixed_dictionaries({"cmd": st.just("get"), "x": streams, "rid": rids}),
+    st.fixed_dictionaries({"ok": st.just(True), "rid": rids}),
+    st.fixed_dictionaries({"ok": st.just(True), "value": values, "rid": rids}),
+)
+#: anything request- or reply-like: other verbs, errors, bad header
+#: fields, keys dropped and keys added
+loose_frames = st.one_of(
+    st.fixed_dictionaries(
+        {"cmd": st.sampled_from(["put", "get", "window", "status", 7, None])},
+        optional={"x": fields, "v": values, "rid": fields, "since": fields},
+    ),
+    st.fixed_dictionaries(
+        {"ok": st.sampled_from([True, False, 1, None])},
+        optional={"rid": fields, "value": values, "error": st.text(max_size=6)},
+    ),
+)
+
+
+def fits(value, bits):
+    return type(value) is int and 0 <= value < 2**bits
+
+
+def expected_magic(frame):
+    """The body kind the layouts in ``wire``'s docstring assign."""
+    keys = set(frame)
+    if (frame.get("cmd") == "put" and keys == {"cmd", "x", "v", "rid"}) or (
+        frame.get("cmd") == "get" and keys == {"cmd", "x", "rid"}
+    ):
+        if fits(frame["x"], 16) and fits(frame["rid"], 32):
+            return wire.MAGIC_REQUEST
+    if frame.get("ok") is True and keys in ({"ok", "rid"}, {"ok", "value", "rid"}):
+        if fits(frame["rid"], 32):
+            return wire.MAGIC_REPLY
+    return wire.MAGIC_BINARY
+
+
+def typed(frame):
+    # equal *and* the same types (True is not 1), whatever the key order
+    return {key: repr(value) for key, value in frame.items()}
+
+
+NEAR_MISSES = {
+    "other verb": {"cmd": "window", "x": 1, "rid": 3},
+    "put without v": {"cmd": "put", "x": 1, "rid": 3},
+    "put with an extra key": {"cmd": "put", "x": 1, "v": 2, "rid": 3, "ttl": 9},
+    "get with a v": {"cmd": "get", "x": 1, "v": 2, "rid": 3},
+    "get without rid": {"cmd": "get", "x": 1},
+    "bool x": {"cmd": "get", "x": True, "rid": 3},
+    "str x": {"cmd": "get", "x": "1", "rid": 3},
+    "negative x": {"cmd": "get", "x": -1, "rid": 3},
+    "x past u16": {"cmd": "put", "x": 70000, "v": 2, "rid": 3},
+    "bool rid": {"cmd": "put", "x": 1, "v": 2, "rid": False},
+    "float rid": {"cmd": "get", "x": 1, "rid": 3.0},
+    "rid past u32": {"cmd": "get", "x": 1, "rid": 2**32},
+    "negative rid": {"cmd": "get", "x": 1, "rid": -1},
+    "refusal": {"ok": False, "rid": 3},
+    "error reply": {"ok": False, "error": "crashed", "rid": 3},
+    "ok is 1": {"ok": 1, "rid": 3},
+    "reply with an extra key": {"ok": True, "value": 1, "rid": 3, "pid": 0},
+    "ping reply": {"ok": True, "pid": 0, "rid": 3},
+    "reply without rid": {"ok": True},
+    "reply rid None": {"ok": True, "rid": None},
+    "reply rid past u32": {"ok": True, "value": (1, 2), "rid": 2**32},
+    "reply bool rid": {"ok": True, "rid": True},
+}
+
+PACKED_FRAMES = [
+    {"cmd": "put", "x": 3, "v": 2_000_000_017, "rid": 41},
+    {"cmd": "put", "x": 0, "v": {"a": ("é", None)}, "rid": 2**32 - 1},
+    {"cmd": "get", "x": 2**16 - 1, "rid": 0},
+    {"ok": True, "rid": 7},
+    {"ok": True, "value": (1_000_000_001, None), "rid": 300},
+    {"ok": True, "value": None, "rid": 1},
+]
+
+
+class TestPackedClientFrames:
+    @given(exact_frames)
+    @settings(max_examples=150, deadline=None)
+    def test_the_four_exact_shapes_pack(self, frame):
+        body = wire.encode_body(frame, wire.CODEC_BINARY)
+        assert body[0] == (
+            wire.MAGIC_REQUEST if "cmd" in frame else wire.MAGIC_REPLY
+        )
+        assert wire.body_codec(body) == wire.CODEC_BINARY
+        decoded = wire.decode(body)
+        assert decoded == frame and typed(decoded) == typed(frame)
+        # canonical, as the message layout is
+        assert wire.encode_body(decoded, wire.CODEC_BINARY) == body
+
+    @given(st.one_of(exact_frames, loose_frames))
+    @settings(max_examples=400, deadline=None)
+    def test_generated_frames_round_trip_and_only_exact_shapes_pack(self, frame):
+        body = wire.encode_body(frame, wire.CODEC_BINARY)
+        assert body[0] == expected_magic(frame)
+        assert wire.body_codec(body) == wire.CODEC_BINARY
+        decoded = wire.decode(body)
+        assert decoded == frame and typed(decoded) == typed(frame)
+
+    @pytest.mark.parametrize("shape", sorted(NEAR_MISSES))
+    def test_near_misses_fall_back_to_generic_tlv(self, shape):
+        frame = NEAR_MISSES[shape]
+        body = wire.encode_body(frame, wire.CODEC_BINARY)
+        assert body[0] == wire.MAGIC_BINARY
+        decoded = wire.decode(body)
+        assert decoded == frame and repr(decoded) == repr(frame)
+
+    @pytest.mark.parametrize(
+        "frame, size",
+        [
+            ({"cmd": "put", "x": 3, "v": 2_000_000_017, "rid": 41}, 13),
+            ({"cmd": "get", "x": 3, "rid": 41}, 8),
+            ({"ok": True, "rid": 41}, 6),
+        ],
+    )
+    def test_packed_sizes(self, frame, size):
+        assert len(wire.encode_body(frame, wire.CODEC_BINARY)) == size
+
+    @pytest.mark.parametrize("frame", PACKED_FRAMES, ids=repr)
+    def test_truncation_and_corruption_decode_or_raise_value_error(self, frame):
+        body = wire.encode_body(frame, wire.CODEC_BINARY)
+        assert body[0] in (wire.MAGIC_REQUEST, wire.MAGIC_REPLY)
+        for cut in range(len(body)):
+            with pytest.raises(ValueError):
+                wire.decode(body[:cut])
+        with pytest.raises(ValueError):
+            wire.decode(body + b"\x00")
+        for at in range(len(body)):
+            for byte in range(256):
+                if byte == body[at]:
+                    continue
+                hostile = body[:at] + bytes((byte,)) + body[at + 1 :]
+                try:
+                    decoded = wire.decode(hostile)
+                except ValueError:
+                    continue
+                assert isinstance(decoded, dict), (at, byte, decoded)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\xb4\x00\x00\x00\x00\x05\x00\x02",  # verb 0
+            b"\xb4\x03\x00\x00\x00\x05\x00\x02",  # verb past the table
+            b"\xb4\x02\x00\x00\x00\x05\x00\x02\x00",  # get with a tail
+            b"\xb4\x01\x00\x00\x00\x05\x00\x02",  # put without a value
+            b"\xb4\x01\x00\x00\x00\x05\x00\x02\x00\x00",  # two values
+            b"\xb5\x02\x00\x00\x00\x05",  # unknown flags
+            b"\xb5\x00\x00\x00\x00\x05\x00",  # ack with a tail
+            b"\xb5\x01\x00\x00\x00\x05",  # value flag, no value
+            b"\xb5\x01\x00\x00\x00\x05\x13",  # value is an unknown tag
+        ],
+    )
+    def test_malformed_packed_bodies_raise_value_error(self, body):
+        with pytest.raises(ValueError):
+            wire.decode(body)
+
+    def test_packed_frames_ride_batch_containers_unchanged(self):
+        frames = PACKED_FRAMES + [NEAR_MISSES["error reply"]]
+        bodies = [wire.encode_body(f, wire.CODEC_BINARY) for f in frames]
+        bodies.append(wire.encode_body(PACKED_FRAMES[0], wire.CODEC_JSON))
+        batch = wire.encode_batch(bodies)[4:]
+        assert wire.split_batch(batch) == bodies
+        assert wire.decode_frames(batch) == frames + [PACKED_FRAMES[0]]
+
+    def test_json_spelling_is_untouched(self):
+        for frame in PACKED_FRAMES:
+            body = wire.encode_body(frame, wire.CODEC_JSON)
+            assert body[:1] == b"{" and wire.body_codec(body) == wire.CODEC_JSON
+            assert wire.decode(body) == frame
 
 
 # ----------------------------------------------------------------------
