@@ -6,13 +6,14 @@ perf trajectory can be tracked across PRs in machine-readable form::
     PYTHONPATH=src python benchmarks/bench_search_scaling.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_search_scaling.py --smoke    # CI guard
     PYTHONPATH=src python benchmarks/bench_search_scaling.py \
-        --baseline old/BENCH_search.json                                # compare
+        --baseline old.json --out new.json                              # compare
 
 It sweeps random window-stream histories over event count (8-24) and
 update density, runs the three causal checkers on each, and records
 wall-time plus the search counters (``families_explored``,
-``event_checks``, ``lin_nodes``, memo hit-rate, ...) into
-``BENCH_search.json`` (repo root by default, ``--out`` to override).
+``event_checks``, ``lin_nodes``, memo hit-rate, ...) into the JSON
+report ``--out`` names (none is written without it; the trajectory is
+archived under ``benchmarks/results/BENCH_search_*.json``).
 Verdicts are part of the JSON so optimisation PRs can prove equivalence
 against a stored baseline with ``--baseline`` (exits non-zero on any
 verdict mismatch; prints the CCv geometric-mean speedup).  All produced
@@ -148,7 +149,6 @@ def run_sweep(
     max_nodes: int,
     verify: bool,
     jobs: Optional[int] = None,
-    order_heuristic: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     cases: List[Dict[str, Any]] = []
     for name, processes, ops, density, count in sweep:
@@ -191,7 +191,6 @@ def run_sweep(
                         mode,
                         max_nodes=max_nodes,
                         jobs=jobs,
-                        order_heuristic=order_heuristic,
                     )
                 except SearchBudgetExceeded:
                     budget_exceeded += 1
@@ -302,9 +301,7 @@ def compare_to_baseline(
 
 
 def litmus_verdicts(
-    max_nodes: int,
-    jobs: Optional[int] = None,
-    order_heuristic: Optional[str] = None,
+    max_nodes: int, jobs: Optional[int] = None
 ) -> Dict[str, Dict[str, bool]]:
     """Classify the full litmus gallery in all three modes (equivalence
     anchor: these verdicts must never change across perf PRs)."""
@@ -317,7 +314,7 @@ def litmus_verdicts(
         for mode in MODES:
             certificate, _ = search_causal_order(
                 litmus.history, litmus.adt, mode, max_nodes=max_nodes,
-                jobs=jobs, order_heuristic=order_heuristic,
+                jobs=jobs,
             )
             if certificate is not None:
                 verify_certificate(litmus.history, litmus.adt, certificate)
@@ -340,18 +337,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "any count, so --baseline comparisons work in both modes)",
     )
     parser.add_argument(
-        "--order-heuristic",
-        choices=("timestamps", "lex"),
-        default="timestamps",
-        help="CCv total-order enumeration order: witness-guided "
-        "'timestamps' (default) or the 'lex' escape hatch; verdicts are "
-        "identical, witness positions (orders_to_witness) differ",
+        "--out", default=None, help="write the JSON report to this path"
     )
     parser.add_argument(
-        "--out", default=str(_ROOT / "BENCH_search.json"), help="JSON output"
-    )
-    parser.add_argument(
-        "--baseline", default=None, help="earlier BENCH_search.json to compare"
+        "--baseline", default=None, help="earlier --out report to compare"
     )
     parser.add_argument(
         "--max-seconds",
@@ -372,12 +361,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep = SMOKE_SWEEP if args.smoke else FULL_SWEEP
     started = time.perf_counter()
     cases = run_sweep(
-        sweep, args.seed, args.max_nodes, not args.no_verify, jobs=args.jobs,
-        order_heuristic=args.order_heuristic,
+        sweep, args.seed, args.max_nodes, not args.no_verify, jobs=args.jobs
     )
-    litmus = litmus_verdicts(
-        args.max_nodes, jobs=args.jobs, order_heuristic=args.order_heuristic
-    )
+    litmus = litmus_verdicts(args.max_nodes, jobs=args.jobs)
     elapsed = time.perf_counter() - started
 
     per_mode_wall = {
@@ -395,7 +381,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "smoke": args.smoke,
         "seed": args.seed,
         "jobs": args.jobs or 1,
-        "order_heuristic": args.order_heuristic,
         "timestamp": time.time(),
         "cases": cases,
         "litmus": litmus,
@@ -420,17 +405,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if mismatches:
             exit_code = 1
 
-    out_path = pathlib.Path(args.out)
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    if args.out:
+        pathlib.Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
 
     for mode in MODES:
         print(f"{mode:4s} wall {per_mode_wall[mode]:8.3f}s")
     print(
         f"CCv witnesses: {len(all_witness_positions)}, median orders to "
-        f"witness {median(all_witness_positions)} "
-        f"({args.order_heuristic} heuristic)"
+        f"witness {median(all_witness_positions)}"
     )
-    print(f"total {elapsed:.3f}s -> {out_path}")
+    print(f"total {elapsed:.3f}s" + (f" -> {args.out}" if args.out else ""))
     if args.baseline and report.get("baseline_comparison"):
         print("vs baseline:", json.dumps(report["baseline_comparison"]))
     if args.max_seconds is not None and elapsed > args.max_seconds:

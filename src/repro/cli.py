@@ -276,10 +276,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if with_scale:
         scale_algs = len(args.algorithm or SCALE_ALGORITHMS)
         widest = max(widest, len(scale_names) * scale_algs * args.seeds)
-    # --only narrows to matching scenario/algorithm cells, the same
-    # filter shape as bench_runtime.py --only; "no match" is an error
-    # per sweep, degraded here to "no match across every sweep" so a
-    # filter that lands only in the scale tier still works
+    # --only narrows to matching scenario/algorithm cells; "no match"
+    # is an error per sweep, degraded here to "no match across every
+    # sweep" so a filter that lands only in the scale tier still works
     only_missed: List[str] = []
 
     def sweep(**kwargs):
@@ -427,10 +426,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
         exact_criteria = []
     for criterion in exact_criteria:
         kwargs: Dict[str, Any] = {}
-        if criterion in ("WCC", "CC", "CCV"):
-            if args.jobs:
-                kwargs["jobs"] = args.jobs
-            kwargs["order_heuristic"] = args.order_heuristic
+        if criterion in ("WCC", "CC", "CCV") and args.jobs:
+            kwargs["jobs"] = args.jobs
         result = check(history, adt, criterion, **kwargs)
         rows.append(
             [
@@ -522,13 +519,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .service import LiveCluster, ServiceNode, drive_schedule, port_layout
     from .service.proxy import load_fault_schedule
 
-    events = load_fault_schedule(args.faults) if args.faults else []
-
     def refused(exc: ValueError) -> int:
-        """A node rejected its configuration (unknown or not wait-free
-        algorithm) at construction, before anything was started."""
+        """The configuration was rejected (a fault action the live plane
+        cannot apply, an unknown or not wait-free algorithm) before
+        anything was started."""
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
+
+    try:
+        events = load_fault_schedule(args.faults) if args.faults else []
+    except ValueError as exc:
+        return refused(exc)
+    #: why the schedule driver stopped early, if it did
+    driver_failures: List[BaseException] = []
+
+    def driver_done(task: "asyncio.Future[None]") -> None:
+        failure = None if task.cancelled() else task.exception()
+        if failure is not None:
+            driver_failures.append(failure)
+            print(
+                f"repro serve: fault schedule driver failed ({failure!r}); "
+                "its later events were not applied",
+                file=sys.stderr,
+            )
 
     async def run_cluster() -> int:
         try:
@@ -541,8 +554,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 proxied=not args.no_proxy,
                 codec=args.codec,
-                coalesce=not args.no_coalesce,
-                tap=args.tap,
             )
         except ValueError as exc:
             return refused(exc)
@@ -565,6 +576,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     time_scale=args.time_scale,
                 )
             )
+            chaos.add_done_callback(driver_done)
             print(f"driving {len(events)} fault event(s) from {args.faults}")
         try:
             if args.duration:
@@ -578,7 +590,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             if chaos is not None:
                 chaos.cancel()
             await cluster.close()
-        return 0
+        return 1 if driver_failures else 0
 
     async def run_node() -> int:
         layout = port_layout(
@@ -595,8 +607,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 k=args.k,
                 seed=args.seed,
                 codec=args.codec,
-                coalesce=not args.no_coalesce,
-                tap=args.tap,
             )
         except ValueError as exc:
             return refused(exc)
@@ -801,14 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and work counters are identical at any count)",
     )
     p.add_argument(
-        "--order-heuristic", choices=("timestamps", "lex"),
-        default="timestamps",
-        help="CCv total-order enumeration order: witness-guided "
-        "'timestamps' (default) tries orders extending the observed "
-        "broadcast timestamps first; 'lex' is the lexicographic escape "
-        "hatch (verdicts are identical either way)",
-    )
-    p.add_argument(
         "--streaming-only", action="store_true",
         help="skip the enumeration search and run only the streaming "
         "bad-pattern monitor — the mode for live service captures, whose "
@@ -843,8 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--only", metavar="SUBSTR",
         help="run only cells whose scenario/algorithm label contains "
-        "SUBSTR (same filter as bench_runtime.py --only); matching no "
-        "cell is an error",
+        "SUBSTR; matching no cell is an error",
     )
     p.add_argument("--seeds", type=int, default=2)
     p.add_argument(
@@ -956,17 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--codec", choices=("binary", "json"), default="binary",
         help="peer wire codec (hello-negotiated; json is the compat "
         "fallback — mixed clusters interoperate)",
-    )
-    p.add_argument(
-        "--no-coalesce", action="store_true",
-        help="send one write+drain per frame (the PR 9 pump) instead of "
-        "folding the outbound queue into batch container frames",
-    )
-    p.add_argument(
-        "--tap", choices=("ring", "sync"), default="ring",
-        help="observability tap: 'ring' defers monitor/recorder work to "
-        "a background drainer off the hot path; 'sync' is the inline "
-        "PR 9 behaviour",
     )
     p.set_defaults(fn=cmd_serve)
 

@@ -2,11 +2,10 @@
 the session guarantees, plus hierarchy metadata and time zones."""
 
 from .base import CRITERIA, CheckResult, check
-from .causal import check_causal
+from .causal import check_causal, check_convergence, check_weak_causal
 from .causal_memory import check_causal_memory
 from .causal_order import CertificateError, is_causal_order, verify_certificate
 from .causal_search import CausalCertificate, SearchBudgetExceeded
-from .convergence import check_convergence
 from .eventual import check_eventual, check_update_consistency, default_stable_events
 from .explain import Explanation, explain, locally_explicable
 from .dependencies import (
@@ -27,7 +26,6 @@ from .pipelined import check_pipelined
 from .registry import classify
 from .sequential import check_sequential
 from .session import SessionAnalysis, all_session_guarantees
-from .weak_causal import check_weak_causal
 from .zones import TimeZones, causal_order_masks, render_zones, zones_of
 
 __all__ = [

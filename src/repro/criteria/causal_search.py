@@ -1183,23 +1183,13 @@ def search_causal_order(
     mode: str,
     max_nodes: int = 200_000,
     jobs: Optional[int] = None,
-    order_heuristic: Optional[str] = None,
 ) -> Tuple[Optional[CausalCertificate], SearchStats]:
     """Decide WCC/CC/CCv membership; returns (certificate-or-None, stats).
 
     ``jobs`` (CCv only) shards the total-order enumeration over that many
     worker processes; ``None``/``1`` stays in-process.  Verdicts,
     certificates and stats are identical at every worker count.
-    ``order_heuristic`` (CCv only, default ``"timestamps"``) picks the
-    enumeration order: witness-guided, or ``"lex"`` for PR 3's
-    lexicographic order.  The verdict is heuristic-independent.
     """
-    search = CausalSearch(
-        history,
-        adt,
-        mode.upper(),
-        max_nodes=max_nodes,
-        order_heuristic=order_heuristic or "timestamps",
-    )
+    search = CausalSearch(history, adt, mode.upper(), max_nodes=max_nodes)
     certificate = search.run(jobs=jobs or 1)
     return certificate, search.stats

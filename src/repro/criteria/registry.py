@@ -12,12 +12,10 @@ from . import (  # noqa: F401  (imported for their registration side effects)
     causal,
     linearizability,
     causal_memory,
-    convergence,
     eventual,
     pipelined,
     sequential,
     session,
-    weak_causal,
 )
 from .base import CRITERIA, CheckResult
 

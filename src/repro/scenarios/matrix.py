@@ -500,8 +500,7 @@ def run_matrix(
     decided by the monitor.
 
     ``only`` narrows the sweep to cells whose ``scenario/algorithm``
-    label contains the substring (the same filter shape as
-    ``bench_runtime.py --only``); a filter matching no cell is an
+    label contains the substring; a filter matching no cell is an
     error, not an empty green report."""
     scenario_keys = list(scenarios) if scenarios else scenario_names()
     algo_keys = list(algorithms) if algorithms else algorithm_names()

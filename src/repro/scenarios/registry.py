@@ -152,8 +152,8 @@ def _scale() -> List[ScenarioSpec]:
     out of the *default* sweep because exact history checkers (CC/CCv/SC)
     are hopeless at 10k events — run them with the convergence-checkable
     algorithms (``lww``, ``gossip``), whose CONV verdict is a state
-    comparison and stays conclusive at any scale (see
-    ``benchmarks/bench_runtime.py --scale``)."""
+    comparison and stays conclusive at any scale (``repro explore
+    --scenario scale-n8-hotkey`` routes them there)."""
     return [
         ScenarioSpec(
             name="scale-n8-hotkey",

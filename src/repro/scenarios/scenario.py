@@ -13,6 +13,7 @@ adapter over :meth:`Scenario.run` with explicit scripts.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Set, Type
@@ -63,6 +64,20 @@ class RunResult:
         """Operations issued by clients that never completed — the
         availability gap of non-wait-free algorithms under faults."""
         return max(0, self.issued - self.completed)
+
+    def fingerprint(self) -> str:
+        """sha256 over the recorded rows, invocation and response times
+        included — the bit-identity witness every golden history pins."""
+        h = hashlib.sha256()
+        for pid, row in enumerate(self.recorder.rows):
+            for rec in row:
+                h.update(
+                    (
+                        f"{pid}|{rec.invocation.method}|{rec.invocation.args!r}|"
+                        f"{rec.output!r}|{rec.start!r}|{rec.end!r}\n"
+                    ).encode()
+                )
+        return h.hexdigest()
 
 
 class Scenario:

@@ -34,9 +34,11 @@ state flips, applied between frames.
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..scenarios.spec import FAULT_ACTIONS, FaultEvent
 from . import wire
 from .transport import Address, enable_nodelay
 
@@ -235,20 +237,34 @@ class FaultProxy:
 # ----------------------------------------------------------------------
 # FaultSchedule JSON -> live dials
 # ----------------------------------------------------------------------
+#: the schedule actions :func:`apply_event` maps onto a live cluster —
+#: all but ``reorder``: a proxy forwards each connection's frames in
+#: order, so it has no per-link reorder dial
+LIVE_FAULT_ACTIONS = tuple(a for a in FAULT_ACTIONS if a != "reorder")
+
+
+def _check_live_action(action: str) -> None:
+    if action not in LIVE_FAULT_ACTIONS:
+        raise ValueError(
+            f"unsupported live fault action {action!r}; "
+            f"supported: {', '.join(LIVE_FAULT_ACTIONS)}"
+        )
+
+
 def load_fault_schedule(path: str) -> List[Any]:
     """Load fault events from a JSON file: either a bare list of event
     dicts, or a full :class:`~repro.scenarios.spec.ScenarioSpec`
     document (its ``faults`` array is taken) — the same vocabulary,
-    validated the same way."""
-    import json
-
-    from ..scenarios.spec import FaultEvent
-
+    validated the same way, and refused here, before anything is
+    started, when it holds an action the live plane cannot apply."""
     with open(path) as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         data = data.get("faults", [])
-    return [FaultEvent.from_dict(f) for f in data]
+    events = [FaultEvent.from_dict(f) for f in data]
+    for event in events:
+        _check_live_action(event.action)
+    return events
 
 
 async def drive_schedule(
@@ -283,6 +299,7 @@ async def apply_event(
     time_scale: float = 1.0,
 ) -> None:
     action = event.action
+    _check_live_action(action)
     if action == "partition":
         for proxy in proxies.values():
             proxy.partition(event.groups)
@@ -339,5 +356,3 @@ async def apply_event(
         # a repair sweep maps to asking every node to re-run recovery
         for pid in proxies:
             await node_control(pid, "recover")
-    else:
-        raise ValueError(f"unsupported live fault action {action!r}")

@@ -24,8 +24,8 @@ immediately.  The receiver unfolds containers in order, preserving
 per-link FIFO exactly.  The ``wire_stats`` counters (logical frames vs
 actual writes, batch sizes, bytes) quantify the coalescing and surface
 through ``repro status --json``.  ``coalesce=False`` restores the PR 9
-frame-at-a-time pump — the A/B baseline in
-``benchmarks/bench_service.py``.
+frame-at-a-time pump — the A/B baseline whose numbers are frozen in
+``benchmarks/results/BENCH_service_seed.json``.
 
 Message frames (PR 13).  The eager flood puts n(n-1) message frames on
 the wire per write, of which all but n-1 are duplicates, and every relay

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import load_history, main
+from repro.cli import build_parser, load_history, main
 from repro.core.operations import BOTTOM, HIDDEN
 
 
@@ -89,3 +89,27 @@ class TestCommands:
         assert main(["classify", str(path)]) == 0
         out = capsys.readouterr().out
         assert "SC" in out and "yes" in out
+
+
+class TestRetiredFlags:
+    """Knobs whose only non-test callers were the retired bench
+    harnesses left the CLI; the codec choice, which a mixed cluster
+    needs, did not."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "history.json", "--order-heuristic", "lex"],
+            ["serve", "--tap", "sync"],
+            ["serve", "--no-coalesce"],
+        ],
+        ids=lambda argv: argv[-2] if argv[-1] != "--no-coalesce" else argv[-1],
+    )
+    def test_retired_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_codec_still_parses(self):
+        assert build_parser().parse_args(["serve", "--codec", "json"]).codec == "json"

@@ -12,11 +12,16 @@ as a plain ``grep`` so a reach-in fails in seconds.)
 ``repro.algorithms`` is per-process code: a replica holds its own state
 and nothing sized by the number of processes, and a host holds exactly
 the replicas of the pids its transport hosts.
+
+The benchmark's tracer (``benchmarks/suite/trace.py``) is the one
+outsider allowed to replace methods, and it finds them by name: every
+callable it wraps must still be defined where it looks.
 """
 
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -25,7 +30,13 @@ from repro.scenarios import Scenario, get_scenario
 from repro.scenarios.matrix import ALGORITHMS
 from repro.service import LiveCluster
 
-SERVICE = pathlib.Path(__file__).resolve().parent.parent / "src/repro/service"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(ROOT / "benchmarks") not in sys.path:
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from suite import trace  # noqa: E402
+
+SERVICE = ROOT / "src/repro/service"
 SOURCES = sorted(SERVICE.glob("*.py"))
 ALGORITHM_SOURCES = sorted((SERVICE.parent / "algorithms").glob("*.py"))
 
@@ -140,3 +151,23 @@ def test_a_host_holds_the_replicas_of_the_hosted_pids_only(key):
         cluster = LiveCluster(3, base_port=7990, algorithm=key, proxied=False)
         for node in cluster.nodes:  # never started
             assert list(node.algorithm.replicas) == [node.my_pid]
+
+
+# ----------------------------------------------------------------------
+# What the benchmark's tracer wraps is still there to be wrapped
+# ----------------------------------------------------------------------
+def _name(value):
+    return getattr(value, "__name__", value).rsplit(".", 1)[-1]
+
+
+@pytest.mark.parametrize(
+    "owner,attr",
+    [(owner, attr) for owner, attr, _span, _rid in trace.PATCHES]
+    + [(trace.ClientSession, "call"), (trace.StreamingMonitor, "feed")],
+    ids=_name,
+)
+def test_the_tracer_finds_every_callable_it_wraps(owner, attr):
+    """``Installed.patch_layers`` reads ``vars(owner)[attr]`` and runs
+    only under ``--trace 1``: a method renamed, or moved to a base
+    class, would otherwise fail there, late, or zero a ledger row."""
+    assert callable(vars(owner).get(attr)), f"{_name(owner)}.{attr} is gone"

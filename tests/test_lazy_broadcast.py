@@ -11,6 +11,9 @@ never under the bit-identity baseline), and the eager-vs-lazy
 equivalence property over randomized fault schedules.
 """
 
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -25,7 +28,7 @@ from repro.runtime import (
     Simulator,
 )
 from repro.runtime.broadcast import _LazyTransport
-from repro.scenarios import Scenario, get_scenario, scenario_names
+from repro.scenarios import Scenario, ScenarioSpec, get_scenario, scenario_names
 from repro.scenarios.matrix import (
     ALGORITHMS,
     LAZY_SCALE_ALGORITHMS,
@@ -36,6 +39,12 @@ from repro.scenarios.matrix import (
 )
 
 relay_subset = _LazyTransport.relay_subset
+
+#: the eager-vs-lazy cells of the retired ``bench_runtime.py --fanout
+#: --smoke --baseline`` gate (values carried over, not re-recorded)
+FANOUT_GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "runtime.json").read_text()
+)["fanout"]
 
 
 def _seen_sets(service):
@@ -389,3 +398,47 @@ class TestEagerLazyEquivalence:
             criteria=("CCV",),
         )
         assert verdicts["CCV"].ok is not False
+
+    @pytest.mark.parametrize(
+        "golden", FANOUT_GOLDENS, ids=lambda g: g["spec"]["name"]
+    )
+    def test_dense_fanout_matches_goldens(self, golden):
+        """One dense hot-key workload under the eager flood and the
+        lazy-push transport: complete and equal delivered-id sets,
+        convergence, clean monitors, message counts and delivered
+        digests as recorded, and at least 4x fewer messages per
+        broadcast at n >= 32 — the tier the lazy family exists for."""
+        spec = ScenarioSpec.from_dict(golden["spec"])
+        seen, sent = {}, {}
+        for algo in ("ccv-fig5", "ccv-lazy"):
+            entry = ALGORITHMS[algo]
+            result = Scenario(spec).run(
+                entry.cls, seed=golden["seed"],
+                **entry.kwargs(spec.streams, spec.k),
+            )
+            service = result.algorithm.broadcast
+            seen[algo] = _seen_sets(service)
+            sent[algo] = result.network_stats.sent
+            assert result.algorithm.converged(), algo
+            assert result.monitor.ok, (algo, result.monitor.violations)
+            assert not any(
+                service.pending_messages(pid) for pid in range(spec.n)
+            ), algo
+            assert all(
+                len(mids) == service.broadcasts_issued()
+                for mids in seen[algo]
+            ), algo
+            assert {
+                "broadcasts": service.broadcasts_issued(),
+                "messages_sent": result.network_stats.sent,
+                "delivered_digest": hashlib.sha256(
+                    repr([sorted(mids) for mids in seen[algo]]).encode()
+                ).hexdigest(),
+            } == golden[algo], algo
+            if algo == "ccv-lazy":  # no advertised body still to pull
+                assert not any(
+                    service.missing_count(pid) for pid in range(spec.n)
+                )
+        assert seen["ccv-fig5"] == seen["ccv-lazy"]
+        if spec.n >= 32:
+            assert sent["ccv-fig5"] >= 4 * sent["ccv-lazy"]

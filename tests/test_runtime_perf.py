@@ -16,19 +16,11 @@ Three families of guarantees:
   full fold.
 """
 
+import json
 import pathlib
 import random
-import sys
 
 import pytest
-
-_BENCH_DIR = str(pathlib.Path(__file__).resolve().parent.parent / "benchmarks")
-if _BENCH_DIR not in sys.path:
-    sys.path.insert(0, _BENCH_DIR)
-
-# single source of the bit-identity fingerprint scheme: the golden hashes
-# below and the CI --baseline drift guard must always hash the same thing
-from bench_runtime import history_fingerprint  # noqa: E402
 
 from repro.adts.window_stream import WindowStreamArray
 from repro.algorithms import CCvWindowArray, GenericCCv, LwwReplication
@@ -51,7 +43,7 @@ from repro.scenarios import (
     run_matrix,
     scenario_names,
 )
-from repro.scenarios.matrix import run_scenario_cell
+from repro.scenarios.matrix import ALGORITHMS, build_post_setup
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +154,7 @@ class TestIndexedCausalEquivalence:
 #: sha256 fingerprints of recorded histories (invocations, outputs and
 #: invocation/response times), generated at the pre-PR 5 runtime (commit
 #: 424c557) by running ``run_scenario_cell`` over these cells and hashing
-#: with :func:`history_fingerprint` — the scheduler/broadcast rewrite
+#: with :meth:`RunResult.fingerprint` — the scheduler/broadcast rewrite
 #: must not move a single recorded bit.  (Deliberately no gossip cell on
 #: an open-loop scenario: PR 5 extends the gossip round budget past the
 #: open-loop arrival horizon, which legitimately changes those runs.)
@@ -200,17 +192,48 @@ GOLDEN_FINGERPRINTS = {
         "8073fbf0635be8bc53ad2b4d4318e2b5f23d34cb7844d6a2b56494b098383418",
 }
 
+#: the rows of the retired ``bench_runtime.py --smoke --baseline`` drift
+#: gate: 9 ad-hoc specs (n=4/8/12 open loop, two partitions, per-link
+#: delays, FIFO/pram, reliable/lww, the stability-GC cell) x 2 seeds,
+#: and the fast explore verdict vector — values carried over from its
+#: committed baseline, not re-recorded
+RUNTIME_GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "runtime.json").read_text()
+)
+#: the golden file's specs, which the scenario registry does not hold
+GOLDEN_SPECS = {}
+for _row in RUNTIME_GOLDENS["histories"]:
+    _spec = ScenarioSpec.from_dict(_row["spec"])
+    GOLDEN_SPECS[_spec.name] = _spec
+    for _seed, _fingerprint in enumerate(_row["fingerprints"]):
+        GOLDEN_FINGERPRINTS[(_spec.name, _row["algorithm"], _seed)] = _fingerprint
+
 
 class TestHistoryGoldens:
     @pytest.mark.parametrize(
         "scenario,algorithm,seed", sorted(GOLDEN_FINGERPRINTS)
     )
     def test_fingerprint_unchanged(self, scenario, algorithm, seed):
-        result = run_scenario_cell(scenario, algorithm, seed)
+        spec = GOLDEN_SPECS.get(scenario) or get_scenario(scenario)
+        entry = ALGORITHMS[algorithm]
+        result = Scenario(spec).run(
+            entry.cls, seed=seed, post_setup=build_post_setup(entry, spec),
+            **entry.kwargs(spec.streams, spec.k),
+        )
         assert (
-            history_fingerprint(result)
+            result.fingerprint()
             == GOLDEN_FINGERPRINTS[(scenario, algorithm, seed)]
         )
+
+    def test_explore_verdicts_unchanged(self):
+        explore = RUNTIME_GOLDENS["explore"]
+        report = run_matrix(
+            scenarios=explore["scenarios"], seeds=1, jobs=1, fast=True
+        )
+        assert [
+            [c.scenario, c.algorithm, c.seed, c.ok, c.expected]
+            for c in report.cells
+        ] == explore["verdicts"]
 
     def test_same_seed_same_history(self):
         spec = get_scenario("partition-during-writes")
@@ -220,7 +243,7 @@ class TestHistoryGoldens:
             )
             for _ in range(2)
         ]
-        assert history_fingerprint(runs[0]) == history_fingerprint(runs[1])
+        assert runs[0].fingerprint() == runs[1].fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -411,13 +434,13 @@ class TestPerLinkReset:
                 CCvWindowArray, seed=7, delay=shared,
                 streams=spec.streams, k=spec.k,
             )
-            fingerprints.append(history_fingerprint(result))
+            fingerprints.append(result.fingerprint())
         assert fingerprints[0] == fingerprints[1]
         # and the reused instance matches a fresh one on the same seed
         fresh = Scenario(spec).run(
             CCvWindowArray, seed=7, streams=spec.streams, k=spec.k
         )
-        assert history_fingerprint(fresh) == fingerprints[0]
+        assert fresh.fingerprint() == fingerprints[0]
 
 
 # ----------------------------------------------------------------------

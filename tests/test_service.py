@@ -93,6 +93,48 @@ def test_load_fault_schedule_accepts_bare_list_and_spec_doc(tmp_path):
         load_fault_schedule(str(bad))
 
 
+def test_serve_refuses_a_schedule_it_cannot_apply(tmp_path, capsys, monkeypatch):
+    """``reorder`` is a valid spec action with no live dial.  Applied
+    mid-run it used to kill the driver task unheard, so the heal after
+    it never came; the schedule is refused when it is loaded, before a
+    cluster exists."""
+    import repro.service
+
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("a cluster was built for a refused schedule")
+
+    monkeypatch.setattr(repro.service, "LiveCluster", no_cluster)
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps([
+        {"time": 0.1, "action": "partition", "groups": [[0], [1, 2]]},
+        {"time": 0.2, "action": "reorder", "duration": 1.0},
+        {"time": 0.3, "action": "heal"},
+    ]))
+    with pytest.raises(ValueError, match="unsupported live fault action 'reorder'"):
+        load_fault_schedule(str(path))
+    assert main(["serve", "--faults", str(path), "--duration", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "'reorder'" in err and "supported: partition, heal" in err
+
+
+def test_serve_reports_a_schedule_driver_that_died(tmp_path, capsys, monkeypatch):
+    """The driver runs as a task beside the cluster; if it fails, the
+    events it never applied are said so and the exit status is not 0."""
+    import repro.service
+
+    async def dies(events, proxies, node_control, time_scale=1.0):
+        raise ConnectionError("node 2 is gone")
+
+    monkeypatch.setattr(repro.service, "drive_schedule", dies)
+    path = tmp_path / "faults.json"
+    path.write_text(json.dumps([{"time": 0.1, "action": "heal"}]))
+    argv = ["serve", "--base-port", str(BASE_PORT + 90), "--duration", "0.3"]
+    assert main(argv + ["--faults", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "driving 1 fault event(s)" in captured.out
+    assert "driver failed" in captured.err and "node 2 is gone" in captured.err
+
+
 # ----------------------------------------------------------------------
 # View manager
 # ----------------------------------------------------------------------
@@ -229,6 +271,7 @@ def cluster_smoke(base_port):
                 assert doc["monitor"]["ok"], (pid, doc["monitor"])
                 assert doc["monitor"]["total"] == 0, (pid, doc["monitor"])
                 assert doc["broadcast"]["resync_gave_up"] == 0, (pid, doc)
+                assert doc["tap"]["spills"] == 0, (pid, doc["tap"])
             # the supervised resync chain actually ran: the recovering
             # node requested, somebody served
             assert statuses[2]["broadcast"]["resyncs_requested"] >= 1
