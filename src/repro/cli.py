@@ -516,8 +516,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .service import LiveCluster, ServiceNode, drive_schedule, port_layout
-    from .service.proxy import load_fault_schedule
+    from .scenarios.faults import FaultSchedule
+    from .service import LiveCluster, ServiceNode, load_fault_schedule, port_layout
 
     def refused(exc: ValueError) -> int:
         """The configuration was rejected (a fault action the live plane
@@ -527,21 +527,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     try:
+        if args.time_scale <= 0:
+            raise ValueError("--time-scale must be positive")
         events = load_fault_schedule(args.faults) if args.faults else []
     except ValueError as exc:
         return refused(exc)
-    #: why the schedule driver stopped early, if it did
-    driver_failures: List[BaseException] = []
 
-    def driver_done(task: "asyncio.Future[None]") -> None:
-        failure = None if task.cancelled() else task.exception()
-        if failure is not None:
-            driver_failures.append(failure)
-            print(
-                f"repro serve: fault schedule driver failed ({failure!r}); "
-                "its later events were not applied",
-                file=sys.stderr,
-            )
+    async def until_done() -> None:
+        """``--duration`` seconds, or until interrupted."""
+        try:
+            await asyncio.sleep(args.duration or float("inf"))
+        except (KeyboardInterrupt, asyncio.CancelledError):
+            pass
 
     async def run_cluster() -> int:
         try:
@@ -557,6 +554,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             return refused(exc)
+        cluster.time_scale = args.time_scale
         await cluster.start()
         ports = ", ".join(
             f"{pid}:{cluster.client_addr(pid)[1]}" for pid in range(args.n)
@@ -566,31 +564,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"client ports {ports}"
             + (" (proxied)" if not args.no_proxy else "")
         )
-        chaos = None
         if events:
-            chaos = asyncio.ensure_future(
-                drive_schedule(
-                    events,
-                    cluster.proxies,
-                    cluster.node_control,
-                    time_scale=args.time_scale,
-                )
-            )
-            chaos.add_done_callback(driver_done)
+            FaultSchedule(events).install(cluster)
             print(f"driving {len(events)} fault event(s) from {args.faults}")
         try:
-            if args.duration:
-                await asyncio.sleep(args.duration)
-            else:
-                while True:
-                    await asyncio.sleep(3600)
-        except (KeyboardInterrupt, asyncio.CancelledError):
-            pass
+            await until_done()
         finally:
-            if chaos is not None:
-                chaos.cancel()
             await cluster.close()
-        return 1 if driver_failures else 0
+        for failure in cluster.fault_failures:
+            print(
+                f"repro serve: fault schedule event failed ({failure!r})",
+                file=sys.stderr,
+            )
+        return 1 if cluster.fault_failures else 0
 
     async def run_node() -> int:
         layout = port_layout(
@@ -617,13 +603,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"client port {layout['client'][args.pid][1]}"
         )
         try:
-            if args.duration:
-                await asyncio.sleep(args.duration)
-            else:
-                while True:
-                    await asyncio.sleep(3600)
-        except (KeyboardInterrupt, asyncio.CancelledError):
-            pass
+            await until_done()
         finally:
             await node.close()
         return 0
@@ -633,8 +613,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return asyncio.run(run_cluster())
         if args.faults:
             print(
-                "--faults needs the cluster shape (the schedule drives "
-                "in-process proxies); start without --pid",
+                "--faults needs the cluster shape (the schedule is installed "
+                "on in-process proxies and nodes); start without --pid",
                 file=sys.stderr,
             )
             return 2
@@ -942,12 +922,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--faults", metavar="FILE",
-        help="drive this fault schedule JSON (a ScenarioSpec document or "
-        "a bare event list) against the running cluster",
+        help="install this fault schedule JSON (a ScenarioSpec document or "
+        "a bare event list) on the cluster's proxies and nodes; `reorder` "
+        "is refused (exit 2), an event that raises is reported (exit 1)",
     )
     p.add_argument(
         "--time-scale", type=float, default=1.0,
-        help="seconds of wall time per fault-schedule time unit",
+        help="seconds of wall time per fault-schedule time unit (event "
+        "times, flap and crash-storm tails, delay-scale latency)",
     )
     p.add_argument(
         "--duration", type=float, default=0.0,

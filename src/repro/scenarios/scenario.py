@@ -201,7 +201,7 @@ class Scenario:
             ]
 
         schedule = FaultSchedule(spec.faults)
-        schedule.install(sim, network, algorithm, clients)
+        schedule.install(network, algorithm, clients)
         for client in clients:
             client.start(initial_delay=0.0)
         sim.run(max_events=max_events)

@@ -130,7 +130,9 @@ def _finite(value: Any) -> bool:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One timed fault action, applied off the simulator clock.
+    """One timed fault action, applied off its target's clock (the
+    simulator's, or a live cluster's scaled wall clock) by
+    :class:`~repro.scenarios.faults.FaultSchedule`.
 
     ``action`` is one of ``partition``, ``heal``, ``crash``, ``recover``,
     ``loss`` (set the loss rate: a pair of these makes a loss burst),

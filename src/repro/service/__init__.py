@@ -8,10 +8,16 @@ chaos vocabulary on the wire; :mod:`repro.service.load` drives open-loop
 traffic and captures the recorded history for classification.
 """
 
-from .cluster import ClientSession, LiveCluster, client_call, port_layout
+from .cluster import (
+    ClientSession,
+    LiveCluster,
+    client_call,
+    load_fault_schedule,
+    port_layout,
+)
 from .load import LoadReport, capture_history, converged_windows, run_load
 from .node import ServiceNode, build_algorithm
-from .proxy import FaultProxy, apply_event, drive_schedule, load_fault_schedule
+from .proxy import FaultProxy
 from .tap import MonitorTap, RecorderTap, RingTap
 from .transport import AsyncioTransport, WallClock
 from .view import ViewManager
@@ -26,8 +32,6 @@ __all__ = [
     "build_algorithm",
     "ViewManager",
     "FaultProxy",
-    "apply_event",
-    "drive_schedule",
     "load_fault_schedule",
     "LiveCluster",
     "ClientSession",

@@ -4,7 +4,10 @@ The CLI's ``repro serve --pid i`` hosts a single node per OS process;
 this module is the other deployment shape — every node, proxy and the
 load driver sharing one event loop — which is what the tests and the CI
 ``service-smoke`` job use: no subprocess lifecycle to babysit, and a
-crash mid-run is one coroutine flipping a flag rather than a SIGKILL.
+crash mid-run is one flag flipped rather than a SIGKILL.  Owning every
+proxy and node is also what makes a :class:`LiveCluster` a fault target
+(:mod:`repro.scenarios.faults`): ``FaultSchedule(events).install(cluster)``
+runs the schedule a simulated ``Scenario`` runs, on wall-clock timers.
 
 Port layout from ``base_port``: node ``i`` listens for peers at
 ``base + 3i``, its fault proxy at ``base + 3i + 1`` (the address the
@@ -14,9 +17,12 @@ Port layout from ``base_port``: node ``i`` listens for peers at
 from __future__ import annotations
 
 import asyncio
+import json
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
+from ..runtime.broadcast import ReliableBroadcast
+from ..scenarios.spec import FAULT_ACTIONS, FaultEvent
 from . import wire
 from .node import ServiceNode
 from .proxy import FaultProxy
@@ -41,8 +47,31 @@ def port_layout(
     }
 
 
+def load_fault_schedule(path: str) -> List[FaultEvent]:
+    """Load fault events from a JSON file: a bare list of event dicts or
+    a :class:`~repro.scenarios.spec.ScenarioSpec` document (its
+    ``faults``), validated as a spec's are — and refused here, before
+    anything is started, when one is an action a live cluster refuses."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if isinstance(data, dict):
+        data = data.get("faults", [])
+    events = [FaultEvent.from_dict(f) for f in data]
+    for event in events:
+        if event.action in LiveCluster.REFUSED_ACTIONS:
+            raise ValueError(LiveCluster.refusal(event.action))
+    return events
+
+
 class LiveCluster:
     """n ServiceNodes (+ optional FaultProxies) in one event loop."""
+
+    #: wall seconds per unit of fault-schedule time
+    time_scale = 1.0
+    #: see :meth:`set_delay_scale`
+    DELAY_UNIT = 0.05
+    #: the schedule actions with no live answer (see :meth:`start_reorder`)
+    REFUSED_ACTIONS = ("reorder",)
 
     def __init__(
         self,
@@ -95,6 +124,11 @@ class LiveCluster:
             )
             for pid in range(n)
         ]
+        #: timers of installed fault schedules, cancelled by close()
+        self._timers: List[asyncio.TimerHandle] = []
+        self._epoch: Optional[float] = None
+        #: what fault-schedule callbacks raised, in firing order
+        self.fault_failures: List[Exception] = []
 
     def client_addr(self, pid: int) -> Address:
         return self.layout["client"][pid]
@@ -109,15 +143,103 @@ class LiveCluster:
             await node.start()
 
     async def close(self) -> None:
+        for timer in self._timers:
+            timer.cancel()
         for node in self.nodes:
             await node.close()
         for proxy in self.proxies.values():
             await proxy.close()
 
-    async def node_control(self, pid: int, cmd: str) -> Dict[str, Any]:
-        """Operator RPC against a node's client port (used by the fault
-        schedule driver for crash/recover events)."""
-        return await client_call(self.client_addr(pid), {"cmd": cmd})
+    # ------------------------------------------------------------------
+    # Fault target (the contract is in repro.scenarios.faults)
+    # ------------------------------------------------------------------
+    @property
+    def now(self) -> float:
+        """Schedule time: zero at its first reading — the first
+        ``FaultSchedule.install`` — so a schedule's times count from
+        then, and one installed later must be dated after it."""
+        t = asyncio.get_event_loop().time()
+        if self._epoch is None:
+            self._epoch = t
+        return (t - self._epoch) / self.time_scale
+
+    def schedule(self, delay: float, cb: Callable, *args: Any) -> Any:
+        """A timer the cluster owns: :meth:`close` cancels it, and if its
+        callback raises, :attr:`fault_failures` keeps the exception (the
+        loop's exception handler sees it as well)."""
+        timer = asyncio.get_event_loop().call_later(
+            delay * self.time_scale, self._fire, cb, args
+        )
+        self._timers.append(timer)
+        return timer
+
+    def _fire(self, cb: Callable, args: Tuple[Any, ...]) -> None:
+        try:
+            cb(*args)
+        except Exception as exc:
+            self.fault_failures.append(exc)
+            raise
+
+    def _each_proxy(self, call: str, *args: Any) -> None:
+        """Dials and links are the proxies'; without them, a no-op."""
+        for proxy in self.proxies.values():
+            getattr(proxy, call)(*args)
+
+    def set_loss_rate(self, rate: float) -> None:
+        self._each_proxy("set_loss_rate", rate)
+
+    def set_duplicate_rate(self, rate: float) -> None:
+        self._each_proxy("set_duplicate_rate", rate)
+
+    def partition(self, *groups: Iterable[int]) -> None:
+        self._each_proxy("partition", *groups)
+
+    def heal(self) -> None:
+        self._each_proxy("heal")
+
+    def block_links(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        self._each_proxy("block_links", pairs)
+
+    def unblock_links(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        self._each_proxy("unblock_links", pairs)
+
+    def set_delay_scale(self, factor: float) -> None:
+        """The one call that means something else here: the simulated
+        network multiplies each sampled delay, but a proxy samples none
+        and a multiple of loopback latency is no congestion spike — so
+        the spike is added per-frame latency, ``DELAY_UNIT`` of schedule
+        time per unit of ``factor`` above 1."""
+        extra = max(0.0, factor - 1.0) * self.DELAY_UNIT * self.time_scale
+        self._each_proxy("set_extra_delay", extra)
+
+    def start_reorder(self, duration: float) -> None:
+        """Refused: a proxy forwards each connection's frames in order,
+        so there is no per-link inversion to start."""
+        raise ValueError(self.refusal("reorder"))
+
+    @classmethod
+    def refusal(cls, action: str) -> str:
+        supported = (a for a in FAULT_ACTIONS if a not in cls.REFUSED_ACTIONS)
+        return (
+            f"unsupported live fault action {action!r}; "
+            f"supported: {', '.join(supported)}"
+        )
+
+    def crash(self, pid: int) -> None:
+        self.nodes[pid].crash()
+
+    def recover(self, pid: int) -> None:
+        self.nodes[pid].recover()
+
+    def is_crashed(self, pid: int) -> bool:
+        return self.nodes[pid].crashed
+
+    def resync(self, pid: int, helper: int) -> None:
+        """One anti-entropy hop: ``pid`` asks ``helper`` to replay what
+        it has not seen (nothing to ask under state-based gossip)."""
+        broadcast = self.nodes[pid].broadcast
+        if isinstance(broadcast, ReliableBroadcast):
+            broadcast.resync(pid, helper=helper)
 
 
 # ----------------------------------------------------------------------

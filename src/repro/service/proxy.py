@@ -4,27 +4,29 @@ One :class:`FaultProxy` fronts one node's peer port.  Other nodes dial
 the proxy (the cluster's address map points at it), the proxy dials the
 real node, and every inbound frame crosses the dials on its way in:
 
-``loss``
+``set_loss_rate``
     drop the frame with probability ``loss_rate`` (hello frames are
     never dropped — loss is a message fault, not a connection fault);
-``duplicate``
+``set_duplicate_rate``
     forward a second copy with probability ``duplicate_rate``;
-``delay``
+``set_extra_delay``
     add ``extra_delay`` seconds of latency, order-preserving (a
     per-connection pump sleeps, so frames never overtake each other);
 ``partition`` / ``heal``
     frames whose (src, dst) pair crosses the group map are *held* in
     arrival order and flushed on heal — the simulated plane's "delay,
     never lose" semantics, kept on the wire;
-``flap``
-    timed block/unblock cycles of one directed link, implemented as
-    short-lived holds.
+``block_links`` / ``unblock_links``
+    hold the frames of the directed links ``(src, dst)`` that end at
+    this proxy's node (one-way partitions, flapping); ``heal`` clears
+    them too.
 
-Crash faults are not a proxy concern: the schedule driver
-(:func:`drive_schedule`) maps ``crash``/``recover``/``crash-storm``
-events to operator RPCs against the node's client port, and everything
-else to proxy dials — so one ``FaultSchedule`` JSON document drives
-either plane.
+Where a dial means what the simulated :class:`~repro.runtime.network.
+Network`'s does it has that name and signature, so a cluster hands one
+call to every proxy unchanged.  A proxy interprets no schedule and
+crashes no node: :class:`~repro.scenarios.faults.FaultSchedule` does
+the first, on :class:`~repro.service.cluster.LiveCluster`, which owns
+the nodes.
 
 The proxy decodes only the hello frame (to learn the dialing peer's
 pid); data frames forward as raw bytes.  Dial mutations are loop-local
@@ -34,11 +36,9 @@ state flips, applied between frames.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..scenarios.spec import FAULT_ACTIONS, FaultEvent
 from . import wire
 from .transport import Address, enable_nodelay
 
@@ -64,7 +64,7 @@ class FaultProxy:
         #: pid -> group index; a frame is held while src and dst map to
         #: different groups (unlisted pids share the implicit group -1)
         self.group_of: Optional[Dict[int, int]] = None
-        #: directed source pids currently blocked by a flap
+        #: source pids whose link to this node is blocked
         self.blocked_from: Set[int] = set()
         #: held frames in arrival order: (src_pid, raw)
         self._held: List[Tuple[int, bytes]] = []
@@ -92,7 +92,7 @@ class FaultProxy:
             raise ValueError("extra delay must be non-negative")
         self.extra_delay = seconds
 
-    def partition(self, groups: Iterable[Iterable[int]]) -> None:
+    def partition(self, *groups: Iterable[int]) -> None:
         group_of: Dict[int, int] = {}
         for i, group in enumerate(groups):
             for pid in group:
@@ -107,11 +107,13 @@ class FaultProxy:
         self.blocked_from.clear()
         self._flush_held()
 
-    def block_from(self, src: int) -> None:
-        self.blocked_from.add(src)
+    def block_links(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        self.blocked_from.update(s for s, d in pairs if d == self.node_pid)
 
-    def unblock_from(self, src: int) -> None:
-        self.blocked_from.discard(src)
+    def unblock_links(self, pairs: Iterable[Tuple[int, int]]) -> None:
+        self.blocked_from.difference_update(
+            s for s, d in pairs if d == self.node_pid
+        )
         self._flush_held()
 
     def _separated(self, src: int) -> bool:
@@ -232,127 +234,3 @@ class FaultProxy:
             await self._server.wait_closed()
         for writer in list(self._upstreams.values()):
             writer.close()
-
-
-# ----------------------------------------------------------------------
-# FaultSchedule JSON -> live dials
-# ----------------------------------------------------------------------
-#: the schedule actions :func:`apply_event` maps onto a live cluster —
-#: all but ``reorder``: a proxy forwards each connection's frames in
-#: order, so it has no per-link reorder dial
-LIVE_FAULT_ACTIONS = tuple(a for a in FAULT_ACTIONS if a != "reorder")
-
-
-def _check_live_action(action: str) -> None:
-    if action not in LIVE_FAULT_ACTIONS:
-        raise ValueError(
-            f"unsupported live fault action {action!r}; "
-            f"supported: {', '.join(LIVE_FAULT_ACTIONS)}"
-        )
-
-
-def load_fault_schedule(path: str) -> List[Any]:
-    """Load fault events from a JSON file: either a bare list of event
-    dicts, or a full :class:`~repro.scenarios.spec.ScenarioSpec`
-    document (its ``faults`` array is taken) — the same vocabulary,
-    validated the same way, and refused here, before anything is
-    started, when it holds an action the live plane cannot apply."""
-    with open(path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        data = data.get("faults", [])
-    events = [FaultEvent.from_dict(f) for f in data]
-    for event in events:
-        _check_live_action(event.action)
-    return events
-
-
-async def drive_schedule(
-    events: List[Any],
-    proxies: Dict[int, FaultProxy],
-    node_control,
-    time_scale: float = 1.0,
-) -> None:
-    """Apply scenario fault events to a live cluster at wall times.
-
-    ``events`` are :class:`repro.scenarios.spec.FaultEvent` objects (the
-    same validated JSON vocabulary the simulated
-    :class:`~repro.scenarios.faults.FaultSchedule` installs); ``at``
-    fields are multiplied by ``time_scale`` seconds.  ``node_control``
-    is an async callable ``(pid, cmd)`` that issues crash/recover RPCs
-    against a node's client port.
-    """
-    loop = asyncio.get_event_loop()
-    t0 = loop.time()
-    for event in sorted(events, key=lambda e: e.time):
-        due = t0 + event.time * time_scale
-        delay = due - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        await apply_event(event, proxies, node_control, time_scale)
-
-
-async def apply_event(
-    event: Any,
-    proxies: Dict[int, FaultProxy],
-    node_control,
-    time_scale: float = 1.0,
-) -> None:
-    action = event.action
-    _check_live_action(action)
-    if action == "partition":
-        for proxy in proxies.values():
-            proxy.partition(event.groups)
-    elif action == "heal":
-        for proxy in proxies.values():
-            proxy.heal()
-    elif action == "loss":
-        for proxy in proxies.values():
-            proxy.set_loss_rate(event.rate)
-    elif action == "duplicate":
-        for proxy in proxies.values():
-            proxy.set_duplicate_rate(event.rate)
-    elif action == "delay-scale":
-        # the simulated dial scales sampled delays; on the wire the
-        # equivalent congestion knob is added per-frame latency
-        for proxy in proxies.values():
-            proxy.set_extra_delay(max(0.0, (event.factor - 1.0)) * 0.05)
-    elif action == "crash":
-        await node_control(event.pid, "crash")
-    elif action == "recover":
-        await node_control(event.pid, "recover")
-    elif action == "crash-storm":
-        for pid in event.pids:
-            await node_control(pid, "crash")
-
-        async def storm_recover() -> None:
-            await asyncio.sleep(event.duration * time_scale)
-            for pid in event.pids:
-                await node_control(pid, "recover")
-
-        asyncio.ensure_future(storm_recover())
-    elif action == "flap":
-        src, dst = event.pids
-        period = event.duration * time_scale
-
-        async def flap() -> None:
-            for i in range(event.count):
-                proxies[dst].block_from(src)
-                proxies[src].block_from(dst)
-                await asyncio.sleep(period / 2)
-                proxies[dst].unblock_from(src)
-                proxies[src].unblock_from(dst)
-                await asyncio.sleep(period / 2)
-
-        asyncio.ensure_future(flap())
-    elif action == "partition-oneway":
-        sources, destinations = event.groups
-        for s in sources:
-            for d in destinations:
-                if d in proxies:
-                    proxies[d].block_from(s)
-    elif action == "repair":
-        # the live plane's anti-entropy is the supervised resync chain;
-        # a repair sweep maps to asking every node to re-run recovery
-        for pid in proxies:
-            await node_control(pid, "recover")

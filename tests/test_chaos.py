@@ -256,7 +256,7 @@ class TestNetworkChaos:
         inbox = []
         net.attach(1, lambda src, p: inbox.append(p))
         schedule = FaultSchedule([F.flap(0.0, 0, 1, cycles=2, period=1.0)])
-        schedule.install(sim, net)
+        schedule.install(net)
         # down [0, 0.5) and [1.0, 1.5); sends land in both states
         for at, tag in [(0.2, "d1"), (0.7, "u1"), (1.2, "d2"), (1.7, "u2")]:
             sim.schedule(at, net.send, 0, 1, tag)
@@ -268,7 +268,7 @@ class TestNetworkChaos:
         sim = Simulator(seed=0)
         net = Network(sim, 4, delay=DelayModel.constant(0.5))
         schedule = FaultSchedule([F.crash_storm(1.0, (1, 2), downtime=2.0)])
-        schedule.install(sim, net)
+        schedule.install(net)
         crashed_during = []
         sim.schedule(2.0, lambda: crashed_during.extend(sorted(net.crashed)))
         sim.run()

@@ -13,6 +13,10 @@ as a plain ``grep`` so a reach-in fails in seconds.)
 and nothing sized by the number of processes, and a host holds exactly
 the replicas of the pids its transport hosts.
 
+A fault schedule has one interpreter: ``scenarios/faults.py`` is the only
+module in ``src/`` that turns a ``FaultEvent.action`` into calls; every
+plane is a target of it.  (Also a ``hygiene`` grep.)
+
 The benchmark's tracer (``benchmarks/suite/trace.py``) is the one
 outsider allowed to replace methods, and it finds them by name: every
 callable it wraps must still be defined where it looks.
@@ -28,6 +32,7 @@ import pytest
 from repro.runtime.broadcast import LazyCausalBroadcast
 from repro.scenarios import Scenario, get_scenario
 from repro.scenarios.matrix import ALGORITHMS
+from repro.scenarios.spec import FAULT_ACTIONS
 from repro.service import LiveCluster
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -151,6 +156,48 @@ def test_a_host_holds_the_replicas_of_the_hosted_pids_only(key):
         cluster = LiveCluster(3, base_port=7990, algorithm=key, proxied=False)
         for node in cluster.nodes:  # never started
             assert list(node.algorithm.replicas) == [node.my_pid]
+
+
+# ----------------------------------------------------------------------
+# One fault vocabulary, one interpreter
+# ----------------------------------------------------------------------
+SRC = ROOT / "src/repro"
+INTERPRETER = "scenarios/faults.py"
+#: modules that compare an action to a literal without acting on it:
+#: `spec.py` validates an event's fields per action, `matrix.py` and
+#: `chaos/generate.py` scan a finished schedule (does it recover
+#: anything? how long is its tail?)
+ACTION_READERS = {"scenarios/spec.py", "scenarios/matrix.py", "chaos/generate.py"}
+
+
+def _is_action(node: ast.AST) -> bool:
+    """``action`` or ``<anything>.action``."""
+    return (isinstance(node, ast.Name) and node.id == "action") or (
+        isinstance(node, ast.Attribute) and node.attr == "action"
+    )
+
+
+def _names_a_fault_action(node: ast.AST) -> bool:
+    return any(
+        isinstance(leaf, ast.Constant) and leaf.value in FAULT_ACTIONS
+        for leaf in ast.walk(node)
+    )
+
+
+def test_only_the_fault_schedule_dispatches_on_an_action():
+    """``.action == "crash"`` (or ``!=`` / ``in (...)``) against a
+    fault-action literal appears in the interpreter, in the listed
+    read-only modules, and nowhere else under ``src/``."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            if any(map(_is_action, sides)) and any(map(_names_a_fault_action, sides)):
+                found.add(path.relative_to(SRC).as_posix())
+    assert INTERPRETER in found
+    assert found - {INTERPRETER} <= ACTION_READERS, sorted(found)
 
 
 # ----------------------------------------------------------------------

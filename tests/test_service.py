@@ -17,13 +17,18 @@ import pytest
 from repro.cli import load_history, main
 from repro.criteria.streaming_monitor import replay_history
 from repro.runtime.broadcast import CausalBroadcast
+from repro.scenarios import FaultSchedule, Scenario
 from repro.scenarios.matrix import ALGORITHMS
-from repro.scenarios.spec import FaultEvent, WorkloadSpec
+from repro.scenarios.spec import (
+    DelaySpec,
+    FaultEvent,
+    ScenarioSpec,
+    WorkloadSpec,
+)
 from repro.service import (
     FaultProxy,
     LiveCluster,
     ViewManager,
-    apply_event,
     capture_history,
     converged_windows,
     load_fault_schedule,
@@ -118,21 +123,34 @@ def test_serve_refuses_a_schedule_it_cannot_apply(tmp_path, capsys, monkeypatch)
 
 
 def test_serve_reports_a_schedule_driver_that_died(tmp_path, capsys, monkeypatch):
-    """The driver runs as a task beside the cluster; if it fails, the
-    events it never applied are said so and the exit status is not 0."""
-    import repro.service
+    """Every event and every tail is a timer of the cluster; if one
+    raises, it is said so on stderr and the exit status is not 0 —
+    whether it is a listed event (``heal``) or the tail of one (a
+    ``flap``'s scheduled ``unblock_links``)."""
 
-    async def dies(events, proxies, node_control, time_scale=1.0):
+    def dies(self, *args):
         raise ConnectionError("node 2 is gone")
 
-    monkeypatch.setattr(repro.service, "drive_schedule", dies)
-    path = tmp_path / "faults.json"
-    path.write_text(json.dumps([{"time": 0.1, "action": "heal"}]))
-    argv = ["serve", "--base-port", str(BASE_PORT + 90), "--duration", "0.3"]
-    assert main(argv + ["--faults", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert "driving 1 fault event(s)" in captured.out
-    assert "driver failed" in captured.err and "node 2 is gone" in captured.err
+    cases = [
+        ("heal", {"time": 0.1, "action": "heal"}),
+        (
+            "unblock_links",
+            {"time": 0.0, "action": "flap", "pids": [0, 1], "count": 1,
+             "duration": 0.2},
+        ),
+    ]
+    for offset, (call, event) in enumerate(cases):
+        with monkeypatch.context() as patch:
+            patch.setattr(LiveCluster, call, dies)
+            path = tmp_path / f"faults{offset}.json"
+            path.write_text(json.dumps([event]))
+            port = str(BASE_PORT + 90 + 9 * offset)
+            argv = ["serve", "--base-port", port, "--duration", "0.4"]
+            assert main(argv + ["--faults", str(path)]) == 1, call
+        captured = capsys.readouterr()
+        assert "driving 1 fault event(s)" in captured.out
+        assert "fault schedule event failed" in captured.err, call
+        assert "node 2 is gone" in captured.err, call
 
 
 # ----------------------------------------------------------------------
@@ -174,11 +192,11 @@ class TestProxyDials:
         with pytest.raises(ValueError):
             p.set_extra_delay(-0.1)
         with pytest.raises(ValueError):
-            p.partition([[0, 1], [1, 2]])  # overlapping groups
+            p.partition([0, 1], [1, 2])  # overlapping groups
 
     def test_partition_separates_across_groups_only(self):
         p = self.proxy()  # fronts node 0
-        p.partition([[0, 1], [2]])
+        p.partition([0, 1], [2])
         assert not p._separated(1)  # same side as node 0
         assert p._separated(2)
         p.heal()
@@ -186,24 +204,13 @@ class TestProxyDials:
 
     def test_blocked_sources_and_unlisted_pids(self):
         p = self.proxy()
-        p.block_from(2)
+        # a proxy holds the links that end at its own node, no others
+        p.block_links([(2, 0), (0, 1), (1, 2)])
         assert p._separated(2) and not p._separated(1)
-        p.unblock_from(2)
+        p.unblock_links([(2, 0), (2, 1)])
         assert not p._separated(2)
-        p.partition([[1]])  # 0 and 2 share the implicit group
+        p.partition([1])  # 0 and 2 share the implicit group
         assert p._separated(1) and not p._separated(2)
-
-
-def test_apply_event_rejects_unmapped_action():
-    # the live driver has no per-link reorder dial; a valid spec action
-    # it cannot map must raise rather than silently no-op the fault
-    event = FaultEvent(time=0.0, action="reorder", duration=1.0)
-
-    async def drive():
-        with pytest.raises(ValueError, match="unsupported live fault"):
-            await apply_event(event, {}, None)
-
-    asyncio.run(drive())
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +219,32 @@ def test_apply_event_rejects_unmapped_action():
 BASE_PORT = 7640
 
 
+#: the smoke's whole fault story, in schedule time from "load starts":
+#: loss + duplication on the wire, node 2 crashes and rejoins mid-load,
+#: then the wire heals and two repair sweeps (n - 1) close what the
+#: proxies lost.  One list, both planes: `cluster_smoke` installs it on
+#: a live cluster, `test_smoke_schedule_runs_on_the_simulator_too` hands
+#: the same tuple to `Scenario.run`.
+SMOKE_FAULTS = (
+    FaultEvent.loss(0.0, 0.05),
+    FaultEvent.duplicate(0.0, 0.05),
+    FaultEvent.crash(0.7, 2),
+    FaultEvent.recover(1.6, 2),
+    FaultEvent.loss(2.6, 0.0),
+    FaultEvent.duplicate(2.6, 0.0),
+    FaultEvent.repair(2.7),
+    FaultEvent.repair(3.2),
+)
+
+
 def cluster_smoke(base_port):
     """3 nodes behind fault proxies: load + loss/dup + crash + rejoin."""
 
     async def body():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
         cluster = LiveCluster(3, base_port=base_port, streams=2, k=2, seed=5)
         await cluster.start()
         try:
@@ -224,37 +253,18 @@ def cluster_smoke(base_port):
             spec = WorkloadSpec(
                 kind="open", rate=25.0, write_ratio=0.6, hot_key_weight=0.3
             )
-
-            async def chaos():
-                ctl = cluster.node_control
-                px = cluster.proxies
-                await apply_event(FaultEvent.loss(0.0, 0.05), px, ctl)
-                await apply_event(FaultEvent.duplicate(0.0, 0.05), px, ctl)
-                await asyncio.sleep(0.7)
-                await ctl(2, "crash")
-                await asyncio.sleep(0.9)
-                await ctl(2, "recover")
-
-            load_task = asyncio.ensure_future(
-                run_load(addrs, spec, streams=2, duration=2.5, seed=5)
-            )
-            chaos_task = asyncio.ensure_future(chaos())
-            report = await load_task
-            await chaos_task
+            schedule = FaultSchedule(SMOKE_FAULTS)
+            schedule.install(cluster)
+            report = await run_load(addrs, spec, streams=2, duration=2.5, seed=5)
 
             assert report.completed > 50, report
             assert report.errors == 0, report
             # node 2 rejected client ops while crashed
             assert report.rejected > 0, report
 
-            # heal the wire, then one supervised-resync repair sweep —
-            # the live plane's anti-entropy for frames lost by the proxy
-            for proxy in cluster.proxies.values():
-                proxy.set_loss_rate(0.0)
-                proxy.set_duplicate_rate(0.0)
-            await apply_event(
-                FaultEvent.repair(0.0), cluster.proxies, cluster.node_control
-            )
+            # the schedule outlasts the load: heal and repair come after
+            horizon = SMOKE_FAULTS[-1].time
+            await asyncio.sleep(max(0.0, horizon - cluster.now) + 0.1)
             converged = False
             for _ in range(30):
                 await asyncio.sleep(0.5)
@@ -262,10 +272,12 @@ def cluster_smoke(base_port):
                 if converged:
                     break
             assert converged, "replicas did not converge after repair"
+            assert schedule.applied == len(SMOKE_FAULTS)
+            assert not cluster.fault_failures, cluster.fault_failures
 
             statuses = {}
             for pid in range(3):
-                reply = await cluster.node_control(pid, "status")
+                reply = await client_call(addrs[pid], {"cmd": "status"})
                 statuses[pid] = reply["status"]
             for pid, doc in statuses.items():
                 assert doc["monitor"]["ok"], (pid, doc["monitor"])
@@ -281,9 +293,23 @@ def cluster_smoke(base_port):
             )
 
             doc = await capture_history(addrs, 2, 2, criteria=("CCV",))
-            return doc
+            # a second list on the same cluster is dated on the same
+            # clock; this one is still pending when the cluster closes
+            soon = cluster.now + 0.1
+            pending = FaultSchedule(
+                [FaultEvent.flap(soon, 0, 1, cycles=2, period=0.1)]
+            )
+            pending.install(cluster)
         finally:
             await cluster.close()
+        # nothing of a schedule outlives the cluster: no timer fires, no
+        # task is left, and the loop's exception handler heard nothing
+        await asyncio.sleep(0.4)
+        assert pending.applied == 0
+        others = asyncio.all_tasks() - {asyncio.current_task()}
+        assert not others, others
+        assert not errors, errors
+        return doc
 
     return asyncio.run(body())
 
@@ -306,6 +332,32 @@ def test_live_cluster_crash_rejoin_classifies_ccv(tmp_path):
     assert verdict.conclusive(), verdict
     assert verdict.ok is True, (verdict.ok, verdict.reason)
     assert verdict.violation is None
+
+
+def test_smoke_schedule_runs_on_the_simulator_too():
+    """`SMOKE_FAULTS` is not a live-plane script: the tuple the cluster
+    smoke installs is a `ScenarioSpec`'s `faults`, and `Scenario.run`
+    drives the same interpreter over it — node 2 goes down and comes
+    back, the wire loses and duplicates, two repair sweeps, one state."""
+    spec = ScenarioSpec(
+        name="service-smoke",
+        n=3,
+        streams=2,
+        k=2,
+        delay=DelaySpec("uniform", (0.005, 0.02)),
+        faults=SMOKE_FAULTS,
+        workload=WorkloadSpec(
+            kind="open", rate=25.0, write_ratio=0.6, hot_key_weight=0.3,
+            ops_per_process=60,
+        ),
+    )
+    entry = ALGORITHMS["ccv-fig5"]
+    result = Scenario(spec).run(entry.cls, seed=5, **entry.kwargs(2, 2))
+    assert result.sim.now > SMOKE_FAULTS[-1].time
+    assert result.network_stats.lost > 0 and not result.algorithm.network.crashed
+    assert result.algorithm.converged()
+    assert result.monitor.ok, result.monitor.violations
+    assert result.algorithm.broadcast.stats()["resyncs_requested"] >= 1 + 2 * 3
 
 
 # ----------------------------------------------------------------------

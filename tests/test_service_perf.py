@@ -33,7 +33,7 @@ from repro.runtime.monitors import RuntimeMonitor
 from repro.runtime.recorder import HistoryRecorder
 from repro.scenarios.spec import WorkloadSpec
 from repro.service import wire
-from repro.service.cluster import LiveCluster, port_layout
+from repro.service.cluster import LiveCluster, client_call, port_layout
 from repro.service.load import capture_history, converged_windows, run_load
 from repro.service.tap import MonitorTap, RecorderTap, RingTap
 from repro.service.transport import AsyncioTransport
@@ -187,7 +187,7 @@ def run_scenario(tap: str, base_port: int):
                     break
             statuses = {}
             for pid in range(3):
-                reply = await cluster.node_control(pid, "status")
+                reply = await client_call(addrs[pid], {"cmd": "status"})
                 statuses[pid] = reply["status"]
             doc = await capture_history(addrs, streams=2, k=2)
             return doc, statuses
