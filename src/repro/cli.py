@@ -399,6 +399,8 @@ _MONITOR_COUNTERS = (
     "d_edges",
     "hb_edges",
     "patterns_checked",
+    "order_searches",
+    "order_moved",
     "first_violation_index",
 )
 

@@ -65,6 +65,29 @@ maintained by amortised pointer sweeps, and per-(process, stream) sorted
 write indices; the CC machinery re-checks reads only when their
 happens-before past actually grows and is budget-capped (verdict
 ``None`` rather than a wrong answer on pathological inputs).
+
+Cycles (``CyclicCF``, ``CyclicHB``) are found by keeping, per conflict
+graph, a **topological order of co ∪ its edges** (Pearce & Kelly's
+dynamic algorithm): one integer label per write.  A new write is
+labelled past the maximum — its causal past has arrived, nothing follows
+it yet.  Requiring ``a`` before ``b`` is a label compare when
+``label[a] < label[b]``, ``O(1)``: every edge when arbitration agrees
+with the arrival order.  Otherwise only the writes labelled between
+``b`` and ``a`` can matter: a search forward from ``b`` among them
+either reaches ``a`` (the cycle) or, with the search backward from
+``a``, yields the writes whose labels are re-dealt, causes first —
+``O(affected region · n)``.  ``co`` is never materialised.  Per process
+the writes ``co``-after ``u`` are the suffix starting at the first op
+that covers ``u`` (``fvc``), those ``co``-before it the prefix its clock
+counts, so the first write of the one and the last of the other — at
+most ``n`` *generator* edges a side — stand for all the rest, which are
+po-after, respectively po-before, them; and a generator outside the
+label range has everything it stands for outside it too.  On a feed in
+arrival order ``co`` among existing writes never changes.  When an
+out-of-order feed grows the past of an already labelled write, each
+open graph is re-sorted once, in linear time (generator and recorded
+edges), before the next edge is placed; only if that sort finds a cycle
+are the recorded edges searched, unbounded, for the one to report.
 """
 
 from __future__ import annotations
@@ -72,7 +95,20 @@ from __future__ import annotations
 import bisect
 from array import array
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.history import History
 from ..core.operations import BOTTOM, HIDDEN, Invocation
@@ -142,6 +178,23 @@ class MonitorVerdict:
 
     def conclusive(self) -> bool:
         return self.ok is not None
+
+
+class _Order:
+    """One conflict graph over write ordinals — the CCv arbitration
+    constraints, or one process's ``D_q`` — and a topological order of
+    its union with ``co``."""
+
+    __slots__ = ("label", "out", "inn")
+
+    def __init__(self) -> None:
+        #: ``label[u]``: where write ``u`` stands in the order; always a
+        #: permutation of the write ordinals
+        self.label = array("i")
+        self.out: Dict[int, List[int]] = {}
+        #: ``inn[b]``: every ``a`` proposed before ``b`` — the recorded
+        #: edges read backwards, and the set that makes a repeat free
+        self.inn: Dict[int, Set[int]] = {}
 
 
 class StreamingMonitor:
@@ -225,9 +278,8 @@ class StreamingMonitor:
         self._co_grew = False  # some existing op's past grew: audit edges
 
         # conflict (arbitration) constraints, CCv
-        self._cf_seen: set = set()
-        self._cf_out: Dict[int, List[int]] = {}
-        self._cf_src: List[List[Tuple[int, int]]] = [[] for _ in range(nn)]
+        self._cf = _Order()
+        self._orders: List[_Order] = [self._cf] if self._track_cf else []
         # per (reader process, stream): enumeration watermarks + the
         # previous window, so arbitration candidates are visited O(1)
         # times each (older candidates stay ordered transitively through
@@ -236,12 +288,9 @@ class StreamingMonitor:
 
         # per-process happens-before constraints, CC
         if self._track_hb:
-            self._d_seen: List[set] = [set() for _ in range(nn)]
+            self._d: List[_Order] = [_Order() for _ in range(nn)]
+            self._orders += self._d
             self._d_edges: List[List[Tuple[int, int]]] = [[] for _ in range(nn)]
-            self._d_out: List[Dict[int, List[int]]] = [{} for _ in range(nn)]
-            self._d_src: List[List[List[Tuple[int, int]]]] = [
-                [[] for _ in range(nn)] for _ in range(nn)
-            ]
             # read records per process: [g, key, window-u-tuple, s, hb-cov]
             self._q_reads: List[List[List[Any]]] = [[] for _ in range(nn)]
             self._hbrec_of: Dict[int, List[Any]] = {}
@@ -250,6 +299,7 @@ class StreamingMonitor:
         self._violations: Dict[str, MonitorViolation] = {}
         self._inconclusive: Dict[str, str] = {}
         self._nondiff: Optional[str] = None
+        self._decided = False  # no criterion is still open
         self._diff_checked = False  # replay pre-scans differentiation
 
         # stats
@@ -263,6 +313,9 @@ class StreamingMonitor:
         self.propagate_steps = 0
         self.cc_rechecks = 0
         self.pending_peak = 0
+        self.order_searches = 0  # insertions against the current order
+        self.order_moved = 0  # labels those insertions re-dealt
+        self._order_visited = 0  # writes their searches expanded
 
     # ------------------------------------------------------------------
     # feeding
@@ -292,8 +345,10 @@ class StreamingMonitor:
         arriving *later* retracts every recorded violation —
         :meth:`finalize` then reports all criteria inconclusive.
         """
+        if not 0 <= pid < self.n:
+            raise ValueError(f"pid {pid!r} is not a process of 0..{self.n - 1}")
         self.ops_seen += 1
-        if self._decided():
+        if self._decided:
             # full bookkeeping stops once every criterion is decided, but
             # the differentiation screen must see the remaining writes:
             # an ok=False verdict is retracted if the stream turns out
@@ -369,6 +424,9 @@ class StreamingMonitor:
         self._u_key.append(key)
         self._u_val.append(value)
         self._fvc.extend([_INF] * self.n)
+        # its causal past has arrived and nothing follows it yet: last
+        for order in self._orders:
+            order.label.append(u)
         lidx = self._g_lidx[g]
         wl = self._wl.get((key, pid))
         if wl is None:
@@ -535,13 +593,13 @@ class StreamingMonitor:
         and re-audit recorded edges whenever co grew.  Never runs on
         in-order feeds."""
         violation: Optional[MonitorViolation] = None
-        while (self._regrow or self._co_grew) and not self._decided():
+        while (self._regrow or self._co_grew) and not self._decided:
             if self._co_grew:
                 self._co_grew = False
                 v = self._audit_edges()
                 violation = violation or v
             index = self._read_index()
-            while self._regrow and not self._decided():
+            while self._regrow and not self._decided:
                 self.propagate_steps += 1
                 if self.propagate_steps > self.propagation_budget:
                     self._mark_all_inconclusive(
@@ -556,73 +614,76 @@ class StreamingMonitor:
                     g, self._r_key[i], self._r_slots[i], recheck=True
                 )
                 violation = violation or v
-        if self._decided():
+        if self._decided:
             self._regrow.clear()
             self._co_grew = False
         return violation
 
     def _audit_edges(self) -> Optional[MonitorViolation]:
         """Growing co can close a cycle with *already recorded* cf/hb
-        edges without any new edge being added: re-test each edge's
-        reverse reachability against the grown order."""
+        edges without any new edge being added, and leaves the labels of
+        the writes whose past grew stale: re-sort every open graph
+        against the grown order, and where that finds a cycle pick the
+        first recorded edge that is constrained both ways as witness."""
         violation: Optional[MonitorViolation] = None
         if (
             self._track_cf
             and "CCV" not in self._violations
             and "CCV" not in self._inconclusive
         ):
-            for a, outs in self._cf_out.items():
-                for b in outs:
-                    self.propagate_steps += 1
-                    if self.propagate_steps > self.propagation_budget:
-                        self._mark_all_inconclusive(
-                            "propagation budget exceeded"
-                        )
-                        return violation
-                    self.patterns_checked += 1
-                    if self._reaches(b, a, self._cf_out, self._cf_src):
-                        violation = self._record(
-                            "CyclicCF",
-                            self._u_g[a],
-                            (self._u_g[a], self._u_g[b]),
-                            f"no total arbitration order: writes "
-                            f"{self._u_val[a]!r} and {self._u_val[b]!r} "
-                            f"are constrained in both directions",
-                            criteria=("CCV",),
-                        )
-                        break
-                if violation is not None:
-                    break
+            if self._order_rebuild(self._cf):
+                self.patterns_checked += self.cf_edges  # all still hold
+            else:
+                violation = self._cycle_witness(
+                    self._cf,
+                    ((a, b) for a, outs in self._cf.out.items() for b in outs),
+                    "CyclicCF",
+                    "no total arbitration order: writes {!r} and {!r} are "
+                    "constrained in both directions",
+                )
         if (
             self._track_hb
             and "CC" not in self._violations
             and "CC" not in self._inconclusive
         ):
             for q in range(self.n):
-                found = None
-                for a, b in self._d_edges[q]:
-                    self.propagate_steps += 1
-                    if self.propagate_steps > self.propagation_budget:
-                        self._mark_all_inconclusive(
-                            "propagation budget exceeded"
-                        )
-                        return violation
-                    self.patterns_checked += 1
-                    if self._hb_reaches(q, b, a):
-                        found = self._record(
-                            "CyclicHB",
-                            self._u_g[a],
-                            (self._u_g[a], self._u_g[b]),
-                            f"no linearisation for process {q}: writes "
-                            f"{self._u_val[a]!r} and {self._u_val[b]!r} "
-                            f"are required in both orders",
-                            criteria=("CC",),
-                        )
-                        break
-                if found is not None:
+                if self._order_rebuild(self._d[q]):
+                    self.patterns_checked += len(self._d_edges[q])
+                else:
+                    found = self._cycle_witness(
+                        self._d[q],
+                        self._d_edges[q],
+                        "CyclicHB",
+                        f"no linearisation for process {q}: writes {{!r}} "
+                        f"and {{!r}} are required in both orders",
+                    )
                     violation = violation or found
                     break
+        if self.propagate_steps > self.propagation_budget:
+            self._mark_all_inconclusive("propagation budget exceeded")
         return violation
+
+    def _cycle_witness(
+        self,
+        order: _Order,
+        edges: Iterable[Tuple[int, int]],
+        pattern: str,
+        detail: str,
+    ) -> Optional[MonitorViolation]:
+        """The first of ``edges`` whose target reaches its source: the
+        one whole-graph search left, run on streams that hold a cycle."""
+        for a, b in edges:
+            self.patterns_checked += 1
+            if self._order_region(order, b, 0, _INF, target=a) is None:
+                return self._record(
+                    pattern,
+                    self._u_g[a],
+                    (self._u_g[a], self._u_g[b]),
+                    detail.format(self._u_val[a], self._u_val[b]),
+                )
+            if self._decided:
+                break  # search budget spent
+        return None
 
     def _add_rf(self, u: int, r_g: int) -> None:
         self.rf_edges += 1
@@ -636,14 +697,6 @@ class StreamingMonitor:
         wg = self._u_g[u]
         return self._vc[g * self.n + self._g_pid[wg]] > self._g_lidx[wg]
 
-    def _first_cover(self, u: int, p: int) -> int:
-        """First op index of process ``p`` with write ``u`` in its past
-        (the write's own process: the write itself)."""
-        wg = self._u_g[u]
-        if self._g_pid[wg] == p:
-            return self._g_lidx[wg]
-        return self._fvc[u * self.n + p]
-
     # ------------------------------------------------------------------
     # per-read pattern checks
     # ------------------------------------------------------------------
@@ -654,7 +707,7 @@ class StreamingMonitor:
         slots: Tuple[Any, ...],
         recheck: bool = False,
     ) -> Optional[MonitorViolation]:
-        if self._nondiff is not None or self._decided():
+        if self._decided:
             return None
         if not recheck:
             self.reads_checked += 1
@@ -689,7 +742,7 @@ class StreamingMonitor:
                 grew = True
         if grew and (self._po_succ[g] >= 0 or self._rf_index is not None):
             self._propagate(g)
-            if self._decided():
+            if self._decided:
                 return None
 
         # WindowOrderCO: an older slot causally after a newer one
@@ -742,8 +795,14 @@ class StreamingMonitor:
                 )
 
         violation: Optional[MonitorViolation] = None
+        if self._co_grew:
+            # the labels must hold for the grown order before the next
+            # edge is placed against them
+            self._co_grew = False
+            violation = self._audit_edges()
         if self._track_cf and "CCV" not in self._violations:
-            violation = self._cf_constraints(g, key, win, s, recheck)
+            v = self._cf_constraints(g, key, win, s, recheck)
+            violation = violation or v
         if (
             self._track_hb
             and "CC" not in self._violations
@@ -778,35 +837,31 @@ class StreamingMonitor:
         """A pair (extra write, window member) with the extra causally
         after the member — the generalised WriteCORead."""
         nn = self.n
-        vc = self._vc
         base = g * nn
-        for q in range(nn):
+        # per member and process: the first op index strictly co-after it
+        after = []
+        for u in win:
+            wg = self._u_g[u]
+            row = self._fvc[u * nn : (u + 1) * nn]
+            row[self._g_pid[wg]] = self._g_lidx[wg] + 1
+            after.append(row)
+        lows = after[0] if len(after) == 1 else list(map(min, *after))
+        members = set(win)
+        for q, (lo, hi) in enumerate(zip(lows, self._vc[base : base + nn])):
+            if lo >= hi:
+                continue
             wl = self._wl.get((key, q))
             if wl is None:
                 continue
-            lo = _INF
-            for u in win:
-                c = self._first_cover(u, q)
-                if self._g_pid[self._u_g[u]] == q:
-                    c += 1  # strictly after the member itself
-                if c < lo:
-                    lo = c
-            hi = vc[base + q]
-            if lo >= hi:
-                continue
             i = bisect.bisect_left(wl[0], lo)
             j = bisect.bisect_left(wl[0], hi)
-            members = set(win)
             for idx in range(i, j):
                 u = wl[1][idx]
                 if u in members:
                     continue
                 # find a member it is after, for the witness
-                for m in win:
-                    c = self._first_cover(m, q)
-                    if self._g_pid[self._u_g[m]] == q:
-                        c += 1
-                    if wl[0][idx] >= c:
+                for m, row in zip(win, after):
+                    if wl[0][idx] >= row[q]:
                         return (u, m)
         return None
 
@@ -823,140 +878,238 @@ class StreamingMonitor:
     ) -> Optional[MonitorViolation]:
         # window members must be arbitrated in slot order
         for i in range(s - 1):
-            v = self._add_cf(win[i], win[i + 1], g)
+            v = self._add_cf((win[i],), win[i + 1], g)
             if v is not None:
                 return v
-        if s == self.k and recheck:
+        if s < self.k:
+            return None
+        # every visible non-member must be arbitrated before the oldest
+        # member; writes co-before it are ordered already, so each
+        # process's range starts past them
+        w1 = win[0]
+        nn = self.n
+        vc = self._vc
+        base = g * nn
+        w1b = self._u_g[w1] * nn
+        candidates: List[int] = []
+        if recheck:
             # re-check after the read's past grew: the shared watermarks
             # may have been advanced past this read's range by later
-            # reads, so enumerate its full visible range (the edge-set
-            # dedup makes repeats free); watermark state is untouched
-            w1 = win[0]
-            nn = self.n
-            vc = self._vc
-            base = g * nn
-            w1b = self._u_g[w1] * nn
-            members = set(win)
+            # reads, so enumerate its full visible range (a repeated
+            # edge is free); watermark state is untouched
             for q in range(nn):
                 wl = self._wl.get((key, q))
                 if wl is None:
                     continue
                 i = bisect.bisect_left(wl[0], vc[w1b + q])
                 j = bisect.bisect_left(wl[0], vc[base + q])
-                for idx in range(i, j):
-                    u = wl[1][idx]
-                    if u in members:
-                        continue
-                    v = self._add_cf(u, w1, g)
-                    if v is not None:
-                        return v
-            return None
-        if s == self.k:
-            # every visible non-member must be arbitrated before the
-            # oldest member.  Each write is enumerated O(1) times per
-            # reader process: a watermark skips candidates already
-            # ordered below an earlier oldest-member (transitively below
-            # the current one through that read's dominance/chain
-            # edges), and the previous window rides along one extra read
-            # so members leaving the window still get their edge.
-            w1 = win[0]
-            nn = self.n
-            vc = self._vc
-            base = g * nn
-            pid = self._g_pid[g]
-            wm = self._cf_wm.get((pid, key))
-            if wm is None:
-                wm = [array("i", [0] * nn), ()]
-                self._cf_wm[(pid, key)] = wm
-            marks = wm[0]
-            members = set(win)
-            candidates: List[int] = []
-            for q in range(nn):
-                wl = self._wl.get((key, q))
-                if wl is None:
-                    continue
-                hi = vc[base + q]
-                i = bisect.bisect_left(wl[0], marks[q])
+                candidates.extend(wl[1][i:j])
+            return self._add_cf(candidates, w1, g, set(win))
+        # Each write is enumerated O(1) times per reader process: a
+        # watermark skips candidates already ordered below an earlier
+        # oldest-member (transitively below the current one through that
+        # read's dominance/chain edges), and the previous window rides
+        # along one extra read so members leaving the window still get
+        # their edge.
+        pid = self._g_pid[g]
+        wm = self._cf_wm.get((pid, key))
+        if wm is None:
+            wm = [array("i", [0] * nn), ()]
+            self._cf_wm[(pid, key)] = wm
+        marks = wm[0]
+        for q in range(nn):
+            hi = vc[base + q]
+            lo = marks[q]
+            if hi <= lo:
+                continue
+            wl = self._wl.get((key, q))
+            if wl is None:
+                continue
+            marks[q] = hi
+            if vc[w1b + q] > lo:
+                lo = vc[w1b + q]
+            if hi > lo:
+                i = bisect.bisect_left(wl[0], lo)
                 j = bisect.bisect_left(wl[0], hi)
                 candidates.extend(wl[1][i:j])
-                if hi > marks[q]:
-                    marks[q] = hi
-            for u in wm[1]:
-                if u not in members:
-                    candidates.append(u)
-            wm[1] = tuple(win)
-            for u in candidates:
-                if u in members:
-                    continue
-                v = self._add_cf(u, w1, g)
-                if v is not None:
-                    return v
-        return None
+        candidates.extend(wm[1])
+        wm[1] = tuple(win)
+        return self._add_cf(candidates, w1, g, set(win))
 
     def _add_cf(
-        self, a: int, b: int, g: int
+        self,
+        sources: Iterable[int],
+        b: int,
+        g: int,
+        members: Collection[int] = (),
     ) -> Optional[MonitorViolation]:
-        """Require arbitration ``a < b``; detect a cycle with co∪cf."""
-        if a == b or (a, b) in self._cf_seen:
-            return None
-        if self._covers(self._u_g[b], a):
-            return None  # implied by co
-        self._cf_seen.add((a, b))
-        self.patterns_checked += 1
-        if self.cf_edges >= self.cf_budget:
-            self._mark_inconclusive("CCV", "conflict-edge budget exceeded")
-            return None
-        if self._reaches(b, a, self._cf_out, self._cf_src):
-            return self._record(
-                "CyclicCF",
-                g,
-                (self._u_g[a], self._u_g[b], g),
-                f"no total arbitration order: writes "
-                f"{self._u_val[a]!r} and {self._u_val[b]!r} are "
-                f"constrained in both directions",
-                criteria=("CCV",),
-            )
-        self.cf_edges += 1
-        self._cf_out.setdefault(a, []).append(b)
-        ag = self._u_g[a]
-        bisect.insort(self._cf_src[self._g_pid[ag]], (self._g_lidx[ag], a))
+        """Require arbitration ``a < b`` of every ``a`` in ``sources``
+        outside ``members``; detect a cycle with co∪cf."""
+        inn = self._cf.inn
+        seen = inn.get(b, ())
+        nn = self.n
+        b_vc = self._u_g[b] * nn
+        for a in sources:
+            if a in seen or a in members:
+                continue
+            ag = self._u_g[a]
+            if self._vc[b_vc + self._g_pid[ag]] > self._g_lidx[ag]:
+                continue  # implied by co
+            if not seen:
+                seen = inn[b] = set()
+            seen.add(a)
+            self.patterns_checked += 1
+            if self.cf_edges >= self.cf_budget:
+                self._mark_inconclusive("CCV", "conflict-edge budget exceeded")
+                continue
+            ordered = self._order_insert(self._cf, a, b)
+            if ordered is None:
+                return None  # search budget spent: nothing is decided here
+            if not ordered:
+                return self._record(
+                    "CyclicCF",
+                    g,
+                    (ag, self._u_g[b], g),
+                    f"no total arbitration order: writes "
+                    f"{self._u_val[a]!r} and {self._u_val[b]!r} are "
+                    f"constrained in both directions",
+                )
+            self.cf_edges += 1
         return None
 
-    def _reaches(
-        self,
-        src: int,
-        dst: int,
-        out: Dict[int, List[int]],
-        src_by_pid: List[List[Tuple[int, int]]],
-    ) -> bool:
-        """Is there a co∪edges path from write ``src`` to write ``dst``?"""
-        if src == dst or self._covers(self._u_g[dst], src):
-            return True
-        visited = {src}
-        stack = [src]
+    # ------------------------------------------------------------------
+    # the order of co ∪ edges (Pearce–Kelly over implicit co edges)
+    # ------------------------------------------------------------------
+    def _co_succs(self, u: int) -> List[int]:
+        """Generators of write ``u``'s co-successors: per process the
+        first write at or after the first op with ``u`` in its past.
+        Every other write co-after ``u`` is po-after one of these."""
         nn = self.n
+        wg = self._u_g[u]
+        first = self._fvc[u * nn : (u + 1) * nn]
+        first[self._g_pid[wg]] = self._g_lidx[wg] + 1
+        succs = []
+        for p, at in enumerate(first):
+            if at < _INF:
+                lidxs, us = self._pw[p]
+                i = bisect.bisect_left(lidxs, at)
+                if i < len(us):
+                    succs.append(us[i])
+        return succs
+
+    def _co_preds(self, u: int) -> List[int]:
+        """Generators of write ``u``'s co-predecessors: per process the
+        last write strictly inside ``u``'s causal past."""
+        nn = self.n
+        wg = self._u_g[u]
+        past = self._vc[wg * nn : (wg + 1) * nn]
+        past[self._g_pid[wg]] -= 1  # the write itself
+        preds = []
+        for p, count in enumerate(past):
+            if count:
+                lidxs, us = self._pw[p]
+                i = bisect.bisect_left(lidxs, count)
+                if i:
+                    preds.append(us[i - 1])
+        return preds
+
+    def _order_region(
+        self,
+        order: _Order,
+        start: int,
+        lo: int,
+        hi: int,
+        target: Optional[int] = None,
+    ) -> Optional[List[int]]:
+        """The writes labelled within ``lo..hi`` that reach ``start``
+        along co ∪ ``order``'s edges, ``start`` included — or, given a
+        ``target``, those that ``start`` reaches, and None as soon as
+        one of them is the target or co-before it.  Sound because the
+        labels respect co: a generator outside the range has every
+        write it stands for outside it too."""
+        label = order.label
+        if target is None:
+            edges, step = order.inn, self._co_preds
+        else:
+            edges, step = order.out, self._co_succs
+            target_g = self._u_g[target]
+        left = self.propagation_budget - self.propagate_steps
+        found = [start]
+        seen = {start}
+        stack = [start]
         while stack:
-            a = stack.pop()
-            ag = self._u_g[a]
-            ap = self._g_pid[ag]
-            for p in range(nn):
-                srcs = src_by_pid[p]
-                if not srcs:
+            self._order_visited += 1
+            if self._order_visited > left:
+                self._mark_all_inconclusive("propagation budget exceeded")
+                break
+            u = stack.pop()
+            for v in chain(step(u), edges.get(u, ())):
+                if v in seen or not lo <= label[v] <= hi:
                     continue
-                first = (
-                    self._g_lidx[ag] if p == ap else self._fvc[a * nn + p]
-                )
-                i = bisect.bisect_left(srcs, (first, -1))
-                for idx in range(i, len(srcs)):
-                    e = srcs[idx][1]
-                    for b in out.get(e, ()):
-                        if b in visited:
-                            continue
-                        if b == dst or self._covers(self._u_g[dst], b):
-                            return True
-                        visited.add(b)
-                        stack.append(b)
-        return False
+                if target is not None and self._covers(target_g, v):
+                    return None
+                seen.add(v)
+                found.append(v)
+                stack.append(v)
+        return found
+
+    def _order_insert(self, order: _Order, a: int, b: int) -> Optional[bool]:
+        """Record the edge ``a → b`` and make the labels agree with it:
+        True once they do, False (nothing recorded) if ``b`` reaches
+        ``a``, None if the search budget ran out."""
+        label = order.label
+        lo, hi = label[b], label[a]
+        if lo < hi:
+            # a path b ⇝ a, or anything else the edge displaces, lies
+            # between the two labels
+            self.order_searches += 1
+            after = self._order_region(order, b, lo, hi, target=a)
+            if after is None:
+                return False
+            before = self._order_region(order, a, lo, hi)
+            if self._decided:
+                return None
+            # re-deal the labels they hold: what reaches a, then what b
+            # reaches, each side keeping its own order
+            before.sort(key=label.__getitem__)
+            after.sort(key=label.__getitem__)
+            moved = before + after
+            for u, at in zip(moved, sorted(map(label.__getitem__, moved))):
+                label[u] = at
+            self.order_moved += len(moved)
+        order.out.setdefault(a, []).append(b)
+        return True
+
+    def _order_rebuild(self, order: _Order) -> bool:
+        """Re-deal every label by one depth-first topological sort of
+        co ∪ ``order``'s edges, causes first and otherwise in arrival
+        order; False, labels untouched, if that graph is cyclic."""
+        count = len(self._u_g)
+        self.propagate_steps += count
+        inn = order.inn
+        label = array("i", [-1]) * count  # -1 unvisited, -2 on the path
+        placed = 0
+        for root in range(count):
+            if label[root] != -1:
+                continue
+            path: List[int] = []
+            causes: List[Iterator[int]] = [iter((root,))]
+            while causes:
+                for v in causes[-1]:
+                    if label[v] == -1:
+                        label[v] = -2
+                        path.append(v)
+                        causes.append(chain(self._co_preds(v), inn.get(v, ())))
+                        break
+                    if label[v] == -2:
+                        return False
+                else:
+                    causes.pop()
+                    if path:
+                        label[path.pop()] = placed
+                        placed += 1
+        order.label = label
+        return True
 
     # ------------------------------------------------------------------
     # CC: per-process happens-before constraints
@@ -1081,6 +1234,7 @@ class StreamingMonitor:
         w1b = self._u_g[w1] * nn
         members = set(win)
         vc = self._vc
+        required = self._d[q].inn
         for p in range(nn):
             wl = self._wl.get((key, p))
             if wl is None:
@@ -1095,8 +1249,12 @@ class StreamingMonitor:
                     continue
                 if self._covers(self._u_g[w1], u):
                     continue  # co-before w1: already ordered
+                if u in required.get(w1, ()):
+                    continue  # the very edge, from an earlier pass
                 if self._hb_reaches(q, u, w1):
                     continue  # hb-before w1: already ordered
+                if self._decided:
+                    return None, new_edges  # search budget spent
                 v, added = self._add_d(q, u, w1, g)
                 if v is not None:
                     return v, new_edges
@@ -1118,21 +1276,29 @@ class StreamingMonitor:
         return None
 
     def _hb_reaches(self, q: int, src: int, dst: int) -> bool:
-        return self._reaches(src, dst, self._d_out[q], self._d_src[q])
+        """Is there a co∪D_q path from write ``src`` to write ``dst``?"""
+        order = self._d[q]
+        lo, hi = order.label[src], order.label[dst]
+        return lo < hi and self._order_region(order, src, lo, hi, target=dst) is None
 
     def _add_d(
         self, q: int, a: int, b: int, g: int
     ) -> Tuple[Optional[MonitorViolation], bool]:
-        if a == b or (a, b) in self._d_seen[q]:
+        order = self._d[q]
+        seen = order.inn.get(b, ())
+        if a in seen or self._covers(self._u_g[b], a):
             return None, False
-        if self._covers(self._u_g[b], a):
-            return None, False
-        self._d_seen[q].add((a, b))
+        if not seen:
+            seen = order.inn[b] = set()
+        seen.add(a)
         self.patterns_checked += 1
         if self.d_edges >= self.cc_budget:
             self._mark_inconclusive("CC", "happens-before edge budget exceeded")
             return None, False
-        if self._hb_reaches(q, b, a):
+        ordered = self._order_insert(order, a, b)
+        if ordered is None:
+            return None, False  # search budget spent
+        if not ordered:
             return (
                 self._record(
                     "CyclicHB",
@@ -1141,17 +1307,11 @@ class StreamingMonitor:
                     f"no linearisation for process {q}: writes "
                     f"{self._u_val[a]!r} and {self._u_val[b]!r} are "
                     f"required in both orders",
-                    criteria=("CC",),
                 ),
                 False,
             )
         self.d_edges += 1
         self._d_edges[q].append((a, b))
-        self._d_out[q].setdefault(a, []).append(b)
-        ag = self._u_g[a]
-        bisect.insort(
-            self._d_src[q][self._g_pid[ag]], (self._g_lidx[ag], a)
-        )
         return None, True
 
     # ------------------------------------------------------------------
@@ -1185,12 +1345,12 @@ class StreamingMonitor:
         for criterion in violation.criteria:
             if criterion in self.criteria:
                 self._violations.setdefault(criterion, violation)
+        self._refresh_decided()
         return violation
 
-    def _decided(self) -> bool:
-        if self._nondiff is not None:
-            return True  # every verdict will be inconclusive
-        return all(
+    def _refresh_decided(self) -> None:
+        # once non-differentiated, every verdict will be inconclusive
+        self._decided = self._nondiff is not None or all(
             c in self._violations or c in self._inconclusive
             for c in self.criteria
         )
@@ -1198,14 +1358,17 @@ class StreamingMonitor:
     def _mark_inconclusive(self, criterion: str, reason: str) -> None:
         if criterion in self.criteria:
             self._inconclusive.setdefault(criterion, reason)
+            self._refresh_decided()
 
     def _mark_all_inconclusive(self, reason: str) -> None:
         for criterion in self.criteria:
             self._inconclusive.setdefault(criterion, reason)
+        self._decided = True
 
     def _mark_nondiff(self, reason: str) -> None:
         if self._nondiff is None:
             self._nondiff = reason
+            self._decided = True
 
     def _mark_unsupported(self, reason: str) -> None:
         self._mark_all_inconclusive(reason)
@@ -1214,8 +1377,11 @@ class StreamingMonitor:
     # finalisation
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
-        first = min(
-            (v.index for v in self._violations.values()), default=None
+        # a duplicate value retracts every recorded violation
+        first = (
+            None
+            if self._nondiff is not None
+            else min((v.index for v in self._violations.values()), default=None)
         )
         return {
             "ops_seen": self.ops_seen,
@@ -1229,6 +1395,8 @@ class StreamingMonitor:
             "propagate_steps": self.propagate_steps,
             "cc_rechecks": self.cc_rechecks,
             "pending_peak": self.pending_peak,
+            "order_searches": self.order_searches,
+            "order_moved": self.order_moved,
             "first_violation_index": first,
         }
 

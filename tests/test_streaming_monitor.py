@@ -15,10 +15,23 @@ index + mid-stream detection), the recorder's zero-copy subscription
 (bit-identical histories with and without a subscriber), the matrix
 integration (per-cell streaming verdicts and stats) and the shared
 structured violation-reporting shape.
+
+And for the conflict graphs' topological order: golden rows recorded
+before it existed (verdict, pattern, index, witness, edge and pattern
+counters — it changes how a cycle is found, not which edges are
+proposed), and traffic that makes it work: a live run whose arbitration
+keeps disagreeing with arrival order, concurrent-writer histories where
+CCv fails after earlier relabels, and the same histories fed process by
+process, which rebuilds the labels mid-stream.
 """
 
+import functools
 import json
+import pathlib
 import random
+from dataclasses import replace
+
+import pytest
 
 from repro.adts.window_stream import WindowStreamArray
 from repro.core import History
@@ -111,12 +124,292 @@ def feed_all(ops, criteria=SUPPORTED_CRITERIA):
     return monitor.finalize(), monitor
 
 
+def w(x, value):
+    return Invocation("w", (x, value))
+
+
+def r(x):
+    return Invocation("r", (x,))
+
+
+_W1, _W2 = 10_000_000, 10_000_001
+_X = STREAMS - 1
+_INVERTED = [  # w1, w2 in program order, then a window inverted vs po
+    (0, w(_X, _W1), BOTTOM),
+    (0, w(_X, _W2), BOTTOM),
+    (0, r(_X), (_W2, _W1)),
+]
+#: the mutation corpus: name -> (clean-stream seed, splice index, gadget)
+SPLICES = {
+    "window-order": (0, 5_000, _INVERTED),
+    "conflict-cycle": (
+        1,
+        4_000,
+        [
+            (0, w(0, _W1), BOTTOM),
+            (1, w(0, _W2), BOTTOM),
+            (2, r(0), (_W1, _W2)),  # arbitration w1 before w2
+            (3, r(0), (_W2, _W1)),  # arbitration w2 before w1
+        ],
+    ),
+    "hidden-write": (
+        2,
+        6_000,
+        [(0, w(1, _W1), BOTTOM), (0, r(1), (0, 0))],  # own write hidden
+    ),
+    "mid-stream": (3, 5_000, _INVERTED),
+}
+
+
+#: the smallest WindowOrderCO stream, under every criterion
+FAILURE_SHAPE_OPS = [
+    (0, w(0, 1), BOTTOM),
+    (0, w(0, 2), BOTTOM),
+    (0, r(0), (2, 1)),
+]
+
+
+def spliced_ops(name):
+    """(the 10k-op clean stream with the named gadget spliced in, index
+    of the gadget's first op)."""
+    seed, at, gadget = SPLICES[name]
+    ops = clean_ccv_ops(seed, 10_000)
+    return ops[:at] + gadget + ops[at:], at
+
+
 def search_ok(history, adt, criterion):
     """Ground truth from the enumeration search, None on budget blow-up."""
     try:
         return check(history, adt, criterion).ok
     except SearchBudgetExceeded:
         return None
+
+
+def concurrent_writers(rng, procs, writes, reads, k):
+    """One hot stream, every process writing it concurrently, in arrival
+    order: writes are delivered causally but each process applies
+    concurrent ones in its own order, and a read returns its process's
+    last k applied.  CC (hence WCC) by construction; two processes that
+    saw a concurrent pair in opposite orders make CCv fail (CyclicCF)."""
+    value = 0
+    applied = [[] for _ in range(procs)]  # values, in apply order
+    seen = [[0] * procs for _ in range(procs)]  # applied count per writer
+    messages = []  # (writer, sequence number, writer's `seen` then, value)
+    left = [[writes, reads] for _ in range(procs)]
+    ops = []
+    while any(nw or nr for nw, nr in left):
+        p = rng.choice([q for q in range(procs) if left[q][0] or left[q][1]])
+        for _ in range(rng.randrange(3)):
+            ready = [
+                m
+                for m in messages
+                if m[0] != p
+                and m[1] == seen[p][m[0]]
+                and all(d <= have for d, have in zip(m[2], seen[p]))
+            ]
+            if not ready:
+                break
+            writer, _, _, delivered = rng.choice(ready)
+            applied[p].append(delivered)
+            seen[p][writer] += 1
+        if left[p][0] and (not left[p][1] or rng.random() < 0.5):
+            left[p][0] -= 1
+            value += 1
+            messages.append((p, seen[p][p], tuple(seen[p]), value))
+            applied[p].append(value)
+            seen[p][p] += 1
+            ops.append((p, w(0, value), BOTTOM))
+        else:
+            left[p][1] -= 1
+            tail = applied[p][-k:]
+            ops.append((p, r(0), tuple([0] * (k - len(tail)) + tail)))
+    return ops
+
+
+#: (procs, writes, reads per process, k); the first three are within the
+#: enumeration search's reach, the last two are not
+WRITER_SHAPES = [(4, 2, 2, 1), (4, 2, 2, 2), (6, 1, 2, 1), (6, 4, 4, 1), (8, 6, 6, 2)]
+WRITER_SEEDS = 10
+SEARCHABLE_OPS = 18
+
+
+def writer_ops(shape, seed):
+    procs, writes, reads, k = shape
+    return concurrent_writers(
+        random.Random(f"writers:{shape}:{seed}"), procs, writes, reads, k
+    )
+
+
+def history_of(ops, procs):
+    rows = [[] for _ in range(procs)]
+    for p, invocation, output in ops:
+        rows[p].append(Operation(invocation, output))
+    return History.from_processes(rows)
+
+
+def grown_hot_key(ops_per_process):
+    """`hot-key-contention` grown far past the search's reach, the
+    monitor attached live through ``subscriber()``: Lamport-stamp
+    arbitration disagrees with arrival order all the time."""
+    from repro.scenarios import get_scenario
+    from repro.scenarios.matrix import ALGORITHMS, build_post_setup
+    from repro.scenarios.scenario import Scenario
+
+    spec = get_scenario("hot-key-contention")
+    spec = replace(
+        spec, workload=replace(spec.workload, ops_per_process=ops_per_process)
+    )
+    entry = ALGORITHMS["ccv-fig5"]
+    scenario = Scenario(spec)
+    monitor = monitor_for_adt(scenario.adt(), spec.n, criteria=CCV_SIDE)
+    scenario.run(
+        entry.cls,
+        seed=0,
+        post_setup=build_post_setup(entry, spec),
+        subscriber=monitor.subscriber(),
+        **entry.kwargs(spec.streams, spec.k),
+    )
+    return monitor.finalize(), monitor
+
+
+# ----------------------------------------------------------------------
+# goldens: recorded at the commit before the conflict graph got its
+# topological order, never re-recorded
+# ----------------------------------------------------------------------
+GOLDENS = json.loads(
+    (pathlib.Path(__file__).parent / "goldens" / "streaming_monitor.json").read_text()
+)
+GOLDEN_COUNTERS = (
+    "first_violation_index",
+    "rf_edges",
+    "cf_edges",
+    "d_edges",
+    "hb_edges",
+    "patterns_checked",
+)
+#: rows fed process by process: every read parks until its writers come
+OUT_OF_ORDER = "writers-by-process/"
+CORPUS_SHAPES = [(2, 6, 1, 1), (3, 4, 2, 1), (2, 5, 1, 3), (4, 3, 3, 2)]
+CORPUS_SEEDS = 15
+
+
+def corpus_history(shape, seed):
+    procs, ops, streams, k = shape
+    return (
+        random_history(random.Random(seed + 10_000), procs, ops, streams, k),
+        WindowStreamArray(streams, k),
+    )
+
+
+def golden_row(verdicts, counters=GOLDEN_COUNTERS):
+    """What a golden pins of one monitored stream: per criterion the
+    verdict, pattern, stream index and witness; the edge and pattern
+    counters (JSON-shaped, so it compares to the file as is)."""
+    stats = next(iter(verdicts.values())).stats
+    row = {"stats": {key: stats.get(key) for key in counters}}
+    for criterion, verdict in verdicts.items():
+        violation = verdict.violation
+        row[criterion] = {
+            "ok": verdict.ok,
+            "pattern": violation and violation.pattern,
+            "index": violation and violation.index,
+            "witness": violation and [list(op) for op in violation.witness],
+        }
+    return row
+
+
+def _scale_cell(algorithm):
+    from repro.scenarios import get_scenario
+    from repro.scenarios.matrix import run_scenario_cell
+    from repro.scenarios.scenario import Scenario
+
+    spec = get_scenario("scale-n32-hotkey")
+    monitor = monitor_for_adt(Scenario(spec).adt(), spec.n, criteria=CCV_SIDE)
+    run_scenario_cell(
+        "scale-n32-hotkey", algorithm, 0, subscriber=monitor.subscriber()
+    )
+    return monitor.finalize()
+
+
+@functools.lru_cache(maxsize=None)
+def golden_cases():
+    """name -> thunk computing the verdicts that golden's row pins."""
+    from repro.litmus import all_litmus
+
+    cases = {
+        "clean-10k": lambda: feed_all(clean_ccv_ops(0, 10_000), CCV_SIDE)[0],
+        "failure-shape": lambda: feed_all(FAILURE_SHAPE_OPS)[0],
+    }
+    for name in SPLICES:
+        cases[f"splice/{name}"] = lambda name=name: feed_all(
+            spliced_ops(name)[0], CCV_SIDE
+        )[0]
+    for algorithm in ("ccv-lazy", "lww-lazy"):
+        cases[f"cell/scale-n32-hotkey/{algorithm}/0"] = (
+            lambda algorithm=algorithm: _scale_cell(algorithm)
+        )
+    for ops_per_process in (150, 600):
+        cases[f"hot-key/{ops_per_process}"] = (
+            lambda ops_per_process=ops_per_process: grown_hot_key(ops_per_process)[0]
+        )
+    for litmus in all_litmus():
+        cases[f"litmus/{litmus.key}"] = lambda litmus=litmus: replay_history(
+            litmus.history, litmus.adt
+        )
+    for shape in CORPUS_SHAPES:
+        for seed in range(CORPUS_SEEDS):
+            cases[f"corpus/{'x'.join(map(str, shape))}/{seed}"] = (
+                lambda shape=shape, seed=seed: replay_history(
+                    *corpus_history(shape, seed)
+                )
+            )
+    for shape in WRITER_SHAPES:
+        for seed in range(WRITER_SEEDS):
+            name = f"{'x'.join(map(str, shape))}/{seed}"
+            cases[f"writers/{name}"] = (
+                lambda shape=shape, seed=seed: feed_writers(shape, seed)[0]
+            )
+            cases[f"{OUT_OF_ORDER}{name}"] = (
+                lambda shape=shape, seed=seed: feed_writers(shape, seed, True)[0]
+            )
+    return cases
+
+
+def golden_row_of(name):
+    # an out-of-order feed re-sorts the conflict graphs where it used to
+    # re-search every edge, at another moment: it checks the same
+    # patterns, but counts them differently
+    counters = [
+        key
+        for key in GOLDEN_COUNTERS
+        if key != "patterns_checked" or not name.startswith(OUT_OF_ORDER)
+    ]
+    return golden_row(golden_cases()[name](), counters)
+
+
+#: `replay_history` warns that an interleaving which is not a linear
+#: extension of real time can over-constrain the conflict edges (reads
+#: of one process get checked out of program order, and the per-reader
+#: watermarks assume they are not).  It does on these: CCv holds, by the
+#: search and by the arrival-order feed, and the process-by-process feed
+#: reports CyclicCF — before this order existed and after, same witness.
+OVER_CONSTRAINED = {
+    ((4, 2, 2, 1), 5),
+    ((4, 2, 2, 2), 3),
+    ((6, 1, 2, 1), 0),
+    ((6, 1, 2, 1), 2),
+    ((6, 1, 2, 1), 7),
+}
+
+
+def feed_writers(shape, seed, program_order=False):
+    ops = writer_ops(shape, seed)
+    if program_order:
+        ops = sorted(ops, key=lambda op: op[0])  # stable: po within a process
+    monitor = StreamingMonitor(shape[0], streams=1, k=shape[3])
+    for p, invocation, output in ops:
+        monitor.feed(p, invocation, output)
+    return monitor.finalize(), monitor
 
 
 # ----------------------------------------------------------------------
@@ -152,13 +445,10 @@ class TestCorruptedCorpusAgreement:
     def test_random_differentiated_histories(self):
         """Criterion-by-criterion agreement with the search on random
         histories, most of which violate something."""
-        shapes = [(2, 6, 1, 1), (3, 4, 2, 1), (2, 5, 1, 3), (4, 3, 3, 2)]
         disagreements = []
-        for procs, ops, streams, k in shapes:
-            adt = WindowStreamArray(streams, k)
-            for seed in range(15):
-                rng = random.Random(seed + 10_000)
-                history = random_history(rng, procs, ops, streams, k)
+        for shape in CORPUS_SHAPES:
+            for seed in range(CORPUS_SEEDS):
+                history, adt = corpus_history(shape, seed)
                 verdicts = replay_history(history, adt)
                 for criterion, verdict in verdicts.items():
                     if verdict.ok is None:
@@ -166,8 +456,8 @@ class TestCorruptedCorpusAgreement:
                     truth = search_ok(history, adt, criterion)
                     if truth is not None and verdict.ok != truth:
                         disagreements.append(
-                            (procs, ops, streams, k, seed, criterion,
-                             verdict.ok, truth, verdict.reason)
+                            (shape, seed, criterion, verdict.ok, truth,
+                             verdict.reason)
                         )
         assert not disagreements, disagreements
 
@@ -223,6 +513,10 @@ class TestMutationCorpus:
         bad-pattern checks, happens-before edges and closure steps (none
         at all on an in-order feed) per op at 16k ops stay within 1.5x
         of 4k ops — work counters, not a wall clock."""
+        keys = (
+            "patterns_checked", "propagate_steps", "hb_edges",
+            "order_searches", "order_moved",
+        )
         per_op = {}
         for total in (4_000, 16_000):
             verdicts, monitor = feed_all(
@@ -230,25 +524,33 @@ class TestMutationCorpus:
             )
             assert all(v.ok is True for v in verdicts.values())
             stats = monitor.stats()
-            per_op[total] = {
-                key: stats[key] / total
-                for key in ("patterns_checked", "propagate_steps", "hb_edges")
-            }
+            per_op[total] = {key: stats[key] / total for key in keys}
         assert per_op[4_000]["patterns_checked"] > 0 < per_op[4_000]["hb_edges"]
+        # arbitration is the issue order here: no edge needs a search
+        assert per_op[16_000]["order_searches"] == 0 == per_op[16_000]["order_moved"]
         for key, small in per_op[4_000].items():
             assert per_op[16_000][key] <= 1.5 * small, (key, per_op)
 
+    def test_relabel_work_per_operation_does_not_grow_either(self):
+        """Where arbitration (Lamport stamps) keeps disagreeing with the
+        arrival order, searches and re-dealt labels per op are set by
+        the delivery lag too: flat from 150 to 600 ops per process."""
+        per_op = {}
+        for ops_per_process in (150, 600):
+            verdicts, monitor = grown_hot_key(ops_per_process)
+            assert all(v.ok is True for v in verdicts.values())
+            stats = monitor.stats()
+            per_op[ops_per_process] = {
+                key: stats[key] / stats["ops_seen"]
+                for key in ("order_searches", "order_moved", "patterns_checked")
+            }
+        assert per_op[150]["order_searches"] > 0 < per_op[150]["order_moved"]
+        for key, small in per_op[150].items():
+            assert per_op[600][key] <= 1.5 * small, (key, per_op)
+
     def test_window_order_violation_pattern_and_index(self):
-        ops = clean_ccv_ops(0, 10_000)
-        at = 5_000
-        x = STREAMS - 1
-        w1, w2 = 10_000_000, 10_000_001
-        gadget = [
-            (0, Invocation("w", (x, w1)), BOTTOM),
-            (0, Invocation("w", (x, w2)), BOTTOM),
-            (0, Invocation("r", (x,)), (w2, w1)),  # inverted vs po
-        ]
-        verdicts, _ = feed_all(ops[:at] + gadget + ops[at:], criteria=CCV_SIDE)
+        ops, at = spliced_ops("window-order")
+        verdicts, _ = feed_all(ops, criteria=CCV_SIDE)
         for criterion in CCV_SIDE:  # a co-order violation kills both
             verdict = verdicts[criterion]
             assert verdict.ok is False, (criterion, verdict.reason)
@@ -256,32 +558,16 @@ class TestMutationCorpus:
             assert verdict.violation.index == at + 2
 
     def test_conflict_cycle_kills_ccv_only(self):
-        ops = clean_ccv_ops(1, 10_000)
-        at = 4_000
-        x = 0
-        a, b = 10_000_000, 10_000_001
-        gadget = [
-            (0, Invocation("w", (x, a)), BOTTOM),
-            (1, Invocation("w", (x, b)), BOTTOM),
-            (2, Invocation("r", (x,)), (a, b)),  # arbitration a before b
-            (3, Invocation("r", (x,)), (b, a)),  # arbitration b before a
-        ]
-        verdicts, _ = feed_all(ops[:at] + gadget + ops[at:], criteria=CCV_SIDE)
+        ops, at = spliced_ops("conflict-cycle")
+        verdicts, _ = feed_all(ops, criteria=CCV_SIDE)
         assert verdicts["CCV"].ok is False
         assert verdicts["CCV"].violation.pattern == "CyclicCF"
         assert verdicts["CCV"].violation.index == at + 3
         assert verdicts["WCC"].ok is True
 
     def test_hidden_write_violation(self):
-        ops = clean_ccv_ops(2, 10_000)
-        at = 6_000
-        x = 1
-        w = 10_000_000
-        gadget = [
-            (0, Invocation("w", (x, w)), BOTTOM),
-            (0, Invocation("r", (x,)), (0, 0)),  # own write hidden
-        ]
-        verdicts, _ = feed_all(ops[:at] + gadget + ops[at:], criteria=CCV_SIDE)
+        ops, at = spliced_ops("hidden-write")
+        verdicts, _ = feed_all(ops, criteria=CCV_SIDE)
         for criterion in CCV_SIDE:
             verdict = verdicts[criterion]
             assert verdict.ok is False, (criterion, verdict.reason)
@@ -291,16 +577,7 @@ class TestMutationCorpus:
     def test_mid_stream_detection(self):
         """feed() itself returns the violation the moment it closes —
         no finalize needed, ops before the splice return None."""
-        ops = clean_ccv_ops(3, 10_000)
-        at = 5_000
-        x = STREAMS - 1
-        w1, w2 = 10_000_000, 10_000_001
-        gadget = [
-            (0, Invocation("w", (x, w1)), BOTTOM),
-            (0, Invocation("w", (x, w2)), BOTTOM),
-            (0, Invocation("r", (x,)), (w2, w1)),
-        ]
-        spliced = ops[:at] + gadget + ops[at:]
+        spliced, at = spliced_ops("mid-stream")
         monitor = StreamingMonitor(N, streams=STREAMS, k=K, criteria=CCV_SIDE)
         first = None
         for i, (p, invocation, output) in enumerate(spliced):
@@ -316,18 +593,107 @@ class TestMutationCorpus:
     def test_violation_failure_shape_is_shared_with_chaos(self):
         """MonitorViolation.as_failure() is the (kind, detail) tuple the
         chaos driver and the explore matrix both report."""
-        ops = [
-            (0, Invocation("w", (0, 1)), BOTTOM),
-            (0, Invocation("w", (0, 2)), BOTTOM),
-            (0, Invocation("r", (0,)), (2, 1)),
-        ]
-        verdicts, _ = feed_all(ops)
+        verdicts, _ = feed_all(FAILURE_SHAPE_OPS)
         kind, detail = verdicts["CCV"].violation.as_failure()
         assert kind == "bad-pattern:WindowOrderCO"
         assert detail["index"] == 2
         assert detail["pattern"] == "WindowOrderCO"
         assert isinstance(detail["witness"], list)
         assert set(detail) >= {"pattern", "criteria", "index", "witness"}
+
+
+# ----------------------------------------------------------------------
+class TestGoldenIdentity:
+    """The topological order changed how a cycle is found, not which
+    edges are proposed: every stream recorded before it reproduces —
+    verdict, pattern, index, witness, edge and pattern counters."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDENS["rows"]))
+    def test_row_reproduces(self, name):
+        assert golden_row_of(name) == GOLDENS["rows"][name]
+
+    def test_every_case_has_a_row(self):
+        assert set(golden_cases()) == set(GOLDENS["rows"])
+
+
+class TestOrderMaintenance:
+    """Traffic the clean generator never produces: conflict edges
+    against the arrival order, relabels, cycles found after them."""
+
+    def test_live_hot_key_run_relabels_and_stays_clean(self):
+        verdicts, monitor = grown_hot_key(300)
+        assert all(v.ok is True for v in verdicts.values()), {
+            c: v.reason for c, v in verdicts.items()
+        }
+        stats = monitor.stats()
+        assert 0 < stats["order_searches"] < stats["cf_edges"]  # both paths ran
+        assert stats["order_moved"] >= 2 * stats["order_searches"]
+        assert stats["propagate_steps"] == 0  # live arrival order: no rebuild
+
+    def test_concurrent_writers_fail_ccv_only_and_agree_with_the_search(self):
+        cycles_after_relabels = searched = 0
+        for shape in WRITER_SHAPES:
+            procs, _, _, k = shape
+            for seed in range(WRITER_SEEDS):
+                verdicts, monitor = feed_writers(shape, seed)
+                assert verdicts["WCC"].ok is True, verdicts["WCC"].reason
+                ccv = verdicts["CCV"]
+                assert ccv.ok is not None
+                if ccv.ok is False:
+                    assert ccv.violation.pattern == "CyclicCF"
+                    if monitor.stats()["order_moved"]:
+                        cycles_after_relabels += 1
+                ops = writer_ops(shape, seed)
+                if len(ops) <= SEARCHABLE_OPS:
+                    truth = search_ok(
+                        history_of(ops, procs), WindowStreamArray(1, k), "CCV"
+                    )
+                    if truth is not None:
+                        searched += 1
+                        assert ccv.ok == truth, (shape, seed, ccv.reason)
+        assert searched >= 25
+        assert cycles_after_relabels >= 5
+
+    def test_search_budget_exhaustion_is_inconclusive(self):
+        """``propagation_budget`` bounds the relabel searches too: a
+        verdict reached inside it stands, nothing is decided past it."""
+        shape = WRITER_SHAPES[-1]
+        ops = writer_ops(shape, 0)
+        unbounded, _ = feed_writers(shape, 0)
+        for budget in (0, 3, 30):
+            monitor = StreamingMonitor(
+                shape[0], streams=1, k=shape[3], propagation_budget=budget
+            )
+            for p, invocation, output in ops:
+                monitor.feed(p, invocation, output)
+            for criterion, verdict in monitor.finalize().items():
+                if budget == 0:
+                    assert verdict.ok is None and "budget" in verdict.reason
+                assert verdict.ok in (None, unbounded[criterion].ok)
+
+
+class TestIllFormedInput:
+    @pytest.mark.parametrize("pid", [-1, 3])
+    def test_feed_rejects_a_pid_outside_the_process_range(self, pid):
+        monitor = StreamingMonitor(3)
+        monitor.feed(0, w(0, 1), BOTTOM)
+        with pytest.raises(ValueError):
+            monitor.feed(pid, w(0, 2), BOTTOM)
+        # refused before any state changed
+        assert monitor.stats()["ops_seen"] == 1
+        assert list(monitor._vc) == [1, 0, 0]
+        monitor.feed(1, r(0), (1,))
+        assert all(v.ok is True for v in monitor.finalize().values())
+
+    def test_retracted_violation_leaves_no_first_violation_index(self):
+        monitor = StreamingMonitor(1, k=2)
+        monitor.feed(0, w(0, 1), BOTTOM)
+        monitor.feed(0, w(0, 2), BOTTOM)
+        assert monitor.feed(0, r(0), (2, 1)).pattern == "WindowOrderCO"
+        assert monitor.stats()["first_violation_index"] == 2
+        monitor.feed(0, w(0, 1), BOTTOM)  # duplicate value: all bets off
+        assert all(v.ok is None for v in monitor.finalize().values())
+        assert monitor.stats()["first_violation_index"] is None
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +833,25 @@ class TestReplayDeterminism:
                 c: v.ok for c, v in untimed.items()
             }
 
+    def test_feed_order_independence_with_concurrent_writers(self):
+        """Fed process by process every read parks until its writers
+        arrive, pasts grow under labelled writes and the labels are
+        rebuilt — with conflict edges still to come."""
+        rebuilt = 0
+        for shape in WRITER_SHAPES:
+            for seed in range(WRITER_SEEDS):
+                if (shape, seed) in OVER_CONSTRAINED:
+                    continue
+                arrival, _ = feed_writers(shape, seed)
+                by_process, monitor = feed_writers(shape, seed, program_order=True)
+                stats = monitor.stats()
+                if stats["propagate_steps"] and stats["cf_edges"]:
+                    rebuilt += 1
+                assert {c: v.ok for c, v in by_process.items()} == {
+                    c: v.ok for c, v in arrival.items()
+                }, (shape, seed)
+        assert rebuilt >= 20
+
 
 # ----------------------------------------------------------------------
 class TestCli:
@@ -500,6 +885,7 @@ class TestCli:
         for key in ("ops_seen", "hb_edges", "patterns_checked"):
             assert stats[key] > 0
         assert stats["first_violation_index"] == 3
+        assert {"order_searches", "order_moved"} <= set(stats)
         # the search side agrees and is in the same document
         assert doc["criteria"]["CCV"]["ok"] is False
         assert doc["criteria"]["CC"]["ok"] is True
