@@ -69,7 +69,7 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Invocation:
     """An input symbol ``sigma_i``: a method name applied to arguments.
 
@@ -91,7 +91,7 @@ class Invocation:
         return f"{self.method}({inner})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """An operation ``sigma_i/sigma_o`` or a hidden operation ``sigma_i``.
 

@@ -8,7 +8,26 @@ supposed to maintain:
 ``double-apply``
     no message is delivered twice to the same process (duplicate
     tolerance of the dedup frontier, including duplicates of messages
-    already pruned by the stability GC);
+    already pruned by the stability GC).  Every layer names a message
+    ``(origin, k)`` with ``k`` counted from 0, so what a receiver has
+    been handed from one origin is a contiguous prefix plus whatever is
+    currently out of order: the monitor keeps, per (receiver, origin),
+    the length of that prefix, and one set of the ``(receiver, origin,
+    k)`` delivered above it — the same information as one set entry per
+    delivery ever made, in O(n² + ids out of order) instead of O(run
+    length).  A causal layer never leaves the prefix, the reliable,
+    lazy and total-order layers do for as long as a message is in
+    flight, and an entry that stays names a receiver missing a message
+    for good (``stats()["out_of_order"]``).  A check is two list
+    indexings.  Nothing is read from the endpoint under observation:
+    the frontier is rebuilt from the hooks alone, so a dedup bug cannot
+    hide itself;
+``unknown-id``
+    a delivery hook named a process or a message outside the run's id
+    space (a pid or origin outside ``0..n-1``, a negative sequence
+    number, an id that is not a pair): it cannot be tracked, so it is
+    reported rather than raised — on a live node the monitor runs in
+    the tap's drainer task;
 ``fifo-order``
     per-(receiver, origin) delivery follows the origin's sequence
     numbers with no gap and no regression;
@@ -78,8 +97,11 @@ class RuntimeMonitor:
         self.max_violations = max_violations
         self.violations: List[Violation] = []
         self.dropped = 0  # violations beyond the cap
-        # double-apply: every (receiver, message id) seen so far
-        self._applied: Set[Tuple[int, Any]] = set()
+        # double-apply: per receiver, per origin, how many of the
+        # origin's messages were delivered with none skipped ...
+        self._frontier: List[List[int]] = [[0] * n for _ in range(n)]
+        # ... and the (receiver, origin, seq) delivered above that
+        self._spill: Set[Tuple[int, int, int]] = set()
         # fifo-order: next expected seq per (receiver, origin)
         self._fifo_next: Dict[Tuple[int, int], int] = {}
         # causal-order: per-receiver delivery counts per origin
@@ -112,16 +134,55 @@ class RuntimeMonitor:
         extra = f" (+{self.dropped} dropped)" if self.dropped else ""
         return f"monitors: {len(self.violations)} violations ({parts}){extra}"
 
+    def stats(self) -> Dict[str, Any]:
+        """Verdict and state size; ``out_of_order`` counts deliveries
+        still above a gap — one that stays non-zero on a quiet cluster
+        names a receiver that is missing a message."""
+        return {
+            "ok": self.ok,
+            "total": len(self.violations),
+            "dropped": self.dropped,
+            "out_of_order": len(self._spill),
+        }
+
+    def _first_delivery(self, pid: int, mid: Any) -> bool:
+        """Note that ``mid`` reached ``pid``; flag and return False when
+        it already had, or when the monitor has no such pid or id."""
+        try:
+            origin, seq = mid
+            if pid < 0 or origin < 0 or seq < 0:
+                raise IndexError  # would index from the other end
+            row = self._frontier[pid]
+            nxt = row[origin]
+            late = seq < nxt
+        except (TypeError, ValueError, IndexError):
+            self._flag(
+                "unknown-id",
+                pid,
+                f"message {mid!r} outside the id space of {self.n} processes",
+            )
+            return False
+        spill = self._spill
+        if seq == nxt:
+            nxt += 1
+            while spill and (pid, origin, nxt) in spill:
+                spill.remove((pid, origin, nxt))
+                nxt += 1
+            row[origin] = nxt
+            return True
+        key = (pid, origin, seq)
+        if late or key in spill:
+            self._flag("double-apply", pid, f"message {mid!r} delivered twice")
+            return False
+        spill.add(key)
+        return True
+
     # ------------------------------------------------------------------
     # hooks called by the broadcast layers
     # ------------------------------------------------------------------
     def on_deliver(self, pid: int, mid: Any) -> None:
         """Any delivery: ``mid`` must be new for ``pid``."""
-        key = (pid, mid)
-        if key in self._applied:
-            self._flag("double-apply", pid, f"message {mid!r} delivered twice")
-            return
-        self._applied.add(key)
+        self._first_delivery(pid, mid)
 
     def on_fifo_deliver(self, pid: int, origin: int, seq: int) -> None:
         """FIFO delivery: ``seq`` must be exactly the next from origin."""
@@ -140,11 +201,8 @@ class RuntimeMonitor:
         self, pid: int, mid: Any, origin: int, stamp: Sequence[int]
     ) -> None:
         """Causal delivery: dedup + the causal-delivery stamp condition."""
-        key = (pid, mid)
-        if key in self._applied:
-            self._flag("double-apply", pid, f"message {mid!r} delivered twice")
+        if not self._first_delivery(pid, mid):
             return
-        self._applied.add(key)
         counts = self._counts[pid]
         if stamp[origin] != counts[origin] + 1:
             self._flag(

@@ -20,7 +20,7 @@ from ..core.history import History
 from ..core.operations import HIDDEN, Invocation, Operation
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     pid: int
     invocation: Invocation

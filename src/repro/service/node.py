@@ -389,9 +389,7 @@ class ServiceNode:
             doc["broadcast"] = self.broadcast.stats()
         if self.monitor is not None:
             doc["monitor"] = {
-                "ok": self.monitor.ok,
-                "total": len(self.monitor.violations),
-                "dropped": self.monitor.dropped,
+                **self.monitor.stats(),
                 "violations": [
                     str(v) for v in self.monitor.violations[since:]
                 ],

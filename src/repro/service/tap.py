@@ -151,6 +151,9 @@ class MonitorTap:
     def dropped(self) -> int:
         return self.sink.dropped
 
+    def stats(self) -> dict:
+        return self.sink.stats()
+
     # deferred hooks
     def on_deliver(self, pid: int, mid: Any) -> None:
         self._tap.push(self.sink.on_deliver, pid, mid)

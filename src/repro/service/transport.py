@@ -31,7 +31,7 @@ Message frames (PR 13).  The eager flood puts n(n-1) message frames on
 the wire per write, of which all but n-1 are duplicates, and every relay
 is a message decoded a microsecond earlier.  The binary codec's packed
 message layout (``repro.service.wire``) lets the inbound path spend
-nothing on either: a header peek (:func:`~repro.service.wire.msg_id`)
+nothing on either: a header peek (:func:`~repro.service.wire.msg_header`)
 plus the broadcast layer's own "seen?" predicate (registered through
 :meth:`~repro.runtime.transport.Transport.attach_dedup`) drops a
 duplicate before it is decoded, and a relay of the message being
@@ -475,21 +475,32 @@ class AsyncioTransport(Transport):
 
     def _receive_body(self, body: bytes) -> None:
         """One inbound frame body.  A packed message frame gives up its
-        ``(origin, seq)`` to a header peek, so a copy the broadcast layer
-        has already seen is counted and dropped without being decoded;
-        a fresh one is remembered with its bytes while it is dispatched
-        (see :meth:`_msg_body`).  Every other body — JSON, generic TLV,
-        control — decodes and dispatches as before, deduplicated by the
-        broadcast layer itself."""
+        pids, ``(origin, seq)`` and stamp length to a header peek, so one
+        that does not fit this cluster is refused, and a copy the
+        broadcast layer has already seen is counted and dropped, without
+        being decoded; a fresh one is remembered with its bytes while it
+        is dispatched (see :meth:`_msg_body`).  Every other body — JSON,
+        generic TLV, control — decodes and dispatches as before,
+        deduplicated by the broadcast layer itself."""
         if self.crashed_local:
             self.stats.dropped_to_crashed += 1
             return
-        mid = wire.msg_id(body)
-        if mid is None:
+        head = wire.msg_header(body)
+        if head is None:
             self._dispatch(wire.decode(body))
             return
+        src, origin, seq, stamps = head
+        n = self.n
+        if src >= n or origin >= n or (stamps is not None and stamps != n):
+            # the broadcast layers index per-process rows by all three: a
+            # peer from another cluster (or a hostile one) would raise
+            # IndexError inside this connection's task — refuse it here
+            raise ValueError(
+                f"message frame outside this cluster of {n}: src {src}, "
+                f"origin {origin}, {stamps} stamp entries"
+            )
         seen = self._seen
-        if seen is not None and seen(mid):
+        if seen is not None and seen((origin, seq)):
             wstats = self.wire_stats
             wstats["frames_in"] += 1
             wstats["msg_frames_in"] += 1

@@ -49,9 +49,10 @@ codecs share the framing, distinguished by the body's first byte:
 
     * the header is one ``struct`` call where TLV spends ~15 recursive
       value calls, and only ``payload`` goes through TLV at all;
-    * :func:`msg_id` reads ``(origin, seq)`` off the header without
-      decoding — the transport asks the broadcast layer "seen?" first
-      and drops a duplicate (two of every three message frames at n=3)
+    * :func:`msg_header` reads the fixed fields off the header without
+      decoding — the transport refuses a frame whose pids or stamp do
+      not fit its cluster, then asks the broadcast layer "seen?" and
+      drops a duplicate (two of every three message frames at n=3)
       unparsed;
     * the encoding is canonical, so :func:`readdress` — overwrite the
       two ``src`` bytes — yields byte for byte what encoding the same
@@ -465,8 +466,7 @@ def _decode_binary(body: bytes) -> Any:
 #: stamp length (u16; _NO_STAMP = the message carries no stamp), then
 #: that many u32 stamp entries, then the TLV-encoded payload
 _MSG_HEAD = struct.Struct(">HHIH")
-_MSG_ID = struct.Struct(">HI")  # (origin, seq) at _MSG_ID_AT
-_MSG_ID_AT = 3
+_MSG_ID_AT = 3  # where (origin, seq) starts: all that follows the src
 _MSG_BODY_AT = 1 + _MSG_HEAD.size
 _U16 = struct.Struct(">H")
 _NO_STAMP = 0xFFFF
@@ -540,16 +540,19 @@ def _decode_msg(body: bytes) -> Dict[str, Any]:
     return {"t": "msg", "src": src, "body": message}
 
 
-def msg_id(body: bytes) -> Optional[Tuple[int, int]]:
-    """``(origin, seq)`` of a packed broadcast-message body read straight
-    off its header — no decode — or ``None`` for any other body.  This is
-    what lets a receiver drop a duplicate before paying for its parse."""
+def msg_header(body: bytes) -> Optional[Tuple[int, int, int, Optional[int]]]:
+    """``(src, origin, seq, stamp entries or None)`` of a packed
+    broadcast-message body read straight off its header — no decode — or
+    ``None`` for any other body.  This is what lets a receiver refuse a
+    frame from outside its cluster, and drop a duplicate, before paying
+    for the parse."""
     if not body or body[0] != MAGIC_MSG:
         return None
     try:
-        return _MSG_ID.unpack_from(body, _MSG_ID_AT)
+        src, origin, seq, count = _MSG_HEAD.unpack_from(body, 1)
     except struct.error:
         raise ValueError("binary codec: truncated message header") from None
+    return src, origin, seq, None if count == _NO_STAMP else count
 
 
 def readdress(body: bytes, src: int) -> bytes:

@@ -14,8 +14,11 @@ seeded chaos driver with sentinel-bug injection.
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import (
     cleanup_events,
@@ -45,6 +48,7 @@ from repro.scenarios import (
     FaultSchedule,
     Scenario,
     ScenarioSpec,
+    WorkloadSpec,
     get_scenario,
 )
 from repro.scenarios.matrix import run_matrix
@@ -503,7 +507,147 @@ class TestSupervisedResync:
 # ----------------------------------------------------------------------
 # Tentpole layer 3: the monitors themselves
 # ----------------------------------------------------------------------
+class SetOracle(RuntimeMonitor):
+    """The monitor as PR 6 wrote it: one set entry per delivery ever
+    made.  Kept here as the reference the frontier is checked against."""
+
+    def __init__(self, n, max_violations=64):
+        super().__init__(n, max_violations=max_violations)
+        self.applied = set()
+
+    def _first_delivery(self, pid, mid):
+        if (pid, mid) in self.applied:
+            self._flag("double-apply", pid, f"message {mid!r} delivered twice")
+            return False
+        self.applied.add((pid, mid))
+        return True
+
+
+@st.composite
+def hook_sequences(draw):
+    """``(n, warm, calls)``: every (receiver, origin) pair first takes
+    ``warm`` messages in order, then random hooks land anywhere from far
+    below that frontier to a few ids above it — duplicates, gaps, late
+    fills — ``on_deliver`` and ``on_causal_deliver`` mixed, stamps
+    arbitrary."""
+    n = draw(st.integers(2, 5))
+    warm = draw(st.integers(0, 12))
+    pids = st.integers(0, n - 1)
+    call = st.tuples(
+        st.booleans(),
+        pids,
+        pids,
+        st.integers(0, warm + 8),
+        st.lists(st.integers(0, warm + 2), min_size=n, max_size=n),
+    )
+    return n, warm, draw(st.lists(call, max_size=120))
+
+
 class TestRuntimeMonitor:
+    @settings(max_examples=150, deadline=None)
+    @given(hook_sequences())
+    def test_frontier_flags_exactly_what_the_set_did(self, drawn):
+        n, warm, calls = drawn
+        for cap in (64, 3):
+            monitor = RuntimeMonitor(n, max_violations=cap)
+            oracle = SetOracle(n, max_violations=cap)
+            for sink in (monitor, oracle):
+                for seq in range(warm):
+                    for pid in range(n):
+                        for origin in range(n):
+                            sink.on_deliver(pid, (origin, seq))
+                for causal, pid, origin, seq, stamp in calls:
+                    if causal:
+                        sink.on_causal_deliver(pid, (origin, seq), origin, stamp)
+                    else:
+                        sink.on_deliver(pid, (origin, seq))
+            assert monitor.violations == oracle.violations
+            assert monitor.dropped == oracle.dropped
+            # lossless: the frontier + spill hold exactly the oracle's set
+            assert monitor.stats()["out_of_order"] == sum(
+                1
+                for pid, (origin, seq) in oracle.applied
+                if any(
+                    (pid, (origin, below)) not in oracle.applied
+                    for below in range(seq)
+                )
+            )
+
+    def test_in_order_deliveries_leave_no_state_behind(self):
+        """Every receiver delivers one global causal order: 200k hooks,
+        nothing out of order, and no memory held per delivery (the set
+        kept ~200 B for each: tens of MB here)."""
+        n = 3
+        monitor = RuntimeMonitor(n)
+        stamp = [0] * n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200_000 // n):
+                origin = i % n
+                stamp[origin] += 1
+                for pid in range(n):
+                    monitor.on_causal_deliver(
+                        pid, (origin, i // n), origin, stamp
+                    )
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert monitor.ok, monitor.summary()
+        assert monitor.stats()["out_of_order"] == 0
+        assert grown < 64 * 1024
+
+    def test_out_of_order_burst_is_held_until_the_gap_fills(self):
+        monitor = RuntimeMonitor(2)
+        for seq in (4, 2, 5, 1):
+            monitor.on_deliver(0, (1, seq))
+        monitor.on_deliver(1, (1, 0))  # another receiver: no help
+        assert monitor.stats()["out_of_order"] == 4
+        monitor.on_deliver(0, (1, 0))
+        assert monitor.stats()["out_of_order"] == 2  # 4 and 5 wait for 3
+        monitor.on_deliver(0, (1, 3))
+        assert monitor.stats() == {
+            "ok": True, "total": 0, "dropped": 0, "out_of_order": 0,
+        }
+        monitor.on_deliver(0, (1, 2))  # long below the frontier by now
+        assert [v.kind for v in monitor.violations] == ["double-apply"]
+
+    def test_lossy_causal_run_ends_with_nothing_out_of_order(self):
+        n = 4
+        spec = ScenarioSpec(
+            "lossdup",
+            n=n,
+            streams=2,
+            k=2,
+            faults=(
+                F.loss(0.0, 0.05),
+                F.duplicate(0.0, 0.05),
+                F.loss(60.0, 0.0),
+                F.duplicate(60.0, 0.0),
+                *(F.repair(80.0 + 10.0 * i) for i in range(n - 1)),
+            ),
+            workload=WorkloadSpec(ops_per_process=40, write_ratio=0.5),
+        )
+        entry = ALGORITHMS["ccv-fig5"]
+        result = Scenario(spec).run(
+            entry.cls, seed=0, **entry.kwargs(spec.streams, spec.k)
+        )
+        assert result.network_stats.lost > 0 < result.network_stats.duplicated
+        assert result.monitor.ok, result.monitor.summary()
+        assert result.monitor.stats()["out_of_order"] == 0
+
+    @pytest.mark.parametrize(
+        "pid, mid",
+        [(0, (7, 0)), (7, (0, 0)), (0, (-1, 0)), (0, (1, -1)), (-1, (1, 0)),
+         (0, (1,)), (0, None), (0, (1, "0"))],
+    )
+    def test_an_id_it_cannot_index_is_flagged_not_raised(self, pid, mid):
+        monitor = RuntimeMonitor(3)
+        monitor.on_deliver(pid, mid)
+        monitor.on_causal_deliver(pid, mid, 1, [0, 1, 0])
+        assert [v.kind for v in monitor.violations] == ["unknown-id"] * 2
+        assert monitor.stats()["out_of_order"] == 0
+
     def test_double_apply_flagged(self):
         monitor = RuntimeMonitor(2)
         monitor.on_deliver(0, (1, 5))
@@ -599,10 +743,12 @@ class TestRuntimeMonitor:
         from repro.scenarios.matrix import _run_cell
 
         original = RuntimeMonitor.on_deliver
+        calls = []
         try:
             def tainted(self, pid, mid):
                 original(self, pid, mid)
-                if len(self._applied) == 3:
+                calls.append(mid)
+                if len(calls) == 3:
                     self._flag("double-apply", pid, "synthetic violation")
             RuntimeMonitor.on_deliver = tainted
             cell = _run_cell(("flaky-link", "lww", 0, 3))
@@ -801,8 +947,6 @@ class TestFullDuplicationStorm:
 
     @pytest.mark.parametrize("algo", ["lww", "ccv-fig5", "ccv-lazy"])
     def test_copy_everything_schedule_is_tolerated(self, algo):
-        from repro.scenarios import WorkloadSpec
-
         spec = ScenarioSpec(
             name="dup-storm-total",
             n=4,

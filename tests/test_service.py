@@ -430,7 +430,9 @@ def test_status_document_keys_are_pinned(algorithm):
         doc = cluster.nodes[0].status()
         assert set(doc) == STATUS_KEYS
         assert set(doc["broadcast"]) == BROADCAST_STATUS_KEYS
-        assert set(doc["monitor"]) == {"ok", "total", "dropped", "violations"}
+        assert set(doc["monitor"]) == {
+            "ok", "total", "dropped", "out_of_order", "violations",
+        }
         json.dumps(doc)  # what `repro status --json` prints
 
     asyncio.run(body())

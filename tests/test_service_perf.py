@@ -77,11 +77,15 @@ class TestMonitorTapIdentity:
 
         deferred = RuntimeMonitor(n)
         tap = RingTap()
-        drive(MonitorTap(tap, deferred), n)
+        facade = MonitorTap(tap, deferred)
+        drive(facade, n)
         assert deferred.violations == []  # nothing applied yet
         tap.flush()
 
         assert verdict_state(deferred) == verdict_state(direct)
+        # (1, 7) at receiver 0 and (0, 2) at receiver 2 sit above gaps
+        assert facade.stats() == direct.stats()
+        assert direct.stats()["out_of_order"] == 2
         assert not direct.ok  # the script does contain violations
         kinds = {v.kind for v in direct.violations}
         assert kinds == {

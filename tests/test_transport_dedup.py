@@ -13,10 +13,11 @@ Both are optimisations the layer above must not be able to observe:
   accounted for: ``msg_frames_in == handler calls + dups_dropped``;
 * **splice** — relaying the dispatched object queues exactly the bytes a
   fresh encode would, an equal copy of it (a resync resend) encodes;
-* **hostile bytes** — a peer or client connection fed a malformed body
-  is closed, nothing reaches the loop's exception handler, and the node
-  keeps serving; a client whose server never answers does not leak its
-  pending entry.
+* **hostile bytes** — a peer or client connection fed a malformed body,
+  or a well-formed packed message whose header names a pid or a stamp
+  length from another cluster, is closed, nothing reaches the loop's
+  exception handler, and the node keeps serving; a client whose server
+  never answers does not leak its pending entry.
 """
 
 import asyncio
@@ -166,6 +167,53 @@ def test_crashed_transport_drops_before_the_peek():
     assert transport.stats.dropped_to_crashed > 0
 
 
+def packed(src, origin, seq=0, stamp=None):
+    body = {"id": (origin, seq), "origin": origin, "payload": seq}
+    if stamp is not None:
+        body["stamp"] = stamp
+    raw = wire.encode_body({"t": "msg", "src": src, "body": body}, wire.CODEC_BINARY)
+    assert raw[0] == wire.MAGIC_MSG
+    return raw
+
+
+#: packed message frames no member of an n=3 cluster sends
+FOREIGN_HEADERS = {
+    "origin": packed(0, 200),
+    "origin, stamped": packed(0, 3, stamp=(0, 0, 0)),
+    "src": packed(200, 2),
+    "short stamp": packed(0, 2, stamp=(0, 1)),
+    "long stamp": packed(0, 2, stamp=(0, 0, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("codec", wire.CODECS)
+@pytest.mark.parametrize("shape", sorted(FOREIGN_HEADERS))
+def test_a_header_from_outside_the_cluster_costs_the_connection(shape, codec):
+    """The dedup predicate indexes a per-origin row, as the broadcast
+    layer's does: an origin it has no row for used to raise IndexError
+    out of the connection task."""
+    transport = AsyncioTransport(1, ADDRS, codec=codec)
+    frontier, calls = [0, 0, 0], []
+
+    def handler(_src, msg):
+        calls.append(msg["id"])
+        frontier[msg["origin"]] += 1
+
+    transport.attach(1, handler)
+    transport.attach_dedup(1, lambda mid: mid[1] < frontier[mid[0]])
+    before = [packed(0, 0), packed(2, 2, stamp=(0, 0, 1))]
+    serve(
+        transport,
+        wire.encode_batch(before + [FOREIGN_HEADERS[shape]])
+        + wire.frame(packed(0, 0, seq=1)),
+    )
+    # both member shapes were served, the foreign frame was not counted,
+    # and what followed it on the closed connection was never read
+    assert calls == [(0, 0), (2, 0)]
+    assert transport.wire_stats["frames_in"] == 2
+    assert transport.wire_stats["dups_dropped"] == 0
+
+
 def relaying_transport(codec):
     transport = AsyncioTransport(1, ADDRS, codec=codec)
     log = []
@@ -227,7 +275,7 @@ HOSTILE_BODIES = [
     b"\xb1\x12\xff",
     b"\xb1" + b"\x0c\x01" * 5000 + b"\x00",
     b"\xb3\x00\x02\x00",  # packed header cut short: fails the peek
-    b"\xb3\x00\x02\x00\x01\x00\x00\x00\x05\xff\xff",  # ...and the decode
+    b"\xb3\x00\x01\x00\x01\x00\x00\x00\x05\xff\xff",  # ...and the decode
     b"\xb2\x00\x00",
     b"\xb1\x0c\x00",  # well-formed, but a list is not a frame
 ]
@@ -260,6 +308,9 @@ def test_garbage_closes_the_connection_and_the_node_keeps_serving():
             for hostile in HOSTILE_BODIES:
                 assert await closes(peer, hello + wire.frame(hostile)), hostile
                 assert await closes(client, wire.frame(hostile)), hostile
+            # well-formed, but from a cluster this n=2 one is not
+            for foreign in (packed(1, 200), packed(200, 1), packed(1, 1, stamp=(1,))):
+                assert await closes(peer, hello + wire.frame(foreign)), foreign
             # a connection task that died on an uncaught exception tells
             # the loop's handler when it is collected
             gc.collect()

@@ -328,7 +328,10 @@ class TestPackedMessageFrames:
             assert type(decoded["body"]["id"]) is tuple
             assert type(decoded["body"].get("stamp", ())) is tuple
             # the peek reads what a full decode would
-            assert wire.msg_id(body) == decoded["body"]["id"]
+            src, *mid, stamps = wire.msg_header(body)
+            assert (src, tuple(mid)) == (frame["src"], decoded["body"]["id"])
+            stamp = decoded["body"].get("stamp")
+            assert stamps == (None if stamp is None else len(stamp))
             # canonical: what was decoded encodes back to the same bytes
             assert wire.encode_body(decoded, wire.CODEC_BINARY) == body
             # splice == fresh encode, byte for byte
@@ -354,7 +357,7 @@ class TestPackedMessageFrames:
         frame = FALLBACK_SHAPES[shape]
         body = wire.encode_body(frame, wire.CODEC_BINARY)
         assert body[0] == wire.MAGIC_BINARY
-        assert wire.msg_id(body) is None
+        assert wire.msg_header(body) is None
         decoded = wire.decode(body)
         assert decoded == frame
         # equal *and* the same types: a bool pid must not come back an int
@@ -362,9 +365,9 @@ class TestPackedMessageFrames:
 
     def test_peek_ignores_every_other_body_kind(self):
         frame = envelope()
-        assert wire.msg_id(wire.encode_body(frame, wire.CODEC_JSON)) is None
-        assert wire.msg_id(wire.encode_batch([b"x"])[4:]) is None
-        assert wire.msg_id(b"") is None
+        assert wire.msg_header(wire.encode_body(frame, wire.CODEC_JSON)) is None
+        assert wire.msg_header(wire.encode_batch([b"x"])[4:]) is None
+        assert wire.msg_header(b"") is None
 
     def test_packed_frames_ride_batch_containers(self):
         rng = random.Random(5)
@@ -609,10 +612,10 @@ class TestMalformedBodies:
 
     def test_truncated_packed_header_fails_the_peek(self):
         body = valid_bodies()["packed"]
-        for cut in range(1, 9):  # magic present, (origin, seq) cut short
+        for cut in range(1, 11):  # magic present, fixed header cut short
             with pytest.raises(ValueError):
-                wire.msg_id(body[:cut])
-        assert wire.msg_id(body[:9]) == (1, 5)
+                wire.msg_header(body[:cut])
+        assert wire.msg_header(body[:11]) == (2, 1, 5, 3)
 
     def test_batch_prefix_is_an_error_or_a_prefix_of_the_frames(self):
         # a container carries no count, so a cut on a sub-body boundary
