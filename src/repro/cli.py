@@ -391,9 +391,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 #: monitor counters surfaced by ``classify --streaming`` / ``--json``,
-#: mirroring the search-side ``_WORK_COUNTERS``
+#: mirroring the search-side ``_WORK_COUNTERS``; ``feed_order`` says
+#: whether the replay followed recorded timestamps or, lacking them,
+#: fell back to program order (the feed that can over-constrain)
 _MONITOR_COUNTERS = (
     "ops_seen",
+    "feed_order",
     "rf_edges",
     "cf_edges",
     "d_edges",

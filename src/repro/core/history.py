@@ -9,11 +9,29 @@ class — supports arbitrary partial orders (fork/join programs etc.).
 
 Implementation notes
 --------------------
-Events are densely numbered ``0..n-1`` and all order information is kept as
-Python-int bitmasks (arbitrary precision, so histories are not limited to
-64 events).  Checkers rely on:
+Events are densely numbered ``0..n-1`` and order *answers* are Python-int
+bitmasks (arbitrary precision, so histories are not limited to 64
+events).  What is *stored* is the order in the form it arrived in:
 
-- :meth:`History.past_mask` — strict program-order past of an event;
+- :meth:`History.from_processes` keeps the declared rows — one id
+  ``range`` per row, nothing per event and nothing per pair.  Row ``p``
+  owns the contiguous ids ``start..stop-1`` and every event carries its
+  row index, so ``past_mask(e)`` is ``(1 << e) - (1 << start)`` and
+  ``po_lt(a, b)`` is ``start(b) <= a < b``.  A recorded history of N
+  operations therefore costs O(N) to build and to hold;
+- ``History(events, past_masks)`` and :meth:`History.from_dag` keep one
+  explicit strict-past mask per event, because a general partial order
+  (fork/join programs) has nothing smaller: O(N²) bits, fine at litmus
+  size and the only evidence of the order there is.
+
+Every checker reads both through the same accessors:
+
+- :meth:`History.past_mask` — strict program-order past of an event.  On
+  a row history the mask is built on demand and not retained: one
+  ``e``-bit int per call, so a loop over all events still touches
+  O(N²) bits — the exact searches do that on litmus-size inputs; the
+  linear consumers (:func:`repro.criteria.streaming_monitor.
+  replay_history`) ask :meth:`History.sequential_processes` instead;
 - :meth:`History.processes` — the maximal chains ``P_H``;
 - :meth:`History.update_mask` — the update events of a given ADT.
 
@@ -37,7 +55,7 @@ from .adt import AbstractDataType
 from .operations import HIDDEN, Invocation, Operation, operations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A labelled event of a distributed history.
 
@@ -93,13 +111,27 @@ def _transitive_reduction(n: int, pred_masks: List[int]) -> List[int]:
     return ipred
 
 
+#: ``repr`` prints a row in full up to this many operations; a longer
+#: row shows ``_REPR_ROW_EDGE`` operations from each end and the count
+#: it left out (a live capture has tens of thousands per row)
+_REPR_ROW_FULL = 16
+_REPR_ROW_EDGE = 4
+
+
 class History:
-    """A finite distributed history with cached order structure."""
+    """A finite distributed history with cached order structure.
+
+    The program order is held either as declared rows (``_rows``: one id
+    range per row, indexed by ``Event.process``) or as explicit
+    strict-past masks (``_past_masks``) — exactly one of the two is not
+    ``None``; see the module docstring.
+    """
 
     __slots__ = (
         "events",
-        "_ipred_masks",
+        "_rows",
         "_past_masks",
+        "_ipred_masks",
         "_succ_masks",
         "_chains",
         "_times",
@@ -111,23 +143,35 @@ class History:
         past_masks: Sequence[int],
         times: Optional[Sequence[float]] = None,
     ):
+        self._store(events, times, past_masks=tuple(past_masks))
+        n = len(self.events)
+        if len(self._past_masks) != n:
+            raise ValueError("one past mask per event required")
+        for e, mask in enumerate(self._past_masks):
+            if mask.bit_length() > n:
+                raise ValueError(f"past mask of event {e} mentions unknown events")
+            if (mask >> e) & 1:
+                raise ValueError(f"event {e} cannot precede itself")
+
+    def _store(
+        self,
+        events: Sequence[Event],
+        times: Optional[Sequence[float]],
+        *,
+        rows: Optional[Tuple[range, ...]] = None,
+        past_masks: Optional[Tuple[int, ...]] = None,
+    ) -> None:
         self.events: Tuple[Event, ...] = tuple(events)
-        self._past_masks: Tuple[int, ...] = tuple(past_masks)
+        self._rows = rows
+        self._past_masks = past_masks
         self._ipred_masks: Optional[Tuple[int, ...]] = None
         self._succ_masks: Optional[Tuple[int, ...]] = None
         self._chains: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._times: Optional[Tuple[float, ...]] = (
             tuple(times) if times is not None else None
         )
-        if len(self._past_masks) != len(self.events):
-            raise ValueError("one past mask per event required")
         if self._times is not None and len(self._times) != len(self.events):
             raise ValueError("one timestamp per event required")
-        for e, mask in enumerate(self._past_masks):
-            if mask >> len(self.events):
-                raise ValueError(f"past mask of event {e} mentions unknown events")
-            if mask & (1 << e):
-                raise ValueError(f"event {e} cannot precede itself")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -142,14 +186,18 @@ class History:
 
         ``rows[p]`` is the sequence of operations of process ``p`` (any
         format accepted by :func:`repro.core.operations.operations`).  The
-        program order is the disjoint union of the row orders.  ``times``
+        program order is the disjoint union of the row orders, and it is
+        stored as just that: the id range of every row.  ``times``
         optionally gives the observed invocation timestamp of every
         operation, row-parallel to ``rows``.
         """
+        if times is not None and len(times) != len(rows):
+            raise ValueError(
+                f"{len(times)} timestamp rows for {len(rows)} process rows"
+            )
         events: List[Event] = []
-        past_masks: List[int] = []
+        spans: List[range] = []
         flat_times: Optional[List[float]] = [] if times is not None else None
-        chains: List[Tuple[int, ...]] = []
         for p, row in enumerate(rows):
             row_ops = operations(row)
             if flat_times is not None:
@@ -160,19 +208,14 @@ class History:
                         f"{len(row_ops)} operations"
                     )
                 flat_times.extend(row_times)
-            prefix_mask = 0
             start = len(events)
-            for operation in row_ops:
-                eid = len(events)
-                events.append(Event(eid, p, operation.invocation, operation.output))
-                past_masks.append(prefix_mask)
-                prefix_mask |= 1 << eid
-            if row_ops:
-                chains.append(tuple(range(start, len(events))))
-        history = cls(events, past_masks, times=flat_times)
-        # The declared rows ARE the maximal chains of a disjoint union of
-        # row orders; seeding them skips the general-DAG enumeration.
-        history._chains = tuple(chains)
+            events.extend(
+                Event(eid, p, operation.invocation, operation.output)
+                for eid, operation in enumerate(row_ops, start)
+            )
+            spans.append(range(start, len(events)))
+        history = cls.__new__(cls)
+        history._store(events, flat_times, rows=tuple(spans))
         return history
 
     @classmethod
@@ -229,7 +272,13 @@ class History:
 
     def past_mask(self, eid: int) -> int:
         """Strict program-order past ``{e' : e' |-> e}`` as a bitmask."""
-        return self._past_masks[eid]
+        if self._rows is None:
+            return self._past_masks[eid]
+        return (1 << eid) - (1 << self._row(eid).start)
+
+    def _row(self, eid: int) -> range:
+        """The declared row of ``eid`` (row histories only)."""
+        return self._rows[self.events[eid].process]
 
     @property
     def times(self) -> Optional[Tuple[float, ...]]:
@@ -243,13 +292,17 @@ class History:
 
     def po_lt(self, a: int, b: int) -> bool:
         """``a |-> b`` (strictly)."""
-        return bool(self._past_masks[b] & (1 << a))
+        if self._rows is None:
+            return bool((self._past_masks[b] >> a) & 1)
+        return self._row(b).start <= a < b
 
     def concurrent(self, a: int, b: int) -> bool:
         return a != b and not self.po_lt(a, b) and not self.po_lt(b, a)
 
     def ipred_mask(self, eid: int) -> int:
         """Immediate predecessors (Hasse diagram) of ``eid``."""
+        if self._rows is not None:
+            return 1 << (eid - 1) if eid > self._row(eid).start else 0
         if self._ipred_masks is None:
             self._ipred_masks = tuple(
                 _transitive_reduction(len(self), list(self._past_masks))
@@ -258,6 +311,8 @@ class History:
 
     def succ_mask(self, eid: int) -> int:
         """Strict program-order future of ``eid``."""
+        if self._rows is not None:
+            return (1 << self._row(eid).stop) - (2 << eid)
         if self._succ_masks is None:
             succ = [0] * len(self)
             for e in range(len(self)):
@@ -280,6 +335,8 @@ class History:
         Hasse diagram (paths from a minimal to a maximal event); the count
         is capped to guard against pathological inputs.
         """
+        if self._chains is None and self._rows is not None:
+            self._chains = tuple(tuple(row) for row in self._rows if row)
         if self._chains is None:
             n = len(self)
             chains: List[Tuple[int, ...]] = []
@@ -322,6 +379,29 @@ class History:
             self._chains = tuple(chains)
         return self._chains
 
+    def sequential_processes(self) -> Optional[Sequence[Sequence[int]]]:
+        """The processes as disjoint chains of event ids, when the program
+        order is a disjoint union of chains (communicating sequential
+        processes, Sec. 2.2); ``None`` for any other partial order.
+
+        Declared rows are such a union by construction and are returned
+        as their id ranges, nothing materialised.  Explicit masks are
+        verified chain by chain against the prefix each event must have —
+        there the masks are the only evidence of the order.
+        """
+        if self._rows is not None:
+            return tuple(row for row in self._rows if row)
+        chains = self.processes()
+        if sum(len(chain) for chain in chains) != len(self):
+            return None
+        for chain in chains:
+            expected = 0
+            for eid in chain:
+                if self._past_masks[eid] != expected:
+                    return None
+                expected |= 1 << eid
+        return chains
+
     def process_of(self, eid: int) -> Tuple[int, ...]:
         """Some maximal chain containing ``eid`` (the declared row when the
         history came from :meth:`from_processes`)."""
@@ -354,11 +434,25 @@ class History:
         return self.events[eid].operation
 
     def __repr__(self) -> str:
-        rows: Dict[Optional[int], List[str]] = {}
+        rows: Dict[Optional[int], List[int]] = {}
         for event in self.events:
-            rows.setdefault(event.process, []).append(repr(event.operation))
+            rows.setdefault(event.process, []).append(event.eid)
+
+        def ops(eids: Sequence[int]) -> str:
+            return " ".join(repr(self.events[eid].operation) for eid in eids)
+
+        def render(eids: Sequence[int]) -> str:
+            if len(eids) <= _REPR_ROW_FULL:
+                return ops(eids)
+            cut = len(eids) - 2 * _REPR_ROW_EDGE
+            return (
+                f"{ops(eids[:_REPR_ROW_EDGE])} … +{cut} … "
+                f"{ops(eids[-_REPR_ROW_EDGE:])}"
+            )
+
         body = "; ".join(
-            f"p{p}: " + " ".join(ops) for p, ops in sorted(rows.items(), key=lambda kv: (kv[0] is None, kv[0]))
+            f"p{p}: " + render(eids)
+            for p, eids in sorted(rows.items(), key=lambda kv: (kv[0] is None, kv[0]))
         )
         return f"<History |E|={len(self)} {body}>"
 

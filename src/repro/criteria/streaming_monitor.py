@@ -1503,12 +1503,18 @@ def replay_history(
     conflict and happens-before edges and report a cycle the timed feed
     would not (observed on live service captures stripped of their
     timestamps), which is why ``repro.service.load.capture_history``
-    always carries ``start`` times through the classify JSON.  Histories
-    whose program order is not a union of per-process chains, non-window
-    ADTs and non-differentiated histories yield inconclusive verdicts.
+    always carries ``start`` times through the classify JSON.  Which of
+    the two feeds ran is recorded in every verdict's ``stats`` as
+    ``feed_order`` (``"recorded-time"`` / ``"program-order"``), so a
+    cycle reported on an untimed history says so itself.  Histories
+    whose program order is not a union of per-process chains
+    (:meth:`History.sequential_processes` — free for declared rows,
+    verified mask by mask otherwise), non-window ADTs and
+    non-differentiated histories yield inconclusive verdicts.
     """
     shape = _adt_shape(adt)
-    stats = {"ops_seen": len(history)}
+    feed_order = "recorded-time" if history.times is not None else "program-order"
+    stats: Dict[str, Any] = {"ops_seen": len(history), "feed_order": feed_order}
     if shape is None:
         return {
             c: MonitorVerdict(
@@ -1519,17 +1525,8 @@ def replay_history(
             )
             for c in criteria
         }
-    chains = history.processes()
-    chain_of: Dict[int, Tuple[int, int]] = {}
-    chainlike = sum(len(chain) for chain in chains) == len(history)
-    for p, chain in enumerate(chains):
-        expected = 0
-        for i, eid in enumerate(chain):
-            chain_of[eid] = (p, i)
-            if history.past_mask(eid) != expected:
-                chainlike = False
-            expected |= 1 << eid
-    if not chainlike or len(chain_of) != len(history):
+    chains = history.sequential_processes()
+    if chains is None:
         return {
             c: MonitorVerdict(
                 c,
@@ -1539,6 +1536,10 @@ def replay_history(
             )
             for c in criteria
         }
+    pid_of = [0] * len(history)
+    for p, chain in enumerate(chains):
+        for eid in chain:
+            pid_of[eid] = p
     streams, k, default = shape
     monitor = StreamingMonitor(
         max(1, len(chains)),
@@ -1552,8 +1553,11 @@ def replay_history(
     if history.times is not None:
         times = history.times
         order.sort(key=lambda eid: (times[eid], eid))
+    events = history.events
     for eid in order:
-        event = history.events[eid]
-        pid = chain_of[eid][0]
-        monitor.feed(pid, event.invocation, event.output)
-    return monitor.finalize()
+        event = events[eid]
+        monitor.feed(pid_of[eid], event.invocation, event.output)
+    verdicts = monitor.finalize()
+    for verdict in verdicts.values():
+        verdict.stats["feed_order"] = feed_order
+    return verdicts

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, List, Optional, Sequence, Set, Type
 
 from ..adts.window_stream import WindowStreamArray
@@ -36,10 +37,13 @@ _SCRIPT_SALT = 9_176_731
 
 @dataclass
 class RunResult:
-    """Everything an experiment needs to know about one run."""
+    """Everything an experiment needs to know about one run.
 
-    history: History
-    stable: Set[int]
+    ``history`` and ``stable`` are built from the recorder on first use
+    and kept: a run that is only fingerprinted, swept or watched through
+    ``subscriber=`` never pays for the N events it would not read.
+    """
+
     recorder: HistoryRecorder
     network_stats: NetworkStats
     algorithm: Any
@@ -50,6 +54,14 @@ class RunResult:
     completed: int = 0
     spec: Optional[ScenarioSpec] = None
     monitor: Optional[RuntimeMonitor] = None
+
+    @cached_property
+    def history(self) -> History:
+        return self.recorder.to_history()
+
+    @cached_property
+    def stable(self) -> Set[int]:
+        return self.recorder.stable_eids()
 
     @property
     def mean_latency(self) -> float:
@@ -222,8 +234,6 @@ class Scenario:
 
         ops = recorder.count()
         return RunResult(
-            history=recorder.to_history(),
-            stable=recorder.stable_eids(),
             recorder=recorder,
             network_stats=network.stats,
             algorithm=algorithm,

@@ -304,6 +304,28 @@ class TestScenarioRuns:
         assert len(result.stable) == 2 * 2  # one read per stream per process
         assert result.ops == 2 * 2 + 4
 
+    def test_history_is_built_on_first_use_and_kept(self):
+        """A run that is only fingerprinted, swept or monitored through
+        ``subscriber=`` never builds the N events it would not read."""
+        spec = ScenarioSpec(
+            name="lazy",
+            n=4,
+            workload=WorkloadSpec(ops_per_process=500, think=(0.01, 0.05)),
+            streams=2,
+        )
+        seen = []
+        result = Scenario(spec).run(
+            CCvWindowArray, seed=1, streams=2, k=2, subscriber=seen.append
+        )
+        assert result.ops == len(seen) >= 2000
+        result.fingerprint()
+        assert "history" not in vars(result) and "stable" not in vars(result)
+        history = result.history
+        assert result.history is history and "history" in vars(result)
+        assert len(history) == result.ops
+        assert result.stable is result.stable
+        assert result.stable == result.recorder.stable_eids()
+
 
 class TestMatrixRunner:
     def test_serial_and_parallel_agree(self):

@@ -854,6 +854,41 @@ class TestReplayDeterminism:
 
 
 # ----------------------------------------------------------------------
+class TestReplayFootprint:
+    def test_build_and_replay_peak_is_linear_in_the_stream(self):
+        """Traced bytes, no wall clock: building the history of a 16k-op
+        clean stream and replaying it peaks under 800 B per operation,
+        monitor state included (~490 measured, the same at 64k ops; one
+        eager past mask per event made it ~1.8 KB here and ~4.5 KB at
+        64k).  The tracer slows the feed ~20x, hence the short stream."""
+        import gc
+        import tracemalloc
+
+        total = 16_000
+        rows = [[] for _ in range(N)]
+        times = [[] for _ in range(N)]
+        for i, (p, invocation, output) in enumerate(clean_ccv_ops(5, total)):
+            rows[p].append(Operation(invocation, output))
+            times[p].append(float(i))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            history = History.from_processes(rows, times=times)
+            verdict = replay_history(
+                history, WindowStreamArray(STREAMS, K), criteria=("CCV",)
+            )["CCV"]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert verdict.ok is True
+        assert verdict.stats["ops_seen"] == total
+        assert verdict.stats["feed_order"] == "recorded-time"
+        assert peak / total < 800
+
+
+# ----------------------------------------------------------------------
 class TestCli:
     def test_classify_streaming_json(self, tmp_path, capsys):
         from repro.cli import main
@@ -886,9 +921,45 @@ class TestCli:
             assert stats[key] > 0
         assert stats["first_violation_index"] == 3
         assert {"order_searches", "order_moved"} <= set(stats)
+        # a CyclicCF on a file without timestamps says which feed found it
+        assert stats["feed_order"] == "program-order"
+        assert "feed_order=program-order" in text
         # the search side agrees and is in the same document
         assert doc["criteria"]["CCV"]["ok"] is False
         assert doc["criteria"]["CC"]["ok"] is True
+
+    def test_classify_reports_the_feed_order_it_used(self, tmp_path, capsys):
+        """One op without ``start`` drops every timestamp of the file;
+        the report says the replay fell back to program order."""
+        from repro.cli import main
+
+        def run(rows):
+            src = tmp_path / "h.json"
+            src.write_text(json.dumps(
+                {"adt": {"type": "window", "k": 1}, "processes": rows,
+                 "criteria": ["CCV"]}
+            ))
+            out = tmp_path / "report.json"
+            assert main(["classify", str(src), "--streaming-only",
+                         "--json", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            return capsys.readouterr().out, doc
+
+        rows = [
+            [{"method": "w", "args": [i], "output": "<bottom>", "start": 2.0 * i}
+             for i in range(1, 41)],
+            [{"method": "r", "output": [0], "start": 0.5}],
+        ]
+        text, doc = run(rows)
+        assert "feed_order=recorded-time" in text
+        assert doc["streaming"]["stats"]["feed_order"] == "recorded-time"
+        # a 41-op history is one short line, on screen and in the report
+        (line,) = [ln for ln in text.splitlines() if ln.startswith("history:")]
+        assert "… +32 …" in line and doc["history"] == line[len("history: "):]
+        del rows[0][7]["start"]
+        text, doc = run(rows)
+        assert "feed_order=program-order" in text
+        assert doc["streaming"]["stats"]["feed_order"] == "program-order"
 
     def test_explore_monitor_flag(self, tmp_path, capsys):
         from repro.cli import main
