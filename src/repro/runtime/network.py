@@ -134,6 +134,13 @@ class NetworkStats:
     held: int = 0
     duplicated: int = 0
     reordered: int = 0
+    #: copies drawn and counted but never scheduled, because their
+    #: destination already held the message id when they were sent (the
+    #: simulated twin of the live transport's ``dups_dropped``; a live
+    #: transport leaves it 0).  At quiescence with nothing held,
+    #: ``sent + duplicated - lost == delivered + dropped_to_crashed +
+    #: elided``
+    elided: int = 0
     total_delay: float = 0.0
     #: relays an eager flood would have sent but a lazy-push broadcast
     #: replaced with (batched) id advertisements
@@ -168,6 +175,13 @@ def _payload_size(payload: Any) -> int:
     return 16
 
 
+def _message_id(payload: Any) -> Any:
+    """The broadcast id a payload carries — ``payload["id"]``, the shape
+    ``ReliableEndpoint._new_message`` builds — or None.  The only place
+    the network reads into a payload (for send-time dedup)."""
+    return payload.get("id") if type(payload) is dict else None
+
+
 class Network(Transport):
     """Reliable asynchronous unicast between ``n`` processes — the
     simulated :class:`~repro.runtime.transport.Transport` (re-exported as
@@ -177,9 +191,25 @@ class Network(Transport):
     ``attach(pid, handler)`` registers the message handler of process
     ``pid``; :meth:`send` schedules its invocation after a sampled delay.
     Crashed processes neither send nor receive; :meth:`recover` lets a
-    crashed process rejoin (messages that were in flight towards it while
-    it was down stay dropped — state catch-up is the algorithm's job, see
-    :meth:`repro.algorithms.base.ReplicatedObject.on_recover`).
+    crashed process rejoin.  Whether a copy is lost to a crash is decided
+    when it *arrives*: one that arrives while its destination is down is
+    dropped, one sent to a down process that arrives after the
+    :meth:`recover` is delivered.  State catch-up for what was dropped is
+    the algorithm's job, see
+    :meth:`repro.algorithms.base.ReplicatedObject.on_recover`.
+
+    Send-time dedup: the broadcast layer offers each endpoint's "seen?"
+    predicate through :meth:`attach_dedup`.  A copy whose destination's
+    predicate already holds the copy's ``message["id"]`` when it is sent
+    is drawn from the rng and counted in ``stats`` exactly like any other
+    copy, then *elided* (``stats.elided``) instead of scheduled: seen-sets
+    only grow and a seen message's receive returns before touching state,
+    so delivering it would have been a no-op.  The simulator's clock at
+    drain still advances to the latest elided arrival, which keeps every
+    recorded history, ``RunResult.duration`` and the quiescence reads'
+    times exactly as if the copy had been delivered.  Payloads without an
+    id (the lazy family's ``adv``/``pull`` messages, total order, gossip)
+    and destinations that offered no predicate are scheduled as always.
 
     The fault surface is event-driven: :meth:`partition`/:meth:`heal`,
     :meth:`crash`/:meth:`recover`, :meth:`set_loss_rate` (loss bursts),
@@ -224,6 +254,11 @@ class Network(Transport):
         self.loss_rate = loss_rate
         self.delay_scale = 1.0
         self.handlers: Dict[int, Callable[[int, Any], None]] = {}
+        #: per pid, the "already seen this id?" predicate it offered
+        #: through :meth:`attach_dedup` (None: no offer)
+        self._dedup: List[Optional[Callable[[Tuple[int, int]], bool]]] = [
+            None
+        ] * n
         #: one Network carries every process (see ``Transport.hosted``)
         self.hosted = range(n)
         self._control: Dict[int, ControlHandler] = {}
@@ -265,6 +300,16 @@ class Network(Transport):
             raise ValueError(f"process id {pid} out of range")
         self.handlers[pid] = handler
 
+    def attach_dedup(
+        self, pid: int, seen: Callable[[Tuple[int, int]], bool]
+    ) -> None:
+        """Honoured at send time: a copy for ``pid`` whose id ``seen``
+        already holds is drawn, counted and elided (see the class
+        docstring)."""
+        if not (0 <= pid < self.n):
+            raise ValueError(f"process id {pid} out of range")
+        self._dedup[pid] = seen
+
     def attach_control(self, pid: int, handler: ControlHandler) -> None:
         self._control[pid] = handler
 
@@ -281,9 +326,12 @@ class Network(Transport):
     def recover(self, pid: int) -> None:
         """Undo :meth:`crash`: ``pid`` resumes sending and receiving.
 
-        Only the network membership is restored; replica state that missed
-        deliveries while down must be rejoined by the algorithm (e.g. via
-        broadcast-level anti-entropy, ``ReliableBroadcast.resync``)."""
+        A copy is dropped only if it arrives while ``pid`` is down: one
+        sent to ``pid`` during the crash that arrives after this call is
+        delivered.  Only the network membership is restored; replica
+        state that missed deliveries while down must be rejoined by the
+        algorithm (e.g. via broadcast-level anti-entropy,
+        ``ReliableBroadcast.resync``)."""
         self.crashed.discard(pid)
 
     def is_crashed(self, pid: int) -> bool:
@@ -392,6 +440,9 @@ class Network(Transport):
             for k, payload in enumerate(reversed(payloads)):
                 delay = spacing * (k + 1)
                 self.stats.sent += 1
+                if self._holds(dst, payload):
+                    self._elide(sim.now + delay)
+                    continue
                 seq = sim._next_seq
                 sim._next_seq = seq + 1
                 sim._events[seq] = (self._deliver, (src, dst, payload, delay))
@@ -521,7 +572,9 @@ class Network(Transport):
 
     def _fan_out(self, src: int, dsts: Tuple[int, ...], payload: Any) -> None:
         """One sampled delay + scheduled delivery per destination, with
-        Simulator.schedule open-coded — the runtime's hottest loop."""
+        Simulator.schedule open-coded — the runtime's hottest loop.  A
+        destination that already holds the message keeps its draws and
+        its counts and gets no event."""
         stats = self.stats
         sim = self.sim
         rng = sim.rng
@@ -534,6 +587,10 @@ class Network(Transport):
         heap = sim._heap
         now = sim.now
         seq = sim._next_seq
+        mid = _message_id(payload)
+        dedup = self._dedup
+        elided = 0
+        last = sim.elided_until
         if (
             type(model) is _Uniform
             and scale == 1.0
@@ -552,6 +609,13 @@ class Network(Transport):
             random = rng.random
             for dst in dsts:
                 delay = low + width * random()
+                if mid is not None:
+                    seen = dedup[dst]
+                    if seen is not None and seen(mid):
+                        elided += 1
+                        if now + delay > last:
+                            last = now + delay
+                        continue
                 events[seq] = (deliver, (src, dst, payload, delay))
                 heappush(heap, (now + delay, seq))
                 seq += 1
@@ -564,10 +628,20 @@ class Network(Transport):
                 delay = sample(rng, src, dst) * scale
                 if delay < 0:  # preserve Simulator.schedule's guard
                     raise ValueError("cannot schedule in the past")
+                if mid is not None:
+                    seen = dedup[dst]
+                    if seen is not None and seen(mid):
+                        elided += 1
+                        if now + delay > last:
+                            last = now + delay
+                        continue
                 events[seq] = (deliver, (src, dst, payload, delay))
                 heappush(heap, (now + delay, seq))
                 seq += 1
         sim._next_seq = seq
+        if elided:
+            stats.elided += elided
+            sim.elided_until = last
 
     def _transmit(self, src: int, dst: int, payload: Any, lossy: bool) -> None:
         self.stats.sent += 1
@@ -579,6 +653,8 @@ class Network(Transport):
             # gossip-style algorithms tolerate loss, op-based ones do not)
             self.stats.lost += 1
             return
+        # decided once, at send time, for the copy and its duplicate
+        held = self._holds(dst, payload)
         model = self.delay
         if type(model) is _Uniform and self.delay_scale == 1.0:
             # inline _Uniform.sample (verbatim expression, same draw)
@@ -587,12 +663,15 @@ class Network(Transport):
             delay = model.sample(rng, src, dst) * self.delay_scale
         if delay < 0:  # preserve Simulator.schedule's guard
             raise ValueError("cannot schedule in the past")
-        # open-coded Simulator.schedule: unicast sends and held-message
-        # flushes (thousands of messages at a heal) share this path
-        seq = sim._next_seq
-        sim._next_seq = seq + 1
-        sim._events[seq] = (self._deliver, (src, dst, payload, delay))
-        heappush(sim._heap, (sim.now + delay, seq))
+        if held:
+            self._elide(sim.now + delay)
+        else:
+            # open-coded Simulator.schedule: unicast sends and held-message
+            # flushes (thousands of messages at a heal) share this path
+            seq = sim._next_seq
+            sim._next_seq = seq + 1
+            sim._events[seq] = (self._deliver, (src, dst, payload, delay))
+            heappush(sim._heap, (sim.now + delay, seq))
         if self.duplicate_rate and rng.random() < self.duplicate_rate:
             # duplication fault: a second, independently delayed copy of
             # the same payload (no rng draw when the dial is at zero)
@@ -603,10 +682,30 @@ class Network(Transport):
                 dup = model.sample(rng, src, dst) * self.delay_scale
             if dup < 0:
                 raise ValueError("cannot schedule in the past")
+            if held:
+                self._elide(sim.now + dup)
+                return
             seq = sim._next_seq
             sim._next_seq = seq + 1
             sim._events[seq] = (self._deliver, (src, dst, payload, dup))
             heappush(sim._heap, (sim.now + dup, seq))
+
+    def _holds(self, dst: int, payload: Any) -> bool:
+        """Does ``dst`` already hold ``payload``?  Only when it offered a
+        predicate (:meth:`attach_dedup`) and the payload carries an id."""
+        seen = self._dedup[dst]
+        if seen is None:
+            return False
+        mid = _message_id(payload)
+        return mid is not None and seen(mid)
+
+    def _elide(self, arrival: float) -> None:
+        """Account a copy that is not scheduled: it would have arrived
+        at ``arrival`` to a destination that already held it."""
+        self.stats.elided += 1
+        sim = self.sim
+        if arrival > sim.elided_until:
+            sim.elided_until = arrival
 
     def _deliver(self, src: int, dst: int, payload: Any, delay: float) -> None:
         if dst in self.crashed:

@@ -40,6 +40,11 @@ class Simulator:
         self._events: Dict[int, Tuple[Callable[..., None], Tuple[Any, ...]]] = {}
         self._next_seq = 0
         self.events_executed = 0
+        #: latest arrival time of a message copy the network elided
+        #: instead of scheduling (its destination already held it): a
+        #: drained :meth:`run` advances the clock to it, as if that no-op
+        #: delivery had been the last event to run
+        self.elided_until: float = 0.0
 
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
@@ -75,7 +80,12 @@ class Simulator:
         until: Optional[float] = None,
         max_events: int = 10_000_000,
     ) -> None:
-        """Drain the event heap (optionally stopping at time ``until``)."""
+        """Drain the event heap (optionally stopping at time ``until``).
+
+        The clock ends where it would have, had every elided copy (see
+        :attr:`elided_until`) been scheduled: at ``until`` when one is
+        given, else at the later of the last event and the last elided
+        arrival."""
         heap = self._heap
         events = self._events
         pop = heapq.heappop
@@ -104,10 +114,15 @@ class Simulator:
             # keep the public counter truthful even when a callback (or
             # the budget guard) raises mid-run
             self.events_executed = executed
-        if until is not None and self.now < until:
+        if until is None:
+            # the loop only ends here once the heap is drained
+            if self.elided_until > self.now:
+                self.now = self.elided_until
+        elif self.now < until:
             self.now = until
 
     @property
     def pending(self) -> int:
-        """Live (non-cancelled, not yet executed) scheduled events."""
+        """Live (non-cancelled, not yet executed) scheduled events; a
+        copy the network elided was never scheduled and is not one."""
         return len(self._events)

@@ -80,11 +80,20 @@ class Transport:
     ) -> None:
         """Offer ``seen((origin, seq)) -> bool``, ``pid``'s "already saw
         this broadcast message" test.  Optional on both sides: a
-        transport that can read a message's id without decoding it may
-        drop a frame for which ``seen`` is true before it reaches
-        ``pid``'s handler; the handler must keep its own check, because
-        a transport may just as well ignore the offer — this base
-        implementation does, and the simulated plane inherits it."""
+        transport that can read a message's id may skip a copy for which
+        ``seen`` is true instead of handing it to ``pid``'s handler.
+        The handler must keep its own check, because a transport may
+        honour the offer for some copies only, or ignore it — this base
+        implementation does.  Where the two planes honour it:
+
+        - simulated (``Network``): at *send* time — a copy whose
+          destination already holds ``message["id"]`` is drawn and
+          counted as usual, but never scheduled (``stats.elided``);
+        - live, binary codec (``AsyncioTransport``): at *receive* time,
+          on the packed message frame's header peek, before decoding
+          (``wire_stats["dups_dropped"]``);
+        - live, JSON codec or generic frame shapes: not at all — the
+          copy is decoded and the handler's own check drops it."""
 
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Asynchronously deliver ``payload`` from ``src`` to ``dst``.

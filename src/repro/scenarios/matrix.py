@@ -195,8 +195,9 @@ class MatrixCell:
     #: streaming-monitor verdicts + stats when explore ran with
     #: ``--monitor`` (None otherwise): ``{"criteria": {...}, "stats": {...}}``
     streaming: Optional[Dict[str, Any]] = None
-    #: per-run network accounting (sent / delivered / suppressed_relays
-    #: / pulled), the message-complexity surface of the lazy transport
+    #: per-run network accounting (sent / delivered / elided /
+    #: suppressed_relays / pulled), the message-complexity surface of the
+    #: lazy transport and of send-time dedup
     network: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -386,6 +387,7 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
         network={
             "sent": result.network_stats.sent,
             "delivered": result.network_stats.delivered,
+            "elided": result.network_stats.elided,
             "suppressed_relays": result.network_stats.suppressed_relays,
             "pulled": result.network_stats.pulled,
         },

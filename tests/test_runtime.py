@@ -98,6 +98,21 @@ class TestNetwork:
         sim.run()
         assert inbox == [] and net.stats.dropped_to_crashed == 1
 
+    def test_a_copy_is_dropped_only_if_it_arrives_while_its_destination_is_down(self):
+        """Sent while pid 1 is down: "early" arrives before the recover
+        and is dropped, "late" arrives after it and is delivered."""
+        sim = Simulator()
+        net = Network(sim, 2, delay=DelayModel.constant(2.0))
+        inbox = []
+        net.attach(1, lambda src, payload: inbox.append((sim.now, payload)))
+        net.crash(1)
+        net.send(0, 1, "early")  # arrives at 2.0
+        sim.schedule(1.5, net.send, 0, 1, "late")  # arrives at 3.5
+        sim.schedule(3.0, net.recover, 1)
+        sim.run()
+        assert inbox == [(3.5, "late")]
+        assert net.stats.dropped_to_crashed == 1 and net.stats.delivered == 1
+
     def test_crashed_source_sends_nothing(self):
         sim = Simulator()
         net = Network(sim, 2)

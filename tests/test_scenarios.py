@@ -19,7 +19,7 @@ from repro.algorithms import (
 )
 from repro.core.operations import Invocation
 from repro.criteria import check
-from repro.runtime import DelayModel, Network, Simulator
+from repro.runtime import DelayModel, Network, ReliableBroadcast, Simulator
 from repro.scenarios import (
     ALGORITHMS,
     DelaySpec,
@@ -35,6 +35,7 @@ from repro.scenarios import (
     run_matrix,
     scenario_names,
 )
+from repro.scenarios.matrix import build_post_setup
 
 F = FaultEvent
 
@@ -325,6 +326,110 @@ class TestScenarioRuns:
         assert len(history) == result.ops
         assert result.stable is result.stable
         assert result.stable == result.recorder.stable_eids()
+
+
+def sim_faults_specs():
+    """The four n=8 fault profiles of the benchmark's ``sim_faults``
+    workload (``benchmarks/suite/sim.py``), 500 operations per process."""
+    n = 8
+
+    def repairs(start):
+        return tuple(F.repair(start + 10.0 * i) for i in range(n - 1))
+
+    faults = {
+        "lossdup": (
+            F.loss(0.0, 0.05),
+            F.duplicate(0.0, 0.05),
+            F.loss(200.0, 0.0),
+            F.duplicate(200.0, 0.0),
+        )
+        + repairs(300.0),
+        "reorder": (F.reorder(50.0, 60.0),),
+        "partition": (
+            F.partition(40.0, range(n // 2), range(n // 2, n)),
+            F.heal(120.0),
+        ),
+        "crash": (F.crash(60.0, n - 1), F.recover(140.0, n - 1)) + repairs(320.0),
+    }
+    delays = {"reorder": DelaySpec("per-link", (0.5, 3.0, 0.2))}
+    workload = WorkloadSpec(ops_per_process=500, write_ratio=0.5, think=(0.1, 1.0))
+    return {
+        name: ScenarioSpec(
+            name,
+            n=n,
+            streams=4,
+            k=2,
+            delay=delays.get(name, DelaySpec()),
+            faults=events,
+            workload=workload,
+        )
+        for name, events in faults.items()
+    }
+
+
+def assert_every_copy_accounted_for(result):
+    """At quiescence (every partition healed), every copy sent
+    (duplicates included, losses excluded) was delivered, dropped at a
+    crashed destination, or elided because its destination already
+    held it."""
+    assert not result.sim.pending
+    s = result.network_stats
+    assert s.sent + s.duplicated - s.lost == (
+        s.delivered + s.dropped_to_crashed + s.elided
+    )
+
+
+class TestNetworkConservation:
+    @pytest.mark.parametrize("profile", ["lossdup", "reorder", "partition", "crash"])
+    def test_sim_faults_profiles_account_for_every_copy(self, profile):
+        spec = sim_faults_specs()[profile]
+        result = Scenario(spec).run(CCvWindowArray, seed=1, streams=4, k=2)
+        assert result.monitor.ok and result.blocked == 0
+        assert_every_copy_accounted_for(result)
+        # the eager flood: most copies reach a process that already has
+        # the message by the time they are sent
+        s = result.network_stats
+        assert s.elided > 0.3 * s.sent
+
+    @pytest.mark.parametrize("key", sorted(ALGORITHMS))
+    def test_only_a_broadcast_that_offers_a_predicate_elides(self, key):
+        spec = ScenarioSpec(
+            "lossdup-small",
+            n=4,
+            streams=2,
+            k=2,
+            faults=(
+                F.loss(0.0, 0.05),
+                F.duplicate(0.0, 0.05),
+                F.loss(10.0, 0.0),
+                F.duplicate(10.0, 0.0),
+            )
+            + tuple(F.repair(15.0 + 3.0 * i) for i in range(3)),
+            workload=WorkloadSpec(ops_per_process=30, write_ratio=0.5),
+        )
+        entry = ALGORITHMS[key]
+        result = Scenario(spec).run(
+            entry.cls,
+            seed=1,
+            post_setup=build_post_setup(entry, spec),
+            **entry.kwargs(spec.streams, spec.k),
+        )
+        assert_every_copy_accounted_for(result)
+        # the reliable family (eager and lazy) offers its endpoints'
+        # is_seen; total order and gossip offer nothing
+        offers = isinstance(result.algorithm.broadcast, ReliableBroadcast)
+        assert (result.network_stats.elided > 0) == offers
+
+    def test_the_matrix_cell_reports_elided_copies(self):
+        report = run_matrix(
+            scenarios=["partition-during-writes"],
+            algorithms=["ccv-fig5", "sc-sequencer"],
+            seeds=1,
+            jobs=1,
+            fast=True,
+        )
+        elided = {c.algorithm: c.network["elided"] for c in report.cells}
+        assert elided["ccv-fig5"] > 0 and elided["sc-sequencer"] == 0
 
 
 class TestMatrixRunner:

@@ -13,10 +13,15 @@ Covered: point-to-point and multicast delivery with source fidelity,
 per-link FIFO order, timer scheduling (ordering, cancellation,
 cancel-after-fire as a no-op), the local/remote crash surface,
 duplicate *surfacing* (a duplication fault reaches the layer above on
-both planes — dedup is the broadcast layer's job, and it must get the
-same raw stream to dedup either way), and the control call: one
-crash → traffic → recover script whose resync request reaches a helper
-in-line on the simulated plane and as a control frame on the live one.
+both planes — with no "seen?" predicate attached, dedup is the broadcast
+layer's job, and it must get the same raw stream to dedup either way),
+the offered predicate (``attach_dedup``: a copy of a message its
+destination already holds never reaches the handler — skipped at send
+time on the simulated plane, on the header peek under the live binary
+codec; the JSON codec decodes it and leaves the drop to the handler),
+and the control call: one crash → traffic → recover script whose resync
+request reaches a helper in-line on the simulated plane and as a control
+frame on the live one.
 """
 
 import asyncio
@@ -316,6 +321,32 @@ def test_duplication_fault_surfaces_to_the_layer_above(plane):
         await world.close()
         payloads = sorted(payload for _src, payload in logs[1])
         assert payloads == sorted(list(range(5)) * 2)
+
+    run(body())
+
+
+@pytest.mark.parametrize("plane", ("sim", "live-binary"))
+def test_a_copy_the_destination_already_holds_never_reaches_its_handler(plane):
+    """With a predicate attached that holds ``(0, 0)``, neither a unicast
+    nor a multicast copy of that message reaches pid 1's handler; a
+    message it does not hold still does."""
+
+    async def body():
+        world = await make_world(plane, 2)
+        logs = attach_recorders(world, 2)
+        world.transport(1).attach_dedup(1, {(0, 0)}.__contains__)
+        held = {"id": (0, 0), "origin": 0, "payload": "held"}
+        fresh = {"id": (0, 1), "origin": 0, "payload": "fresh"}
+        world.send(0, 1, held)
+        world.multicast(0, held)
+        world.send(0, 1, fresh)
+        await world.settle()
+        await world.close()
+        assert logs[1] == [(0, fresh)]
+        if plane == "sim":
+            assert world.net.stats.elided == 2
+        else:
+            assert world.transport(1).wire_stats["dups_dropped"] == 2
 
     run(body())
 
