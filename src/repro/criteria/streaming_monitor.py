@@ -322,7 +322,7 @@ class StreamingMonitor:
     # ------------------------------------------------------------------
     def subscriber(self) -> Callable[[Any], None]:
         """A callback for :meth:`HistoryRecorder.subscribe`: consumes the
-        recorder's own :class:`OpRecord` without copying it."""
+        :class:`OpRecord` the recorder hands its subscribers per call."""
 
         feed = self.feed
 

@@ -143,8 +143,8 @@ class Scenario:
         way and the result's :attr:`RunResult.monitor` carries any
         invariant violations it caught.
 
-        ``subscriber`` is streamed every :class:`OpRecord` as it is
-        recorded (see :meth:`HistoryRecorder.subscribe`) — this is how a
+        ``subscriber`` is streamed one :class:`OpRecord` per operation as
+        it is recorded (see :meth:`HistoryRecorder.subscribe`) — this is how a
         :class:`repro.criteria.streaming_monitor.StreamingMonitor`
         watches the run live instead of replaying the finished history.
         """

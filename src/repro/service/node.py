@@ -334,12 +334,13 @@ class ServiceNode:
         return {"ok": False, "error": f"unknown cmd {cmd!r}"}
 
     def _history_row(self) -> List[Dict[str, Any]]:
-        """This node's recorded operations in classify-JSON op format."""
+        """This node's recorded operations in classify-JSON op format,
+        read off the recorder's columns."""
         if self.tap is not None:
             self.tap.flush()
         ops = []
-        for rec in self.recorder.rows[self.my_pid]:
-            out = rec.output
+        row = self.recorder.rows[self.my_pid]
+        for method, args, out, start, end in row.entries():
             if out is BOTTOM:
                 out = "<bottom>"
             elif out is HIDDEN:
@@ -348,11 +349,11 @@ class ServiceNode:
                 out = list(out)
             ops.append(
                 {
-                    "method": rec.invocation.method,
-                    "args": list(rec.invocation.args),
+                    "method": method,
+                    "args": list(args),
                     "output": out,
-                    "start": rec.start,
-                    "end": rec.end,
+                    "start": start,
+                    "end": end,
                 }
             )
         return ops

@@ -189,9 +189,10 @@ class MonitorTap:
 class RecorderTap:
     """HistoryRecorder facade whose ``record`` defers through a RingTap.
 
-    The algorithms only ever call :meth:`record`; reads (rows, counts,
-    history assembly) go to the underlying sink — callers flush the tap
-    first (the service node does, on every observability request).
+    The algorithms only ever call :meth:`record`, which returns nothing
+    here as on the sink; reads (the ``rows`` view, counts, history
+    assembly) go to the underlying sink's columns — callers flush the
+    tap first (the service node does, on every observability request).
     """
 
     def __init__(self, tap: RingTap, sink: HistoryRecorder) -> None:
@@ -206,13 +207,11 @@ class RecorderTap:
         output: Any,
         start: float,
         end: float,
-    ) -> Optional[OpRecord]:
+    ) -> None:
         # args are immutable (Invocation is frozen, outputs are values):
-        # safe to defer without copying.  The OpRecord is created at
-        # drain time, so ``None`` is returned here — no caller of the
-        # live plane uses the return value.
+        # safe to defer without copying.  The sink packs them into its
+        # columns at drain time.
         self._tap.push(self.sink.record, pid, invocation, output, start, end)
-        return None
 
     # delegated read/config surface
     def subscribe(self, callback: Callable[[OpRecord], None]) -> None:

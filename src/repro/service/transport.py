@@ -38,7 +38,8 @@ duplicate before it is decoded, and a relay of the message being
 dispatched re-addresses the bytes it arrived in.  The flood still sends
 every copy — agreement under a mid-send crash is unchanged — and frames
 in any other shape (JSON senders, generic TLV) take the old path, dedup
-in the handler included.  ``wire_stats`` counts it all
+in the handler included, after the header's cluster check is made on
+their decoded fields.  ``wire_stats`` counts it all
 (``msg_frames_in``, ``dups_dropped``, ``relays_spliced``): the duplicate
 share the broadcast handler no longer sees is still in the node's status.
 
@@ -75,6 +76,64 @@ def enable_nodelay(writer: asyncio.StreamWriter) -> None:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except (OSError, ValueError):  # pragma: no cover - non-TCP socket
             pass
+
+
+def _is_mid(mid: Any, n: int) -> bool:
+    """A message id ``(origin, seq)`` of a cluster of ``n``."""
+    return (
+        type(mid) is tuple
+        and len(mid) == 2
+        and type(mid[0]) is int
+        and type(mid[1]) is int
+        and 0 <= mid[0] < n
+        and mid[1] >= 0
+    )
+
+
+def _check_message(message: Dict[str, Any], n: int) -> None:
+    """Raise ``ValueError`` unless a broadcast message body fits a cluster
+    of ``n``: its id, its ``origin`` (the id's), its stamp (n ints), and
+    the lazy family's ``adv`` ids, ``pull``/``pull-miss`` id and
+    ``pull-reply`` body.  The broadcast layers index per-process rows by
+    all of these, so a frame that got past a decode unchecked raised
+    ``IndexError``/``KeyError`` inside the connection task — or, fitting
+    by accident, marked an id seen that its origin had not sent yet."""
+    kind = message.get("kind")
+    # an id list that is not a tuple stands in as one bad id, [None]
+    adv = message.get("adv", ())
+    mids = list(adv) if type(adv) is tuple else [None]
+    if kind == "adv":
+        ids = message.get("ids")
+        mids.extend(ids if type(ids) is tuple else [None])
+    elif kind in ("pull", "pull-miss"):
+        mids.append(message.get("mid"))
+    elif kind == "pull-reply":
+        inner = message.get("body")
+        if type(inner) is not dict:
+            raise ValueError("pull-reply without a message body")
+        _check_message(inner, n)
+    else:
+        mid = message.get("id")
+        origin = message.get("origin")
+        stamp = message.get("stamp", ())
+        if not (
+            _is_mid(mid, n)
+            and type(origin) is int
+            and origin == mid[0]
+            and "payload" in message
+            and type(stamp) is tuple
+            and ("stamp" not in message or len(stamp) == n)
+            and all(type(entry) is int for entry in stamp)
+        ):
+            raise ValueError(
+                f"message outside this cluster of {n}: id {mid!r}, origin "
+                f"{origin!r}, stamp {message.get('stamp')!r}"
+            )
+    for mid in mids:
+        if not _is_mid(mid, n):
+            raise ValueError(
+                f"{kind} message id {mid!r} outside this cluster of {n}"
+            )
 
 
 class WallClock:
@@ -481,13 +540,28 @@ class AsyncioTransport(Transport):
         being decoded; a fresh one is remembered with its bytes while it
         is dispatched (see :meth:`_msg_body`).  Every other body — JSON,
         generic TLV, control — decodes and dispatches as before,
-        deduplicated by the broadcast layer itself."""
+        deduplicated by the broadcast layer itself; a message frame among
+        them gets the header's check on its decoded fields: its ``src``
+        always, its body (:func:`_check_message`) once the broadcast
+        layer, whose shape that is, has offered its dedup predicate."""
         if self.crashed_local:
             self.stats.dropped_to_crashed += 1
             return
         head = wire.msg_header(body)
         if head is None:
-            self._dispatch(wire.decode(body))
+            frame = wire.decode(body)
+            if type(frame) is dict and frame.get("t") == "msg":
+                src = frame.get("src")
+                in_range = type(src) is int and 0 <= src < self.n
+                if not (in_range and "body" in frame):
+                    raise ValueError(
+                        f"message frame from src {src!r} (or without a body) "
+                        f"outside this cluster of {self.n}"
+                    )
+                message = frame["body"]
+                if self._seen is not None and type(message) is dict:
+                    _check_message(message, self.n)
+            self._dispatch(frame)
             return
         src, origin, seq, stamps = head
         n = self.n

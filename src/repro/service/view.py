@@ -14,10 +14,10 @@ broadcast endpoint's ``digest()``, which the transport also hands to the
 receiving endpoint's control sink — the view manager only times them.
 
 View transitions are serialized through an ``asyncio.Lock`` — heartbeat
-arrivals, the sweep timer and operator crash/recover RPCs all mutate the
-view under it, so a rejoin racing a timeout sweep cannot interleave
-half-applied state.  Reads (``is_down``) are lock-free snapshots of a
-plain set, safe on a single event loop.
+arrivals and the sweep timer both mutate the view under it, so a rejoin
+racing a timeout sweep cannot interleave half-applied state.  Reads
+(``is_down``) are lock-free snapshots of a plain set, safe on a single
+event loop.
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ class ViewManager:
     def is_down(self, pid: int) -> bool:
         return pid in self._down
 
-    def down_set(self) -> Set[int]:
-        return set(self._down)
-
     def snapshot(self) -> Dict[str, object]:
         now = self._now()
         return {
@@ -85,13 +82,6 @@ class ViewManager:
             for pid, seen in self._last_seen.items():
                 if seen < horizon and pid not in self._down:
                     self._transition(pid, up=False)
-
-    async def force_down(self, pid: int) -> None:
-        """Operator/fault-driver override (e.g. a crash RPC we issued
-        ourselves — no need to wait a timeout to believe it)."""
-        async with self._lock:
-            if pid not in self._down:
-                self._transition(pid, up=False)
 
     def _transition(self, pid: int, up: bool) -> None:
         if up:

@@ -781,15 +781,6 @@ async def read_frame(reader: asyncio.StreamReader) -> Any:
     return decode(await read_body(reader))
 
 
-async def read_frame_ex(
-    reader: asyncio.StreamReader,
-) -> Tuple[Any, str]:
-    """Read one frame and report which codec it arrived in — the client
-    protocol answers each request in the codec it was asked in."""
-    body = await read_body(reader)
-    return decode(body), body_codec(body)
-
-
 def write_frame(
     writer: asyncio.StreamWriter, obj: Any, codec: str = CODEC_JSON
 ) -> None:

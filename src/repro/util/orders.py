@@ -45,15 +45,6 @@ def transitive_closure(pred: Sequence[int]) -> List[int]:
     return closed
 
 
-def is_partial_order(pred: Sequence[int]) -> bool:
-    """True when the predecessor masks describe a strict partial order."""
-    try:
-        closed = transitive_closure(pred)
-    except ValueError:
-        return False
-    return all(closed[i] == pred[i] for i in range(len(pred)))
-
-
 class LazyOrderEnumerator:
     """Iterative enumeration of linear extensions with lazy refinement.
 

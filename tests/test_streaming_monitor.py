@@ -698,16 +698,21 @@ class TestIllFormedInput:
 
 # ----------------------------------------------------------------------
 class TestRecorderSubscription:
-    def test_subscriber_sees_every_record_in_order_zero_copy(self):
+    def test_subscriber_gets_one_record_per_call_equal_to_rows(self):
         from repro.runtime.recorder import HistoryRecorder
 
         recorder = HistoryRecorder(2)
         seen = []
         recorder.subscribe(seen.append)
-        r1 = recorder.record(0, Invocation("w", (0, 1)), BOTTOM, 0.0, 1.0)
-        r2 = recorder.record(1, Invocation("r", (0,)), (0, 1), 1.0, 2.0)
-        assert seen == [r1, r2]
-        assert seen[0] is r1 and seen[1] is r2  # the recorder's own records
+        assert recorder.record(0, Invocation("w", (0, 1)), BOTTOM, 0.0, 1.0) is None
+        recorder.record(1, Invocation("r", (0,)), (0, 1), 1.0, 2.0)
+        assert seen == [recorder.rows[0][0], recorder.rows[1][0]]
+        assert [(r.pid, r.invocation, r.output) for r in seen] == [
+            (0, Invocation("w", (0, 1)), BOTTOM),
+            (1, Invocation("r", (0,)), (0, 1)),
+        ]
+        # the columns build a fresh record on every read
+        assert recorder.rows[0][0] is not recorder.rows[0][0]
         recorder.unsubscribe(seen.append)
         recorder.record(0, Invocation("r", (0,)), (0, 1), 2.0, 3.0)
         assert len(seen) == 2

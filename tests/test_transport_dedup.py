@@ -14,10 +14,12 @@ Both are optimisations the layer above must not be able to observe:
 * **splice** — relaying the dispatched object queues exactly the bytes a
   fresh encode would, an equal copy of it (a resync resend) encodes;
 * **hostile bytes** — a peer or client connection fed a malformed body,
-  or a well-formed packed message whose header names a pid or a stamp
-  length from another cluster, is closed, nothing reaches the loop's
-  exception handler, and the node keeps serving; a client whose server
-  never answers does not leak its pending entry.
+  a well-formed packed message whose header names a pid or a stamp
+  length from another cluster, or a JSON / generic-TLV message envelope
+  that does the same in its decoded fields (ids, origin, stamp, the lazy
+  family's id lists), is closed, nothing reaches the loop's exception
+  handler, and the node keeps serving and converging; a client whose
+  server never answers does not leak its pending entry.
 """
 
 import asyncio
@@ -214,6 +216,104 @@ def test_a_header_from_outside_the_cluster_costs_the_connection(shape, codec):
     assert transport.wire_stats["dups_dropped"] == 0
 
 
+def tlv(frame):
+    """``frame`` in the binary codec's generic TLV shape, never packed."""
+    out = bytearray((wire.MAGIC_BINARY,))
+    wire._enc_value(frame, out)
+    return bytes(out)
+
+
+#: the two decoded shapes of a message frame: no header to peek at
+ENVELOPE_SHAPES = {
+    "json": lambda frame: wire.encode_body(frame, wire.CODEC_JSON),
+    "tlv": tlv,
+}
+
+
+def envelope(src, **body):
+    return {"t": "msg", "src": src, "body": body}
+
+
+#: message envelopes no member of an n=3 cluster sends
+FOREIGN_ENVELOPES = {
+    "src": envelope(200, id=(1, 0), origin=1, payload=0),
+    "no body": {"t": "msg", "src": 0},
+    "origin": envelope(0, id=(200, 0), origin=200, payload=0),
+    "id not a pair": envelope(0, id="x", origin=0, payload=0),
+    "no id": envelope(0, origin=0, payload=0),
+    "negative seq": envelope(0, id=(0, -1), origin=0, payload=0),
+    "bool origin": envelope(0, id=(True, 0), origin=True, payload=0),
+    "origin not the id's": envelope(0, id=(1, 0), origin=2, payload=0),
+    "no payload": envelope(0, id=(1, 0), origin=1),
+    "short stamp": envelope(0, id=(1, 0), origin=1, payload=0, stamp=(0, 1)),
+    "long stamp": envelope(0, id=(1, 0), origin=1, payload=0, stamp=(0, 1, 0, 0)),
+    "stamp of strings": envelope(
+        0, id=(1, 0), origin=1, payload=0, stamp=("a", "b", "c")
+    ),
+    "adv id": envelope(0, kind="adv", ids=((0, 0), (200, 0))),
+    "adv ids not a tuple": envelope(0, kind="adv", ids=7),
+    "pull id": envelope(0, kind="pull", mid=(0, -1)),
+    "pull-miss id": envelope(0, kind="pull-miss", mid="x"),
+    "pull-reply body": envelope(
+        0, kind="pull-reply", body={"id": (9, 0), "origin": 9, "payload": 0}
+    ),
+    "piggybacked adv": envelope(0, kind="pull", mid=(0, 0), adv=((0, 0), (3, 1))),
+}
+
+#: ...and ones every kind of member sends, in the same two shapes
+MEMBER_ENVELOPES = [
+    envelope(0, id=(0, 0), origin=0, payload=0, kind="bcast"),
+    envelope(2, id=(2, 0), origin=2, payload=(1, 2), stamp=(0, 0, 1)),
+    envelope(0, kind="adv", ids=((0, 0), (2, 3))),
+    envelope(0, kind="pull", mid=(1, 0), adv=((0, 1),)),
+    envelope(0, kind="pull-miss", mid=(2, 5)),
+    envelope(0, kind="pull-reply", body={"id": (0, 1), "origin": 0, "payload": 0}),
+]
+
+
+def recording_transport(codec):
+    """A transport under a broadcast layer: one that offered its dedup
+    predicate, so message bodies are in its shape (nothing is ever seen
+    here, every body reaches the handler)."""
+    transport = AsyncioTransport(1, ADDRS, codec=codec)
+    bodies = []
+    transport.attach(1, lambda _src, msg: bodies.append(msg))
+    transport.attach_dedup(1, lambda _mid: False)
+    return transport, bodies
+
+
+@pytest.mark.parametrize("codec", wire.CODECS)
+@pytest.mark.parametrize("shape", sorted(ENVELOPE_SHAPES))
+@pytest.mark.parametrize("name", sorted(FOREIGN_ENVELOPES))
+def test_an_envelope_from_outside_the_cluster_costs_the_connection(
+    name, shape, codec
+):
+    """The JSON and generic-TLV shapes get the packed header's check on
+    their decoded fields: each of these used to raise IndexError or
+    KeyError out of the connection task, or to mark an id seen."""
+    encode = ENVELOPE_SHAPES[shape]
+    foreign = encode(FOREIGN_ENVELOPES[name])
+    assert foreign[0] != wire.MAGIC_MSG
+    transport, bodies = recording_transport(codec)
+    before = [encode(MEMBER_ENVELOPES[0]), packed(2, 2, stamp=(0, 0, 1))]
+    serve(
+        transport,
+        wire.encode_batch(before + [foreign]) + wire.frame(packed(0, 0, seq=1)),
+    )
+    assert [msg["id"] for msg in bodies] == [(0, 0), (2, 0)]
+    assert transport.wire_stats["frames_in"] == 2
+
+
+@pytest.mark.parametrize("codec", wire.CODECS)
+@pytest.mark.parametrize("shape", sorted(ENVELOPE_SHAPES))
+def test_member_envelopes_of_every_kind_pass_the_check(shape, codec):
+    transport, bodies = recording_transport(codec)
+    encode = ENVELOPE_SHAPES[shape]
+    serve(transport, b"".join(wire.frame(encode(f)) for f in MEMBER_ENVELOPES))
+    assert bodies == [frame["body"] for frame in MEMBER_ENVELOPES]
+    assert transport.wire_stats["frames_in"] == len(MEMBER_ENVELOPES)
+
+
 def relaying_transport(codec):
     transport = AsyncioTransport(1, ADDRS, codec=codec)
     log = []
@@ -311,6 +411,17 @@ def test_garbage_closes_the_connection_and_the_node_keeps_serving():
             # well-formed, but from a cluster this n=2 one is not
             for foreign in (packed(1, 200), packed(200, 1), packed(1, 1, stamp=(1,))):
                 assert await closes(peer, hello + wire.frame(foreign)), foreign
+            # ...and the same in the shapes with no header to peek at
+            for encode in ENVELOPE_SHAPES.values():
+                for forged in (
+                    envelope(1, id=(200, 0), origin=200, payload=0),
+                    envelope(1, id="x", origin=1, payload=0),
+                    envelope(1, origin=1, payload=0),
+                    # fits by accident: would mark node 1's first write seen
+                    envelope(1, id=(1, 0), origin=1, payload=0, stamp=(1,)),
+                ):
+                    raw = hello + wire.frame(encode(forged))
+                    assert await closes(peer, raw), forged
             # a connection task that died on an uncaught exception tells
             # the loop's handler when it is collected
             gc.collect()
@@ -328,6 +439,24 @@ def test_garbage_closes_the_connection_and_the_node_keeps_serving():
                     break
             else:
                 pytest.fail("write did not propagate after the garbage")
+            # node 1's genuine first broadcast (1, 0) is not taken for a
+            # duplicate of the forged one: both replicas converge on it
+            reply = await client_call(
+                cluster.client_addr(1), {"cmd": "put", "x": 1, "v": 99}
+            )
+            assert reply["ok"]
+            for _ in range(40):
+                await asyncio.sleep(0.05)
+                windows = [
+                    (await client_call(
+                        cluster.client_addr(pid), {"cmd": "window", "x": 1}
+                    ))["value"]
+                    for pid in (0, 1)
+                ]
+                if windows[0] == windows[1] and 99 in windows[0]:
+                    break
+            else:
+                pytest.fail(f"replicas did not converge on x=1: {windows}")
             status = (await client_call(client, {"cmd": "status"}))["status"]
             assert status["monitor"]["ok"]
             for counter in ("msg_frames_in", "dups_dropped", "relays_spliced"):
