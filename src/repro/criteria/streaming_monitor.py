@@ -22,8 +22,8 @@ Pattern catalogue (the ``W_k`` generalisation; register patterns are the
 ``ThinAirRead``
     a read returns a value never written to its stream;
 ``MalformedWindow``
-    a window shows a default slot after a non-default one, or the same
-    (differentiated) write twice;
+    a window does not have ``k`` slots, shows a default slot after a
+    non-default one, or shows the same (differentiated) write twice;
 ``CyclicCO``
     ``po ∪ rf`` is cyclic (a read is in the causal past of a write it
     reads from);
@@ -59,12 +59,28 @@ cross-validated against the enumeration search in
 ``tests/test_streaming_monitor.py`` and the CI ``monitor-smoke`` job.
 
 Complexity: per operation amortised ``O(n·log ops + patterns)`` for the
-per-read/per-event criteria (``n`` = processes) via integer vector
-clocks stored in one flat array, first-coverage frontiers (``fvc``)
-maintained by amortised pointer sweeps, and per-(process, stream) sorted
-write indices; the CC machinery re-checks reads only when their
-happens-before past actually grows and is budget-capped (verdict
+per-read/per-event criteria (``n`` = processes) via flat integer vector
+clocks (``n`` entries per op), first-coverage frontiers (``fvc``)
+maintained by amortised pointer sweeps, and per-stream rows of sorted
+per-process write indices; the CC machinery re-checks reads only when
+their happens-before past actually grows and is budget-capped (verdict
 ``None`` rather than a wrong answer on pathological inputs).
+
+Storage: the columns a read indexes or bisects — the clocks, the
+frontiers, each op's index in its process, each write's op, the write
+indices and the conflict watermarks — are lists, because reading a value
+above 256 out of an ``array`` allocates a new int on every lookup, and a
+read does dozens.  A list slot costs 8 bytes where an ``array('i')``
+slot costs 4, and most clock entries point at an int already held
+elsewhere (a copied clock shares its predecessor's, and an op's own
+entry is the int its process counter holds).  The columns only writes,
+rebuilds or out-of-order feeds touch (process, write ordinal, program
+successor, rf edges, checked reads, labels) stay ``array('i')``.  The
+bytes the lists add are paid back by keying writes per stream:
+``_writer[key][value]`` and ``_wl[key][process]`` store no tuple per
+write and build none per lookup, and a conflict graph's in-edges are a
+list per write, not a set (an empty set alone is 216 bytes; a repeat
+test scans the list, and in-degrees stay small).
 
 Cycles (``CyclicCF``, ``CyclicHB``) are found by keeping, per conflict
 graph, a **topological order of co ∪ its edges** (Pearce & Kelly's
@@ -92,8 +108,8 @@ are the recorded edges searched, unbounded, for the one to report.
 
 from __future__ import annotations
 
-import bisect
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import (
@@ -106,7 +122,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -192,9 +207,13 @@ class _Order:
         #: permutation of the write ordinals
         self.label = array("i")
         self.out: Dict[int, List[int]] = {}
-        #: ``inn[b]``: every ``a`` proposed before ``b`` — the recorded
-        #: edges read backwards, and the set that makes a repeat free
-        self.inn: Dict[int, Set[int]] = {}
+        #: ``inn[b]``: every ``a`` proposed before ``b``, in proposal
+        #: order — the recorded edges read backwards, and the membership
+        #: test that turns a repeat away.  A list, not a set: the test is
+        #: a scan, O(in-degree), but in-degrees stay small (median 3 and
+        #: max 76 in the CC orders of the n=32 hot-key ``cc-fig4`` cell)
+        #: and an empty set alone costs 216 bytes
+        self.inn: Dict[int, List[int]] = {}
 
 
 class StreamingMonitor:
@@ -204,6 +223,11 @@ class StreamingMonitor:
     respected; interleaving across processes is free), then ``finalize``
     for the verdicts.  ``subscriber()`` adapts the monitor to the
     recorder's zero-copy subscription hook.
+
+    A tuple a read returns is its window of ``k`` slots, so a monitor
+    built directly checks window streams only.  Build one for a register
+    or memory (whose one value may itself be a tuple) with
+    :func:`monitor_for_adt`, which reads the shape off the ADT.
     """
 
     def __init__(
@@ -217,7 +241,10 @@ class StreamingMonitor:
         cc_budget: int = 200_000,
         cf_budget: int = 2_000_000,
         propagation_budget: int = 4_000_000,
+        _window_reads: bool = True,
     ) -> None:
+        """``_window_reads`` is set by :func:`monitor_for_adt` only:
+        False when a read returns one value, not a window."""
         if n <= 0:
             raise ValueError("n must be positive")
         bad = [c for c in criteria if c not in SUPPORTED_CRITERIA]
@@ -231,6 +258,7 @@ class StreamingMonitor:
         self.k = k
         self.default = default
         self.criteria = tuple(dict.fromkeys(criteria))
+        self._window_reads = _window_reads
         self._track_cf = "CCV" in self.criteria
         self._track_hb = "CC" in self.criteria
         self.cc_budget = cc_budget
@@ -240,22 +268,24 @@ class StreamingMonitor:
         nn = n
         # per-op flat state, indexed by global arrival order g
         self._g_pid = array("i")
-        self._g_lidx = array("i")
+        self._g_lidx: List[int] = []
         self._g_w = array("i")  # write ordinal, -1 for reads
         self._po_succ = array("i")
-        self._vc = array("i")  # flat, nn entries per op: co-past counts
+        self._vc: List[int] = []  # flat, nn entries per op: co-past counts
         self._plen = [0] * nn  # ops fed per process
         self._proc_last = [-1] * nn  # g of the latest op per process
 
         # writes, indexed by write ordinal u
-        self._u_g = array("i")
+        self._u_g: List[int] = []
         self._u_key: List[Any] = []
         self._u_val: List[Any] = []
-        self._fvc = array("i")  # flat, nn per write: first covering lidx
-        self._writer: Dict[Tuple[Any, Any], int] = {}  # (key, value) -> u
-        self._wl: Dict[Tuple[Any, int], Tuple[array, array]] = {}
-        self._pw: List[Tuple[array, array]] = [
-            (array("i"), array("i")) for _ in range(nn)
+        self._fvc: List[int] = []  # flat, nn per write: first covering lidx
+        self._writer: Dict[Any, Dict[Any, int]] = {}  # key -> value -> u
+        # key -> per process, None before its first write to the stream:
+        # (lidxs, write ordinals), both ascending
+        self._wl: Dict[Any, List[Optional[Tuple[List[int], List[int]]]]] = {}
+        self._pw: List[Tuple[List[int], List[int]]] = [
+            ([], []) for _ in range(nn)
         ]
 
         # read-from edges (flat; an index is built lazily if propagation
@@ -280,11 +310,11 @@ class StreamingMonitor:
         # conflict (arbitration) constraints, CCv
         self._cf = _Order()
         self._orders: List[_Order] = [self._cf] if self._track_cf else []
-        # per (reader process, stream): enumeration watermarks + the
+        # per stream and reader process: enumeration watermarks + the
         # previous window, so arbitration candidates are visited O(1)
         # times each (older candidates stay ordered transitively through
         # the dominance/chain edges of earlier reads)
-        self._cf_wm: Dict[Tuple[int, int], List[Any]] = {}
+        self._cf_wm: Dict[Any, List[Optional[List[Any]]]] = {}
 
         # per-process happens-before constraints, CC
         if self._track_hb:
@@ -361,17 +391,18 @@ class StreamingMonitor:
             ):
                 args = invocation.args
                 key, value = args if len(args) == 2 else (0, args[0])
+                values = self._writer.setdefault(key, {})
                 if value == self.default:
                     self._mark_nondiff(
                         f"write of the default value {value!r} to stream {key}"
                     )
-                elif (key, value) in self._writer:
+                elif value in values:
                     self._mark_nondiff(
                         f"value {value!r} written twice to stream {key}"
                     )
                 else:
                     # ordinal -1: only membership matters from here on
-                    self._writer[(key, value)] = -1
+                    values[value] = -1
             return None
         method = invocation.method
         args = invocation.args
@@ -386,8 +417,9 @@ class StreamingMonitor:
             if output is HIDDEN:
                 self._new_op(pid)  # a crashed read constrains nothing
                 return None
-            window = output if isinstance(output, tuple) else (output,)
-            return self._feed_read(pid, key, window)
+            if self._window_reads and isinstance(output, tuple):
+                return self._feed_read(pid, key, output)
+            return self._feed_read(pid, key, (output,))
         # non-window methods (enq/push/add/inc/...) are out of scope
         self._mark_unsupported(f"unsupported method {method!r}")
         return None
@@ -397,7 +429,8 @@ class StreamingMonitor:
         nn = self.n
         g = len(self._g_pid)
         lidx = self._plen[pid]
-        self._plen[pid] = lidx + 1
+        # one int for the process counter and the op's own clock entry
+        fed = self._plen[pid] = lidx + 1
         self._g_pid.append(pid)
         self._g_lidx.append(lidx)
         self._g_w.append(-1)
@@ -409,8 +442,8 @@ class StreamingMonitor:
             vc.extend([0] * nn)
         else:
             self._po_succ[pred] = g
-            vc.extend(vc[pred * nn : (pred + 1) * nn])
-        vc[g * nn + pid] = lidx + 1
+            vc += vc[pred * nn : (pred + 1) * nn]
+        vc[g * nn + pid] = fed
         return g
 
     def _feed_write(
@@ -428,26 +461,31 @@ class StreamingMonitor:
         for order in self._orders:
             order.label.append(u)
         lidx = self._g_lidx[g]
-        wl = self._wl.get((key, pid))
-        if wl is None:
-            wl = (array("i"), array("i"))
-            self._wl[(key, pid)] = wl
-        wl[0].append(lidx)
-        wl[1].append(u)
+        rows = self._wl.get(key)
+        if rows is None:
+            rows = self._wl[key] = [None] * self.n
+        row = rows[pid]
+        if row is None:
+            row = rows[pid] = ([], [])
+        row[0].append(lidx)
+        row[1].append(u)
         pw = self._pw[pid]
         pw[0].append(lidx)
         pw[1].append(u)
+        values = self._writer.get(key)
+        if values is None:
+            values = self._writer[key] = {}
         if not self._diff_checked:
             if value == self.default:
                 self._mark_nondiff(
                     f"write of the default value {value!r} to stream {key}"
                 )
-            elif (key, value) in self._writer:
+            elif value in values:
                 self._mark_nondiff(
                     f"value {value!r} written twice to stream {key}"
                 )
-        self._writer.setdefault((key, value), u)
-        waiters = self._pending.pop((key, value), None)
+        values.setdefault(value, u)
+        waiters = self._pending.pop((key, value), None) if self._pending else None
         violation = None
         if waiters:
             for rg in waiters:
@@ -470,6 +508,13 @@ class StreamingMonitor:
         g = self._new_op(pid)
         if self._nondiff is not None:
             return None  # reads are ambiguous from here on
+        if len(window) != self.k:
+            return self._record(
+                "MalformedWindow",
+                g,
+                (g,),
+                f"window of {len(window)} slots, not {self.k}: {window!r}",
+            )
         # malformed-window screen: defaults only in the oldest slots
         default = self.default
         slots: List[Any] = []
@@ -494,8 +539,9 @@ class StreamingMonitor:
                     )
                 slots.append(v)
         missing = 0
+        values = self._writer.get(key, {})
         for v in slots:
-            if (key, v) not in self._writer:
+            if v not in values:
                 self._pending.setdefault((key, v), []).append(g)
                 missing += 1
         if missing:
@@ -523,17 +569,14 @@ class StreamingMonitor:
         dl = self._g_lidx[dst_g]
         fvc = self._fvc
         changed = False
-        for q in range(nn):
-            new = vc[sb + q]
-            old = vc[db + q]
+        for q, new, old in zip(range(nn), vc[sb : sb + nn], vc[db : db + nn]):
             if new > old:
                 vc[db + q] = new
                 changed = True
                 if q != dp:
                     lx, us = self._pw[q]
-                    i = bisect.bisect_left(lx, old)
-                    j = bisect.bisect_left(lx, new)
-                    for idx in range(i, j):
+                    i = bisect_left(lx, old)
+                    for idx in range(i, bisect_left(lx, new, i)):
                         f = us[idx] * nn + dp
                         if fvc[f] > dl:
                             fvc[f] = dl
@@ -717,28 +760,34 @@ class StreamingMonitor:
             self._r_key.append(key)
             self._r_slots.append(slots)
         nn = self.n
-        pid = self._g_pid[g]
-        lidx = self._g_lidx[g]
-        win = [self._writer[(key, v)] for v in slots]  # oldest..newest
+        vc = self._vc
+        u_g = self._u_g
+        g_pid = self._g_pid
+        g_lidx = self._g_lidx
+        pid = g_pid[g]
+        lidx = g_lidx[g]
+        values = self._writer.get(key)
+        win = [values[v] for v in slots]  # oldest..newest
+        wgs = [u_g[u] for u in win]  # their ops
         s = len(win)
 
         # CyclicCO: a window writer already has this read in its past
         self.patterns_checked += 1
-        for u in win:
-            if self._vc[self._u_g[u] * nn + pid] > lidx:
+        for u, wg in zip(win, wgs):
+            if vc[wg * nn + pid] > lidx:
                 return self._record(
                     "CyclicCO",
                     g,
-                    (self._u_g[u], g),
+                    (wg, g),
                     f"read is in the causal past of the write it returns "
                     f"(stream {key}, value {self._u_val[u]!r})",
                 )
         # rf: the window writers join the read's causal past
         grew = False
-        for u in win:
+        for u, wg in zip(win, wgs):
             if not recheck:
                 self._add_rf(u, g)
-            if self._merge_vc(g, self._u_g[u]):
+            if self._merge_vc(g, wg):
                 grew = True
         if grew and (self._po_succ[g] >= 0 or self._rf_index is not None):
             self._propagate(g)
@@ -747,48 +796,45 @@ class StreamingMonitor:
 
         # WindowOrderCO: an older slot causally after a newer one
         self.patterns_checked += 1
-        for i in range(s):
+        for i in range(s - 1):
+            older = wgs[i] * nn
             for j in range(i + 1, s):
-                if self._covers(self._u_g[win[i]], win[j]):
+                wg = wgs[j]
+                if vc[older + g_pid[wg]] > g_lidx[wg]:
                     return self._record(
                         "WindowOrderCO",
                         g,
-                        (self._u_g[win[j]], self._u_g[win[i]], g),
+                        (wg, wgs[i], g),
                         f"window {slots!r} of stream {key} contradicts "
                         f"the causal order of its writes",
                     )
 
-        vc = self._vc
-        base = g * nn
-        # |S|: writes to `key` in the read's causal past
-        total = 0
-        for q in range(nn):
-            wl = self._wl.get((key, q))
-            if wl is not None:
-                total += bisect.bisect_left(wl[0], vc[base + q])
-
+        rows = self._wl.get(key)
         if s < self.k:
-            # WriteCOInitRead: default slots visible but |S| > s
+            # WriteCOInitRead: default slots visible but |S| > s, where
+            # |S| counts the writes to `key` in the read's causal past
             self.patterns_checked += 1
+            past = vc[g * nn : (g + 1) * nn]
+            total = self._count_inside(key, past)
             if total > s:
-                extra = self._find_extra(key, g, win)
+                extra = self._find_extra(key, past, win)
                 return self._record(
                     "WriteCOInitRead",
                     g,
-                    (self._u_g[extra], g) if extra is not None else (g,),
+                    (u_g[extra], g) if extra is not None else (g,),
                     f"window of stream {key} shows initial slots but "
                     f"{total} writes are causally visible",
                 )
         else:
             # WriteCORead: a visible non-member co-after a window member
             self.patterns_checked += 1
-            bad = self._co_after_member(key, g, win)
+            bad = self._co_after_member(rows, g, win, wgs)
             if bad is not None:
                 w_extra, w_member = bad
                 return self._record(
                     "WriteCORead",
                     g,
-                    (self._u_g[w_member], self._u_g[w_extra], g),
+                    (u_g[w_member], u_g[w_extra], g),
                     f"write {self._u_val[w_extra]!r} to stream {key} is "
                     f"causally after window member "
                     f"{self._u_val[w_member]!r} but not in the window",
@@ -801,7 +847,7 @@ class StreamingMonitor:
             self._co_grew = False
             violation = self._audit_edges()
         if self._track_cf and "CCV" not in self._violations:
-            v = self._cf_constraints(g, key, win, s, recheck)
+            v = self._cf_constraints(g, key, rows, win, wgs, recheck)
             violation = violation or v
         if (
             self._track_hb
@@ -809,59 +855,64 @@ class StreamingMonitor:
             and "CC" not in self._inconclusive
         ):
             rec = self._hbrec_of.get(g) if recheck else None
-            v = self._hb_constraints(g, key, slots, win, s, rec)
+            v = self._hb_constraints(g, key, win, rec)
             violation = violation or v
         return violation
 
+    def _count_inside(self, key: Any, past: Sequence[int]) -> int:
+        """How many writes to ``key`` the per-process counts ``past``
+        (a causal or happens-before past) hold."""
+        return sum(
+            bisect_left(row[0], hi)
+            for row, hi in zip(self._wl.get(key, ()), past)
+            if row is not None
+        )
+
     def _find_extra(
-        self, key: int, g: int, win: Sequence[int]
+        self, key: Any, past: Sequence[int], win: Sequence[int]
     ) -> Optional[int]:
-        """Some causally visible write to ``key`` outside the window."""
-        nn = self.n
-        vc = self._vc
-        base = g * nn
-        members = set(win)
-        for q in range(nn):
-            wl = self._wl.get((key, q))
-            if wl is None:
+        """Some write to ``key`` inside the per-process counts ``past``
+        (a causal or happens-before past) outside the window."""
+        for row, hi in zip(self._wl.get(key, ()), past):
+            if row is None:
                 continue
-            for idx in range(bisect.bisect_left(wl[0], vc[base + q])):
-                u = wl[1][idx]
-                if u not in members:
+            for u in row[1][: bisect_left(row[0], hi)]:
+                if u not in win:
                     return u
         return None
 
     def _co_after_member(
-        self, key: int, g: int, win: Sequence[int]
+        self,
+        rows: List[Optional[Tuple[List[int], List[int]]]],
+        g: int,
+        win: Sequence[int],
+        wgs: Sequence[int],
     ) -> Optional[Tuple[int, int]]:
         """A pair (extra write, window member) with the extra causally
-        after the member — the generalised WriteCORead."""
+        after the member — the generalised WriteCORead.  ``rows`` are
+        the window's stream's write rows, ``wgs`` its members' ops."""
         nn = self.n
         base = g * nn
+        fvc = self._fvc
         # per member and process: the first op index strictly co-after it
         after = []
-        for u in win:
-            wg = self._u_g[u]
-            row = self._fvc[u * nn : (u + 1) * nn]
-            row[self._g_pid[wg]] = self._g_lidx[wg] + 1
-            after.append(row)
+        for u, wg in zip(win, wgs):
+            first = fvc[u * nn : (u + 1) * nn]
+            first[self._g_pid[wg]] = self._g_lidx[wg] + 1
+            after.append(first)
         lows = after[0] if len(after) == 1 else list(map(min, *after))
-        members = set(win)
-        for q, (lo, hi) in enumerate(zip(lows, self._vc[base : base + nn])):
-            if lo >= hi:
+        for q, lo, hi, row in zip(range(nn), lows, self._vc[base : base + nn], rows):
+            if lo >= hi or row is None:
                 continue
-            wl = self._wl.get((key, q))
-            if wl is None:
-                continue
-            i = bisect.bisect_left(wl[0], lo)
-            j = bisect.bisect_left(wl[0], hi)
-            for idx in range(i, j):
-                u = wl[1][idx]
-                if u in members:
+            lidxs, us = row
+            i = bisect_left(lidxs, lo)
+            for idx in range(i, bisect_left(lidxs, hi, i)):
+                u = us[idx]
+                if u in win:
                     continue
                 # find a member it is after, for the witness
-                for m, row in zip(win, after):
-                    if wl[0][idx] >= row[q]:
+                for m, first in zip(win, after):
+                    if lidxs[idx] >= first[q]:
                         return (u, m)
         return None
 
@@ -871,12 +922,16 @@ class StreamingMonitor:
     def _cf_constraints(
         self,
         g: int,
-        key: int,
-        win: Sequence[int],
-        s: int,
+        key: Any,
+        rows: List[Optional[Tuple[List[int], List[int]]]],
+        win: List[int],
+        wgs: List[int],
         recheck: bool = False,
     ) -> Optional[MonitorViolation]:
+        """The read's arbitration edges: ``rows`` are its stream's write
+        rows, ``wgs`` the ops of its window members ``win``."""
         # window members must be arbitrated in slot order
+        s = len(win)
         for i in range(s - 1):
             v = self._add_cf((win[i],), win[i + 1], g)
             if v is not None:
@@ -890,21 +945,22 @@ class StreamingMonitor:
         nn = self.n
         vc = self._vc
         base = g * nn
-        w1b = self._u_g[w1] * nn
+        w1b = wgs[0] * nn
+        past = vc[base : base + nn]
+        w1_past = vc[w1b : w1b + nn]
         candidates: List[int] = []
         if recheck:
             # re-check after the read's past grew: the shared watermarks
             # may have been advanced past this read's range by later
             # reads, so enumerate its full visible range (a repeated
             # edge is free); watermark state is untouched
-            for q in range(nn):
-                wl = self._wl.get((key, q))
-                if wl is None:
+            for row, lo, hi in zip(rows, w1_past, past):
+                if row is None:
                     continue
-                i = bisect.bisect_left(wl[0], vc[w1b + q])
-                j = bisect.bisect_left(wl[0], vc[base + q])
-                candidates.extend(wl[1][i:j])
-            return self._add_cf(candidates, w1, g, set(win))
+                lidxs = row[0]
+                i = bisect_left(lidxs, lo)
+                candidates.extend(row[1][i : bisect_left(lidxs, hi, i)])
+            return self._add_cf(candidates, w1, g, win)
         # Each write is enumerated O(1) times per reader process: a
         # watermark skips candidates already ordered below an earlier
         # oldest-member (transitively below the current one through that
@@ -912,29 +968,26 @@ class StreamingMonitor:
         # along one extra read so members leaving the window still get
         # their edge.
         pid = self._g_pid[g]
-        wm = self._cf_wm.get((pid, key))
+        readers = self._cf_wm.get(key)
+        if readers is None:
+            readers = self._cf_wm[key] = [None] * nn
+        wm = readers[pid]
         if wm is None:
-            wm = [array("i", [0] * nn), ()]
-            self._cf_wm[(pid, key)] = wm
+            wm = readers[pid] = [[0] * nn, ()]
         marks = wm[0]
-        for q in range(nn):
-            hi = vc[base + q]
-            lo = marks[q]
-            if hi <= lo:
-                continue
-            wl = self._wl.get((key, q))
-            if wl is None:
+        for q, hi, lo, w1_lo, row in zip(range(nn), past, marks, w1_past, rows):
+            if hi <= lo or row is None:
                 continue
             marks[q] = hi
-            if vc[w1b + q] > lo:
-                lo = vc[w1b + q]
+            if w1_lo > lo:
+                lo = w1_lo
             if hi > lo:
-                i = bisect.bisect_left(wl[0], lo)
-                j = bisect.bisect_left(wl[0], hi)
-                candidates.extend(wl[1][i:j])
+                lidxs = row[0]
+                i = bisect_left(lidxs, lo)
+                candidates.extend(row[1][i : bisect_left(lidxs, hi, i)])
         candidates.extend(wm[1])
-        wm[1] = tuple(win)
-        return self._add_cf(candidates, w1, g, set(win))
+        wm[1] = win
+        return self._add_cf(candidates, w1, g, win)
 
     def _add_cf(
         self,
@@ -947,17 +1000,20 @@ class StreamingMonitor:
         outside ``members``; detect a cycle with co∪cf."""
         inn = self._cf.inn
         seen = inn.get(b, ())
-        nn = self.n
-        b_vc = self._u_g[b] * nn
+        vc = self._vc
+        u_g = self._u_g
+        g_pid = self._g_pid
+        g_lidx = self._g_lidx
+        b_vc = u_g[b] * self.n
         for a in sources:
             if a in seen or a in members:
                 continue
-            ag = self._u_g[a]
-            if self._vc[b_vc + self._g_pid[ag]] > self._g_lidx[ag]:
+            ag = u_g[a]
+            if vc[b_vc + g_pid[ag]] > g_lidx[ag]:
                 continue  # implied by co
             if not seen:
-                seen = inn[b] = set()
-            seen.add(a)
+                seen = inn[b] = []
+            seen.append(a)
             self.patterns_checked += 1
             if self.cf_edges >= self.cf_budget:
                 self._mark_inconclusive("CCV", "conflict-edge budget exceeded")
@@ -992,7 +1048,7 @@ class StreamingMonitor:
         for p, at in enumerate(first):
             if at < _INF:
                 lidxs, us = self._pw[p]
-                i = bisect.bisect_left(lidxs, at)
+                i = bisect_left(lidxs, at)
                 if i < len(us):
                     succs.append(us[i])
         return succs
@@ -1008,7 +1064,7 @@ class StreamingMonitor:
         for p, count in enumerate(past):
             if count:
                 lidxs, us = self._pw[p]
-                i = bisect.bisect_left(lidxs, count)
+                i = bisect_left(lidxs, count)
                 if i:
                     preds.append(us[i - 1])
         return preds
@@ -1117,15 +1173,13 @@ class StreamingMonitor:
     def _hb_constraints(
         self,
         g: int,
-        key: int,
-        slots: Tuple[Any, ...],
+        key: Any,
         win: Sequence[int],
-        s: int,
         rec: Optional[List[Any]] = None,
     ) -> Optional[MonitorViolation]:
         q = self._g_pid[g]
         if rec is None:
-            rec = [g, key, tuple(win), s, None]
+            rec = [g, key, tuple(win), len(win), None]
             self._q_reads[q].append(rec)
             self._hbrec_of[g] = rec
         else:
@@ -1166,7 +1220,7 @@ class StreamingMonitor:
         grown by the closure of the recorded D_q edges."""
         nn = self.n
         vc = self._vc
-        cov = list(vc[g * nn : g * nn + nn])
+        cov = vc[g * nn : g * nn + nn]
         edges = self._d_edges[q]
         if not edges:
             return cov
@@ -1203,15 +1257,11 @@ class StreamingMonitor:
                 return v, new_edges
             if added:
                 new_edges.append((win[i], win[i + 1]))
-        total = 0
-        for p in range(nn):
-            wl = self._wl.get((key, p))
-            if wl is not None:
-                total += bisect.bisect_left(wl[0], cov[p])
+        total = self._count_inside(key, cov)
         self.patterns_checked += 1
         if s < self.k:
             if total > s:
-                extra = self._hb_find_extra(key, cov, win)
+                extra = self._find_extra(key, cov, win)
                 witness = (
                     (self._u_g[extra], g) if extra is not None else (g,)
                 )
@@ -1235,16 +1285,13 @@ class StreamingMonitor:
         members = set(win)
         vc = self._vc
         required = self._d[q].inn
-        for p in range(nn):
-            wl = self._wl.get((key, p))
-            if wl is None:
+        for row, lo, hi in zip(self._wl[key], vc[w1b : w1b + nn], cov):
+            if row is None:
                 continue
-            hi = cov[p]
             # writes co-before w1 are ordered already; skip them wholesale
-            i = bisect.bisect_left(wl[0], vc[w1b + p])
-            j = bisect.bisect_left(wl[0], hi)
-            for idx in range(i, j):
-                u = wl[1][idx]
+            lidxs = row[0]
+            i = bisect_left(lidxs, lo)
+            for u in row[1][i : bisect_left(lidxs, hi, i)]:
                 if u in members:
                     continue
                 if self._covers(self._u_g[w1], u):
@@ -1262,19 +1309,6 @@ class StreamingMonitor:
                     new_edges.append((u, w1))
         return None, new_edges
 
-    def _hb_find_extra(
-        self, key: int, cov: List[int], win: Sequence[int]
-    ) -> Optional[int]:
-        members = set(win)
-        for p in range(self.n):
-            wl = self._wl.get((key, p))
-            if wl is None:
-                continue
-            for idx in range(bisect.bisect_left(wl[0], cov[p])):
-                if wl[1][idx] not in members:
-                    return wl[1][idx]
-        return None
-
     def _hb_reaches(self, q: int, src: int, dst: int) -> bool:
         """Is there a co∪D_q path from write ``src`` to write ``dst``?"""
         order = self._d[q]
@@ -1289,8 +1323,8 @@ class StreamingMonitor:
         if a in seen or self._covers(self._u_g[b], a):
             return None, False
         if not seen:
-            seen = order.inn[b] = set()
-        seen.add(a)
+            seen = order.inn[b] = []
+        seen.append(a)
         self.patterns_checked += 1
         if self.d_edges >= self.cc_budget:
             self._mark_inconclusive("CC", "happens-before edge budget exceeded")
@@ -1407,7 +1441,7 @@ class StreamingMonitor:
         if self._parked and self._nondiff is None:
             rg = min(self._parked)
             key, slots, _ = self._parked[rg]
-            present = {v for v in slots if (key, v) in self._writer}
+            present = self._writer.get(key, {})
             value = next((v for v in slots if v not in present), slots[0])
             self._record(
                 "ThinAirRead",
@@ -1453,17 +1487,19 @@ class StreamingMonitor:
 # ----------------------------------------------------------------------
 # ADT adaptation and history replay
 # ----------------------------------------------------------------------
-def _adt_shape(adt: Any) -> Optional[Tuple[int, int, Any]]:
-    """(streams, k, default) for window-like ADTs, None otherwise."""
+def _adt_shape(adt: Any) -> Optional[Tuple[int, int, Any, bool]]:
+    """(streams, k, default, window_reads) for window-like ADTs, None
+    otherwise: window streams read a window of k slots, registers and
+    memory one value, which may itself be a tuple."""
     name = type(adt).__name__
     if name == "WindowStreamArray":
-        return adt.streams, adt.k, adt.default
+        return adt.streams, adt.k, adt.default, True
     if name == "WindowStream":
-        return 1, adt.k, adt.default
+        return 1, adt.k, adt.default, True
     if name == "MemoryADT":
-        return adt.registers, 1, adt.default
+        return adt.registers, 1, adt.default, False
     if name == "Register":
-        return 1, 1, adt.default
+        return 1, 1, adt.default, False
     return None
 
 
@@ -1480,9 +1516,15 @@ def monitor_for_adt(
     shape = _adt_shape(adt)
     if shape is None:
         return None
-    streams, k, default = shape
+    streams, k, default, window_reads = shape
     return StreamingMonitor(
-        n, streams=streams, k=k, default=default, criteria=criteria, **kwargs
+        n,
+        streams=streams,
+        k=k,
+        default=default,
+        criteria=criteria,
+        _window_reads=window_reads,
+        **kwargs,
     )
 
 
@@ -1540,15 +1582,7 @@ def replay_history(
     for p, chain in enumerate(chains):
         for eid in chain:
             pid_of[eid] = p
-    streams, k, default = shape
-    monitor = StreamingMonitor(
-        max(1, len(chains)),
-        streams=streams,
-        k=k,
-        default=default,
-        criteria=criteria,
-        **kwargs,
-    )
+    monitor = monitor_for_adt(adt, max(1, len(chains)), criteria=criteria, **kwargs)
     order = list(range(len(history)))
     if history.times is not None:
         times = history.times

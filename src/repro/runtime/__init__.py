@@ -6,7 +6,6 @@ from .broadcast import (
     FifoBroadcast,
     LazyCausalBroadcast,
     LazyReliableBroadcast,
-    ReferenceCausalBroadcast,
     ReliableBroadcast,
     TotalOrderBroadcast,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "FifoBroadcast",
     "LazyCausalBroadcast",
     "LazyReliableBroadcast",
-    "ReferenceCausalBroadcast",
     "ReliableBroadcast",
     "TotalOrderBroadcast",
     "LamportClock",

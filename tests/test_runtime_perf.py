@@ -28,10 +28,10 @@ from repro.runtime import (
     CausalBroadcast,
     DelayModel,
     Network,
-    ReferenceCausalBroadcast,
     ReliableBroadcast,
     Simulator,
 )
+from repro.runtime.broadcast import ReferenceCausalBroadcast
 from repro.scenarios import (
     SCALE_SCENARIOS,
     DelaySpec,

@@ -32,11 +32,20 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.adts.register import Register
 from repro.adts.window_stream import WindowStreamArray
 from repro.core import History
 from repro.core.operations import BOTTOM, Invocation, Operation
-from repro.criteria import check
+from repro.criteria import (
+    check,
+    check_causal,
+    check_convergence,
+    check_sequential,
+    check_weak_causal,
+)
 from repro.criteria.causal_search import SearchBudgetExceeded
 from repro.criteria.streaming_monitor import (
     SUPPORTED_CRITERIA,
@@ -696,6 +705,110 @@ class TestIllFormedInput:
         assert monitor.stats()["first_violation_index"] is None
 
 
+def exact_verdicts(history, adt):
+    """WCC / CC / CCv by the exact search, and SC."""
+    return {
+        "WCC": check_weak_causal(history, adt).ok,
+        "CC": check_causal(history, adt).ok,
+        "CCV": check_convergence(history, adt).ok,
+        "SC": check_sequential(history, adt).ok,
+    }
+
+
+class TestReadShape:
+    """The monitor reads the shape the ADT returns: a window of exactly
+    ``k`` slots from a window stream, one value from a register."""
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [(w(0, 1), BOTTOM), (r(0), (1,))],
+            [(w(0, 1), BOTTOM), (w(0, 2), BOTTOM), (w(0, 3), BOTTOM), (r(0), (1, 2, 3))],
+        ],
+        ids=["short", "long"],
+    )
+    def test_a_window_of_the_wrong_length_is_malformed(self, ops):
+        history = History.from_processes([[Operation(i, o) for i, o in ops]])
+        adt = WindowStreamArray(1, 2)
+        assert exact_verdicts(history, adt) == dict.fromkeys(
+            ("WCC", "CC", "CCV", "SC"), False
+        )
+        for verdict in replay_history(history, adt).values():
+            assert verdict.ok is False, verdict.reason
+            assert verdict.violation.pattern == "MalformedWindow"
+            assert verdict.violation.index == len(ops) - 1
+
+    def test_a_tuple_valued_register_reads_one_value(self):
+        value = (1, 2)
+        ops = [(Invocation("w", (value,)), BOTTOM), (Invocation("r"), value)]
+        history = History.from_processes([[Operation(i, o) for i, o in ops]])
+        assert exact_verdicts(history, Register()) == dict.fromkeys(
+            ("WCC", "CC", "CCV", "SC"), True
+        )
+        verdicts = replay_history(history, Register())
+        assert {c: v.ok for c, v in verdicts.items()} == dict.fromkeys(
+            SUPPORTED_CRITERIA, True
+        ), {c: v.reason for c, v in verdicts.items()}
+        # monitor_for_adt passes the shape on; a bare monitor reads a
+        # tuple as a window, as it always has
+        monitor = monitor_for_adt(Register(), 1)
+        direct = StreamingMonitor(1)
+        for invocation, output in ops:
+            monitor.feed(0, invocation, output)
+            direct.feed(0, invocation, output)
+        assert all(v.ok is True for v in monitor.finalize().values())
+        assert all(v.ok is False for v in direct.finalize().values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_mutated_window_length_is_never_a_wrong_yes(self, data):
+        """Small differentiated W_k histories, one read's window one slot
+        shorter or longer: where the exact search says no, the monitor
+        never says yes."""
+        k = data.draw(st.integers(1, 2), label="k")
+        streams = data.draw(st.integers(1, 2), label="streams")
+        value = 0
+        rows = []
+        for _ in range(data.draw(st.integers(1, 3), label="procs")):
+            row = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                key = data.draw(st.integers(0, streams - 1))
+                if data.draw(st.booleans()):
+                    value += 1
+                    row.append((w(key, value), BOTTOM))
+                else:
+                    shown = data.draw(
+                        st.lists(st.integers(1, value + 1), max_size=k, unique=True)
+                    )
+                    row.append((r(key), (0,) * (k - len(shown)) + tuple(sorted(shown))))
+            rows.append(row)
+        reads = [
+            (p, i)
+            for p, row in enumerate(rows)
+            for i, (invocation, _) in enumerate(row)
+            if invocation.method == "r"
+        ]
+        if not reads:
+            rows[0].append((r(0), (0,) * k))
+            reads = [(0, len(rows[0]) - 1)]
+        p, i = data.draw(st.sampled_from(reads), label="mutated read")
+        invocation, window = rows[p][i]
+        if data.draw(st.booleans(), label="shorten"):
+            rows[p][i] = (invocation, window[1:])
+        else:
+            rows[p][i] = (invocation, (0,) + window)
+        history = History.from_processes(
+            [[Operation(inv, out) for inv, out in row] for row in rows]
+        )
+        adt = WindowStreamArray(streams, k)
+        for criterion, verdict in replay_history(history, adt).items():
+            if verdict.ok is True:
+                assert search_ok(history, adt, criterion) is not False, (
+                    criterion,
+                    rows,
+                )
+
+
 # ----------------------------------------------------------------------
 class TestRecorderSubscription:
     def test_subscriber_gets_one_record_per_call_equal_to_rows(self):
@@ -891,6 +1004,29 @@ class TestReplayFootprint:
         assert verdict.stats["ops_seen"] == total
         assert verdict.stats["feed_order"] == "recorded-time"
         assert peak / total < 800
+
+    def test_monitor_state_per_operation_is_bounded(self):
+        """Traced bytes the monitor retains per operation of a 10k-op
+        clean stream under all three criteria: ~334 with the hot columns
+        as lists and the cold ones as arrays, ~383 with every column a
+        list (the bound is halfway), 339 with every column an array."""
+        import gc
+        import tracemalloc
+
+        ops = clean_ccv_ops(0, 10_000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            monitor = StreamingMonitor(N, streams=STREAMS, k=K)
+            for p, invocation, output in ops:
+                monitor.feed(p, invocation, output)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert monitor.stats()["ops_seen"] == len(ops)
+        assert retained / len(ops) < 358, retained / len(ops)
 
 
 # ----------------------------------------------------------------------
