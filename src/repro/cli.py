@@ -393,7 +393,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 #: monitor counters surfaced by ``classify --streaming`` / ``--json``,
 #: mirroring the search-side ``_WORK_COUNTERS``; ``feed_order`` says
 #: whether the replay followed recorded timestamps or, lacking them,
-#: fell back to program order (the feed that can over-constrain)
+#: fell back to program order (same verdicts, more reads parked)
 _MONITOR_COUNTERS = (
     "ops_seen",
     "feed_order",

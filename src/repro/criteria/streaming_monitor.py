@@ -37,12 +37,17 @@ Pattern catalogue (the ``W_k`` generalisation; register patterns are the
 ``WriteCORead``
     a causally visible write that is **not** in the window is causally
     after some window member — it cannot be linearised before the
-    window, nor inside it;
+    window, nor inside it.  Per process, every visible non-member is
+    po-, hence co-before that process's last one, its *generator*, so
+    the pattern closes iff some generator is after a member;
 ``CyclicCF``
     (CCv only) the conflict/arbitration constraints derived from all
     reads — window members in slot order, every visible non-member
     before the oldest member — close a cycle with ``co``: no total
-    arbitration order exists;
+    arbitration order exists.  A read proposes the second kind for its
+    generators only (the rest follow through ``co``), so its edges are
+    a function of its causal past and window, and every feed that keeps
+    program order yields the same closure;
 ``WriteHBInitRead`` / ``CyclicHB``
     (CC only) the same two checks evaluated in the *per-process*
     happens-before ``hb_p = (co ∪ D_p)⁺``, where ``D_p`` collects the
@@ -67,8 +72,8 @@ their happens-before past actually grows and is budget-capped (verdict
 ``None`` rather than a wrong answer on pathological inputs).
 
 Storage: the columns a read indexes or bisects — the clocks, the
-frontiers, each op's index in its process, each write's op, the write
-indices and the conflict watermarks — are lists, because reading a value
+frontiers, each op's index in its process, each write's op and the write
+indices — are lists, because reading a value
 above 256 out of an ``array`` allocates a new int on every lookup, and a
 read does dozens.  A list slot costs 8 bytes where an ``array('i')``
 slot costs 4, and most clock entries point at an int already held
@@ -115,7 +120,6 @@ from itertools import chain
 from typing import (
     Any,
     Callable,
-    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -310,11 +314,6 @@ class StreamingMonitor:
         # conflict (arbitration) constraints, CCv
         self._cf = _Order()
         self._orders: List[_Order] = [self._cf] if self._track_cf else []
-        # per stream and reader process: enumeration watermarks + the
-        # previous window, so arbitration candidates are visited O(1)
-        # times each (older candidates stay ordered transitively through
-        # the dominance/chain edges of earlier reads)
-        self._cf_wm: Dict[Any, List[Optional[List[Any]]]] = {}
 
         # per-process happens-before constraints, CC
         if self._track_hb:
@@ -810,11 +809,12 @@ class StreamingMonitor:
                     )
 
         rows = self._wl.get(key)
+        past = vc[g * nn : (g + 1) * nn]
+        gens: List[int] = []
         if s < self.k:
             # WriteCOInitRead: default slots visible but |S| > s, where
             # |S| counts the writes to `key` in the read's causal past
             self.patterns_checked += 1
-            past = vc[g * nn : (g + 1) * nn]
             total = self._count_inside(key, past)
             if total > s:
                 extra = self._find_extra(key, past, win)
@@ -826,19 +826,25 @@ class StreamingMonitor:
                     f"{total} writes are causally visible",
                 )
         else:
-            # WriteCORead: a visible non-member co-after a window member
+            gens = self._generators(rows, past, win)
+            # WriteCORead: a visible non-member co-after a window member;
+            # there is one iff some generator is
             self.patterns_checked += 1
-            bad = self._co_after_member(rows, g, win, wgs)
-            if bad is not None:
-                w_extra, w_member = bad
-                return self._record(
-                    "WriteCORead",
-                    g,
-                    (u_g[w_member], u_g[w_extra], g),
-                    f"write {self._u_val[w_extra]!r} to stream {key} is "
-                    f"causally after window member "
-                    f"{self._u_val[w_member]!r} but not in the window",
-                )
+            members = [(g_pid[wg], g_lidx[wg]) for wg in wgs]
+            for u in gens:
+                ub = u_g[u] * nn
+                for mp, ml in members:
+                    if vc[ub + mp] <= ml:
+                        continue
+                    w_extra, w_member = self._co_after_member(u, win, wgs)
+                    return self._record(
+                        "WriteCORead",
+                        g,
+                        (u_g[w_member], u_g[w_extra], g),
+                        f"write {self._u_val[w_extra]!r} to stream {key} is "
+                        f"causally after window member "
+                        f"{self._u_val[w_member]!r} but not in the window",
+                    )
 
         violation: Optional[MonitorViolation] = None
         if self._co_grew:
@@ -847,7 +853,7 @@ class StreamingMonitor:
             self._co_grew = False
             violation = self._audit_edges()
         if self._track_cf and "CCV" not in self._violations:
-            v = self._cf_constraints(g, key, rows, win, wgs, recheck)
+            v = self._cf_constraints(g, win, gens)
             violation = violation or v
         if (
             self._track_hb
@@ -881,123 +887,76 @@ class StreamingMonitor:
                     return u
         return None
 
-    def _co_after_member(
+    def _generators(
         self,
         rows: List[Optional[Tuple[List[int], List[int]]]],
-        g: int,
+        past: Sequence[int],
         win: Sequence[int],
-        wgs: Sequence[int],
-    ) -> Optional[Tuple[int, int]]:
-        """A pair (extra write, window member) with the extra causally
-        after the member — the generalised WriteCORead.  ``rows`` are
-        the window's stream's write rows, ``wgs`` its members' ops."""
+    ) -> List[int]:
+        """Per process, its last write among the stream's ``rows`` inside
+        the counts ``past`` (a causal or happens-before past) that is not
+        a window member, unless it is co-before the oldest member: every
+        other such write is po-, hence co-before one of these, so they
+        stand for all of them.  One co-before the oldest member is
+        ordered already, and is after no member (that would be a
+        WindowOrderCO), so it is left out."""
+        w1b = self._u_g[win[0]] * self.n
+        gens = []
+        for row, lo, hi in zip(rows, self._vc[w1b : w1b + self.n], past):
+            if hi > lo and row is not None:
+                lidxs, us = row
+                i = bisect_left(lidxs, hi)
+                while i and lidxs[i - 1] >= lo:
+                    i -= 1
+                    if us[i] not in win:
+                        gens.append(us[i])
+                        break
+        return gens
+
+    def _co_after_member(
+        self, u: int, win: Sequence[int], wgs: Sequence[int]
+    ) -> Tuple[int, int]:
+        """The pair (extra write, window member) a WriteCORead names once
+        the generator ``u`` is known to be causally after a member: the
+        po-earliest non-member of ``u``'s process, up to ``u``, that is
+        after one, and the first member in slot order it is after.  An
+        earlier process has none, or its generator would have been found
+        first; writes co-before the oldest member are after none."""
         nn = self.n
-        base = g * nn
-        fvc = self._fvc
-        # per member and process: the first op index strictly co-after it
-        after = []
-        for u, wg in zip(win, wgs):
-            first = fvc[u * nn : (u + 1) * nn]
-            first[self._g_pid[wg]] = self._g_lidx[wg] + 1
-            after.append(first)
-        lows = after[0] if len(after) == 1 else list(map(min, *after))
-        for q, lo, hi, row in zip(range(nn), lows, self._vc[base : base + nn], rows):
-            if lo >= hi or row is None:
-                continue
-            lidxs, us = row
-            i = bisect_left(lidxs, lo)
-            for idx in range(i, bisect_left(lidxs, hi, i)):
-                u = us[idx]
-                if u in win:
-                    continue
-                # find a member it is after, for the witness
-                for m, first in zip(win, after):
-                    if lidxs[idx] >= first[q]:
-                        return (u, m)
-        return None
+        vc = self._vc
+        ug = self._u_g[u]
+        q = self._g_pid[ug]
+        lidxs, us = self._wl[self._u_key[u]][q]
+        i = bisect_left(lidxs, vc[wgs[0] * nn + q])
+        members = [(m, self._g_pid[wg], self._g_lidx[wg]) for m, wg in zip(win, wgs)]
+        return next(
+            (x, m)
+            for x in us[i : bisect_left(lidxs, self._g_lidx[ug], i) + 1]
+            if x not in win
+            for m, mp, ml in members
+            if vc[self._u_g[x] * nn + mp] > ml
+        )
 
     # ------------------------------------------------------------------
     # CCv: arbitration constraints
     # ------------------------------------------------------------------
     def _cf_constraints(
-        self,
-        g: int,
-        key: Any,
-        rows: List[Optional[Tuple[List[int], List[int]]]],
-        win: List[int],
-        wgs: List[int],
-        recheck: bool = False,
+        self, g: int, win: List[int], gens: List[int]
     ) -> Optional[MonitorViolation]:
-        """The read's arbitration edges: ``rows`` are its stream's write
-        rows, ``wgs`` the ops of its window members ``win``."""
-        # window members must be arbitrated in slot order
-        s = len(win)
-        for i in range(s - 1):
+        """The read's arbitration edges: its window members ``win`` in
+        slot order, then every visible non-member before the oldest
+        member — through the ``gens`` that stand for them."""
+        for i in range(len(win) - 1):
             v = self._add_cf((win[i],), win[i + 1], g)
             if v is not None:
                 return v
-        if s < self.k:
-            return None
-        # every visible non-member must be arbitrated before the oldest
-        # member; writes co-before it are ordered already, so each
-        # process's range starts past them
-        w1 = win[0]
-        nn = self.n
-        vc = self._vc
-        base = g * nn
-        w1b = wgs[0] * nn
-        past = vc[base : base + nn]
-        w1_past = vc[w1b : w1b + nn]
-        candidates: List[int] = []
-        if recheck:
-            # re-check after the read's past grew: the shared watermarks
-            # may have been advanced past this read's range by later
-            # reads, so enumerate its full visible range (a repeated
-            # edge is free); watermark state is untouched
-            for row, lo, hi in zip(rows, w1_past, past):
-                if row is None:
-                    continue
-                lidxs = row[0]
-                i = bisect_left(lidxs, lo)
-                candidates.extend(row[1][i : bisect_left(lidxs, hi, i)])
-            return self._add_cf(candidates, w1, g, win)
-        # Each write is enumerated O(1) times per reader process: a
-        # watermark skips candidates already ordered below an earlier
-        # oldest-member (transitively below the current one through that
-        # read's dominance/chain edges), and the previous window rides
-        # along one extra read so members leaving the window still get
-        # their edge.
-        pid = self._g_pid[g]
-        readers = self._cf_wm.get(key)
-        if readers is None:
-            readers = self._cf_wm[key] = [None] * nn
-        wm = readers[pid]
-        if wm is None:
-            wm = readers[pid] = [[0] * nn, ()]
-        marks = wm[0]
-        for q, hi, lo, w1_lo, row in zip(range(nn), past, marks, w1_past, rows):
-            if hi <= lo or row is None:
-                continue
-            marks[q] = hi
-            if w1_lo > lo:
-                lo = w1_lo
-            if hi > lo:
-                lidxs = row[0]
-                i = bisect_left(lidxs, lo)
-                candidates.extend(row[1][i : bisect_left(lidxs, hi, i)])
-        candidates.extend(wm[1])
-        wm[1] = win
-        return self._add_cf(candidates, w1, g, win)
+        return self._add_cf(gens, win[0], g) if gens else None
 
     def _add_cf(
-        self,
-        sources: Iterable[int],
-        b: int,
-        g: int,
-        members: Collection[int] = (),
+        self, sources: Iterable[int], b: int, g: int
     ) -> Optional[MonitorViolation]:
-        """Require arbitration ``a < b`` of every ``a`` in ``sources``
-        outside ``members``; detect a cycle with co∪cf."""
+        """Require arbitration ``a < b`` of every ``a`` in ``sources``;
+        detect a cycle with co∪cf."""
         inn = self._cf.inn
         seen = inn.get(b, ())
         vc = self._vc
@@ -1006,7 +965,7 @@ class StreamingMonitor:
         g_lidx = self._g_lidx
         b_vc = u_g[b] * self.n
         for a in sources:
-            if a in seen or a in members:
+            if a in seen:
                 continue
             ag = u_g[a]
             if vc[b_vc + g_pid[ag]] > g_lidx[ag]:
@@ -1022,16 +981,39 @@ class StreamingMonitor:
             if ordered is None:
                 return None  # search budget spent: nothing is decided here
             if not ordered:
+                a = self._earliest_reached(self._cf, a, b)
                 return self._record(
                     "CyclicCF",
                     g,
-                    (ag, self._u_g[b], g),
+                    (u_g[a], u_g[b], g),
                     f"no total arbitration order: writes "
                     f"{self._u_val[a]!r} and {self._u_val[b]!r} are "
                     f"constrained in both directions",
                 )
             self.cf_edges += 1
         return None
+
+    def _earliest_reached(self, order: _Order, a: int, b: int) -> int:
+        """The write a cycle witness names when the edge ``a → b`` closes
+        one: the po-earliest write to ``a``'s stream by ``a``'s process,
+        not co-before ``b``, that ``b`` reaches along co ∪ ``order``.
+        It is required before ``b`` too (co-before ``a``), and ``b``
+        reaching it is monotone along po, so the witness does not depend
+        on which generator stood for it; ``a`` if no earlier one."""
+        ag = self._u_g[a]
+        q = self._g_pid[ag]
+        lidxs, us = self._wl[self._u_key[a]][q]
+        i = bisect_left(lidxs, self._vc[self._u_g[b] * self.n + q])
+        for x in us[i : bisect_left(lidxs, self._g_lidx[ag], i)]:
+            if self._reaches(order, b, x):
+                return x
+        return a
+
+    def _reaches(self, order: _Order, src: int, dst: int) -> bool:
+        """Is there a path from write ``src`` to write ``dst`` along co
+        ∪ ``order``'s edges?"""
+        lo, hi = order.label[src], order.label[dst]
+        return lo < hi and self._order_region(order, src, lo, hi, target=dst) is None
 
     # ------------------------------------------------------------------
     # the order of co ∪ edges (Pearce–Kelly over implicit co edges)
@@ -1246,7 +1228,6 @@ class StreamingMonitor:
         self, q: int, rec: List[Any]
     ) -> Tuple[Optional[MonitorViolation], List[Tuple[int, int]]]:
         g, key, win, s, _ = rec
-        nn = self.n
         cov = self._hb_cov(q, g)
         rec[4] = cov
         new_edges: List[Tuple[int, int]] = []
@@ -1257,9 +1238,9 @@ class StreamingMonitor:
                 return v, new_edges
             if added:
                 new_edges.append((win[i], win[i + 1]))
-        total = self._count_inside(key, cov)
         self.patterns_checked += 1
         if s < self.k:
+            total = self._count_inside(key, cov)
             if total > s:
                 extra = self._find_extra(key, cov, win)
                 witness = (
@@ -1279,41 +1260,24 @@ class StreamingMonitor:
                 )
             return None, new_edges
         # full window: every hb-visible non-member must precede the
-        # oldest member in the process's linearisation
+        # oldest member in the process's linearisation — each process's
+        # generator stands for the rest of its writes, which are co-, so
+        # hb-before it
         w1 = win[0]
-        w1b = self._u_g[w1] * nn
-        members = set(win)
-        vc = self._vc
-        required = self._d[q].inn
-        for row, lo, hi in zip(self._wl[key], vc[w1b : w1b + nn], cov):
-            if row is None:
-                continue
-            # writes co-before w1 are ordered already; skip them wholesale
-            lidxs = row[0]
-            i = bisect_left(lidxs, lo)
-            for u in row[1][i : bisect_left(lidxs, hi, i)]:
-                if u in members:
-                    continue
-                if self._covers(self._u_g[w1], u):
-                    continue  # co-before w1: already ordered
-                if u in required.get(w1, ()):
-                    continue  # the very edge, from an earlier pass
-                if self._hb_reaches(q, u, w1):
-                    continue  # hb-before w1: already ordered
-                if self._decided:
-                    return None, new_edges  # search budget spent
-                v, added = self._add_d(q, u, w1, g)
-                if v is not None:
-                    return v, new_edges
-                if added:
-                    new_edges.append((u, w1))
-        return None, new_edges
-
-    def _hb_reaches(self, q: int, src: int, dst: int) -> bool:
-        """Is there a co∪D_q path from write ``src`` to write ``dst``?"""
         order = self._d[q]
-        lo, hi = order.label[src], order.label[dst]
-        return lo < hi and self._order_region(order, src, lo, hi, target=dst) is None
+        for u in self._generators(self._wl[key], cov, win):
+            if u in order.inn.get(w1, ()):
+                continue  # the very edge, from an earlier pass
+            if self._reaches(order, u, w1):
+                continue  # hb-before w1: already ordered
+            if self._decided:
+                return None, new_edges  # search budget spent
+            v, added = self._add_d(q, u, w1, g)
+            if v is not None:
+                return v, new_edges
+            if added:
+                new_edges.append((u, w1))
+        return None, new_edges
 
     def _add_d(
         self, q: int, a: int, b: int, g: int
@@ -1333,6 +1297,7 @@ class StreamingMonitor:
         if ordered is None:
             return None, False  # search budget spent
         if not ordered:
+            a = self._earliest_reached(order, a, b)
             return (
                 self._record(
                     "CyclicHB",
@@ -1539,16 +1504,12 @@ def replay_history(
 
     Events are fed in recorded-time order when the history carries
     timestamps (exercising the true streaming path) and in program order
-    otherwise.  Feed the monitor a linear extension of the real-time
-    order — the order a live run actually observes.  An arbitrary
-    interleaving of the per-process rows can over-constrain the inferred
-    conflict and happens-before edges and report a cycle the timed feed
-    would not (observed on live service captures stripped of their
-    timestamps), which is why ``repro.service.load.capture_history``
-    always carries ``start`` times through the classify JSON.  Which of
-    the two feeds ran is recorded in every verdict's ``stats`` as
-    ``feed_order`` (``"recorded-time"`` / ``"program-order"``), so a
-    cycle reported on an untimed history says so itself.  Histories
+    otherwise.  The conflict and happens-before edges the two feeds
+    propose have the same closure with ``co``, so they reach the same
+    verdicts; the timed one parks fewer reads.  Which of the two ran is
+    recorded in every
+    verdict's ``stats`` as ``feed_order`` (``"recorded-time"`` /
+    ``"program-order"``).  Histories
     whose program order is not a union of per-process chains
     (:meth:`History.sequential_processes` — free for declared rows,
     verified mask by mask otherwise), non-window ADTs and

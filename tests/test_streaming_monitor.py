@@ -22,7 +22,10 @@ counters — it changes how a cycle is found, not which edges are
 proposed), and traffic that makes it work: a live run whose arbitration
 keeps disagreeing with arrival order, concurrent-writer histories where
 CCv fails after earlier relabels, and the same histories fed process by
-process, which rebuilds the labels mid-stream.
+process, which rebuilds the labels mid-stream.  The edges are one
+generator per process, a function of the read's causal past and window
+only, so any feed that keeps program order gets the same verdicts and
+the same closure of co ∪ conflict edges (a hypothesis property).
 """
 
 import functools
@@ -283,7 +286,8 @@ def grown_hot_key(ops_per_process):
 
 # ----------------------------------------------------------------------
 # goldens: recorded at the commit before the conflict graph got its
-# topological order, never re-recorded
+# topological order, never re-recorded; edited field by field where the
+# generator derivation defines a field (the file's comment lists which)
 # ----------------------------------------------------------------------
 GOLDENS = json.loads(
     (pathlib.Path(__file__).parent / "goldens" / "streaming_monitor.json").read_text()
@@ -396,21 +400,6 @@ def golden_row_of(name):
     return golden_row(golden_cases()[name](), counters)
 
 
-#: `replay_history` warns that an interleaving which is not a linear
-#: extension of real time can over-constrain the conflict edges (reads
-#: of one process get checked out of program order, and the per-reader
-#: watermarks assume they are not).  It does on these: CCv holds, by the
-#: search and by the arrival-order feed, and the process-by-process feed
-#: reports CyclicCF — before this order existed and after, same witness.
-OVER_CONSTRAINED = {
-    ((4, 2, 2, 1), 5),
-    ((4, 2, 2, 2), 3),
-    ((6, 1, 2, 1), 0),
-    ((6, 1, 2, 1), 2),
-    ((6, 1, 2, 1), 7),
-}
-
-
 def feed_writers(shape, seed, program_order=False):
     ops = writer_ops(shape, seed)
     if program_order:
@@ -419,6 +408,46 @@ def feed_writers(shape, seed, program_order=False):
     for p, invocation, output in ops:
         monitor.feed(p, invocation, output)
     return monitor.finalize(), monitor
+
+
+def po_shuffle(rng, ops):
+    """A random interleaving of ``ops`` that keeps each process's program
+    order: the feed of n taps, or of a capture without timestamps."""
+    left = {}
+    for op in reversed(ops):
+        left.setdefault(op[0], []).append(op)
+    shuffled = []
+    while left:
+        p = rng.choice([p for p, row in left.items() for _ in row])
+        shuffled.append(left[p].pop())
+        if not left[p]:
+            del left[p]
+    return shuffled
+
+
+def arbitration_closure(monitor):
+    """The transitive closure of co ∪ the recorded conflict edges over the
+    writes, as pairs of (stream, value): write ordinals are arrival
+    order, so they differ between feeds of one history."""
+    from repro.util.orders import transitive_closure
+
+    count = len(monitor._u_g)
+    pred = [0] * count
+    for b in range(count):
+        for a in range(count):
+            if a != b and monitor._covers(monitor._u_g[b], a):
+                pred[b] |= 1 << a
+    for a, outs in monitor._cf.out.items():
+        for b in outs:
+            pred[b] |= 1 << a
+    closed = transitive_closure(pred)
+    name = list(zip(monitor._u_key, monitor._u_val))
+    return {
+        (name[a], name[b])
+        for b in range(count)
+        for a in range(count)
+        if closed[b] >> a & 1
+    }
 
 
 # ----------------------------------------------------------------------
@@ -615,7 +644,8 @@ class TestMutationCorpus:
 class TestGoldenIdentity:
     """The topological order changed how a cycle is found, not which
     edges are proposed: every stream recorded before it reproduces —
-    verdict, pattern, index, witness, edge and pattern counters."""
+    verdict, pattern, index, witness, edge and pattern counters — except
+    where the generator derivation defines the field."""
 
     @pytest.mark.parametrize("name", sorted(GOLDENS["rows"]))
     def test_row_reproduces(self, name):
@@ -958,8 +988,6 @@ class TestReplayDeterminism:
         rebuilt = 0
         for shape in WRITER_SHAPES:
             for seed in range(WRITER_SEEDS):
-                if (shape, seed) in OVER_CONSTRAINED:
-                    continue
                 arrival, _ = feed_writers(shape, seed)
                 by_process, monitor = feed_writers(shape, seed, program_order=True)
                 stats = monitor.stats()
@@ -969,6 +997,62 @@ class TestReplayDeterminism:
                     c: v.ok for c, v in arrival.items()
                 }, (shape, seed)
         assert rebuilt >= 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_program_order_feed_agrees_with_the_search(self, data):
+        """The conflict relation is defined on the history, not on the
+        feed: over small concurrent-writer and random histories, every
+        shuffle that keeps program order gets the search's verdicts
+        wherever both are conclusive and the reference feed's verdicts
+        (the writers' arrival order, or the random rows round-robin),
+        and, while CCv holds, the same closure of co ∪ conflict edges."""
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        k = data.draw(st.integers(1, 2), label="k")
+        if data.draw(st.booleans(), label="concurrent writers"):
+            procs = data.draw(st.integers(2, 4), label="procs")
+            writes = data.draw(st.integers(1, 3), label="writes")
+            reads = data.draw(
+                st.integers(1, SEARCHABLE_OPS // procs - writes), label="reads"
+            )
+            ops = concurrent_writers(rng, procs, writes, reads, k)
+            streams = 1
+        else:
+            procs = data.draw(st.integers(2, 3), label="procs")
+            streams = data.draw(st.integers(1, 2), label="streams")
+            length = data.draw(st.integers(2, 4), label="ops per process")
+            history = random_history(rng, procs, length, streams, k)
+            events = history.events
+            ops = [
+                (p, events[chain[i]].invocation, events[chain[i]].output)
+                for i in range(length)
+                for p, chain in enumerate(history.processes())
+            ]
+        adt = WindowStreamArray(streams, k)
+        truth = {
+            c: search_ok(history_of(ops, procs), adt, c) for c in SUPPORTED_CRITERIA
+        }
+
+        def feed(order):
+            monitor = StreamingMonitor(procs, streams=streams, k=k)
+            for p, invocation, output in order:
+                monitor.feed(p, invocation, output)
+            return monitor.finalize(), monitor
+
+        reference, monitor = feed(ops)
+        closure = arbitration_closure(monitor) if reference["CCV"].ok else None
+        for _ in range(3):
+            verdicts, monitor = feed(po_shuffle(rng, ops))
+            for criterion, verdict in verdicts.items():
+                if None not in (verdict.ok, truth[criterion]):
+                    assert verdict.ok == truth[criterion], (
+                        criterion, verdict.reason, ops
+                    )
+            assert {c: v.ok for c, v in verdicts.items()} == {
+                c: v.ok for c, v in reference.items()
+            }, ops
+            if closure is not None:
+                assert arbitration_closure(monitor) == closure, ops
 
 
 # ----------------------------------------------------------------------
