@@ -57,7 +57,6 @@ def test_search_work_counters():
         "total_orders",
         "orders_pruned",
         "conflict_cuts",
-        "shards",
     )
     lines = ["criterion  " + "  ".join(f"{k:>15s}" for k in keys)]
     for criterion in ("WCC", "CC", "CCV"):

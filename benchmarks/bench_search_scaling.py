@@ -16,7 +16,9 @@ report ``--out`` names (none is written without it; the trajectory is
 archived under ``benchmarks/results/BENCH_search_*.json``).
 Verdicts are part of the JSON so optimisation PRs can prove equivalence
 against a stored baseline with ``--baseline`` (exits non-zero on any
-verdict mismatch; prints the CCv geometric-mean speedup).  All produced
+verdict mismatch; prints the CCv geometric-mean speedup); it reads the
+archived schema-3 reports too, whose ``jobs``, ``shards`` and
+``per_shard`` fields date from the retired sharded search.  All produced
 certificates are re-validated through the independent checker.
 """
 
@@ -143,24 +145,31 @@ def _stat(stats: Any, name: str) -> int:
     return int(getattr(stats, name, 0) or 0)
 
 
+def sweep_population(
+    seed: int, name: str, processes: int, ops: int, density: float, count: int
+) -> List[Tuple[History, WindowStream]]:
+    """The histories of one sweep config (also the population of the
+    certificate golden in ``tests/test_search_perf.py``)."""
+    # zlib.crc32, not hash(): str hashing is salted per process and
+    # would make the sweep non-reproducible across runs
+    rng = random.Random(seed * 1_000_003 + zlib.crc32(name.encode()))
+    generate = (
+        recorded_window_history if name.startswith("sat-") else random_history
+    )
+    return [generate(rng, processes, ops, density) for _ in range(count)]
+
+
 def run_sweep(
     sweep: List[Tuple[str, int, int, float, int]],
     seed: int,
     max_nodes: int,
     verify: bool,
-    jobs: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
     cases: List[Dict[str, Any]] = []
     for name, processes, ops, density, count in sweep:
-        # zlib.crc32, not hash(): str hashing is salted per process and
-        # would make the sweep non-reproducible across runs
-        rng = random.Random(seed * 1_000_003 + zlib.crc32(name.encode()))
-        generate = (
-            recorded_window_history if name.startswith("sat-") else random_history
+        population = sweep_population(
+            seed, name, processes, ops, density, count
         )
-        population = [
-            generate(rng, processes, ops, density) for _ in range(count)
-        ]
         for mode in MODES:
             verdicts: List[Optional[bool]] = []
             certificates = []
@@ -172,13 +181,9 @@ def run_sweep(
                 "propagate_steps": 0,
                 "orders_pruned": 0,
                 "conflict_cuts": 0,
-                "shards": 0,
                 "total_orders_tried": 0,
             }
             budget_exceeded = 0
-            # per-shard breakdown of the case's most-sharded history
-            # (the interesting one: where the parallel split actually bites)
-            shard_detail: List[Dict[str, int]] = []
             # per-history witness positions (CCv, satisfiable histories):
             # the enumeration ranks the order heuristic tries to minimise
             orders_to_witness: List[int] = []
@@ -186,11 +191,7 @@ def run_sweep(
             for history, adt in population:
                 try:
                     certificate, stats = search_causal_order(
-                        history,
-                        adt,
-                        mode,
-                        max_nodes=max_nodes,
-                        jobs=jobs,
+                        history, adt, mode, max_nodes=max_nodes
                     )
                 except SearchBudgetExceeded:
                     budget_exceeded += 1
@@ -204,9 +205,6 @@ def run_sweep(
                         orders_to_witness.append(witness_at)
                 for key in counters:
                     counters[key] += _stat(stats, key)
-                per_shard = getattr(stats, "per_shard", None)
-                if per_shard and len(per_shard) > len(shard_detail):
-                    shard_detail = per_shard
             wall = time.perf_counter() - t0
             if verify:
                 for history, adt, certificate in certificates:
@@ -231,8 +229,6 @@ def run_sweep(
             if mode == "CCV":
                 case["orders_to_witness"] = orders_to_witness
                 case["orders_to_witness_median"] = median(orders_to_witness)
-            if mode == "CCV" and shard_detail:
-                case["per_shard"] = shard_detail
             cases.append(case)
     return cases
 
@@ -300,9 +296,7 @@ def compare_to_baseline(
     return summary, mismatches
 
 
-def litmus_verdicts(
-    max_nodes: int, jobs: Optional[int] = None
-) -> Dict[str, Dict[str, bool]]:
+def litmus_verdicts(max_nodes: int) -> Dict[str, Dict[str, bool]]:
     """Classify the full litmus gallery in all three modes (equivalence
     anchor: these verdicts must never change across perf PRs)."""
     from repro.litmus import all_litmus
@@ -313,8 +307,7 @@ def litmus_verdicts(
         row = {}
         for mode in MODES:
             certificate, _ = search_causal_order(
-                litmus.history, litmus.adt, mode, max_nodes=max_nodes,
-                jobs=jobs,
+                litmus.history, litmus.adt, mode, max_nodes=max_nodes
             )
             if certificate is not None:
                 verify_certificate(litmus.history, litmus.adt, certificate)
@@ -328,14 +321,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true", help="small CI sweep")
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--max-nodes", type=int, default=500_000)
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for the sharded CCv search (0 = host-sized; "
-        "default/1 = in-process; verdicts and counters are identical at "
-        "any count, so --baseline comparisons work in both modes)",
-    )
     parser.add_argument(
         "--out", default=None, help="write the JSON report to this path"
     )
@@ -355,15 +340,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.criteria.causal_parallel import resolve_jobs
-
-    args.jobs = resolve_jobs(args.jobs)
     sweep = SMOKE_SWEEP if args.smoke else FULL_SWEEP
     started = time.perf_counter()
-    cases = run_sweep(
-        sweep, args.seed, args.max_nodes, not args.no_verify, jobs=args.jobs
-    )
-    litmus = litmus_verdicts(args.max_nodes, jobs=args.jobs)
+    cases = run_sweep(sweep, args.seed, args.max_nodes, not args.no_verify)
+    litmus = litmus_verdicts(args.max_nodes)
     elapsed = time.perf_counter() - started
 
     per_mode_wall = {
@@ -377,10 +357,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for v in c.get("orders_to_witness", [])
     ]
     report: Dict[str, Any] = {
-        "schema": 3,
+        "schema": 4,
         "smoke": args.smoke,
         "seed": args.seed,
-        "jobs": args.jobs or 1,
         "timestamp": time.time(),
         "cases": cases,
         "litmus": litmus,

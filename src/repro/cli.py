@@ -51,7 +51,7 @@ from .adts import (
 )
 from .core import History, Operation
 from .core.operations import BOTTOM, HIDDEN, Invocation
-from .criteria import check
+from .criteria import SearchBudgetExceeded, check
 from .util.tables import render_table
 
 def _window_array(spec: Dict[str, Any]):
@@ -203,7 +203,6 @@ _WORK_COUNTERS = (
     ("orders_to_witness", "witness@"),
     ("orders_pruned", "pruned"),
     ("conflict_cuts", "cut"),
-    ("shards", "shards"),
 )
 
 
@@ -413,9 +412,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         spec = json.load(fh)
     history, adt, criteria = load_history(spec)
     print(f"history: {history}")
-    from .criteria.causal_parallel import resolve_jobs
-
-    args.jobs = resolve_jobs(args.jobs)
     rows = []
     doc: Dict[str, Any] = {
         "file": args.file,
@@ -430,22 +426,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
         args.streaming = True
         exact_criteria = []
     for criterion in exact_criteria:
-        kwargs: Dict[str, Any] = {}
-        if criterion in ("WCC", "CC", "CCV") and args.jobs:
-            kwargs["jobs"] = args.jobs
-        result = check(history, adt, criterion, **kwargs)
-        rows.append(
-            [
-                criterion,
-                "yes" if result.ok else "no",
-                result.reason,
-                _format_work(result.stats or {}),
-            ]
-        )
+        ok: Optional[bool]
+        try:
+            result = check(history, adt, criterion)
+        except SearchBudgetExceeded as exc:
+            # inconclusive, like the monitor's "?": the search gave up,
+            # it did not find the history outside the criterion
+            ok, reason, work = None, f"search budget exceeded: {exc}", {}
+        else:
+            ok, reason = bool(result.ok), result.reason
+            work = dict(result.stats or {})
+        holds = "?" if ok is None else ("yes" if ok else "no")
+        rows.append([criterion, holds, reason, _format_work(work)])
         doc["criteria"][criterion] = {
-            "ok": bool(result.ok),
-            "reason": result.reason,
-            "stats": dict(result.stats or {}),
+            "ok": ok,
+            "reason": reason,
+            "stats": work,
         }
     print(render_table(["criterion", "holds", "reason", "work"], rows))
     # histories exported with per-run network accounting (an explore
@@ -790,12 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a JSON history file")
     p.add_argument("file")
-    p.add_argument(
-        "--jobs", type=_jobs_arg, default=None,
-        help="worker processes for the sharded CCv search "
-        "(0 = host-sized; default/1 = in-process; verdicts, certificates "
-        "and work counters are identical at any count)",
-    )
     p.add_argument(
         "--streaming-only", action="store_true",
         help="skip the enumeration search and run only the streaming "

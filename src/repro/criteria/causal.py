@@ -20,7 +20,7 @@ read the same state: weak causal consistency plus eventual consistency
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..core.adt import AbstractDataType
 from ..core.history import History
@@ -34,7 +34,7 @@ _FAMILY_STATS = (
 #: … and the ones CCv reports, which also enumerates total update orders
 _ORDER_STATS = (
     "families", "event_checks", "total_orders", "memo_hits", "propagate_steps",
-    "orders_pruned", "conflict_cuts", "shards", "orders_to_witness",
+    "orders_pruned", "conflict_cuts", "orders_to_witness",
 )
 #: reported name -> :class:`~repro.criteria.causal_search.SearchStats`
 #: field, where the two differ
@@ -51,10 +51,9 @@ def _checker(
         history: History,
         adt: AbstractDataType,
         max_nodes: int = 200_000,
-        jobs: Optional[int] = None,
     ) -> CheckResult:
         certificate, work = search_causal_order(
-            history, adt, name, max_nodes=max_nodes, jobs=jobs
+            history, adt, name, max_nodes=max_nodes
         )
         counters = {
             key: getattr(work, _STATS_FIELD.get(key, key)) for key in stats
@@ -65,8 +64,7 @@ def _checker(
 
     check_criterion.__doc__ = (
         f"Decide ``H ∈ {name}(T)`` by causal-order search.\n\n"
-        f"{definition}.  Verdict, certificate and counters are the same "
-        "at any ``jobs``."
+        f"{definition}."
     )
     return register(name)(check_criterion)
 
@@ -91,8 +89,7 @@ check_convergence = _checker(
     "CCV",
     "Def. 12: ∃→ and a total order ≤ ⊇ →, ∀e, the linearisation of ⌊e⌋ "
     "ordered by ≤ is in L(T) — total update orders extending the program "
-    "order are enumerated (``jobs`` shards them over worker processes), "
-    "then causal pasts searched as for WCC",
+    "order are enumerated, then causal pasts searched as for WCC",
     "no total order on updates explains every causal past",
     _ORDER_STATS,
 )

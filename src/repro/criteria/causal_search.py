@@ -134,27 +134,17 @@ permutation before use.
 
 Because the permutation depends only on ``(history, adt, heuristic)``,
 the enumeration order — and with it the deterministic certificate
-tie-break ("first witnessing order in enumeration order") and the shard
-structure below — remains a fixed function of the instance, independent
-of worker count.  ``order_heuristic="lex"`` selects the identity
-permutation, reproducing PR 3's lexicographic enumeration (and its
-certificates) exactly.
+tie-break ("first witnessing order in enumeration order") — remains a
+fixed function of the instance.  The conflict cut only skips provably
+failing orders, so the first witness is the same with or without it.
+``order_heuristic="lex"`` selects the identity permutation, reproducing
+the plain lexicographic enumeration (and its certificates) exactly.
 
-Sharded enumeration
--------------------
-The total-order space is partitioned into disjoint prefix shards
-(:func:`repro.util.orders.shard_prefixes`, applied in priority space)
-processed in fixed *waves*;
-``jobs > 1`` maps a wave onto a ``multiprocessing`` pool (the pattern of
-``scenarios/matrix.py``), ``jobs = 1`` runs the same waves in-process.
-Shard structure, per-shard signature learning and the wave-boundary
-signature exchange are all independent of ``jobs``, so verdicts,
-certificates *and* every stats counter are bit-identical at any worker
-count; the first certificate in shard order equals the sequential
-engine's because the shards concatenate to the unsharded enumeration
-order and the cut only skips provably failing orders.  See
-:mod:`repro.criteria.causal_parallel` for the wave driver and the
-budget-accounting rules that mirror the cumulative sequential budgets.
+Budgets are cumulative over the one enumeration: ``max_nodes`` bounds
+the families explored across all total orders, ``max_total_orders`` the
+orders enumerated (conflict-cut ones included).  Exhausting either
+raises :class:`SearchBudgetExceeded`; a witness found at exactly the
+budget still counts.
 """
 
 from __future__ import annotations
@@ -207,20 +197,12 @@ class SearchStats:
     ``propagate_steps`` counts worklist pops of the incremental closure;
     ``orders_pruned`` counts total-order prefixes cut by lazy refinement
     before enumeration (CCv only); ``conflict_cuts`` counts whole total
-    orders skipped because they agreed with a learned failure signature;
-    ``shards`` counts the prefix shards the enumeration was split into.
+    orders skipped because they agreed with a learned failure signature.
 
-    ``orders_to_witness`` is a *position*, not an additive counter: the
-    1-based rank, in the deterministic enumeration order, of the total
-    order that witnessed CCv (``None`` when no witness was found, or for
-    WCC/CC).  It is what the witness-guided heuristic optimises, it is
-    set by the sharded driver from the cumulative budget replay, and
-    :meth:`merge` deliberately leaves it alone.
-
-    A sharded search produces one ``SearchStats`` per shard; the driver
-    sums them with :meth:`merge` (every counter is additive — nothing is
-    last-writer-wins) and attaches the per-shard breakdown under
-    :attr:`per_shard` for benchmark reporting.
+    ``orders_to_witness`` is a *position*, not a counter: the 1-based
+    rank, in the deterministic enumeration order, of the total order
+    that witnessed CCv (``None`` when no witness was found, or for
+    WCC/CC).  It is what the witness-guided heuristic optimises.
     """
 
     families_explored: int = 0
@@ -231,58 +213,12 @@ class SearchStats:
     propagate_steps: int = 0
     orders_pruned: int = 0
     conflict_cuts: int = 0
-    shards: int = 0
     orders_to_witness: Optional[int] = None
-    per_shard: Optional[List[Dict[str, int]]] = None
-
-    _COUNTERS = (
-        "families_explored",
-        "event_checks",
-        "lin_nodes",
-        "total_orders_tried",
-        "memo_hits",
-        "propagate_steps",
-        "orders_pruned",
-        "conflict_cuts",
-        "shards",
-    )
-
-    def merge(self, other: "SearchStats") -> None:
-        """Accumulate another shard's counters into this instance."""
-        for name in self._COUNTERS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-@dataclass
-class ShardOutcome:
-    """Picklable result of one CCv prefix shard.
-
-    ``orders_tried`` counts the orders the shard's enumerator yielded
-    (conflict-cut ones included — they consume order budget exactly as
-    they would sequentially); ``families`` the families its DFS explored;
-    the ``*_at_success`` fields are the shard-local positions of the
-    witnessing order (``None`` on failure) so the driver can replay the
-    cumulative sequential budget checks; ``exported_sigs`` are the most
-    general failure signatures learned, offered to later waves.
-    """
-
-    index: int
-    certificate: Optional[CausalCertificate]
-    orders_tried: int
-    families: int
-    orders_at_success: Optional[int]
-    families_at_success: Optional[int]
-    budget_exceeded: bool
-    stats: SearchStats
-    exported_sigs: Tuple[int, ...]
-
-
-#: learned-signature bounds: per-shard learning stops at ``_SIG_CAP``
-#: entries (the scan per order is one AND per signature); at most
-#: ``_SIG_EXPORT_CAP`` signatures — most general (fewest pairs) first —
-#: travel back through the pool for the cross-shard exchange.
+#: learning stops at this many failure signatures (the scan per order is
+#: one AND per signature)
 _SIG_CAP = 512
-_SIG_EXPORT_CAP = 24
 
 _NO_ENTRY = object()
 
@@ -443,10 +379,9 @@ class CausalSearch:
 
         A pure function of ``(history, heuristic)`` — it depends on the
         recorded timestamps (or the program-order depths standing in for
-        them) and the event ids, never on shard layout or worker count —
-        so the driver and every shard worker independently compute the
-        same permutation, which is what keeps the sharded enumeration
-        (and the certificate tie-break it defines) deterministic.
+        them) and the event ids only — which is what keeps the
+        enumeration (and the certificate tie-break it defines)
+        deterministic.
         """
         cached = self._priority_cache
         if cached is not None:
@@ -473,70 +408,35 @@ class CausalSearch:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def run(self, jobs: int = 1) -> Optional[CausalCertificate]:
-        """Decide membership; ``jobs`` shards the CCv total-order
-        enumeration over that many worker processes (1 = in-process; the
-        answer, certificate and stats are identical either way)."""
-        if self.mode != "CCV":
-            # WCC/CC quantify over causal orders only: one family search,
-            # nothing to shard
-            family0 = self._initial_family()
-            if family0 is None:
-                return None
-            result = self._dfs(tuple(family0))
-            if result is None:
-                return None
-            return self._certificate(result, None)
-        from .causal_parallel import run_ccv_sharded
+    def run(self) -> Optional[CausalCertificate]:
+        """Decide membership: a certificate, or ``None`` when the history
+        is not in the criterion; raises :class:`SearchBudgetExceeded`."""
+        family0 = self._initial_family()
+        if family0 is None:
+            return None
+        if self.mode == "CCV":
+            return self._run_ccv(family0)
+        # WCC/CC quantify over causal orders only: one family search
+        result = self._dfs(tuple(family0))
+        if result is None:
+            return None
+        return self._certificate(result, None)
 
-        return run_ccv_sharded(self, jobs)
+    def _run_ccv(self, family0: List[int]) -> Optional[CausalCertificate]:
+        """Enumerate the CCv total update orders, searching the causal
+        pasts under each until one witnesses.
 
-    def run_shard(
-        self,
-        prefix: Tuple[int, ...] = (),
-        imported_sigs: Sequence[int] = (),
-        index: int = 0,
-        family0: Optional[Sequence[int]] = None,
-    ) -> ShardOutcome:
-        """Enumerate one prefix shard of the CCv total-order space.
-
-        CCv enumerates total update orders lazily, refined by the update
-        order induced by the initial family — it is contained in every
-        witnessing family, so orders contradicting it cannot succeed.
-        K1+K3 closure makes the induced relation transitively closed and
-        K4 makes it acyclic, so it is a valid refinement base.  The
-        enumeration runs in *priority space*: the refinement base is
-        re-indexed through :meth:`priority_permutation` and walked
-        lexicographically there, so the first orders tried extend the
-        observed timestamps; yielded sequences are translated back to
-        update positions before anything downstream sees them.
-        ``prefix`` restricts the stream to one subtree of that
-        priority-space enumeration (the empty prefix is the whole
-        space); ``imported_sigs`` seeds the
-        conflict cut with failure signatures learned elsewhere (sound
-        regardless of origin: a signature is a property of the instance,
-        not of the shard that learned it).
+        The enumeration is lazy and refined by the update order induced
+        by the initial family — it is contained in every witnessing
+        family, so orders contradicting it cannot succeed.  K1+K3 closure
+        makes the induced relation transitively closed and K4 makes it
+        acyclic, so it is a valid refinement base.  The enumeration runs
+        in *priority space*: the refinement base is re-indexed through
+        :meth:`priority_permutation` and walked lexicographically there,
+        so the first orders tried extend the observed timestamps; yielded
+        sequences are translated back to update positions before anything
+        downstream sees them.
         """
-        assert self.mode == "CCV"
-        if family0 is None:
-            family0 = self._initial_family()
-        else:
-            # a driver-provided family0 is already closed and seeded, but
-            # this instance's dependent sets must still know about its
-            # containments (K3-backward pushes rely on every containment
-            # being registered; _initial_family does this when it runs)
-            dependents = self._dependents
-            for e in range(self.n):
-                rest = family0[e]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    dependents[low.bit_length() - 1] |= 1 << e
-        if family0 is None:
-            self.stats.shards = 1
-            return ShardOutcome(
-                index, None, 0, 0, None, None, False, self.stats, ()
-            )
         base_family = tuple(family0)
         induced = [family0[u] for u in self.updates]
         perm = self.priority_permutation()
@@ -544,17 +444,12 @@ class CausalSearch:
             permute_relation(induced, perm),
             base=permute_relation(self.upd_po, perm),
             limit=self.max_total_orders,
-            prefix=prefix,
         )
         m = self.m
-        sigs: List[int] = list(imported_sigs) if self.conflict_cut else []
-        sig_seen: Set[int] = set(sigs)
-        imported_count = len(sigs)
+        sigs: List[int] = []
+        sig_seen: Set[int] = set()
         count = 0
         certificate: Optional[CausalCertificate] = None
-        orders_at: Optional[int] = None
-        families_at: Optional[int] = None
-        exceeded = False
         for priority_order in enumerator:
             # back from priority ranks to update positions: ranks, masks,
             # signatures and certificates all live in position space
@@ -591,15 +486,10 @@ class CausalSearch:
             self._visited = {}
             self._seq_cache.clear()
             self._consulted = 0
-            try:
-                result = self._dfs(base_family)
-            except SearchBudgetExceeded:
-                exceeded = True
-                break
+            result = self._dfs(base_family)
             if result is not None:
+                self.stats.orders_to_witness = count
                 certificate = self._certificate(result, order)
-                orders_at = count
-                families_at = self.stats.families_explored
                 break
             sig = self._consulted
             if (
@@ -612,20 +502,11 @@ class CausalSearch:
                 sig_seen.add(sig)
         self.stats.total_orders_tried = count
         self.stats.orders_pruned += enumerator.pruned
-        self.stats.shards = 1
-        learned = sigs[imported_count:]
-        learned.sort(key=lambda s: (s.bit_count(), s))
-        return ShardOutcome(
-            index=index,
-            certificate=certificate,
-            orders_tried=count,
-            families=self.stats.families_explored,
-            orders_at_success=orders_at,
-            families_at_success=families_at,
-            budget_exceeded=exceeded,
-            stats=self.stats,
-            exported_sigs=tuple(learned[:_SIG_EXPORT_CAP]),
-        )
+        if certificate is None and count >= self.max_total_orders:
+            raise SearchBudgetExceeded(
+                f"more than {self.max_total_orders} total update orders"
+            )
+        return certificate
 
     # ------------------------------------------------------------------
     # Family handling
@@ -1182,14 +1063,8 @@ def search_causal_order(
     adt: AbstractDataType,
     mode: str,
     max_nodes: int = 200_000,
-    jobs: Optional[int] = None,
 ) -> Tuple[Optional[CausalCertificate], SearchStats]:
-    """Decide WCC/CC/CCv membership; returns (certificate-or-None, stats).
-
-    ``jobs`` (CCv only) shards the total-order enumeration over that many
-    worker processes; ``None``/``1`` stays in-process.  Verdicts,
-    certificates and stats are identical at every worker count.
-    """
+    """Decide WCC/CC/CCv membership; returns (certificate-or-None, stats)."""
     search = CausalSearch(history, adt, mode.upper(), max_nodes=max_nodes)
-    certificate = search.run(jobs=jobs or 1)
+    certificate = search.run()
     return certificate, search.stats

@@ -18,10 +18,9 @@ Design notes:
 - scenario sizes stay small enough for the exact checkers: histories of
   a few dozen events.  The two update-heavy scenarios
   (``partition-during-writes``, ``hot-key-contention``) run at ``n = 4``
-  with up to ~14 concurrent updates — sizes the pre-sharding CCv search
-  could not decide within budget, which is why they used to be capped at
-  ``n = 3`` (see the sharded search + conflict cut in
-  :mod:`repro.criteria.causal_search`).
+  with up to ~14 concurrent updates — sizes the CCv search could not
+  decide within budget before its conflict-driven cut, which is why they
+  used to be capped at ``n = 3`` (see :mod:`repro.criteria.causal_search`).
 """
 
 from __future__ import annotations

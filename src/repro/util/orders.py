@@ -59,17 +59,6 @@ class LazyOrderEnumerator:
     seeded initial family: every total order contradicting a mandatory
     causal edge is pruned at the earliest possible prefix.
 
-    ``prefix`` restricts the enumeration to the extensions *starting
-    with* that exact element sequence, which must itself be a legal
-    extension prefix of ``refined`` — :func:`shard_prefixes` produces
-    such prefixes, and anything else raises ``ValueError`` at
-    construction (a silent empty or wrong subtree here would corrupt a
-    sharded verdict, so malformed prefixes fail loudly instead).
-    Disjoint prefixes enumerate disjoint sets of extensions, which is
-    what lets the CCv search shard the total-order space across workers:
-    concatenating the per-prefix streams in :func:`shard_prefixes` order
-    reproduces the unsharded stream.
-
     The traversal is an explicit-stack DFS mirroring the linearisation
     engine: frames are ``(consumed-mask, scan-position)`` and the current
     prefix lives in a shared list trimmed to the frame's depth.
@@ -80,44 +69,12 @@ class LazyOrderEnumerator:
         refined: Sequence[int],
         base: Optional[Sequence[int]] = None,
         limit: Optional[int] = None,
-        prefix: Sequence[int] = (),
     ) -> None:
         self.refined = list(refined)
         self.base = list(base) if base is not None else None
         self.limit = limit
-        self.prefix = tuple(prefix)
-        self._check_prefix()
         self.pruned = 0
         self.yielded = 0
-
-    def _check_prefix(self) -> None:
-        """Reject a ``prefix`` that is not a legal extension prefix of
-        ``refined`` (out of range, repeated, or ordered against a
-        refined edge): such a prefix names no subtree of the
-        enumeration, so continuing would silently enumerate a wrong —
-        possibly empty — set of extensions."""
-        n = len(self.refined)
-        consumed = 0
-        for depth, i in enumerate(self.prefix):
-            if not 0 <= i < n:
-                raise ValueError(
-                    f"prefix position {depth}: element {i} out of range "
-                    f"for {n} elements"
-                )
-            bit = 1 << i
-            if consumed & bit:
-                raise ValueError(
-                    f"prefix position {depth}: element {i} repeated"
-                )
-            missing = self.refined[i] & ~consumed
-            if missing:
-                preds = [b for b in range(n) if (missing >> b) & 1]
-                raise ValueError(
-                    f"prefix position {depth}: element {i} placed before "
-                    f"its predecessors {preds} — not an extension prefix "
-                    "of the refined order"
-                )
-            consumed |= bit
 
     def __iter__(self) -> Iterator[List[int]]:
         # each traversal restarts the counters: re-iterating must yield
@@ -128,11 +85,8 @@ class LazyOrderEnumerator:
         base = self.base
         n = len(refined)
         full = (1 << n) - 1
-        consumed0 = 0
-        for i in self.prefix:
-            consumed0 |= 1 << i
-        acc: List[int] = list(self.prefix)
-        stack: List[tuple] = [(consumed0, 0)]
+        acc: List[int] = []
+        stack: List[tuple] = [(0, 0)]
         while stack:
             consumed, pos = stack.pop()
             del acc[consumed.bit_count():]
@@ -186,57 +140,6 @@ def permute_relation(pred: Sequence[int], perm: Sequence[int]) -> List[int]:
             mask |= 1 << inverse[low.bit_length() - 1]
         out.append(mask)
     return out
-
-
-def shard_prefixes(
-    refined: Sequence[int],
-    base: Optional[Sequence[int]] = None,
-    target: int = 8,
-) -> tuple:
-    """Partition the linear-extension space of ``refined`` into disjoint
-    prefix subtrees, for sharding the enumeration across workers.
-
-    Returns ``(prefixes, pruned)``: a list of element-sequence prefixes in
-    exactly the order :class:`LazyOrderEnumerator` first reaches them, and
-    the count of prefix-extension steps that ``base`` would have allowed
-    but ``refined`` forbids at the expanded levels (the complement of the
-    per-shard :attr:`LazyOrderEnumerator.pruned` counters, so the sharded
-    counts sum to the unsharded ones).
-
-    Every linear extension of ``refined`` starts with exactly one of the
-    returned prefixes, so enumerating each prefix's subtree and
-    concatenating the streams in list order reproduces the unsharded
-    enumeration order — the determinism anchor of the parallel CCv
-    search.  Expansion proceeds level by level until at least ``target``
-    prefixes exist (or the orders are fully enumerated); a prefix that is
-    already a complete order stays in the list as a one-order shard.
-    """
-    n = len(refined)
-    if n == 0:
-        return [()], 0
-    pruned = 0
-    frontier: List[tuple] = [((), 0)]
-    while len(frontier) < target:
-        expanded: List[tuple] = []
-        progressed = False
-        for prefix, consumed in frontier:
-            if len(prefix) == n:
-                expanded.append((prefix, consumed))
-                continue
-            progressed = True
-            for i in range(n):
-                bit = 1 << i
-                if consumed & bit:
-                    continue
-                if refined[i] & ~consumed:
-                    if base is not None and not (base[i] & ~consumed):
-                        pruned += 1
-                    continue
-                expanded.append((prefix + (i,), consumed | bit))
-        frontier = expanded
-        if not progressed:
-            break
-    return [prefix for prefix, _ in frontier], pruned
 
 
 def topological_orders(

@@ -90,16 +90,65 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SC" in out and "yes" in out
 
+    def test_classify_survives_search_budget(self, tmp_path, capsys, monkeypatch):
+        """A criterion whose search runs out of budget is inconclusive —
+        ``?`` in the table, ``"ok": null`` in the JSON — and the other
+        criteria and the exit status are unaffected."""
+        import repro.criteria.causal as causal
+
+        search = causal.search_causal_order
+        monkeypatch.setattr(
+            causal,
+            "search_causal_order",
+            lambda history, adt, mode, max_nodes: search(
+                history, adt, mode, max_nodes=50
+            ),
+        )
+
+        def w(value):
+            return {"method": "w", "args": [value]}
+
+        def r(*window):
+            return {"method": "r", "output": list(window)}
+
+        # a 4x5 W_2 history whose CCv search needs far more than 50 families
+        spec = {
+            "adt": {"type": "window", "k": 2},
+            "processes": [
+                [r(1, 1), w(2), r(1, 2), r(1, 3), r(1, 1)],
+                [r(1, 1), r(3, 2), w(3), w(1), w(1)],
+                [w(1), w(1), r(1, 0), w(1), r(1, 1)],
+                [r(1, 2), w(2), w(3), r(1, 3), w(1)],
+            ],
+            "criteria": ["SC", "CCV"],
+        }
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps(spec))
+        report = tmp_path / "report.json"
+        assert main(["classify", str(path), "--json", str(report)]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("CCV")
+        )
+        assert row.split()[1] == "?"
+        assert "search budget exceeded" in row
+        criteria = json.loads(report.read_text())["criteria"]
+        assert criteria["CCV"]["ok"] is None
+        assert "search budget exceeded" in criteria["CCV"]["reason"]
+        assert criteria["SC"]["ok"] is False
+
 
 class TestRetiredFlags:
     """Knobs whose only non-test callers were the retired bench
-    harnesses left the CLI; the codec choice, which a mixed cluster
-    needs, did not."""
+    harnesses left the CLI, and ``classify --jobs`` left with the CCv
+    worker pool it sized; the codec choice, which a mixed cluster needs,
+    did not."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["classify", "history.json", "--order-heuristic", "lex"],
+            ["classify", "history.json", "--jobs", "2"],
             ["serve", "--tap", "sync"],
             ["serve", "--no-coalesce"],
         ],

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from repro.util.bitset import as_list, bits, popcount, subsets, to_mask
 from repro.util.orders import (
+    LazyOrderEnumerator,
     count_linear_extensions,
     one_topological_order,
+    permute_relation,
     restrict,
     topological_orders,
     transitive_closure,
@@ -77,6 +79,61 @@ class TestTopologicalOrders:
         pred = transitive_closure([0b010, 0, 0b011])
         order = one_topological_order(pred)
         assert order.index(1) < order.index(0) < order.index(2)
+
+
+class TestLazyOrderEnumerator:
+    def test_lexicographic_order(self):
+        """Extensions come out in lexicographic order: the first order
+        tried is the smallest-index-first one."""
+        pred = transitive_closure([0, 0, 0b001])
+        orders = list(LazyOrderEnumerator(pred))
+        assert orders == sorted(orders)
+        assert orders == [[0, 1, 2], [0, 2, 1], [1, 0, 2]]
+
+    def test_pruned_counts_steps_only_the_base_allows(self):
+        """With ``base`` an antichain and ``refined`` the chain
+        0 < 1 < 2, every step that takes an element ahead of its
+        refined predecessors is counted once: 2 at the root, 1 after 0."""
+        refined = transitive_closure([0, 0b001, 0b010])
+        enumerator = LazyOrderEnumerator(refined, base=[0, 0, 0])
+        assert list(enumerator) == [[0, 1, 2]]
+        assert enumerator.pruned == 3
+        assert enumerator.yielded == 1
+        plain = LazyOrderEnumerator(refined)
+        assert list(plain) == [[0, 1, 2]]
+        assert plain.pruned == 0
+
+    def test_reiteration_restarts(self):
+        """Iterating again yields the same orders and the same counters,
+        not a continuation against the consumed limit."""
+        enumerator = LazyOrderEnumerator([0, 0, 0, 0], limit=5)
+        first = list(enumerator)
+        assert len(first) == 5 and enumerator.yielded == 5
+        assert list(enumerator) == first
+        assert enumerator.yielded == 5
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_priority_space_is_a_bijection(self, n, data):
+        """Enumerating ``permute_relation(pred, perm)`` and mapping each
+        rank back through ``perm`` gives exactly the extensions of
+        ``pred``, each once."""
+        raw = [
+            data.draw(st.integers(0, (1 << i) - 1)) if i else 0
+            for i in range(n)
+        ]
+        pred = transitive_closure(raw)
+        perm = data.draw(st.permutations(list(range(n))))
+        mapped = [
+            [perm[k] for k in order]
+            for order in LazyOrderEnumerator(permute_relation(pred, perm))
+        ]
+        assert len(mapped) == len(set(map(tuple, mapped)))
+        assert sorted(mapped) == sorted(topological_orders(pred))
+
+    def test_permute_relation_rejects_non_permutation(self):
+        with pytest.raises(ValueError, match="permutation"):
+            permute_relation([0, 0b01], [0, 0])
 
 
 class TestRestrict:
