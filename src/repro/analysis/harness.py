@@ -32,7 +32,6 @@ def run_workload(
     think: Callable[[random.Random], float] = lambda rng: rng.uniform(0.1, 1.0),
     quiescence_reads: Optional[Sequence[Invocation]] = None,
     crash_plan: Optional[Dict[int, float]] = None,
-    settle_time: float = 1_000.0,
     **algorithm_kwargs: Any,
 ) -> RunResult:
     """Execute ``scripts[p]`` on process ``p`` of a fresh replicated object.

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.adt import AbstractDataType
 from ..core.history import History
-from ..criteria import classify
+from ..criteria import SearchBudgetExceeded, classify
 from ..criteria.hierarchy import DIRECT_EDGES, check_classification_consistency
 from ..litmus.figures import all_litmus
 from ..litmus.generators import (
@@ -91,7 +91,7 @@ def classify_population(
                     history, adt, CRITERIA, max_nodes=max_nodes
                 ).items()
             }
-        except Exception:
+        except SearchBudgetExceeded:
             report.budget_exhausted += 1
             continue
         report.histories += 1

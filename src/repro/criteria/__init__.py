@@ -4,7 +4,7 @@ the session guarantees, plus hierarchy metadata and time zones."""
 from .base import CRITERIA, CheckResult, check
 from .causal import check_causal, check_convergence, check_weak_causal
 from .causal_memory import check_causal_memory
-from .causal_order import CertificateError, is_causal_order, verify_certificate
+from .causal_order import CertificateError, verify_certificate
 from .causal_search import CausalCertificate, SearchBudgetExceeded
 from .eventual import check_eventual, check_update_consistency, default_stable_events
 from .explain import Explanation, explain, locally_explicable
@@ -52,7 +52,6 @@ __all__ = [
     "check_sequential",
     "check_weak_causal",
     "CertificateError",
-    "is_causal_order",
     "verify_certificate",
     "CausalCertificate",
     "SearchBudgetExceeded",

@@ -2,9 +2,9 @@
 
 A causal order on a history is a partial order containing the program
 order in which every event's non-future is finite (cofiniteness); on the
-finite histories handled by the checkers cofiniteness is vacuous, but this
-module still exposes it for documentation and for the infinite-prefix
-arguments used in tests.
+finite histories handled by the checkers cofiniteness is vacuous, so a
+certificate's pasts need only induce a partial order containing the
+program order — which is what `verify_certificate` checks.
 
 `verify_certificate` re-validates a :class:`~repro.criteria.causal_search.
 CausalCertificate` *independently of the search that produced it*: it
@@ -15,7 +15,7 @@ in the search heuristics cannot silently validate them.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Set
 
 from ..core.adt import AbstractDataType
 from ..core.history import History
@@ -23,23 +23,6 @@ from ..core.operations import HIDDEN, Operation
 from ..core.replay import replay
 from ..util.bitset import bits
 from .causal_search import CausalCertificate
-
-
-def is_causal_order(history: History, pred: Sequence[int]) -> bool:
-    """Check Def. 7 on explicit predecessor masks: partial order containing
-    the program order (cofiniteness is trivial on finite histories)."""
-    n = len(history)
-    for e in range(n):
-        if pred[e] & (1 << e):
-            return False
-        if history.past_mask(e) & ~pred[e]:
-            return False
-        for p in bits(pred[e]):
-            if pred[p] & ~pred[e]:
-                return False  # not transitive
-            if pred[p] & (1 << e):
-                return False  # not antisymmetric
-    return True
 
 
 class CertificateError(AssertionError):

@@ -15,7 +15,7 @@ from .network import DelayModel, Network, NetworkStats, SimTransport
 from .recorder import HistoryRecorder, OpRecord
 from .simulator import Simulator
 from .transport import Transport
-from .workload import Client, OpenLoopClient, uniform_script
+from .workload import Client, OpenLoopClient
 
 __all__ = [
     "BroadcastService",
@@ -39,5 +39,4 @@ __all__ = [
     "Simulator",
     "Client",
     "OpenLoopClient",
-    "uniform_script",
 ]

@@ -15,7 +15,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappush
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .simulator import Simulator
 from .transport import ControlHandler, Transport
@@ -147,32 +157,13 @@ class NetworkStats:
     suppressed_relays: int = 0
     #: pull requests issued by lazy-push receivers for missing bodies
     pulled: int = 0
-    #: estimated payload bytes handed to the network; only accounted
-    #: while ``Network.measure_bytes`` is on (the fan-out benchmark)
+    #: payload bytes handed to the wire; only the live transport counts
+    #: them (the simulated network has no wire format and leaves it 0)
     payload_bytes: int = 0
 
     @property
     def mean_delay(self) -> float:
         return self.total_delay / self.delivered if self.delivered else 0.0
-
-
-def _payload_size(payload: Any) -> int:
-    """Cheap serialized-size estimate (bytes) of a message payload.
-
-    Used by the fan-out benchmark's bytes/op accounting; precision is
-    not the point (there is no real wire format) — *relative* cost of
-    full bodies vs bare id advertisements is."""
-    if payload is None or isinstance(payload, (bool, int, float)):
-        return 8
-    if isinstance(payload, (str, bytes)):
-        return len(payload) + 1
-    if isinstance(payload, (list, tuple)):
-        return 8 + sum(_payload_size(v) for v in payload)
-    if isinstance(payload, dict):
-        return 16 + sum(
-            _payload_size(k) + _payload_size(v) for k, v in payload.items()
-        )
-    return 16
 
 
 def _message_id(payload: Any) -> Any:
@@ -230,13 +221,16 @@ class Network(Transport):
     nothing from the rng while inactive, so runs without chaos faults are
     bit-identical to pre-chaos runs.
 
-    The send path is built for throughput: delivery is scheduled as a
-    bound method plus arguments (no per-message closure), destination
-    fan-out uses precomputed peer lists (:meth:`multicast`), and the
-    common unpartitioned/lossless case takes a branch-light fast path.
-    Broadcast layers sit on top and call :meth:`send`/:meth:`multicast`
-    per relay hop, so every unicast still samples its own delay — the
-    asynchrony model is unchanged.
+    One send path: :meth:`send` and :meth:`multicast` route every copy
+    through :meth:`_route`, which drops a crashed sender's copies, *holds*
+    a copy whose link is partitioned or blocked, *captures* one during a
+    reorder burst, and hands the rest to :meth:`_fan_out` — the one loop
+    that draws a copy's loss and delay (and, with the duplication dial
+    on, its duplicate) and puts it in flight.  Held-message flushes go
+    through that loop too, past its loss gate.  Holding and capturing
+    draw nothing, so a multicast is draw-for-draw a loop of :meth:`send`,
+    and every unicast still samples its own delay — the asynchrony model
+    is unchanged.
     """
 
     def __init__(
@@ -271,25 +265,14 @@ class Network(Transport):
         # partition support (the CAP motivation of Sec. 1): while two
         # processes are in different groups, messages between them are
         # *held*, not lost — the network stays reliable-eventual
-        self._partition: Optional[List[Set[int]]] = None
         self._group_of: Optional[Dict[int, int]] = None
         self._held: List[tuple] = []
-        # per-source split of _peers under the current partition, rebuilt
-        # on partition()/heal(): multicast walks two precomputed lists
-        # instead of a group lookup per destination per message
-        self._reachable: Optional[List[Tuple[int, ...]]] = None
-        self._cross: Optional[List[Tuple[int, ...]]] = None
         # chaos fault state: directed blocked links (asymmetric
         # partitions, flapping), message duplication, reorder bursts
         self.duplicate_rate = 0.0
         self._blocked: Set[Tuple[int, int]] = set()
         self._reorder_until: Optional[float] = None
         self._reorder_buf: Dict[Tuple[int, int], List[Any]] = {}
-        #: when on, send/multicast accumulate estimated payload bytes in
-        #: ``stats.payload_bytes`` (draws nothing from the rng, so runs
-        #: stay bit-identical either way; off by default to keep the
-        #: fast path free of the size estimate)
-        self.measure_bytes = False
 
     #: delivery spacing of a reorder-burst flush: each captured link
     #: releases its messages back-to-front at these deterministic gaps
@@ -437,16 +420,16 @@ class Network(Transport):
                     (src, dst, payload) for payload in reversed(payloads)
                 )
                 continue
+            seen = self._dedup[dst]
             for k, payload in enumerate(reversed(payloads)):
                 delay = spacing * (k + 1)
                 self.stats.sent += 1
-                if self._holds(dst, payload):
-                    self._elide(sim.now + delay)
-                    continue
-                seq = sim._next_seq
-                sim._next_seq = seq + 1
-                sim._events[seq] = (self._deliver, (src, dst, payload, delay))
-                heappush(sim._heap, (sim.now + delay, seq))
+                mid = _message_id(payload)
+                if seen is not None and mid is not None and seen(mid):
+                    self.stats.elided += 1
+                    sim.elided_until = max(sim.elided_until, sim.now + delay)
+                else:
+                    sim.schedule(delay, self._deliver, src, dst, payload, delay)
 
     # ------------------------------------------------------------------
     # Partitions
@@ -463,37 +446,16 @@ class Network(Transport):
             if g & seen:
                 raise ValueError("partition groups must be disjoint")
             seen |= g
-        self._partition = sets
         # processes not mentioned in any group form an implicit last group
         self._group_of = {
             pid: i for i, group in enumerate(sets) for pid in group
         }
-        group_of = self._group_of
-        self._reachable = [
-            tuple(
-                dst
-                for dst in self._peers[src]
-                if group_of.get(dst, -1) == group_of.get(src, -1)
-            )
-            for src in range(self.n)
-        ]
-        self._cross = [
-            tuple(
-                dst
-                for dst in self._peers[src]
-                if group_of.get(dst, -1) != group_of.get(src, -1)
-            )
-            for src in range(self.n)
-        ]
         self._flush_held()
 
     def heal(self) -> None:
         """Remove the partition (and any directed link blocks) and
         release all held messages."""
-        self._partition = None
         self._group_of = None
-        self._reachable = None
-        self._cross = None
         self._blocked.clear()
         self._flush_held()
 
@@ -506,7 +468,7 @@ class Network(Transport):
             if self._separated(src, dst):
                 self._held.append((src, dst, payload))
             else:
-                self._transmit(src, dst, payload, lossy=False)
+                self._fan_out(src, (dst,), payload, lossy=False)
 
     def _separated(self, src: int, dst: int) -> bool:
         if self._blocked and (src, dst) in self._blocked:
@@ -518,69 +480,54 @@ class Network(Transport):
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, payload: Any) -> None:
         """Asynchronously deliver ``payload`` from ``src`` to ``dst``."""
-        if src in self.crashed:
-            return
-        if self.measure_bytes:
-            self.stats.payload_bytes += _payload_size(payload)
-        if (self._group_of is not None or self._blocked) and self._separated(
-            src, dst
-        ):
-            self.stats.held += 1
-            self._held.append((src, dst, payload))
-            return
-        if self._reorder_until is not None:
-            self.stats.reordered += 1
-            self._reorder_buf.setdefault((src, dst), []).append(payload)
-            return
-        self._transmit(src, dst, payload, lossy=True)
+        self._route(src, (dst,), payload)
 
     def multicast(self, src: int, payload: Any) -> None:
         """Send ``payload`` from ``src`` to every other process, in pid
-        order — one sampled delay per destination, exactly equivalent to
-        a loop of :meth:`send` but without the per-destination crash and
-        partition re-checks on the fast path."""
+        order — exactly a loop of :meth:`send`, one sampled delay per
+        destination."""
+        self._route(src, self._peers[src], payload)
+
+    def _route(self, src: int, dsts: Sequence[int], payload: Any) -> None:
+        """Hold or capture the copies a fault stops (drawing nothing) and
+        put the rest in flight, in ``dsts`` order."""
         if src in self.crashed:
             return
         if (
-            self._blocked
+            self._group_of is not None
+            or self._blocked
             or self._reorder_until is not None
-            or self.duplicate_rate
         ):
-            # a chaos fault is active: take the per-destination slow path
-            # so blocked links, reorder capture and duplication all apply
-            for dst in self._peers[src]:
-                self.send(src, dst, payload)
-            return
-        if self.measure_bytes:
-            self.stats.payload_bytes += len(self._peers[src]) * _payload_size(
-                payload
-            )
-        if self._group_of is None:
-            self._fan_out(src, self._peers[src], payload)
-            return
-        # within a single multicast, only in-group sends draw from the
-        # rng and only cross-group sends enter _held, so walking the two
-        # precomputed lists (each in pid order) reproduces the naive
-        # per-destination loop draw-for-draw and hold-for-hold
-        cross = self._cross[src]
-        if cross:
-            self.stats.held += len(cross)
-            held = self._held
-            for dst in cross:
-                held.append((src, dst, payload))
-        self._fan_out(src, self._reachable[src], payload)
+            stats = self.stats
+            flying = []
+            for dst in dsts:
+                if self._separated(src, dst):
+                    stats.held += 1
+                    self._held.append((src, dst, payload))
+                elif self._reorder_until is not None:
+                    stats.reordered += 1
+                    self._reorder_buf.setdefault((src, dst), []).append(payload)
+                else:
+                    flying.append(dst)
+            dsts = flying
+        self._fan_out(src, dsts, payload, lossy=True)
 
-    def _fan_out(self, src: int, dsts: Tuple[int, ...], payload: Any) -> None:
-        """One sampled delay + scheduled delivery per destination, with
-        Simulator.schedule open-coded — the runtime's hottest loop.  A
-        destination that already holds the message keeps its draws and
-        its counts and gets no event."""
+    def _fan_out(
+        self, src: int, dsts: Sequence[int], payload: Any, lossy: bool
+    ) -> None:
+        """Put one copy per destination in flight: a loss draw (``lossy``
+        and the dial on), a sampled delay and a scheduled delivery, then,
+        with probability ``duplicate_rate``, a second independently
+        delayed copy — the runtime's hottest loop, with Simulator.schedule
+        open-coded.  A destination that already holds the message keeps
+        its draws and its counts and gets no event."""
         stats = self.stats
         sim = self.sim
         rng = sim.rng
         model = self.delay
         scale = self.delay_scale
-        loss_rate = self.loss_rate
+        loss_rate = self.loss_rate if lossy else 0.0
+        dup_rate = self.duplicate_rate
         deliver = self._deliver
         stats.sent += len(dsts)
         events = sim._events
@@ -591,10 +538,12 @@ class Network(Transport):
         dedup = self._dedup
         elided = 0
         last = sim.elided_until
+        random = rng.random
         if (
             type(model) is _Uniform
             and scale == 1.0
             and not loss_rate
+            and not dup_rate
             and model.low >= 0.0
             and model.high >= 0.0
         ):
@@ -606,7 +555,6 @@ class Network(Transport):
             # condition instead of a per-message check
             low = model.low
             width = model.high - low
-            random = rng.random
             for dst in dsts:
                 delay = low + width * random()
                 if mid is not None:
@@ -622,90 +570,35 @@ class Network(Transport):
         else:
             sample = model.sample
             for dst in dsts:
-                if loss_rate and rng.random() < loss_rate:
+                if loss_rate and random() < loss_rate:
+                    # a lossy fair link: the copy silently disappears (the
+                    # paper's reliable channel is the loss_rate=0 case)
                     stats.lost += 1
                     continue
-                delay = sample(rng, src, dst) * scale
-                if delay < 0:  # preserve Simulator.schedule's guard
-                    raise ValueError("cannot schedule in the past")
-                if mid is not None:
-                    seen = dedup[dst]
-                    if seen is not None and seen(mid):
+                seen = dedup[dst] if mid is not None else None
+                holds = seen is not None and seen(mid)
+                # the copy, then maybe its duplicate, whose draws follow
+                # the copy's
+                for duplicate in (False, True):
+                    if duplicate:
+                        if not dup_rate or random() >= dup_rate:
+                            break
+                        stats.duplicated += 1
+                    delay = sample(rng, src, dst) * scale
+                    if delay < 0:  # preserve Simulator.schedule's guard
+                        raise ValueError("cannot schedule in the past")
+                    if holds:
                         elided += 1
                         if now + delay > last:
                             last = now + delay
                         continue
-                events[seq] = (deliver, (src, dst, payload, delay))
-                heappush(heap, (now + delay, seq))
-                seq += 1
+                    events[seq] = (deliver, (src, dst, payload, delay))
+                    heappush(heap, (now + delay, seq))
+                    seq += 1
         sim._next_seq = seq
         if elided:
             stats.elided += elided
             sim.elided_until = last
-
-    def _transmit(self, src: int, dst: int, payload: Any, lossy: bool) -> None:
-        self.stats.sent += 1
-        sim = self.sim
-        rng = sim.rng
-        if lossy and self.loss_rate and rng.random() < self.loss_rate:
-            # a lossy fair link: the message silently disappears (the
-            # paper's reliable-channel assumption is the loss_rate=0 case;
-            # gossip-style algorithms tolerate loss, op-based ones do not)
-            self.stats.lost += 1
-            return
-        # decided once, at send time, for the copy and its duplicate
-        held = self._holds(dst, payload)
-        model = self.delay
-        if type(model) is _Uniform and self.delay_scale == 1.0:
-            # inline _Uniform.sample (verbatim expression, same draw)
-            delay = model.low + (model.high - model.low) * rng.random()
-        else:
-            delay = model.sample(rng, src, dst) * self.delay_scale
-        if delay < 0:  # preserve Simulator.schedule's guard
-            raise ValueError("cannot schedule in the past")
-        if held:
-            self._elide(sim.now + delay)
-        else:
-            # open-coded Simulator.schedule: unicast sends and held-message
-            # flushes (thousands of messages at a heal) share this path
-            seq = sim._next_seq
-            sim._next_seq = seq + 1
-            sim._events[seq] = (self._deliver, (src, dst, payload, delay))
-            heappush(sim._heap, (sim.now + delay, seq))
-        if self.duplicate_rate and rng.random() < self.duplicate_rate:
-            # duplication fault: a second, independently delayed copy of
-            # the same payload (no rng draw when the dial is at zero)
-            self.stats.duplicated += 1
-            if type(model) is _Uniform and self.delay_scale == 1.0:
-                dup = model.low + (model.high - model.low) * rng.random()
-            else:
-                dup = model.sample(rng, src, dst) * self.delay_scale
-            if dup < 0:
-                raise ValueError("cannot schedule in the past")
-            if held:
-                self._elide(sim.now + dup)
-                return
-            seq = sim._next_seq
-            sim._next_seq = seq + 1
-            sim._events[seq] = (self._deliver, (src, dst, payload, dup))
-            heappush(sim._heap, (sim.now + dup, seq))
-
-    def _holds(self, dst: int, payload: Any) -> bool:
-        """Does ``dst`` already hold ``payload``?  Only when it offered a
-        predicate (:meth:`attach_dedup`) and the payload carries an id."""
-        seen = self._dedup[dst]
-        if seen is None:
-            return False
-        mid = _message_id(payload)
-        return mid is not None and seen(mid)
-
-    def _elide(self, arrival: float) -> None:
-        """Account a copy that is not scheduled: it would have arrived
-        at ``arrival`` to a destination that already held it."""
-        self.stats.elided += 1
-        sim = self.sim
-        if arrival > sim.elided_until:
-            sim.elided_until = arrival
 
     def _deliver(self, src: int, dst: int, payload: Any, delay: float) -> None:
         if dst in self.crashed:

@@ -57,9 +57,10 @@ class Simulator:
         hot paths like message delivery free of per-event closure
         allocation.
 
-        NOTE: ``Network._fan_out``/``Network._transmit`` open-code this
-        body (minus the validity check) for the per-message fast path —
-        any change to the event representation must be mirrored there.
+        NOTE: ``Network._fan_out`` open-codes this body (minus the
+        validity check) for the per-message fast path — the one place
+        outside this class that touches the heap; any change to the
+        event representation must be mirrored there.
         """
         if delay < 0:
             raise ValueError("cannot schedule in the past")

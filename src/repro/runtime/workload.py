@@ -23,8 +23,7 @@ it again on recovery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..core.operations import Invocation
 from .simulator import Simulator
@@ -191,12 +190,3 @@ class OpenLoopClient:
 
     def _completed(self, _output: Any) -> None:
         self.completed += 1
-
-
-def uniform_script(
-    rng: random.Random,
-    length: int,
-    make_invocation: Callable[[random.Random, int], Invocation],
-) -> List[Invocation]:
-    """A pre-drawn random script (deterministic given the rng state)."""
-    return [make_invocation(rng, i) for i in range(length)]

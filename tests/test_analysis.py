@@ -16,6 +16,7 @@ from repro.analysis import (
     session_guarantee_rates,
     window_consensus,
 )
+from repro.criteria.base import CRITERIA
 
 
 class TestHierarchyExperiment:
@@ -32,6 +33,21 @@ class TestHierarchyExperiment:
         report = classify_population(seed=4, random_histories=6)
         text = format_report(report)
         assert "inclusion violations : 0" in text
+
+    def test_a_checker_crash_is_not_a_search_budget(self, monkeypatch):
+        def crash(*_args, **_kwargs):
+            raise RuntimeError("checker bug")
+
+        monkeypatch.setitem(CRITERIA, "PC", crash)
+        with pytest.raises(RuntimeError, match="checker bug"):
+            classify_population(random_histories=1, include_litmus=False)
+
+    def test_a_search_budget_trip_is_counted_and_skipped(self):
+        report = classify_population(
+            random_histories=3, include_litmus=False, max_nodes=0
+        )
+        assert report.budget_exhausted == 3 and report.histories == 0
+        assert "(3 skipped: search budget)" in format_report(report)
 
 
 class TestConsensusExperiment:

@@ -20,6 +20,9 @@ plane is a target of it.  (Also a ``hygiene`` grep.)
 The benchmark's tracer (``benchmarks/suite/trace.py``) is the one
 outsider allowed to replace methods, and it finds them by name: every
 callable it wraps must still be defined where it looks.
+
+The simulated network reaches into the simulator's event heap at one
+site only: ``Network._fan_out`` open-codes ``Simulator.schedule``.
 """
 
 import ast
@@ -198,6 +201,32 @@ def test_only_the_fault_schedule_dispatches_on_an_action():
                 found.add(path.relative_to(SRC).as_posix())
     assert INTERPRETER in found
     assert found - {INTERPRETER} <= ACTION_READERS, sorted(found)
+
+
+# ----------------------------------------------------------------------
+# One reach from the network into the simulator
+# ----------------------------------------------------------------------
+def _is_sim(node: ast.AST) -> bool:
+    """``sim`` or ``<anything>.sim``."""
+    return (isinstance(node, ast.Name) and node.id == "sim") or (
+        isinstance(node, ast.Attribute) and node.attr == "sim"
+    )
+
+
+def test_only_the_fan_out_loop_touches_the_simulators_private_fields():
+    network = ast.parse((SRC / "runtime/network.py").read_text())
+    reaches = {}
+    for fn in ast.walk(network):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and _is_sim(node.value)
+            ):
+                reaches.setdefault(fn.name, set()).add(node.attr)
+    assert reaches == {"_fan_out": {"_events", "_heap", "_next_seq"}}, reaches
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Send-time dedup on the simulated network, against the network before it.
+"""The simulated network's send path, against the networks before it.
 
 ``Network`` honours the broadcast layer's "seen?" predicate
 (``Transport.attach_dedup``) when a copy is *sent*: a copy whose
@@ -10,13 +10,27 @@ lives on only here, as :class:`ScheduleEveryCopy`, swapped in for
 record the same run — history fingerprint with every time, duration,
 send-side counters, per-replica seen-sets and runtime-monitor results —
 under random fault schedules, every broadcast family, sizes and seeds.
+
+``Network`` routes every copy through one method and draws it in one
+loop.  The send path before that — a unicast through a per-copy
+``_transmit`` that drew the duplicate, a multicast over precomputed
+in-group / cross-group lists or per-destination ``send`` — lives on only
+here, as :class:`TwoPathNetwork`.  The same property requires it to
+leave the simulator exactly where ``Network`` leaves it: fingerprint,
+clock, executed events, every ``NetworkStats`` field and the next rng
+draw; one deterministic case per routing branch pins the same.
 """
+
+import dataclasses
+from heapq import heappush
+from typing import Any
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import DelayModel, Network, Simulator
+from repro.runtime.network import _message_id, _Uniform
 from repro.runtime.transport import Transport
 from repro.scenarios import (
     ALGORITHMS,
@@ -48,6 +62,202 @@ class ScheduleEveryCopy(Network):
     predicate is ignored, so every copy is scheduled and delivered."""
 
     attach_dedup = Transport.attach_dedup
+
+
+class TwoPathNetwork(Network):
+    """The simulated network before its send path was folded into one
+    route and one loop: a unicast (and a held-message flush) goes through
+    ``_transmit``, which draws the duplicate; ``multicast`` fans out over
+    the in-group destinations after holding the cross-group ones, or
+    detours through per-destination ``send`` while a chaos fault is on;
+    flushes and reorder releases open-code ``Simulator.schedule``."""
+
+    def _end_reorder(self, end: float) -> None:
+        if self._reorder_until != end:
+            return
+        self._reorder_until = None
+        buf, self._reorder_buf = self._reorder_buf, {}
+        sim = self.sim
+        spacing = self.REORDER_SPACING
+        for (src, dst), payloads in buf.items():
+            if self._separated(src, dst):
+                self.stats.held += len(payloads)
+                self._held.extend(
+                    (src, dst, payload) for payload in reversed(payloads)
+                )
+                continue
+            for k, payload in enumerate(reversed(payloads)):
+                delay = spacing * (k + 1)
+                self.stats.sent += 1
+                if self._holds(dst, payload):
+                    self._elide(sim.now + delay)
+                    continue
+                seq = sim._next_seq
+                sim._next_seq = seq + 1
+                sim._events[seq] = (self._deliver, (src, dst, payload, delay))
+                heappush(sim._heap, (sim.now + delay, seq))
+
+    def _flush_held(self) -> None:
+        held, self._held = self._held, []
+        for src, dst, payload in held:
+            if self._separated(src, dst):
+                self._held.append((src, dst, payload))
+            else:
+                self._transmit(src, dst, payload, lossy=False)
+
+    def send(self, src: int, dst: int, payload: Any) -> None:
+        if src in self.crashed:
+            return
+        if (self._group_of is not None or self._blocked) and self._separated(
+            src, dst
+        ):
+            self.stats.held += 1
+            self._held.append((src, dst, payload))
+            return
+        if self._reorder_until is not None:
+            self.stats.reordered += 1
+            self._reorder_buf.setdefault((src, dst), []).append(payload)
+            return
+        self._transmit(src, dst, payload, lossy=True)
+
+    def multicast(self, src: int, payload: Any) -> None:
+        if src in self.crashed:
+            return
+        if (
+            self._blocked
+            or self._reorder_until is not None
+            or self.duplicate_rate
+        ):
+            for dst in self._peers[src]:
+                self.send(src, dst, payload)
+            return
+        if self._group_of is None:
+            self._fan_out(src, self._peers[src], payload)
+            return
+        group = self._group_of.get
+        mine = group(src, -1)
+        cross = tuple(d for d in self._peers[src] if group(d, -1) != mine)
+        if cross:
+            self.stats.held += len(cross)
+            for dst in cross:
+                self._held.append((src, dst, payload))
+        self._fan_out(
+            src, tuple(d for d in self._peers[src] if group(d, -1) == mine), payload
+        )
+
+    def _fan_out(self, src, dsts, payload) -> None:
+        stats = self.stats
+        sim = self.sim
+        rng = sim.rng
+        model = self.delay
+        scale = self.delay_scale
+        loss_rate = self.loss_rate
+        deliver = self._deliver
+        stats.sent += len(dsts)
+        events = sim._events
+        heap = sim._heap
+        now = sim.now
+        seq = sim._next_seq
+        mid = _message_id(payload)
+        dedup = self._dedup
+        elided = 0
+        last = sim.elided_until
+        if (
+            type(model) is _Uniform
+            and scale == 1.0
+            and not loss_rate
+            and model.low >= 0.0
+            and model.high >= 0.0
+        ):
+            low = model.low
+            width = model.high - low
+            random = rng.random
+            for dst in dsts:
+                delay = low + width * random()
+                if mid is not None:
+                    seen = dedup[dst]
+                    if seen is not None and seen(mid):
+                        elided += 1
+                        if now + delay > last:
+                            last = now + delay
+                        continue
+                events[seq] = (deliver, (src, dst, payload, delay))
+                heappush(heap, (now + delay, seq))
+                seq += 1
+        else:
+            sample = model.sample
+            for dst in dsts:
+                if loss_rate and rng.random() < loss_rate:
+                    stats.lost += 1
+                    continue
+                delay = sample(rng, src, dst) * scale
+                if delay < 0:
+                    raise ValueError("cannot schedule in the past")
+                if mid is not None:
+                    seen = dedup[dst]
+                    if seen is not None and seen(mid):
+                        elided += 1
+                        if now + delay > last:
+                            last = now + delay
+                        continue
+                events[seq] = (deliver, (src, dst, payload, delay))
+                heappush(heap, (now + delay, seq))
+                seq += 1
+        sim._next_seq = seq
+        if elided:
+            stats.elided += elided
+            sim.elided_until = last
+
+    def _transmit(self, src: int, dst: int, payload: Any, lossy: bool) -> None:
+        self.stats.sent += 1
+        sim = self.sim
+        rng = sim.rng
+        if lossy and self.loss_rate and rng.random() < self.loss_rate:
+            self.stats.lost += 1
+            return
+        held = self._holds(dst, payload)
+        model = self.delay
+        if type(model) is _Uniform and self.delay_scale == 1.0:
+            delay = model.low + (model.high - model.low) * rng.random()
+        else:
+            delay = model.sample(rng, src, dst) * self.delay_scale
+        if delay < 0:
+            raise ValueError("cannot schedule in the past")
+        if held:
+            self._elide(sim.now + delay)
+        else:
+            seq = sim._next_seq
+            sim._next_seq = seq + 1
+            sim._events[seq] = (self._deliver, (src, dst, payload, delay))
+            heappush(sim._heap, (sim.now + delay, seq))
+        if self.duplicate_rate and rng.random() < self.duplicate_rate:
+            self.stats.duplicated += 1
+            if type(model) is _Uniform and self.delay_scale == 1.0:
+                dup = model.low + (model.high - model.low) * rng.random()
+            else:
+                dup = model.sample(rng, src, dst) * self.delay_scale
+            if dup < 0:
+                raise ValueError("cannot schedule in the past")
+            if held:
+                self._elide(sim.now + dup)
+                return
+            seq = sim._next_seq
+            sim._next_seq = seq + 1
+            sim._events[seq] = (self._deliver, (src, dst, payload, dup))
+            heappush(sim._heap, (sim.now + dup, seq))
+
+    def _holds(self, dst: int, payload: Any) -> bool:
+        seen = self._dedup[dst]
+        if seen is None:
+            return False
+        mid = _message_id(payload)
+        return mid is not None and seen(mid)
+
+    def _elide(self, arrival: float) -> None:
+        self.stats.elided += 1
+        sim = self.sim
+        if arrival > sim.elided_until:
+            sim.elided_until = arrival
 
 
 def run_cell(network_cls, spec, key, seed):
@@ -147,6 +357,106 @@ def test_elision_records_the_run_the_reference_records(key, cell):
         new_stats.delivered + new_stats.dropped_to_crashed + new_stats.elided
         == ref_stats.delivered + ref_stats.dropped_to_crashed
     )
+    # one route and one loop draw, count and schedule what the two paths did
+    two_paths = run_cell(TwoPathNetwork, spec, key, seed)
+    assert where_it_ends(new) == where_it_ends(two_paths)
+
+
+def where_it_ends(result):
+    """Everything a send path leaves behind in a finished run."""
+    sim = result.sim
+    return (
+        result.fingerprint(),
+        sim.now,
+        sim.events_executed,
+        dataclasses.asdict(result.network_stats),
+        sim.rng.random(),
+    )
+
+
+# ----------------------------------------------------------------------
+# One case per branch of the route
+# ----------------------------------------------------------------------
+def msg(origin, seq):
+    return {"id": (origin, seq), "origin": origin, "payload": seq}
+
+
+def multicast_under_duplication_and_partition(sim, net):
+    net.delay = DelayModel.per_link(0.5, 3.0, 0.2)
+    net.set_duplicate_rate(0.5)
+    net.partition([0, 1], [2, 3])
+    for seq in range(6):
+        net.multicast(0, msg(0, seq))
+        net.multicast(3, msg(3, seq))
+    sim.schedule(2.0, net.heal)
+
+
+def heal_flush_while_duplicating(sim, net):
+    net.partition([0, 1], [2, 3])
+    for seq in range(6):
+        net.multicast(0, msg(0, seq))
+        net.send(2, 1, msg(2, seq))
+    net.set_duplicate_rate(1.0)
+    net.heal()
+
+
+def unicast_during_reorder_burst(sim, net):
+    net.start_reorder(1.0)
+    for seq in range(4):
+        net.send(0, 1, msg(0, seq))
+        net.send(0, 2, msg(0, seq))
+        net.send(3, 1, msg(3, seq))
+    sim.schedule(0.5, net.block_links, [(3, 1)])
+    sim.schedule(2.0, net.unblock_links, [(3, 1)])
+
+
+def flush_under_loss(sim, net):
+    net.delay = DelayModel.exponential(1.0)
+    net.partition([0], [1, 2, 3])
+    for seq in range(8):
+        net.multicast(0, msg(0, seq))
+    net.set_loss_rate(0.9)
+    net.heal()
+
+
+#: what each case must have exercised, read off its final stats
+BRANCH = {
+    multicast_under_duplication_and_partition: lambda s: (
+        s["held"] and s["duplicated"] and s["elided"]
+    ),
+    heal_flush_while_duplicating: lambda s: s["held"] == s["duplicated"] == 18,
+    unicast_during_reorder_burst: lambda s: s["reordered"] == 12 and s["held"] == 4,
+    # the flush ignores the loss dial: every held copy arrives or is elided
+    flush_under_loss: lambda s: (
+        s["held"] == 24 and s["lost"] == 0 and s["delivered"] + s["elided"] == 24
+    ),
+}
+
+
+def observe(network_cls, drive):
+    sim = Simulator(seed=7)
+    net = network_cls(sim, 4)
+    inbox = []
+    for pid in range(4):
+        net.attach(
+            pid,
+            lambda src, payload, pid=pid: inbox.append(
+                (sim.now, src, pid, payload["id"])
+            ),
+        )
+    # pid 1 already holds (0, 0): its copies are drawn, counted and elided
+    net.attach_dedup(1, {(0, 0)}.__contains__)
+    drive(sim, net)
+    sim.run()
+    stats = dataclasses.asdict(net.stats)
+    return inbox, stats, sim.now, sim.events_executed, sim.rng.random()
+
+
+@pytest.mark.parametrize("drive", list(BRANCH), ids=lambda f: f.__name__)
+def test_each_route_matches_the_two_paths(drive):
+    new = observe(Network, drive)
+    assert BRANCH[drive](new[1]), new[1]
+    assert new == observe(TwoPathNetwork, drive)
 
 
 # ----------------------------------------------------------------------
