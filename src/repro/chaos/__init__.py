@@ -12,7 +12,6 @@ from ..runtime.monitors import RuntimeMonitor, Violation
 from .ddmin import ddmin
 from .driver import (
     CHAOS_GC_INTERVAL,
-    INJECTIONS,
     ChaosFailure,
     ChaosReport,
     TrialOutcome,
@@ -28,6 +27,7 @@ from .generate import (
     make_spec,
     random_fault_events,
 )
+from .sentinels import INJECTIONS
 
 __all__ = [
     "CHAOS_GC_INTERVAL",

@@ -11,31 +11,8 @@ JSON document for the regression corpus
 
 Everything is a pure function of ``--seed``: the same seed explores the
 same schedules, finds the same failures and minimises them to the same
-repro, forever.
-
-Sentinel injections (``--inject``) plant a known bug so the pipeline can
-be tested end to end:
-
-``gc-frontier``
-    re-enables a GC off-by-one on crashed replicas' frozen frontiers
-    (:attr:`ReliableBroadcast.gc_frontier_bug`) — the stability sweep
-    prunes messages a crashed replica has not seen, which the
-    ``gc-frontier``/``pruned-gap`` monitors catch;
-``oneshot-resync``
-    degrades supervised resync back to the pre-PR 6 one-shot
-    (:attr:`ReliableBroadcast.supervised_resync` off).  Detection is
-    *differential*: a trial counts as failing only when the one-shot run
-    fails **and** the supervised run of the identical schedule is clean,
-    so schedules that no resync strategy could survive are not blamed on
-    the one-shot.  Repair sweeps are suppressed in this mode — they
-    would paper over exactly the stranding being hunted.
-``pull-starve``
-    makes lazy-push holders silently drop pull requests
-    (:attr:`_LazyTransport.pull_starve_bug`), so bodies the push overlay
-    misses under loss/partition strand their receivers — caught as
-    ``pull-stranded`` monitor violations or divergence.  Differential
-    and repair-suppressed like ``oneshot-resync``; only lazy-transport
-    algorithms (e.g. ``ccv-lazy``) exercise the planted bug.
+repro, forever.  ``--inject`` plants a sentinel bug
+(:mod:`repro.chaos.sentinels`) for the hunt to find.
 """
 
 from __future__ import annotations
@@ -47,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..criteria import SearchBudgetExceeded, check
-from ..runtime.broadcast import ReliableBroadcast, _LazyTransport
+from ..runtime.broadcast import ReliableBroadcast
 from ..scenarios.matrix import (
     ALGORITHMS,
     CHECK_BUDGET,
@@ -58,6 +35,7 @@ from ..scenarios.scenario import RunResult, Scenario
 from ..scenarios.spec import FaultEvent, ScenarioSpec
 from .ddmin import ddmin
 from .generate import make_spec, random_fault_events
+from .sentinels import plant, sentinel
 
 #: aggressive GC for chaos runs: small logs force the stability frontier
 #: into play within a few dozen operations, where the default 1024-note
@@ -67,8 +45,6 @@ CHAOS_GC_INTERVAL = 16
 #: seed mixing constants (any odd multipliers; fixed forever for replay)
 _TRIAL_SALT = 1_000_003
 _RUN_SALT = 10_007
-
-INJECTIONS = ("none", "gc-frontier", "oneshot-resync", "pull-starve")
 
 
 @dataclass
@@ -116,24 +92,15 @@ class ChaosReport:
 
 
 def _chaos_post_setup(
-    entry: AlgorithmEntry, spec: ScenarioSpec, inject: str
+    entry: AlgorithmEntry, spec: ScenarioSpec
 ) -> Callable[[Any], None]:
     gossip_setup = build_post_setup(entry, spec)
 
     def post_setup(algorithm: Any) -> None:
         if gossip_setup is not None:
             gossip_setup(algorithm)
-        service = algorithm.broadcast
-        if isinstance(service, ReliableBroadcast):
-            service.GC_INTERVAL = CHAOS_GC_INTERVAL
-            if inject == "gc-frontier":
-                service.gc_frontier_bug = True
-            elif inject == "oneshot-resync":
-                service.supervised_resync = False
-            elif inject == "pull-starve" and isinstance(
-                service, _LazyTransport
-            ):
-                service.pull_starve_bug = True
+        if isinstance(algorithm.broadcast, ReliableBroadcast):
+            algorithm.broadcast.GC_INTERVAL = CHAOS_GC_INTERVAL
 
     return post_setup
 
@@ -153,11 +120,12 @@ def run_chaos_trial(
     quiescence) and ``criterion`` (the advertised consistency criterion
     was conclusively violated)."""
     entry = ALGORITHMS[algo_key]
+    planted = {"broadcast_cls": plant(entry.cls.broadcast_cls, inject)}
     scenario = Scenario(spec)
     result = scenario.run(
-        entry.cls,
+        type(entry.cls.__name__, (entry.cls,), planted),
         seed=run_seed,
-        post_setup=_chaos_post_setup(entry, spec, inject),
+        post_setup=_chaos_post_setup(entry, spec),
         **entry.kwargs(spec.streams, spec.k),
     )
     outcome = TrialOutcome(result=result)
@@ -190,11 +158,9 @@ def run_chaos_trial(
 def _spec_for(
     faults: Sequence[FaultEvent], n: int, ops: int, inject: str, name: str
 ) -> ScenarioSpec:
-    # oneshot-resync hunts stranded replicas and pull-starve hunts
-    # stranded pulls: repair sweeps would mask exactly that, so the
-    # differential modes run without them
-    repairs = inject not in ("oneshot-resync", "pull-starve")
-    return make_spec(name, n, ops, faults, repairs=repairs)
+    row = sentinel(inject)  # a differential hunt runs without repairs
+    differential = row is not None and row.differential
+    return make_spec(name, n, ops, faults, repairs=not differential)
 
 
 def trial_fails(
@@ -208,14 +174,14 @@ def trial_fails(
 ) -> TrialOutcome:
     """The failure predicate shared by the driver loop and ddmin.
 
-    For ``oneshot-resync`` and ``pull-starve`` the predicate is
-    differential: the injected run must fail while the clean run of the
-    same schedule succeeds."""
+    For a differential sentinel the injected run must fail while the
+    clean run of the same schedule succeeds."""
     spec = _spec_for(faults, n, ops, inject, "chaos-candidate")
     outcome = run_chaos_trial(
         spec, algo_key, run_seed, inject, check_criterion
     )
-    if inject in ("oneshot-resync", "pull-starve") and outcome.failed:
+    row = sentinel(inject)
+    if row is not None and row.differential and outcome.failed:
         control = run_chaos_trial(
             spec, algo_key, run_seed, "none", check_criterion
         )
@@ -243,10 +209,7 @@ def run_chaos(
 
     Deterministic per ``seed``; failures are ddmin-minimised and, when
     ``save_dir`` is given, written as replayable repro JSON files."""
-    if inject not in INJECTIONS:
-        raise ValueError(
-            f"unknown injection {inject!r}; known: {', '.join(INJECTIONS)}"
-        )
+    sentinel(inject)  # an unknown name raises before any trial
     report = ChaosReport(seed=seed, trials=trials, inject=inject)
     for trial in range(trials):
         rng = random.Random(seed * _TRIAL_SALT + trial)

@@ -49,6 +49,7 @@ from .adts import (
     Stack,
     WindowStream,
 )
+from .chaos.sentinels import INJECTIONS
 from .core import History, Operation
 from .core.operations import BOTTOM, HIDDEN, Invocation
 from .criteria import SearchBudgetExceeded, check
@@ -865,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--inject",
-        choices=("none", "gc-frontier", "oneshot-resync", "pull-starve"),
+        choices=INJECTIONS,
         default="none",
         help="plant a sentinel bug to test the pipeline end to end",
     )

@@ -31,7 +31,7 @@ exist) and "does a live peer hold something I lack"
 
 **Hosted and remote peers.**  A :class:`BroadcastService` is the
 run-scoped container ``algorithm.broadcast`` names: deliver-handler
-table, counters, runtime monitor, chaos sentinel switches, GC cadence.
+table, counters, runtime monitor, GC cadence.
 It builds one endpoint per pid its transport hosts
 (``Transport.hosted``).  A peer hosted by the same service has its row
 *aliased* into the view — free and exact; a remote peer's row is
@@ -179,16 +179,9 @@ class PeerView:
     def seen(self, pid: int, mid: Mid) -> bool:
         return mid[1] < self.rows[pid][mid[0]] or mid in self.spills[pid]
 
-    def stable(self, inflate: Any = ()) -> List[int]:
-        """The stability frontier: per origin, what every process has
-        seen (``inflate``: pids counted one message ahead — the
-        ``gc-frontier`` chaos sentinel's off-by-one)."""
-        if not inflate:
-            return list(map(min, zip(*self.rows)))
-        return [
-            min(row[origin] + (q in inflate) for q, row in enumerate(self.rows))
-            for origin in range(len(self.rows))
-        ]
+    def stable(self) -> List[int]:
+        """The stability frontier: per origin, what every process has seen."""
+        return list(map(min, zip(*self.rows)))
 
     def cutoff(self) -> Tuple[int, ...]:
         """Per origin, how many messages are known to exist: every
@@ -258,18 +251,14 @@ class ReliableEndpoint(Endpoint):
         """Causal-stability GC: prune the log below the stability
         frontier of this process's peer view."""
         service = self.service
-        transport = self.transport
-        # membership through the Transport contract — `.crashed` is a
-        # Network implementation detail the live transport doesn't have
-        crashed = {q for q in range(self.n) if transport.is_crashed(q)}
-        # chaos sentinel (--inject gc-frontier): pretend every crashed
-        # replica has seen one message more per origin than its frozen
-        # frontier records — an off-by-one that can prune a message a
-        # downed replica still needs
-        stable = self.peers.stable(crashed if service.gc_frontier_bug else ())
+        stable = self.peers.stable()
         if stable == self.stable:
             return
         if service.monitor is not None:
+            # membership through the Transport contract — `.crashed` is a
+            # Network implementation detail the live transport doesn't have
+            is_crashed = self.transport.is_crashed
+            crashed = {q for q in range(self.n) if is_crashed(q)}
             service.monitor.on_gc(stable, self.peers.rows, crashed)
         self.stable = stable
         self.pruned = list(map(max, self.pruned, stable))
@@ -380,12 +369,8 @@ class ReliableEndpoint(Endpoint):
         deliver the identical values in the identical order as the
         pre-supervision one-shot (the pending verification check does
         extend simulated quiescence by the timeout tail)."""
-        service = self.service
-        if not service.supervised_resync:
-            self.resync()
-            return
         self._resync_epoch += 1
-        self._resync_attempt(self._resync_epoch, 0, service.RESYNC_TIMEOUT)
+        self._resync_attempt(self._resync_epoch, 0, self.service.RESYNC_TIMEOUT)
 
     def _live_peers(self) -> List[int]:
         crashed = self.transport.is_crashed
@@ -493,14 +478,6 @@ class ReliableBroadcast(BroadcastService):
     RESYNC_TIMEOUT = 6.0
     RESYNC_BACKOFF = 1.6
     RESYNC_MAX_ATTEMPTS = 8
-
-    #: chaos sentinel switch: ``False`` degrades ``start_resync`` to the
-    #: pre-supervision one-shot catch-up (``--inject oneshot-resync``)
-    supervised_resync = True
-    #: chaos sentinel bug: mis-handle crashed replicas' frozen frontiers
-    #: in the sweep (``--inject gc-frontier``); the invariant monitors
-    #: must catch the resulting premature prune
-    gc_frontier_bug = False
 
     def __init__(self, network: Transport, flood: bool = True) -> None:
         super().__init__(network)
@@ -978,11 +955,6 @@ class _LazyEndpoint:
 
     def _pull_request(self, requester: int, mid: Any) -> None:
         service = self.service
-        if service.pull_starve_bug:
-            # chaos sentinel (--inject pull-starve): drop the request on
-            # the floor — receivers the push overlay misses strand, and
-            # the invariant monitors / convergence checks must catch it
-            return
         body = self.bodies.get(mid)
         if body is not None:
             service.pull_replies += 1
@@ -1022,10 +994,6 @@ class _LazyTransport:
     PULL_TIMEOUT = 6.0
     PULL_BACKOFF = 1.6
     PULL_MAX_ATTEMPTS = 8
-
-    #: chaos sentinel bug (``--inject pull-starve``): holders silently
-    #: drop pull requests, so advertised-but-unpushed bodies strand
-    pull_starve_bug = False
 
     # counters
     pulls_sent = pull_replies = pull_misses = pulls_stranded = adv_sent = 0

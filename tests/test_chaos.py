@@ -31,6 +31,7 @@ from repro.chaos import (
     run_chaos_trial,
     trial_fails,
 )
+from repro.chaos.sentinels import plant
 from repro.runtime import (
     CausalBroadcast,
     DelayModel,
@@ -414,8 +415,8 @@ def _strand_setup(supervised, block_all=False):
     helper (pid 0) is unreachable over a blocked directed link."""
     sim = Simulator(seed=11)
     net = Network(sim, 4, delay=DelayModel.constant(0.5))
-    service = FifoBroadcast(net)
-    service.supervised_resync = supervised
+    cls = FifoBroadcast if supervised else plant(FifoBroadcast, "oneshot-resync")
+    service = cls(net)
     monitor = RuntimeMonitor(4, sim=sim)
     service.monitor = monitor
     logs = [[] for _ in range(4)]
@@ -881,7 +882,7 @@ class TestChaosDriver:
         assert set(doc["failure_kinds"]).intersection(outcome.kinds)
 
     def test_sentinel_requires_injection(self):
-        """The same schedule is clean without the sentinel flag — the
+        """The same schedule is clean without the sentinel — the
         failure really is the planted bug, not the schedule."""
         report = run_chaos(
             seed=0, trials=40, inject="gc-frontier", check_criterion=False,
@@ -896,6 +897,27 @@ class TestChaosDriver:
     def test_unknown_injection_rejected(self):
         with pytest.raises(ValueError, match="unknown injection"):
             run_chaos(seed=0, trials=1, inject="typo")
+
+    def test_every_entry_point_rejects_an_unknown_injection(self):
+        """Not only the driver loop: a single trial, the ddmin predicate
+        and (in test_chaos_corpus.py) a corpus replay refuse a name the
+        table does not define instead of running the clean code."""
+        spec = make_spec("typo", 4, 3, [F.crash(1.0, 3)])
+        with pytest.raises(ValueError, match="known: none, gc-frontier"):
+            run_chaos_trial(spec, "lww", run_seed=0, inject="gc_frontier")
+        with pytest.raises(ValueError, match="unknown injection"):
+            trial_fails([], "lww", 0, inject="gc_frontier", n=4, ops=3)
+
+    def test_plant_subclasses_only_the_services_it_applies_to(self):
+        assert plant(FifoBroadcast, "none") is FifoBroadcast
+        assert plant(None, "gc-frontier") is None  # state-based gossip
+        assert plant(FifoBroadcast, "pull-starve") is FifoBroadcast
+        assert plant(TotalOrderBroadcast, "oneshot-resync") is TotalOrderBroadcast
+        planted = plant(FifoBroadcast, "oneshot-resync")
+        assert issubclass(planted, FifoBroadcast)
+        assert issubclass(planted.endpoint_cls, FifoBroadcast.endpoint_cls)
+        with pytest.raises(ValueError, match="unknown injection"):
+            plant(FifoBroadcast, "typo")
 
     def test_pull_starve_sentinel_found_and_minimised(self, tmp_path):
         """The lazy-transport sentinel (PR 8): holders that silently
@@ -931,8 +953,8 @@ class TestChaosDriver:
         assert not clean.failed
 
     def test_pull_starve_inert_on_eager_transport(self):
-        """The sentinel flag only exists on the lazy transport: injecting
-        it under the eager algorithms changes nothing."""
+        """The sentinel applies to the lazy transport only: injecting it
+        under the eager algorithms plants nothing."""
         report = run_chaos(
             seed=1, trials=4, algorithms=("lww", "ccv-fig5"),
             inject="pull-starve", check_criterion=False,

@@ -9,11 +9,13 @@ the detector) needs attention.
 """
 
 import glob
+import json
 import os
 
 import pytest
 
 from repro.chaos import replay_file
+from repro.cli import main
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "chaos_corpus")
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -35,3 +37,23 @@ def test_corpus_repro_still_fails(path):
         f"{os.path.basename(path)} no longer reproduces: recorded kinds "
         f"{sorted(recorded)}, replay produced {outcome.kinds or 'no failure'}"
     )
+
+
+def test_cli_replays_the_corpus(capsys):
+    assert main(["chaos", "--replay", *CORPUS]) == 0
+    assert capsys.readouterr().out.count(": reproduced (") == len(CORPUS) == 2
+
+
+def test_a_misspelt_injection_is_refused_not_run_clean(tmp_path):
+    """A corpus file naming an injection the table does not define must
+    not replay the clean code and quietly pass."""
+    with open(os.path.join(CORPUS_DIR, "chaos-repro-s0-t3-lww.json")) as fh:
+        doc = json.load(fh)
+    doc["inject"] = "gc_frontier"
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        replay_file(str(path))
+    message = str(info.value)
+    assert "unknown injection 'gc_frontier'" in message
+    assert "known: none, gc-frontier, oneshot-resync, pull-starve" in message

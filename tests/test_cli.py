@@ -1,11 +1,17 @@
 """CLI tests: every subcommand and the JSON history loader."""
 
+import asyncio
 import json
+import random
+import socket
+import threading
 
 import pytest
 
+from repro.chaos.sentinels import INJECTIONS
 from repro.cli import build_parser, load_history, main
 from repro.core.operations import BOTTOM, HIDDEN
+from repro.service import LiveCluster
 
 
 class TestLoadHistory:
@@ -162,3 +168,75 @@ class TestRetiredFlags:
 
     def test_serve_codec_still_parses(self):
         assert build_parser().parse_args(["serve", "--codec", "json"]).codec == "json"
+
+    def test_chaos_inject_choices_are_the_sentinel_table(self):
+        parse = build_parser().parse_args
+        for inject in INJECTIONS:
+            assert parse(["chaos", "--inject", inject]).inject == inject
+        with pytest.raises(SystemExit):
+            parse(["chaos", "--inject", "gc_frontier"])
+
+
+# ----------------------------------------------------------------------
+# The operator commands against a running cluster
+# ----------------------------------------------------------------------
+def _free_port_block(size):
+    """A base port whose ``size`` successors all bind on loopback."""
+    rng = random.Random()
+    for _ in range(50):
+        base = rng.randrange(20000, 60000 - size)
+        socks = []
+        try:
+            for port in range(base, base + size):
+                sock = socket.socket()
+                socks.append(sock)
+                sock.bind(("127.0.0.1", port))
+            return base
+        except OSError:
+            continue
+        finally:
+            for sock in socks:
+                sock.close()
+    pytest.skip("no free block of loopback ports")
+
+
+@pytest.fixture
+def served_cluster():
+    """An n=3 live cluster served from a background thread's loop;
+    yields its base port."""
+    base = _free_port_block(9)
+    loop = asyncio.new_event_loop()
+    ready = threading.Event()
+    box = {}
+
+    def serve():
+        asyncio.set_event_loop(loop)
+        box["cluster"] = LiveCluster(3, base_port=base, proxied=False)
+        loop.run_until_complete(box["cluster"].start())
+        ready.set()
+        loop.run_forever()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    assert ready.wait(10), "cluster did not start"
+    try:
+        yield base
+    finally:
+        asyncio.run_coroutine_threadsafe(box["cluster"].close(), loop).result(10)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        loop.close()
+
+
+class TestOperatorCommands:
+    def test_status_and_load(self, served_cluster, capsys):
+        where = ["--n", "3", "--base-port", str(served_cluster)]
+        assert main(["status", *where]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "node 0", "node 1", "node 2"
+        ]
+        assert all(line.split()[2] == "up" for line in lines), lines
+        assert main(["load", "--duration", "1", *where]) == 0
+        out = capsys.readouterr().out
+        assert "replicas converged: True" in out, out

@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.chaos.sentinels import plant
 from repro.runtime import (
     CausalBroadcast,
     DelayModel,
@@ -57,12 +58,14 @@ def _random_run(seed):
     sim = Simulator(seed=seed)
     net = Network(sim, n, delay=DelayModel.uniform(0.2, 4.0))
     cls = plan.choice((ReliableBroadcast, CausalBroadcast))
-    service = cls(net, flood=plan.random() < 0.7)
-    service.GC_INTERVAL = plan.choice((4, 16, 64))
+    flood = plan.random() < 0.7
+    gc_interval = plan.choice((4, 16, 64))
     # a third of the runs sweep unsoundly (the chaos sentinel): logs get
     # pruned of messages a crashed process lacks and the stability
     # frontier regresses at its recovery — the answers must still agree
-    service.gc_frontier_bug = plan.random() < 0.33
+    unsound = plan.random() < 0.33
+    service = (plant(cls, "gc-frontier") if unsound else cls)(net, flood=flood)
+    service.GC_INTERVAL = gc_interval
     service.monitor = RuntimeMonitor(n, sim=sim)
     for pid in range(n):
         service.endpoint(pid, lambda origin, payload: None)
@@ -75,7 +78,7 @@ def _random_run(seed):
     # recovered process's only hole and the two answers cannot agree by
     # accident
     t_loss = plan.uniform(0.0, 15.0)
-    if not service.gc_frontier_bug:
+    if not unsound:
         sim.schedule(t_loss, net.set_loss_rate, plan.uniform(0.1, 0.5))
     sim.schedule(t_loss + plan.uniform(2.0, 10.0), net.set_loss_rate, 0.0)
     victim = plan.randrange(n)
@@ -87,7 +90,7 @@ def _random_run(seed):
         sim.schedule(t_back + 0.1, service.resync, victim)
     # five instants mid-run, then quiescence
     stops = sorted(plan.uniform(0.5, 40.0) for _ in range(5)) + [None]
-    return plan, n, sim, net, service, stops
+    return plan, n, sim, net, service, stops, unsound
 
 
 SEEDS = range(25)
@@ -96,7 +99,7 @@ SEEDS = range(25)
 def _check(seed):
     """Run one seeded schedule, asserting at every stop; returns whether
     it reached (a spill, a pruned log)."""
-    plan, n, sim, net, service, stops = _random_run(seed)
+    plan, n, sim, net, service, stops, unsound = _random_run(seed)
     cutoffs = []
     saw_spill = False
     for stop in stops:
@@ -111,7 +114,7 @@ def _check(seed):
                 assert endpoint._behind(cutoff) == _log_scan_behind(
                     service, net, pid, cutoff, n
                 ), (seed, stop, pid, cutoff)
-    if not service.gc_frontier_bug:
+    if not unsound:
         assert service.monitor.ok, service.monitor.summary()
     return saw_spill, service.gc_pruned > 0
 

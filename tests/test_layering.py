@@ -23,16 +23,22 @@ callable it wraps must still be defined where it looks.
 
 The simulated network reaches into the simulator's event heap at one
 site only: ``Network._fan_out`` open-codes ``Simulator.schedule``.
+
+The broadcast layer plants no bugs: a chaos sentinel is a subclass built
+by ``chaos/sentinels.py``, the only module that names one, never a
+switch in ``runtime/`` or ``service/``.
 """
 
 import ast
+import inspect
 import pathlib
 import re
 import sys
 
 import pytest
 
-from repro.runtime.broadcast import LazyCausalBroadcast
+from repro.chaos.sentinels import SENTINELS
+from repro.runtime.broadcast import LazyCausalBroadcast, PeerView
 from repro.scenarios import Scenario, get_scenario
 from repro.scenarios.matrix import ALGORITHMS
 from repro.scenarios.spec import FAULT_ACTIONS
@@ -247,3 +253,40 @@ def test_the_tracer_finds_every_callable_it_wraps(owner, attr):
     only under ``--trace 1``: a method renamed, or moved to a base
     class, would otherwise fail there, late, or zero a ledger row."""
     assert callable(vars(owner).get(attr)), f"{_name(owner)}.{attr} is gone"
+
+
+# ----------------------------------------------------------------------
+# The chaos sentinels live in one table, outside the broadcast layer
+# ----------------------------------------------------------------------
+PLANTED_SWITCH = re.compile(r"\w_bug\b|supervised_resync")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((SRC / "runtime").glob("*.py")) + SOURCES,
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_sentinel_switch_below_the_chaos_plane(path):
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if PLANTED_SWITCH.search(line)
+    ]
+    assert not hits, "\n".join(hits)
+
+
+def test_the_stability_frontier_has_no_knob():
+    assert list(inspect.signature(PeerView.stable).parameters) == ["self"]
+
+
+def test_only_the_sentinel_table_compares_a_sentinel_name():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(leaf, ast.Constant) and leaf.value in SENTINELS
+                for side in (node.left, *node.comparators)
+                for leaf in ast.walk(side)
+            ):
+                found.add(path.relative_to(SRC).as_posix())
+    assert found <= {"chaos/sentinels.py"}, sorted(found)

@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.chaos import make_spec, random_fault_events, run_chaos_trial
+from repro.chaos.sentinels import plant
 from repro.runtime import (
     DelayModel,
     LazyCausalBroadcast,
@@ -203,11 +204,11 @@ class TestAdvBatching:
 # ----------------------------------------------------------------------
 # The pull path: grace, timeout, failover, pruned bodies, stranding
 # ----------------------------------------------------------------------
-def _pull_rig(n=4, seed=0):
+def _pull_rig(n=4, seed=0, cls=LazyReliableBroadcast):
     """flood=False keeps receivers from relaying pushed bodies onward,
     so the lazy peers of the origin can *only* learn the body by
     pulling — the pull path in isolation."""
-    sim, net, svc, eps, delivered = _rig(n=n, seed=seed, flood=False)
+    sim, net, svc, eps, delivered = _rig(cls, n=n, seed=seed, flood=False)
     push = set(eps[0].push_peers)
     lazy = [q for q in range(1, n) if q not in push]
     assert lazy, "seed/n must leave the origin at least one lazy peer"
@@ -271,8 +272,10 @@ class TestPullPath:
             assert svc.missing_count(pid) == 0
 
     def test_exhausted_pulls_flag_the_monitor(self):
-        sim, net, svc, eps, delivered, lazy = _pull_rig()
-        svc.pull_starve_bug = True  # holders drop every pull request
+        # holders drop every pull request
+        sim, net, svc, eps, delivered, lazy = _pull_rig(
+            cls=plant(LazyReliableBroadcast, "pull-starve")
+        )
         eps[0].broadcast("stranded")
         sim.run()
         assert svc.pulls_stranded >= len(lazy)
