@@ -50,8 +50,11 @@ class GossipReplica(Replica):
     def __init__(self, pid: int, streams: int, k: int, default: Any) -> None:
         super().__init__(pid)
         self.k = k
+        # the k initial cells need distinct stamps, below every write's,
+        # or the first merge dedupes them into one cell
         self.str: List[List[Cell]] = [
-            [(default, (0, 0))] * k for _ in range(streams)
+            [(default, (0, slot - k)) for slot in range(k)]
+            for _ in range(streams)
         ]
         self.vtime = 0
 

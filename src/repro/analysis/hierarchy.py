@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.adt import AbstractDataType
 from ..core.history import History
-from ..criteria import SearchBudgetExceeded, classify
+from ..criteria import decide
 from ..criteria.hierarchy import DIRECT_EDGES, check_classification_consistency
 from ..litmus.figures import all_litmus
 from ..litmus.generators import (
@@ -84,14 +84,12 @@ def classify_population(
             population.append((f"scenario-{name}-{algo}-{i}", history, adt))
 
     for name, history, adt in population:
-        try:
-            verdicts = {
-                crit: result.ok
-                for crit, result in classify(
-                    history, adt, CRITERIA, max_nodes=max_nodes
-                ).items()
-            }
-        except SearchBudgetExceeded:
+        verdicts: Dict[str, Optional[bool]] = {}
+        for crit in CRITERIA:
+            verdicts[crit] = decide(history, adt, crit, max_nodes=max_nodes).ok
+            if verdicts[crit] is None:
+                break
+        if None in verdicts.values():
             report.budget_exhausted += 1
             continue
         report.histories += 1

@@ -23,14 +23,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..criteria import SearchBudgetExceeded, check
+from ..criteria.verdict import CHECK_BUDGET, decide
 from ..runtime.broadcast import ReliableBroadcast
-from ..scenarios.matrix import (
-    ALGORITHMS,
-    CHECK_BUDGET,
-    AlgorithmEntry,
-    build_post_setup,
-)
+from ..scenarios.matrix import ALGORITHMS, AlgorithmEntry, build_post_setup
 from ..scenarios.scenario import RunResult, Scenario
 from ..scenarios.spec import FaultEvent, ScenarioSpec
 from .ddmin import ddmin
@@ -137,21 +132,12 @@ def run_chaos_trial(
             ("divergence", "live replicas disagree after the final heal")
         )
     if check_criterion and entry.criterion != "CONV":
-        try:
-            ok = bool(
-                check(
-                    result.history,
-                    scenario.adt(),
-                    entry.criterion,
-                    max_nodes=CHECK_BUDGET,
-                )
-            )
-        except SearchBudgetExceeded:
-            ok = True  # inconclusive is not a failure
-        if not ok:
-            outcome.failures.append(
-                ("criterion", f"{entry.criterion} violated")
-            )
+        # an inconclusive verdict is not a failure
+        verdict = decide(
+            result.history, scenario.adt(), entry.criterion,
+            max_nodes=CHECK_BUDGET,
+        )
+        outcome.failures.extend(verdict.failures)
     return outcome
 
 

@@ -51,8 +51,8 @@ from .adts import (
 )
 from .chaos.sentinels import INJECTIONS
 from .core import History, Operation
-from .core.operations import BOTTOM, HIDDEN, Invocation
-from .criteria import SearchBudgetExceeded, check
+from .core.operations import BOTTOM, HIDDEN, Invocation, output_from_json
+from .criteria import check, decide
 from .util.tables import render_table
 
 def _window_array(spec: Dict[str, Any]):
@@ -76,16 +76,6 @@ ADT_FACTORIES = {
 }
 
 
-def _decode_output(raw: Any) -> Any:
-    if raw is None:
-        return HIDDEN
-    if raw == "<bottom>":
-        return BOTTOM
-    if isinstance(raw, list):
-        return tuple(raw)
-    return raw
-
-
 def load_history(spec: Dict[str, Any]):
     """Build ``(History, ADT, criteria)`` from a JSON specification."""
     adt_spec = spec.get("adt", {})
@@ -105,7 +95,7 @@ def load_history(spec: Dict[str, Any]):
             invocation = Invocation(
                 op_spec["method"], tuple(op_spec.get("args", ()))
             )
-            output = _decode_output(op_spec.get("output"))
+            output = output_from_json(op_spec.get("output"))
             if adt.is_update(invocation) and not adt.is_query(invocation) and output is HIDDEN:
                 output = BOTTOM
             row.append(Operation(invocation, output))
@@ -301,7 +291,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 seeds=args.seeds,
                 fast=args.fast,
                 pool=pool,
-                monitor=args.monitor,
             )
         if with_scale:
             # the scale tier is algorithm-grouped per scenario: n8/n12
@@ -324,7 +313,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
                     seeds=args.seeds,
                     fast=args.fast,
                     pool=pool,
-                    monitor=args.monitor,
                 )
                 report.cells.extend(scale_report.cells)
     if args.only and not report.cells:
@@ -390,7 +378,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-#: monitor counters surfaced by ``classify --streaming`` / ``--json``,
+#: monitor counters surfaced by ``classify`` (and its ``--json``),
 #: mirroring the search-side ``_WORK_COUNTERS``; ``feed_order`` says
 #: whether the replay followed recorded timestamps or, lacking them,
 #: fell back to program order (same verdicts, more reads parked)
@@ -409,40 +397,31 @@ _MONITOR_COUNTERS = (
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .criteria.streaming_monitor import SUPPORTED_CRITERIA, replay_history
+
     with open(args.file) as fh:
         spec = json.load(fh)
     history, adt, criteria = load_history(spec)
     print(f"history: {history}")
+    wanted = [c for c in criteria if c in SUPPORTED_CRITERIA]
+    monitored = replay_history(
+        history, adt, criteria=wanted or SUPPORTED_CRITERIA
+    )
     rows = []
-    doc: Dict[str, Any] = {
-        "file": args.file,
-        "history": str(history),
-        "criteria": {},
-    }
-    exact_criteria = list(criteria)
-    if getattr(args, "streaming_only", False):
-        # live service captures run to thousands of operations — far past
-        # what the enumeration search can decide — so the polynomial
-        # streaming monitor is the only checker that terminates usefully
-        args.streaming = True
-        exact_criteria = []
-    for criterion in exact_criteria:
-        ok: Optional[bool]
-        try:
-            result = check(history, adt, criterion)
-        except SearchBudgetExceeded as exc:
-            # inconclusive, like the monitor's "?": the search gave up,
-            # it did not find the history outside the criterion
-            ok, reason, work = None, f"search budget exceeded: {exc}", {}
-        else:
-            ok, reason = bool(result.ok), result.reason
-            work = dict(result.stats or {})
-        holds = "?" if ok is None else ("yes" if ok else "no")
-        rows.append([criterion, holds, reason, _format_work(work)])
+    doc: Dict[str, Any] = {"file": args.file, "history": str(history), "criteria": {}}
+    for criterion in criteria:
+        # below the op cutoff nothing bounds the search's time
+        verdict = decide(
+            history, adt, criterion,
+            search=not args.streaming_only,
+            monitor=monitored.get(criterion),
+        )
+        work = dict(verdict.result.stats or {}) if verdict.result else {}
+        rows.append(
+            [criterion, _holds(verdict.ok), verdict.reason, _format_work(work)]
+        )
         doc["criteria"][criterion] = {
-            "ok": ok,
-            "reason": reason,
-            "stats": work,
+            "ok": verdict.ok, "reason": verdict.reason, "stats": work,
         }
     print(render_table(["criterion", "holds", "reason", "work"], rows))
     # histories exported with per-run network accounting (an explore
@@ -461,59 +440,42 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "network: "
             + ", ".join(f"{key}={val}" for key, val in doc["network"].items())
         )
-    if args.streaming or args.json_out:
-        from .criteria.streaming_monitor import (
-            SUPPORTED_CRITERIA,
-            replay_history,
-        )
-
-        wanted = [c for c in criteria if c in SUPPORTED_CRITERIA]
-        verdicts = replay_history(
-            history, adt, criteria=wanted or SUPPORTED_CRITERIA
-        )
-        stats: Dict[str, Any] = {}
-        srows = []
-        doc["streaming"] = {"criteria": {}, "stats": {}}
-        for criterion, verdict in verdicts.items():
-            stats = dict(verdict.stats or stats)
-            holds = (
-                "?" if verdict.ok is None else ("yes" if verdict.ok else "no")
-            )
-            pattern = verdict.violation.pattern if verdict.violation else "-"
-            srows.append([criterion, holds, pattern, verdict.reason or "-"])
-            doc["streaming"]["criteria"][criterion] = {
-                "ok": verdict.ok,
-                "reason": verdict.reason,
-                "pattern": verdict.violation.pattern
-                if verdict.violation
-                else None,
-                "first_violation_index": verdict.violation.index
-                if verdict.violation
-                else None,
-                "witness": [list(op) for op in verdict.violation.witness]
-                if verdict.violation
-                else None,
-            }
-        doc["streaming"]["stats"] = {
-            key: stats.get(key) for key in _MONITOR_COUNTERS if key in stats
+    stats: Dict[str, Any] = {}
+    srows = []
+    doc["streaming"] = {"criteria": {}, "stats": {}}
+    for criterion, mv in monitored.items():
+        stats = dict(mv.stats or stats)
+        bad = mv.violation
+        pattern = bad.pattern if bad else None
+        srows.append([criterion, _holds(mv.ok), pattern or "-", mv.reason or "-"])
+        doc["streaming"]["criteria"][criterion] = {
+            "ok": mv.ok,
+            "reason": mv.reason,
+            "pattern": pattern,
+            "first_violation_index": bad.index if bad else None,
+            "witness": [list(op) for op in bad.witness] if bad else None,
         }
-        if args.streaming:
-            print()
-            print("streaming monitor (single-pass bad-pattern search):")
-            print(
-                render_table(["criterion", "holds", "pattern", "reason"], srows)
-            )
-            work = " ".join(
-                f"{key}={stats[key]}"
-                for key in _MONITOR_COUNTERS
-                if stats.get(key) is not None
-            )
-            print(f"monitor work: {work or '-'}")
+    doc["streaming"]["stats"] = {
+        key: stats.get(key) for key in _MONITOR_COUNTERS if key in stats
+    }
+    print()
+    print("streaming monitor (single-pass bad-pattern search):")
+    print(render_table(["criterion", "holds", "pattern", "reason"], srows))
+    work = " ".join(
+        f"{key}={stats[key]}"
+        for key in _MONITOR_COUNTERS
+        if stats.get(key) is not None
+    )
+    print(f"monitor work: {work or '-'}")
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(doc, fh, indent=2)
         print(f"report written to {args.json_out}")
     return 0
+
+
+def _holds(ok: Optional[bool]) -> str:
+    return "?" if ok is None else ("yes" if ok else "no")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -785,24 +747,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_sessions)
 
-    p = sub.add_parser("classify", help="classify a JSON history file")
+    # no abbreviations: the retired --streaming must not parse as
+    # --streaming-only
+    p = sub.add_parser(
+        "classify", help="classify a JSON history file", allow_abbrev=False
+    )
     p.add_argument("file")
     p.add_argument(
         "--streaming-only", action="store_true",
-        help="skip the enumeration search and run only the streaming "
-        "bad-pattern monitor — the mode for live service captures, whose "
-        "op counts are far past what the exact search can decide",
-    )
-    p.add_argument(
-        "--streaming", action="store_true",
-        help="also run the streaming bad-pattern monitor over the history "
-        "(single pass, polynomial time) and print its verdicts, violating "
-        "pattern and work counters next to the enumeration search's",
+        help="skip the enumeration search and leave the verdicts to the "
+        "streaming bad-pattern monitor — the mode for live service "
+        "captures, whose op counts are far past what the exact search "
+        "can decide",
     )
     p.add_argument(
         "--json", dest="json_out", metavar="FILE",
-        help="dump verdicts + work counters (search and, with --streaming "
-        "implied, monitor stats) as JSON to FILE",
+        help="dump verdicts + work counters (search and monitor) as JSON "
+        "to FILE",
     )
     p.set_defaults(fn=cmd_classify)
 
@@ -836,13 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", action="store_true",
         help="also run the 10k-op scale-up scenarios (scale-n8-hotkey, "
         "scale-n12-hotkey) with the convergence-checkable algorithms",
-    )
-    p.add_argument(
-        "--monitor", action="store_true",
-        help="attach the streaming bad-pattern monitor to every cell: "
-        "verdicts appear next to the advertised criterion, disagreements "
-        "with the enumeration search fail the cell, and cells the search "
-        "cannot decide (the --scale tier) get conclusive causal verdicts",
     )
     p.add_argument("--json", help="also dump the report as JSON to FILE")
     p.add_argument(

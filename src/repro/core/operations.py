@@ -153,3 +153,26 @@ def operations(seq: Iterable[Any]) -> list:
         else:
             raise TypeError(f"cannot interpret {item!r} as an operation")
     return out
+
+
+def output_to_json(out: Any) -> Any:
+    """An output in the classify-JSON history format (:data:`BOTTOM` is
+    ``"<bottom>"``, :data:`HIDDEN` ``null``, a window a list)."""
+    if out is BOTTOM:
+        return "<bottom>"
+    if out is HIDDEN:
+        return None
+    if isinstance(out, tuple):
+        return list(out)
+    return out
+
+
+def output_from_json(raw: Any) -> Any:
+    """Inverse of :func:`output_to_json`."""
+    if raw is None:
+        return HIDDEN
+    if raw == "<bottom>":
+        return BOTTOM
+    if isinstance(raw, list):
+        return tuple(raw)
+    return raw

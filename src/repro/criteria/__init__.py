@@ -26,6 +26,7 @@ from .pipelined import check_pipelined
 from .registry import classify
 from .sequential import check_sequential
 from .session import SessionAnalysis, all_session_guarantees
+from .verdict import decide
 from .zones import TimeZones, causal_order_masks, render_zones, zones_of
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "CheckResult",
     "check",
     "classify",
+    "decide",
     "check_causal",
     "check_causal_memory",
     "check_convergence",

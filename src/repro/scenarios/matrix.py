@@ -34,24 +34,12 @@ from ..algorithms import (
     PramReplication,
     ScSequencer,
 )
-from ..criteria import SearchBudgetExceeded, check
 from ..criteria.streaming_monitor import monitor_for_adt
+from ..criteria.verdict import CHECK_BUDGET, decide
 from ..util.tables import render_table
 from .registry import get_scenario, scenario_names
 from .scenario import RunResult, Scenario
 from .spec import ScenarioSpec
-
-#: node budget per criterion check; exceeding it marks the cell
-#: inconclusive instead of wrong
-CHECK_BUDGET = 400_000
-
-#: ops beyond which the enumeration search is not even attempted: its
-#: setup (history order structure) is quadratic in events, so a 10k-op
-#: scale-tier history would burn minutes before the node budget could
-#: trip.  Far above every exact-checkable cell (the default sweep tops
-#: out at a few dozen ops); cells past it come back inconclusive and
-#: the streaming monitor (PR 7) decides them.
-SEARCH_MAX_OPS = 512
 
 #: ops per process in ``--fast`` (smoke) mode
 FAST_OPS = 3
@@ -177,7 +165,7 @@ class MatrixCell:
     algorithm: str
     criterion: str
     seed: int
-    ok: Optional[bool]  # None = inconclusive (search budget exceeded)
+    ok: Optional[bool]  # None = inconclusive (see :func:`decide`)
     expected: bool  # is the criterion expected to hold here?
     wait_free: bool
     available: bool
@@ -192,8 +180,8 @@ class MatrixCell:
     #: chaos trial outcomes and the streaming monitor's
     #: :meth:`MonitorViolation.as_failure`; empty on clean cells
     failures: List[Tuple[str, Any]] = field(default_factory=list)
-    #: streaming-monitor verdicts + stats when explore ran with
-    #: ``--monitor`` (None otherwise): ``{"criteria": {...}, "stats": {...}}``
+    #: streaming-monitor verdicts + stats (None when the ADT is outside
+    #: the monitor's scope): ``{"criteria": {...}, "stats": {...}}``
     streaming: Optional[Dict[str, Any]] = None
     #: per-run network accounting (sent / delivered / elided /
     #: suppressed_relays / pulled), the message-complexity surface of the
@@ -245,9 +233,11 @@ def _monitor_criteria(entry: AlgorithmEntry) -> Tuple[str, ...]:
 def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
     """Worker entry point: run one cell (picklable in, picklable out).
 
-    ``job`` is ``(scenario, algorithm, seed, fast_ops[, monitor])``."""
-    scenario_name, algo_key, seed, fast_ops = job[:4]
-    with_monitor = bool(job[4]) if len(job) > 4 else False
+    ``job`` is ``(scenario, algorithm, seed, fast_ops)``.  The streaming
+    monitor is fed live; its verdict on the advertised criterion and the
+    search are combined by :func:`decide`.  On CONV cells, decided by
+    the live-state comparison, the monitor is informational."""
+    scenario_name, algo_key, seed, fast_ops = job
     spec = get_scenario(scenario_name)
     if fast_ops:
         spec = spec.fast(fast_ops)
@@ -255,50 +245,17 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
     scenario = Scenario(spec)
     t0 = time.perf_counter()
 
-    streaming_monitor = None
+    streaming_monitor = monitor_for_adt(
+        scenario.adt(), spec.n, criteria=_monitor_criteria(entry)
+    )
     subscriber = None
-    if with_monitor:
-        streaming_monitor = monitor_for_adt(
-            scenario.adt(), spec.n, criteria=_monitor_criteria(entry)
-        )
-        if streaming_monitor is not None:
-            subscriber = streaming_monitor.subscriber()
-
+    if streaming_monitor is not None:
+        subscriber = streaming_monitor.subscriber()
     result = run_scenario_cell(
         scenario_name, algo_key, seed, fast_ops, subscriber=subscriber
     )
 
-    note = ""
-    failures: List[Tuple[str, Any]] = []
-    if entry.criterion == "CONV":
-        # the CONV verdict: all live replicas expose identical state
-        ok: Optional[bool] = result.algorithm.converged()
-        if ok is False:
-            failures.append(
-                ("divergence", "live replicas disagree at quiescence")
-            )
-    elif result.ops > SEARCH_MAX_OPS:
-        ok = None
-        note = "history beyond enumeration-search reach"
-    else:
-        kwargs = (
-            {"max_nodes": CHECK_BUDGET}
-            if entry.criterion in ("CC", "CCV", "WCC")
-            else {}
-        )
-        try:
-            ok = bool(check(result.history, scenario.adt(), entry.criterion, **kwargs))
-        except SearchBudgetExceeded:
-            ok = None
-            note = "search budget exceeded"
-        if ok is False:
-            failures.append(
-                ("criterion", f"{entry.criterion} conclusively violated")
-            )
-
-    # streaming monitor (PR 7): cross-validates the search verdict on
-    # the advertised criterion, and *decides* cells the search cannot
-    # touch (scale-tier histories); on CONV cells it is informational
+    verdicts: Dict[str, Any] = {}
     streaming: Optional[Dict[str, Any]] = None
     if streaming_monitor is not None:
         verdicts = streaming_monitor.finalize()
@@ -313,31 +270,25 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
             },
             "stats": streaming_monitor.stats(),
         }
-        mv = verdicts.get(entry.criterion)
-        if mv is not None and mv.ok is not None:
-            if mv.ok is False and mv.violation is not None:
-                failures.append(mv.violation.as_failure())
-            if ok is None:
-                ok = mv.ok
-                note = (note + "; " if note else "") + (
-                    "decided by streaming monitor"
-                )
-            elif bool(ok) != mv.ok:
-                failures.append(
-                    (
-                        "monitor-disagreement",
-                        {
-                            "criterion": entry.criterion,
-                            "search": bool(ok),
-                            "monitor": mv.ok,
-                            "reason": mv.reason,
-                        },
-                    )
-                )
-                ok = False
-                note = (note + "; " if note else "") + (
-                    f"monitor/search disagreement on {entry.criterion}"
-                )
+
+    if entry.criterion == "CONV":
+        # the CONV verdict: all live replicas expose identical state
+        ok: Optional[bool] = result.algorithm.converged()
+        note = ""
+        failures: List[Tuple[str, Any]] = []
+        if ok is False:
+            failures.append(
+                ("divergence", "live replicas disagree at quiescence")
+            )
+    else:
+        verdict = decide(
+            result.history,
+            scenario.adt(),
+            entry.criterion,
+            monitor=verdicts.get(entry.criterion),
+            max_nodes=CHECK_BUDGET,
+        )
+        ok, note, failures = verdict.ok, verdict.note, verdict.failures
 
     # runtime invariant monitors (PR 6): a violation is a correctness
     # failure regardless of what the history checker concluded
@@ -484,7 +435,6 @@ def run_matrix(
     jobs: Optional[int] = None,
     fast: bool = False,
     pool: Optional[MatrixPool] = None,
-    monitor: bool = False,
     only: Optional[str] = None,
 ) -> MatrixReport:
     """Run the scenario × algorithm × seed sweep, in parallel.
@@ -495,11 +445,8 @@ def run_matrix(
     ``jobs`` is then ignored.  Cells come back in the fixed (scenario,
     algorithm, seed) generation order in every mode.
 
-    ``monitor`` attaches the streaming bad-pattern monitor to every cell
-    (live, via the recorder subscription): its verdicts and stats land
-    in :attr:`MatrixCell.streaming`, disagreements with the enumeration
-    search fail the cell, and cells the search left inconclusive are
-    decided by the monitor.
+    Every cell is fed live to the streaming bad-pattern monitor: its
+    verdicts and stats land in :attr:`MatrixCell.streaming`.
 
     ``only`` narrows the sweep to cells whose ``scenario/algorithm``
     label contains the substring; a filter matching no cell is an
@@ -515,7 +462,7 @@ def run_matrix(
 
     fast_ops = FAST_OPS if fast else 0
     cells_in = [
-        (scenario, algo, seed, fast_ops, monitor)
+        (scenario, algo, seed, fast_ops)
         for scenario in scenario_keys
         for algo in algo_keys
         for seed in range(seeds)
@@ -582,7 +529,6 @@ def format_matrix_report(report: MatrixReport) -> str:
     groups: Dict[Tuple[str, str], List[MatrixCell]] = {}
     for cell in report.cells:
         groups.setdefault((cell.scenario, cell.algorithm), []).append(cell)
-    monitored = any(cell.streaming for cell in report.cells)
     rows = []
     for (scenario, algorithm), cells in groups.items():
         blocked = sum(c.blocked for c in cells)
@@ -594,27 +540,24 @@ def format_matrix_report(report: MatrixReport) -> str:
             algorithm,
             cells[0].criterion,
             _verdict(cells),
+            _monitor_summary(cells),
+            "yes" if blocked == 0 else f"no ({blocked} blocked)",
+            f"{latency:.2f}",
+            f"{messages:.1f}",
+            f"{wall:.2f}s",
         ]
-        if monitored:
-            row.append(_monitor_summary(cells))
-        row.extend(
-            [
-                "yes" if blocked == 0 else f"no ({blocked} blocked)",
-                f"{latency:.2f}",
-                f"{messages:.1f}",
-                f"{wall:.2f}s",
-            ]
-        )
         rows.append(row)
     header = [
         "scenario",
         "algorithm",
         "criterion",
         "verdict",
+        "monitor",
+        "available",
+        "latency",
+        "msg/op",
+        "wall",
     ]
-    if monitored:
-        header.append("monitor")
-    header.extend(["available", "latency", "msg/op", "wall"])
     table = render_table(header, rows)
     lines = [table, ""]
     lines.append(

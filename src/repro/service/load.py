@@ -31,7 +31,7 @@ the streaming monitor require of a differentiated history.
 
 After the drive, :func:`capture_history` pulls every node's recorded
 operation row and assembles the classify-JSON document (``adt`` block
-included), so ``repro classify --streaming`` renders a verdict on the
+included), so ``repro classify`` renders a verdict on the
 *live* capture end to end.
 """
 
@@ -208,22 +208,12 @@ async def capture_history(
             reply = await session.call({"cmd": "history"})
         finally:
             await session.close()
-        ops = reply.get("ops", []) if reply.get("ok") else []
-        # "start" times ride along: the streaming monitor replays a
-        # timed history in recorded-time order — the order the wire
-        # actually delivered — which is what makes its conflict-order
-        # inference conclusive on live captures
-        processes.append(
-            [
-                {
-                    "method": op["method"],
-                    "args": list(op["args"]),
-                    "output": _json_output(op["output"]),
-                    "start": op.get("start"),
-                }
-                for op in ops
-            ]
-        )
+        # the node's rows are already classify-JSON ops; their "start"
+        # times matter: the streaming monitor replays a timed history in
+        # recorded-time order — the order the wire actually delivered —
+        # which is what makes its conflict-order inference conclusive on
+        # live captures
+        processes.append(reply.get("ops", []) if reply.get("ok") else [])
     doc = {
         "adt": {"type": "window-array", "streams": streams, "k": k},
         "criteria": list(criteria),
@@ -232,12 +222,6 @@ async def capture_history(
     if meta:
         doc["meta"] = meta
     return doc
-
-
-def _json_output(out: Any) -> Any:
-    if isinstance(out, tuple):
-        return list(out)
-    return out
 
 
 async def converged_windows(

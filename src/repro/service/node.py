@@ -41,7 +41,7 @@ import asyncio
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.operations import BOTTOM, HIDDEN, Invocation
+from ..core.operations import Invocation, output_to_json
 from ..runtime.broadcast import BroadcastService
 from ..runtime.monitors import RuntimeMonitor
 from ..runtime.recorder import HistoryRecorder
@@ -338,25 +338,17 @@ class ServiceNode:
         read off the recorder's columns."""
         if self.tap is not None:
             self.tap.flush()
-        ops = []
         row = self.recorder.rows[self.my_pid]
-        for method, args, out, start, end in row.entries():
-            if out is BOTTOM:
-                out = "<bottom>"
-            elif out is HIDDEN:
-                out = None
-            elif isinstance(out, tuple):
-                out = list(out)
-            ops.append(
-                {
-                    "method": method,
-                    "args": list(args),
-                    "output": out,
-                    "start": start,
-                    "end": end,
-                }
-            )
-        return ops
+        return [
+            {
+                "method": method,
+                "args": list(args),
+                "output": output_to_json(out),
+                "start": start,
+                "end": end,
+            }
+            for method, args, out, start, end in row.entries()
+        ]
 
     def status(self, since: int = 0) -> Dict[str, Any]:
         if self.tap is not None:

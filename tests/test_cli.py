@@ -143,22 +143,73 @@ class TestCommands:
         assert "search budget exceeded" in criteria["CCV"]["reason"]
         assert criteria["SC"]["ok"] is False
 
+    def test_classify_leaves_a_long_history_to_the_monitor(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Past the search's op cutoff, classify with no flags does not
+        search: the monitor decides what it supports, the rest is ``?``."""
+        from repro.criteria.base import CRITERIA
+        from repro.criteria.verdict import SEARCH_MAX_OPS
+
+        def boom(history, adt):
+            raise AssertionError("the exact search ran")
+
+        for name in list(CRITERIA):
+            monkeypatch.setitem(CRITERIA, name, boom)
+        # three processes, each writing fresh values and reading its own
+        # last one back: differentiated, CC and CCv
+        spec = {
+            "adt": {"type": "window", "k": 1},
+            "processes": [
+                [
+                    op
+                    for i in range(100)
+                    for op in (
+                        {"method": "w", "args": [1000 * p + i + 1]},
+                        {"method": "r", "output": [1000 * p + i + 1]},
+                    )
+                ]
+                for p in range(3)
+            ],
+            "criteria": ["SC", "CC", "CCV"],
+        }
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps(spec))
+        report = tmp_path / "report.json"
+        assert main(["classify", str(path), "--json", str(report)]) == 0
+        criteria = json.loads(report.read_text())["criteria"]
+        assert 600 > SEARCH_MAX_OPS
+        assert criteria["SC"]["ok"] is None
+        assert criteria["SC"]["reason"] == (
+            "history beyond enumeration-search reach"
+        )
+        for name in ("CC", "CCV"):
+            assert criteria[name]["ok"] is True
+            assert criteria[name]["reason"] == (
+                "history beyond enumeration-search reach; "
+                "decided by streaming monitor"
+            )
+
 
 class TestRetiredFlags:
     """Knobs whose only non-test callers were the retired bench
     harnesses left the CLI, and ``classify --jobs`` left with the CCv
     worker pool it sized; the codec choice, which a mixed cluster needs,
-    did not."""
+    did not.  The monitor runs on every explore cell and classify file,
+    so the switches that turned it on (``explore --monitor``,
+    ``classify --streaming``) left too."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["classify", "history.json", "--order-heuristic", "lex"],
             ["classify", "history.json", "--jobs", "2"],
+            ["classify", "history.json", "--streaming"],
+            ["explore", "--monitor"],
             ["serve", "--tap", "sync"],
             ["serve", "--no-coalesce"],
         ],
-        ids=lambda argv: argv[-2] if argv[-1] != "--no-coalesce" else argv[-1],
+        ids=lambda argv: next(arg for arg in argv if arg.startswith("--")),
     )
     def test_retired_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as raised:

@@ -97,3 +97,16 @@ class TestGossipConvergence:
         obj.start_gossip(rounds=40)
         sim.run()
         assert obj.converged()  # among the live replicas
+
+    def test_unwritten_stream_keeps_k_slots_after_gossip(self):
+        """The k initial cells have distinct stamps, so a merge keeps
+        them all: a stream nobody wrote reads as k defaults, not one."""
+        sim = Simulator(seed=0)
+        net = Network(sim, 3, delay=DelayModel.constant(1.0))
+        obj = GossipCCvWindowArray(sim, net, None, streams=2, k=2)
+        obj.invoke(0, Invocation("w", (0, 7)))
+        obj.start_gossip(rounds=3)
+        sim.run()
+        for pid in range(3):
+            assert obj.invoke(pid, Invocation("r", (1,))) == (0, 0)
+            assert obj.invoke(pid, Invocation("r", (0,))) == (0, 7)

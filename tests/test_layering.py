@@ -27,6 +27,10 @@ site only: ``Network._fan_out`` open-codes ``Simulator.schedule``.
 The broadcast layer plants no bugs: a chaos sentinel is a subclass built
 by ``chaos/sentinels.py``, the only module that names one, never a
 switch in ``runtime/`` or ``service/``.
+
+A verdict has one rule: ``criteria/verdict.py``'s ``decide`` is the only
+place that turns a search budget trip into "inconclusive"; explore,
+classify, chaos and the hierarchy audit ask it.
 """
 
 import ast
@@ -290,3 +294,21 @@ def test_only_the_sentinel_table_compares_a_sentinel_name():
             ):
                 found.add(path.relative_to(SRC).as_posix())
     assert found <= {"chaos/sentinels.py"}, sorted(found)
+
+
+def test_only_decide_catches_a_search_budget_trip():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        # innermost enclosing function of every node ("" at module level)
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner[node] = func.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type and (
+                "SearchBudgetExceeded" in ast.unparse(node.type)
+            ):
+                found.add((path.relative_to(SRC).as_posix(), owner.get(node, "")))
+    assert found == {("criteria/verdict.py", "decide")}, sorted(found)
