@@ -386,6 +386,7 @@ _MONITOR_COUNTERS = (
     "ops_seen",
     "feed_order",
     "rf_edges",
+    "rf_merges_skipped",
     "cf_edges",
     "d_edges",
     "hb_edges",

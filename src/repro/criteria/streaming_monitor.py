@@ -336,6 +336,7 @@ class StreamingMonitor:
         self.reads_checked = 0
         self.writes_seen = 0
         self.rf_edges = 0
+        self.rf_merges_skipped = 0  # window writers already in the past
         self.cf_edges = 0
         self.d_edges = 0
         self.patterns_checked = 0
@@ -559,7 +560,15 @@ class StreamingMonitor:
     # ------------------------------------------------------------------
     def _merge_vc(self, dst_g: int, src_g: int) -> bool:
         """``vc[dst] |= vc[src]``, sweeping first-coverage frontiers for
-        newly covered writes.  Returns True iff dst's past grew."""
+        newly covered writes.  Returns True iff dst's past grew.
+
+        The clocks are *closed*: between feeds every op's row dominates
+        the row of every op in its past — its program predecessor's and,
+        once it is checked, those of the writes it read from.  A feed in
+        arrival order keeps this by construction; an out-of-order one
+        restores it through :meth:`_propagate`.  So merging in an op the
+        destination's past already holds never grows it, and a first
+        check of a read skips its covered window writers."""
         nn = self.n
         vc = self._vc
         db = dst_g * nn
@@ -781,11 +790,17 @@ class StreamingMonitor:
                     f"read is in the causal past of the write it returns "
                     f"(stream {key}, value {self._u_val[u]!r})",
                 )
-        # rf: the window writers join the read's causal past
+        # rf: the window writers join the read's causal past; on a first
+        # check one it already holds is skipped, its row being below the
+        # read's (see _merge_vc)
         grew = False
+        base = g * nn
         for u, wg in zip(win, wgs):
             if not recheck:
                 self._add_rf(u, g)
+                if vc[base + g_pid[wg]] > g_lidx[wg]:
+                    self.rf_merges_skipped += 1
+                    continue
             if self._merge_vc(g, wg):
                 grew = True
         if grew and (self._po_succ[g] >= 0 or self._rf_index is not None):
@@ -1387,6 +1402,7 @@ class StreamingMonitor:
             "reads_checked": self.reads_checked,
             "writes_seen": self.writes_seen,
             "rf_edges": self.rf_edges,
+            "rf_merges_skipped": self.rf_merges_skipped,
             "cf_edges": self.cf_edges,
             "d_edges": self.d_edges,
             "hb_edges": self.rf_edges + self.cf_edges + self.d_edges,

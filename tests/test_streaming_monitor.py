@@ -410,6 +410,31 @@ def feed_writers(shape, seed, program_order=False):
     return monitor.finalize(), monitor
 
 
+def draw_small_ops(data, rng):
+    """A small concurrent-writer or random history, as ``(ops, procs,
+    streams, k)``: the writers' arrival order, or the random rows
+    round-robin."""
+    k = data.draw(st.integers(1, 2), label="k")
+    if data.draw(st.booleans(), label="concurrent writers"):
+        procs = data.draw(st.integers(2, 4), label="procs")
+        writes = data.draw(st.integers(1, 3), label="writes")
+        reads = data.draw(
+            st.integers(1, SEARCHABLE_OPS // procs - writes), label="reads"
+        )
+        return concurrent_writers(rng, procs, writes, reads, k), procs, 1, k
+    procs = data.draw(st.integers(2, 3), label="procs")
+    streams = data.draw(st.integers(1, 2), label="streams")
+    length = data.draw(st.integers(2, 4), label="ops per process")
+    history = random_history(rng, procs, length, streams, k)
+    events = history.events
+    ops = [
+        (p, events[chain[i]].invocation, events[chain[i]].output)
+        for i in range(length)
+        for p, chain in enumerate(history.processes())
+    ]
+    return ops, procs, streams, k
+
+
 def po_shuffle(rng, ops):
     """A random interleaving of ``ops`` that keeps each process's program
     order: the feed of n taps, or of a capture without timestamps."""
@@ -423,6 +448,39 @@ def po_shuffle(rng, ops):
         if not left[p]:
             del left[p]
     return shuffled
+
+
+def reads_first(rng, ops):
+    """An interleaving of ``ops`` that keeps each process's program order
+    and holds every write back while some process's next op is a read:
+    reads arrive before their writers and park."""
+    left = {}
+    for op in reversed(ops):
+        left.setdefault(op[0], []).append(op)
+    order = []
+    while left:
+        heads = [p for p, row in left.items() if row[-1][1].method == "r"]
+        p = rng.choice(heads or list(left))
+        order.append(left[p].pop())
+        if not left[p]:
+            del left[p]
+    return order
+
+
+def assert_closed_clocks(monitor):
+    """Every op's clock row dominates its program predecessor's and the
+    rows of the writes it read from: the closure that lets a first check
+    skip a window writer the read's past already holds."""
+    n, vc = monitor.n, monitor._vc
+
+    def dominates(a, b):
+        return all(map(int.__ge__, vc[a * n : (a + 1) * n], vc[b * n : (b + 1) * n]))
+
+    for g, succ in enumerate(monitor._po_succ):
+        if succ >= 0:
+            assert dominates(succ, g), ("po", g, succ)
+    for u, rg in zip(monitor._rf_w, monitor._rf_r):
+        assert dominates(rg, monitor._u_g[u]), ("rf", monitor._u_g[u], rg)
 
 
 def arbitration_closure(monitor):
@@ -1009,26 +1067,7 @@ class TestReplayDeterminism:
         (the writers' arrival order, or the random rows round-robin),
         and, while CCv holds, the same closure of co ∪ conflict edges."""
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        k = data.draw(st.integers(1, 2), label="k")
-        if data.draw(st.booleans(), label="concurrent writers"):
-            procs = data.draw(st.integers(2, 4), label="procs")
-            writes = data.draw(st.integers(1, 3), label="writes")
-            reads = data.draw(
-                st.integers(1, SEARCHABLE_OPS // procs - writes), label="reads"
-            )
-            ops = concurrent_writers(rng, procs, writes, reads, k)
-            streams = 1
-        else:
-            procs = data.draw(st.integers(2, 3), label="procs")
-            streams = data.draw(st.integers(1, 2), label="streams")
-            length = data.draw(st.integers(2, 4), label="ops per process")
-            history = random_history(rng, procs, length, streams, k)
-            events = history.events
-            ops = [
-                (p, events[chain[i]].invocation, events[chain[i]].output)
-                for i in range(length)
-                for p, chain in enumerate(history.processes())
-            ]
+        ops, procs, streams, k = draw_small_ops(data, rng)
         adt = WindowStreamArray(streams, k)
         truth = {
             c: search_ok(history_of(ops, procs), adt, c) for c in SUPPORTED_CRITERIA
@@ -1054,6 +1093,51 @@ class TestReplayDeterminism:
             }, ops
             if closure is not None:
                 assert arbitration_closure(monitor) == closure, ops
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_clocks_stay_closed_under_any_program_order_feed(self, data):
+        """After every feed each op's clock dominates its program
+        predecessor's and its writers' — on the small histories above,
+        shuffled, and on clean streams whose reads arrive before their
+        writers, where late checks grow pasts already copied along po
+        and rf."""
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="clean stream, reads first"):
+            total = data.draw(st.integers(10, 120), label="ops")
+            order = reads_first(rng, clean_ccv_ops(rng.randrange(2**32), total))
+            procs, streams, k = N, STREAMS, K
+        else:
+            ops, procs, streams, k = draw_small_ops(data, rng)
+            order = po_shuffle(rng, ops)
+        monitor = StreamingMonitor(procs, streams=streams, k=k)
+        for p, invocation, output in order:
+            monitor.feed(p, invocation, output)
+            assert_closed_clocks(monitor)
+        monitor.finalize()
+        assert_closed_clocks(monitor)
+
+    def test_skipped_merges_are_window_writers_already_in_the_past(self):
+        """A first check merges a window writer only if the read's past
+        does not hold it yet: on a clean stream fed in issue order every
+        merge that runs grows a past, and the skips plus the merges are
+        the rf edges."""
+        monitor = StreamingMonitor(N, streams=STREAMS, k=K)
+        merges = []
+        merge = monitor._merge_vc
+
+        def recording_merge(dst, src):
+            merges.append(merge(dst, src))
+            return merges[-1]
+
+        monitor._merge_vc = recording_merge
+        for p, invocation, output in clean_ccv_ops(3, 2_000):
+            monitor.feed(p, invocation, output)
+        stats = monitor.stats()
+        assert stats["propagate_steps"] == 0
+        assert all(merges)
+        assert 0 < stats["rf_merges_skipped"] < stats["rf_edges"]
+        assert stats["rf_merges_skipped"] + len(merges) == stats["rf_edges"]
 
 
 # ----------------------------------------------------------------------
@@ -1146,7 +1230,8 @@ class TestCli:
         for key in ("ops_seen", "hb_edges", "patterns_checked"):
             assert stats[key] > 0
         assert stats["first_violation_index"] == 3
-        assert {"order_searches", "order_moved"} <= set(stats)
+        assert {"order_searches", "order_moved", "rf_merges_skipped"} <= set(stats)
+        assert "rf_merges_skipped=" in text
         # a CyclicCF on a file without timestamps says which feed found it
         assert stats["feed_order"] == "program-order"
         assert "feed_order=program-order" in text
