@@ -65,20 +65,20 @@ cross-validated against the enumeration search in
 
 Complexity: per operation amortised ``O(n·log ops + patterns)`` for the
 per-read/per-event criteria (``n`` = processes) via flat integer vector
-clocks (``n`` entries per op), first-coverage frontiers (``fvc``)
-maintained by amortised pointer sweeps, and per-stream rows of sorted
-per-process write indices; the CC machinery re-checks reads only when
-their happens-before past actually grows and is budget-capped (verdict
-``None`` rather than a wrong answer on pathological inputs).
+clocks (``n`` entries per op; a merge is a plain join, ``O(n)``) and
+per-stream rows of sorted per-process write indices; the CC machinery
+re-checks reads only when their happens-before past actually grows and
+is budget-capped (verdict ``None`` rather than a wrong answer on
+pathological inputs).
 
-Storage: the columns a read indexes or bisects — the clocks, the
-frontiers, each op's index in its process, each write's op and the write
-indices — are lists, because reading a value
-above 256 out of an ``array`` allocates a new int on every lookup, and a
-read does dozens.  A list slot costs 8 bytes where an ``array('i')``
-slot costs 4, and most clock entries point at an int already held
-elsewhere (a copied clock shares its predecessor's, and an op's own
-entry is the int its process counter holds).  The columns only writes,
+Storage: the columns a read indexes or bisects — the clocks, each op's
+index in its process, each write's op and the write indices — are
+lists, because reading a value above 256 out of an ``array`` allocates
+a new int on every lookup, and a read does dozens.  A list slot costs 8
+bytes where an ``array('i')`` slot costs 4, and most clock entries point
+at an int already held elsewhere (a copied clock shares its
+predecessor's, and an op's own entry is the int its process counter
+holds).  The columns only writes,
 rebuilds or out-of-order feeds touch (process, write ordinal, program
 successor, rf edges, checked reads, labels) stay ``array('i')``.  The
 bytes the lists add are paid back by keying writes per stream:
@@ -97,12 +97,15 @@ with the arrival order.  Otherwise only the writes labelled between
 ``b`` and ``a`` can matter: a search forward from ``b`` among them
 either reaches ``a`` (the cycle) or, with the search backward from
 ``a``, yields the writes whose labels are re-dealt, causes first —
-``O(affected region · n)``.  ``co`` is never materialised.  Per process
-the writes ``co``-after ``u`` are the suffix starting at the first op
-that covers ``u`` (``fvc``), those ``co``-before it the prefix its clock
-counts, so the first write of the one and the last of the other — at
-most ``n`` *generator* edges a side — stand for all the rest, which are
-po-after, respectively po-before, them; and a generator outside the
+``O(affected region · n · log ops)``.  ``co`` is never materialised,
+and nothing is kept for these searches alone: per process the writes
+``co``-after ``u`` are the suffix starting at its first write whose
+clock covers ``u`` — coverage is monotone along a process, the clocks
+being closed, so its last write says in ``O(1)`` whether there is one
+and a bisection finds it — and those ``co``-before it the prefix ``u``'s
+clock counts.  So the first write of the one and the last of the other —
+at most ``n`` *generator* edges a side — stand for all the rest, which
+are po-after, respectively po-before, them; and a generator outside the
 label range has everything it stands for outside it too.  On a feed in
 arrival order ``co`` among existing writes never changes.  When an
 out-of-order feed grows the past of an already labelled write, each
@@ -251,6 +254,8 @@ class StreamingMonitor:
         False when a read returns one value, not a window."""
         if n <= 0:
             raise ValueError("n must be positive")
+        if k < 1 or (streams < 1 if isinstance(streams, int) else not streams):
+            raise ValueError("need at least one stream of size k >= 1")
         bad = [c for c in criteria if c not in SUPPORTED_CRITERIA]
         if bad:
             raise ValueError(
@@ -283,7 +288,6 @@ class StreamingMonitor:
         self._u_g: List[int] = []
         self._u_key: List[Any] = []
         self._u_val: List[Any] = []
-        self._fvc: List[int] = []  # flat, nn per write: first covering lidx
         self._writer: Dict[Any, Dict[Any, int]] = {}  # key -> value -> u
         # key -> per process, None before its first write to the stream:
         # (lidxs, write ordinals), both ascending
@@ -329,6 +333,7 @@ class StreamingMonitor:
         self._inconclusive: Dict[str, str] = {}
         self._nondiff: Optional[str] = None
         self._decided = False  # no criterion is still open
+        self._closed = False  # finalize() ran: no more feeds
         self._diff_checked = False  # replay pre-scans differentiation
 
         # stats
@@ -374,11 +379,16 @@ class StreamingMonitor:
         is only sound for differentiated streams, so a duplicate value
         arriving *later* retracts every recorded violation —
         :meth:`finalize` then reports all criteria inconclusive.
+
+        An operation the monitor's ADT refuses — a process outside
+        ``0..n-1``, a stream it lacks — raises ``ValueError`` before any
+        state changes, and so does every feed after :meth:`finalize`.
         """
         if not 0 <= pid < self.n:
             raise ValueError(f"pid {pid!r} is not a process of 0..{self.n - 1}")
-        self.ops_seen += 1
         if self._decided:
+            if self._closed:
+                raise ValueError("feed after finalize(): the stream is closed")
             # full bookkeeping stops once every criterion is decided, but
             # the differentiation screen must see the remaining writes:
             # an ok=False verdict is retracted if the stream turns out
@@ -391,7 +401,9 @@ class StreamingMonitor:
             ):
                 args = invocation.args
                 key, value = args if len(args) == 2 else (0, args[0])
-                values = self._writer.setdefault(key, {})
+                values = self._writer.get(key)
+                if values is None:
+                    values = self._writer[key] = self._new_stream(key)
                 if value == self.default:
                     self._mark_nondiff(
                         f"write of the default value {value!r} to stream {key}"
@@ -403,6 +415,7 @@ class StreamingMonitor:
                 else:
                     # ordinal -1: only membership matters from here on
                     values[value] = -1
+            self.ops_seen += 1
             return None
         method = invocation.method
         args = invocation.args
@@ -421,11 +434,25 @@ class StreamingMonitor:
                 return self._feed_read(pid, key, output)
             return self._feed_read(pid, key, (output,))
         # non-window methods (enq/push/add/inc/...) are out of scope
+        self.ops_seen += 1
         self._mark_unsupported(f"unsupported method {method!r}")
         return None
 
     # -- op bookkeeping -------------------------------------------------
+    def _new_stream(self, key: Any) -> Dict[Any, int]:
+        """The value map of a stream seen for the first time, once ``key``
+        is checked to name one of the ADT's streams — refused as the ADT
+        refuses it, so no verdict is given on a history the ADT rejects."""
+        streams = self.streams
+        if isinstance(streams, int):
+            if not 0 <= key < streams:
+                raise ValueError(f"stream index {key} out of [0, {streams})")
+        elif key not in streams:
+            raise ValueError(f"unknown register {key!r}")
+        return {}
+
     def _new_op(self, pid: int) -> int:
+        self.ops_seen += 1
         nn = self.n
         g = len(self._g_pid)
         lidx = self._plen[pid]
@@ -449,6 +476,9 @@ class StreamingMonitor:
     def _feed_write(
         self, pid: int, key: Any, value: Any
     ) -> Optional[MonitorViolation]:
+        values = self._writer.get(key)
+        if values is None:
+            values = self._writer[key] = self._new_stream(key)
         g = self._new_op(pid)
         self.writes_seen += 1
         u = len(self._u_g)
@@ -456,7 +486,6 @@ class StreamingMonitor:
         self._u_g.append(g)
         self._u_key.append(key)
         self._u_val.append(value)
-        self._fvc.extend([_INF] * self.n)
         # its causal past has arrived and nothing follows it yet: last
         for order in self._orders:
             order.label.append(u)
@@ -472,9 +501,6 @@ class StreamingMonitor:
         pw = self._pw[pid]
         pw[0].append(lidx)
         pw[1].append(u)
-        values = self._writer.get(key)
-        if values is None:
-            values = self._writer[key] = {}
         if not self._diff_checked:
             if value == self.default:
                 self._mark_nondiff(
@@ -505,6 +531,9 @@ class StreamingMonitor:
     def _feed_read(
         self, pid: int, key: int, window: Tuple[Any, ...]
     ) -> Optional[MonitorViolation]:
+        values = self._writer.get(key)
+        if values is None:
+            values = self._writer[key] = self._new_stream(key)
         g = self._new_op(pid)
         if self._nondiff is not None:
             return None  # reads are ambiguous from here on
@@ -539,7 +568,6 @@ class StreamingMonitor:
                     )
                 slots.append(v)
         missing = 0
-        values = self._writer.get(key, {})
         for v in slots:
             if v not in values:
                 self._pending.setdefault((key, v), []).append(g)
@@ -559,8 +587,7 @@ class StreamingMonitor:
     # co primitives
     # ------------------------------------------------------------------
     def _merge_vc(self, dst_g: int, src_g: int) -> bool:
-        """``vc[dst] |= vc[src]``, sweeping first-coverage frontiers for
-        newly covered writes.  Returns True iff dst's past grew.
+        """``vc[dst] |= vc[src]``.  Returns True iff dst's past grew.
 
         The clocks are *closed*: between feeds every op's row dominates
         the row of every op in its past — its program predecessor's and,
@@ -573,21 +600,11 @@ class StreamingMonitor:
         vc = self._vc
         db = dst_g * nn
         sb = src_g * nn
-        dp = self._g_pid[dst_g]
-        dl = self._g_lidx[dst_g]
-        fvc = self._fvc
         changed = False
         for q, new, old in zip(range(nn), vc[sb : sb + nn], vc[db : db + nn]):
             if new > old:
                 vc[db + q] = new
                 changed = True
-                if q != dp:
-                    lx, us = self._pw[q]
-                    i = bisect_left(lx, old)
-                    for idx in range(i, bisect_left(lx, new, i)):
-                        f = us[idx] * nn + dp
-                        if fvc[f] > dl:
-                            fvc[f] = dl
         return changed
 
     def _propagate(self, g: int) -> None:
@@ -1034,20 +1051,33 @@ class StreamingMonitor:
     # the order of co ∪ edges (Pearce–Kelly over implicit co edges)
     # ------------------------------------------------------------------
     def _co_succs(self, u: int) -> List[int]:
-        """Generators of write ``u``'s co-successors: per process the
-        first write at or after the first op with ``u`` in its past.
-        Every other write co-after ``u`` is po-after one of these."""
+        """Generators of write ``u``'s co-successors: per process its
+        first write whose clock covers ``u`` — for ``u``'s own process,
+        its next write.  Every other write co-after ``u`` is po-after one
+        of these.  The clocks are closed, so coverage is monotone along a
+        process's writes: its last write decides whether it has any, and
+        only then is the first one bisected for."""
         nn = self.n
-        wg = self._u_g[u]
-        first = self._fvc[u * nn : (u + 1) * nn]
-        first[self._g_pid[wg]] = self._g_lidx[wg] + 1
+        vc = self._vc
+        u_g = self._u_g
+        wg = u_g[u]
+        up = self._g_pid[wg]
+        ul = self._g_lidx[wg]
         succs = []
-        for p, at in enumerate(first):
-            if at < _INF:
-                lidxs, us = self._pw[p]
-                i = bisect_left(lidxs, at)
+        for p, (lidxs, us) in enumerate(self._pw):
+            if p == up:
+                i = bisect_left(lidxs, ul + 1)
                 if i < len(us):
                     succs.append(us[i])
+            elif us and vc[u_g[us[-1]] * nn + up] > ul:
+                lo, hi = 0, len(us) - 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if vc[u_g[us[mid]] * nn + up] > ul:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                succs.append(us[lo])
         return succs
 
     def _co_preds(self, u: int) -> List[int]:
@@ -1416,7 +1446,11 @@ class StreamingMonitor:
         }
 
     def finalize(self) -> Dict[str, MonitorVerdict]:
-        """Close the stream and return the per-criterion verdicts."""
+        """Close the stream and return the per-criterion verdicts.
+
+        A parked read still waiting for its writer is a thin-air read
+        from here on, so the stream cannot go on: a later :meth:`feed`
+        raises.  Calling ``finalize`` again returns the same verdicts."""
         if self._regrow or self._co_grew:
             self._drain_regrow()
         if self._parked and self._nondiff is None:
@@ -1462,6 +1496,7 @@ class StreamingMonitor:
                 verdicts[criterion] = MonitorVerdict(
                     criterion, True, reason="no bad pattern", stats=stats
                 )
+        self._closed = self._decided = True
         return verdicts
 
 

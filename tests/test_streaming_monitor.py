@@ -259,7 +259,7 @@ def history_of(ops, procs):
     return History.from_processes(rows)
 
 
-def grown_hot_key(ops_per_process):
+def grown_hot_key(ops_per_process, monitor_cls=StreamingMonitor):
     """`hot-key-contention` grown far past the search's reach, the
     monitor attached live through ``subscriber()``: Lamport-stamp
     arbitration disagrees with arrival order all the time."""
@@ -273,7 +273,7 @@ def grown_hot_key(ops_per_process):
     )
     entry = ALGORITHMS["ccv-fig5"]
     scenario = Scenario(spec)
-    monitor = monitor_for_adt(scenario.adt(), spec.n, criteria=CCV_SIDE)
+    monitor = monitor_cls(spec.n, streams=spec.streams, k=spec.k, criteria=CCV_SIDE)
     scenario.run(
         entry.cls,
         seed=0,
@@ -400,11 +400,11 @@ def golden_row_of(name):
     return golden_row(golden_cases()[name](), counters)
 
 
-def feed_writers(shape, seed, program_order=False):
+def feed_writers(shape, seed, program_order=False, monitor_cls=StreamingMonitor):
     ops = writer_ops(shape, seed)
     if program_order:
         ops = sorted(ops, key=lambda op: op[0])  # stable: po within a process
-    monitor = StreamingMonitor(shape[0], streams=1, k=shape[3])
+    monitor = monitor_cls(shape[0], streams=1, k=shape[3])
     for p, invocation, output in ops:
         monitor.feed(p, invocation, output)
     return monitor.finalize(), monitor
@@ -465,6 +465,30 @@ def reads_first(rng, ops):
         if not left[p]:
             del left[p]
     return order
+
+
+class CheckedCoSuccs(StreamingMonitor):
+    """A monitor that checks, at every call, the co-successor generators
+    the order searches step to against their definition by linear scan:
+    per process, its first write other than ``u`` whose clock covers
+    ``u``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.co_succ_checks = 0
+
+    def _co_succs(self, u):
+        succs = super()._co_succs(u)
+        expected = []
+        for _, us in self._pw:
+            first = next(
+                (x for x in us if x != u and self._covers(self._u_g[x], u)), None
+            )
+            if first is not None:
+                expected.append(first)
+        assert succs == expected, (u, succs, expected)
+        self.co_succ_checks += 1
+        return succs
 
 
 def assert_closed_clocks(monitor):
@@ -781,6 +805,60 @@ class TestIllFormedInput:
         assert list(monitor._vc) == [1, 0, 0]
         monitor.feed(1, r(0), (1,))
         assert all(v.ok is True for v in monitor.finalize().values())
+
+    def test_feed_after_finalize_is_refused(self):
+        """finalize() turns a read still waiting for its writer into a
+        thin-air read, so the stream cannot go on: fed on, the writer
+        would arrive after a verdict its arrival refutes."""
+        ops = [(0, w(0, 1), BOTTOM), (1, r(0), (1, 5)), (0, w(0, 5), BOTTOM)]
+        monitor = StreamingMonitor(2, streams=1, k=2, criteria=CCV_SIDE)
+        for p, invocation, output in ops[:2]:
+            monitor.feed(p, invocation, output)
+        first = monitor.finalize()
+        assert {v.violation.pattern for v in first.values()} == {"ThinAirRead"}
+        with pytest.raises(ValueError, match="finalize"):
+            monitor.feed(*ops[2])
+        assert monitor.stats()["ops_seen"] == 2
+        again = monitor.finalize()
+        assert {c: (v.ok, v.violation) for c, v in again.items()} == {
+            c: (v.ok, v.violation) for c, v in first.items()
+        }
+        # the same feed, finalized once at its end, is clean
+        monitor = StreamingMonitor(2, streams=1, k=2, criteria=CCV_SIDE)
+        for p, invocation, output in ops:
+            monitor.feed(p, invocation, output)
+        assert all(v.ok is True for v in monitor.finalize().values())
+
+    @pytest.mark.parametrize("op", [w(5, 1), r(2), r(-1)])
+    def test_feed_rejects_a_stream_outside_the_adt(self, op):
+        """As the ADT (and so the search) does: no verdict on an
+        operation the ADT refuses, and no state changed by it."""
+        output = BOTTOM if op.method == "w" else (0, 0)
+        with pytest.raises(ValueError, match="out of") as refused:
+            check(history_of([(0, op, output)], 1), WindowStreamArray(2, 2), "WCC")
+        monitor = StreamingMonitor(2, streams=2, k=2)
+        monitor.feed(0, w(1, 1), BOTTOM)
+        with pytest.raises(ValueError) as refused_too:
+            monitor.feed(1, op, output)
+        assert str(refused_too.value) == str(refused.value)
+        assert monitor.stats()["ops_seen"] == 1
+        monitor.feed(1, r(1), (0, 1))
+        assert all(v.ok is True for v in monitor.finalize().values())
+
+    def test_memory_monitor_rejects_an_unknown_register(self):
+        from repro.adts.memory import MemoryADT
+
+        monitor = monitor_for_adt(MemoryADT("xy"), 2)
+        monitor.feed(0, w("x", 1), BOTTOM)
+        with pytest.raises(ValueError, match="unknown register 'z'"):
+            monitor.feed(1, w("z", 2), BOTTOM)
+        monitor.feed(1, r("x"), 1)
+        assert all(v.ok is True for v in monitor.finalize().values())
+
+    @pytest.mark.parametrize("shape", [dict(k=0), dict(streams=0), dict(streams=())])
+    def test_constructor_rejects_an_empty_adt(self, shape):
+        with pytest.raises(ValueError):
+            StreamingMonitor(2, **shape)
 
     def test_retracted_violation_leaves_no_first_violation_index(self):
         monitor = StreamingMonitor(1, k=2)
@@ -1101,7 +1179,9 @@ class TestReplayDeterminism:
         predecessor's and its writers' — on the small histories above,
         shuffled, and on clean streams whose reads arrive before their
         writers, where late checks grow pasts already copied along po
-        and rf."""
+        and rf.  The order searches' co-successors rely on that closure:
+        :class:`CheckedCoSuccs` holds every one they derive to its
+        definition, mid-feed too."""
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         if data.draw(st.booleans(), label="clean stream, reads first"):
             total = data.draw(st.integers(10, 120), label="ops")
@@ -1110,12 +1190,30 @@ class TestReplayDeterminism:
         else:
             ops, procs, streams, k = draw_small_ops(data, rng)
             order = po_shuffle(rng, ops)
-        monitor = StreamingMonitor(procs, streams=streams, k=k)
+        monitor = CheckedCoSuccs(procs, streams=streams, k=k)
         for p, invocation, output in order:
             monitor.feed(p, invocation, output)
             assert_closed_clocks(monitor)
         monitor.finalize()
         assert_closed_clocks(monitor)
+
+    def test_co_successors_match_their_definition_where_labels_move(self):
+        """The order searches derive each process's first write covering
+        ``u`` from the clocks when asked; :class:`CheckedCoSuccs` holds
+        it to the definition at every call on the traffic that relabels:
+        concurrent writers in arrival order and process by process
+        (re-sorted labels, cycle witnesses), and a live hot-key run."""
+        checks = 0
+        for shape in WRITER_SHAPES:
+            for seed in range(WRITER_SEEDS):
+                for program_order in (False, True):
+                    _, monitor = feed_writers(
+                        shape, seed, program_order, CheckedCoSuccs
+                    )
+                    checks += monitor.co_succ_checks
+        assert checks > 0
+        _, monitor = grown_hot_key(300, CheckedCoSuccs)
+        assert monitor.co_succ_checks > 0
 
     def test_skipped_merges_are_window_writers_already_in_the_past(self):
         """A first check merges a window writer only if the read's past
@@ -1176,9 +1274,11 @@ class TestReplayFootprint:
 
     def test_monitor_state_per_operation_is_bounded(self):
         """Traced bytes the monitor retains per operation of a 10k-op
-        clean stream under all three criteria: ~334 with the hot columns
-        as lists and the cold ones as arrays, ~383 with every column a
-        list (the bound is halfway), 339 with every column an array."""
+        clean stream under all three criteria: ~306 in a fresh process,
+        323 while every write also kept n first-coverage frontiers.
+        With them, ~334 inside the test run with the hot columns as lists
+        and the cold ones as arrays, ~383 with every column a list (the
+        bound is halfway), 339 with every column an array."""
         import gc
         import tracemalloc
 
