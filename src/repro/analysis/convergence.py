@@ -73,7 +73,10 @@ def measure_convergence(
 
     def sample() -> None:
         samples.append((sim.now, _snapshot(obj)))
-        if sim.pending > 1:  # keep sampling while traffic is in flight
+        # keep sampling while traffic is in flight, the no-op copies the
+        # network elided or folded included until they arrive: the samples
+        # of a network that schedules every copy
+        if sim.pending > 1 or sim.now < sim.elided_until:
             sim.schedule(sample_step, sample)
 
     sim.schedule(sample_step, sample)

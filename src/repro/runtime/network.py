@@ -65,7 +65,14 @@ class DelayModel:
         drawn once (uniformly in [low, high]) and keeps it for the whole
         run, plus a small multiplicative jitter per message.  Stable
         fast/slow paths are what make reordering anomalies (FIFO vs
-        causal delivery) statistically visible."""
+        causal delivery) statistically visible.  ``jitter`` must lie in
+        [0, 1]: above 1 the factor can go negative, and a negative delay
+        would schedule a delivery in the past."""
+        if not 0.0 <= jitter <= 1.0:
+            raise ValueError(
+                f"per-link delay parameter 'jitter' must be in [0, 1], "
+                f"got {jitter!r}"
+            )
         return _PerLink(low, high, jitter)
 
 
@@ -144,12 +151,16 @@ class NetworkStats:
     held: int = 0
     duplicated: int = 0
     reordered: int = 0
-    #: copies drawn and counted but never scheduled, because their
-    #: destination already held the message id when they were sent (the
-    #: simulated twin of the live transport's ``dups_dropped``; a live
-    #: transport leaves it 0).  At quiescence with nothing held,
-    #: ``sent + duplicated - lost == delivered + dropped_to_crashed +
-    #: elided``
+    #: copies drawn and counted but never scheduled: their destination
+    #: already held the message id when they were sent (the simulated
+    #: twin of the live transport's ``dups_dropped``; a live transport
+    #: leaves it 0), or they were folded into an earlier-arriving copy of
+    #: the same id to the same destination.  A folded copy put back on
+    #: the heap (the copy it was folded into did not make the id seen)
+    #: leaves this count.
+    #: So ``delivered`` counts first arrivals, and at quiescence with
+    #: nothing held, ``sent + duplicated - lost == delivered +
+    #: dropped_to_crashed + elided``
     elided: int = 0
     total_delay: float = 0.0
     #: relays an eager flood would have sent but a lazy-push broadcast
@@ -169,7 +180,7 @@ class NetworkStats:
 def _message_id(payload: Any) -> Any:
     """The broadcast id a payload carries — ``payload["id"]``, the shape
     ``ReliableEndpoint._new_message`` builds — or None.  The only place
-    the network reads into a payload (for send-time dedup)."""
+    the network reads into a payload (for dedup and folding)."""
     return payload.get("id") if type(payload) is dict else None
 
 
@@ -201,6 +212,21 @@ class Network(Transport):
     times exactly as if the copy had been delivered.  Payloads without an
     id (the lazy family's ``adv``/``pull`` messages, total order, gossip)
     and destinations that offered no predicate are scheduled as always.
+
+    Arrival-time folding: per destination that offered a predicate, the
+    network tracks the earliest copy of each id in flight.  A copy that
+    would arrive no earlier than it is *folded* into it: drawn and
+    counted like an elided copy, given its simulator sequence number (so
+    every scheduled event keeps its heap position), and not scheduled —
+    by its arrival the destination holds the id, since the earlier copy
+    landed first.  When that earlier copy is not what makes the id seen
+    (its destination is down when it arrives, or the handler leaves the
+    id unseen), the earliest folded copy is put back on the heap under
+    its own arrival time and sequence number
+    (:meth:`~repro.runtime.simulator.Simulator.restore`), and the rest
+    stay folded into it.  Histories, the clock and the rng stream are
+    those of a network that schedules every copy; ``delivered``,
+    ``dropped_to_crashed`` and ``total_delay`` count first arrivals only.
 
     The fault surface is event-driven: :meth:`partition`/:meth:`heal`,
     :meth:`crash`/:meth:`recover`, :meth:`set_loss_rate` (loss bursts),
@@ -253,6 +279,10 @@ class Network(Transport):
         self._dedup: List[Optional[Callable[[Tuple[int, int]], bool]]] = [
             None
         ] * n
+        #: per pid that offered a predicate, message id -> the copies of
+        #: it in flight there: ``[arrival of the earliest scheduled copy,
+        #: *folded copies as (arrival, seq, src, delay, payload)]``
+        self._flight: List[Optional[Dict[Any, List[Any]]]] = [None] * n
         #: one Network carries every process (see ``Transport.hosted``)
         self.hosted = range(n)
         self._control: Dict[int, ControlHandler] = {}
@@ -287,11 +317,14 @@ class Network(Transport):
         self, pid: int, seen: Callable[[Tuple[int, int]], bool]
     ) -> None:
         """Honoured at send time: a copy for ``pid`` whose id ``seen``
-        already holds is drawn, counted and elided (see the class
-        docstring)."""
+        already holds is drawn, counted and elided, and one that arrives
+        no earlier than a copy of its id already in flight to ``pid`` is
+        folded into that copy (see the class docstring)."""
         if not (0 <= pid < self.n):
             raise ValueError(f"process id {pid} out of range")
         self._dedup[pid] = seen
+        if self._flight[pid] is None:
+            self._flight[pid] = {}
 
     def attach_control(self, pid: int, handler: ControlHandler) -> None:
         self._control[pid] = handler
@@ -519,8 +552,12 @@ class Network(Transport):
         and the dial on), a sampled delay and a scheduled delivery, then,
         with probability ``duplicate_rate``, a second independently
         delayed copy — the runtime's hottest loop, with Simulator.schedule
-        open-coded.  A destination that already holds the message keeps
-        its draws and its counts and gets no event."""
+        open-coded.  Every copy keeps its draws and its counts.  Where
+        the destination offered a "seen?" predicate, a copy that arrives
+        no earlier than the earliest copy of its id in flight there is
+        folded into it (a sequence number, no event), else one whose
+        destination already holds the id is elided (no event), else it
+        is scheduled as the new earliest copy in flight."""
         stats = self.stats
         sim = self.sim
         rng = sim.rng
@@ -535,80 +572,146 @@ class Network(Transport):
         now = sim.now
         seq = sim._next_seq
         mid = _message_id(payload)
+        flights = self._flight
         dedup = self._dedup
         elided = 0
         last = sim.elided_until
         random = rng.random
-        if (
-            type(model) is _Uniform
-            and scale == 1.0
-            and not loss_rate
-            and not dup_rate
-            and model.low >= 0.0
-            and model.high >= 0.0
-        ):
-            # the default configuration: draw rng.uniform inline (the
-            # expression below is _Uniform.sample verbatim, so the rng
-            # stream and every produced bit are unchanged); with both
-            # bounds non-negative the draw cannot be negative, so
-            # Simulator.schedule's past-guard is enforced by the branch
-            # condition instead of a per-message check
-            low = model.low
-            width = model.high - low
-            for dst in dsts:
-                delay = low + width * random()
-                if mid is not None:
-                    seen = dedup[dst]
-                    if seen is not None and seen(mid):
-                        elided += 1
-                        if now + delay > last:
-                            last = now + delay
-                        continue
-                events[seq] = (deliver, (src, dst, payload, delay))
-                heappush(heap, (now + delay, seq))
-                seq += 1
-        else:
-            sample = model.sample
-            for dst in dsts:
-                if loss_rate and random() < loss_rate:
-                    # a lossy fair link: the copy silently disappears (the
-                    # paper's reliable channel is the loss_rate=0 case)
-                    stats.lost += 1
-                    continue
-                seen = dedup[dst] if mid is not None else None
-                holds = seen is not None and seen(mid)
-                # the copy, then maybe its duplicate, whose draws follow
-                # the copy's
-                for duplicate in (False, True):
-                    if duplicate:
-                        if not dup_rate or random() >= dup_rate:
-                            break
-                        stats.duplicated += 1
-                    delay = sample(rng, src, dst) * scale
-                    if delay < 0:  # preserve Simulator.schedule's guard
-                        raise ValueError("cannot schedule in the past")
-                    if holds:
-                        elided += 1
-                        if now + delay > last:
-                            last = now + delay
-                        continue
+        # written back even when a delay draw raises mid-multicast: a
+        # sequence number left behind would be drawn again and overwrite
+        # a copy already in flight
+        try:
+            if (
+                type(model) is _Uniform
+                and scale == 1.0
+                and not loss_rate
+                and not dup_rate
+                and model.low >= 0.0
+                and model.high >= 0.0
+            ):
+                # the default configuration: draw rng.uniform inline (the
+                # expression below is _Uniform.sample verbatim, so the rng
+                # stream and every produced bit are unchanged); with both
+                # bounds non-negative the draw cannot be negative, so
+                # Simulator.schedule's past-guard is enforced by the branch
+                # condition instead of a per-message check
+                low = model.low
+                width = model.high - low
+                for dst in dsts:
+                    delay = low + width * random()
+                    arrival = now + delay
+                    flight = flights[dst] if mid is not None else None
+                    if flight is not None:
+                        entry = flight.get(mid)
+                        if entry is not None and arrival >= entry[0]:
+                            entry.append((arrival, seq, src, delay, payload))
+                            seq += 1
+                            elided += 1
+                            if arrival > last:
+                                last = arrival
+                            continue
+                        if dedup[dst](mid):
+                            elided += 1
+                            if arrival > last:
+                                last = arrival
+                            continue
+                        if entry is None:
+                            flight[mid] = [arrival]
+                        else:
+                            entry[0] = arrival
                     events[seq] = (deliver, (src, dst, payload, delay))
-                    heappush(heap, (now + delay, seq))
+                    heappush(heap, (arrival, seq))
                     seq += 1
-        sim._next_seq = seq
-        if elided:
-            stats.elided += elided
-            sim.elided_until = last
+            else:
+                sample = model.sample
+                for dst in dsts:
+                    if loss_rate and random() < loss_rate:
+                        # a lossy fair link: the copy silently disappears
+                        # (the paper's reliable channel is the loss_rate=0
+                        # case)
+                        stats.lost += 1
+                        continue
+                    flight = flights[dst] if mid is not None else None
+                    # the copy, then maybe its duplicate, whose draws
+                    # follow the copy's
+                    for duplicate in (False, True):
+                        if duplicate:
+                            if not dup_rate or random() >= dup_rate:
+                                break
+                            stats.duplicated += 1
+                        delay = sample(rng, src, dst) * scale
+                        if delay < 0:  # preserve Simulator.schedule's guard
+                            raise ValueError("cannot schedule in the past")
+                        arrival = now + delay
+                        if flight is not None:
+                            entry = flight.get(mid)
+                            if entry is not None and arrival >= entry[0]:
+                                entry.append((arrival, seq, src, delay, payload))
+                                seq += 1
+                                elided += 1
+                                if arrival > last:
+                                    last = arrival
+                                continue
+                            if dedup[dst](mid):
+                                elided += 1
+                                if arrival > last:
+                                    last = arrival
+                                continue
+                            if entry is None:
+                                flight[mid] = [arrival]
+                            else:
+                                entry[0] = arrival
+                        events[seq] = (deliver, (src, dst, payload, delay))
+                        heappush(heap, (arrival, seq))
+                        seq += 1
+        finally:
+            sim._next_seq = seq
+            if elided:
+                stats.elided += elided
+                sim.elided_until = last
 
     def _deliver(self, src: int, dst: int, payload: Any, delay: float) -> None:
+        folded = None
+        flight = self._flight[dst]
+        if flight:
+            mid = _message_id(payload)
+            entry = flight.get(mid)
+            if entry is not None and entry[0] == self.sim.now:
+                # the earliest copy in flight: the copies folded into it
+                # need no delivery once it has made mid seen
+                del flight[mid]
+                if len(entry) > 1:
+                    folded = entry
         if dst in self.crashed:
             self.stats.dropped_to_crashed += 1
-            return
-        self.stats.delivered += 1
-        self.stats.total_delay += delay
-        handler = self.handlers.get(dst)
-        if handler is not None:
-            handler(src, payload)
+        else:
+            self.stats.delivered += 1
+            self.stats.total_delay += delay
+            handler = self.handlers.get(dst)
+            if handler is not None:
+                handler(src, payload)
+            if folded is None or self._dedup[dst](mid):
+                return
+        if folded is not None:
+            self._unfold(dst, mid, folded)
+
+    def _unfold(self, dst: int, mid: Any, entry: List[Any]) -> None:
+        """The copy ``entry`` tracked did not make ``mid`` seen at
+        ``dst``: put back the earliest copy folded into it, under that
+        copy's own arrival time and sequence number, as the earliest copy
+        in flight with the rest still folded into it."""
+        folded = entry[1:]
+        first = min(folded)
+        folded.remove(first)
+        arrival, seq, src, delay, payload = first
+        self.stats.elided -= 1
+        self.sim.restore(arrival, seq, self._deliver, src, dst, payload, delay)
+        # the handler may have put another copy of mid in flight to dst:
+        # track the earlier of the two; the rest, ordered after the
+        # put-back copy, stay folded
+        current = self._flight[dst].setdefault(mid, [arrival])
+        current[0] = min(current[0], arrival)
+        current.extend(folded)
 
 
 #: the simulated :class:`Transport` under its interface-role name — the

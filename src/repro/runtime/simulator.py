@@ -40,10 +40,10 @@ class Simulator:
         self._events: Dict[int, Tuple[Callable[..., None], Tuple[Any, ...]]] = {}
         self._next_seq = 0
         self.events_executed = 0
-        #: latest arrival time of a message copy the network elided
-        #: instead of scheduling (its destination already held it): a
-        #: drained :meth:`run` advances the clock to it, as if that no-op
-        #: delivery had been the last event to run
+        #: latest arrival time of a message copy the network elided or
+        #: folded instead of scheduling (its delivery could only be a
+        #: no-op): a drained :meth:`run` advances the clock to it, as if
+        #: that delivery had been the last event to run
         self.elided_until: float = 0.0
 
     def schedule(
@@ -59,8 +59,9 @@ class Simulator:
 
         NOTE: ``Network._fan_out`` open-codes this body (minus the
         validity check) for the per-message fast path — the one place
-        outside this class that touches the heap; any change to the
-        event representation must be mirrored there.
+        outside this class that touches the heap, and where sequence
+        numbers are drawn for copies held back (see :meth:`restore`);
+        any change to the event representation must be mirrored there.
         """
         if delay < 0:
             raise ValueError("cannot schedule in the past")
@@ -69,6 +70,24 @@ class Simulator:
         self._events[seq] = (callback, args)
         heapq.heappush(self._heap, (self.now + delay, seq))
         return seq
+
+    def restore(
+        self, when: float, seq: int, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Schedule ``callback(*args)`` at absolute time ``when`` under
+        ``seq``, a sequence number already drawn and never scheduled.
+
+        For an event that was given its place in the order when it was
+        created but held back from the heap: restored, it pops exactly
+        where it would have popped had it been scheduled then, ties
+        included.  ``Network`` restores a folded message copy this way
+        when the copy it was folded into does not make its id seen."""
+        if when < self.now:
+            raise ValueError("cannot schedule in the past")
+        if seq >= self._next_seq or seq in self._events:
+            raise ValueError(f"sequence number {seq} was not held back")
+        self._events[seq] = (callback, args)
+        heapq.heappush(self._heap, (when, seq))
 
     def cancel(self, handle: int) -> None:
         """Cancel a scheduled event (no-op if it already ran or was
@@ -125,5 +144,6 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Live (non-cancelled, not yet executed) scheduled events; a
-        copy the network elided was never scheduled and is not one."""
+        copy the network elided or folded was never scheduled and is not
+        one."""
         return len(self._events)

@@ -88,7 +88,9 @@ class Transport:
 
         - simulated (``Network``): at *send* time — a copy whose
           destination already holds ``message["id"]`` is drawn and
-          counted as usual, but never scheduled (``stats.elided``);
+          counted as usual, but never scheduled (``stats.elided``), and
+          so is one that arrives no earlier than a copy of its id
+          already in flight to the same destination (folded into it);
         - live, binary codec (``AsyncioTransport``): at *receive* time,
           on the packed message frame's header peek, before decoding
           (``wire_stats["dups_dropped"]``);

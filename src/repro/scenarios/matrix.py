@@ -185,7 +185,9 @@ class MatrixCell:
     streaming: Optional[Dict[str, Any]] = None
     #: per-run network accounting (sent / delivered / elided /
     #: suppressed_relays / pulled), the message-complexity surface of the
-    #: lazy transport and of send-time dedup
+    #: lazy transport and of send-time dedup; on the simulated network
+    #: ``delivered`` counts first arrivals only, the later copies it
+    #: folded into them are in ``elided``
     network: Dict[str, int] = field(default_factory=dict)
 
     @property

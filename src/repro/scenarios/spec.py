@@ -81,6 +81,13 @@ class DelaySpec:
                     f"delay model {self.kind!r} needs low <= high, "
                     f"got low={low!r} high={high!r}"
                 )
+        if self.kind == "per-link" and count == 3 and self.params[2] > 1:
+            # a factor 1 + uniform(-jitter, jitter) below zero would
+            # schedule a delivery in the past, mid-run
+            raise ValueError(
+                f"delay model 'per-link' parameter 'jitter' must be "
+                f"<= 1, got {self.params[2]!r}"
+            )
 
     def build(self) -> DelayModel:
         factories = {

@@ -83,6 +83,13 @@ class TestDelayModels:
         other = model.sample(rng, 1, 0)
         assert other != first or True  # may collide; only stability matters
 
+    def test_per_link_refuses_jitter_above_one(self):
+        with pytest.raises(ValueError, match="'jitter' must be in"):
+            DelayModel.per_link(0.5, 3.0, jitter=1.5)
+        model = DelayModel.per_link(0.5, 3.0, jitter=1.0)
+        rng = random.Random(0)
+        assert all(model.sample(rng, 0, 1) >= 0 for _ in range(200))
+
     def test_exhaustive_consensus_boundary(self):
         from repro.analysis.consensus import solves_consensus_exhaustively
 

@@ -11,14 +11,23 @@ record the same run — history fingerprint with every time, duration,
 send-side counters, per-replica seen-sets and runtime-monitor results —
 under random fault schedules, every broadcast family, sizes and seeds.
 
+``Network`` also folds a copy into an earlier-arriving copy of the same
+id already in flight to the same destination, and puts the earliest
+folded copy back, under its own arrival time and sequence number, when
+that earlier copy does not make the id seen.  Folding moves
+``events_executed``, ``delivered``, ``dropped_to_crashed`` and ``elided``
+on purpose, so against the references those are compared as sums with
+``elided``; deterministic cases pin a fold, an earlier copy taking over,
+a put-back after a crash drop and tie order.
+
 ``Network`` routes every copy through one method and draws it in one
 loop.  The send path before that — a unicast through a per-copy
 ``_transmit`` that drew the duplicate, a multicast over precomputed
 in-group / cross-group lists or per-destination ``send`` — lives on only
 here, as :class:`TwoPathNetwork`.  The same property requires it to
-leave the simulator exactly where ``Network`` leaves it: fingerprint,
-clock, executed events, every ``NetworkStats`` field and the next rng
-draw; one deterministic case per routing branch pins the same.
+leave the simulator where ``Network`` leaves it: fingerprint, clock,
+send-side counters, the sums above and the next rng draw; one
+deterministic case per routing branch pins every field exactly.
 """
 
 import dataclasses
@@ -29,6 +38,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import CCvWindowArray
+from repro.analysis import convergence
 from repro.runtime import DelayModel, Network, Simulator
 from repro.runtime.network import _message_id, _Uniform
 from repro.runtime.transport import Transport
@@ -357,19 +368,25 @@ def test_elision_records_the_run_the_reference_records(key, cell):
         new_stats.delivered + new_stats.dropped_to_crashed + new_stats.elided
         == ref_stats.delivered + ref_stats.dropped_to_crashed
     )
-    # one route and one loop draw, count and schedule what the two paths did
+    # one route and one loop draw and count what the two paths did; a
+    # copy the two paths scheduled and ``Network`` folded moves one event
+    # (and one delivery or crash drop) into ``elided``, so those fields
+    # are compared as sums
     two_paths = run_cell(TwoPathNetwork, spec, key, seed)
     assert where_it_ends(new) == where_it_ends(two_paths)
 
 
 def where_it_ends(result):
-    """Everything a send path leaves behind in a finished run."""
+    """Everything a send path leaves behind in a finished run, with the
+    counters folding moves on purpose summed with ``elided``."""
     sim = result.sim
+    stats = result.network_stats
     return (
         result.fingerprint(),
         sim.now,
-        sim.events_executed,
-        dataclasses.asdict(result.network_stats),
+        sim.events_executed + stats.elided,
+        stats.delivered + stats.dropped_to_crashed + stats.elided,
+        {name: getattr(stats, name) for name in SEND_SIDE},
         sim.rng.random(),
     )
 
@@ -503,3 +520,179 @@ def test_run_until_then_continue_reads_the_reference_clock(until):
         clocks.append((stopped, sim.now))
     assert clocks[0] == clocks[1]
     assert clocks[0] == (until, max(until, 3.0))
+
+
+# ----------------------------------------------------------------------
+# Arrival-time folding
+# ----------------------------------------------------------------------
+A = {"id": (0, 0), "origin": 0, "payload": "a"}
+B = {"id": (0, 1), "origin": 0, "payload": "b"}
+
+
+class Scripted(DelayModel):
+    """The given delays, in order; draws nothing from the rng."""
+
+    def __init__(self, *delays: float) -> None:
+        self.delays = list(delays)
+
+    def sample(self, rng, src, dst):
+        return self.delays.pop(0)
+
+
+def first_seen(network_cls, n, delay):
+    """A network whose processes keep a seen-set, offer it as their
+    dedup predicate and record first arrivals only, like a broadcast
+    endpoint's ``receive``."""
+    sim = Simulator(seed=0)
+    net = network_cls(sim, n, delay=delay)
+    inbox = []
+    for pid in range(n):
+        seen = set()
+
+        def receive(src, payload, pid=pid, seen=seen):
+            if payload["id"] in seen:
+                return
+            seen.add(payload["id"])
+            inbox.append((sim.now, src, pid, payload["id"]))
+
+        net.attach(pid, receive)
+        net.attach_dedup(pid, seen.__contains__)
+    return sim, net, inbox
+
+
+def both(n, delays, drive):
+    """Run ``drive`` on ``Network`` and on the every-copy reference."""
+    runs = []
+    for network_cls in (Network, ScheduleEveryCopy):
+        sim, net, inbox = first_seen(network_cls, n, Scripted(*delays))
+        drive(sim, net)
+        sim.run()
+        runs.append((inbox, sim.now, sim.events_executed, net.stats))
+    return runs
+
+
+def test_a_later_copy_is_folded_and_delivered_once():
+    def drive(sim, net):
+        net.send(0, 2, A)
+        net.send(1, 2, A)  # arrives after the first: folded
+
+    (inbox, now, events, stats), (ref_inbox, ref_now, ref_events, _) = both(
+        3, (1.0, 2.0), drive
+    )
+    assert inbox == ref_inbox == [(1.0, 0, 2, (0, 0))]
+    assert now == ref_now == 2.0
+    assert (events, ref_events) == (1, 2)
+    assert stats.elided == 1 and stats.delivered == 1 and stats.sent == 2
+
+
+def test_an_earlier_arriving_copy_becomes_the_one_folded_into():
+    def drive(sim, net):
+        net.send(0, 3, A)  # arrives at 3.0
+        net.send(1, 3, A)  # arrives at 1.0: scheduled, now the earliest
+        net.send(2, 3, A)  # arrives at 2.0: folded into the 1.0 copy
+
+    (inbox, now, events, stats), (ref_inbox, ref_now, ref_events, _) = both(
+        4, (3.0, 1.0, 2.0), drive
+    )
+    assert inbox == ref_inbox == [(1.0, 1, 3, (0, 0))]
+    assert now == ref_now == 3.0
+    assert (events, ref_events) == (2, 3)
+    assert stats.elided == 1 and stats.delivered == 2
+
+
+def test_a_crash_drop_puts_the_folded_copy_back_at_its_own_place():
+    def drive(sim, net):
+        net.crash(2)
+        net.send(0, 2, A)  # arrives at 1.0, while 2 is down
+        net.send(1, 2, A)  # arrives at 3.0: folded, then put back
+        net.send(0, 2, B)  # arrives at 3.0 too, after A's folded copy
+        sim.schedule(2.0, net.recover, 2)
+
+    (inbox, now, events, stats), (ref_inbox, ref_now, ref_events, ref_stats) = both(
+        3, (1.0, 3.0, 3.0), drive
+    )
+    assert inbox == ref_inbox == [(3.0, 1, 2, (0, 0)), (3.0, 0, 2, (0, 1))]
+    assert now == ref_now == 3.0
+    assert events == ref_events == 4
+    assert dataclasses.asdict(stats) == dataclasses.asdict(ref_stats)
+    assert stats.elided == 0 and stats.dropped_to_crashed == 1
+
+
+def flood(sim, net):
+    """An eager flood: each process relays an id the first time it sees
+    it.  Under a constant delay every relay ties with others."""
+    seen = [set() for _ in range(net.n)]
+    order = []
+
+    def receive(src, payload, pid):
+        mid = payload["id"]
+        if mid in seen[pid]:
+            return
+        seen[pid].add(mid)
+        order.append((sim.now, src, pid, mid))
+        net.multicast(pid, payload)
+
+    for pid in range(net.n):
+        net.attach(pid, lambda src, payload, pid=pid: receive(src, payload, pid))
+        net.attach_dedup(pid, seen[pid].__contains__)
+
+    def originate(pid, k):
+        payload = {"id": (pid, k), "origin": pid, "payload": k}
+        seen[pid].add(payload["id"])
+        net.multicast(pid, payload)
+
+    for k, (at, pid) in enumerate([(0.0, 0), (0.0, 1), (0.5, 2), (1.0, 3), (1.0, 0)]):
+        sim.schedule(at, originate, pid, k)
+    sim.schedule(1.5, net.crash, 3)
+    sim.schedule(2.5, net.recover, 3)
+    return order
+
+
+def test_constant_delay_ties_keep_the_reference_order():
+    runs = []
+    for network_cls in (Network, ScheduleEveryCopy):
+        sim = Simulator(seed=3)
+        net = network_cls(sim, 5, delay=DelayModel.constant(1.0))
+        order = flood(sim, net)
+        sim.run()
+        runs.append((order, sim.now, sim.rng.random(), sim.events_executed, net.stats))
+    (order, now, draw, events, stats), (ref_order, ref_now, ref_draw, ref_events, ref) = runs
+    assert (order, now, draw) == (ref_order, ref_now, ref_draw)
+    assert stats.elided > 0 and events < ref_events
+    assert events + stats.elided == ref_events
+    assert (
+        stats.delivered + stats.dropped_to_crashed + stats.elided
+        == ref.delivered + ref.dropped_to_crashed
+    )
+
+
+def test_a_raising_draw_leaves_no_sequence_number_reused():
+    """A delay model whose second draw is negative raises mid-multicast;
+    the copy already scheduled must still be delivered."""
+    sim = Simulator(seed=0)
+    net = Network(sim, 3, delay=Scripted(1.0, -1.0))
+    inbox = []
+    net.attach(1, lambda src, payload: inbox.append((sim.now, src, payload)))
+    with pytest.raises(ValueError, match="in the past"):
+        net.multicast(0, "hello")
+    ran = []
+    sim.schedule(0.5, ran.append, "timer")
+    sim.run()
+    assert ran == ["timer"]
+    assert inbox == [(1.0, 0, "hello")]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_convergence_sampling_reads_the_reference_samples(seed):
+    """``measure_convergence`` samples while traffic is in flight; the
+    copies ``Network`` elided or folded count as traffic until they
+    arrive, so the measured time is the every-copy reference's."""
+    times = []
+    for network_cls in (Network, ScheduleEveryCopy):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(convergence, "Network", network_cls)
+            result = convergence.measure_convergence(
+                CCvWindowArray, n=4, streams=2, k=2, seed=seed
+            )
+        times.append(result.convergence_time)
+    assert times[0] == times[1]

@@ -98,6 +98,19 @@ class TestSpecParseValidation:
         with pytest.raises(ValueError, match="low <= high"):
             DelaySpec("uniform", (2.0, 1.0))
 
+    def test_per_link_jitter_above_one_rejected(self):
+        # the factor 1 + uniform(-jitter, jitter) can go negative above 1,
+        # which used to pass here and crash mid-run with "cannot schedule
+        # in the past"
+        with pytest.raises(ValueError, match=r"'jitter' must be <= 1"):
+            DelaySpec("per-link", (0.5, 3.0, 1.5))
+        entry = ALGORITHMS["ccv-fig5"]
+        spec = ScenarioSpec(
+            "j", n=4, streams=2, k=2, delay=DelaySpec("per-link", (0.5, 3.0, 1.0))
+        )
+        result = Scenario(spec).run(entry.cls, seed=0, **entry.kwargs(2, 2))
+        assert result.ops > 0
+
     def test_unknown_delay_kind_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown delay model"):
             DelaySpec(kind="quantum", params=(1.0,))
