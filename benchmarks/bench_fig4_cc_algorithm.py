@@ -4,11 +4,10 @@ Measures simulated-operation throughput (host-seconds per simulated op),
 messages per operation with and without reliability flooding, and
 model-checks a sampled run against the exact CC checker (Prop. 6).
 
-The model-check and wait-freedom experiments are specified declaratively
-as :class:`ScenarioSpec` (the scenario engine subsumes the old
-``run_workload`` wiring — including a partition thrown mid-run); the
-throughput/message-cost experiments keep the explicit-script
-``run_workload`` path, which now routes through the same engine.
+Every experiment is a :class:`ScenarioSpec` run: the model-check and
+wait-freedom experiments draw their scripts from the spec (including a
+partition thrown mid-run); the throughput/message-cost experiments hand
+:meth:`Scenario.run` explicit scripts over the default delay model.
 """
 
 import random
@@ -18,15 +17,14 @@ import pytest
 
 from repro.adts import WindowStreamArray
 from repro.algorithms import CCWindowArray
-from repro.analysis.harness import run_workload, window_script
 from repro.criteria import check
-from repro.runtime import DelayModel
 from repro.scenarios import (
     DelaySpec,
     FaultEvent,
     Scenario,
     ScenarioSpec,
     WorkloadSpec,
+    window_script,
 )
 
 from _util import emit
@@ -50,14 +48,23 @@ def _scripts(seed, n, length, streams):
     ]
 
 
+def _scripted(n):
+    """``n`` processes on a 2-stream, k=2 array, default delays, no
+    reads at quiescence: the condition the explicit scripts run under."""
+    return Scenario(ScenarioSpec(
+        name="fig4-scripted", n=n, streams=2, k=2, quiescence_reads=False,
+    ))
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_fig4_throughput(benchmark, n):
     """Host cost of simulating the CC algorithm as processes scale."""
     scripts = _scripts(11, n, 30, 2)
 
     def run():
-        return run_workload(
-            CCWindowArray, n, scripts, seed=n, streams=2, k=2, flood=False
+        return _scripted(n).run(
+            CCWindowArray, seed=n, scripts=scripts, streams=2, k=2,
+            flood=False,
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -72,14 +79,15 @@ def test_fig4_message_cost(benchmark):
         per = {}
         for flood in (False, True):
             scripts = _scripts(13, n, 20, 2)
-            result = run_workload(
-                CCWindowArray, n, scripts, seed=5, streams=2, k=2, flood=flood
+            result = _scripted(n).run(
+                CCWindowArray, seed=5, scripts=scripts, streams=2, k=2,
+                flood=flood,
             )
             per[flood] = result.messages_per_op
         rows.append(f"{n:>3d} {per[False]:8.2f} {per[True]:8.2f}")
-    benchmark.pedantic(lambda: run_workload(
-        CCWindowArray, 4, _scripts(13, 4, 20, 2), seed=5, streams=2, k=2,
-        flood=False), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: _scripted(4).run(
+        CCWindowArray, seed=5, scripts=_scripts(13, 4, 20, 2), streams=2,
+        k=2, flood=False), rounds=1, iterations=1)
     rows.append("\ndirect ~ (n-1)/2 per op; flooding pays ~(n-1)^2 for crash-"
                 "tolerant agreement")
     emit("fig4_message_cost", "\n".join(rows))

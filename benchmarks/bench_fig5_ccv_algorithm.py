@@ -16,15 +16,15 @@ import pytest
 
 from repro.adts import WindowStreamArray
 from repro.algorithms import CCvWindowArray, GenericCCv
-from repro.analysis.harness import run_workload, window_script
 from repro.core.operations import Invocation
 from repro.criteria import check, check_update_consistency
-from repro.runtime import DelayModel, Network, Simulator
+from repro.runtime import Network, Simulator
 from repro.scenarios import (
     FaultEvent,
     Scenario,
     ScenarioSpec,
     WorkloadSpec,
+    window_script,
 )
 
 from _util import emit
@@ -47,13 +47,22 @@ def _scripts(seed, n, length, streams):
     ]
 
 
+def _scripted(n):
+    """``n`` processes on a 2-stream, k=2 array, default delays, no
+    reads at quiescence: the condition the explicit scripts run under."""
+    return Scenario(ScenarioSpec(
+        name="fig5-scripted", n=n, streams=2, k=2, quiescence_reads=False,
+    ))
+
+
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_fig5_throughput(benchmark, n):
     scripts = _scripts(23, n, 30, 2)
 
     def run():
-        return run_workload(
-            CCvWindowArray, n, scripts, seed=n, streams=2, k=2, flood=False
+        return _scripted(n).run(
+            CCvWindowArray, seed=n, scripts=scripts, streams=2, k=2,
+            flood=False,
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -118,7 +127,9 @@ def test_fig5_ablation_specialised_vs_generic(benchmark):
         ("generic log replay", GenericCCv, {"adt": adt}),
     ):
         t0 = time.perf_counter()
-        result = run_workload(cls, n, scripts, seed=6, flood=False, **kwargs)
+        result = _scripted(n).run(
+            cls, seed=6, scripts=scripts, flood=False, **kwargs
+        )
         timings[name] = (time.perf_counter() - t0, result.ops)
     lines = ["host cost, identical workload (4 procs x 60 ops):"]
     for name, (seconds, ops) in timings.items():
@@ -126,8 +137,9 @@ def test_fig5_ablation_specialised_vs_generic(benchmark):
     emit("fig5_ablation_insertion", "\n".join(lines))
 
     def run_specialised():
-        return run_workload(
-            CCvWindowArray, n, scripts, seed=6, streams=2, k=2, flood=False
+        return _scripted(n).run(
+            CCvWindowArray, seed=6, scripts=scripts, streams=2, k=2,
+            flood=False,
         )
 
     benchmark.pedantic(run_specialised, rounds=3, iterations=1)

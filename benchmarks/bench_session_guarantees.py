@@ -12,7 +12,7 @@ registers (a later write landing while the earlier one is in flight).
 """
 
 from repro.analysis import format_session_table, session_guarantee_rates
-from repro.runtime import DelayModel
+from repro.scenarios import DelaySpec
 
 from _util import emit
 
@@ -22,11 +22,8 @@ GUARANTEES = ("RYW", "MR", "MW", "WFR")
 def _run(registers: str):
     # stable fast/slow paths provoke FIFO reorderings on one register;
     # high per-message jitter provokes LWW write reorderings across two
-    delay = (
-        DelayModel.per_link(0.2, 40.0)
-        if len(registers) == 1
-        else DelayModel.uniform(0.2, 40.0)
-    )
+    delay = DelaySpec("per-link" if len(registers) == 1 else "uniform",
+                      (0.2, 40.0))
     return session_guarantee_rates(
         runs=30, n=4, ops_per_process=8, registers=registers, seed=2026,
         delay=delay,

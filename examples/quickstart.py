@@ -16,7 +16,6 @@ example, the window stream W_2 (Def. 3):
 from repro import History, WindowStream, check
 from repro.algorithms import CCWindowArray
 from repro.adts import WindowStreamArray
-from repro.analysis.harness import run_workload
 from repro.core import accepts, inv
 from repro.criteria import verify_certificate
 from repro.scenarios import (
@@ -58,7 +57,10 @@ def replication() -> None:
     scripts = [
         [inv("w", 0, 10 + pid), inv("r", 0), inv("r", 0)] for pid in range(3)
     ]
-    result = run_workload(CCWindowArray, 3, scripts, seed=1, streams=1, k=2)
+    spec = ScenarioSpec(name="quickstart-fig4", n=3, streams=1,
+                        quiescence_reads=False)
+    result = Scenario(spec).run(CCWindowArray, seed=1, scripts=scripts,
+                                streams=1, k=2)
     print(f"  observed history: {result.history}")
     print(f"  operations      : {result.ops}, "
           f"mean latency {result.mean_latency} (wait-free!)")

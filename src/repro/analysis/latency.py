@@ -15,9 +15,10 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..runtime.network import DelayModel
 from ..scenarios.matrix import ALGORITHMS
-from .harness import run_workload, window_script
+from ..scenarios.scenario import Scenario
+from ..scenarios.spec import DelaySpec, ScenarioSpec
+from ..scenarios.workloads import window_script
 
 
 @dataclass
@@ -47,14 +48,18 @@ def latency_sweep(
             window_script(random.Random(seed * 7_919 + pid), ops_per_process, streams)
             for pid in range(n)
         ]
+        scenario = Scenario(ScenarioSpec(
+            name=f"latency-d{mean_delay:g}",
+            n=n,
+            streams=streams,
+            k=k,
+            delay=DelaySpec("uniform", (0.5 * mean_delay, 1.5 * mean_delay)),
+            quiescence_reads=False,
+        ))
         for key in algorithms:
             entry = ALGORITHMS[key]
-            result = run_workload(
-                entry.cls,
-                n,
-                scripts,
-                seed=seed,
-                delay=DelayModel.uniform(0.5 * mean_delay, 1.5 * mean_delay),
+            result = scenario.run(
+                entry.cls, seed=seed, scripts=scripts,
                 **entry.kwargs(streams, k),
             )
             points.append(

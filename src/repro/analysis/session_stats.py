@@ -24,11 +24,11 @@ from typing import Dict, List, Sequence, Tuple, Type
 from ..adts.memory import MemoryADT
 from ..core.operations import Invocation
 from ..criteria.session import all_session_guarantees
-from ..runtime.network import DelayModel
 from ..algorithms.base import ReplicatedObject
 from ..algorithms.generic_causal import GenericCausal, PramReplication
 from ..algorithms.generic_ccv import GenericCCv, LwwReplication
-from .harness import run_workload
+from ..scenarios.scenario import Scenario
+from ..scenarios.spec import DelaySpec, ScenarioSpec, WorkloadSpec
 
 GUARANTEES = ("RYW", "MR", "MW", "WFR")
 
@@ -88,7 +88,7 @@ def session_guarantee_rates(
     ops_per_process: int = 8,
     registers: str = "ab",
     seed: int = 0,
-    delay: "DelayModel" = None,
+    delay: DelaySpec = DelaySpec("per-link", (0.2, 40.0)),
 ) -> List[SessionReport]:
     """Violation-run rates per algorithm per guarantee.
 
@@ -96,6 +96,13 @@ def session_guarantee_rates(
     model); flooding's redundant relays statistically mask the FIFO/LWW
     anomalies by accidentally restoring causal delivery order.
     """
+    scenario = Scenario(ScenarioSpec(
+        name="session-guarantees",
+        n=n,
+        delay=delay,
+        workload=WorkloadSpec(think=(0.5, 12.0)),
+        quiescence_reads=False,
+    ))
     reports: List[SessionReport] = []
     for cls, extra in algorithms:
         report = SessionReport(algorithm=cls.__name__, runs=runs)
@@ -103,25 +110,16 @@ def session_guarantee_rates(
             rng = random.Random(seed * 65_537 + r)
             adt = MemoryADT(registers)
             scripts = _memory_scripts(rng, n, ops_per_process, registers)
-            result = run_workload(
-                cls,
-                n,
-                scripts,
-                seed=seed * 131 + r,
-                delay=delay if delay is not None else DelayModel.per_link(0.2, 40.0),
-                think=lambda rng: rng.uniform(0.5, 12.0),
-                adt=adt,
-                **extra,
+            result = scenario.run(
+                cls, seed=seed * 131 + r, scripts=scripts, adt=adt, **extra
             )
+            report.algorithm = getattr(result.algorithm, "name", cls.__name__)
             outcomes = all_session_guarantees(result.history, adt)
             for guarantee in GUARANTEES:
                 if not outcomes[guarantee].ok:
                     report.violation_runs[guarantee] = (
                         report.violation_runs.get(guarantee, 0) + 1
                     )
-        report.algorithm = getattr(
-            result.algorithm, "name", cls.__name__
-        )  # use pretty name of last run
         reports.append(report)
     return reports
 

@@ -9,8 +9,8 @@ Two sampling regimes, mixed by the experiment:
   universe, biasing towards inconsistent histories (negative rows).
 
 Algorithm-produced histories (guaranteed CC / CCv / PC / EC) come from
-:mod:`repro.analysis.harness`; :func:`scenario_window_history` adds a
-fourth source — algorithm runs under the named fault scenarios of
+:class:`repro.scenarios.Scenario` runs; :func:`scenario_window_history`
+adds a fourth source — algorithm runs under the named fault scenarios of
 :mod:`repro.scenarios` (partitions, crashes, loss bursts), whose
 histories stress the checkers far harder than fault-free runs.
 Combining the sources gives the classification population used by

@@ -37,15 +37,6 @@ class DelayModel:
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Forget any per-run state (e.g. per-link base delays).
-
-        Called at the start of every :meth:`repro.scenarios.scenario.
-        Scenario.run`, so a model instance shared across runs or matrix
-        cells cannot leak state from one seed into the next.  Stateless
-        models need not override this.
-        """
-
     # Named constructors ------------------------------------------------
     @staticmethod
     def constant(delay: float) -> "DelayModel":
@@ -63,7 +54,8 @@ class DelayModel:
     def per_link(low: float, high: float, jitter: float = 0.1) -> "DelayModel":
         """Heterogeneous topology: each directed link gets a base delay
         drawn once (uniformly in [low, high]) and keeps it for the whole
-        run, plus a small multiplicative jitter per message.  Stable
+        run (the model holds them: one model serves one run), plus a
+        small multiplicative jitter per message.  Stable
         fast/slow paths are what make reordering anomalies (FIFO vs
         causal delivery) statistically visible.  ``jitter`` must lie in
         [0, 1]: above 1 the factor can go negative, and a negative delay
@@ -129,13 +121,6 @@ class _PerLink(DelayModel):
             base = rng.uniform(self.low, self.high)
             self._base[(src, dst)] = base
         return base * (1.0 + rng.uniform(-self.jitter, self.jitter))
-
-    def reset(self) -> None:
-        # the link bases are a function of the *run* (they are drawn from
-        # the run's rng), not of the model: a reused instance must draw
-        # fresh bases per run or every run after the first would inherit
-        # the first seed's topology
-        self._base.clear()
 
     @property
     def mean(self) -> float:

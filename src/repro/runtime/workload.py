@@ -42,7 +42,7 @@ class Client:
         pid: int,
         invoke: Callable[[int, Invocation, Callable[[Any], None]], None],
         script: Iterable[Invocation],
-        think: Callable[[random.Random], float] = lambda rng: rng.uniform(0.1, 1.0),
+        think: Callable[[random.Random], float],
         on_done: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.sim = sim

@@ -30,7 +30,7 @@ from .registry import (
 )
 from .scenario import RunResult, Scenario
 from .spec import DelaySpec, FaultEvent, ScenarioSpec, WorkloadSpec
-from .workloads import PhaseClock, make_script
+from .workloads import PhaseClock, make_script, window_script
 
 __all__ = [
     "ALGORITHMS",
@@ -56,4 +56,5 @@ __all__ = [
     "run_matrix",
     "run_scenario_cell",
     "scenario_names",
+    "window_script",
 ]

@@ -9,9 +9,9 @@ convergence-class criteria are decidable at the stable reads.
 
 Design notes:
 
-- partitions always heal, crashes always recover (crash-*stop* forever is
-  covered by ``run_workload``'s ``crash_plan`` shim and the dedicated
-  fault tests);
+- partitions always heal, crashes always recover (crash-*stop* forever —
+  a ``crash`` event with no ``recover`` — is left to the tests that
+  build such a spec and to the dedicated fault tests);
 - lossy phases end with ``n - 1`` spaced ``repair`` sweeps, which
   guarantee full dissemination for op-based broadcast algorithms (the
   state-based gossip algorithm needs no repair — that is its point);

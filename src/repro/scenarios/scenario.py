@@ -6,9 +6,10 @@ instance and one (closed- or open-loop) client per process — runs it to
 quiescence, performs the post-quiescence stable reads, and returns a
 :class:`RunResult`.
 
-Every run is a pure function of ``(spec, algorithm, seed)``; the
-compatibility shim :func:`repro.analysis.harness.run_workload` is a thin
-adapter over :meth:`Scenario.run` with explicit scripts.
+Every run is a pure function of ``(spec, algorithm, seed)`` and of the
+``scripts`` an experiment may pass in place of the generated ones: the
+delay model, the pacing and the fault schedule come from the spec alone,
+built afresh for every run.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..adts.window_stream import WindowStreamArray
 from ..core.history import History
 from ..core.operations import Invocation
 from ..runtime.monitors import RuntimeMonitor
-from ..runtime.network import DelayModel, Network, NetworkStats
+from ..runtime.network import Network, NetworkStats
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
 from ..runtime.workload import Client, OpenLoopClient
@@ -122,8 +123,6 @@ class Scenario:
         seed: int = 0,
         *,
         scripts: Optional[Sequence[Sequence[Invocation]]] = None,
-        think: Optional[Callable[[random.Random], float]] = None,
-        delay: Optional[DelayModel] = None,
         quiescence_reads: Optional[Sequence[Invocation]] = None,
         post_setup: Optional[Callable[[Any], None]] = None,
         max_events: int = 5_000_000,
@@ -133,9 +132,10 @@ class Scenario:
     ) -> RunResult:
         """Execute the scenario and return the observed history + stats.
 
-        ``scripts``/``think``/``delay``/``quiescence_reads`` override the
-        spec-derived defaults (the compatibility shim uses them); they are
-        runtime objects and not part of the serialisable spec.
+        ``scripts``/``quiescence_reads`` replace the spec's generated
+        scripts and its window reads at quiescence, for experiments on
+        hand-written scripts or on ADTs other than the window array;
+        they are runtime objects and not part of the serialisable spec.
 
         ``monitors`` (default on) attaches a :class:`RuntimeMonitor` to
         the algorithm's broadcast layer when it has one; the monitor is
@@ -168,13 +168,8 @@ class Scenario:
                 f"{adt_kwarg.k}) contradict spec ({spec.streams}, {spec.k})"
             )
         sim = Simulator(seed=seed)
-        delay_model = delay or spec.delay.build()
-        # a caller-supplied model may be reused across runs/cells: drop
-        # any per-run state (e.g. per-link base delays) so this run is a
-        # pure function of (spec, algorithm, seed) again
-        delay_model.reset()
         network = Network(
-            sim, spec.n, delay=delay_model, loss_rate=spec.loss_rate,
+            sim, spec.n, delay=spec.delay.build(), loss_rate=spec.loss_rate,
         )
         recorder = HistoryRecorder(spec.n)
         if subscriber is not None:
@@ -206,7 +201,7 @@ class Scenario:
                 for pid in range(spec.n)
             ]
         else:
-            sampler = think or think_sampler(spec.workload, sim)
+            sampler = think_sampler(spec.workload, sim)
             clients = [
                 Client(sim, pid, do_invoke, scripts[pid], think=sampler)
                 for pid in range(spec.n)

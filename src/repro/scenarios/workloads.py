@@ -7,7 +7,8 @@ Written values are distinct per (process, index), which keeps the
 dependency analysis of the checkers sharp.
 
 Pacing is separated from content: :func:`make_script` draws the op
-sequence from a seeded rng, while :func:`think_sampler` /
+sequence from a seeded rng (:func:`window_script` is the spec-free form
+the hand-written experiments and tests use), while :func:`think_sampler` /
 :func:`interarrival_sampler` build the closed-/open-loop pacing callables,
 including the cyclic quiet/burst phase profile.
 """
@@ -68,6 +69,26 @@ def make_script(
         x = pick_stream(rng, spec, streams)
         if rng.random() < spec.write_ratio:
             script.append(Invocation("w", (x, pid * stride + i + 1)))
+        else:
+            script.append(Invocation("r", (x,)))
+    return script
+
+
+def window_script(
+    rng: random.Random,
+    length: int,
+    streams: int,
+    values: range = range(1, 1_000_000),
+    write_ratio: float = 0.5,
+) -> List[Invocation]:
+    """Random read/write script for a window-stream array: a uniform
+    stream per op, a write of a value drawn from ``values`` with
+    probability ``write_ratio``, else a read."""
+    script: List[Invocation] = []
+    for _ in range(length):
+        x = rng.randrange(streams)
+        if rng.random() < write_ratio:
+            script.append(Invocation("w", (x, rng.choice(values))))
         else:
             script.append(Invocation("r", (x,)))
     return script

@@ -20,9 +20,9 @@ from repro.algorithms import (
     PramReplication,
     ScSequencer,
 )
-from repro.analysis.harness import run_workload, window_script
 from repro.criteria import check
 from repro.runtime import DelayModel
+from repro.scenarios import DelaySpec, Scenario, ScenarioSpec, window_script
 
 
 def _check(history, criterion):
@@ -55,9 +55,12 @@ def _run(cls, kwargs, seed, jitter=20.0):
         window_script(random.Random(seed * 31 + pid), 4, 2) for pid in range(3)
     ]
     extra = {} if cls is ScSequencer else {"flood": False}
-    return run_workload(
-        cls, 3, scripts, seed=seed,
-        delay=DelayModel.uniform(0.2, jitter), **extra, **kwargs
+    spec = ScenarioSpec(
+        name="matrix", n=3, delay=DelaySpec("uniform", (0.2, jitter)),
+        quiescence_reads=False,
+    )
+    return Scenario(spec).run(
+        cls, seed=seed, scripts=scripts, **extra, **kwargs
     )
 
 

@@ -21,10 +21,16 @@ from repro.algorithms import (
     PramReplication,
     ScSequencer,
 )
-from repro.analysis.harness import run_workload, window_script
 from repro.core.operations import Invocation
 from repro.criteria import check, check_eventual, check_update_consistency, verify_certificate
 from repro.runtime import DelayModel, Network, Simulator
+from repro.scenarios import (
+    DelaySpec,
+    FaultEvent,
+    Scenario,
+    ScenarioSpec,
+    window_script,
+)
 
 
 def _scripts(seed, n, length, streams):
@@ -34,15 +40,23 @@ def _scripts(seed, n, length, streams):
     ]
 
 
-QREADS = [Invocation("r", (0,)), Invocation("r", (1,))]
+def _spec(n, streams=2, k=2, quiescence_reads=False, **fields):
+    """A scripted condition: ``n`` processes on a ``streams`` x ``k``
+    object, the default delays and think times unless ``fields`` say
+    otherwise."""
+    return ScenarioSpec(
+        name="scripted", n=n, streams=streams, k=k,
+        quiescence_reads=quiescence_reads, **fields,
+    )
 
 
 class TestFig4CausalConsistency:
     @pytest.mark.parametrize("seed", range(5))
     def test_histories_are_causally_consistent(self, seed):
         """Prop. 6, model-checked."""
-        res = run_workload(
-            CCWindowArray, 3, _scripts(seed, 3, 4, 2), seed=seed, streams=2, k=2
+        res = Scenario(_spec(3)).run(
+            CCWindowArray, seed=seed, scripts=_scripts(seed, 3, 4, 2),
+            streams=2, k=2,
         )
         adt = WindowStreamArray(2, 2)
         result = check(res.history, adt, "CC")
@@ -50,17 +64,19 @@ class TestFig4CausalConsistency:
         verify_certificate(res.history, adt, result.certificate)
 
     def test_wait_free_zero_latency(self):
-        res = run_workload(
-            CCWindowArray, 3, _scripts(1, 3, 5, 2), seed=1, streams=2, k=2,
-            delay=DelayModel.uniform(10, 50),
+        spec = _spec(3, delay=DelaySpec("uniform", (10, 50)))
+        res = Scenario(spec).run(
+            CCWindowArray, seed=1, scripts=_scripts(1, 3, 5, 2),
+            streams=2, k=2,
         )
         assert res.mean_latency == 0.0
 
     def test_progress_under_crashes(self):
         """All but one process may crash; the survivor keeps operating."""
-        res = run_workload(
-            CCWindowArray, 3, _scripts(2, 3, 6, 2), seed=2, streams=2, k=2,
-            crash_plan={1: 0.5, 2: 0.5},
+        spec = _spec(3, faults=(FaultEvent.crash(0.5, 1), FaultEvent.crash(0.5, 2)))
+        res = Scenario(spec).run(
+            CCWindowArray, seed=2, scripts=_scripts(2, 3, 6, 2),
+            streams=2, k=2,
         )
         survivor_ops = len(res.recorder.rows[0])
         assert survivor_ops == 6  # full script completed
@@ -95,9 +111,9 @@ class TestFig5CausalConvergence:
     @pytest.mark.parametrize("seed", range(5))
     def test_histories_are_causally_convergent(self, seed):
         """Prop. 7, model-checked, plus quiescent EC/UC."""
-        res = run_workload(
-            CCvWindowArray, 3, _scripts(seed + 50, 3, 4, 2), seed=seed,
-            streams=2, k=2, quiescence_reads=QREADS,
+        res = Scenario(_spec(3, quiescence_reads=True)).run(
+            CCvWindowArray, seed=seed, scripts=_scripts(seed + 50, 3, 4, 2),
+            streams=2, k=2,
         )
         adt = WindowStreamArray(2, 2)
         result = check(res.history, adt, "CCV")
@@ -169,7 +185,7 @@ class TestGenericAlgorithms:
             [Invocation("push", (1,)), Invocation("pop"), Invocation("pop")],
             [Invocation("push", (2,)), Invocation("pop")],
         ]
-        res = run_workload(GenericCausal, 2, scripts, seed=6, adt=q)
+        res = Scenario(_spec(2)).run(GenericCausal, seed=6, scripts=scripts, adt=q)
         assert check(res.history, q, "CC").ok
 
     def test_generic_causal_on_counter_and_set(self):
@@ -177,16 +193,16 @@ class TestGenericAlgorithms:
             (Counter(), [Invocation("inc"), Invocation("read"), Invocation("fetch_inc")]),
             (GrowSet(), [Invocation("add", (1,)), Invocation("snapshot")]),
         ):
-            res = run_workload(
-                GenericCausal, 3, [script] * 3, seed=8, adt=adt
+            res = Scenario(_spec(3)).run(
+                GenericCausal, seed=8, scripts=[script] * 3, adt=adt
             )
             assert check(res.history, adt, "CC").ok, adt.name
 
     def test_generic_ccv_on_queue_converges(self):
         q = FifoQueue()
         scripts = [[Invocation("push", (pid,))] for pid in range(3)]
-        res = run_workload(
-            GenericCCv, 3, scripts, seed=9, adt=q,
+        res = Scenario(_spec(3)).run(
+            GenericCCv, seed=9, scripts=scripts, adt=q,
             quiescence_reads=[Invocation("pop")],
         )
         assert check(res.history, q, "CCV").ok
@@ -197,10 +213,10 @@ class TestGenericAlgorithms:
         assert len(stable_outs) == 1
 
     def test_generic_ccv_log_lengths_agree(self):
-        res = run_workload(
-            GenericCCv, 3,
-            [[Invocation("add", (pid,))] for pid in range(3)],
-            seed=10, adt=GrowSet(),
+        res = Scenario(_spec(3)).run(
+            GenericCCv, seed=10,
+            scripts=[[Invocation("add", (pid,))] for pid in range(3)],
+            adt=GrowSet(),
         )
         lengths = {res.algorithm.log_length(pid) for pid in range(3)}
         assert lengths == {3}
@@ -214,7 +230,9 @@ class TestBaselines:
             [Invocation("w", ("a", seed * 10 + pid)), Invocation("r", ("b",)), Invocation("r", ("a",))]
             for pid in range(3)
         ]
-        res = run_workload(PramReplication, 3, scripts, seed=seed, adt=mem)
+        res = Scenario(_spec(3)).run(
+            PramReplication, seed=seed, scripts=scripts, adt=mem
+        )
         assert check(res.history, mem, "PC").ok
 
     def test_lww_converges_at_quiescence(self):
@@ -222,9 +240,9 @@ class TestBaselines:
         scripts = [
             [Invocation("w", ("a", pid + 1))] for pid in range(3)
         ]
-        res = run_workload(
-            LwwReplication, 3, scripts, seed=12, adt=mem, clock_skew=1.0,
-            quiescence_reads=[Invocation("r", ("a",))],
+        res = Scenario(_spec(3)).run(
+            LwwReplication, seed=12, scripts=scripts, adt=mem,
+            clock_skew=1.0, quiescence_reads=[Invocation("r", ("a",))],
         )
         assert check_eventual(res.history, mem, res.stable).ok
 
@@ -260,8 +278,9 @@ class TestBaselines:
     @pytest.mark.parametrize("seed", range(3))
     def test_sequencer_histories_are_sequentially_consistent(self, seed):
         adt = WindowStreamArray(2, 2)
-        res = run_workload(
-            ScSequencer, 3, _scripts(seed + 77, 3, 3, 2), seed=seed, adt=adt
+        res = Scenario(_spec(3)).run(
+            ScSequencer, seed=seed, scripts=_scripts(seed + 77, 3, 3, 2),
+            adt=adt,
         )
         assert check(res.history, adt, "SC").ok
 
@@ -269,9 +288,9 @@ class TestBaselines:
         adt = WindowStreamArray(1, 1)
         lat = {}
         for d in (1.0, 8.0):
-            res = run_workload(
-                ScSequencer, 3, _scripts(3, 3, 4, 1), seed=3, adt=adt,
-                delay=DelayModel.constant(d),
+            spec = _spec(3, streams=1, k=1, delay=DelaySpec("constant", (d,)))
+            res = Scenario(spec).run(
+                ScSequencer, seed=3, scripts=_scripts(3, 3, 4, 1), adt=adt
             )
             lat[d] = res.mean_latency
         assert lat[8.0] > 4 * lat[1.0]
@@ -280,8 +299,9 @@ class TestBaselines:
         """The SC baseline is not fault-tolerant: crash the sequencer and
         non-sequencer operations never complete (contrast with Fig. 4)."""
         adt = WindowStreamArray(1, 1)
-        res = run_workload(
-            ScSequencer, 3, [[Invocation("w", (0, 1))] for _ in range(3)],
-            seed=4, adt=adt, crash_plan={0: 0.0},
+        spec = _spec(3, streams=1, k=1, faults=(FaultEvent.crash(0.0, 0),))
+        res = Scenario(spec).run(
+            ScSequencer, seed=4,
+            scripts=[[Invocation("w", (0, 1))] for _ in range(3)], adt=adt,
         )
         assert res.ops == 0  # nothing completed

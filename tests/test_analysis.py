@@ -70,6 +70,13 @@ class TestConsensusExperiment:
         rates = {(1, 1): 1.0, (2, 1): 0.5}
         assert "n\\k" in format_matrix(rates)
 
+    def test_exhaustive_consensus_boundary(self):
+        from repro.analysis.consensus import solves_consensus_exhaustively
+
+        for n in range(1, 5):
+            for k in range(1, 4):
+                assert solves_consensus_exhaustively(n, k) == (n <= k), (n, k)
+
 
 class TestConvergenceExperiment:
     def test_ccv_always_converges(self):

@@ -4,11 +4,10 @@ import pytest
 
 from repro.adts import MemoryADT, WindowStreamArray
 from repro.algorithms import CCWindowArray, ScSequencer
-from repro.analysis.harness import run_workload
 from repro.core import History
 from repro.core.operations import Invocation
 from repro.criteria import check, check_linearizable, intervals_from_recorder
-from repro.runtime import DelayModel
+from repro.scenarios import DelaySpec, Scenario, ScenarioSpec, WorkloadSpec
 
 
 class TestChecker:
@@ -58,7 +57,10 @@ class TestAlgorithms:
             [Invocation("w", (0, pid + 1)), Invocation("r", (0,))]
             for pid in range(3)
         ]
-        res = run_workload(ScSequencer, 3, scripts, seed=1, adt=adt)
+        spec = ScenarioSpec(
+            name="sequencer", n=3, streams=1, k=2, quiescence_reads=False
+        )
+        res = Scenario(spec).run(ScSequencer, seed=1, scripts=scripts, adt=adt)
         intervals = intervals_from_recorder(res.recorder)
         assert check_linearizable(res.history, adt, intervals=intervals).ok
 
@@ -67,16 +69,20 @@ class TestAlgorithms:
         real time — CC holds, linearizability does not (the price of
         wait-freedom)."""
         adt = WindowStreamArray(1, 2)
+        spec = ScenarioSpec(
+            name="stale-read", n=2, streams=1, k=2,
+            delay=DelaySpec("uniform", (5.0, 20.0)),
+            workload=WorkloadSpec(think=(3.0, 8.0)),
+            quiescence_reads=False,
+        )
         witnessed = False
         for seed in range(20):
             scripts = [
                 [Invocation("w", (0, 1))],
                 [Invocation("r", (0,)), Invocation("r", (0,))],
             ]
-            res = run_workload(
-                CCWindowArray, 2, scripts, seed=seed, streams=1, k=2,
-                delay=DelayModel.uniform(5.0, 20.0),
-                think=lambda rng: rng.uniform(3.0, 8.0),
+            res = Scenario(spec).run(
+                CCWindowArray, seed=seed, scripts=scripts, streams=1, k=2
             )
             intervals = intervals_from_recorder(res.recorder)
             lin = check_linearizable(res.history, adt, intervals=intervals)

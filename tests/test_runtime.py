@@ -1,5 +1,7 @@
 """Unit tests for the simulation substrate (Sec. 6.1)."""
 
+import random
+
 import pytest
 
 from repro.runtime import (
@@ -129,6 +131,19 @@ class TestNetwork:
         ]:
             samples = [model.sample(sim.rng, 0, 1) for _ in range(200)]
             assert all(lo <= s <= hi for s in samples)
+
+    def test_per_link_stable_base(self):
+        model = DelayModel.per_link(1.0, 10.0, jitter=0.0)
+        rng = random.Random(0)
+        first = model.sample(rng, 0, 1)
+        assert all(model.sample(rng, 0, 1) == first for _ in range(5))
+
+    def test_per_link_refuses_jitter_above_one(self):
+        with pytest.raises(ValueError, match="'jitter' must be in"):
+            DelayModel.per_link(0.5, 3.0, jitter=1.5)
+        model = DelayModel.per_link(0.5, 3.0, jitter=1.0)
+        rng = random.Random(0)
+        assert all(model.sample(rng, 0, 1) >= 0 for _ in range(200))
 
 
 class TestClocks:

@@ -10,10 +10,9 @@ Three families of guarantees:
   scheduler/broadcast rewrite (golden fingerprints generated with the
   pre-rewrite runtime);
 - the new machinery behaves: O(1) ``Simulator.pending``, causal-stability
-  GC bounds the logs without breaking ``resync``, ``_PerLink`` no longer
-  leaks link bases across runs, the matrix pool is reusable with
-  deterministic cell ordering, and the LWW incremental replay equals the
-  full fold.
+  GC bounds the logs without breaking ``resync``, the matrix pool is
+  reusable with deterministic cell ordering, and the LWW incremental
+  replay equals the full fold.
 """
 
 import json
@@ -34,7 +33,6 @@ from repro.runtime import (
 from repro.runtime.broadcast import ReferenceCausalBroadcast
 from repro.scenarios import (
     SCALE_SCENARIOS,
-    DelaySpec,
     MatrixPool,
     Scenario,
     ScenarioSpec,
@@ -402,45 +400,6 @@ class TestStabilityGC:
         assert service.seen_ids(1) == {(0, seq) for seq in range(10)}
         net.handlers[1](0, stale)
         assert count[0] == 10
-
-
-# ----------------------------------------------------------------------
-# _PerLink reuse regression (satellite bugfix)
-# ----------------------------------------------------------------------
-class TestPerLinkReset:
-    def test_reset_clears_link_bases(self):
-        model = DelayModel.per_link(1.0, 5.0, 0.1)
-        rng = random.Random(0)
-        model.sample(rng, 0, 1)
-        assert model._base
-        model.reset()
-        assert not model._base
-
-    def test_shared_model_instance_is_seedwise_deterministic(self):
-        """Two same-seed runs through one reused DelayModel instance must
-        record identical histories (the old cached link bases leaked the
-        first run's topology into the second)."""
-        from repro.algorithms import CCvWindowArray
-
-        spec = ScenarioSpec(
-            name="perlink-reuse", n=3, streams=2,
-            delay=DelaySpec("per-link", (2.0, 12.0, 0.2)),
-            workload=WorkloadSpec(ops_per_process=4),
-        )
-        shared = spec.delay.build()
-        fingerprints = []
-        for _ in range(2):
-            result = Scenario(spec).run(
-                CCvWindowArray, seed=7, delay=shared,
-                streams=spec.streams, k=spec.k,
-            )
-            fingerprints.append(result.fingerprint())
-        assert fingerprints[0] == fingerprints[1]
-        # and the reused instance matches a fresh one on the same seed
-        fresh = Scenario(spec).run(
-            CCvWindowArray, seed=7, streams=spec.streams, k=spec.k
-        )
-        assert fresh.fingerprint() == fingerprints[0]
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.scenarios import (
     make_script,
     run_matrix,
     scenario_names,
+    window_script,
 )
 from repro.scenarios.matrix import build_post_setup
 
@@ -193,6 +194,27 @@ class TestWorkloads:
         hot = sum(1 for op in script if op.args[0] == 0)
         assert hot > 100  # ~0.9 + 1/8 of the rest, vs 25 expected uniform
 
+    def test_window_script_deterministic_given_rng(self):
+        import random
+
+        assert window_script(random.Random(3), 6, 2) == window_script(
+            random.Random(3), 6, 2
+        )
+
+    def test_window_script_write_ratio_extremes(self):
+        import random
+
+        reads_only = window_script(random.Random(1), 10, 2, write_ratio=0.0)
+        writes_only = window_script(random.Random(1), 10, 2, write_ratio=1.0)
+        assert all(op.method == "r" for op in reads_only)
+        assert all(op.method == "w" for op in writes_only)
+
+    def test_window_script_stream_indices_in_range(self):
+        import random
+
+        for op in window_script(random.Random(2), 20, 3):
+            assert 0 <= op.args[0] < 3
+
     def test_phase_clock_cycles(self):
         clock = PhaseClock(((5.0, 0.25), (2.0, 4.0)))
         assert clock.intensity(1.0) == 0.25
@@ -339,6 +361,54 @@ class TestScenarioRuns:
         assert len(history) == result.ops
         assert result.stable is result.stable
         assert result.stable == result.recorder.stable_eids()
+
+
+class TestScriptedRuns:
+    """``Scenario.run(scripts=...)``: hand-written scripts in place of the
+    spec's generated ones, under the spec's delays and faults."""
+
+    def test_script_count_must_match_processes(self):
+        spec = ScenarioSpec(name="short", n=3, streams=1)
+        with pytest.raises(ValueError, match="one script per process"):
+            Scenario(spec).run(CCWindowArray, seed=0, scripts=[[]], streams=1, k=2)
+
+    def test_all_script_operations_recorded(self):
+        spec = ScenarioSpec(name="scripted", n=2, streams=1, quiescence_reads=False)
+        scripts = [[Invocation("w", (0, 1)), Invocation("r", (0,))]] * 2
+        result = Scenario(spec).run(
+            CCWindowArray, seed=1, scripts=scripts, streams=1, k=2
+        )
+        assert result.ops == 4
+        assert len(result.history) == 4
+
+    def test_explicit_quiescence_reads_are_stable_and_consistent(self):
+        spec = ScenarioSpec(name="scripted", n=3, streams=1, quiescence_reads=False)
+        scripts = [[Invocation("w", (0, pid + 1))] for pid in range(3)]
+        result = Scenario(spec).run(
+            CCvWindowArray, seed=2, scripts=scripts, streams=1, k=2,
+            quiescence_reads=[Invocation("r", (0,))],
+        )
+        assert len(result.stable) == 3
+        outputs = {result.history.event(e).output for e in result.stable}
+        assert len(outputs) == 1  # CCv converged before the stable reads
+
+    def test_crashed_processes_skip_quiescence_reads(self):
+        spec = ScenarioSpec(
+            name="crash-stop", n=3, streams=1, faults=(F.crash(0.01, 2),),
+        )
+        scripts = [[Invocation("w", (0, pid + 1))] for pid in range(3)]
+        result = Scenario(spec).run(
+            CCvWindowArray, seed=3, scripts=scripts, streams=1, k=2
+        )
+        assert len(result.stable) == 2
+
+    def test_messages_per_op_accounting(self):
+        spec = ScenarioSpec(name="scripted", n=2, streams=1, quiescence_reads=False)
+        scripts = [[Invocation("w", (0, 1))], [Invocation("r", (0,))]]
+        result = Scenario(spec).run(
+            CCWindowArray, seed=6, scripts=scripts, streams=1, k=2, flood=False
+        )
+        assert result.messages_per_op == pytest.approx(0.5)  # 1 msg / 2 ops
 
 
 def sim_faults_specs():
