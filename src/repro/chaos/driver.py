@@ -283,7 +283,7 @@ def replay_file(path: str) -> Tuple[TrialOutcome, Dict[str, Any]]:
     test the corpus provides."""
     with open(path) as handle:
         doc = json.load(handle)
-    if doc.get("kind") != "chaos-repro":
+    if not isinstance(doc, dict) or doc.get("kind") != "chaos-repro":
         raise ValueError(f"{path}: not a chaos-repro document")
     spec = ScenarioSpec.from_dict(doc["spec"])
     outcome = run_chaos_trial(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -77,7 +78,14 @@ ADT_FACTORIES = {
 
 
 def load_history(spec: Dict[str, Any]):
-    """Build ``(History, ADT, criteria)`` from a JSON specification."""
+    """Build ``(History, ADT, criteria)`` from a JSON specification.
+
+    A malformed document raises ``ValueError`` naming the bad field."""
+    if not isinstance(spec, dict):
+        raise ValueError(
+            f"a history is a JSON object with \"adt\" and \"processes\", "
+            f"not a {type(spec).__name__}"
+        )
     adt_spec = spec.get("adt", {})
     adt_type = adt_spec.get("type", "window")
     try:
@@ -88,13 +96,17 @@ def load_history(spec: Dict[str, Any]):
     rows = []
     times: List[List[float]] = []
     timed = True
-    for row_spec in spec.get("processes", []):
+    for pid, row_spec in enumerate(spec.get("processes", [])):
         row = []
         row_times = []
-        for op_spec in row_spec:
-            invocation = Invocation(
-                op_spec["method"], tuple(op_spec.get("args", ()))
-            )
+        for index, op_spec in enumerate(row_spec):
+            try:
+                method = op_spec["method"]
+            except (KeyError, TypeError):
+                raise ValueError(
+                    f"processes[{pid}][{index}] has no \"method\""
+                ) from None
+            invocation = Invocation(method, tuple(op_spec.get("args", ())))
             output = output_from_json(op_spec.get("output"))
             if adt.is_update(invocation) and not adt.is_query(invocation) and output is HIDDEN:
                 output = BOTTOM
@@ -102,8 +114,14 @@ def load_history(spec: Dict[str, Any]):
             start = op_spec.get("start")
             if start is None:
                 timed = False
-            else:
+                continue
+            try:
                 row_times.append(float(start))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"processes[{pid}][{index}] \"start\" is not a "
+                    f"number: {start!r}"
+                ) from None
         rows.append(row)
         times.append(row_times)
     criteria = [c.upper() for c in spec.get("criteria", ("SC", "CC", "CCV", "PC", "WCC"))]
@@ -197,20 +215,38 @@ _WORK_COUNTERS = (
 )
 
 
-def _jobs_arg(text: str) -> int:
-    """argparse type for ``--jobs``: non-negative int (0 = host-sized).
+def _int_at_least(minimum: int, note: str = ""):
+    """argparse type: an int >= ``minimum``.
 
-    Rejecting negatives at the parser keeps them out of
-    ``multiprocessing.Pool(processes=...)``, which would otherwise die
-    with an opaque ``ValueError`` long after argument handling.
+    Refusing at the parser keeps a bad value out of what it sizes, where
+    it would fail opaquely long after argument handling: ``--jobs -1``
+    in ``multiprocessing.Pool``, ``--runs 0`` dividing by zero.
     """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}{note}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+def _delay_arg(text: str) -> float:
+    """argparse type for ``--delays``: a finite mean delay > 0 (a
+    negative one would schedule deliveries in the past, mid-sweep)."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
-            f"--jobs must be >= 0 (0 = one worker per host CPU), got {value}"
+            f"must be a finite number > 0, got {text}"
         )
     return value
 
@@ -241,11 +277,24 @@ def cmd_explore(args: argparse.Namespace) -> int:
         scale_algorithms_for,
     )
 
+    known_scenarios = scenario_names(include_scale=True, include_chaos=True)
     if args.list:
-        for name in scenario_names(include_scale=True, include_chaos=True):
+        for name in known_scenarios:
             spec = get_scenario(name)
             print(f"{name:24s} {spec.description}")
         return 0
+    for flag, names, known in (
+        ("--scenario", args.scenario, known_scenarios),
+        ("--algorithm", args.algorithm, algorithm_names()),
+    ):
+        for name in names or ():
+            if name not in known:
+                print(
+                    f"repro explore: unknown {flag} {name!r}; "
+                    f"known: {', '.join(known)}",
+                    file=sys.stderr,
+                )
+                return 2
     # scale-tier scenario names route to the algorithm-grouped scale
     # block below (naming one implies --scale for it): running a 10k-op
     # tier under the default-sweep algorithm set would grind for hours
@@ -333,7 +382,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.replay:
         failed = 0
         for path in args.replay:
-            outcome, doc = replay_file(path)
+            try:
+                outcome, doc = replay_file(path)
+            except ValueError as exc:
+                print(f"repro chaos: {exc}", file=sys.stderr)
+                return 2
             expect = bool(doc.get("expect_failure"))
             recorded = set(doc.get("failure_kinds", ()))
             if expect:
@@ -400,9 +453,13 @@ _MONITOR_COUNTERS = (
 def cmd_classify(args: argparse.Namespace) -> int:
     from .criteria.streaming_monitor import SUPPORTED_CRITERIA, replay_history
 
-    with open(args.file) as fh:
-        spec = json.load(fh)
-    history, adt, criteria = load_history(spec)
+    try:
+        with open(args.file) as fh:
+            spec = json.load(fh)
+        history, adt, criteria = load_history(spec)
+    except ValueError as exc:
+        print(f"repro classify: {args.file}: {exc}", file=sys.stderr)
+        return 2
     print(f"history: {history}")
     wanted = [c for c in criteria if c in SUPPORTED_CRITERIA]
     monitored = replay_history(
@@ -731,20 +788,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hierarchy)
 
     p = sub.add_parser("consensus", help="consensus-number matrix of W_k")
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--max-k", type=int, default=4)
-    p.add_argument("--runs", type=int, default=15)
+    p.add_argument("--max-n", type=_int_at_least(1), default=5)
+    p.add_argument("--max-k", type=_int_at_least(1), default=4)
+    p.add_argument("--runs", type=_int_at_least(1), default=15)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_consensus)
 
     p = sub.add_parser("latency", help="latency vs network delay sweep")
-    p.add_argument("--delays", type=float, nargs="+", default=[0.5, 1, 2, 5, 10])
+    p.add_argument("--delays", type=_delay_arg, nargs="+", default=[0.5, 1, 2, 5, 10])
     p.add_argument("--ops", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_latency)
 
     p = sub.add_parser("sessions", help="session-guarantee violation rates")
-    p.add_argument("--runs", type=int, default=15)
+    p.add_argument("--runs", type=_int_at_least(1), default=15)
     p.add_argument("--ops", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_sessions)
@@ -789,7 +846,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seeds", type=int, default=2)
     p.add_argument(
-        "--jobs", type=_jobs_arg, default=None,
+        "--jobs", default=None,
+        type=_int_at_least(0, " (0 = one worker per host CPU)"),
         help="worker processes (default: host-sized; 1 = serial)",
     )
     p.add_argument(

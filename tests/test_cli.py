@@ -279,6 +279,78 @@ def served_cluster():
         loop.close()
 
 
+class TestRefusedInput:
+    """Bad arguments and malformed files end in one line on stderr and
+    exit 2, not in a traceback from deep inside a sweep or a loader."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sessions", "--runs", "0"],
+            ["consensus", "--runs", "0"],
+            ["consensus", "--max-n", "0"],
+            ["consensus", "--max-k", "0"],
+            ["latency", "--delays", "1", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_a_size_below_one_or_a_delay_not_positive_is_refused(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert f"argument {flag}:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"processes": [[{"args": [1]}]]}, '"method"'),
+            ({"processes": [[{"method": "w", "args": [1], "start": "soon"}]]},
+             '"start"'),
+            ({"adt": {"type": "blockchain"}, "processes": []}, "adt type"),
+            ([{"method": "w", "args": [1]}], "not a list"),
+        ],
+        ids=["no-method", "start-not-a-number", "unknown-adt", "top-level-list"],
+    )
+    def test_classify_names_the_bad_field(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", str(path)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and field in lines[0], captured.err
+        assert captured.out == ""
+
+    def test_chaos_replay_of_a_list_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "repro.json"
+        path.write_text("[]")
+        assert main(["chaos", "--replay", str(path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "not a chaos-repro document" in lines[0]
+
+    @pytest.mark.parametrize("flag", ["--scenario", "--algorithm"])
+    def test_explore_refuses_an_unknown_name(self, flag, capsys):
+        assert main(["explore", "--fast", "--seeds", "1", flag, "nope"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and f"unknown {flag} 'nope'" in lines[0]
+
+    def test_a_timed_capture_loads_as_before(self):
+        spec = {
+            "adt": {"type": "window-array", "streams": 1, "k": 2},
+            "processes": [
+                [{"method": "w", "args": [0, 1], "start": 0.5},
+                 {"method": "r", "args": [0], "output": [0, 1], "start": 2}],
+                [{"method": "r", "args": [0], "output": [0, 0], "start": 1.0}],
+            ],
+        }
+        history, _, _ = load_history(spec)
+        assert len(history) == 3
+        assert history.event(1).output == (0, 1)
+
+
 class TestOperatorCommands:
     def test_status_and_load(self, served_cluster, capsys):
         where = ["--n", "3", "--base-port", str(served_cluster)]
