@@ -73,8 +73,8 @@ class TestFig4CausalConsistency:
 
     def test_progress_under_crashes(self):
         """All but one process may crash; the survivor keeps operating."""
-        spec = _spec(3, faults=(FaultEvent.crash(0.5, 1), FaultEvent.crash(0.5, 2)))
-        res = Scenario(spec).run(
+        crashes = (FaultEvent.crash(0.5, 1), FaultEvent.crash(0.5, 2))
+        res = Scenario(_spec(3, faults=crashes)).run(
             CCWindowArray, seed=2, scripts=_scripts(2, 3, 6, 2),
             streams=2, k=2,
         )

@@ -347,8 +347,11 @@ class TestRefusedInput:
             ],
         }
         history, _, _ = load_history(spec)
-        assert len(history) == 3
+        assert history.times == (0.5, 2.0, 1.0)
         assert history.event(1).output == (0, 1)
+        # one op without a timestamp: the history carries none
+        del spec["processes"][1][0]["start"]
+        assert load_history(spec)[0].times is None
 
 
 class TestOperatorCommands:
