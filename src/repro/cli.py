@@ -277,24 +277,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
         scale_algorithms_for,
     )
 
-    known_scenarios = scenario_names(include_scale=True, include_chaos=True)
     if args.list:
-        for name in known_scenarios:
+        for name in scenario_names(include_scale=True, include_chaos=True):
             spec = get_scenario(name)
             print(f"{name:24s} {spec.description}")
         return 0
-    for flag, names, known in (
-        ("--scenario", args.scenario, known_scenarios),
-        ("--algorithm", args.algorithm, algorithm_names()),
-    ):
-        for name in names or ():
-            if name not in known:
-                print(
-                    f"repro explore: unknown {flag} {name!r}; "
-                    f"known: {', '.join(known)}",
-                    file=sys.stderr,
-                )
-                return 2
     # scale-tier scenario names route to the algorithm-grouped scale
     # block below (naming one implies --scale for it): running a 10k-op
     # tier under the default-sweep algorithm set would grind for hours
@@ -330,40 +317,48 @@ def cmd_explore(args: argparse.Namespace) -> int:
             raise
 
     jobs = args.jobs if args.jobs else (os.cpu_count() or 2)
-    with MatrixPool(min(jobs, max(1, widest))) as pool:
-        if scenarios is not None and not scenarios:
-            report = MatrixReport()  # only scale-tier names were given
-        else:
-            report = sweep(
-                scenarios=scenarios,
-                algorithms=args.algorithm or None,
-                seeds=args.seeds,
-                fast=args.fast,
-                pool=pool,
-            )
-        if with_scale:
-            # the scale tier is algorithm-grouped per scenario: n8/n12
-            # run the conclusive-at-scale eager algorithms, the n32/n64
-            # fan-out tiers default to the lazy-push family (the eager
-            # flood's n(n-1) sends drown the simulation plane there);
-            # an explicit --algorithm selection overrides the grouping
-            groups: Dict[Tuple[str, ...], List[str]] = {}
-            for name in scale_names:
-                algs = (
-                    tuple(args.algorithm)
-                    if args.algorithm
-                    else scale_algorithms_for(name)
-                )
-                groups.setdefault(algs, []).append(name)
-            for algs, names in groups.items():
-                scale_report = sweep(
-                    scenarios=names,
-                    algorithms=list(algs),
+    try:
+        with MatrixPool(min(jobs, max(1, widest))) as pool:
+            if scenarios is not None and not scenarios:
+                report = MatrixReport()  # only scale-tier names were given
+            else:
+                report = sweep(
+                    scenarios=scenarios,
+                    algorithms=args.algorithm or None,
                     seeds=args.seeds,
                     fast=args.fast,
                     pool=pool,
                 )
-                report.cells.extend(scale_report.cells)
+            if with_scale:
+                # the scale tier is algorithm-grouped per scenario: n8/n12
+                # run the conclusive-at-scale eager algorithms, the n32/n64
+                # fan-out tiers default to the lazy-push family (the eager
+                # flood's n(n-1) sends drown the simulation plane there);
+                # an explicit --algorithm selection overrides the grouping
+                groups: Dict[Tuple[str, ...], List[str]] = {}
+                for name in scale_names:
+                    algs = (
+                        tuple(args.algorithm)
+                        if args.algorithm
+                        else scale_algorithms_for(name)
+                    )
+                    groups.setdefault(algs, []).append(name)
+                for algs, names in groups.items():
+                    scale_report = sweep(
+                        scenarios=names,
+                        algorithms=list(algs),
+                        seeds=args.seeds,
+                        fast=args.fast,
+                        pool=pool,
+                    )
+                    report.cells.extend(scale_report.cells)
+    except KeyError as exc:
+        # the registry refuses an unknown --scenario/--algorithm before
+        # any cell runs; any other KeyError is a bug and keeps its trace
+        if not str(exc.args[0]).startswith("unknown "):
+            raise
+        print(f"repro explore: {exc.args[0]}", file=sys.stderr)
+        return 2
     if args.only and not report.cells:
         for message in only_missed:
             print(message, file=sys.stderr)

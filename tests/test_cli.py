@@ -331,11 +331,25 @@ class TestRefusedInput:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and "not a chaos-repro document" in lines[0]
 
-    @pytest.mark.parametrize("flag", ["--scenario", "--algorithm"])
-    def test_explore_refuses_an_unknown_name(self, flag, capsys):
-        assert main(["explore", "--fast", "--seeds", "1", flag, "nope"]) == 2
+    @pytest.mark.parametrize(
+        "flag, noun", [("--scenario", "scenario"), ("--algorithm", "algorithm")]
+    )
+    def test_explore_refuses_an_unknown_name(self, flag, noun, capsys):
+        argv = ["explore", "--fast", "--seeds", "1", "--jobs", "1", flag, "nope"]
+        assert main(argv) == 2
         lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and f"unknown {flag} 'nope'" in lines[0]
+        assert len(lines) == 1 and f"unknown {noun} 'nope'" in lines[0]
+
+    def test_explore_accepts_a_key_outside_the_default_sweep(self, capsys):
+        # the lazy-push family is resolvable by explicit key only
+        argv = [
+            "explore", "--fast", "--seeds", "1", "--jobs", "1",
+            "--scenario", "churn", "--algorithm", "ccv-lazy",
+        ]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "ccv-lazy" in captured.out
+        assert captured.err == ""
 
     def test_a_timed_capture_loads_as_before(self):
         spec = {

@@ -7,6 +7,7 @@ matrix runner's verdict aggregation (serial and parallel paths).
 """
 
 import json
+import random
 
 import pytest
 
@@ -167,16 +168,12 @@ class TestSpecParseValidation:
 
 class TestWorkloads:
     def test_script_deterministic_per_seed(self):
-        import random
-
         spec = WorkloadSpec(ops_per_process=20)
         a = make_script(random.Random(3), spec, 2, pid=0)
         b = make_script(random.Random(3), spec, 2, pid=0)
         assert a == b
 
     def test_write_ratio_extremes(self):
-        import random
-
         reads = make_script(
             random.Random(1), WorkloadSpec(ops_per_process=20, write_ratio=0.0), 2, 0
         )
@@ -187,31 +184,23 @@ class TestWorkloads:
         assert all(op.method == "w" for op in writes)
 
     def test_hot_key_skew_concentrates_on_stream_zero(self):
-        import random
-
         spec = WorkloadSpec(ops_per_process=200, hot_key_weight=0.9)
         script = make_script(random.Random(5), spec, 8, 0)
         hot = sum(1 for op in script if op.args[0] == 0)
         assert hot > 100  # ~0.9 + 1/8 of the rest, vs 25 expected uniform
 
     def test_window_script_deterministic_given_rng(self):
-        import random
-
         assert window_script(random.Random(3), 6, 2) == window_script(
             random.Random(3), 6, 2
         )
 
     def test_window_script_write_ratio_extremes(self):
-        import random
-
         reads_only = window_script(random.Random(1), 10, 2, write_ratio=0.0)
         writes_only = window_script(random.Random(1), 10, 2, write_ratio=1.0)
         assert all(op.method == "r" for op in reads_only)
         assert all(op.method == "w" for op in writes_only)
 
     def test_window_script_stream_indices_in_range(self):
-        import random
-
         for op in window_script(random.Random(2), 20, 3):
             assert 0 <= op.args[0] < 3
 
@@ -401,6 +390,14 @@ class TestScriptedRuns:
             CCvWindowArray, seed=3, scripts=scripts, streams=1, k=2
         )
         assert len(result.stable) == 2
+
+    def test_same_seed_same_history(self):
+        spec = ScenarioSpec(name="scripted", n=2, streams=2)
+        scripts = [window_script(random.Random(9), 5, 2) for _ in range(2)]
+        a = Scenario(spec).run(CCWindowArray, seed=5, scripts=scripts, streams=2, k=2)
+        b = Scenario(spec).run(CCWindowArray, seed=5, scripts=scripts, streams=2, k=2)
+        assert repr(a.history) == repr(b.history)
+        assert a.network_stats.sent == b.network_stats.sent
 
     def test_messages_per_op_accounting(self):
         spec = ScenarioSpec(name="scripted", n=2, streams=1, quiescence_reads=False)
