@@ -9,7 +9,7 @@ Commands regenerate the paper's artifacts from a terminal:
 - ``sessions``   — session-guarantee violation rates per algorithm (E9);
 - ``classify``   — classify a user-supplied history from a JSON file;
 - ``explore``    — the scenario × algorithm × seed matrix: run named
-  fault/workload scenarios against every algorithm in parallel and check
+  fault/workload scenarios against their algorithms in parallel and check
   each observed history against the algorithm's advertised criterion;
 - ``chaos``      — seeded random fault schedules with runtime invariant
   monitors; failing schedules are ddmin-minimised to replayable repro
@@ -36,9 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .adts import (
     Counter,
@@ -220,7 +219,7 @@ def _int_at_least(minimum: int, note: str = ""):
 
     Refusing at the parser keeps a bad value out of what it sizes, where
     it would fail opaquely long after argument handling: ``--jobs -1``
-    in ``multiprocessing.Pool``, ``--runs 0`` dividing by zero.
+    in the process pool, ``--runs 0`` dividing by zero.
     """
 
     def parse(text: str) -> int:
@@ -262,19 +261,14 @@ def _format_work(stats: Dict[str, Any]) -> str:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    from concurrent.futures.process import BrokenProcessPool
+
     from .scenarios import (
         SCALE_SCENARIOS,
-        MatrixPool,
-        algorithm_names,
         format_matrix_report,
         get_scenario,
         run_matrix,
         scenario_names,
-    )
-    from .scenarios.matrix import (
-        SCALE_ALGORITHMS,
-        MatrixReport,
-        scale_algorithms_for,
     )
 
     if args.list:
@@ -282,87 +276,25 @@ def cmd_explore(args: argparse.Namespace) -> int:
             spec = get_scenario(name)
             print(f"{name:24s} {spec.description}")
         return 0
-    # scale-tier scenario names route to the algorithm-grouped scale
-    # block below (naming one implies --scale for it): running a 10k-op
-    # tier under the default-sweep algorithm set would grind for hours
-    if args.all or not args.scenario:
-        scenarios: Optional[List[str]] = None  # every default scenario
-        scale_selected: List[str] = []
-    else:
-        scale_selected = [s for s in args.scenario if s in SCALE_SCENARIOS]
-        scenarios = [s for s in args.scenario if s not in SCALE_SCENARIOS]
-    with_scale = args.scale or bool(scale_selected)
-    scale_names = scale_selected or list(SCALE_SCENARIOS)
-    # one worker pool serves every sweep of this invocation (the default
-    # sweep and, with --scale, the scale-up tier) — sized to the widest
-    # sweep so tiny selections don't fork a host-sized pool of idlers
-    n_scen = len(scenarios) if scenarios is not None else len(scenario_names())
-    n_alg = len(args.algorithm) if args.algorithm else len(algorithm_names())
-    widest = n_scen * n_alg * args.seeds
-    if with_scale:
-        scale_algs = len(args.algorithm or SCALE_ALGORITHMS)
-        widest = max(widest, len(scale_names) * scale_algs * args.seeds)
-    # --only narrows to matching scenario/algorithm cells; "no match"
-    # is an error per sweep, degraded here to "no match across every
-    # sweep" so a filter that lands only in the scale tier still works
-    only_missed: List[str] = []
-
-    def sweep(**kwargs):
-        try:
-            return run_matrix(only=args.only, **kwargs)
-        except KeyError as exc:
-            if args.only and "matches no cell" in str(exc):
-                only_missed.append(str(exc))
-                return MatrixReport()
-            raise
-
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 2)
+    scenarios = args.scenario or scenario_names()
+    if args.scale and not any(s in SCALE_SCENARIOS for s in scenarios):
+        scenarios = [*scenarios, *SCALE_SCENARIOS]
     try:
-        with MatrixPool(min(jobs, max(1, widest))) as pool:
-            if scenarios is not None and not scenarios:
-                report = MatrixReport()  # only scale-tier names were given
-            else:
-                report = sweep(
-                    scenarios=scenarios,
-                    algorithms=args.algorithm or None,
-                    seeds=args.seeds,
-                    fast=args.fast,
-                    pool=pool,
-                )
-            if with_scale:
-                # the scale tier is algorithm-grouped per scenario: n8/n12
-                # run the conclusive-at-scale eager algorithms, the n32/n64
-                # fan-out tiers default to the lazy-push family (the eager
-                # flood's n(n-1) sends drown the simulation plane there);
-                # an explicit --algorithm selection overrides the grouping
-                groups: Dict[Tuple[str, ...], List[str]] = {}
-                for name in scale_names:
-                    algs = (
-                        tuple(args.algorithm)
-                        if args.algorithm
-                        else scale_algorithms_for(name)
-                    )
-                    groups.setdefault(algs, []).append(name)
-                for algs, names in groups.items():
-                    scale_report = sweep(
-                        scenarios=names,
-                        algorithms=list(algs),
-                        seeds=args.seeds,
-                        fast=args.fast,
-                        pool=pool,
-                    )
-                    report.cells.extend(scale_report.cells)
+        report = run_matrix(
+            scenarios, args.algorithm, seeds=args.seeds, jobs=args.jobs,
+            fast=args.fast, only=args.only,
+        )
     except KeyError as exc:
-        # the registry refuses an unknown --scenario/--algorithm before
-        # any cell runs; any other KeyError is a bug and keeps its trace
-        if not str(exc.args[0]).startswith("unknown "):
+        # an unknown --scenario/--algorithm, or an --only matching no
+        # cell, is refused before any cell runs; any other KeyError is a
+        # bug and keeps its trace
+        if not str(exc.args[0]).startswith(("unknown ", "--only ")):
             raise
         print(f"repro explore: {exc.args[0]}", file=sys.stderr)
         return 2
-    if args.only and not report.cells:
-        for message in only_missed:
-            print(message, file=sys.stderr)
-        return 2
+    except BrokenProcessPool as exc:
+        print(f"repro explore: a worker died: {exc}", file=sys.stderr)
+        return 1
     print(format_matrix_report(report))
     if args.json:
         with open(args.json, "w") as fh:
@@ -827,12 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scenario", action="append",
-        help="scenario name (repeatable); default: all",
+        help="scenario name (repeatable); default: every default scenario",
     )
-    p.add_argument("--all", action="store_true", help="every scenario")
     p.add_argument(
         "--algorithm", action="append",
-        help="algorithm key (repeatable); default: all",
+        help="algorithm key (repeatable); default: each scenario's own",
     )
     p.add_argument(
         "--only", metavar="SUBSTR",
@@ -850,8 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scale", action="store_true",
-        help="also run the 10k-op scale-up scenarios (scale-n8-hotkey, "
-        "scale-n12-hotkey) with the convergence-checkable algorithms",
+        help="also run the 10k-op scale-up scenarios, each with its own "
+        "default algorithms, unless --scenario names one of them",
     )
     p.add_argument("--json", help="also dump the report as JSON to FILE")
     p.add_argument(

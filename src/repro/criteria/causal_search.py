@@ -142,9 +142,10 @@ the plain lexicographic enumeration (and its certificates) exactly.
 
 Budgets are cumulative over the one enumeration: ``max_nodes`` bounds
 the families explored across all total orders, ``max_total_orders`` the
-orders enumerated (conflict-cut ones included).  Exhausting either
-raises :class:`SearchBudgetExceeded`; a witness found at exactly the
-budget still counts.
+orders enumerated (conflict-cut ones included), and
+:data:`BRANCH_CACHE_MAX_INTS` the memory the branch cache holds.
+Exhausting any raises :class:`SearchBudgetExceeded`; a witness found at
+exactly the budget still counts.
 """
 
 from __future__ import annotations
@@ -221,6 +222,14 @@ class SearchStats:
 _SIG_CAP = 512
 
 _NO_ENTRY = object()
+
+#: ints the cross-order branch cache may hold before the search gives up
+#: (:class:`SearchBudgetExceeded`).  ``max_nodes`` does not bound it: each
+#: entry is a copy of every event's row, so on a history of a few hundred
+#: events the cache exhausts memory long before the node budget trips.
+#: Peaks measured: ~9k on the default explore sweep, ~170k on the full
+#: ``bench_search_scaling.py`` sweep.
+BRANCH_CACHE_MAX_INTS = 4_000_000
 
 
 #: valid ``order_heuristic`` values: ``"timestamps"`` enumerates total
@@ -363,6 +372,7 @@ class CausalSearch:
         self._branch_cache: Dict[
             Tuple[int, ...], Dict[int, Optional[Tuple[Tuple[int, ...], int]]]
         ] = {}
+        self._branch_cache_ints = 0  # row copies held, in ints
         # shared caches (per search): semantic linearisation problems and
         # CCv replay prefixes (ordered update-position tuple -> state)
         self._solve_cache: Dict[object, Optional[Tuple[int, ...]]] = {}
@@ -795,9 +805,15 @@ class CausalSearch:
                 if entry is _NO_ENTRY:
                     child = list(family)
                     required = self._close(child, e, 1 << pu)
-                    entry = (
-                        None if required is None else (tuple(child), required)
-                    )
+                    entry = None
+                    if required is not None:
+                        entry = (tuple(child), required)
+                        self._branch_cache_ints += self.n
+                        if self._branch_cache_ints > BRANCH_CACHE_MAX_INTS:
+                            raise SearchBudgetExceeded(
+                                "branch cache holds more than "
+                                f"{BRANCH_CACHE_MAX_INTS} ints"
+                            )
                     bcache[base_key + pu] = entry
                 if entry is None:
                     continue  # K4 cycle: dead under every total order

@@ -14,7 +14,6 @@ from .matrix import (
     ALGORITHMS,
     AlgorithmEntry,
     MatrixCell,
-    MatrixPool,
     MatrixReport,
     algorithm_names,
     format_matrix_report,
@@ -40,7 +39,6 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "MatrixCell",
-    "MatrixPool",
     "MatrixReport",
     "PhaseClock",
     "RunResult",

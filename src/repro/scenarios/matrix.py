@@ -1,6 +1,6 @@
 """Scenario × algorithm × seed matrix runner.
 
-Executes every combination across a ``multiprocessing`` pool (each cell
+Executes every combination across a process pool (each cell
 is an independent seeded simulation, so the sweep is embarrassingly
 parallel), pipes each observed history straight into the criteria engine,
 and aggregates verdicts plus latency/message statistics into one report.
@@ -101,42 +101,36 @@ ALGORITHMS: Dict[str, AlgorithmEntry] = {
 }
 
 
-#: algorithms the 10k-op scale-up scenarios run unless ``--algorithm``
-#: names others.  The reason is cost, not conclusiveness: every explore
-#: cell is monitored, so CC/CCv cells at this size come back conclusive
-#: too (the streaming monitor decides them where the search cannot
-#: start).  But the monitor's CC side is slow here: on
-#: ``scale-n8-hotkey`` (one seed, 2-core Xeon, Python 3.11) a
-#: ``cc-fig4`` cell takes ~7.2 s, against ~1.4 s for ``lww``, ~0.5 s
-#: for ``gossip``, ~1.4 s for ``ccv-fig5`` and ~2.0 s for
-#: ``ccv-generic``.  Widening the default to every wait-free key waits
-#: on that CC side getting cheaper.
-SCALE_ALGORITHMS: Tuple[str, ...] = ("lww", "gossip")
-
-#: the lazy-transport family the n=32/64 tiers default to: the eager
-#: flood's n(n-1) fan-out drowns the simulation plane there (that
-#: asymmetry is the point of PR 8).  ccv-lazy cells are decided by the
-#: streaming monitor (the enumeration search cannot start at 10k ops);
-#: lww-lazy cells by the CONV live-state comparison.
-LAZY_SCALE_ALGORITHMS: Tuple[str, ...] = ("lww-lazy", "ccv-lazy")
-
-#: per-scenario algorithm tuples of the scale tier (scenarios absent
-#: here use SCALE_ALGORITHMS)
+#: the scale tier's algorithms, per scenario: a 10k-op scenario runs
+#: these unless ``--algorithm`` names others.  The reason is cost, not
+#: conclusiveness: every explore cell is monitored, so CC/CCv cells at
+#: this size come back conclusive too (the streaming monitor decides
+#: them where the search cannot start).  But the monitor's CC side is
+#: slow here: on ``scale-n8-hotkey`` (one seed, 2-core Xeon, Python
+#: 3.11) a ``cc-fig4`` cell takes ~7.2 s, against ~1.4 s for ``lww``,
+#: ~0.5 s for ``gossip``, ~1.4 s for ``ccv-fig5`` and ~2.0 s for
+#: ``ccv-generic``.  Widening n8/n12 to every wait-free key waits on
+#: that CC side getting cheaper.  The n=32/64 tiers run the lazy-push
+#: family: the eager flood's n(n-1) fan-out drowns the simulation plane
+#: there.
 SCALE_TIER_ALGORITHMS: Dict[str, Tuple[str, ...]] = {
-    "scale-n32-hotkey": LAZY_SCALE_ALGORITHMS,
-    "scale-n64-hotkey": LAZY_SCALE_ALGORITHMS,
+    "scale-n8-hotkey": ("lww", "gossip"),
+    "scale-n12-hotkey": ("lww", "gossip"),
+    "scale-n32-hotkey": ("lww-lazy", "ccv-lazy"),
+    "scale-n64-hotkey": ("lww-lazy", "ccv-lazy"),
 }
-
-
-def scale_algorithms_for(scenario: str) -> Tuple[str, ...]:
-    """The default algorithm tuple of one scale-tier scenario."""
-    return SCALE_TIER_ALGORITHMS.get(scenario, SCALE_ALGORITHMS)
 
 
 def algorithm_names() -> List[str]:
     """The default sweep's algorithms (non-default entries — the lazy
     transport family — are resolvable by explicit key only)."""
     return [key for key, entry in ALGORITHMS.items() if entry.default]
+
+
+def default_algorithms(scenario: str) -> Tuple[str, ...]:
+    """The algorithms ``scenario`` runs unless the caller names others:
+    its :data:`SCALE_TIER_ALGORITHMS` row, else the default sweep's."""
+    return SCALE_TIER_ALGORITHMS.get(scenario) or tuple(algorithm_names())
 
 
 def build_post_setup(entry: AlgorithmEntry, spec: ScenarioSpec):
@@ -356,53 +350,6 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
 # ----------------------------------------------------------------------
 # The sweep
 # ----------------------------------------------------------------------
-class MatrixPool:
-    """A reusable worker pool for repeated :func:`run_matrix` calls.
-
-    Forking a pool per sweep is cheap once, but callers that explore many
-    sweeps (the runtime benchmark, the CLI with ``--scale``, parameter
-    scans) pay the fork + import tax per call; sharing one ``MatrixPool``
-    amortises it.  Usable as a context manager::
-
-        with MatrixPool(jobs=4) as pool:
-            a = run_matrix(scenarios=[...], pool=pool)
-            b = run_matrix(scenarios=[...], pool=pool)
-
-    ``jobs <= 1`` degrades to serial in-process execution (no fork), so
-    callers can thread a single code path through either mode.  Cell
-    *ordering* is identical either way: jobs are generated in a fixed
-    (scenario, algorithm, seed) nested-loop order and ``Pool.map``
-    preserves input order, so reports are deterministically ordered no
-    matter how many workers raced over them.
-    """
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        # None and 0 both mean host-sized (matching the CLI's --jobs 0)
-        self.jobs = jobs if jobs else (os.cpu_count() or 2)
-        self._pool = None
-        if self.jobs > 1:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ctx.Pool(processes=self.jobs)
-
-    def map(self, fn, jobs_in):
-        if self._pool is None:
-            return [fn(job) for job in jobs_in]
-        return self._pool.map(fn, jobs_in)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "MatrixPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 @dataclass
 class MatrixReport:
     cells: List[MatrixCell] = field(default_factory=list)
@@ -442,16 +389,18 @@ def run_matrix(
     seeds: int = 2,
     jobs: Optional[int] = None,
     fast: bool = False,
-    pool: Optional[MatrixPool] = None,
     only: Optional[str] = None,
 ) -> MatrixReport:
     """Run the scenario × algorithm × seed sweep, in parallel.
 
-    ``jobs=None`` sizes the pool to the host; ``jobs=1`` runs serially in
-    this process (deterministic debugging, no fork).  Pass ``pool`` (see
-    :class:`MatrixPool`) to reuse one worker pool across several sweeps;
-    ``jobs`` is then ignored.  Cells come back in the fixed (scenario,
-    algorithm, seed) generation order in every mode.
+    ``scenarios=None`` sweeps the default scenarios.  ``algorithms=None``
+    runs each scenario's own :func:`default_algorithms`; a list runs
+    those on every scenario.  ``jobs=None`` or ``0`` sizes the pool to
+    the host, capped at the cell count; ``jobs=1`` runs serially in this
+    process (deterministic debugging, no fork).  Cells come back in the
+    (scenario, algorithm, seed) generation order in every mode.  A
+    worker that dies raises :class:`BrokenProcessPool` instead of
+    leaving the sweep waiting for its cell.
 
     Every cell is fed live to the streaming bad-pattern monitor: its
     verdicts and stats land in :attr:`MatrixCell.streaming`.
@@ -460,10 +409,14 @@ def run_matrix(
     label contains the substring; a filter matching no cell is an
     error, not an empty green report."""
     scenario_keys = list(scenarios) if scenarios else scenario_names()
-    algo_keys = list(algorithms) if algorithms else algorithm_names()
     for name in scenario_keys:
         get_scenario(name)  # fail fast on typos
-    for key in algo_keys:
+    pairs = [
+        (scenario, algo)
+        for scenario in scenario_keys
+        for algo in (algorithms or default_algorithms(scenario))
+    ]
+    for _, key in pairs:
         if key not in ALGORITHMS:
             known = ", ".join(ALGORITHMS)
             raise KeyError(f"unknown algorithm {key!r}; known: {known}")
@@ -471,26 +424,26 @@ def run_matrix(
     fast_ops = FAST_OPS if fast else 0
     cells_in = [
         (scenario, algo, seed, fast_ops)
-        for scenario in scenario_keys
-        for algo in algo_keys
+        for scenario, algo in pairs
         for seed in range(seeds)
         if only is None or only in f"{scenario}/{algo}"
     ]
     if only is not None and not cells_in:
-        labels = sorted(
-            f"{s}/{a}" for s in scenario_keys for a in algo_keys
-        )
+        labels = sorted(f"{s}/{a}" for s, a in pairs)
         raise KeyError(
             f"--only {only!r} matches no cell; cells: {', '.join(labels)}"
         )
-    if pool is not None:
-        cells = pool.map(_run_cell, cells_in)
-    else:
-        if jobs is None or jobs == 0:
-            jobs = os.cpu_count() or 2
-        # never fork more workers than there are cells
-        with MatrixPool(min(jobs, max(1, len(cells_in)))) as owned:
-            cells = owned.map(_run_cell, cells_in)
+    jobs = min(jobs or os.cpu_count() or 2, len(cells_in))
+    if jobs <= 1:
+        return MatrixReport(cells=[_run_cell(job) for job in cells_in])
+    # imported here: the suite's simulated workloads import this module
+    # for ALGORITHMS alone, and the executor's imports cost ~1 MB RSS
+    from concurrent.futures import ProcessPoolExecutor
+
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    with ProcessPoolExecutor(jobs, mp_context=context) as pool:
+        cells = list(pool.map(_run_cell, cells_in))
     return MatrixReport(cells=cells)
 
 

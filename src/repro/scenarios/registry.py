@@ -144,15 +144,14 @@ def _builtin() -> List[ScenarioSpec]:
 
 
 def _scale() -> List[ScenarioSpec]:
-    """The scale-up tier: ≥10k-op open-loop hot-key workloads at n=8 and
-    n=12.  These exist to exercise the runtime plane (indexed causal
-    delivery, tuple-heap scheduler, causal-stability GC) at a volume the
-    pre-PR 5 runtime could not finish in reasonable time; they are kept
-    out of the *default* sweep because exact history checkers (CC/CCv/SC)
-    are hopeless at 10k events — run them with the convergence-checkable
-    algorithms (``lww``, ``gossip``), whose CONV verdict is a state
-    comparison and stays conclusive at any scale (``repro explore
-    --scenario scale-n8-hotkey`` routes them there)."""
+    """The scale-up tier: ≥10k-op open-loop hot-key workloads at n=8,
+    12, 32 and 64.  These exist to exercise the runtime plane (indexed
+    causal delivery, tuple-heap scheduler, causal-stability GC) at a
+    volume a naive runtime could not finish in reasonable time.
+    They are kept out of the *default* sweep, and each runs its own
+    algorithms (``matrix.SCALE_TIER_ALGORITHMS``, whose comment gives
+    the reason: cost — the streaming monitor decides CC/CCv cells at
+    this size, but its CC side is slow)."""
     return [
         ScenarioSpec(
             name="scale-n8-hotkey",

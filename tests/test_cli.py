@@ -340,6 +340,20 @@ class TestRefusedInput:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and f"unknown {noun} 'nope'" in lines[0]
 
+    def test_explore_only_matching_no_cell_is_one_line(self, capsys):
+        argv = [
+            "explore", "--fast", "--seeds", "1", "--jobs", "1",
+            "--scenario", "churn", "--scenario", "scale-n8-hotkey",
+            "--only", "nomatch",
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "'nomatch' matches no cell" in lines[0]
+        for label in ("churn/cc-fig4", "scale-n8-hotkey/gossip"):
+            assert label in lines[0]
+        assert captured.out == ""
+
     def test_explore_accepts_a_key_outside_the_default_sweep(self, capsys):
         # the lazy-push family is resolvable by explicit key only
         argv = [

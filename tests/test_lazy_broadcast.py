@@ -29,14 +29,19 @@ from repro.runtime import (
     Simulator,
 )
 from repro.runtime.broadcast import _LazyTransport
-from repro.scenarios import Scenario, ScenarioSpec, get_scenario, scenario_names
+from repro.scenarios import (
+    SCALE_SCENARIOS,
+    Scenario,
+    ScenarioSpec,
+    get_scenario,
+    scenario_names,
+)
 from repro.scenarios.matrix import (
     ALGORITHMS,
-    LAZY_SCALE_ALGORITHMS,
-    SCALE_ALGORITHMS,
+    SCALE_TIER_ALGORITHMS,
     algorithm_names,
+    default_algorithms,
     run_matrix,
-    scale_algorithms_for,
 )
 
 relay_subset = _LazyTransport.relay_subset
@@ -321,14 +326,13 @@ class TestRegistryIntegration:
         assert "ccv-lazy" not in algorithm_names()
 
     def test_scale_tier_grouping(self):
-        assert scale_algorithms_for("scale-n8-hotkey") == SCALE_ALGORITHMS
-        assert scale_algorithms_for("scale-n12-hotkey") == SCALE_ALGORITHMS
-        assert (
-            scale_algorithms_for("scale-n32-hotkey") == LAZY_SCALE_ALGORITHMS
-        )
-        assert (
-            scale_algorithms_for("scale-n64-hotkey") == LAZY_SCALE_ALGORITHMS
-        )
+        assert set(SCALE_TIER_ALGORITHMS) == set(SCALE_SCENARIOS)
+        for name in ("scale-n8-hotkey", "scale-n12-hotkey"):
+            assert default_algorithms(name) == ("lww", "gossip")
+        for name in ("scale-n32-hotkey", "scale-n64-hotkey"):
+            assert default_algorithms(name) == ("lww-lazy", "ccv-lazy")
+        # a default scenario runs the default sweep's algorithms
+        assert default_algorithms("churn") == tuple(algorithm_names())
 
     def test_fanout_tier_scenarios_registered(self):
         assert get_scenario("scale-n32-hotkey").n == 32

@@ -33,7 +33,6 @@ from repro.runtime import (
 from repro.runtime.broadcast import ReferenceCausalBroadcast
 from repro.scenarios import (
     SCALE_SCENARIOS,
-    MatrixPool,
     Scenario,
     ScenarioSpec,
     WorkloadSpec,
@@ -427,29 +426,9 @@ class TestLwwIncrementalReplay:
 
 
 # ----------------------------------------------------------------------
-# Matrix pool reuse + deterministic ordering, scale scenarios
+# Deterministic cell ordering, scale scenarios
 # ----------------------------------------------------------------------
-class TestMatrixPoolAndScale:
-    def test_pool_reuse_matches_serial(self):
-        kwargs = dict(
-            scenarios=["partition-during-writes"],
-            algorithms=["ccv-fig5", "lww"],
-            seeds=2,
-            fast=True,
-        )
-        serial = run_matrix(jobs=1, **kwargs)
-        with MatrixPool(2) as pool:
-            pooled_a = run_matrix(pool=pool, **kwargs)
-            pooled_b = run_matrix(pool=pool, **kwargs)  # pool survives reuse
-        for report in (pooled_a, pooled_b):
-            assert [
-                (c.scenario, c.algorithm, c.seed, c.ok, c.expected)
-                for c in report.cells
-            ] == [
-                (c.scenario, c.algorithm, c.seed, c.ok, c.expected)
-                for c in serial.cells
-            ]
-
+class TestMatrixOrderAndScale:
     def test_cell_order_is_generation_order(self):
         report = run_matrix(
             scenarios=["quiet-then-burst", "delay-spike"],

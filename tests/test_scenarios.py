@@ -7,7 +7,12 @@ matrix runner's verdict aggregation (serial and parallel paths).
 """
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -565,6 +570,36 @@ class TestMatrixRunner:
         assert data["ok"] is True
         assert data["cells"][0]["algorithm"] == "cc-fig4"
 
+    def test_each_scenario_runs_its_own_default_algorithms(self):
+        report = run_matrix(
+            ["churn", "scale-n8-hotkey"], seeds=1, fast=True, jobs=1,
+            only="lww",
+        )
+        assert [(c.scenario, c.algorithm) for c in report.cells] == [
+            ("churn", "lww"),
+            ("scale-n8-hotkey", "lww"),
+        ]
+        # the n=32 tier's own lww is the lazy one
+        report = run_matrix(
+            ["scale-n32-hotkey"], seeds=1, fast=True, jobs=1, only="lww"
+        )
+        assert [c.algorithm for c in report.cells] == ["lww-lazy"]
+
+    def test_a_search_out_of_memory_budget_leaves_the_cell_to_the_monitor(
+        self,
+    ):
+        # shrunk to 224 events over 32 processes, under the search's op
+        # cutoff: the CCv search starts, and its branch cache (one copy
+        # of every event's row per entry) would reach gigabytes long
+        # before the node budget trips
+        report = run_matrix(
+            ["scale-n32-hotkey"], ["ccv-lazy"], seeds=1, fast=True, jobs=1
+        )
+        (cell,) = report.cells
+        assert cell.ops == 224
+        assert "search budget exceeded: branch cache" in cell.note
+        assert cell.ok is True and "decided by streaming monitor" in cell.note
+
     def test_every_algorithm_entry_is_well_formed(self):
         for key, entry in ALGORITHMS.items():
             assert entry.key == key
@@ -630,6 +665,36 @@ class TestExploreCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "partition-during-writes" in out and "ok 1/1" in out
+
+    def test_a_dead_worker_fails_the_sweep(self):
+        # the pool forks after the patch, so every worker runs _die
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from repro.cli import main
+            from repro.scenarios import matrix
+
+            def _die(job):
+                os._exit(3)
+
+            matrix._run_cell = _die
+            sys.exit(main([
+                "explore", "--scenario", "churn", "--algorithm", "lww",
+                "--fast", "--seeds", "2", "--jobs", "2",
+            ]))
+            """
+        )
+        src = pathlib.Path(__file__).parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1
+        lines = done.stderr.strip().splitlines()
+        assert len(lines) == 1 and "a worker died" in lines[0], done.stderr
 
     def test_explore_list(self, capsys):
         from repro.cli import main
