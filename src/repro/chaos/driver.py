@@ -188,7 +188,6 @@ def run_chaos(
     save_dir: Optional[str] = None,
     stop_on_failure: bool = True,
     check_criterion: bool = True,
-    minimize: bool = True,
     log: Callable[[str], None] = lambda s: None,
 ) -> ChaosReport:
     """The driver loop: ``trials`` seeded random schedules per algorithm.
@@ -213,22 +212,19 @@ def run_chaos(
                 f"trial {trial} [{algo_key}]: FAIL "
                 f"({', '.join(kinds)}) — {len(faults)} events"
             )
-            minimized = list(faults)
-            if minimize:
-                target = set(kinds)
+            target = set(kinds)
 
-                def fails(subset: List[FaultEvent]) -> bool:
-                    sub = trial_fails(
-                        subset, algo_key, run_seed, inject, n, ops,
-                        check_criterion,
-                    )
-                    return bool(target.intersection(sub.kinds))
-
-                minimized = ddmin(faults, fails)
-                log(
-                    f"trial {trial} [{algo_key}]: minimised "
-                    f"{len(faults)} -> {len(minimized)} events"
+            def fails(subset: List[FaultEvent]) -> bool:
+                sub = trial_fails(
+                    subset, algo_key, run_seed, inject, n, ops, check_criterion
                 )
+                return bool(target.intersection(sub.kinds))
+
+            minimized = ddmin(faults, fails)
+            log(
+                f"trial {trial} [{algo_key}]: minimised "
+                f"{len(faults)} -> {len(minimized)} events"
+            )
             spec = _spec_for(
                 minimized, n, ops, inject,
                 f"chaos-repro-s{seed}-t{trial}-{algo_key}",

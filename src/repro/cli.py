@@ -657,6 +657,12 @@ def cmd_status(args: argparse.Namespace) -> int:
 
     from .service import client_call, port_layout
 
+    if args.pid is not None and not 0 <= args.pid < args.n:
+        print(
+            f"repro status: --pid {args.pid} is not a node of 0..{args.n - 1}",
+            file=sys.stderr,
+        )
+        return 2
     layout = port_layout(args.n, args.base_port)
     pids = [args.pid] if args.pid is not None else list(range(args.n))
 
@@ -797,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
-        "--trials", type=int, default=25,
+        "--trials", type=_int_at_least(1), default=25,
         help="random schedules per algorithm (default 25)",
     )
     p.add_argument(
@@ -810,9 +816,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="plant a sentinel bug to test the pipeline end to end",
     )
-    p.add_argument("--n", type=int, default=4, help="processes per run")
     p.add_argument(
-        "--ops", type=int, default=6, help="operations per process"
+        "--n", type=_int_at_least(2, " (a partition needs two sides)"),
+        default=4, help="processes per run",
+    )
+    p.add_argument(
+        "--ops", type=_int_at_least(1), default=6, help="operations per process"
     )
     p.add_argument(
         "--save-dir", default=None,
@@ -929,7 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "status", help="operator status of a running live cluster"
     )
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_int_at_least(1), default=3)
     p.add_argument("--base-port", type=int, default=7420)
     p.add_argument("--pid", type=int, default=None, help="one node only")
     p.add_argument(

@@ -16,47 +16,22 @@ subscription or by replaying a finished :class:`History`, and the first
 violating pattern is flagged with a minimal witness the moment it
 closes.
 
-Pattern catalogue (the ``W_k`` generalisation; register patterns are the
-``k = 1`` case):
+The catalogue is :data:`PATTERNS` (the ``W_k`` generalisation; register
+patterns are the ``k = 1`` case): each pattern, the criteria it refutes
+and what closes it.  Two derivations take more than a line.  A causally
+visible write outside a full window must be ordered before its oldest
+member; per process every such write is po-, hence co-before that
+process's last one, its *generator*, so a read proposes only its
+generators (the rest follow through ``co``): WriteCORead closes iff some
+generator is after a member, and the edges a read proposes are a
+function of its causal past and window, so every feed that keeps program
+order yields the same closure.  CCv needs one arbitration order for all
+reads, CC one linearisation per process ``p`` explaining all of ``p``'s
+reads (the Fig. 3a litmus is CCv but not CC): the same edges go to one
+conflict graph for CCv (CyclicCF) and to ``p``'s own ``D_p`` for CC,
+where WriteHBInitRead and CyclicHB evaluate in ``hb_p = (co ∪ D_p)⁺``.
 
-``ThinAirRead``
-    a read returns a value never written to its stream;
-``MalformedWindow``
-    a window does not have ``k`` slots, shows a default slot after a
-    non-default one, or shows the same (differentiated) write twice;
-``CyclicCO``
-    ``po ∪ rf`` is cyclic (a read is in the causal past of a write it
-    reads from);
-``WriteCOInitRead``
-    a window still shows default (initial) slots although strictly more
-    writes to the stream are in the read's causal past than the window
-    holds — some past write would have to be "un-applied";
-``WindowOrderCO``
-    two window slots contradict the causal order (the older slot's write
-    is causally *after* the newer slot's write);
-``WriteCORead``
-    a causally visible write that is **not** in the window is causally
-    after some window member — it cannot be linearised before the
-    window, nor inside it.  Per process, every visible non-member is
-    po-, hence co-before that process's last one, its *generator*, so
-    the pattern closes iff some generator is after a member;
-``CyclicCF``
-    (CCv only) the conflict/arbitration constraints derived from all
-    reads — window members in slot order, every visible non-member
-    before the oldest member — close a cycle with ``co``: no total
-    arbitration order exists.  A read proposes the second kind for its
-    generators only (the rest follow through ``co``), so its edges are
-    a function of its causal past and window, and every feed that keeps
-    program order yields the same closure;
-``WriteHBInitRead`` / ``CyclicHB``
-    (CC only) the same two checks evaluated in the *per-process*
-    happens-before ``hb_p = (co ∪ D_p)⁺``, where ``D_p`` collects the
-    write-ordering constraints implied by the reads of process ``p``
-    jointly — this is what separates CC (one linearisation per process
-    explaining all its reads) from the per-read criteria; see the Fig. 3a
-    litmus, which is CCv but not CC.
-
-Soundness: every pattern above is derived from constraints that any
+Soundness: every pattern in the catalogue is derived from constraints that any
 causal order / arbitration must satisfy, so a pattern implies the
 criterion fails.  Completeness (no pattern ⇒ criterion holds) follows by
 constructing the witness orders from ``co`` plus the recorded edges —
@@ -83,50 +58,31 @@ rebuilds or out-of-order feeds touch (process, write ordinal, program
 successor, rf edges, checked reads, labels) stay ``array('i')``.  The
 bytes the lists add are paid back by keying writes per stream:
 ``_writer[key][value]`` and ``_wl[key][process]`` store no tuple per
-write and build none per lookup, and a conflict graph's in-edges are a
-list per write, not a set (an empty set alone is 216 bytes; a repeat
-test scans the list, and in-degrees stay small).
+write and build none per lookup.
 
 Cycles (``CyclicCF``, ``CyclicHB``) are found by keeping, per conflict
-graph, a **topological order of co ∪ its edges** (Pearce & Kelly's
-dynamic algorithm): one integer label per write.  A new write is
-labelled past the maximum — its causal past has arrived, nothing follows
-it yet.  Requiring ``a`` before ``b`` is a label compare when
-``label[a] < label[b]``, ``O(1)``: every edge when arbitration agrees
-with the arrival order.  Otherwise only the writes labelled between
-``b`` and ``a`` can matter: a search forward from ``b`` among them
-either reaches ``a`` (the cycle) or, with the search backward from
-``a``, yields the writes whose labels are re-dealt, causes first —
-``O(affected region · n · log ops)``.  ``co`` is never materialised,
-and nothing is kept for these searches alone: per process the writes
-``co``-after ``u`` are the suffix starting at its first write whose
-clock covers ``u`` — coverage is monotone along a process, the clocks
-being closed, so its last write says in ``O(1)`` whether there is one
-and a bisection finds it — and those ``co``-before it the prefix ``u``'s
-clock counts.  So the first write of the one and the last of the other —
-at most ``n`` *generator* edges a side — stand for all the rest, which
-are po-after, respectively po-before, them; and a generator outside the
-label range has everything it stands for outside it too.  On a feed in
-arrival order ``co`` among existing writes never changes.  When an
-out-of-order feed grows the past of an already labelled write, each
-open graph is re-sorted once, in linear time (generator and recorded
-edges), before the next edge is placed; only if that sort finds a cycle
-are the recorded edges searched, unbounded, for the one to report.
+graph, a topological order of ``co`` ∪ its edges
+(:class:`repro.util.dynamic_order.DynamicOrder`, Pearce & Kelly): in
+arrival order an edge is one label compare.  ``co`` is never
+materialised: the searches step to its generators, which the clocks give
+on demand (:meth:`StreamingMonitor._co_succs`, ``_co_preds``).  An
+out-of-order feed that grows the past of a labelled write re-sorts each
+open graph once before the next edge is placed.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -134,6 +90,7 @@ from typing import (
 
 from ..core.history import History
 from ..core.operations import BOTTOM, HIDDEN, Invocation
+from ..util.dynamic_order import DynamicOrder
 
 __all__ = [
     "MonitorViolation",
@@ -141,27 +98,40 @@ __all__ = [
     "StreamingMonitor",
     "monitor_for_adt",
     "replay_history",
+    "PATTERNS",
     "SUPPORTED_CRITERIA",
 ]
 
-#: criteria the monitor can decide, and which patterns kill which
+#: criteria the monitor can decide
 SUPPORTED_CRITERIA = ("WCC", "CC", "CCV")
 
-#: patterns over the minimal causal order: violate every causal criterion
-_CO_PATTERNS = (
-    "ThinAirRead",
-    "MalformedWindow",
-    "CyclicCO",
-    "WriteCOInitRead",
-    "WindowOrderCO",
-    "WriteCORead",
-)
-#: arbitration patterns: violate causal convergence only
-_CF_PATTERNS = ("CyclicCF",)
-#: per-process happens-before patterns: violate causal consistency only
-_HB_PATTERNS = ("WriteHBInitRead", "CyclicHB")
 
-_INF = 1 << 30
+class BadPattern(NamedTuple):
+    criteria: Tuple[str, ...]  # the criteria a closed pattern refutes
+    definition: str
+
+
+_ALL = SUPPORTED_CRITERIA
+#: the bad-pattern catalogue: what each pattern refutes, and what closes it
+PATTERNS: Dict[str, BadPattern] = {
+    "ThinAirRead": BadPattern(_ALL, "a read returns a value never written"),
+    "MalformedWindow": BadPattern(
+        _ALL, "a window is not k slots, has a default after a value or a write twice"
+    ),
+    "CyclicCO": BadPattern(_ALL, "po ∪ rf is cyclic: a read is co-before its writer"),
+    "WriteCOInitRead": BadPattern(
+        _ALL, "a window shows default slots, yet more writes are co-before it"
+    ),
+    "WindowOrderCO": BadPattern(_ALL, "an older slot's write is co-after a newer's"),
+    "WriteCORead": BadPattern(_ALL, "a visible non-member is co-after a member"),
+    "CyclicCF": BadPattern(("CCV",), "all reads' arbitration edges close a co-cycle"),
+    "WriteHBInitRead": BadPattern(
+        ("CC",), "WriteCOInitRead in hb_p = (co ∪ D_p)⁺ of the reading process p"
+    ),
+    "CyclicHB": BadPattern(("CC",), "one process p's read edges D_p close a co-cycle"),
+}
+
+_BUDGET_SPENT = "propagation budget exceeded"
 
 
 @dataclass(frozen=True)
@@ -202,25 +172,19 @@ class MonitorVerdict:
         return self.ok is not None
 
 
-class _Order:
-    """One conflict graph over write ordinals — the CCv arbitration
-    constraints, or one process's ``D_q`` — and a topological order of
-    its union with ``co``."""
+@dataclass(slots=True)
+class _Graphs:
+    """The conflict graphs of one criterion, what a cycle in one refutes,
+    and the edge budget they share: CCv's one arbitration graph, which
+    every read constrains, or CC's ``D_q``, one per process ``q``."""
 
-    __slots__ = ("label", "out", "inn")
-
-    def __init__(self) -> None:
-        #: ``label[u]``: where write ``u`` stands in the order; always a
-        #: permutation of the write ordinals
-        self.label = array("i")
-        self.out: Dict[int, List[int]] = {}
-        #: ``inn[b]``: every ``a`` proposed before ``b``, in proposal
-        #: order — the recorded edges read backwards, and the membership
-        #: test that turns a repeat away.  A list, not a set: the test is
-        #: a scan, O(in-degree), but in-degrees stay small (median 3 and
-        #: max 76 in the CC orders of the n=32 hot-key ``cc-fig4`` cell)
-        #: and an empty set alone costs 216 bytes
-        self.inn: Dict[int, List[int]] = {}
+    criterion: str
+    pattern: str
+    orders: List[DynamicOrder]
+    budget: int  # edges recorded over all of them
+    overflow: str  # the inconclusive reason past it
+    cycle: str  # the violation's detail, given q, a and b
+    edges: int = 0
 
 
 class StreamingMonitor:
@@ -237,6 +201,11 @@ class StreamingMonitor:
     :func:`monitor_for_adt`, which reads the shape off the ADT.
     """
 
+    #: the edges CC's and CCv's conflict graphs may record, and the reads
+    #: CC may re-check, before the criterion is left inconclusive
+    CC_BUDGET = 200_000
+    CF_BUDGET = 2_000_000
+
     def __init__(
         self,
         n: int,
@@ -245,8 +214,6 @@ class StreamingMonitor:
         k: int = 1,
         default: Any = 0,
         criteria: Sequence[str] = SUPPORTED_CRITERIA,
-        cc_budget: int = 200_000,
-        cf_budget: int = 2_000_000,
         propagation_budget: int = 4_000_000,
         _window_reads: bool = True,
     ) -> None:
@@ -268,10 +235,6 @@ class StreamingMonitor:
         self.default = default
         self.criteria = tuple(dict.fromkeys(criteria))
         self._window_reads = _window_reads
-        self._track_cf = "CCV" in self.criteria
-        self._track_hb = "CC" in self.criteria
-        self.cc_budget = cc_budget
-        self.cf_budget = cf_budget
         self.propagation_budget = propagation_budget
 
         nn = n
@@ -315,18 +278,32 @@ class StreamingMonitor:
         self._regrow: set = set()  # read gs whose checks must re-run
         self._co_grew = False  # some existing op's past grew: audit edges
 
-        # conflict (arbitration) constraints, CCv
-        self._cf = _Order()
-        self._orders: List[_Order] = [self._cf] if self._track_cf else []
-
-        # per-process happens-before constraints, CC
-        if self._track_hb:
-            self._d: List[_Order] = [_Order() for _ in range(nn)]
-            self._orders += self._d
-            self._d_edges: List[List[Tuple[int, int]]] = [[] for _ in range(nn)]
-            # read records per process: [g, key, window-u-tuple, s, hb-cov]
-            self._q_reads: List[List[List[Any]]] = [[] for _ in range(nn)]
-            self._hbrec_of: Dict[int, List[Any]] = {}
+        # conflict graphs, none for a criterion not checked: CCv's
+        # arbitration constraints, CC's per-process happens-before ones
+        self._cf = _Graphs(
+            "CCV",
+            "CyclicCF",
+            [self._new_order()] if "CCV" in self.criteria else [],
+            self.CF_BUDGET,
+            "conflict-edge budget exceeded",
+            "no total arbitration order: writes {a!r} and {b!r} are "
+            "constrained in both directions",
+        )
+        self._hb = _Graphs(
+            "CC",
+            "CyclicHB",
+            [self._new_order(log=True) for _ in range(nn)]
+            if "CC" in self.criteria
+            else [],
+            self.CC_BUDGET,
+            "happens-before edge budget exceeded",
+            "no linearisation for process {q}: writes {a!r} and {b!r} "
+            "are required in both orders",
+        )
+        self._orders = self._cf.orders + self._hb.orders
+        # CC's read records per process: [g, key, window-u-tuple, s, hb-cov]
+        self._q_reads: List[List[List[Any]]] = [[] for _ in range(nn)]
+        self._hbrec_of: Dict[int, List[Any]] = {}
 
         # verdict state
         self._violations: Dict[str, MonitorViolation] = {}
@@ -342,15 +319,10 @@ class StreamingMonitor:
         self.writes_seen = 0
         self.rf_edges = 0
         self.rf_merges_skipped = 0  # window writers already in the past
-        self.cf_edges = 0
-        self.d_edges = 0
         self.patterns_checked = 0
         self.propagate_steps = 0
         self.cc_rechecks = 0
         self.pending_peak = 0
-        self.order_searches = 0  # insertions against the current order
-        self.order_moved = 0  # labels those insertions re-dealt
-        self._order_visited = 0  # writes their searches expanded
 
     # ------------------------------------------------------------------
     # feeding
@@ -435,7 +407,7 @@ class StreamingMonitor:
             return self._feed_read(pid, key, (output,))
         # non-window methods (enq/push/add/inc/...) are out of scope
         self.ops_seen += 1
-        self._mark_unsupported(f"unsupported method {method!r}")
+        self._mark_all_inconclusive(f"unsupported method {method!r}")
         return None
 
     # -- op bookkeeping -------------------------------------------------
@@ -488,7 +460,7 @@ class StreamingMonitor:
         self._u_val.append(value)
         # its causal past has arrived and nothing follows it yet: last
         for order in self._orders:
-            order.label.append(u)
+            order.add()
         lidx = self._g_lidx[g]
         rows = self._wl.get(key)
         if rows is None:
@@ -623,7 +595,7 @@ class StreamingMonitor:
         while stack:
             self.propagate_steps += 1
             if self.propagate_steps > budget:
-                self._mark_all_inconclusive("propagation budget exceeded")
+                self._mark_all_inconclusive(_BUDGET_SPENT)
                 return
             cur = stack.pop()
             succ = self._po_succ[cur]
@@ -670,9 +642,7 @@ class StreamingMonitor:
             while self._regrow and not self._decided:
                 self.propagate_steps += 1
                 if self.propagate_steps > self.propagation_budget:
-                    self._mark_all_inconclusive(
-                        "propagation budget exceeded"
-                    )
+                    self._mark_all_inconclusive(_BUDGET_SPENT)
                     break
                 g = self._regrow.pop()
                 i = index.get(g)
@@ -688,69 +658,43 @@ class StreamingMonitor:
         return violation
 
     def _audit_edges(self) -> Optional[MonitorViolation]:
-        """Growing co can close a cycle with *already recorded* cf/hb
-        edges without any new edge being added, and leaves the labels of
-        the writes whose past grew stale: re-sort every open graph
-        against the grown order, and where that finds a cycle pick the
-        first recorded edge that is constrained both ways as witness."""
+        """Growing co can close a cycle with *already recorded* edges
+        without any new edge being added, and leaves the labels of the
+        writes whose past grew stale: re-sort every open graph against
+        the grown order, and where that finds a cycle pick the first
+        recorded edge that is constrained both ways as witness."""
         violation: Optional[MonitorViolation] = None
-        if (
-            self._track_cf
-            and "CCV" not in self._violations
-            and "CCV" not in self._inconclusive
-        ):
-            if self._order_rebuild(self._cf):
-                self.patterns_checked += self.cf_edges  # all still hold
-            else:
-                violation = self._cycle_witness(
-                    self._cf,
-                    ((a, b) for a, outs in self._cf.out.items() for b in outs),
-                    "CyclicCF",
-                    "no total arbitration order: writes {!r} and {!r} are "
-                    "constrained in both directions",
-                )
-        if (
-            self._track_hb
-            and "CC" not in self._violations
-            and "CC" not in self._inconclusive
-        ):
-            for q in range(self.n):
-                if self._order_rebuild(self._d[q]):
-                    self.patterns_checked += len(self._d_edges[q])
-                else:
-                    found = self._cycle_witness(
-                        self._d[q],
-                        self._d_edges[q],
-                        "CyclicHB",
-                        f"no linearisation for process {q}: writes {{!r}} "
-                        f"and {{!r}} are required in both orders",
-                    )
-                    violation = violation or found
+        for row in (self._cf, self._hb):
+            if row.criterion in self._violations or row.criterion in self._inconclusive:
+                continue
+            for q, order in enumerate(row.orders):
+                self.propagate_steps += len(self._u_g)
+                if not order.rebuild():
+                    violation = violation or self._cycle_witness(row, q)
                     break
+                self.patterns_checked += sum(1 for _ in order.edges())  # all hold
         if self.propagate_steps > self.propagation_budget:
-            self._mark_all_inconclusive("propagation budget exceeded")
+            self._mark_all_inconclusive(_BUDGET_SPENT)
         return violation
 
-    def _cycle_witness(
-        self,
-        order: _Order,
-        edges: Iterable[Tuple[int, int]],
-        pattern: str,
-        detail: str,
-    ) -> Optional[MonitorViolation]:
-        """The first of ``edges`` whose target reaches its source: the
-        one whole-graph search left, run on streams that hold a cycle."""
-        for a, b in edges:
+    def _cycle_witness(self, row: _Graphs, q: int) -> Optional[MonitorViolation]:
+        """The first recorded edge of graph ``q`` whose target reaches its
+        source: the one whole-graph search left, run on streams that hold
+        a cycle."""
+        order = row.orders[q]
+        for a, b in order.edges():
             self.patterns_checked += 1
-            if self._order_region(order, b, 0, _INF, target=a) is None:
+            reached = order.reaches(b, a, stale=True)
+            if reached:
                 return self._record(
-                    pattern,
+                    row.pattern,
                     self._u_g[a],
                     (self._u_g[a], self._u_g[b]),
-                    detail.format(self._u_val[a], self._u_val[b]),
+                    row.cycle.format(q=q, a=self._u_val[a], b=self._u_val[b]),
                 )
-            if self._decided:
-                break  # search budget spent
+            if reached is None:
+                self._mark_all_inconclusive(_BUDGET_SPENT)
+                break
         return None
 
     def _add_rf(self, u: int, r_g: int) -> None:
@@ -884,11 +828,11 @@ class StreamingMonitor:
             # edge is placed against them
             self._co_grew = False
             violation = self._audit_edges()
-        if self._track_cf and "CCV" not in self._violations:
+        if self._cf.orders and "CCV" not in self._violations:
             v = self._cf_constraints(g, win, gens)
             violation = violation or v
         if (
-            self._track_hb
+            self._hb.orders
             and "CC" not in self._violations
             and "CC" not in self._inconclusive
         ):
@@ -970,7 +914,7 @@ class StreamingMonitor:
         )
 
     # ------------------------------------------------------------------
-    # CCv: arbitration constraints
+    # CCv's arbitration constraints, and the edge routine CC shares
     # ------------------------------------------------------------------
     def _cf_constraints(
         self, g: int, win: List[int], gens: List[int]
@@ -979,18 +923,19 @@ class StreamingMonitor:
         slot order, then every visible non-member before the oldest
         member — through the ``gens`` that stand for them."""
         for i in range(len(win) - 1):
-            v = self._add_cf((win[i],), win[i + 1], g)
+            v = self._propose(self._cf, 0, (win[i],), win[i + 1], g)
             if v is not None:
                 return v
-        return self._add_cf(gens, win[0], g) if gens else None
+        return self._propose(self._cf, 0, gens, win[0], g) if gens else None
 
-    def _add_cf(
-        self, sources: Iterable[int], b: int, g: int
+    def _propose(
+        self, row: _Graphs, q: int, sources: Iterable[int], b: int, g: int
     ) -> Optional[MonitorViolation]:
-        """Require arbitration ``a < b`` of every ``a`` in ``sources``;
-        detect a cycle with co∪cf."""
-        inn = self._cf.inn
-        seen = inn.get(b, ())
+        """Require ``a`` before ``b`` in ``row``'s graph ``q`` for every
+        ``a`` in ``sources`` (distinct writes), on behalf of read ``g``;
+        the violation if one closes a cycle with co."""
+        order = row.orders[q]
+        seen = order.inn.get(b, ())
         vc = self._vc
         u_g = self._u_g
         g_pid = self._g_pid
@@ -1002,30 +947,26 @@ class StreamingMonitor:
             ag = u_g[a]
             if vc[b_vc + g_pid[ag]] > g_lidx[ag]:
                 continue  # implied by co
-            if not seen:
-                seen = inn[b] = []
-            seen.append(a)
             self.patterns_checked += 1
-            if self.cf_edges >= self.cf_budget:
-                self._mark_inconclusive("CCV", "conflict-edge budget exceeded")
+            if row.edges >= row.budget:
+                self._mark_inconclusive(row.criterion, row.overflow)
                 continue
-            ordered = self._order_insert(self._cf, a, b)
-            if ordered is None:
-                return None  # search budget spent: nothing is decided here
-            if not ordered:
-                a = self._earliest_reached(self._cf, a, b)
+            placed = order.insert(a, b)
+            if placed is None:
+                self._mark_all_inconclusive(_BUDGET_SPENT)
+                return None  # nothing is decided here
+            if not placed:
+                a = self._earliest_reached(order, a, b)
                 return self._record(
-                    "CyclicCF",
+                    row.pattern,
                     g,
                     (u_g[a], u_g[b], g),
-                    f"no total arbitration order: writes "
-                    f"{self._u_val[a]!r} and {self._u_val[b]!r} are "
-                    f"constrained in both directions",
+                    row.cycle.format(q=q, a=self._u_val[a], b=self._u_val[b]),
                 )
-            self.cf_edges += 1
+            row.edges += 1
         return None
 
-    def _earliest_reached(self, order: _Order, a: int, b: int) -> int:
+    def _earliest_reached(self, order: DynamicOrder, a: int, b: int) -> int:
         """The write a cycle witness names when the edge ``a → b`` closes
         one: the po-earliest write to ``a``'s stream by ``a``'s process,
         not co-before ``b``, that ``b`` reaches along co ∪ ``order``.
@@ -1037,19 +978,33 @@ class StreamingMonitor:
         lidxs, us = self._wl[self._u_key[a]][q]
         i = bisect_left(lidxs, self._vc[self._u_g[b] * self.n + q])
         for x in us[i : bisect_left(lidxs, self._g_lidx[ag], i)]:
-            if self._reaches(order, b, x):
+            reached = order.reaches(b, x)
+            if reached:
                 return x
+            if reached is None:
+                self._mark_all_inconclusive(_BUDGET_SPENT)
+                break
         return a
 
-    def _reaches(self, order: _Order, src: int, dst: int) -> bool:
-        """Is there a path from write ``src`` to write ``dst`` along co
-        ∪ ``order``'s edges?"""
-        lo, hi = order.label[src], order.label[dst]
-        return lo < hi and self._order_region(order, src, lo, hi, target=dst) is None
+    # ------------------------------------------------------------------
+    # co as the implicit edges of the conflict graphs' orders
+    # ------------------------------------------------------------------
+    def _new_order(self, log: bool = False) -> DynamicOrder:
+        me = weakref.proxy(self)  # not a cycle: refcounting frees a monitor
+        return DynamicOrder(
+            lambda u: me._co_succs(u), lambda u: me._co_preds(u),
+            lambda u, v: me._co_before(u, v), lambda: me._visits_left(), log,
+        )
 
-    # ------------------------------------------------------------------
-    # the order of co ∪ edges (Pearce–Kelly over implicit co edges)
-    # ------------------------------------------------------------------
+    def _visits_left(self) -> int:
+        """The writes an order search may expand: what the budget leaves."""
+        spent = self.propagate_steps + sum(order.visited for order in self._orders)
+        return self.propagation_budget - spent
+
+    def _co_before(self, u: int, v: int) -> bool:
+        """Is write ``u`` co-before write ``v``, or ``v`` itself?"""
+        return self._covers(self._u_g[v], u)
+
     def _co_succs(self, u: int) -> List[int]:
         """Generators of write ``u``'s co-successors: per process its
         first write whose clock covers ``u`` — for ``u``'s own process,
@@ -1096,104 +1051,6 @@ class StreamingMonitor:
                     preds.append(us[i - 1])
         return preds
 
-    def _order_region(
-        self,
-        order: _Order,
-        start: int,
-        lo: int,
-        hi: int,
-        target: Optional[int] = None,
-    ) -> Optional[List[int]]:
-        """The writes labelled within ``lo..hi`` that reach ``start``
-        along co ∪ ``order``'s edges, ``start`` included — or, given a
-        ``target``, those that ``start`` reaches, and None as soon as
-        one of them is the target or co-before it.  Sound because the
-        labels respect co: a generator outside the range has every
-        write it stands for outside it too."""
-        label = order.label
-        if target is None:
-            edges, step = order.inn, self._co_preds
-        else:
-            edges, step = order.out, self._co_succs
-            target_g = self._u_g[target]
-        left = self.propagation_budget - self.propagate_steps
-        found = [start]
-        seen = {start}
-        stack = [start]
-        while stack:
-            self._order_visited += 1
-            if self._order_visited > left:
-                self._mark_all_inconclusive("propagation budget exceeded")
-                break
-            u = stack.pop()
-            for v in chain(step(u), edges.get(u, ())):
-                if v in seen or not lo <= label[v] <= hi:
-                    continue
-                if target is not None and self._covers(target_g, v):
-                    return None
-                seen.add(v)
-                found.append(v)
-                stack.append(v)
-        return found
-
-    def _order_insert(self, order: _Order, a: int, b: int) -> Optional[bool]:
-        """Record the edge ``a → b`` and make the labels agree with it:
-        True once they do, False (nothing recorded) if ``b`` reaches
-        ``a``, None if the search budget ran out."""
-        label = order.label
-        lo, hi = label[b], label[a]
-        if lo < hi:
-            # a path b ⇝ a, or anything else the edge displaces, lies
-            # between the two labels
-            self.order_searches += 1
-            after = self._order_region(order, b, lo, hi, target=a)
-            if after is None:
-                return False
-            before = self._order_region(order, a, lo, hi)
-            if self._decided:
-                return None
-            # re-deal the labels they hold: what reaches a, then what b
-            # reaches, each side keeping its own order
-            before.sort(key=label.__getitem__)
-            after.sort(key=label.__getitem__)
-            moved = before + after
-            for u, at in zip(moved, sorted(map(label.__getitem__, moved))):
-                label[u] = at
-            self.order_moved += len(moved)
-        order.out.setdefault(a, []).append(b)
-        return True
-
-    def _order_rebuild(self, order: _Order) -> bool:
-        """Re-deal every label by one depth-first topological sort of
-        co ∪ ``order``'s edges, causes first and otherwise in arrival
-        order; False, labels untouched, if that graph is cyclic."""
-        count = len(self._u_g)
-        self.propagate_steps += count
-        inn = order.inn
-        label = array("i", [-1]) * count  # -1 unvisited, -2 on the path
-        placed = 0
-        for root in range(count):
-            if label[root] != -1:
-                continue
-            path: List[int] = []
-            causes: List[Iterator[int]] = [iter((root,))]
-            while causes:
-                for v in causes[-1]:
-                    if label[v] == -1:
-                        label[v] = -2
-                        path.append(v)
-                        causes.append(chain(self._co_preds(v), inn.get(v, ())))
-                        break
-                    if label[v] == -2:
-                        return False
-                else:
-                    causes.pop()
-                    if path:
-                        label[path.pop()] = placed
-                        placed += 1
-        order.label = label
-        return True
-
     # ------------------------------------------------------------------
     # CC: per-process happens-before constraints
     # ------------------------------------------------------------------
@@ -1211,18 +1068,21 @@ class StreamingMonitor:
             self._hbrec_of[g] = rec
         else:
             rec[4] = None  # the cached hb-past is stale: recompute
+        log = self._hb.orders[q].log
         worklist = [rec]
         seen_ids = {id(rec)}
         while worklist:
             self.cc_rechecks += 1
-            if self.cc_rechecks > self.cc_budget:
+            if self.cc_rechecks > self.CC_BUDGET:
                 self._mark_inconclusive("CC", "happens-before budget exceeded")
                 return None
             cur = worklist.pop()
             seen_ids.discard(id(cur))
-            v, new_edge = self._hb_check_read(q, cur)
+            mark = len(log)
+            v = self._hb_check_read(q, cur)
             if v is not None:
                 return v
+            new_edge = log[mark:]
             if new_edge:
                 # a grown D_q can grow the hb-past of any read of q that
                 # already covers the edge's target
@@ -1248,7 +1108,7 @@ class StreamingMonitor:
         nn = self.n
         vc = self._vc
         cov = vc[g * nn : g * nn + nn]
-        edges = self._d_edges[q]
+        edges = self._hb.orders[q].log
         if not edges:
             return cov
         changed = True
@@ -1269,119 +1129,67 @@ class StreamingMonitor:
                 changed = True
         return cov
 
-    def _hb_check_read(
-        self, q: int, rec: List[Any]
-    ) -> Tuple[Optional[MonitorViolation], List[Tuple[int, int]]]:
+    def _hb_check_read(self, q: int, rec: List[Any]) -> Optional[MonitorViolation]:
         g, key, win, s, _ = rec
         cov = self._hb_cov(q, g)
         rec[4] = cov
-        new_edges: List[Tuple[int, int]] = []
+        row = self._hb
         # window members in slot order
         for i in range(s - 1):
-            v, added = self._add_d(q, win[i], win[i + 1], g)
+            v = self._propose(row, q, (win[i],), win[i + 1], g)
             if v is not None:
-                return v, new_edges
-            if added:
-                new_edges.append((win[i], win[i + 1]))
+                return v
         self.patterns_checked += 1
         if s < self.k:
             total = self._count_inside(key, cov)
             if total > s:
                 extra = self._find_extra(key, cov, win)
-                witness = (
-                    (self._u_g[extra], g) if extra is not None else (g,)
+                return self._record(
+                    "WriteHBInitRead",
+                    g,
+                    (self._u_g[extra], g) if extra is not None else (g,),
+                    f"window of stream {key} shows initial slots but "
+                    f"{total} writes are in the happens-before past "
+                    f"of process {q}",
                 )
-                return (
-                    self._record(
-                        "WriteHBInitRead",
-                        g,
-                        witness,
-                        f"window of stream {key} shows initial slots but "
-                        f"{total} writes are in the happens-before past "
-                        f"of process {q}",
-                        criteria=("CC",),
-                    ),
-                    new_edges,
-                )
-            return None, new_edges
+            return None
         # full window: every hb-visible non-member must precede the
         # oldest member in the process's linearisation — each process's
         # generator stands for the rest of its writes, which are co-, so
         # hb-before it
         w1 = win[0]
-        order = self._d[q]
+        order = row.orders[q]
         for u in self._generators(self._wl[key], cov, win):
             if u in order.inn.get(w1, ()):
                 continue  # the very edge, from an earlier pass
-            if self._reaches(order, u, w1):
+            reached = order.reaches(u, w1)
+            if reached:
                 continue  # hb-before w1: already ordered
+            if reached is None:
+                self._mark_all_inconclusive(_BUDGET_SPENT)
             if self._decided:
-                return None, new_edges  # search budget spent
-            v, added = self._add_d(q, u, w1, g)
+                return None  # search budget spent
+            v = self._propose(row, q, (u,), w1, g)
             if v is not None:
-                return v, new_edges
-            if added:
-                new_edges.append((u, w1))
-        return None, new_edges
-
-    def _add_d(
-        self, q: int, a: int, b: int, g: int
-    ) -> Tuple[Optional[MonitorViolation], bool]:
-        order = self._d[q]
-        seen = order.inn.get(b, ())
-        if a in seen or self._covers(self._u_g[b], a):
-            return None, False
-        if not seen:
-            seen = order.inn[b] = []
-        seen.append(a)
-        self.patterns_checked += 1
-        if self.d_edges >= self.cc_budget:
-            self._mark_inconclusive("CC", "happens-before edge budget exceeded")
-            return None, False
-        ordered = self._order_insert(order, a, b)
-        if ordered is None:
-            return None, False  # search budget spent
-        if not ordered:
-            a = self._earliest_reached(order, a, b)
-            return (
-                self._record(
-                    "CyclicHB",
-                    g,
-                    (self._u_g[a], self._u_g[b], g),
-                    f"no linearisation for process {q}: writes "
-                    f"{self._u_val[a]!r} and {self._u_val[b]!r} are "
-                    f"required in both orders",
-                ),
-                False,
-            )
-        self.d_edges += 1
-        self._d_edges[q].append((a, b))
-        return None, True
+                return v
+        return None
 
     # ------------------------------------------------------------------
     # verdict state
     # ------------------------------------------------------------------
-    def _pattern_criteria(self, pattern: str) -> Tuple[str, ...]:
-        if pattern in _CF_PATTERNS:
-            return ("CCV",)
-        if pattern in _HB_PATTERNS:
-            return ("CC",)
-        return ("WCC", "CC", "CCV")
-
     def _record(
         self,
         pattern: str,
         g: int,
         witness_gs: Iterable[int],
         detail: str,
-        criteria: Optional[Tuple[str, ...]] = None,
     ) -> MonitorViolation:
         witness = tuple(
             (self._g_pid[w], self._g_lidx[w]) for w in witness_gs
         )
         violation = MonitorViolation(
             pattern=pattern,
-            criteria=criteria or self._pattern_criteria(pattern),
+            criteria=PATTERNS[pattern].criteria,
             index=self.ops_seen - 1,
             witness=witness,
             detail=detail,
@@ -1414,9 +1222,6 @@ class StreamingMonitor:
             self._nondiff = reason
             self._decided = True
 
-    def _mark_unsupported(self, reason: str) -> None:
-        self._mark_all_inconclusive(reason)
-
     # ------------------------------------------------------------------
     # finalisation
     # ------------------------------------------------------------------
@@ -1433,15 +1238,15 @@ class StreamingMonitor:
             "writes_seen": self.writes_seen,
             "rf_edges": self.rf_edges,
             "rf_merges_skipped": self.rf_merges_skipped,
-            "cf_edges": self.cf_edges,
-            "d_edges": self.d_edges,
-            "hb_edges": self.rf_edges + self.cf_edges + self.d_edges,
+            "cf_edges": self._cf.edges,
+            "d_edges": self._hb.edges,
+            "hb_edges": self.rf_edges + self._cf.edges + self._hb.edges,
             "patterns_checked": self.patterns_checked,
             "propagate_steps": self.propagate_steps,
             "cc_rechecks": self.cc_rechecks,
             "pending_peak": self.pending_peak,
-            "order_searches": self.order_searches,
-            "order_moved": self.order_moved,
+            "order_searches": sum(order.searches for order in self._orders),
+            "order_moved": sum(order.moved for order in self._orders),
             "first_violation_index": first,
         }
 

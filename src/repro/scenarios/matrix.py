@@ -206,14 +206,26 @@ def run_scenario_cell(
 
     The shared cell-assembly recipe — spec lookup (optionally shrunk),
     registry entry, algorithm kwargs, gossip post-setup — used by the
-    matrix worker and by the litmus scenario-history generator.
+    litmus scenario-history generator; the matrix worker runs its two
+    steps itself, keeping what it builds for its monitor and verdict.
     ``subscriber`` is streamed every :class:`OpRecord` live (the
     streaming monitor attaches here)."""
+    scenario, entry = _build_cell(scenario_name, algorithm, fast_ops)
+    return _run_built(scenario, entry, seed, subscriber)
+
+
+def _build_cell(
+    scenario_name: str, algorithm: str, fast_ops: int
+) -> Tuple[Scenario, AlgorithmEntry]:
     spec = get_scenario(scenario_name)
-    if fast_ops:
-        spec = spec.fast(fast_ops)
-    entry = ALGORITHMS[algorithm]
-    return Scenario(spec).run(
+    return Scenario(spec.fast(fast_ops) if fast_ops else spec), ALGORITHMS[algorithm]
+
+
+def _run_built(
+    scenario: Scenario, entry: AlgorithmEntry, seed: int, subscriber: Any
+) -> RunResult:
+    spec = scenario.spec
+    return scenario.run(
         entry.cls, seed=seed, post_setup=build_post_setup(entry, spec),
         subscriber=subscriber,
         **entry.kwargs(spec.streams, spec.k),
@@ -240,11 +252,8 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
     search are combined by :func:`decide`.  On CONV cells, decided by
     the live-state comparison, the monitor is informational."""
     scenario_name, algo_key, seed, fast_ops = job
-    spec = get_scenario(scenario_name)
-    if fast_ops:
-        spec = spec.fast(fast_ops)
-    entry = ALGORITHMS[algo_key]
-    scenario = Scenario(spec)
+    scenario, entry = _build_cell(scenario_name, algo_key, fast_ops)
+    spec = scenario.spec
     t0 = time.perf_counter()
 
     streaming_monitor = monitor_for_adt(
@@ -253,9 +262,7 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
     subscriber = None
     if streaming_monitor is not None:
         subscriber = streaming_monitor.subscriber()
-    result = run_scenario_cell(
-        scenario_name, algo_key, seed, fast_ops, subscriber=subscriber
-    )
+    result = _run_built(scenario, entry, seed, subscriber)
 
     verdicts: Dict[str, Any] = {}
     streaming: Optional[Dict[str, Any]] = None

@@ -305,6 +305,39 @@ class TestRefusedInput:
         assert f"argument {flag}:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--n", "1", "--trials", "1"],
+            ["chaos", "--n", "0"],
+            ["chaos", "--trials", "0"],
+            ["chaos", "--trials", "-3"],
+            ["chaos", "--ops", "0"],
+            ["status", "--n", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_hunt_or_cluster_with_nothing_to_check_is_refused(
+        self, argv, capsys
+    ):
+        """A chaos hunt needs two processes to partition, a trial and an
+        operation; a status query needs a node."""
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {argv[1]}:" in errors[0], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pid", ["7", "-1"])
+    def test_status_refuses_a_pid_outside_the_cluster(self, pid, capsys):
+        assert main(["status", "--n", "3", "--pid", pid]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and f"--pid {pid} is not a node of 0..2" in lines[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "doc, field",
         [
             ({"processes": [[{"args": [1]}]]}, '"method"'),

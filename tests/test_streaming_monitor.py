@@ -28,6 +28,7 @@ only, so any feed that keeps program order gets the same verdicts and
 the same closure of co ∪ conflict edges (a hypothesis property).
 """
 
+import ast
 import functools
 import json
 import pathlib
@@ -50,7 +51,9 @@ from repro.criteria import (
     check_weak_causal,
 )
 from repro.criteria.causal_search import SearchBudgetExceeded
+from repro.criteria import streaming_monitor
 from repro.criteria.streaming_monitor import (
+    PATTERNS,
     SUPPORTED_CRITERIA,
     StreamingMonitor,
     monitor_for_adt,
@@ -519,9 +522,8 @@ def arbitration_closure(monitor):
         for a in range(count):
             if a != b and monitor._covers(monitor._u_g[b], a):
                 pred[b] |= 1 << a
-    for a, outs in monitor._cf.out.items():
-        for b in outs:
-            pred[b] |= 1 << a
+    for a, b in monitor._cf.orders[0].edges():
+        pred[b] |= 1 << a
     closed = transitive_closure(pred)
     name = list(zip(monitor._u_key, monitor._u_val))
     return {
@@ -791,6 +793,81 @@ class TestOrderMaintenance:
                 if budget == 0:
                     assert verdict.ok is None and "budget" in verdict.reason
                 assert verdict.ok in (None, unbounded[criterion].ok)
+
+
+#: per pattern, a smallest stream (window size k, ops) that closes it
+PATTERN_STREAMS = {
+    "ThinAirRead": (1, [(0, r(0), (5,))]),
+    "MalformedWindow": (2, [(0, w(0, 1), BOTTOM), (0, r(0), (1, 0))]),
+    "CyclicCO": (1, [(0, r(0), (1,)), (0, w(0, 1), BOTTOM)]),
+    "WriteCOInitRead": (
+        2, [(0, w(0, 1), BOTTOM), (0, w(0, 2), BOTTOM), (0, r(0), (0, 2))]
+    ),
+    "WindowOrderCO": (2, FAILURE_SHAPE_OPS),
+    "WriteCORead": (
+        1, [(0, w(0, 1), BOTTOM), (0, w(0, 2), BOTTOM), (0, r(0), (1,))]
+    ),
+    "CyclicCF": (2, [
+        (0, w(0, 1), BOTTOM), (1, w(0, 2), BOTTOM),
+        (2, r(0), (1, 2)), (3, r(0), (2, 1)),
+    ]),
+    # p2's second read puts 1 before 2, which its first read showed alone
+    "WriteHBInitRead": (2, [
+        (0, w(0, 1), BOTTOM), (0, w(0, 3), BOTTOM), (1, w(0, 2), BOTTOM),
+        (2, r(0), (0, 2)), (2, r(0), (2, 3)),
+    ]),
+    "CyclicHB": (2, [
+        (0, w(0, 1), BOTTOM), (1, w(0, 2), BOTTOM),
+        (2, r(0), (1, 2)), (2, r(0), (2, 1)),
+    ]),
+}
+
+
+class TestPatternTable:
+    """:data:`PATTERNS` is the one place that says which criteria a
+    pattern refutes: a pattern recorded without a row, or a row no code
+    records, fails here."""
+
+    def test_every_recorded_pattern_has_a_row_and_every_row_is_recorded(self):
+        tree = ast.parse(pathlib.Path(streaming_monitor.__file__).read_text())
+        recorded, violations = set(), []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "_record":
+                first = node.args[0]
+                if isinstance(first, ast.Constant):
+                    recorded.add(first.value)
+                else:  # a conflict graph's cycle pattern, from its row
+                    assert ast.unparse(first) == "row.pattern", ast.unparse(first)
+            elif name == "_Graphs":
+                recorded.add(node.args[1].value)
+            elif name == "MonitorViolation":
+                violations.append(node)
+        assert recorded <= set(PATTERNS), recorded - set(PATTERNS)
+        assert set(PATTERNS) <= recorded, set(PATTERNS) - recorded
+        # one construction, its criteria read off the table
+        (violation,) = violations
+        (criteria,) = [kw.value for kw in violation.keywords if kw.arg == "criteria"]
+        assert ast.unparse(criteria) == "PATTERNS[pattern].criteria"
+
+    @pytest.mark.parametrize("pattern", sorted(PATTERN_STREAMS))
+    def test_each_pattern_refutes_exactly_its_row(self, pattern):
+        k, ops = PATTERN_STREAMS[pattern]
+        n = 1 + max(p for p, _, _ in ops)
+        monitor = StreamingMonitor(n, k=k)
+        for p, invocation, output in ops:
+            monitor.feed(p, invocation, output)
+        verdicts = monitor.finalize()
+        for criterion in PATTERNS[pattern].criteria:
+            assert verdicts[criterion].violation.pattern == pattern, verdicts
+        for verdict in verdicts.values():
+            if verdict.violation is not None:
+                found = verdict.violation
+                assert found.criteria == PATTERNS[found.pattern].criteria
+            else:
+                assert verdict.ok is True, verdict.reason
 
 
 class TestIllFormedInput:
@@ -1240,6 +1317,26 @@ class TestReplayDeterminism:
 
 # ----------------------------------------------------------------------
 class TestReplayFootprint:
+    def test_a_dropped_monitor_is_freed_without_the_cycle_collector(self):
+        """Its conflict graphs reach the monitor weakly: a reference cycle
+        would keep every finished monitor, columns and all, alive until
+        the cycle collector runs — a second monitor's worth of peak
+        memory wherever monitors are built one after another."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            monitor = StreamingMonitor(N, streams=STREAMS, k=K)
+            for p, invocation, output in clean_ccv_ops(0, 500):
+                monitor.feed(p, invocation, output)
+            monitor.finalize()
+            alive = weakref.ref(monitor)
+            del monitor
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_build_and_replay_peak_is_linear_in_the_stream(self):
         """Traced bytes, no wall clock: building the history of a 16k-op
         clean stream and replaying it peaks under 800 B per operation,
