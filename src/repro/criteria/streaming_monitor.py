@@ -53,12 +53,11 @@ a new int on every lookup, and a read does dozens.  A list slot costs 8
 bytes where an ``array('i')`` slot costs 4, and most clock entries point
 at an int already held elsewhere (a copied clock shares its
 predecessor's, and an op's own entry is the int its process counter
-holds).  The columns only writes,
-rebuilds or out-of-order feeds touch (process, write ordinal, program
-successor, rf edges, checked reads, labels) stay ``array('i')``.  The
-bytes the lists add are paid back by keying writes per stream:
-``_writer[key][value]`` and ``_wl[key][process]`` store no tuple per
-write and build none per lookup.
+holds).  The columns only writes, rebuilds or out-of-order feeds touch
+(process, write ordinal, program successor, rf edges, checked reads,
+labels) stay ``array('i')``.  The bytes the lists add are paid back by
+keying writes per stream: ``_writer[key][value]`` and
+``_wl[key][process]`` store no tuple per write and build none per lookup.
 
 Cycles (``CyclicCF``, ``CyclicHB``) are found by keeping, per conflict
 graph, a topological order of ``co`` ∪ its edges
@@ -72,7 +71,6 @@ open graph once before the next edge is placed.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -301,6 +299,7 @@ class StreamingMonitor:
             "are required in both orders",
         )
         self._orders = self._cf.orders + self._hb.orders
+        self._order_visits = 0  # writes their searches expanded, together
         # CC's read records per process: [g, key, window-u-tuple, s, hb-cov]
         self._q_reads: List[List[List[Any]]] = [[] for _ in range(nn)]
         self._hbrec_of: Dict[int, List[Any]] = {}
@@ -512,7 +511,6 @@ class StreamingMonitor:
         if len(window) != self.k:
             return self._record(
                 "MalformedWindow",
-                g,
                 (g,),
                 f"window of {len(window)} slots, not {self.k}: {window!r}",
             )
@@ -525,7 +523,6 @@ class StreamingMonitor:
                 if seen_value:
                     return self._record(
                         "MalformedWindow",
-                        g,
                         (g,),
                         f"default slot after a non-default one: {window!r}",
                     )
@@ -534,7 +531,6 @@ class StreamingMonitor:
                 if v in slots:
                     return self._record(
                         "MalformedWindow",
-                        g,
                         (g,),
                         f"write {v!r} shown twice: {window!r}",
                     )
@@ -670,9 +666,11 @@ class StreamingMonitor:
             for q, order in enumerate(row.orders):
                 self.propagate_steps += len(self._u_g)
                 if not order.rebuild():
-                    violation = violation or self._cycle_witness(row, q)
+                    found = self._cycle_witness(row, q)
+                    violation = violation or found
                     break
-                self.patterns_checked += sum(1 for _ in order.edges())  # all hold
+                held = row.edges if order.log is None else len(order.log)
+                self.patterns_checked += held  # all still hold
         if self.propagate_steps > self.propagation_budget:
             self._mark_all_inconclusive(_BUDGET_SPENT)
         return violation
@@ -688,7 +686,6 @@ class StreamingMonitor:
             if reached:
                 return self._record(
                     row.pattern,
-                    self._u_g[a],
                     (self._u_g[a], self._u_g[b]),
                     row.cycle.format(q=q, a=self._u_val[a], b=self._u_val[b]),
                 )
@@ -746,7 +743,6 @@ class StreamingMonitor:
             if vc[wg * nn + pid] > lidx:
                 return self._record(
                     "CyclicCO",
-                    g,
                     (wg, g),
                     f"read is in the causal past of the write it returns "
                     f"(stream {key}, value {self._u_val[u]!r})",
@@ -778,7 +774,6 @@ class StreamingMonitor:
                 if vc[older + g_pid[wg]] > g_lidx[wg]:
                     return self._record(
                         "WindowOrderCO",
-                        g,
                         (wg, wgs[i], g),
                         f"window {slots!r} of stream {key} contradicts "
                         f"the causal order of its writes",
@@ -796,7 +791,6 @@ class StreamingMonitor:
                 extra = self._find_extra(key, past, win)
                 return self._record(
                     "WriteCOInitRead",
-                    g,
                     (u_g[extra], g) if extra is not None else (g,),
                     f"window of stream {key} shows initial slots but "
                     f"{total} writes are causally visible",
@@ -815,7 +809,6 @@ class StreamingMonitor:
                     w_extra, w_member = self._co_after_member(u, win, wgs)
                     return self._record(
                         "WriteCORead",
-                        g,
                         (u_g[w_member], u_g[w_extra], g),
                         f"write {self._u_val[w_extra]!r} to stream {key} is "
                         f"causally after window member "
@@ -959,7 +952,6 @@ class StreamingMonitor:
                 a = self._earliest_reached(order, a, b)
                 return self._record(
                     row.pattern,
-                    g,
                     (u_g[a], u_g[b], g),
                     row.cycle.format(q=q, a=self._u_val[a], b=self._u_val[b]),
                 )
@@ -990,20 +982,22 @@ class StreamingMonitor:
     # co as the implicit edges of the conflict graphs' orders
     # ------------------------------------------------------------------
     def _new_order(self, log: bool = False) -> DynamicOrder:
-        me = weakref.proxy(self)  # not a cycle: refcounting frees a monitor
         return DynamicOrder(
-            lambda u: me._co_succs(u), lambda u: me._co_preds(u),
-            lambda u, v: me._co_before(u, v), lambda: me._visits_left(), log,
+            self._co_succs, self._co_preds, self._co_before, self._spend_visits, log
         )
 
-    def _visits_left(self) -> int:
-        """The writes an order search may expand: what the budget leaves."""
-        spent = self.propagate_steps + sum(order.visited for order in self._orders)
-        return self.propagation_budget - spent
+    def _spend_visits(self, visits: int) -> int:
+        """Count ``visits`` more writes expanded by an order search; the
+        writes the next may expand, out of what the budget leaves."""
+        self._order_visits += visits
+        return self.propagation_budget - self.propagate_steps - self._order_visits
 
     def _co_before(self, u: int, v: int) -> bool:
-        """Is write ``u`` co-before write ``v``, or ``v`` itself?"""
-        return self._covers(self._u_g[v], u)
+        """Is write ``u`` co-before write ``v``, or ``v`` itself?  (One
+        frame per step of the order searches: ``_covers`` inlined.)"""
+        u_g = self._u_g
+        ug = u_g[u]
+        return self._vc[u_g[v] * self.n + self._g_pid[ug]] > self._g_lidx[ug]
 
     def _co_succs(self, u: int) -> List[int]:
         """Generators of write ``u``'s co-successors: per process its
@@ -1146,7 +1140,6 @@ class StreamingMonitor:
                 extra = self._find_extra(key, cov, win)
                 return self._record(
                     "WriteHBInitRead",
-                    g,
                     (self._u_g[extra], g) if extra is not None else (g,),
                     f"window of stream {key} shows initial slots but "
                     f"{total} writes are in the happens-before past "
@@ -1178,15 +1171,9 @@ class StreamingMonitor:
     # verdict state
     # ------------------------------------------------------------------
     def _record(
-        self,
-        pattern: str,
-        g: int,
-        witness_gs: Iterable[int],
-        detail: str,
+        self, pattern: str, witness_gs: Iterable[int], detail: str
     ) -> MonitorViolation:
-        witness = tuple(
-            (self._g_pid[w], self._g_lidx[w]) for w in witness_gs
-        )
+        witness = tuple((self._g_pid[w], self._g_lidx[w]) for w in witness_gs)
         violation = MonitorViolation(
             pattern=pattern,
             criteria=PATTERNS[pattern].criteria,
@@ -1265,7 +1252,6 @@ class StreamingMonitor:
             value = next((v for v in slots if v not in present), slots[0])
             self._record(
                 "ThinAirRead",
-                rg,
                 (rg,),
                 f"read of stream {key} returns {value!r}, which no "
                 f"operation wrote",

@@ -10,12 +10,15 @@ linear extension of both between calls.  The implicit DAG is given by
 ``a → b`` is a label compare when ``label[a] < label[b]``; otherwise a
 search forward from ``b`` among the nodes labelled between the two either
 reaches ``a`` (a cycle: the edge is refused) or, with one backward from
-``a``, yields the labels to re-deal.  Each search may expand ``left()``
-nodes; one that runs out decides nothing.
+``a``, yields the labels to re-deal.  ``spend(visits)`` counts the nodes
+a search expanded and says how many the next may expand, so orders can
+share a budget; a search that runs out decides nothing.  The callbacks
+are bound methods, held weakly: no cycle keeps their owner alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import defaultdict
 from itertools import chain
@@ -32,8 +35,8 @@ class DynamicOrder:
     well, for callers that walk them in that order."""
 
     __slots__ = (
-        "label", "out", "inn", "log", "searches", "moved", "visited",
-        "_succs", "_preds", "_before", "_left",
+        "label", "out", "inn", "log", "searches", "moved",
+        "_succs", "_preds", "_before", "_spend",
     )
 
     def __init__(
@@ -41,7 +44,7 @@ class DynamicOrder:
         succs: Callable[[int], Iterable[int]],
         preds: Callable[[int], Iterable[int]],
         before: Callable[[int, int], bool],
-        left: Callable[[], int],
+        spend: Callable[[int], int],
         log: bool = False,
     ) -> None:
         self.label = array("i")
@@ -52,11 +55,9 @@ class DynamicOrder:
         self.log: Optional[List[Tuple[int, int]]] = [] if log else None
         self.searches = 0  # insertions against the current labels
         self.moved = 0  # labels those insertions re-dealt
-        self.visited = 0  # nodes every search expanded
-        self._succs = succs
-        self._preds = preds
-        self._before = before
-        self._left = left
+        self._succs, self._preds, self._before, self._spend = map(
+            weakref.WeakMethod, (succs, preds, before, spend)
+        )
 
     def add(self) -> None:
         """A new node, labelled last."""
@@ -123,7 +124,7 @@ class DynamicOrder:
         untouched, if the edges are cyclic."""
         count = len(self.label)
         inn = self.inn
-        preds = self._preds
+        preds = self._preds()
         label = array("i", [-1]) * count  # -1 unvisited, -2 on the path
         placed = 0
         for root in range(count):
@@ -158,25 +159,30 @@ class DynamicOrder:
         search budget."""
         label = self.label
         if target is None:
-            edges, step = self.inn, self._preds
+            edges, step = self.inn, self._preds()
         else:
-            edges, step = self.out, self._succs
-            before = self._before
-        limit = self.visited + self._left()
+            edges, step = self.out, self._succs()
+            before = self._before()
+        spend = self._spend()
+        left = spend(0)
+        visits = 0
         found = [start]
         seen = {start}
         stack = [start]
-        while stack:
-            self.visited += 1
-            if self.visited > limit:
-                raise _Exhausted
-            u = stack.pop()
-            for v in chain(step(u), edges.get(u, ())):
-                if v in seen or not lo <= label[v] <= hi:
-                    continue
-                if target is not None and before(v, target):
-                    return None
-                seen.add(v)
-                found.append(v)
-                stack.append(v)
-        return found
+        try:
+            while stack:
+                visits += 1
+                if visits > left:
+                    raise _Exhausted
+                u = stack.pop()
+                for v in chain(step(u), edges.get(u, ())):
+                    if v in seen or not lo <= label[v] <= hi:
+                        continue
+                    if target is not None and before(v, target):
+                        return None
+                    seen.add(v)
+                    found.append(v)
+                    stack.append(v)
+            return found
+        finally:
+            spend(visits)

@@ -33,7 +33,7 @@ class Graph:
         self.budget = budget
         self.implicit = set()
         self.recorded = []
-        self.order = DynamicOrder(self.succs, self.preds, self.before, self.left, log)
+        self.order = DynamicOrder(self.succs, self.preds, self.before, self.spend, log)
 
     @property
     def count(self):
@@ -48,7 +48,7 @@ class Graph:
     def before(self, u, v):
         return u == v or bool(closure(self.count, self.implicit)[v] >> u & 1)
 
-    def left(self):
+    def spend(self, visits):
         return 10**9 if self.budget is None else self.budget()
 
     def add(self):

@@ -794,6 +794,33 @@ class TestOrderMaintenance:
                     assert verdict.ok is None and "budget" in verdict.reason
                 assert verdict.ok in (None, unbounded[criterion].ok)
 
+    def test_one_audit_that_closes_both_graphs_reports_both(self):
+        """Process 1's read of 1 after its own write of 5 puts 5 before 1
+        in CCv's graph and in D_1.  Its first read, of 2, parks until
+        process 0's write of 2 arrives; resolving it puts 1 co-before 5,
+        which closes a cycle in both graphs in the same audit.  Each
+        criterion gets its own cycle witness."""
+        ops = [
+            (1, r(0), (2,)), (1, r(0), (0,)), (0, w(0, 1), BOTTOM),
+            (1, w(0, 5), BOTTOM), (1, r(0), (1,)), (0, w(0, 2), BOTTOM),
+            (0, w(0, 3), BOTTOM), (0, w(0, 4), BOTTOM),
+        ]
+        monitor = StreamingMonitor(2, streams=1, k=1)
+        for p, invocation, output in ops:
+            monitor.feed(p, invocation, output)
+        verdicts = monitor.finalize()
+        expected = {
+            "WCC": ("WriteCOInitRead", ((0, 0), (1, 1))),
+            "CC": ("CyclicHB", ((1, 2), (0, 0))),
+            "CCV": ("CyclicCF", ((1, 2), (0, 0))),
+        }
+        for criterion, (pattern, witness) in expected.items():
+            violation = verdicts[criterion].violation
+            assert violation is not None, (criterion, verdicts[criterion].reason)
+            assert (violation.pattern, violation.index, violation.witness) == (
+                pattern, 5, witness
+            ), criterion
+
 
 #: per pattern, a smallest stream (window size k, ops) that closes it
 PATTERN_STREAMS = {
