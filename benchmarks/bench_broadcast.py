@@ -45,7 +45,7 @@ def _run_batch(service_cls, n=4, per_proc=10, seed=1, **kwargs):
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_broadcast_throughput(benchmark, name):
     cls = PRIMITIVES[name]
-    kwargs = {"flood": False} if name != "total-order" else {}
+    kwargs = {"relay": "direct"} if name != "total-order" else {}
 
     def run():
         return _run_batch(cls, **kwargs)
@@ -62,13 +62,13 @@ def test_message_amplification(benchmark):
             sent, _ = _run_batch(cls)
             lines.append(f"{name:>12s} {sent:8d} {'n/a':>8s}")
             continue
-        direct, _ = _run_batch(cls, flood=False)
-        flooded, _ = _run_batch(cls, flood=True)
+        direct, _ = _run_batch(cls, relay="direct")
+        flooded, _ = _run_batch(cls, relay="flood")
         lines.append(f"{name:>12s} {direct:8d} {flooded:8d}")
     lines.append("\ntotal-order routes through the sequencer (2 legs);"
                  " flooding pays (n-1)^2 for crash-tolerant agreement")
     emit("broadcast_amplification", "\n".join(lines))
-    benchmark.pedantic(lambda: _run_batch(ReliableBroadcast, flood=True),
+    benchmark.pedantic(lambda: _run_batch(ReliableBroadcast, relay="flood"),
                        rounds=2, iterations=1)
 
 
@@ -81,7 +81,7 @@ def test_causal_buffering_grows_with_jitter(benchmark):
     def measure(jitter: float) -> int:
         sim = Simulator(seed=7)
         net = Network(sim, 4, delay=DelayModel.uniform(0.5, jitter))
-        service = CausalBroadcast(net, flood=False)
+        service = CausalBroadcast(net, relay="direct")
         peak = [0]
         budget = [24]  # bound the reaction cascade
 

@@ -64,7 +64,7 @@ def test_fig4_throughput(benchmark, n):
     def run():
         return _scripted(n).run(
             CCWindowArray, seed=n, scripts=scripts, streams=2, k=2,
-            flood=False,
+            relay="direct",
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -77,17 +77,17 @@ def test_fig4_message_cost(benchmark):
             f"{'n':>3s} {'direct':>8s} {'flooded':>8s}"]
     for n in (2, 4, 8):
         per = {}
-        for flood in (False, True):
+        for relay in ("direct", "flood"):
             scripts = _scripts(13, n, 20, 2)
             result = _scripted(n).run(
                 CCWindowArray, seed=5, scripts=scripts, streams=2, k=2,
-                flood=flood,
+                relay=relay,
             )
-            per[flood] = result.messages_per_op
-        rows.append(f"{n:>3d} {per[False]:8.2f} {per[True]:8.2f}")
+            per[relay] = result.messages_per_op
+        rows.append(f"{n:>3d} {per['direct']:8.2f} {per['flood']:8.2f}")
     benchmark.pedantic(lambda: _scripted(4).run(
         CCWindowArray, seed=5, scripts=_scripts(13, 4, 20, 2), streams=2,
-        k=2, flood=False), rounds=1, iterations=1)
+        k=2, relay="direct"), rounds=1, iterations=1)
     rows.append("\ndirect ~ (n-1)/2 per op; flooding pays ~(n-1)^2 for crash-"
                 "tolerant agreement")
     emit("fig4_message_cost", "\n".join(rows))

@@ -62,7 +62,7 @@ def test_fig5_throughput(benchmark, n):
     def run():
         return _scripted(n).run(
             CCvWindowArray, seed=n, scripts=scripts, streams=2, k=2,
-            flood=False,
+            relay="direct",
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -128,7 +128,7 @@ def test_fig5_ablation_specialised_vs_generic(benchmark):
     ):
         t0 = time.perf_counter()
         result = _scripted(n).run(
-            cls, seed=6, scripts=scripts, flood=False, **kwargs
+            cls, seed=6, scripts=scripts, relay="direct", **kwargs
         )
         timings[name] = (time.perf_counter() - t0, result.ops)
     lines = ["host cost, identical workload (4 procs x 60 ops):"]
@@ -139,7 +139,7 @@ def test_fig5_ablation_specialised_vs_generic(benchmark):
     def run_specialised():
         return _scripted(n).run(
             CCvWindowArray, seed=6, scripts=scripts, streams=2, k=2,
-            flood=False,
+            relay="direct",
         )
 
     benchmark.pedantic(run_specialised, rounds=3, iterations=1)

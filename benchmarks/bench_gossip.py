@@ -33,10 +33,10 @@ def _run_gossip(loss: float, seed: int, max_rounds: int = 400):
     return obj.converged(), obj.rounds, net.stats
 
 
-def _run_opbased(loss: float, seed: int, flood: bool):
+def _run_opbased(loss: float, seed: int, relay: str):
     sim = Simulator(seed=seed)
     net = Network(sim, 4, delay=DelayModel.uniform(0.2, 1.0), loss_rate=loss)
-    obj = CCvWindowArray(sim, net, None, streams=1, k=2, flood=flood)
+    obj = CCvWindowArray(sim, net, None, streams=1, k=2, relay=relay)
     for pid in range(4):
         obj.invoke(pid, Invocation("w", (0, 10 + pid)))
     sim.run()
@@ -49,8 +49,8 @@ def test_gossip_vs_opbased_under_loss(benchmark):
         rows = []
         for loss in LOSS_RATES:
             gossip_ok = sum(_run_gossip(loss, s)[0] for s in range(5))
-            direct_ok = sum(_run_opbased(loss, s, flood=False)[0] for s in range(5))
-            flood_ok = sum(_run_opbased(loss, s, flood=True)[0] for s in range(5))
+            direct_ok = sum(_run_opbased(loss, s, relay="direct")[0] for s in range(5))
+            flood_ok = sum(_run_opbased(loss, s, relay="flood")[0] for s in range(5))
             rows.append((loss, gossip_ok, direct_ok, flood_ok))
         return rows
 

@@ -3,9 +3,9 @@
 
 from .base import Replica, ReplicatedObject
 from .cc_window import CCWindowArray
-from .ccv_window import CCvWindowArray, LazyCCvWindowArray
+from .ccv_window import CCvWindowArray
 from .generic_causal import GenericCausal, PramReplication
-from .generic_ccv import GenericCCv, LazyLwwReplication, LwwReplication
+from .generic_ccv import GenericCCv, LwwReplication
 from .gossip_ccv import GossipCCvWindowArray, merge_windows
 from .sc_sequencer import ScSequencer
 
@@ -14,13 +14,11 @@ __all__ = [
     "ReplicatedObject",
     "CCWindowArray",
     "CCvWindowArray",
-    "LazyCCvWindowArray",
     "GenericCausal",
     "GenericCCv",
     "GossipCCvWindowArray",
     "merge_windows",
     "LwwReplication",
-    "LazyLwwReplication",
     "PramReplication",
     "ScSequencer",
 ]

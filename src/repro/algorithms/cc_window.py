@@ -68,9 +68,9 @@ class CCWindowArray(ReplicatedObject):
         streams: int = 1,
         k: int = 2,
         default: Any = 0,
-        flood: bool = True,
+        relay: str = "flood",
     ) -> None:
         super().__init__(
-            sim, network, recorder, {"flood": flood},
+            sim, network, recorder, {"relay": relay},
             streams=streams, k=k, default=default,
         )

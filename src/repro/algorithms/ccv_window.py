@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from ..core.operations import BOTTOM, Invocation
-from ..runtime.broadcast import CausalBroadcast, LazyCausalBroadcast
+from ..runtime.broadcast import CausalBroadcast
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
 from ..runtime.transport import Transport
@@ -108,22 +108,14 @@ class CCvWindowArray(ReplicatedObject):
         streams: int = 1,
         k: int = 2,
         default: Any = 0,
-        flood: bool = True,
+        relay: str = "flood",
         paper_literal: bool = False,
     ) -> None:
         super().__init__(
-            sim, network, recorder, {"flood": flood},
+            sim, network, recorder, {"relay": relay},
             streams=streams, k=k, default=default, paper_literal=paper_literal,
         )
 
     # restated, not inherited: the benchmark's per-layer ledger wraps
     # ``vars(CCvWindowArray)["invoke"]`` to time client operations
     invoke = ReplicatedObject.invoke
-
-
-class LazyCCvWindowArray(CCvWindowArray):
-    """Fig. 5 over the push/lazy-push transport (PR 8): the same
-    causal-delivery layer on ~n·log n messages per broadcast instead of
-    n(n-1), with different delivery schedules."""
-
-    broadcast_cls = LazyCausalBroadcast

@@ -75,13 +75,13 @@ class GenericCausal(ReplicatedObject):
         network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
-        flood: bool = True,
+        relay: str = "flood",
     ) -> None:
         if adt is None:
             raise ValueError(f"{type(self).__name__} requires an ADT")
         self.adt = adt
         self.name = self.label.format(adt.name)
-        super().__init__(sim, network, recorder, {"flood": flood}, adt=adt)
+        super().__init__(sim, network, recorder, {"relay": relay}, adt=adt)
 
 
 class PramReplication(GenericCausal):

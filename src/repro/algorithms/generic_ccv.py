@@ -37,11 +37,7 @@ from typing import Any, List, Optional, Tuple
 
 from ..core.adt import AbstractDataType
 from ..core.operations import Invocation
-from ..runtime.broadcast import (
-    CausalBroadcast,
-    LazyReliableBroadcast,
-    ReliableBroadcast,
-)
+from ..runtime.broadcast import CausalBroadcast, ReliableBroadcast
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
 from ..runtime.transport import Transport
@@ -142,7 +138,7 @@ class GenericCCv(ReplicatedObject):
         network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
-        flood: bool = True,
+        relay: str = "flood",
         **replica_config: Any,
     ) -> None:
         if adt is None:
@@ -150,7 +146,7 @@ class GenericCCv(ReplicatedObject):
         self.adt = adt
         self.name = self.label.format(adt.name)
         super().__init__(
-            sim, network, recorder, {"flood": flood},
+            sim, network, recorder, {"relay": relay},
             adt=adt, clock=sim, **replica_config,
         )
 
@@ -180,11 +176,3 @@ class LwwReplication(GenericCCv):
     label = "EC({}) [LWW]"
     replica_cls = LwwReplica
     broadcast_cls = ReliableBroadcast
-
-
-class LazyLwwReplication(LwwReplication):
-    """LWW over the push/lazy-push transport (PR 8): same reliable-
-    delivery guarantee, ~n·log n messages per broadcast instead of
-    n(n-1), different delivery schedules."""
-
-    broadcast_cls = LazyReliableBroadcast

@@ -78,10 +78,10 @@ class SessionReport:
 
 def session_guarantee_rates(
     algorithms: Sequence[Tuple[Type[ReplicatedObject], Dict]] = (
-        (GenericCausal, {"flood": False}),
-        (GenericCCv, {"flood": False}),
-        (PramReplication, {"flood": False}),
-        (LwwReplication, {"clock_skew": 2.0, "flood": False}),
+        (GenericCausal, {"relay": "direct"}),
+        (GenericCCv, {"relay": "direct"}),
+        (PramReplication, {"relay": "direct"}),
+        (LwwReplication, {"clock_skew": 2.0, "relay": "direct"}),
     ),
     runs: int = 20,
     n: int = 4,
@@ -92,7 +92,7 @@ def session_guarantee_rates(
 ) -> List[SessionReport]:
     """Violation-run rates per algorithm per guarantee.
 
-    ``flood=False`` keeps channels reliable-direct (the paper's crash-free
+    ``relay="direct"`` keeps channels reliable-direct (the paper's crash-free
     model); flooding's redundant relays statistically mask the FIFO/LWW
     anomalies by accidentally restoring causal delivery order.
     """

@@ -11,6 +11,7 @@ documents.  ``python -m repro chaos`` is the CLI front end;
 from ..runtime.monitors import RuntimeMonitor, Violation
 from .ddmin import ddmin
 from .driver import (
+    CHAOS_ALGORITHMS,
     CHAOS_GC_INTERVAL,
     ChaosFailure,
     ChaosReport,
@@ -30,6 +31,7 @@ from .generate import (
 from .sentinels import INJECTIONS
 
 __all__ = [
+    "CHAOS_ALGORITHMS",
     "CHAOS_GC_INTERVAL",
     "INJECTIONS",
     "ChaosFailure",

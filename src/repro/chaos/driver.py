@@ -37,6 +37,10 @@ from .sentinels import plant, sentinel
 #: interval would never sweep at chaos workload sizes
 CHAOS_GC_INTERVAL = 16
 
+#: what a hunt runs unless told otherwise: one eventually consistent
+#: baseline and Fig. 5 over the flood and over the lazy relay
+CHAOS_ALGORITHMS = ("lww", "ccv-fig5", "ccv-lazy")
+
 #: seed mixing constants (any odd multipliers; fixed forever for replay)
 _TRIAL_SALT = 1_000_003
 _RUN_SALT = 10_007
@@ -181,7 +185,7 @@ def trial_fails(
 def run_chaos(
     seed: int,
     trials: int = 25,
-    algorithms: Sequence[str] = ("lww", "ccv-fig5", "ccv-lazy"),
+    algorithms: Sequence[str] = CHAOS_ALGORITHMS,
     inject: str = "none",
     n: int = 4,
     ops: int = 6,

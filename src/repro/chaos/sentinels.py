@@ -1,6 +1,7 @@
 """Sentinel bugs: known defects planted for the chaos hunt to find.
 
-Each is a mixin overriding one method of the broadcast layer, which
+Each is a mixin overriding one method of the broadcast service or of
+the part class its row names (``endpoint_cls`` or ``lazy_cls``), which
 :func:`plant` subclasses with it, so :mod:`repro.runtime` carries no
 switch for any; :data:`SENTINELS` is the ``--inject`` vocabulary:
 
@@ -22,7 +23,7 @@ the stranding being hunted.
 
 from typing import Any, Dict, List, NamedTuple, Optional
 
-from ..runtime.broadcast import PeerView, ReliableBroadcast, _LazyTransport
+from ..runtime.broadcast import PeerView, ReliableBroadcast
 
 
 class _CrashedRowsAhead(PeerView):
@@ -53,16 +54,16 @@ class _StarvePulls:
 
 
 class Sentinel(NamedTuple):
-    applies_to: type  # the service class (and its subclasses) it bugs
     service_mixin: Optional[type]
-    endpoint_mixin: Optional[type]
+    part: Optional[str]  # the service attribute naming the part class it bugs
+    part_mixin: Optional[type]
     differential: bool
 
 
 SENTINELS: Dict[str, Sentinel] = {
-    "gc-frontier": Sentinel(ReliableBroadcast, _GcFrontier, None, False),
-    "oneshot-resync": Sentinel(ReliableBroadcast, None, _OneShotResync, True),
-    "pull-starve": Sentinel(_LazyTransport, None, _StarvePulls, True),
+    "gc-frontier": Sentinel(_GcFrontier, None, None, False),
+    "oneshot-resync": Sentinel(None, "endpoint_cls", _OneShotResync, True),
+    "pull-starve": Sentinel(None, "lazy_cls", _StarvePulls, True),
 }
 
 #: the ``--inject`` vocabulary: ``none`` plants nothing
@@ -80,13 +81,14 @@ def sentinel(inject: str) -> Optional[Sentinel]:
 
 def plant(service_cls: Any, inject: str) -> Any:
     """The subclass of ``service_cls`` that carries ``inject``, or
-    ``service_cls`` itself (``None`` included) when it does not apply."""
+    ``service_cls`` itself (``None`` included) when it is no reliable
+    broadcast."""
     row = sentinel(inject)
-    if row is None or not issubclass(service_cls or object, row.applies_to):
+    if row is None or not issubclass(service_cls or object, ReliableBroadcast):
         return service_cls
     attrs = {}
-    if row.endpoint_mixin is not None:
-        base = service_cls.endpoint_cls
-        attrs["endpoint_cls"] = type(base.__name__, (row.endpoint_mixin, base), {})
+    if row.part is not None:
+        base = getattr(service_cls, row.part)
+        attrs[row.part] = type(base.__name__, (row.part_mixin, base), {})
     mixins = (row.service_mixin,) if row.service_mixin else ()
     return type(service_cls.__name__, (*mixins, service_cls), attrs)

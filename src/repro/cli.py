@@ -49,7 +49,7 @@ from .adts import (
     Stack,
     WindowStream,
 )
-from .chaos.sentinels import INJECTIONS
+from .chaos import CHAOS_ALGORITHMS, INJECTIONS
 from .core import History, Operation
 from .core.operations import BOTTOM, HIDDEN, Invocation, output_from_json
 from .criteria import check, decide
@@ -236,9 +236,10 @@ def _int_at_least(minimum: int, note: str = ""):
     return parse
 
 
-def _delay_arg(text: str) -> float:
-    """argparse type for ``--delays``: a finite mean delay > 0 (a
-    negative one would schedule deliveries in the past, mid-sweep)."""
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0 — ``--delays`` (a negative mean
+    delay would schedule deliveries in the past, mid-sweep), ``load
+    --rate`` and ``--duration`` (zero issues nothing)."""
     try:
         value = float(text)
     except ValueError:
@@ -331,9 +332,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     report = run_chaos(
         seed=args.seed,
         trials=args.trials,
-        algorithms=tuple(args.algorithm)
-        if args.algorithm
-        else ("lww", "ccv-fig5", "ccv-lazy"),
+        algorithms=tuple(args.algorithm or CHAOS_ALGORITHMS),
         inject=args.inject,
         n=args.n,
         ops=args.ops,
@@ -464,6 +463,17 @@ def _holds(ok: Optional[bool]) -> str:
     return "?" if ok is None else ("yes" if ok else "no")
 
 
+def _pid_outside(command: str, args: argparse.Namespace) -> bool:
+    """Refuse (one stderr line) a ``--pid`` that is no node of ``--n``."""
+    if args.pid is None or 0 <= args.pid < args.n:
+        return False
+    print(
+        f"repro {command}: --pid {args.pid} is not a node of 0..{args.n - 1}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -477,6 +487,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"repro serve: {exc}", file=sys.stderr)
         return 2
 
+    if _pid_outside("serve", args):
+        return 2
     try:
         if args.time_scale <= 0:
             raise ValueError("--time-scale must be positive")
@@ -657,11 +669,7 @@ def cmd_status(args: argparse.Namespace) -> int:
 
     from .service import client_call, port_layout
 
-    if args.pid is not None and not 0 <= args.pid < args.n:
-        print(
-            f"repro status: --pid {args.pid} is not a node of 0..{args.n - 1}",
-            file=sys.stderr,
-        )
+    if _pid_outside("status", args):
         return 2
     layout = port_layout(args.n, args.base_port)
     pids = [args.pid] if args.pid is not None else list(range(args.n))
@@ -728,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_consensus)
 
     p = sub.add_parser("latency", help="latency vs network delay sweep")
-    p.add_argument("--delays", type=_delay_arg, nargs="+", default=[0.5, 1, 2, 5, 10])
+    p.add_argument("--delays", type=_positive_float, nargs="+", default=[0.5, 1, 2, 5, 10])
     p.add_argument("--ops", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_latency)
@@ -808,7 +816,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--algorithm", action="append",
-        help="algorithm key (repeatable); default: lww, ccv-fig5, ccv-lazy",
+        help="algorithm key (repeatable); default: "
+        + ", ".join(CHAOS_ALGORITHMS),
     )
     p.add_argument(
         "--inject",
@@ -851,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="host a live asyncio cluster (or one node) on loopback TCP",
     )
-    p.add_argument("--n", type=int, default=3, help="cluster size")
+    p.add_argument("--n", type=_int_at_least(1), default=3, help="cluster size")
     p.add_argument(
         "--pid", type=int, default=None,
         help="host only this node (one OS process per node); default: "
@@ -859,8 +868,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--base-port", type=int, default=7420)
     p.add_argument("--algorithm", default="ccv-fig5")
-    p.add_argument("--streams", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--streams", type=_int_at_least(1), default=2)
+    p.add_argument("--k", type=_int_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--no-proxy", action="store_true",
@@ -893,20 +902,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="open-loop load against a running live cluster, with "
         "optional history capture for classify",
     )
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_int_at_least(1), default=3)
     p.add_argument("--base-port", type=int, default=7420)
-    p.add_argument("--duration", type=float, default=3.0)
+    p.add_argument("--duration", type=_positive_float, default=3.0)
     p.add_argument(
-        "--rate", type=float, default=25.0, help="arrivals/s per session"
+        "--rate", type=_positive_float, default=25.0, help="arrivals/s per session"
     )
     p.add_argument("--write-ratio", type=float, default=0.5)
     p.add_argument(
         "--hot-key", type=float, default=0.0,
         help="probability an op targets stream 0 (contention)",
     )
-    p.add_argument("--sessions", type=int, default=4, help="per node")
-    p.add_argument("--streams", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--sessions", type=_int_at_least(1), default=4, help="per node")
+    p.add_argument("--streams", type=_int_at_least(1), default=2)
+    p.add_argument("--k", type=_int_at_least(1), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--settle", type=float, default=1.0,
@@ -917,11 +926,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the cluster's recorded history as classify JSON",
     )
     p.add_argument(
-        "--window", type=int, default=1,
+        "--window", type=_int_at_least(1), default=1,
         help="pipelining depth per connection (1 = lock-step)",
     )
     p.add_argument(
-        "--connections", type=int, default=1,
+        "--connections", type=_int_at_least(1), default=1,
         help="client connections per node (sessions share round-robin)",
     )
     p.add_argument(

@@ -4,8 +4,7 @@ from .broadcast import (
     BroadcastService,
     CausalBroadcast,
     FifoBroadcast,
-    LazyCausalBroadcast,
-    LazyReliableBroadcast,
+    RELAYS,
     ReliableBroadcast,
     TotalOrderBroadcast,
 )
@@ -21,8 +20,7 @@ __all__ = [
     "BroadcastService",
     "CausalBroadcast",
     "FifoBroadcast",
-    "LazyCausalBroadcast",
-    "LazyReliableBroadcast",
+    "RELAYS",
     "ReliableBroadcast",
     "TotalOrderBroadcast",
     "LamportClock",

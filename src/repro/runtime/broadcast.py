@@ -40,15 +40,16 @@ one ``Network``: every row is aliased and the control call is an
 in-line function call — the all-peers-hosted special case of the code a
 live node runs with one endpoint, heartbeat digests and control frames.
 
-Each ``XBroadcast`` service builds ``XEndpoint`` machines: ``Reliable``
-(eager flood, no order), ``Fifo`` (the PRAM baseline's substrate),
+**Two axes.**  *Delivery order* is the endpoint class an ``XBroadcast``
+service builds: ``Reliable`` (none), ``Fifo`` (the PRAM baseline's),
 ``Causal`` (Figs. 4 and 5's; ``ReferenceCausal`` is its executable
-spec), ``LazyReliable``/``LazyCausal`` (the push/lazy-push family of
-PR 8 — different delivery schedules, so a side-by-side registry family;
-the bit-identity baseline stays on the eager flood) and ``TotalOrder``
-(sequencer-based and *not* wait-free, which is exactly why sequentially
-consistent objects cannot have latency independent of the network —
-Sec. 1, [3, 16]; experiment E6 measures it).
+spec).  *Dissemination* is the service's ``relay``, one of
+:data:`RELAYS`: ``"flood"`` (relay each message when first seen),
+``"direct"`` (only the broadcaster sends) or ``"lazy"`` (push/lazy-push:
+the endpoint's :class:`~repro.runtime.lazy_push.LazyPush` part).
+``TotalOrder`` stands apart: sequencer-based and *not* wait-free, which
+is exactly why sequentially consistent objects cannot have latency
+independent of the network (Sec. 1, [3, 16]; experiment E6 measures it).
 """
 
 from __future__ import annotations
@@ -57,10 +58,13 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .clocks import VectorClock
+from .lazy_push import LazyPush, Mid
 from .transport import Transport
 
 Handler = Callable[[int, Any], None]  # (origin pid, payload)
-Mid = Tuple[int, int]  # (origin pid, origin's sequence number)
+
+#: how a reliable broadcast spreads a message (see the module docstring)
+RELAYS = ("flood", "direct", "lazy")
 
 
 class Endpoint:
@@ -191,13 +195,16 @@ class PeerView:
 
 
 class ReliableEndpoint(Endpoint):
-    """Eager reliable broadcast (flooding).
+    """Reliable broadcast, eager (flooding) by default.
 
     A process relays each message the first time it sees it, so a
     message delivered anywhere reaches every non-faulty process even if
-    the broadcaster crashes mid-broadcast.  ``flood=False`` degrades to
-    best-effort direct sends (n-1 messages instead of O(n^2)); the fault
-    injection tests exercise the difference.
+    the broadcaster crashes mid-broadcast.  ``relay="direct"`` degrades
+    to best-effort direct sends (n-1 messages instead of O(n^2)); the
+    fault injection tests exercise the difference.  ``relay="lazy"``
+    plugs a :class:`LazyPush` part in at two seams, the outbound relay
+    and the transport sink (``adv``/``pull``/``pull-reply``/``pull-miss``
+    beside the bodies); it answers pulls from this endpoint's ``log``.
 
     Memory stays bounded on long runs through causal-stability GC
     (:meth:`sweep`), and a crash-recovered process catches up by
@@ -217,6 +224,13 @@ class ReliableEndpoint(Endpoint):
         self.peers: PeerView  # built once every hosted endpoint exists
         # a re-crash + re-recover orphans the old supervision chain
         self._resync_epoch = 0
+        # relay a message seen from a peer onward (flood and lazy)
+        self.forwards = service.relay != "direct"
+        self.lazy: Optional[LazyPush] = None
+        if service.relay == "lazy":
+            self.lazy = service.lazy_cls(self)
+            self._relay = self.lazy.relay
+            self.receive = self.lazy.receive
 
     # ------------------------------------------------------------------
     # Dedup bookkeeping
@@ -296,7 +310,7 @@ class ReliableEndpoint(Endpoint):
 
     def _first_seen(self, message: Any) -> None:
         self._note_seen(message)
-        if self.service.flood:
+        if self.forwards:
             self._relay(message)
         self._accept(message)
 
@@ -464,10 +478,12 @@ class ReliableEndpoint(Endpoint):
 
 
 class ReliableBroadcast(BroadcastService):
-    """The eager reliable broadcast service: see :class:`ReliableEndpoint`."""
+    """The reliable broadcast service: see :class:`ReliableEndpoint`."""
 
     name = "reliable"
     endpoint_cls = ReliableEndpoint
+    #: the part a ``relay="lazy"`` endpoint holds
+    lazy_cls = LazyPush
 
     #: first-seen notes (across the hosted endpoints) between sweeps
     GC_INTERVAL = 1024
@@ -479,9 +495,11 @@ class ReliableBroadcast(BroadcastService):
     RESYNC_BACKOFF = 1.6
     RESYNC_MAX_ATTEMPTS = 8
 
-    def __init__(self, network: Transport, flood: bool = True) -> None:
+    def __init__(self, network: Transport, relay: str = "flood") -> None:
+        if relay not in RELAYS:
+            raise ValueError(f"unknown relay {relay!r}; known: {', '.join(RELAYS)}")
+        self.relay = relay  # read by the endpoints the base class builds
         super().__init__(network)
-        self.flood = flood
         self._notes_since_gc = 0
         self.gc_runs = 0
         self.gc_pruned = 0
@@ -725,330 +743,6 @@ class ReferenceCausalEndpoint(CausalEndpoint):
 class ReferenceCausalBroadcast(CausalBroadcast):
     name = "causal-reference"
     endpoint_cls = ReferenceCausalEndpoint
-
-
-class _LazyEndpoint:
-    """Mixin: push/lazy-push hybrid transport (Plumtree-style) replacing
-    the eager flood's relay.
-
-    Every first-seen message is *pushed* (full body) to a small
-    deterministic per-seed relay subset — exponential ring offsets
-    ``pid+1, pid+2, pid+4, ...`` rotated by the run's seed, so the eager
-    overlay has out-degree ~log2(n) and diameter O(log n) — and
-    *advertised* (bare ``(origin, seq)`` id) to every other peer.
-    Advertisements are batched: ids accumulate and flush as one ``adv``
-    message per lazy peer when ``ADV_BATCH`` ids are pending or
-    ``ADV_FLUSH_DELAY`` elapses, and any outgoing pull/pull-reply to a
-    lazy peer piggybacks the pending ids for free.  A receiver that
-    holds an advertised id without the body *pulls* it: after a grace
-    period (the body is usually still in flight through the push
-    overlay), a pull request goes to an advertiser, with timeout,
-    geometric backoff and holder failover mirroring the supervised
-    resync of PR 6 — so loss, partitions, crash storms, flapping and
-    GC-pruned bodies (answered with an explicit ``pull-miss``) are all
-    handled.  Exhausted attempts flag ``pull-stranded`` on the runtime
-    monitor.
-
-    Message complexity per broadcast drops from the flood's n(n-1) to
-    ~n·log2(n) bodies plus ~n²/ADV_BATCH batched advertisements — at
-    n=32 that is ≥4× fewer messages, at n=64 ~7× (the fan-out benchmark
-    records the exact numbers).  Delivery *schedules* necessarily differ
-    from the eager classes, which is why the lazy family is registered
-    beside them and benchmarked side by side instead of replacing the
-    bit-identity baseline.
-
-    Cooperates with :class:`ReliableEndpoint`'s machinery unchanged:
-    bodies (messages without a ``"kind"`` key — including anti-entropy
-    resends) flow through the same frontier dedup, retained log and
-    stability sweep; the index of the log that answers pulls is pruned
-    with it.
-    """
-
-    def __init__(self, service: "_LazyTransport", pid: int) -> None:
-        super().__init__(service, pid)
-        n = self.n
-        self.push_peers = service.relay_subset(pid, n, self.transport.seed)
-        self.lazy_peers: Tuple[int, ...] = tuple(
-            q for q in range(n) if q != pid and q not in self.push_peers
-        )
-        # the retained log by id, for answering pulls
-        self.bodies: Dict[Mid, Any] = {}
-        # advertised-but-missing bodies:
-        # mid -> [known holders, attempts, pending timer handle]
-        self.missing: Dict[Mid, List[Any]] = {}
-        # advertisement batching: id backlog (with the absolute index of
-        # its first entry) + per-lazy-peer cursors
-        self.adv_log: List[Mid] = []
-        self.adv_base = 0
-        self.adv_cursor: Dict[int, int] = {q: 0 for q in self.lazy_peers}
-        self.adv_timer: Optional[Any] = None
-
-    # ------------------------------------------------------------------
-    # Send side: push to the relay subset, advertise to the rest
-    # ------------------------------------------------------------------
-    def _relay(self, message: Any) -> None:
-        transport = self.transport
-        send = transport.send
-        pid = self.pid
-        for q in self.push_peers:
-            send(pid, q, message)
-        if not self.lazy_peers:
-            return
-        # relays an eager flood would have sent minus the pushes we do
-        transport.stats.suppressed_relays += len(self.lazy_peers)
-        self.adv_log.append(message["id"])
-        if len(self.adv_log) >= self.service.ADV_BATCH:
-            self._flush_adv()
-        elif self.adv_timer is None:
-            self.adv_timer = transport.schedule(
-                self.service.ADV_FLUSH_DELAY, self._flush_adv
-            )
-
-    def _flush_adv(self) -> None:
-        transport = self.transport
-        if self.adv_timer is not None:
-            transport.cancel(self.adv_timer)  # no-op when it just fired
-            self.adv_timer = None
-        log = self.adv_log
-        if not log:
-            return
-        base = self.adv_base
-        end = base + len(log)
-        cursors = self.adv_cursor
-        for q in self.lazy_peers:
-            cur = cursors[q]
-            if cur >= end:
-                continue  # already piggybacked on an organic send
-            cursors[q] = end
-            self.service.adv_sent += 1
-            transport.send(
-                self.pid, q, {"kind": "adv", "ids": tuple(log[cur - base :])}
-            )
-        self.adv_base = end
-        log.clear()
-
-    def _attach_adv(self, dst: int, message: Any) -> None:
-        """Piggyback the pending advertisement ids for ``dst`` onto an
-        outgoing protocol message (pull or pull-reply)."""
-        cur = self.adv_cursor.get(dst)
-        if cur is None:
-            return  # push peer: it gets full bodies, not advertisements
-        end = self.adv_base + len(self.adv_log)
-        if cur < end:
-            message["adv"] = tuple(self.adv_log[cur - self.adv_base :])
-            self.adv_cursor[dst] = end
-
-    # ------------------------------------------------------------------
-    # Receive side: dispatch bodies vs control messages
-    # ------------------------------------------------------------------
-    def receive(self, src: int, message: Any) -> None:
-        kind = message.get("kind")
-        if kind is None:
-            # a full body: a push, a pushed relay, or a resync resend
-            self._body(message)
-            return
-        if kind == "adv":
-            for mid in message["ids"]:
-                self._advertised(src, mid)
-            return
-        for mid in message.get("adv", ()):
-            self._advertised(src, mid)
-        if kind == "pull":
-            self._pull_request(src, message["mid"])
-        elif kind == "pull-reply":
-            self._body(message["body"])
-        elif kind == "pull-miss":
-            self._pull_missed(src, message["mid"])
-
-    def _body(self, body: Any) -> None:
-        mid = body["id"]
-        # inlined is_seen (hot path) — keep in sync with that helper
-        if mid[1] < self.frontier[mid[0]] or mid in self.spill:
-            return
-        entry = self.missing.pop(mid, None)
-        if entry is not None and entry[2] is not None:
-            self.transport.cancel(entry[2])
-        self._first_seen(body)
-
-    def _note_seen(self, message: Any) -> None:
-        self.bodies[message["id"]] = message
-        super()._note_seen(message)
-
-    def sweep(self) -> None:
-        super().sweep()
-        if len(self.bodies) != len(self.log):
-            self.bodies = {m["id"]: m for m in self.log}
-
-    # ------------------------------------------------------------------
-    # Pull path: grace, timeout, backoff, holder failover
-    # ------------------------------------------------------------------
-    def _advertised(self, src: int, mid: Mid) -> None:
-        if mid[1] < self.frontier[mid[0]] or mid in self.spill:
-            return
-        entry = self.missing.get(mid)
-        if entry is not None:
-            if src not in entry[0]:
-                entry[0].append(src)  # one more candidate for failover
-            return
-        handle = self.transport.schedule(
-            self.service.PULL_GRACE, self._pull_fire, mid
-        )
-        self.missing[mid] = [[src], 0, handle]
-
-    def _pull_holder(self, holders: List[int], attempt: int) -> Optional[int]:
-        """Supervised-retry holder choice, the resync-helper shape:
-        prefer reachable advertisers, then any other reachable live
-        peer, then separated-but-live advertisers (partitions hold
-        messages, so a cross-partition pull completes at the heal);
-        rotate through the pool on retries."""
-        transport = self.transport
-        pid = self.pid
-
-        def reachable(q: int) -> bool:
-            return not (
-                transport.is_crashed(q)
-                or transport.separated(pid, q)
-                or transport.separated(q, pid)
-            )
-
-        pool = [h for h in holders if reachable(h)] + [
-            q
-            for q in range(self.n)
-            if q != pid and q not in holders and reachable(q)
-        ] or [h for h in holders if not transport.is_crashed(h)]
-        if not pool:
-            return None
-        return pool[attempt % len(pool)]
-
-    def _pull_fire(self, mid: Mid) -> None:
-        entry = self.missing.get(mid)
-        if entry is None:
-            return
-        entry[2] = None
-        transport = self.transport
-        service = self.service
-        if transport.is_crashed(self.pid):
-            # a crashed puller stops pulling; the recovery-time resync
-            # repairs whatever it missed
-            del self.missing[mid]
-            return
-        attempt = entry[1]
-        if attempt >= service.PULL_MAX_ATTEMPTS:
-            del self.missing[mid]
-            service.pulls_stranded += 1
-            if service.monitor is not None:
-                service.monitor.on_pull_stranded(self.pid, mid, attempt)
-            return
-        holder = self._pull_holder(entry[0], attempt)
-        entry[1] = attempt + 1
-        if holder is not None:
-            service.pulls_sent += 1
-            transport.stats.pulled += 1
-            request = {"kind": "pull", "mid": mid}
-            self._attach_adv(holder, request)
-            transport.send(self.pid, holder, request)
-        entry[2] = transport.schedule(
-            service.PULL_TIMEOUT * (service.PULL_BACKOFF**attempt),
-            self._pull_fire,
-            mid,
-        )
-
-    def _pull_request(self, requester: int, mid: Any) -> None:
-        service = self.service
-        body = self.bodies.get(mid)
-        if body is not None:
-            service.pull_replies += 1
-            reply = {"kind": "pull-reply", "body": body}
-            self._attach_adv(requester, reply)
-        else:
-            # unseen here, or pruned by the stability GC: tell the
-            # requester explicitly so it fails over without the timeout
-            service.pull_misses += 1
-            reply = {"kind": "pull-miss", "mid": mid}
-        self.transport.send(self.pid, requester, reply)
-
-    def _pull_missed(self, src: int, mid: Mid) -> None:
-        entry = self.missing.get(mid)
-        if entry is None:
-            return
-        if src in entry[0]:
-            entry[0].remove(src)  # a known non-holder
-        if entry[2] is not None:
-            self.transport.cancel(entry[2])
-        entry[2] = self.transport.schedule(0.0, self._pull_fire, mid)
-
-
-class _LazyTransport:
-    """Service mixin of the lazy family: see :class:`_LazyEndpoint`."""
-
-    #: pending advertisement ids that force a flush
-    ADV_BATCH = 16
-    #: advertisement flush deadline (time units) when the batch is short
-    ADV_FLUSH_DELAY = 2.0
-    #: wait before the first pull — the body is usually in flight
-    #: through the push overlay (diameter O(log n) hops)
-    PULL_GRACE = 8.0
-    #: supervised-pull parameters, the resync shape: first re-check
-    #: after PULL_TIMEOUT, geometric backoff, give up (and flag the
-    #: monitor) after PULL_MAX_ATTEMPTS
-    PULL_TIMEOUT = 6.0
-    PULL_BACKOFF = 1.6
-    PULL_MAX_ATTEMPTS = 8
-
-    # counters
-    pulls_sent = pull_replies = pull_misses = pulls_stranded = adv_sent = 0
-
-    @staticmethod
-    def relay_subset(pid: int, n: int, seed: int) -> Tuple[int, ...]:
-        """The deterministic per-seed push (eager relay) subset of
-        ``pid``: ring offset 1 (kept fixed so the overlay always
-        contains the full ring and stays strongly connected) plus
-        ~log2(n)-1 exponential offsets rotated by the seed."""
-        if n <= 1:
-            return ()
-        if n == 2:
-            return (1 - pid,)
-        fanout = max(1, (n - 1).bit_length())  # ceil(log2(n))
-        rot = seed % (n - 2)
-        offsets = {1}
-        for j in range(1, fanout):
-            offsets.add(2 + (((1 << j) - 2 + rot) % (n - 2)))
-        return tuple(sorted((pid + off) % n for off in offsets))
-
-    def missing_count(self, pid: int) -> int:
-        """Advertised bodies ``pid`` is still waiting on (observability)."""
-        return len(self.endpoints[pid].missing)
-
-
-class LazyReliableEndpoint(_LazyEndpoint, ReliableEndpoint):
-    pass
-
-
-class LazyReliableBroadcast(_LazyTransport, ReliableBroadcast):
-    """Reliable broadcast over the push/lazy-push transport: agreement
-    without ordering, at ~n·log n messages per broadcast instead of the
-    eager flood's n(n-1)."""
-
-    name = "lazy-reliable"
-    endpoint_cls = LazyReliableEndpoint
-
-
-class LazyCausalEndpoint(_LazyEndpoint, CausalEndpoint):
-    pass
-
-
-class LazyCausalBroadcast(_LazyTransport, CausalBroadcast):
-    """Causal broadcast over the push/lazy-push transport.
-
-    Causal order is enforced by the same indexed vector-clock delivery
-    layer as :class:`CausalBroadcast` (bodies arriving out of causal
-    order — pushed, pulled or resynced — buffer in the wait table until
-    covered), so the transport rewrite cannot weaken the ordering
-    guarantee; the streaming monitor verifies CCv end to end at the
-    n=32/64 scales the enumeration search cannot reach."""
-
-    name = "lazy-causal"
-    endpoint_cls = LazyCausalEndpoint
 
 
 class TotalOrderEndpoint(Endpoint):

@@ -195,7 +195,7 @@ class Network(Transport):
     drain still advances to the latest elided arrival, which keeps every
     recorded history, ``RunResult.duration`` and the quiescence reads'
     times exactly as if the copy had been delivered.  Payloads without an
-    id (the lazy family's ``adv``/``pull`` messages, total order, gossip)
+    id (the lazy relay's ``adv``/``pull`` messages, total order, gossip)
     and destinations that offered no predicate are scheduled as always.
 
     Arrival-time folding: per destination that offered a predicate, the

@@ -28,8 +28,6 @@ from ..algorithms import (
     GenericCausal,
     GenericCCv,
     GossipCCvWindowArray,
-    LazyCCvWindowArray,
-    LazyLwwReplication,
     LwwReplication,
     PramReplication,
     ScSequencer,
@@ -58,19 +56,22 @@ class AlgorithmEntry:
     #: operation take effect remotely without ever completing at its
     #: origin, so the recorded history can expose unwritten values
     needs_reliable: bool = False
-    #: part of the default sweep?  Non-default entries (the lazy family)
+    #: part of the default sweep?  Non-default entries (the lazy relay)
     #: are resolvable by explicit ``--algorithm`` / the scale tiers but
     #: excluded from :func:`algorithm_names`, so the bit-identity
     #: runtime-bench baseline never gains rows
     default: bool = True
+    #: the reliable broadcast's ``relay`` (``None``: the host's default)
+    relay: Optional[str] = None
 
     def kwargs(self, streams: int, k: int) -> Dict[str, Any]:
         """Constructor kwargs of ``cls`` for an array of ``streams``
         window streams of size ``k`` — the one place ``kwargs_style`` is
         decoded, for the matrix runner and the service node alike."""
+        relay = {} if self.relay is None else {"relay": self.relay}
         if self.kwargs_style == "window":
-            return {"streams": streams, "k": k}
-        return {"adt": WindowStreamArray(streams, k)}
+            return {"streams": streams, "k": k, **relay}
+        return {"adt": WindowStreamArray(streams, k), **relay}
 
 
 ALGORITHMS: Dict[str, AlgorithmEntry] = {
@@ -86,16 +87,16 @@ ALGORITHMS: Dict[str, AlgorithmEntry] = {
         AlgorithmEntry(
             "sc-sequencer", ScSequencer, "SC", "adt", needs_reliable=True
         ),
-        # the push/lazy-push transport family (PR 8): same algorithms,
-        # ~n·log n messages per broadcast instead of n(n-1).  Delivery
-        # schedules differ from the eager flood, so these are *not* in
-        # the default sweep (default=False keeps the bit-identity
-        # baseline untouched); the n=32/64 scale tiers run on them.
+        # the push/lazy-push relay (PR 8): ~n·log n messages per
+        # broadcast instead of n(n-1), but other delivery schedules, so
+        # outside the bit-identity default sweep; the n=32/64 tiers run these
         AlgorithmEntry(
-            "lww-lazy", LazyLwwReplication, "CONV", "adt", default=False
+            "lww-lazy", LwwReplication, "CONV", "adt", default=False,
+            relay="lazy",
         ),
         AlgorithmEntry(
-            "ccv-lazy", LazyCCvWindowArray, "CCV", "window", default=False
+            "ccv-lazy", CCvWindowArray, "CCV", "window", default=False,
+            relay="lazy",
         ),
     )
 }

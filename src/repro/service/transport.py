@@ -93,7 +93,7 @@ def _is_mid(mid: Any, n: int) -> bool:
 def _check_message(message: Dict[str, Any], n: int) -> None:
     """Raise ``ValueError`` unless a broadcast message body fits a cluster
     of ``n``: its id, its ``origin`` (the id's), its stamp (n ints), and
-    the lazy family's ``adv`` ids, ``pull``/``pull-miss`` id and
+    the lazy relay's ``adv`` ids, ``pull``/``pull-miss`` id and
     ``pull-reply`` body.  The broadcast layers index per-process rows by
     all of these, so a frame that got past a decode unchecked raised
     ``IndexError``/``KeyError`` inside the connection task — or, fitting
@@ -134,6 +134,30 @@ def _check_message(message: Dict[str, Any], n: int) -> None:
             raise ValueError(
                 f"{kind} message id {mid!r} outside this cluster of {n}"
             )
+
+
+def _check_control(frame: Dict[str, Any], n: int) -> None:
+    """Raise ``ValueError`` unless a control frame fits a cluster of
+    ``n``: a pid's ``src``, a body dict, and in it the sender's digest
+    as ``PeerView.learn`` takes it — a ``frontier`` of n ints >= 0 and a
+    ``spill`` list of ids.  Unchecked, a stray entry moved a peer's row
+    part-way, then raised ``TypeError`` inside the connection task."""
+    src, body = frame.get("src"), frame.get("body")
+    digest = body if type(body) is dict else {}
+    frontier, spill = digest.get("frontier"), digest.get("spill")
+    if not (
+        type(src) is int and 0 <= src < n and type(body) is dict
+        and (frontier is None or (
+            type(frontier) in (list, tuple) and len(frontier) == n
+            and all(type(head) is int and head >= 0 for head in frontier)
+        ))
+        and (spill is None or (
+            type(spill) in (list, tuple)
+            and all(type(mid) in (list, tuple) and _is_mid(tuple(mid), n)
+                    for mid in spill)
+        ))
+    ):
+        raise ValueError(f"control frame outside this cluster of {n}: {frame!r}")
 
 
 class WallClock:
@@ -319,7 +343,7 @@ class AsyncioTransport(Transport):
     def _msg_body(self, src: int, payload: Any) -> bytes:
         """Encoded message frame body — spliced from the bytes it arrived
         in when ``payload`` is the very message being dispatched (the
-        flood relay, the lazy family's push), encoded otherwise (original
+        flood relay, the lazy relay's push), encoded otherwise (original
         broadcasts, resync resends from the log, pull replies)."""
         inflight = self._inflight
         if inflight is not None and inflight[0] is payload:
@@ -605,6 +629,7 @@ class AsyncioTransport(Transport):
             if handler is not None:
                 handler(src, frame["body"])
         elif kind == "ctl":
+            _check_control(frame, self.n)
             if self.control_handler is not None:
                 self.control_handler(src, frame["body"])
             if self._control_sink is not None:

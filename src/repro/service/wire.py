@@ -39,7 +39,7 @@ codecs share the framing, distinguished by the body's first byte:
     codec-internal optimisation, not a protocol knob: ``encode_body``
     recognises the envelope and packs it, and **falls back to generic
     TLV** whenever the shape does not fit exactly — a non-tuple id, a
-    ``kind`` key (every control message of the lazy family and the
+    ``kind`` key (every control message of the lazy relay and the
     sequencer), any extra or missing key, an int outside its header
     field, a bool where a pid belongs — never an error; ``decode`` of a
     ``0xB3`` body returns the *equal* envelope a generic frame would.

@@ -4,6 +4,9 @@ order (Sec. 6.1, [10])."""
 import itertools
 import random
 
+import pytest
+
+from repro.algorithms import CCvWindowArray
 from repro.runtime import (
     CausalBroadcast,
     DelayModel,
@@ -36,6 +39,14 @@ class TestReliableBroadcast:
         for log in logs:
             assert sorted(p for _, p in log) == ["a", "b"]
 
+    @pytest.mark.parametrize("relay", ["eager", "", None])
+    def test_an_unknown_relay_is_refused(self, relay):
+        net = Network(Simulator(seed=0), 3)
+        with pytest.raises(ValueError, match="known: flood, direct, lazy"):
+            ReliableBroadcast(net, relay=relay)
+        with pytest.raises(ValueError, match="unknown relay"):
+            CCvWindowArray(Simulator(seed=0), net, relay=relay)
+
     def test_local_delivery_immediate(self):
         sim, _, _, endpoints, logs = _setup(ReliableBroadcast, 2)
         endpoints[0].broadcast("x")
@@ -57,7 +68,7 @@ class TestReliableBroadcast:
                 return 1.0
 
         net = Network(sim, 3, delay=SplitDelay())
-        service = ReliableBroadcast(net, flood=True)
+        service = ReliableBroadcast(net, relay="flood")
         logs = [[] for _ in range(3)]
         for pid in range(3):
             service.endpoint(pid, lambda o, p, i=pid: logs[i].append(p))
@@ -75,7 +86,7 @@ class TestReliableBroadcast:
                 return 50.0 if (src == 0 and dst == 2) else 1.0
 
         net = Network(sim, 3, delay=SplitDelay())
-        service = ReliableBroadcast(net, flood=False)
+        service = ReliableBroadcast(net, relay="direct")
         logs = [[] for _ in range(3)]
         for pid in range(3):
             service.endpoint(pid, lambda o, p, i=pid: logs[i].append(p))

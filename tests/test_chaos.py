@@ -911,11 +911,14 @@ class TestChaosDriver:
     def test_plant_subclasses_only_the_services_it_applies_to(self):
         assert plant(FifoBroadcast, "none") is FifoBroadcast
         assert plant(None, "gc-frontier") is None  # state-based gossip
-        assert plant(FifoBroadcast, "pull-starve") is FifoBroadcast
         assert plant(TotalOrderBroadcast, "oneshot-resync") is TotalOrderBroadcast
         planted = plant(FifoBroadcast, "oneshot-resync")
         assert issubclass(planted, FifoBroadcast)
         assert issubclass(planted.endpoint_cls, FifoBroadcast.endpoint_cls)
+        # a row names the part class it bugs: pull-starve, the lazy part
+        starved = plant(FifoBroadcast, "pull-starve")
+        assert starved.endpoint_cls is FifoBroadcast.endpoint_cls
+        assert issubclass(starved.lazy_cls, FifoBroadcast.lazy_cls)
         with pytest.raises(ValueError, match="unknown injection"):
             plant(FifoBroadcast, "typo")
 
@@ -953,8 +956,8 @@ class TestChaosDriver:
         assert not clean.failed
 
     def test_pull_starve_inert_on_eager_transport(self):
-        """The sentinel applies to the lazy transport only: injecting it
-        under the eager algorithms plants nothing."""
+        """The sentinel bugs the lazy relay's ``LazyPush`` part, which a
+        flood never builds: under the flood algorithms it is inert."""
         report = run_chaos(
             seed=1, trials=4, algorithms=("lww", "ccv-fig5"),
             inject="pull-starve", check_criterion=False,

@@ -329,6 +329,47 @@ class TestRefusedInput:
         assert len(errors) == 1 and f"argument {argv[1]}:" in errors[0], err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--n", "0"],
+            ["serve", "--streams", "0"],
+            ["serve", "--k", "0"],
+            ["serve", "--k", "-1"],
+            ["load", "--n", "0"],
+            ["load", "--streams", "0"],
+            ["load", "--k", "0"],
+            ["load", "--sessions", "0"],
+            ["load", "--connections", "0"],
+            ["load", "--window", "0"],
+            ["load", "--rate", "0"],
+            ["load", "--rate", "-3"],
+            ["load", "--duration", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_a_cluster_or_load_that_serves_nothing_is_refused(
+        self, argv, capsys
+    ):
+        """No nodes, no streams, an empty window, no sessions, no
+        connections, no pipelining, no arrivals or no time: each used to
+        run and exit 0 having served nothing, or end in a traceback."""
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {argv[1]}:" in errors[0], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("pid", ["7", "-1"])
+    def test_serve_refuses_a_pid_outside_the_cluster(self, pid, capsys):
+        assert main(["serve", "--n", "3", "--pid", pid]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and f"--pid {pid} is not a node of 0..2" in lines[0]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("pid", ["7", "-1"])
     def test_status_refuses_a_pid_outside_the_cluster(self, pid, capsys):
         assert main(["status", "--n", "3", "--pid", pid]) == 2

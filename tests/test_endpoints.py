@@ -58,13 +58,13 @@ def _random_run(seed):
     sim = Simulator(seed=seed)
     net = Network(sim, n, delay=DelayModel.uniform(0.2, 4.0))
     cls = plan.choice((ReliableBroadcast, CausalBroadcast))
-    flood = plan.random() < 0.7
+    relay = "flood" if plan.random() < 0.7 else "direct"
     gc_interval = plan.choice((4, 16, 64))
     # a third of the runs sweep unsoundly (the chaos sentinel): logs get
     # pruned of messages a crashed process lacks and the stability
     # frontier regresses at its recovery — the answers must still agree
     unsound = plan.random() < 0.33
-    service = (plant(cls, "gc-frontier") if unsound else cls)(net, flood=flood)
+    service = (plant(cls, "gc-frontier") if unsound else cls)(net, relay=relay)
     service.GC_INTERVAL = gc_interval
     service.monitor = RuntimeMonitor(n, sim=sim)
     for pid in range(n):

@@ -61,7 +61,7 @@ class TestGossipConvergence:
         for seed in range(10):
             sim = Simulator(seed=seed)
             net = Network(sim, 3, delay=DelayModel.constant(1.0), loss_rate=0.5)
-            obj = CCvWindowArray(sim, net, None, streams=1, k=2, flood=False)
+            obj = CCvWindowArray(sim, net, None, streams=1, k=2, relay="direct")
             for pid in range(3):
                 obj.invoke(pid, Invocation("w", (0, pid + 1)))
             sim.run()

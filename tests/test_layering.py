@@ -42,7 +42,7 @@ import sys
 import pytest
 
 from repro.chaos.sentinels import SENTINELS
-from repro.runtime.broadcast import LazyCausalBroadcast, PeerView
+from repro.runtime.broadcast import CausalBroadcast, PeerView
 from repro.scenarios import Scenario, get_scenario
 from repro.scenarios.matrix import ALGORITHMS
 from repro.scenarios.spec import FAULT_ACTIONS
@@ -101,7 +101,7 @@ def test_no_probing_and_no_method_patching(path):
             if (
                 isinstance(target, ast.Attribute)
                 and _is_broadcast(target.value)
-                and callable(getattr(LazyCausalBroadcast, target.attr, None))
+                and callable(getattr(CausalBroadcast, target.attr, None))
             ):
                 offences.append(
                     f"{path.name}:{target.lineno}: replaces broadcast.{target.attr}"

@@ -1,4 +1,4 @@
-"""The push/lazy-push broadcast family (PR 8).
+"""The push/lazy-push relay (PR 8): ``relay="lazy"`` reliable broadcasts.
 
 Covers the transport end to end: the deterministic per-seed relay
 subset, full delivery + dedup + causal order over the hybrid overlay,
@@ -6,9 +6,9 @@ advertisement batching (batch-size flush, deadline flush, piggybacking
 on pull traffic), the supervised pull path (grace, timeout + backoff,
 holder failover, explicit pull-miss on pruned bodies, stranding flagged
 to the runtime monitor), duplicate tolerance of the pull protocol,
-registry integration (the lazy family rides beside the eager classes,
-never under the bit-identity baseline), and the eager-vs-lazy
-equivalence property over randomized fault schedules.
+registry integration (the lazy rows ride beside the eager ones, never
+under the bit-identity baseline), and the eager-vs-lazy equivalence
+property over randomized fault schedules.
 """
 
 import hashlib
@@ -21,14 +21,20 @@ import pytest
 from repro.chaos import make_spec, random_fault_events, run_chaos_trial
 from repro.chaos.sentinels import plant
 from repro.runtime import (
+    CausalBroadcast,
     DelayModel,
-    LazyCausalBroadcast,
-    LazyReliableBroadcast,
+    FifoBroadcast,
     Network,
+    ReliableBroadcast,
     RuntimeMonitor,
     Simulator,
 )
-from repro.runtime.broadcast import _LazyTransport
+from repro.runtime.lazy_push import (
+    ADV_BATCH,
+    ADV_FLUSH_DELAY,
+    PULL_GRACE,
+    relay_subset,
+)
 from repro.scenarios import (
     SCALE_SCENARIOS,
     Scenario,
@@ -44,8 +50,6 @@ from repro.scenarios.matrix import (
     run_matrix,
 )
 
-relay_subset = _LazyTransport.relay_subset
-
 #: the eager-vs-lazy cells of the retired ``bench_runtime.py --fanout
 #: --smoke --baseline`` gate (values carried over, not re-recorded)
 FANOUT_GOLDENS = json.loads(
@@ -58,12 +62,12 @@ def _seen_sets(service):
     return [frozenset(service.seen_ids(pid)) for pid in range(service.n)]
 
 
-def _rig(cls=LazyReliableBroadcast, n=6, seed=0, delay=1.0, **kw):
-    """A bare service harness: endpoints record (origin, payload) per
-    replica, a runtime monitor is attached."""
+def _rig(cls=ReliableBroadcast, n=6, seed=0, delay=1.0):
+    """A bare ``relay="lazy"`` service harness: endpoints record (origin,
+    payload) per replica, a runtime monitor is attached."""
     sim = Simulator(seed=seed)
     net = Network(sim, n, delay=DelayModel.constant(delay))
-    svc = cls(net, **kw)
+    svc = cls(net, relay="lazy")
     svc.monitor = RuntimeMonitor(n, sim=sim)
     delivered = [[] for _ in range(n)]
     endpoints = [
@@ -76,6 +80,11 @@ def _rig(cls=LazyReliableBroadcast, n=6, seed=0, delay=1.0, **kw):
         for pid in range(n)
     ]
     return sim, net, svc, endpoints, delivered
+
+
+def _total(eps, counter):
+    """A lazy-push counter summed over the processes."""
+    return sum(getattr(ep.lazy, counter) for ep in eps)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +124,9 @@ class TestRelaySubset:
 # Full delivery over the hybrid overlay
 # ----------------------------------------------------------------------
 class TestLazyDelivery:
-    @pytest.mark.parametrize("cls", [LazyReliableBroadcast, LazyCausalBroadcast])
+    @pytest.mark.parametrize(
+        "cls", [ReliableBroadcast, FifoBroadcast, CausalBroadcast]
+    )
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_everyone_delivers_everything_exactly_once(self, cls, n):
         sim, net, svc, eps, delivered = _rig(cls, n=n, seed=2)
@@ -128,7 +139,7 @@ class TestLazyDelivery:
         for pid in range(n):
             assert set(delivered[pid]) == expected
             assert len(delivered[pid]) == len(expected)  # dedup
-            assert svc.missing_count(pid) == 0
+            assert not eps[pid].lazy.missing
         assert svc.monitor.ok
         assert _seen_sets(svc) == [frozenset(
             {(p, s) for p in range(n) for s in range(5)}
@@ -148,7 +159,7 @@ class TestLazyDelivery:
 
     def test_causal_order_preserved_per_origin(self):
         n = 8
-        sim, net, svc, eps, delivered = _rig(LazyCausalBroadcast, n=n, seed=4)
+        sim, net, svc, eps, delivered = _rig(CausalBroadcast, n=n, seed=4)
         for i in range(6):
             for pid in range(n):
                 eps[pid].broadcast((pid, i))
@@ -167,54 +178,55 @@ class TestAdvBatching:
     def test_full_batch_flushes_immediately(self):
         n = 6
         sim, net, svc, eps, _ = _rig(n=n, seed=0)
-        lazy = len(eps[0].lazy_peers)
+        lazy = len(eps[0].lazy.lazy_peers)
         assert lazy > 0
-        for i in range(svc.ADV_BATCH):
+        for i in range(ADV_BATCH):
             eps[0].broadcast(("m", i))
         # the batch filled synchronously: one adv per lazy peer, no timer
-        assert svc.adv_sent == lazy
-        assert eps[0].adv_log == []
+        assert _total(eps, "adv_sent") == lazy
+        assert eps[0].lazy.adv_log == []
 
     def test_short_batch_flushes_on_deadline(self):
         sim, net, svc, eps, delivered = _rig(n=6, seed=0)
         eps[0].broadcast("solo")
-        assert svc.adv_sent == 0  # one pending id: waiting for the timer
-        sim.run(until=svc.ADV_FLUSH_DELAY + 0.01)
-        assert svc.adv_sent == len(eps[0].lazy_peers)
+        assert _total(eps, "adv_sent") == 0  # one pending id: waiting
+        sim.run(until=ADV_FLUSH_DELAY + 0.01)
+        assert _total(eps, "adv_sent") == len(eps[0].lazy.lazy_peers)
         sim.run()
         assert all(("solo" in [p for _, p in row]) for row in delivered)
 
     def test_piggyback_rides_on_protocol_messages(self):
         sim, net, svc, eps, _ = _rig(n=6, seed=0)
         eps[0].broadcast("x")
-        (lazy_peer,) = [q for q in eps[0].lazy_peers][:1]
+        part = eps[0].lazy
+        (lazy_peer,) = [q for q in part.lazy_peers][:1]
         message = {"kind": "pull-reply", "body": None}
-        eps[0]._attach_adv(lazy_peer, message)
+        part._attach_adv(lazy_peer, message)
         assert message["adv"] == ((0, 0),)
         # the cursor advanced: the deadline flush skips this peer
-        eps[0]._flush_adv()
-        assert all(
-            cur == 1 for cur in eps[0].adv_cursor.values()
-        )
+        part._flush_adv()
+        assert all(cur == 1 for cur in part.adv_cursor.values())
 
     def test_push_peers_never_get_advertisements(self):
         sim, net, svc, eps, _ = _rig(n=6, seed=0)
         eps[0].broadcast("x")
-        push_peer = eps[0].push_peers[0]
+        push_peer = eps[0].lazy.push_peers[0]
         message = {"kind": "pull", "mid": (0, 0)}
-        eps[0]._attach_adv(push_peer, message)
+        eps[0].lazy._attach_adv(push_peer, message)
         assert "adv" not in message
 
 
 # ----------------------------------------------------------------------
 # The pull path: grace, timeout, failover, pruned bodies, stranding
 # ----------------------------------------------------------------------
-def _pull_rig(n=4, seed=0, cls=LazyReliableBroadcast):
-    """flood=False keeps receivers from relaying pushed bodies onward,
-    so the lazy peers of the origin can *only* learn the body by
-    pulling — the pull path in isolation."""
-    sim, net, svc, eps, delivered = _rig(cls, n=n, seed=seed, flood=False)
-    push = set(eps[0].push_peers)
+def _pull_rig(n=4, seed=0, cls=ReliableBroadcast):
+    """Endpoints that do not forward keep receivers from relaying pushed
+    bodies onward, so the lazy peers of the origin can *only* learn the
+    body by pulling — the pull path in isolation."""
+    sim, net, svc, eps, delivered = _rig(cls, n=n, seed=seed)
+    for ep in eps:
+        ep.forwards = False
+    push = set(eps[0].lazy.push_peers)
     lazy = [q for q in range(1, n) if q not in push]
     assert lazy, "seed/n must leave the origin at least one lazy peer"
     return sim, net, svc, eps, delivered, lazy
@@ -227,10 +239,10 @@ class TestPullPath:
         sim.run()
         for pid in lazy:
             assert (0, "payload") in delivered[pid]
-            assert svc.missing_count(pid) == 0
-        assert svc.pulls_sent >= len(lazy)
-        assert svc.pull_replies >= len(lazy)
-        assert net.stats.pulled == svc.pulls_sent
+            assert not eps[pid].lazy.missing
+        assert _total(eps, "pulls_sent") >= len(lazy)
+        assert _total(eps, "pull_replies") >= len(lazy)
+        assert net.stats.pulled == _total(eps, "pulls_sent")
         assert svc.monitor.ok
 
     def test_pull_waits_out_the_grace_period(self):
@@ -238,58 +250,61 @@ class TestPullPath:
         eps[0].broadcast("patience")
         # adv lands at ADV_FLUSH_DELAY + link delay; no pull before the
         # grace period on top of that
-        sim.run(until=svc.ADV_FLUSH_DELAY + 1.0 + svc.PULL_GRACE - 0.1)
-        assert svc.pulls_sent == 0
+        sim.run(until=ADV_FLUSH_DELAY + 1.0 + PULL_GRACE - 0.1)
+        assert _total(eps, "pulls_sent") == 0
         sim.run()
-        assert svc.pulls_sent >= len(lazy)
+        assert _total(eps, "pulls_sent") >= len(lazy)
 
     def test_crashed_holder_fails_over(self):
         sim, net, svc, eps, delivered, lazy = _pull_rig()
         eps[0].broadcast("survivor")
         sim.run(until=4.0)  # adv delivered, pull not yet fired
-        assert all(svc.missing_count(pid) == 1 for pid in lazy)
+        assert all(len(eps[pid].lazy.missing) == 1 for pid in lazy)
         net.crash(0)  # the only known holder goes down
         sim.run()
         for pid in lazy:
             # failover found a push peer that holds the body
             assert (0, "survivor") in delivered[pid]
-            assert svc.missing_count(pid) == 0
+            assert not eps[pid].lazy.missing
         assert svc.monitor.ok
 
     def test_pruned_body_answers_pull_miss_then_fails_over(self):
         sim, net, svc, eps, delivered, lazy = _pull_rig()
         eps[0].broadcast("pruned")
         sim.run(until=4.0)
-        # simulate the stability GC having pruned the body index: every
-        # holder now answers pull-miss instead of timing the puller out
-        holders = [ep for ep in eps if (0, 0) in ep.bodies]
-        body = [ep.bodies.pop((0, 0)) for ep in holders][0]
-        sim.run(until=svc.ADV_FLUSH_DELAY + 1.0 + svc.PULL_GRACE + 3.0)
-        assert svc.pull_misses >= 1
+        # simulate the stability GC having pruned the body from the
+        # retained log: every holder now answers pull-miss instead of
+        # timing the puller out
+        holders = [ep for ep in eps if ep.is_seen((0, 0))]
+        logs = {ep.pid: ep.log for ep in holders}
+        for ep in holders:
+            ep.log = []
+        sim.run(until=ADV_FLUSH_DELAY + 1.0 + PULL_GRACE + 3.0)
+        assert _total(eps, "pull_misses") >= 1
         assert all((0, "pruned") not in delivered[pid] for pid in lazy)
-        # the index recovers (a holder re-learns the body): the already
+        # the log recovers (a holder re-learns the body): the already
         # scheduled re-pull completes without further advertisements
         for ep in holders:
-            ep.bodies[(0, 0)] = body
+            ep.log = logs[ep.pid]
         sim.run()
         for pid in lazy:
             assert (0, "pruned") in delivered[pid]
-            assert svc.missing_count(pid) == 0
+            assert not eps[pid].lazy.missing
 
     def test_exhausted_pulls_flag_the_monitor(self):
         # holders drop every pull request
         sim, net, svc, eps, delivered, lazy = _pull_rig(
-            cls=plant(LazyReliableBroadcast, "pull-starve")
+            cls=plant(ReliableBroadcast, "pull-starve")
         )
         eps[0].broadcast("stranded")
         sim.run()
-        assert svc.pulls_stranded >= len(lazy)
+        assert _total(eps, "pulls_stranded") >= len(lazy)
         assert not svc.monitor.ok
         kinds = {v.kind for v in svc.monitor.violations}
         assert kinds == {"pull-stranded"}
         for pid in lazy:
             assert (0, "stranded") not in delivered[pid]
-            assert svc.missing_count(pid) == 0  # gave up, entry dropped
+            assert not eps[pid].lazy.missing  # gave up, entry dropped
 
     def test_duplicate_pull_replies_deliver_once(self):
         sim, net, svc, eps, delivered, lazy = _pull_rig(seed=1)
@@ -309,7 +324,7 @@ class TestPullPath:
         victim = lazy[0]
         net.crash(victim)
         sim.run()
-        assert svc.missing_count(victim) == 0  # no zombie timers
+        assert not eps[victim].lazy.missing  # no zombie timers
         assert svc.monitor.ok
 
 
@@ -318,8 +333,9 @@ class TestPullPath:
 # ----------------------------------------------------------------------
 class TestRegistryIntegration:
     def test_lazy_family_registered_but_not_default(self):
-        assert "lww-lazy" in ALGORITHMS
-        assert "ccv-lazy" in ALGORITHMS
+        # the lazy rows are the flood rows' hosts on another relay
+        assert ALGORITHMS["lww-lazy"].kwargs(1, 2)["relay"] == "lazy"
+        assert ALGORITHMS["ccv-lazy"].kwargs(1, 2)["relay"] == "lazy"
         # the default sweep is the bit-identity baseline: lazy cells ride
         # beside it, never under it
         assert "lww-lazy" not in algorithm_names()
@@ -444,7 +460,7 @@ class TestEagerLazyEquivalence:
             } == golden[algo], algo
             if algo == "ccv-lazy":  # no advertised body still to pull
                 assert not any(
-                    service.missing_count(pid) for pid in range(spec.n)
+                    ep.lazy.missing for ep in service.endpoints.values()
                 )
         assert seen["ccv-fig5"] == seen["ccv-lazy"]
         if spec.n >= 32:

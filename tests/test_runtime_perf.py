@@ -60,7 +60,7 @@ def _run_causal(service_cls, seed: int):
         delay=DelayModel.uniform(0.5, 5.0),
         loss_rate=0.0,
     )
-    service = service_cls(net, flood=True)
+    service = service_cls(net, relay="flood")
     service.GC_INTERVAL = plan.choice((8, 64, 1024))
     logs = [[] for _ in range(n)]
     for pid in range(n):

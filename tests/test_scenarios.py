@@ -408,7 +408,7 @@ class TestScriptedRuns:
         spec = ScenarioSpec(name="scripted", n=2, streams=1, quiescence_reads=False)
         scripts = [[Invocation("w", (0, 1))], [Invocation("r", (0,))]]
         result = Scenario(spec).run(
-            CCWindowArray, seed=6, scripts=scripts, streams=1, k=2, flood=False
+            CCWindowArray, seed=6, scripts=scripts, streams=1, k=2, relay="direct"
         )
         assert result.messages_per_op == pytest.approx(0.5)  # 1 msg / 2 ops
 

@@ -17,9 +17,10 @@ Both are optimisations the layer above must not be able to observe:
   a well-formed packed message whose header names a pid or a stamp
   length from another cluster, or a JSON / generic-TLV message envelope
   that does the same in its decoded fields (ids, origin, stamp, the lazy
-  family's id lists), is closed, nothing reaches the loop's exception
-  handler, and the node keeps serving and converging; a client whose
-  server never answers does not leak its pending entry.
+  family's id lists), or a control frame whose digest does not fit the
+  cluster, is closed, nothing reaches the loop's exception handler, and
+  the node keeps serving and converging; a client whose server never
+  answers does not leak its pending entry.
 """
 
 import asyncio
@@ -461,6 +462,68 @@ def test_garbage_closes_the_connection_and_the_node_keeps_serving():
             assert status["monitor"]["ok"]
             for counter in ("msg_frames_in", "dups_dropped", "relays_spliced"):
                 assert counter in status["wire"]
+        finally:
+            await cluster.close()
+
+    asyncio.run(body())
+
+
+#: heartbeat digests no member of an n=3 cluster sends
+FOREIGN_DIGESTS = [
+    {"kind": "hb", "frontier": [1, "x", 0]},
+    {"kind": "hb", "frontier": [1, 0]},
+    {"kind": "hb", "frontier": [1, -1, 0]},
+    {"kind": "hb", "frontier": "abc"},
+    {"kind": "hb", "frontier": [0, 0, 0], "spill": 5},
+    {"kind": "hb", "frontier": [0, 0, 0], "spill": [[99, 0]]},
+    {"kind": "hb", "frontier": [0, 0, 0], "spill": [[1, "x"]]},
+    {"kind": "resync-req", "frontier": [1, 0, 0], "spill": [7]},
+]
+
+
+def test_a_digest_that_does_not_fit_closes_the_connection_before_it_is_learned():
+    """A control frame's ``frontier``/``spill`` used to reach
+    ``PeerView.learn`` unchecked: a stray entry moved a peer's row part-way
+    and then raised ``TypeError`` out of the connection task, and a foreign
+    id was learned as one a peer had seen."""
+
+    async def body():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        cluster = LiveCluster(3, base_port=BASE_PORT + 30, seed=4, proxied=False)
+        await cluster.start()
+        try:
+            await asyncio.sleep(0.2)
+            peers = cluster.nodes[1].broadcast.endpoints[1].peers
+            rows = [list(row) for row in peers.rows]
+            spills = [set(spill) for spill in peers.spills]
+            hello = wire.encode({"t": "hello", "src": 0, "codec": "binary"})
+            for digest in FOREIGN_DIGESTS:
+                for codec in (wire.CODEC_BINARY, wire.CODEC_JSON):
+                    frame = {"t": "ctl", "src": 0, "body": digest}
+                    raw = hello + wire.frame(wire.encode_body(frame, codec))
+                    peer = cluster.layout["peer"][1]
+                    assert await closes(peer, raw), (digest, codec)
+            gc.collect()
+            await asyncio.sleep(0)
+            assert errors == []
+            assert [list(row) for row in peers.rows] == rows
+            assert [set(spill) for spill in peers.spills] == spills
+            reply = await client_call(
+                cluster.client_addr(0), {"cmd": "put", "x": 0, "v": 7}
+            )
+            assert reply["ok"]
+            for _ in range(40):
+                await asyncio.sleep(0.05)
+                seen = await client_call(
+                    cluster.client_addr(1), {"cmd": "window", "x": 0}
+                )
+                if 7 in seen["value"]:
+                    break
+            else:
+                pytest.fail("write did not propagate after the digests")
         finally:
             await cluster.close()
 
