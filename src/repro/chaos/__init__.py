@@ -15,7 +15,6 @@ from .driver import (
     CHAOS_GC_INTERVAL,
     ChaosFailure,
     ChaosReport,
-    TrialOutcome,
     replay_file,
     run_chaos,
     run_chaos_trial,
@@ -37,7 +36,6 @@ __all__ = [
     "ChaosFailure",
     "ChaosReport",
     "RuntimeMonitor",
-    "TrialOutcome",
     "Violation",
     "cleanup_events",
     "ddmin",

@@ -2,11 +2,11 @@
 
 ``python -m repro chaos --seed S`` runs seeded random fault schedules
 (:mod:`repro.chaos.generate`) against the registry algorithms with the
-runtime invariant monitors attached, checks convergence and (optionally)
-the advertised consistency criterion, and — when a trial fails —
-delta-debugs the schedule (:mod:`repro.chaos.ddmin`) down to a minimal
-failing subset, which it emits as a replayable :class:`ScenarioSpec`
-JSON document for the regression corpus
+runtime invariant monitors attached, judges each run by the rule it
+shares with explore (:func:`repro.scenarios.matrix.check_run`), and —
+when a trial fails — delta-debugs the schedule (:mod:`repro.chaos.ddmin`)
+down to a minimal failing subset, which it emits as a replayable
+:class:`ScenarioSpec` JSON document for the regression corpus
 (``tests/chaos_corpus/``).
 
 Everything is a pure function of ``--seed``: the same seed explores the
@@ -23,10 +23,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..criteria.verdict import CHECK_BUDGET, decide
 from ..runtime.broadcast import ReliableBroadcast
-from ..scenarios.matrix import ALGORITHMS, AlgorithmEntry, build_post_setup
-from ..scenarios.scenario import RunResult, Scenario
+from ..scenarios.matrix import ALGORITHMS, CheckedRun, check_run
 from ..scenarios.spec import FaultEvent, ScenarioSpec
 from .ddmin import ddmin
 from .generate import make_spec, random_fault_events
@@ -44,22 +42,6 @@ CHAOS_ALGORITHMS = ("lww", "ccv-fig5", "ccv-lazy")
 #: seed mixing constants (any odd multipliers; fixed forever for replay)
 _TRIAL_SALT = 1_000_003
 _RUN_SALT = 10_007
-
-
-@dataclass
-class TrialOutcome:
-    """One simulated run, monitored and checked."""
-
-    failures: List[Tuple[str, str]] = field(default_factory=list)
-    result: Optional[RunResult] = None
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.failures)
-
-    @property
-    def kinds(self) -> List[str]:
-        return sorted({kind for kind, _ in self.failures})
 
 
 @dataclass
@@ -90,18 +72,9 @@ class ChaosReport:
         return not self.failures
 
 
-def _chaos_post_setup(
-    entry: AlgorithmEntry, spec: ScenarioSpec
-) -> Callable[[Any], None]:
-    gossip_setup = build_post_setup(entry, spec)
-
-    def post_setup(algorithm: Any) -> None:
-        if gossip_setup is not None:
-            gossip_setup(algorithm)
-        if isinstance(algorithm.broadcast, ReliableBroadcast):
-            algorithm.broadcast.GC_INTERVAL = CHAOS_GC_INTERVAL
-
-    return post_setup
+def _chaos_post_setup(algorithm: Any) -> None:
+    if isinstance(algorithm.broadcast, ReliableBroadcast):
+        algorithm.broadcast.GC_INTERVAL = CHAOS_GC_INTERVAL
 
 
 def run_chaos_trial(
@@ -110,39 +83,25 @@ def run_chaos_trial(
     run_seed: int,
     inject: str = "none",
     check_criterion: bool = True,
-) -> TrialOutcome:
-    """One monitored run of ``spec``; returns everything that went wrong.
+) -> CheckedRun:
+    """One monitored run of ``spec``, judged by :func:`check_run`.
 
     Failure kinds: every monitor violation kind (``double-apply``,
     ``fifo-order``, ``causal-order``, ``gc-frontier``, ``pruned-gap``,
-    ``resync-stranded``), plus ``divergence`` (live replicas disagree at
-    quiescence) and ``criterion`` (the advertised consistency criterion
-    was conclusively violated)."""
+    ``resync-stranded``, ``pull-stranded``); ``divergence`` (live
+    replicas disagree after the final heal) where the advertised
+    criterion promises convergence — CONV, CCv and SC, never CC or PC
+    (Fig. 1); with ``check_criterion``, what :func:`decide` reports on
+    the advertised criterion, the streaming monitor fed live:
+    ``criterion`` (the search refutes it), ``bad-pattern:<name>`` (the
+    monitor does) and ``monitor-disagreement``."""
     entry = ALGORITHMS[algo_key]
     planted = {"broadcast_cls": plant(entry.cls.broadcast_cls, inject)}
-    scenario = Scenario(spec)
-    result = scenario.run(
-        type(entry.cls.__name__, (entry.cls,), planted),
-        seed=run_seed,
-        post_setup=_chaos_post_setup(entry, spec),
-        **entry.kwargs(spec.streams, spec.k),
+    return check_run(
+        spec, entry, run_seed,
+        cls=type(entry.cls.__name__, (entry.cls,), planted),
+        post_setup=_chaos_post_setup, check=check_criterion,
     )
-    outcome = TrialOutcome(result=result)
-    if result.monitor is not None:
-        for violation in result.monitor.violations:
-            outcome.failures.append((violation.kind, str(violation)))
-    if not result.algorithm.converged():
-        outcome.failures.append(
-            ("divergence", "live replicas disagree after the final heal")
-        )
-    if check_criterion and entry.criterion != "CONV":
-        # an inconclusive verdict is not a failure
-        verdict = decide(
-            result.history, scenario.adt(), entry.criterion,
-            max_nodes=CHECK_BUDGET,
-        )
-        outcome.failures.extend(verdict.failures)
-    return outcome
 
 
 def _spec_for(
@@ -161,7 +120,7 @@ def trial_fails(
     n: int,
     ops: int,
     check_criterion: bool = True,
-) -> TrialOutcome:
+) -> CheckedRun:
     """The failure predicate shared by the driver loop and ddmin.
 
     For a differential sentinel the injected run must fail while the
@@ -178,7 +137,7 @@ def trial_fails(
         if control.failed:
             # the clean code fails the same schedule: not the sentinel's
             # fault, so the differential predicate does not blame it
-            return TrialOutcome(result=outcome.result)
+            return CheckedRun(outcome.result)
     return outcome
 
 
@@ -275,7 +234,7 @@ def save_repro(failure: ChaosFailure, inject: str, save_dir: str) -> str:
     return path
 
 
-def replay_file(path: str) -> Tuple[TrialOutcome, Dict[str, Any]]:
+def replay_file(path: str) -> Tuple[CheckedRun, Dict[str, Any]]:
     """Re-run a saved repro; returns the outcome and the document.
 
     A corpus file with ``expect_failure`` true must fail again with at

@@ -239,7 +239,8 @@ def _int_at_least(minimum: int, note: str = ""):
 def _positive_float(text: str) -> float:
     """argparse type: a finite float > 0 — ``--delays`` (a negative mean
     delay would schedule deliveries in the past, mid-sweep), ``load
-    --rate`` and ``--duration`` (zero issues nothing)."""
+    --rate`` and ``--duration`` (zero issues nothing), ``serve
+    --time-scale`` (``nan`` passes a ``<= 0`` test)."""
     try:
         value = float(text)
     except ValueError:
@@ -490,8 +491,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if _pid_outside("serve", args):
         return 2
     try:
-        if args.time_scale <= 0:
-            raise ValueError("--time-scale must be positive")
         events = load_fault_schedule(args.faults) if args.faults else []
     except ValueError as exc:
         return refused(exc)
@@ -542,9 +541,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 1 if cluster.fault_failures else 0
 
     async def run_node() -> int:
-        layout = port_layout(
-            args.n, args.base_port, proxied=not args.no_proxy
-        )
+        # only the in-process cluster starts fault proxies: a lone node
+        # dials its peers' own ports
+        layout = port_layout(args.n, args.base_port, proxied=False)
         try:
             node = ServiceNode(
                 args.pid,
@@ -720,9 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_litmus)
 
     p = sub.add_parser("hierarchy", help="audit the Fig. 1 hierarchy")
-    p.add_argument("--histories", type=int, default=30)
+    p.add_argument("--histories", type=_int_at_least(0), default=30)
     p.add_argument(
-        "--scenario-histories", type=int, default=0,
+        "--scenario-histories", type=_int_at_least(0), default=0,
         help="also classify N algorithm runs under the fault scenarios",
     )
     p.add_argument("--seed", type=int, default=0)
@@ -737,13 +736,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("latency", help="latency vs network delay sweep")
     p.add_argument("--delays", type=_positive_float, nargs="+", default=[0.5, 1, 2, 5, 10])
-    p.add_argument("--ops", type=int, default=8)
+    p.add_argument("--ops", type=_int_at_least(1), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_latency)
 
     p = sub.add_parser("sessions", help="session-guarantee violation rates")
     p.add_argument("--runs", type=_int_at_least(1), default=15)
-    p.add_argument("--ops", type=int, default=6)
+    p.add_argument("--ops", type=_int_at_least(1), default=6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_sessions)
 
@@ -784,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only cells whose scenario/algorithm label contains "
         "SUBSTR; matching no cell is an error",
     )
-    p.add_argument("--seeds", type=int, default=2)
+    p.add_argument("--seeds", type=_int_at_least(1), default=2)
     p.add_argument(
         "--jobs", default=None,
         type=_int_at_least(0, " (0 = one worker per host CPU)"),
@@ -842,8 +841,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--no-check", action="store_true",
-        help="skip the consistency-criterion check (monitors + "
-        "convergence only; much faster)",
+        help="skip the consistency-criterion check and the streaming "
+        "monitor (runtime monitors + convergence where the criterion "
+        "implies it only; much faster)",
     )
     p.add_argument(
         "--expect-failure", action="store_true",
@@ -863,8 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), default=3, help="cluster size")
     p.add_argument(
         "--pid", type=int, default=None,
-        help="host only this node (one OS process per node); default: "
-        "the whole cluster in-process, fault proxies included",
+        help="host only this node (one OS process per node), dialling "
+        "its peers directly; default: the whole cluster in-process, "
+        "fault proxies included",
     )
     p.add_argument("--base-port", type=int, default=7420)
     p.add_argument("--algorithm", default="ccv-fig5")
@@ -873,7 +874,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--no-proxy", action="store_true",
-        help="peers dial each other directly (no fault proxies)",
+        help="peers dial each other directly (no fault proxies; only "
+        "the whole-cluster shape has proxies, a --pid node never does)",
     )
     p.add_argument(
         "--faults", metavar="FILE",
@@ -882,7 +884,7 @@ def build_parser() -> argparse.ArgumentParser:
         "is refused (exit 2), an event that raises is reported (exit 1)",
     )
     p.add_argument(
-        "--time-scale", type=float, default=1.0,
+        "--time-scale", type=_positive_float, default=1.0,
         help="seconds of wall time per fault-schedule time unit (event "
         "times, flap and crash-storm tails, delay-scale latency)",
     )

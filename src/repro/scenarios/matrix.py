@@ -19,7 +19,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..adts.window_stream import WindowStreamArray
 from ..algorithms import (
@@ -32,6 +32,7 @@ from ..algorithms import (
     PramReplication,
     ScSequencer,
 )
+from ..criteria.hierarchy import implied
 from ..criteria.streaming_monitor import monitor_for_adt
 from ..criteria.verdict import CHECK_BUDGET, decide
 from ..util.tables import render_table
@@ -72,6 +73,43 @@ class AlgorithmEntry:
         if self.kwargs_style == "window":
             return {"streams": streams, "k": k, **relay}
         return {"adt": WindowStreamArray(streams, k), **relay}
+
+    def run(
+        self,
+        spec: ScenarioSpec,
+        seed: int,
+        *,
+        cls: Optional[type] = None,
+        post_setup: Optional[Callable[[Any], None]] = None,
+        subscriber: Any = None,
+    ) -> RunResult:
+        """Run this row on ``spec`` — the one place a row becomes a
+        :meth:`Scenario.run`.  ``cls`` replaces :attr:`cls` (chaos plants
+        a bug in a subclass); ``post_setup`` runs on the built object
+        after a gossip row's anti-entropy is started; ``subscriber`` is
+        streamed every :class:`OpRecord` live.
+
+        Gossip is budgeted past the last scheduled fault so post-heal
+        exchanges still happen.  Open-loop workloads keep issuing for
+        ``ops_per_process / rate`` time units regardless of system
+        speed, so the budget must also outlast the arrival horizon — the
+        10k-op scale scenarios run for hundreds of time units and would
+        otherwise stop gossiping mid-traffic."""
+        horizon = spec.fault_horizon
+        if spec.workload.kind == "open" and spec.workload.rate > 0:
+            horizon += spec.workload.ops_per_process / spec.workload.rate
+        rounds = int(horizon) + 30
+
+        def setup(obj: Any) -> None:
+            if self.gossip:
+                obj.start_gossip(rounds=rounds)
+            if post_setup is not None:
+                post_setup(obj)
+
+        return Scenario(spec).run(
+            cls or self.cls, seed=seed, post_setup=setup,
+            subscriber=subscriber, **self.kwargs(spec.streams, spec.k),
+        )
 
 
 ALGORITHMS: Dict[str, AlgorithmEntry] = {
@@ -134,27 +172,6 @@ def default_algorithms(scenario: str) -> Tuple[str, ...]:
     return SCALE_TIER_ALGORITHMS.get(scenario) or tuple(algorithm_names())
 
 
-def build_post_setup(entry: AlgorithmEntry, spec: ScenarioSpec):
-    """Post-construction hook for ``Scenario.run``: gossip algorithms
-    need their periodic anti-entropy started, budgeted past the last
-    scheduled fault so post-heal exchanges still happen.  Open-loop
-    workloads keep issuing for ``ops_per_process / rate`` time units
-    regardless of system speed, so the budget must also outlast the
-    arrival horizon — the 10k-op scale scenarios run for hundreds of
-    time units and would otherwise stop gossiping mid-traffic."""
-    if not entry.gossip:
-        return None
-    horizon = spec.fault_horizon
-    if spec.workload.kind == "open" and spec.workload.rate > 0:
-        horizon += spec.workload.ops_per_process / spec.workload.rate
-    rounds = int(horizon) + 30
-
-    def post_setup(obj: Any) -> None:
-        obj.start_gossip(rounds=rounds)
-
-    return post_setup
-
-
 # ----------------------------------------------------------------------
 # One cell
 # ----------------------------------------------------------------------
@@ -177,9 +194,8 @@ class MatrixCell:
     wall_seconds: float
     note: str = ""
     monitor_violations: int = 0
-    #: structured (kind, detail) failure records — the shape shared with
-    #: chaos trial outcomes and the streaming monitor's
-    #: :meth:`MonitorViolation.as_failure`; empty on clean cells
+    #: structured (kind, detail) failure records, as :func:`check_run`
+    #: orders them; empty on clean cells
     failures: List[Tuple[str, Any]] = field(default_factory=list)
     #: streaming-monitor verdicts + stats (None when the ADT is outside
     #: the monitor's scope): ``{"criteria": {...}, "stats": {...}}``
@@ -203,33 +219,12 @@ def run_scenario_cell(
     fast_ops: int = 0,
     subscriber: Any = None,
 ) -> RunResult:
-    """Run one (scenario, algorithm, seed) cell and return its result.
-
-    The shared cell-assembly recipe — spec lookup (optionally shrunk),
-    registry entry, algorithm kwargs, gossip post-setup — used by the
-    litmus scenario-history generator; the matrix worker runs its two
-    steps itself, keeping what it builds for its monitor and verdict.
-    ``subscriber`` is streamed every :class:`OpRecord` live (the
-    streaming monitor attaches here)."""
-    scenario, entry = _build_cell(scenario_name, algorithm, fast_ops)
-    return _run_built(scenario, entry, seed, subscriber)
-
-
-def _build_cell(
-    scenario_name: str, algorithm: str, fast_ops: int
-) -> Tuple[Scenario, AlgorithmEntry]:
+    """Run one (scenario, algorithm, seed) cell by name, the scenario
+    optionally shrunk to ``fast_ops`` ops per process; ``subscriber``
+    is streamed every :class:`OpRecord` live."""
     spec = get_scenario(scenario_name)
-    return Scenario(spec.fast(fast_ops) if fast_ops else spec), ALGORITHMS[algorithm]
-
-
-def _run_built(
-    scenario: Scenario, entry: AlgorithmEntry, seed: int, subscriber: Any
-) -> RunResult:
-    spec = scenario.spec
-    return scenario.run(
-        entry.cls, seed=seed, post_setup=build_post_setup(entry, spec),
-        subscriber=subscriber,
-        **entry.kwargs(spec.streams, spec.k),
+    return ALGORITHMS[algorithm].run(
+        spec.fast(fast_ops) if fast_ops else spec, seed, subscriber=subscriber
     )
 
 
@@ -245,31 +240,63 @@ def _monitor_criteria(entry: AlgorithmEntry) -> Tuple[str, ...]:
     return ("WCC", "CCV")
 
 
-def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
-    """Worker entry point: run one cell (picklable in, picklable out).
+@dataclass
+class CheckedRun:
+    """One registry row run on one spec, judged by :func:`check_run`."""
 
-    ``job`` is ``(scenario, algorithm, seed, fast_ops)``.  The streaming
-    monitor is fed live; its verdict on the advertised criterion and the
-    search are combined by :func:`decide`.  On CONV cells, decided by
-    the live-state comparison, the monitor is informational."""
-    scenario_name, algo_key, seed, fast_ops = job
-    scenario, entry = _build_cell(scenario_name, algo_key, fast_ops)
-    spec = scenario.spec
-    t0 = time.perf_counter()
-
-    streaming_monitor = monitor_for_adt(
-        scenario.adt(), spec.n, criteria=_monitor_criteria(entry)
-    )
-    subscriber = None
-    if streaming_monitor is not None:
-        subscriber = streaming_monitor.subscriber()
-    result = _run_built(scenario, entry, seed, subscriber)
-
-    verdicts: Dict[str, Any] = {}
+    result: RunResult
+    ok: Optional[bool] = None  # None = inconclusive or not checked
+    note: str = ""
+    #: structured (kind, detail) failure records — the shape of the
+    #: streaming monitor's :meth:`MonitorViolation.as_failure`
+    failures: List[Tuple[str, Any]] = field(default_factory=list)
+    #: streaming-monitor verdicts + stats (None when unchecked, or the
+    #: ADT is outside the monitor's scope): ``{"criteria", "stats"}``
     streaming: Optional[Dict[str, Any]] = None
-    if streaming_monitor is not None:
-        verdicts = streaming_monitor.finalize()
-        streaming = {
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failures)
+
+    @property
+    def kinds(self) -> List[str]:
+        return sorted({kind for kind, _ in self.failures})
+
+
+def check_run(
+    spec: ScenarioSpec,
+    entry: AlgorithmEntry,
+    seed: int,
+    *,
+    cls: Optional[type] = None,
+    post_setup: Optional[Callable[[Any], None]] = None,
+    check: bool = True,
+) -> CheckedRun:
+    """Run ``entry`` on ``spec`` (see :meth:`AlgorithmEntry.run`) and
+    judge the run by the one rule explore and chaos share.
+
+    The failure records, in order: every runtime-monitor violation;
+    ``divergence`` when the advertised criterion promises convergence
+    (CONV, or one implying EC in Fig. 1: CCv, SC — never CC or PC) and
+    the live replicas disagree; with ``check`` on, a non-CONV
+    criterion's :func:`decide` failures, the streaming monitor fed live
+    and its verdict handed to :func:`decide`.  ``ok`` is False when any
+    record exists, else the :func:`decide` verdict (the convergence
+    verdict on CONV rows)."""
+    adt = Scenario(spec).adt()
+    monitor = (
+        monitor_for_adt(adt, spec.n, criteria=_monitor_criteria(entry))
+        if check else None
+    )
+    result = entry.run(
+        spec, seed, cls=cls, post_setup=post_setup,
+        subscriber=monitor.subscriber() if monitor is not None else None,
+    )
+    run = CheckedRun(result)
+    verdicts: Dict[str, Any] = {}
+    if monitor is not None:
+        verdicts = monitor.finalize()
+        run.streaming = {
             "criteria": {
                 crit: {
                     "ok": v.ok,
@@ -278,37 +305,47 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
                 }
                 for crit, v in verdicts.items()
             },
-            "stats": streaming_monitor.stats(),
+            "stats": monitor.stats(),
         }
-
-    if entry.criterion == "CONV":
-        # the CONV verdict: all live replicas expose identical state
-        ok: Optional[bool] = result.algorithm.converged()
-        note = ""
-        failures: List[Tuple[str, Any]] = []
-        if ok is False:
-            failures.append(
-                ("divergence", "live replicas disagree at quiescence")
+    runtime = result.monitor
+    if runtime is not None:
+        run.failures.extend((v.kind, str(v)) for v in runtime.violations)
+    if entry.criterion == "CONV" or "EC" in implied(entry.criterion):
+        converged = result.algorithm.converged()
+        if entry.criterion == "CONV":
+            run.ok = converged
+        if not converged:
+            run.failures.append(
+                ("divergence", "live replicas disagree after the final heal")
             )
-    else:
+    if check and entry.criterion != "CONV":
         verdict = decide(
-            result.history,
-            scenario.adt(),
-            entry.criterion,
-            monitor=verdicts.get(entry.criterion),
-            max_nodes=CHECK_BUDGET,
+            result.history, adt, entry.criterion,
+            monitor=verdicts.get(entry.criterion), max_nodes=CHECK_BUDGET,
         )
-        ok, note, failures = verdict.ok, verdict.note, verdict.failures
+        run.ok, run.note = verdict.ok, verdict.note
+        run.failures.extend(verdict.failures)
+    if runtime is not None and not runtime.ok:
+        run.note = (run.note + "; " if run.note else "") + runtime.summary()
+    if run.failures:
+        run.ok = False
+    return run
 
-    # runtime invariant monitors (PR 6): a violation is a correctness
-    # failure regardless of what the history checker concluded
-    monitor_violations = 0
-    if result.monitor is not None and not result.monitor.ok:
-        monitor_violations = len(result.monitor.violations)
-        ok = False
-        note = (note + "; " if note else "") + result.monitor.summary()
-        for violation in result.monitor.violations:
-            failures.append((violation.kind, str(violation)))
+
+def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
+    """Worker entry point: run one cell (picklable in, picklable out).
+
+    ``job`` is ``(scenario, algorithm, seed, fast_ops)``; the run is
+    judged by :func:`check_run`, and the cell adds its timing and
+    whether the criterion is expected to hold here."""
+    scenario_name, algo_key, seed, fast_ops = job
+    spec = get_scenario(scenario_name)
+    if fast_ops:
+        spec = spec.fast(fast_ops)
+    entry = ALGORITHMS[algo_key]
+    t0 = time.perf_counter()
+    run = check_run(spec, entry, seed)
+    result, note = run.result, run.note
 
     # crash-storm embeds its own recovery (every stormed process rejoins)
     has_recovery = any(
@@ -332,7 +369,7 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
         algorithm=algo_key,
         criterion=entry.criterion,
         seed=seed,
-        ok=ok,
+        ok=run.ok,
         expected=expected,
         wait_free=bool(entry.cls.wait_free),
         available=blocked == 0,
@@ -342,9 +379,11 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
         messages_per_op=result.messages_per_op,
         wall_seconds=time.perf_counter() - t0,
         note=note,
-        monitor_violations=monitor_violations,
-        failures=failures,
-        streaming=streaming,
+        monitor_violations=(
+            0 if result.monitor is None else len(result.monitor.violations)
+        ),
+        failures=run.failures,
+        streaming=run.streaming,
         network={
             "sent": result.network_stats.sent,
             "delivered": result.network_stats.delivered,

@@ -980,3 +980,58 @@ class TestFullDuplicationStorm:
         )
         outcome = run_chaos_trial(spec, algo, run_seed=7, check_criterion=False)
         assert not outcome.failed, outcome.failures
+
+
+class TestOneCheckedRun:
+    """Explore and chaos judge a run by one rule, ``matrix.check_run``:
+    ``divergence`` counts only where the advertised criterion promises
+    convergence (CONV, CCv, SC — Fig. 1), never for CC or PC."""
+
+    #: no faults at all: concurrent writes alone leave the replicas of
+    #: Fig. 4 and of PRAM in different states
+    CONCURRENT = make_spec("concurrent-writes", 4, 6, [], repairs=True)
+
+    @pytest.mark.parametrize("algo", ["cc-fig4", "pram"])
+    def test_cc_and_pram_may_diverge(self, algo):
+        outcome = run_chaos_trial(
+            self.CONCURRENT, algo, run_seed=0, check_criterion=False
+        )
+        assert not outcome.result.algorithm.converged()
+        assert "divergence" not in outcome.kinds
+        assert outcome.ok is None  # nothing was checked: not a verdict
+
+    def test_sc_explore_cell_carries_one_divergence_record(self):
+        """The sequencer baseline advertises SC, which implies EC: its
+        replicas disagreeing after the crashes is one record, beside the
+        search's refutation."""
+        from repro.scenarios.matrix import _run_cell
+
+        cell = _run_cell(("rolling-crashes", "sc-sequencer", 0, 0))
+        kinds = [kind for kind, _ in cell.failures]
+        assert kinds.count("divergence") == 1
+        assert cell.ok is False and not cell.expected
+
+    def test_checked_trial_is_monitored_and_decided_past_the_budget(
+        self, monkeypatch
+    ):
+        """A checked trial feeds the streaming monitor live, and when the
+        search runs out of budget the monitor's verdict decides."""
+        from repro.scenarios import matrix
+
+        monkeypatch.setattr(matrix, "CHECK_BUDGET", 1)
+        outcome = run_chaos_trial(self.CONCURRENT, "ccv-fig5", run_seed=0)
+        assert outcome.streaming["criteria"]["CCV"]["ok"] is True
+        assert outcome.streaming["stats"]["ops_seen"] == len(
+            outcome.result.history
+        )
+        assert outcome.note.startswith("search budget exceeded")
+        assert outcome.note.endswith("decided by streaming monitor")
+        assert outcome.ok is True and not outcome.failed
+
+    def test_unchecked_trial_runs_no_monitor(self):
+        """Without the check, convergence alone does not decide CCv."""
+        outcome = run_chaos_trial(
+            self.CONCURRENT, "ccv-fig5", run_seed=0, check_criterion=False
+        )
+        assert outcome.streaming is None and outcome.ok is None
+        assert outcome.result.algorithm.converged() and not outcome.failed

@@ -2,9 +2,14 @@
 
 import asyncio
 import json
+import os
+import pathlib
 import random
 import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -291,6 +296,14 @@ class TestRefusedInput:
             ["consensus", "--max-n", "0"],
             ["consensus", "--max-k", "0"],
             ["latency", "--delays", "1", "-1"],
+            ["latency", "--ops", "0"],
+            ["sessions", "--ops", "0"],
+            ["explore", "--seeds", "0"],
+            ["explore", "--seeds", "-1"],
+            ["hierarchy", "--histories", "-3"],
+            ["hierarchy", "--scenario-histories", "-2"],
+            ["serve", "--time-scale", "nan", "--duration", "0.1"],
+            ["serve", "--time-scale", "0", "--duration", "0.1"],
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
@@ -468,3 +481,39 @@ class TestOperatorCommands:
         assert main(["load", "--duration", "1", *where]) == 0
         out = capsys.readouterr().out
         assert "replicas converged: True" in out, out
+
+    def test_nodes_served_one_per_process_connect(self, capsys):
+        """``serve --pid i`` hosts one node and no proxy, so it dials its
+        peers' own ports; dialling the proxy ports, which only the
+        whole-cluster shape opens, it never connected."""
+        import repro
+
+        base = str(_free_port_block(6))
+        env = dict(os.environ)
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        nodes = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--n", "2",
+                 "--pid", str(pid), "--base-port", base, "--duration", "20"],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            for pid in (0, 1)
+        ]
+        try:
+            deadline = time.monotonic() + 15
+            while True:
+                main(["status", "--n", "2", "--base-port", base, "--json"])
+                statuses = json.loads(capsys.readouterr().out)
+                connected = [
+                    doc.get("connected") for doc in statuses.values()
+                ]
+                if connected == [{"1": True}, {"0": True}]:
+                    break
+                assert time.monotonic() < deadline, statuses
+                time.sleep(0.2)
+        finally:
+            for node in nodes:
+                node.terminate()
+            for node in nodes:
+                node.wait(10)

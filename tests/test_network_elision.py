@@ -47,12 +47,10 @@ from repro.scenarios import (
     ALGORITHMS,
     DelaySpec,
     FaultEvent,
-    Scenario,
     ScenarioSpec,
     WorkloadSpec,
 )
 from repro.scenarios import scenario as scenario_module
-from repro.scenarios.matrix import build_post_setup
 
 F = FaultEvent
 
@@ -272,15 +270,9 @@ class TwoPathNetwork(Network):
 
 
 def run_cell(network_cls, spec, key, seed):
-    entry = ALGORITHMS[key]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario_module, "Network", network_cls)
-        return Scenario(spec).run(
-            entry.cls,
-            seed=seed,
-            post_setup=build_post_setup(entry, spec),
-            **entry.kwargs(spec.streams, spec.k),
-        )
+        return ALGORITHMS[key].run(spec, seed)
 
 
 @st.composite

@@ -40,7 +40,7 @@ from repro.scenarios import (
     run_matrix,
     scenario_names,
 )
-from repro.scenarios.matrix import ALGORITHMS, build_post_setup
+from repro.scenarios.matrix import ALGORITHMS
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +212,7 @@ class TestHistoryGoldens:
     )
     def test_fingerprint_unchanged(self, scenario, algorithm, seed):
         spec = GOLDEN_SPECS.get(scenario) or get_scenario(scenario)
-        entry = ALGORITHMS[algorithm]
-        result = Scenario(spec).run(
-            entry.cls, seed=seed, post_setup=build_post_setup(entry, spec),
-            **entry.kwargs(spec.streams, spec.k),
-        )
+        result = ALGORITHMS[algorithm].run(spec, seed)
         assert (
             result.fingerprint()
             == GOLDEN_FINGERPRINTS[(scenario, algorithm, seed)]

@@ -42,7 +42,6 @@ from repro.scenarios import (
     scenario_names,
     window_script,
 )
-from repro.scenarios.matrix import build_post_setup
 
 F = FaultEvent
 
@@ -492,13 +491,7 @@ class TestNetworkConservation:
             + tuple(F.repair(15.0 + 3.0 * i) for i in range(3)),
             workload=WorkloadSpec(ops_per_process=30, write_ratio=0.5),
         )
-        entry = ALGORITHMS[key]
-        result = Scenario(spec).run(
-            entry.cls,
-            seed=1,
-            post_setup=build_post_setup(entry, spec),
-            **entry.kwargs(spec.streams, spec.k),
-        )
+        result = ALGORITHMS[key].run(spec, 1)
         assert_every_copy_accounted_for(result)
         # the reliable family (eager and lazy) offers its endpoints'
         # is_seen; total order and gossip offer nothing

@@ -267,23 +267,14 @@ def grown_hot_key(ops_per_process, monitor_cls=StreamingMonitor):
     monitor attached live through ``subscriber()``: Lamport-stamp
     arbitration disagrees with arrival order all the time."""
     from repro.scenarios import get_scenario
-    from repro.scenarios.matrix import ALGORITHMS, build_post_setup
-    from repro.scenarios.scenario import Scenario
+    from repro.scenarios.matrix import ALGORITHMS
 
     spec = get_scenario("hot-key-contention")
     spec = replace(
         spec, workload=replace(spec.workload, ops_per_process=ops_per_process)
     )
-    entry = ALGORITHMS["ccv-fig5"]
-    scenario = Scenario(spec)
     monitor = monitor_cls(spec.n, streams=spec.streams, k=spec.k, criteria=CCV_SIDE)
-    scenario.run(
-        entry.cls,
-        seed=0,
-        post_setup=build_post_setup(entry, spec),
-        subscriber=monitor.subscriber(),
-        **entry.kwargs(spec.streams, spec.k),
-    )
+    ALGORITHMS["ccv-fig5"].run(spec, 0, subscriber=monitor.subscriber())
     return monitor.finalize(), monitor
 
 
