@@ -93,31 +93,3 @@ class MemoryADT(AbstractDataType):
 
     def read(self, x: Any, value: Any = HIDDEN) -> Operation:
         return Operation(Invocation("r", (x,)), value)
-
-
-def project_register(history, adt: "MemoryADT", register: Any):
-    """Project a memory history onto one register.
-
-    Returns the history of the events touching ``register`` only, relabelled
-    on the single-register alphabet (``w(v)`` / ``r``), with the program
-    order restricted per process.  Used to demonstrate that causal
-    consistency is *not composable* (Sec. 4.2): each register's projection
-    can be causally consistent while the memory history is not —
-    which is why Def. 10 defines causal memory as a causally consistent
-    pool of registers rather than a pool of causally consistent registers.
-    """
-    from ..core.history import History
-
-    rows: dict = {}
-    for event in history:
-        target = adt.write_target(event.invocation)
-        source = adt.read_target(event.invocation)
-        if target is not None and target[0] == register:
-            rows.setdefault(event.process, []).append(
-                Operation(Invocation("w", (target[1],)), event.output)
-            )
-        elif source == register:
-            rows.setdefault(event.process, []).append(
-                Operation(Invocation("r"), event.output)
-            )
-    return History.from_processes([rows[p] for p in sorted(rows)])

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Tuple
 
 from ..core.adt import AbstractDataType, State
-from ..core.operations import Invocation, Operation
+from ..core.operations import Invocation
 
 
 class ProductADT(AbstractDataType):
@@ -51,15 +51,6 @@ class ProductADT(AbstractDataType):
             known = ", ".join(self.order)
             raise ValueError(f"unknown component {name!r}; known: {known}")
         return name, Invocation(inner_method, invocation.args)
-
-    def lift(self, name: str, operation: Operation) -> Operation:
-        """Lift a component operation into the product alphabet."""
-        if name not in self.components:
-            raise ValueError(f"unknown component {name!r}")
-        invocation = Invocation(
-            f"{name}.{operation.invocation.method}", operation.invocation.args
-        )
-        return Operation(invocation, operation.output)
 
     # ------------------------------------------------------------------
     def initial_state(self) -> State:

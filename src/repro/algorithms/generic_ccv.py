@@ -150,9 +150,6 @@ class GenericCCv(ReplicatedObject):
             adt=adt, clock=sim, **replica_config,
         )
 
-    def log_length(self, pid: int) -> int:
-        return len(self.replicas[pid].log)
-
 
 class LwwReplica(GenericCCvReplica):
     """The physical stamp: ``vtime`` still tracks the largest timestamp

@@ -38,11 +38,6 @@ class ConsensusRun:
     def agreed(self) -> bool:
         return len(set(self.decisions)) == 1
 
-    @property
-    def valid(self) -> bool:
-        proposals = set(range(1, self.n + 1))
-        return all(d in proposals for d in self.decisions)
-
 
 def window_consensus(
     n: int,
@@ -82,60 +77,6 @@ def window_consensus(
         sim.schedule(sim.rng.uniform(0, 5.0), lambda p=pid: propose(p))
     sim.run()
     return ConsensusRun(n=n, k=k, decisions=decisions)
-
-
-def exhaustive_outcomes(n: int, k: int) -> set:
-    """All decision vectors over *every* sequentially consistent execution
-    of the protocol (not just sampled schedules).
-
-    The protocol history has 2n events (process i: ``w(i+1)`` then ``r``);
-    SC fixes the outputs as functions of the interleaving, so enumerating
-    the interleavings that respect each process's write-before-read order
-    enumerates every admissible outcome.  Returns the set of decision
-    vectors; the protocol solves consensus for (n, k) iff *every* vector
-    is constant and non-None (see :func:`solves_consensus_exhaustively`) —
-    an exhaustive model-checking proof at small scale, complementing the
-    randomized matrix.
-    """
-    from itertools import permutations
-
-    from ..adts.window_stream import WindowStream
-
-    adt = WindowStream(k)
-    events = []  # (pid, kind)
-    for pid in range(n):
-        events.append((pid, "w"))
-        events.append((pid, "r"))
-    outcomes = set()
-    for order in permutations(range(2 * n)):
-        # respect per-process write-before-read
-        position = {e: i for i, e in enumerate(order)}
-        if any(
-            position[2 * pid] > position[2 * pid + 1] for pid in range(n)
-        ):
-            continue
-        state = adt.initial_state()
-        decisions: List[Any] = [None] * n
-        for index in order:
-            pid, kind = events[index]
-            if kind == "w":
-                state = adt.transition(state, Invocation("w", (pid + 1,)))
-            else:
-                window = state
-                non_default = [v for v in window if v != 0]
-                decisions[pid] = non_default[0] if non_default else None
-        outcomes.add(tuple(decisions))
-    return outcomes
-
-
-def solves_consensus_exhaustively(n: int, k: int) -> bool:
-    """True iff every SC execution of the protocol agrees on one proposed
-    value (agreement + validity, checked over all interleavings)."""
-    proposals = set(range(1, n + 1))
-    return all(
-        len(set(vector)) == 1 and set(vector) <= proposals
-        for vector in exhaustive_outcomes(n, k)
-    )
 
 
 def consensus_matrix(

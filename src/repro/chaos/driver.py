@@ -239,15 +239,29 @@ def replay_file(path: str) -> Tuple[CheckedRun, Dict[str, Any]]:
 
     A corpus file with ``expect_failure`` true must fail again with at
     least one of its recorded failure kinds — that is the regression
-    test the corpus provides."""
+    test the corpus provides.  A document without its ``spec`` (or a
+    spec without its ``name``), ``algorithm`` or ``run_seed``, or one
+    naming an algorithm the registry lacks, raises ``ValueError`` naming
+    the file and the field."""
     with open(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("kind") != "chaos-repro":
         raise ValueError(f"{path}: not a chaos-repro document")
+    for key in ("spec", "algorithm", "run_seed"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+    if not isinstance(doc["spec"], dict) or "name" not in doc["spec"]:
+        raise ValueError(f"{path}: field 'spec' has no 'name'")
+    algorithm = doc["algorithm"]
+    if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
+        known = ", ".join(ALGORITHMS)
+        raise ValueError(
+            f"{path}: unknown algorithm {algorithm!r}; known: {known}"
+        )
     spec = ScenarioSpec.from_dict(doc["spec"])
     outcome = run_chaos_trial(
         spec,
-        doc["algorithm"],
+        algorithm,
         doc["run_seed"],
         doc.get("inject", "none"),
     )

@@ -1,14 +1,12 @@
 """Core formalism: ADTs as transducers, operations, histories, replay."""
 
-from .adt import AbstractDataType, InstrumentedADT, classify_by_search
+from .adt import AbstractDataType
 from .history import Event, History
 from .operations import BOTTOM, HIDDEN, Invocation, Operation, inv, op, operations
-from .replay import accepts, first_violation, outputs_of, replay, seal, state_after
+from .replay import accepts, replay
 
 __all__ = [
     "AbstractDataType",
-    "InstrumentedADT",
-    "classify_by_search",
     "Event",
     "History",
     "BOTTOM",
@@ -19,9 +17,5 @@ __all__ = [
     "op",
     "operations",
     "accepts",
-    "first_violation",
-    "outputs_of",
     "replay",
-    "seal",
-    "state_after",
 ]

@@ -16,18 +16,16 @@ Updates vs queries (Sec. 2.1): an input symbol is an *update* when its
 transition is not always a loop, and a *query* when its output depends on
 the state.  These are semantic properties of the (possibly infinite)
 transducer, so concrete ADTs declare them via :meth:`AbstractDataType.is_update`
-and :meth:`AbstractDataType.is_query`; :func:`classify_by_search` offers a
-best-effort empirical classification used by the test-suite to cross-check
-the declarations.
+and :meth:`AbstractDataType.is_query` (the tests cross-check the declarations
+against an empirical classification in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
-from typing import Any, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Any, Hashable, Iterable, Tuple
 
-from .operations import BOTTOM, HIDDEN, Invocation, Operation
+from .operations import Invocation, Operation
 
 State = Hashable
 
@@ -71,14 +69,6 @@ class AbstractDataType(ABC):
     def is_query(self, invocation: Invocation) -> bool:
         """True when ``lambda`` depends on the state for this invocation."""
 
-    def is_pure_update(self, invocation: Invocation) -> bool:
-        """An update that is not a query (its output is constant)."""
-        return self.is_update(invocation) and not self.is_query(invocation)
-
-    def is_pure_query(self, invocation: Invocation) -> bool:
-        """A query that is not an update (no side effect)."""
-        return self.is_query(invocation) and not self.is_update(invocation)
-
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
@@ -105,77 +95,3 @@ class AbstractDataType(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ADT {self.name}>"
-
-
-def classify_by_search(
-    adt: AbstractDataType,
-    invocation: Invocation,
-    probe_sequences: Sequence[Sequence[Invocation]],
-) -> Tuple[Optional[bool], Optional[bool]]:
-    """Empirically classify ``invocation`` as (update?, query?).
-
-    Explores the states reached by each probe sequence and observes whether
-    ``delta`` moves any of them and whether ``lambda`` differs between any
-    two of them.  Returns ``(update, query)`` where a component is ``True``
-    when witnessed, and ``None`` when no witness was found (the property may
-    still hold on unexplored states — this helper is only used to
-    cross-check declared classifications in tests, never by the checkers).
-    """
-    states = {adt.initial_state()}
-    for seq in probe_sequences:
-        state = adt.initial_state()
-        states.add(state)
-        for step in seq:
-            state = adt.transition(state, step)
-            states.add(state)
-    update_witness: Optional[bool] = None
-    query_witness: Optional[bool] = None
-    outputs = set()
-    for state in states:
-        if adt.transition(state, invocation) != state:
-            update_witness = True
-        try:
-            outputs.add(adt.output(state, invocation))
-        except TypeError:  # unhashable output: compare pairwise
-            outs = [adt.output(s, invocation) for s in states]
-            if any(a != b for a, b in itertools.combinations(outs, 2)):
-                query_witness = True
-            outs = None
-    if len(outputs) > 1:
-        query_witness = True
-    return update_witness, query_witness
-
-
-class InstrumentedADT(AbstractDataType):
-    """Wrap an ADT and count transducer evaluations.
-
-    Used by the benchmark harness to report how much state-space the
-    checkers explore, independently of wall-clock noise.
-    """
-
-    def __init__(self, inner: AbstractDataType) -> None:
-        self.inner = inner
-        self.name = f"instrumented({inner.name})"
-        self.transitions = 0
-        self.outputs = 0
-
-    def initial_state(self) -> State:
-        return self.inner.initial_state()
-
-    def transition(self, state: State, invocation: Invocation) -> State:
-        self.transitions += 1
-        return self.inner.transition(state, invocation)
-
-    def output(self, state: State, invocation: Invocation) -> Any:
-        self.outputs += 1
-        return self.inner.output(state, invocation)
-
-    def is_update(self, invocation: Invocation) -> bool:
-        return self.inner.is_update(invocation)
-
-    def is_query(self, invocation: Invocation) -> bool:
-        return self.inner.is_query(invocation)
-
-    def reset_counters(self) -> None:
-        self.transitions = 0
-        self.outputs = 0

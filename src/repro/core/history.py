@@ -32,8 +32,7 @@ Every checker reads both through the same accessors:
   O(N²) bits — the exact searches do that on litmus-size inputs; the
   linear consumers (:func:`repro.criteria.streaming_monitor.
   replay_history`) ask :meth:`History.sequential_processes` instead;
-- :meth:`History.processes` — the maximal chains ``P_H``;
-- :meth:`History.update_mask` — the update events of a given ADT.
+- :meth:`History.processes` — the maximal chains ``P_H``.
 
 Histories recorded from simulated executions additionally carry the
 *observed invocation timestamps* of their events (``times``): the time
@@ -51,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .adt import AbstractDataType
 from .operations import HIDDEN, Invocation, Operation, operations
 
 
@@ -286,10 +284,6 @@ class History:
         histories that were not recorded from an execution."""
         return self._times
 
-    def time_of(self, eid: int) -> Optional[float]:
-        """Observed invocation timestamp of ``eid`` (``None`` untimed)."""
-        return self._times[eid] if self._times is not None else None
-
     def po_lt(self, a: int, b: int) -> bool:
         """``a |-> b`` (strictly)."""
         if self._rows is None:
@@ -401,25 +395,6 @@ class History:
                     return None
                 expected |= 1 << eid
         return chains
-
-    def process_of(self, eid: int) -> Tuple[int, ...]:
-        """Some maximal chain containing ``eid`` (the declared row when the
-        history came from :meth:`from_processes`)."""
-        for chain in self.processes():
-            if eid in chain:
-                return chain
-        raise KeyError(eid)
-
-    # ------------------------------------------------------------------
-    # ADT-aware helpers
-    # ------------------------------------------------------------------
-    def update_mask(self, adt: AbstractDataType) -> int:
-        """Bitmask of events labelled by update operations of ``adt``."""
-        mask = 0
-        for event in self.events:
-            if adt.is_update(event.invocation):
-                mask |= 1 << event.eid
-        return mask
 
     def eids(self, mask: int) -> List[int]:
         """Decode a bitmask into a sorted list of event ids."""

@@ -108,12 +108,6 @@ class Operation:
         """True when this is a hidden operation (no output to check)."""
         return self.output is HIDDEN
 
-    def hide(self) -> "Operation":
-        """Return the hidden version ``sigma_i`` of this operation."""
-        if self.hidden:
-            return self
-        return Operation(self.invocation, HIDDEN)
-
     def __repr__(self) -> str:
         if self.hidden:
             return repr(self.invocation)

@@ -12,7 +12,7 @@ checker agrees on what "conforms to the sequential specification" means.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .adt import AbstractDataType, State
 from .operations import HIDDEN, Operation
@@ -46,58 +46,3 @@ def accepts(adt: AbstractDataType, word: Iterable[Operation]) -> bool:
     """``word in L(T)`` for a finite word (Def. 2)."""
     ok, _ = replay(adt, word)
     return ok
-
-
-def first_violation(
-    adt: AbstractDataType, word: Sequence[Operation]
-) -> Optional[int]:
-    """Index of the first operation whose output contradicts ``L(T)``.
-
-    Returns ``None`` when the word is admissible.  Useful for error
-    messages and for the prefix-closure property used by Prop. 2.
-    """
-    state = adt.initial_state()
-    for index, operation in enumerate(word):
-        if operation.output is not HIDDEN:
-            if adt.output(state, operation.invocation) != operation.output:
-                return index
-        state = adt.transition(state, operation.invocation)
-    return None
-
-
-def outputs_of(adt: AbstractDataType, word: Sequence[Operation]) -> List[Any]:
-    """The outputs ``lambda`` would produce along ``word`` (ignoring the
-    recorded ones).  Handy to *construct* admissible sequential histories."""
-    state = adt.initial_state()
-    produced = []
-    for operation in word:
-        produced.append(adt.output(state, operation.invocation))
-        state = adt.transition(state, operation.invocation)
-    return produced
-
-
-def seal(adt: AbstractDataType, word: Sequence[Operation]) -> List[Operation]:
-    """Replace every visible output in ``word`` by the specification's own
-    output, yielding a word guaranteed to be in ``L(T)``.
-
-    Hidden operations stay hidden.  This implements the textbook way of
-    producing members of ``L(T)`` for tests and generators.
-    """
-    state = adt.initial_state()
-    sealed = []
-    for operation in word:
-        if operation.output is HIDDEN:
-            sealed.append(operation)
-        else:
-            sealed.append(Operation(operation.invocation, adt.output(state, operation.invocation)))
-        state = adt.transition(state, operation.invocation)
-    return sealed
-
-
-def state_after(adt: AbstractDataType, word: Iterable[Operation]) -> State:
-    """State reached after applying the side effects of ``word`` (outputs
-    are not checked)."""
-    state = adt.initial_state()
-    for operation in word:
-        state = adt.transition(state, operation.invocation)
-    return state

@@ -8,19 +8,13 @@ from .causal_order import CertificateError, verify_certificate
 from .causal_search import CausalCertificate, SearchBudgetExceeded
 from .eventual import check_eventual, check_update_consistency, default_stable_events
 from .explain import Explanation, explain, locally_explicable
-from .dependencies import (
-    Dependency,
-    mandatory_edges,
-    render_dependencies,
-    semantic_dependencies,
-)
-from .linearizability import check_linearizable, intervals_from_recorder
+from .dependencies import Dependency, mandatory_edges, semantic_dependencies
+from .linearizability import check_linearizable
 from .hierarchy import (
     ALL_CRITERIA,
     DIRECT_EDGES,
     check_classification_consistency,
     implied,
-    is_stronger,
 )
 from .pipelined import check_pipelined
 from .registry import classify
@@ -46,10 +40,8 @@ __all__ = [
     "locally_explicable",
     "check_pipelined",
     "check_linearizable",
-    "intervals_from_recorder",
     "Dependency",
     "mandatory_edges",
-    "render_dependencies",
     "semantic_dependencies",
     "check_sequential",
     "check_weak_causal",
@@ -61,7 +53,6 @@ __all__ = [
     "DIRECT_EDGES",
     "check_classification_consistency",
     "implied",
-    "is_stronger",
     "SessionAnalysis",
     "all_session_guarantees",
     "TimeZones",

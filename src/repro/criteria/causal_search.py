@@ -55,9 +55,9 @@ when the branch that set it is abandoned); soundness comes from
 re-testing actual membership before pushing, completeness from the fact
 that every genuine containment was registered when its bit was first
 added.  K4/K5 are then re-verified only for update rows the worklist
-touched.  ``_propagate_reference``, the original whole-family fixpoint,
-is kept as the executable specification; the equivalence is
-property-tested in ``tests/test_search_perf.py``.
+touched.  The original whole-family fixpoint is kept as the executable
+specification in ``tests/oracles.py`` (``propagate_reference``); the
+equivalence is property-tested in ``tests/test_search_perf.py``.
 
 Cross-order memoisation (CCv)
 -----------------------------
@@ -659,9 +659,9 @@ class CausalSearch:
 
         Precondition: ``family`` without the delta is K1–K3 closed (true
         for every family produced by this class).  Mutates ``family`` in
-        place — callers pass a fresh copy per branch.  ``_propagate_reference``
-        below is the executable specification this is property-tested
-        against.
+        place — callers pass a fresh copy per branch.  The whole-family
+        fixpoint ``tests/oracles.propagate_reference`` is the executable
+        specification this is property-tested against.
         """
         required = self._close(family, event, delta)
         if required is None:
@@ -676,45 +676,6 @@ class CausalSearch:
                 p = low.bit_length() - 1
                 if rank[p // m] > rank[p % m]:
                     return None  # K5 total-order containment
-        return family
-
-    def _propagate_reference(self, family: List[int]) -> Optional[List[int]]:
-        """Whole-family K1–K5 fixpoint — the executable specification that
-        :meth:`_propagate` is property-tested against (and a debugging
-        fallback); not used by the search itself."""
-        history = self.history
-        changed = True
-        while changed:
-            changed = False
-            for e in range(self.n):
-                mask = family[e]
-                # K2: inherit the past of every strict po-predecessor
-                for p in bits(history.past_mask(e)):
-                    mask |= family[p]
-                # K1 is part of the seed and preserved; K3: close under the
-                # induced update order (the update rows themselves)
-                extra = 0
-                for pu in bits(mask):
-                    extra |= family[self.updates[pu]]
-                mask |= extra
-                if mask != family[e]:
-                    family[e] = mask
-                    changed = True
-        # K4: irreflexivity + antisymmetry of the induced update order
-        for pu, u in enumerate(self.updates):
-            row = family[u]
-            if row & (1 << pu):
-                return None
-            for pv in bits(row):
-                if family[self.updates[pv]] & (1 << pu):
-                    return None
-        # K5: containment in the total order (CCv)
-        if self._total_rank is not None:
-            rank = self._total_rank
-            for pu, u in enumerate(self.updates):
-                for pv in bits(family[u]):
-                    if rank[pv] > rank[pu]:
-                        return None
         return family
 
     def _dfs(self, family: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:

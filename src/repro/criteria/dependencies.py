@@ -10,11 +10,11 @@ from a history:
 - edges are *mandatory* when the candidate is unique — those must belong
   to every causal order witnessing WCC/CC/CCv.
 
-Uses: pretty-printing litmus figures (``render_dependencies``), seeding /
-cross-checking the causal search, and teaching material (the examples call
-it to show why a history fails).  The analysis is *sound but not
-complete*: it only emits arrows the semantics force; checkers never rely
-on it for correctness.
+Uses: seeding the causal search, the mandatory arrows of
+:func:`repro.criteria.explain` and the dashed arrows
+of :func:`repro.util.dot.history_dot`.  The analysis is *sound but
+not complete*: it only emits arrows the semantics force; checkers never
+rely on it for correctness.
 """
 
 from __future__ import annotations
@@ -161,15 +161,3 @@ def mandatory_edges(history: History, adt: AbstractDataType) -> List[Tuple[int, 
         for d in semantic_dependencies(history, adt)
         if d.mandatory and d.source != d.target
     ]
-
-
-def render_dependencies(history: History, adt: AbstractDataType) -> str:
-    """Human-readable dump of the semantic arrows of a history."""
-    lines = []
-    for dep in semantic_dependencies(history, adt):
-        arrow = "-->" if dep.mandatory else "-?>"
-        lines.append(
-            f"  {history.event(dep.source).operation!r} {arrow} "
-            f"{history.event(dep.target).operation!r}   ({dep.label})"
-        )
-    return "\n".join(lines) if lines else "  (no semantic dependencies)"

@@ -147,10 +147,6 @@ class LinearizationProblem:
             new_masks.append(mask)
         return LinearizationProblem(self.adt, new_items, new_masks), keep
 
-    def prune_noops(self) -> "LinearizationProblem":
-        """Public façade over :meth:`_pruned` (drops the index map)."""
-        return self._pruned()[0]
-
     # ------------------------------------------------------------------
     def signature(self) -> Tuple[Any, ...]:
         """Semantic identity of the problem, for ``solve_cache`` keys.
@@ -200,9 +196,6 @@ class LinearizationProblem:
         if positions is None:
             return None
         return [self.items[pos].key for pos in positions]
-
-    def satisfiable(self) -> bool:
-        return self.solve_positions() is not None
 
     # ------------------------------------------------------------------
     def _search(self) -> Optional[List[int]]:
@@ -275,29 +268,3 @@ class LinearizationProblem:
                 # explored and failed: memoise the dead end
                 failed.add((consumed, state))
         return None
-
-
-def find_linearization(
-    adt: AbstractDataType,
-    items: Sequence[LinItem],
-    pred_masks: Sequence[int],
-) -> Optional[List[Any]]:
-    """Functional façade over :class:`LinearizationProblem`."""
-    return LinearizationProblem(adt, items, pred_masks).solve()
-
-
-def replay_fixed_order(
-    adt: AbstractDataType,
-    items: Sequence[LinItem],
-) -> Tuple[bool, State]:
-    """Replay items in the given (already total) order.
-
-    Used by the causal-convergence checker, where the common total order
-    ``<=`` leaves a unique linearisation per causal past (Def. 12).
-    """
-    state = adt.initial_state()
-    for item in items:
-        if item.check and adt.output(state, item.invocation) != item.output:
-            return False, state
-        state = adt.transition(state, item.invocation)
-    return True, state

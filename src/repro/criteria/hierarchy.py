@@ -44,11 +44,6 @@ def implied(criterion: str) -> Set[str]:
     return seen
 
 
-def is_stronger(c1: str, c2: str) -> bool:
-    """True when ``c1`` is (transitively) stronger than ``c2`` in Fig. 1."""
-    return c2.upper() in implied(c1.upper())
-
-
 def check_classification_consistency(
     verdicts: Dict[str, bool], quiescent: bool = False
 ) -> List[str]:

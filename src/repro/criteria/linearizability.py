@@ -15,27 +15,14 @@ reads violate real time), while the sequencer baseline is.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from ..core.adt import AbstractDataType
 from ..core.history import History
-from ..runtime.recorder import HistoryRecorder
 from .base import CheckResult, register
 from .engine import LinItem, LinearizationProblem
 
 Interval = Tuple[float, float]
-
-
-def intervals_from_recorder(recorder: HistoryRecorder) -> Dict[int, Interval]:
-    """Invocation/response intervals in :meth:`HistoryRecorder.to_history`
-    event numbering."""
-    intervals: Dict[int, Interval] = {}
-    eid = 0
-    for row in recorder.rows:
-        for record in row:
-            intervals[eid] = (record.start, record.end)
-            eid += 1
-    return intervals
 
 
 @register("LIN")

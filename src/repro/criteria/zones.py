@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from ..core.history import History
-from ..util.bitset import bits, to_mask
+from ..util.bitset import bits
 from ..util.orders import transitive_closure
 
 

@@ -8,7 +8,6 @@ from .broadcast import (
     ReliableBroadcast,
     TotalOrderBroadcast,
 )
-from .clocks import LamportClock, VectorClock
 from .monitors import RuntimeMonitor, Violation
 from .network import DelayModel, Network, NetworkStats, SimTransport
 from .recorder import HistoryRecorder, OpRecord
@@ -23,8 +22,6 @@ __all__ = [
     "RELAYS",
     "ReliableBroadcast",
     "TotalOrderBroadcast",
-    "LamportClock",
-    "VectorClock",
     "RuntimeMonitor",
     "Violation",
     "DelayModel",

@@ -42,11 +42,11 @@ live node runs with one endpoint, heartbeat digests and control frames.
 
 **Two axes.**  *Delivery order* is the endpoint class an ``XBroadcast``
 service builds: ``Reliable`` (none), ``Fifo`` (the PRAM baseline's),
-``Causal`` (Figs. 4 and 5's; ``ReferenceCausal`` is its executable
-spec).  *Dissemination* is the service's ``relay``, one of
-:data:`RELAYS`: ``"flood"`` (relay each message when first seen),
-``"direct"`` (only the broadcaster sends) or ``"lazy"`` (push/lazy-push:
-the endpoint's :class:`~repro.runtime.lazy_push.LazyPush` part).
+``Causal`` (Figs. 4 and 5's).  *Dissemination* is the service's
+``relay``, one of :data:`RELAYS`: ``"flood"`` (relay each message when
+first seen), ``"direct"`` (only the broadcaster sends) or ``"lazy"``
+(push/lazy-push: the endpoint's
+:class:`~repro.runtime.lazy_push.LazyPush` part).
 ``TotalOrder`` stands apart: sequencer-based and *not* wait-free, which
 is exactly why sequentially consistent objects cannot have latency
 independent of the network (Sec. 1, [3, 16]; experiment E6 measures it).
@@ -57,7 +57,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .clocks import VectorClock
 from .lazy_push import LazyPush, Mid
 from .transport import Transport
 
@@ -538,14 +537,6 @@ class ReliableBroadcast(BroadcastService):
             for seq in range(head)
         } | endpoint.spill
 
-    def stability_frontier(self, pid: int) -> List[int]:
-        """Per origin, below what ``pid`` has pruned its log."""
-        return list(self.endpoints[pid].stable)
-
-    def broadcasts_issued(self) -> int:
-        """Original broadcasts by the hosted processes."""
-        return sum(e.frontier[pid] for pid, e in self.endpoints.items())
-
 
 class FifoEndpoint(ReliableEndpoint):
     """Reliable broadcast + per-sender FIFO delivery order."""
@@ -591,17 +582,19 @@ class CausalEndpoint(ReliableEndpoint):
     threshold)`` with a deficit counter; advancing the receiver's clock
     pops exactly the entries whose threshold was reached, so each message
     is touched O(n) times total instead of being re-scanned on every
-    arrival (the quadratic reference drain below).  The cascade delivers
-    unblocked messages in *pass order* — ascending arrival index within a
-    pass, wrapped passes for entries whose index the cursor already
-    passed — which is exactly the order of the reference drain's repeated
-    in-order re-scans, so the two implementations are delivery-for-
-    delivery identical (property-tested in ``tests/test_runtime_perf.py``).
+    arrival.  The cascade delivers unblocked messages in *pass order* —
+    ascending arrival index within a pass, wrapped passes for entries
+    whose index the cursor already passed — which is exactly the order of
+    a drain that re-scans the whole buffer in arrival order until a pass
+    makes no progress.  That quadratic drain is the test oracle in
+    ``tests/oracles.py``, and the two are property-tested delivery-for-
+    delivery identical in ``tests/test_runtime_perf.py``.
     """
 
     def __init__(self, service: "CausalBroadcast", pid: int) -> None:
         super().__init__(service, pid)
-        self.vc = VectorClock(self.n)
+        # entry j counts the messages from process j delivered here
+        self.vc: List[int] = [0] * self.n
         # indexed pending state: arrival counter, wait table
         # {(component, threshold): [entry]}, blocked count; an entry is
         # [arrival_index, message, deficit]
@@ -614,7 +607,7 @@ class CausalEndpoint(ReliableEndpoint):
         # the stamp counts the message itself, so at its origin it is
         # deliverable at once, and no buffered message there can be
         # waiting on it (the origin's own-broadcast count is maximal)
-        stamp = list(self.vc.v)
+        stamp = list(self.vc)
         stamp[pid] += 1
         mid = (pid, self.frontier[pid])
         return {"id": mid, "origin": pid, "payload": payload, "stamp": tuple(stamp)}
@@ -625,7 +618,7 @@ class CausalEndpoint(ReliableEndpoint):
         idx = self.arrivals
         self.arrivals = idx + 1
         self.npending += 1
-        v = self.vc.v
+        v = self.vc
         origin = message["origin"]
         wait = self.wait
         entry = None
@@ -654,7 +647,7 @@ class CausalEndpoint(ReliableEndpoint):
         """Deliver ``message`` and everything it transitively unblocks,
         in reference pass order (see class docstring)."""
         pid = self.pid
-        v = self.vc.v
+        v = self.vc
         wait = self.wait
         monitor = self.service.monitor
         cur: List[Tuple[int, Any]] = [(idx, message)]
@@ -699,50 +692,6 @@ class CausalBroadcast(ReliableBroadcast):
     def pending_messages(self, pid: int) -> int:
         """Messages buffered awaiting causal predecessors (observability)."""
         return self.endpoints[pid].pending()
-
-
-class ReferenceCausalEndpoint(CausalEndpoint):
-    """The pre-indexing causal delivery drain, kept as executable spec.
-
-    Delivery re-scans the whole pending buffer (in arrival order) after
-    every arrival until a full pass makes no progress — obviously
-    correct, quadratic in the buffer size.  The equivalence property
-    tests replay identical runs through this class and through
-    :class:`CausalEndpoint` and assert delivery-for-delivery identical
-    logs (the same pattern as the PR 1 ``_propagate`` reference
-    fixpoint).
-    """
-
-    def __init__(self, service: "CausalBroadcast", pid: int) -> None:
-        super().__init__(service, pid)
-        self.buffer: List[Any] = []
-
-    def _accept(self, message: Any) -> None:
-        self.buffer.append(message)
-        vc = self.vc
-        monitor = self.service.monitor
-        progress = True
-        while progress:
-            progress = False
-            for message in list(self.buffer):
-                origin = message["origin"]
-                if vc.can_deliver(origin, message["stamp"]):
-                    self.buffer.remove(message)
-                    vc.deliver(origin)
-                    if monitor is not None:
-                        monitor.on_causal_deliver(
-                            self.pid, message["id"], origin, message["stamp"]
-                        )
-                    self._deliver(origin, message["payload"])
-                    progress = True
-
-    def pending(self) -> int:
-        return len(self.buffer)
-
-
-class ReferenceCausalBroadcast(CausalBroadcast):
-    name = "causal-reference"
-    endpoint_cls = ReferenceCausalEndpoint
 
 
 class TotalOrderEndpoint(Endpoint):

@@ -20,7 +20,6 @@ shipped to a worker process, serialised into a report, or shrunk with
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
@@ -447,9 +446,6 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
-    def to_json(self, **kwargs: Any) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ScenarioSpec":
         d = data.get("delay", {})
@@ -482,7 +478,3 @@ class ScenarioSpec:
             quiescence_reads=data.get("quiescence_reads", True),
             description=data.get("description", ""),
         )
-
-    @staticmethod
-    def from_json(text: str) -> "ScenarioSpec":
-        return ScenarioSpec.from_dict(json.loads(text))

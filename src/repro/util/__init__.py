@@ -1,21 +1,9 @@
 """Shared utilities: bitmask sets, order enumeration, tables, RNG."""
 
-from .bitset import as_list, bits, popcount, subsets, to_mask
-from .orders import (
-    count_linear_extensions,
-    one_topological_order,
-    topological_orders,
-    transitive_closure,
-)
+from .bitset import bits
+from .orders import transitive_closure
 
 __all__ = [
-    "as_list",
     "bits",
-    "popcount",
-    "subsets",
-    "to_mask",
-    "count_linear_extensions",
-    "one_topological_order",
-    "topological_orders",
     "transitive_closure",
 ]

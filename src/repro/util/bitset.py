@@ -8,7 +8,7 @@ manipulates masks bit-by-bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -32,39 +32,3 @@ def bit_list(mask: int) -> List[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def to_mask(positions: Iterable[int]) -> int:
-    """Build a mask with the given bit positions set."""
-    mask = 0
-    for p in positions:
-        mask |= 1 << p
-    return mask
-
-
-def popcount(mask: int) -> int:
-    """Number of set bits."""
-    return mask.bit_count()
-
-
-def subsets(mask: int) -> Iterator[int]:
-    """Iterate all submasks of ``mask`` (including 0 and ``mask``)."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def lowest(mask: int) -> int:
-    """Position of the lowest set bit (mask must be non-zero)."""
-    return (mask & -mask).bit_length() - 1
-
-
-def without(mask: int, position: int) -> int:
-    return mask & ~(1 << position)
-
-
-def as_list(mask: int) -> List[int]:
-    return bit_list(mask)

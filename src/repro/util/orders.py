@@ -1,10 +1,11 @@
 """Partial-order utilities: linear extensions and order enumeration.
 
 Used by the causal-consistency checkers: CCv (Def. 12) quantifies over
-*total* orders on update events extending the program order, and the
-generic search needs topological orders and transitive closures of small
-relations.  Elements are integers ``0..n-1`` and relations are lists of
-predecessor bitmasks (``pred[i]`` = mask of elements strictly before ``i``).
+*total* orders on update events extending the program order, which the
+search enumerates lazily, and the checkers need transitive closures of
+small relations.  Elements are integers ``0..n-1`` and relations are
+lists of predecessor bitmasks (``pred[i]`` = mask of elements strictly
+before ``i``).
 
 The enumeration routines are iterative (explicit stacks, no recursion)
 and the inner loops manipulate masks with ``mask & -mask`` directly
@@ -14,7 +15,6 @@ these are the hottest loops of the CCv checker.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, List, Optional, Sequence
 
 
@@ -138,85 +138,5 @@ def permute_relation(pred: Sequence[int], perm: Sequence[int]) -> List[int]:
             low = rest & -rest
             rest ^= low
             mask |= 1 << inverse[low.bit_length() - 1]
-        out.append(mask)
-    return out
-
-
-def topological_orders(
-    pred: Sequence[int], limit: Optional[int] = None
-) -> Iterator[List[int]]:
-    """Yield linear extensions of the strict partial order ``pred``.
-
-    ``pred`` must be transitively closed.  ``limit`` caps the number of
-    extensions yielded (``None`` = all of them).
-    """
-    return iter(LazyOrderEnumerator(pred, limit=limit))
-
-
-def one_topological_order(pred: Sequence[int]) -> List[int]:
-    """A single linear extension (Kahn's algorithm), or ValueError.
-
-    Runs in O(n + edges) using a FIFO queue over ready elements instead
-    of re-scanning (and re-sorting) the remaining set per step.
-    """
-    n = len(pred)
-    indegree = [pred[i].bit_count() for i in range(n)]
-    successors: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        rest = pred[i]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            successors[low.bit_length() - 1].append(i)
-    queue = deque(i for i in range(n) if not indegree[i])
-    order: List[int] = []
-    while queue:
-        i = queue.popleft()
-        order.append(i)
-        for s in successors[i]:
-            indegree[s] -= 1
-            if not indegree[s]:
-                queue.append(s)
-    if len(order) != n:
-        raise ValueError("relation is cyclic")
-    return order
-
-
-def count_linear_extensions(pred: Sequence[int], cap: int = 10**6) -> int:
-    """Count linear extensions (memoised over consumed-set masks)."""
-    n = len(pred)
-    full = (1 << n) - 1
-    memo = {full: 1}
-
-    def rec(consumed: int) -> int:
-        if consumed in memo:
-            return memo[consumed]
-        total = 0
-        for i in range(n):
-            bit = 1 << i
-            if consumed & bit or (pred[i] & ~consumed):
-                continue
-            total += rec(consumed | bit)
-            if total > cap:
-                break
-        memo[consumed] = total
-        return total
-
-    return rec(0)
-
-
-def restrict(pred: Sequence[int], keep: Sequence[int]) -> List[int]:
-    """Restrict a (closed) relation to ``keep``, renumbering to 0..k-1."""
-    index = {e: i for i, e in enumerate(keep)}
-    out = []
-    for e in keep:
-        mask = 0
-        rest = pred[e]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = index.get(low.bit_length() - 1)
-            if j is not None:
-                mask |= 1 << j
         out.append(mask)
     return out

@@ -1,9 +1,9 @@
 """Unit tests for the ADT transducer base class (Def. 1)."""
 
-import pytest
+from oracles import classify_by_search
 
 from repro.adts import Counter, FifoQueue, Register, WindowStream
-from repro.core import InstrumentedADT, classify_by_search, inv
+from repro.core import inv
 
 
 class TestRun:
@@ -21,12 +21,11 @@ class TestRun:
 
     def test_purity_classification(self):
         q = FifoQueue()
-        assert q.is_pure_update(inv("push", 1))
-        assert not q.is_pure_update(inv("pop"))
-        assert not q.is_pure_query(inv("pop"))
+        assert q.is_update(inv("push", 1)) and not q.is_query(inv("push", 1))
+        assert q.is_update(inv("pop")) and q.is_query(inv("pop"))
         w = WindowStream(2)
-        assert w.is_pure_query(inv("r"))
-        assert w.is_pure_update(inv("w", 5))
+        assert w.is_query(inv("r")) and not w.is_update(inv("r"))
+        assert w.is_update(inv("w", 5)) and not w.is_query(inv("w", 5))
 
 
 class TestClassifyBySearch:
@@ -51,20 +50,3 @@ class TestClassifyBySearch:
         assert bool(update) == reg.is_update(inv("w", 9))
         update, query = classify_by_search(reg, inv("r"), probes)
         assert bool(query) == reg.is_query(inv("r"))
-
-
-class TestInstrumented:
-    def test_counts_transducer_calls(self):
-        w1 = InstrumentedADT(WindowStream(1))
-        state = w1.initial_state()
-        state = w1.transition(state, inv("w", 1))
-        w1.output(state, inv("r"))
-        assert w1.transitions == 1 and w1.outputs == 1
-        w1.reset_counters()
-        assert w1.transitions == 0 and w1.outputs == 0
-
-    def test_delegates_semantics(self):
-        inner = WindowStream(2)
-        wrapped = InstrumentedADT(inner)
-        assert wrapped.initial_state() == inner.initial_state()
-        assert wrapped.is_update(inv("w", 1)) and wrapped.is_query(inv("r"))

@@ -120,7 +120,7 @@ class TestQueues:
     def test_pop_is_update_and_query(self):
         q = FifoQueue()
         assert q.is_update(inv("pop")) and q.is_query(inv("pop"))
-        assert q.is_pure_update(inv("push", 1))
+        assert q.is_update(inv("push", 1)) and not q.is_query(inv("push", 1))
 
     def test_split_queue_hd_does_not_remove(self):
         qp = SplitQueue()
@@ -136,8 +136,8 @@ class TestQueues:
 
     def test_split_queue_classification(self):
         qp = SplitQueue()
-        assert qp.is_pure_query(inv("hd"))
-        assert qp.is_pure_update(inv("rh", 1))
+        assert qp.is_query(inv("hd")) and not qp.is_update(inv("hd"))
+        assert qp.is_update(inv("rh", 1)) and not qp.is_query(inv("rh", 1))
 
 
 class TestStack:
@@ -148,7 +148,7 @@ class TestStack:
 
     def test_top_is_pure_query(self):
         s = Stack()
-        assert s.is_pure_query(inv("top"))
+        assert s.is_query(inv("top")) and not s.is_update(inv("top"))
         assert s.is_update(inv("pop")) and s.is_query(inv("pop"))
 
 

@@ -218,7 +218,7 @@ class TestGenericAlgorithms:
             scripts=[[Invocation("add", (pid,))] for pid in range(3)],
             adt=GrowSet(),
         )
-        lengths = {res.algorithm.log_length(pid) for pid in range(3)}
+        lengths = {len(res.algorithm.replicas[pid].log) for pid in range(3)}
         assert lengths == {3}
 
 

@@ -1,7 +1,10 @@
 """Integration tests for the experiment drivers (E1, E6, E7, E8, E9)."""
 
+import itertools
+
 import pytest
 
+from repro.adts import WindowStream
 from repro.algorithms import CCWindowArray, CCvWindowArray
 from repro.analysis import (
     classify_population,
@@ -16,6 +19,7 @@ from repro.analysis import (
     session_guarantee_rates,
     window_consensus,
 )
+from repro.core import Invocation
 from repro.criteria.base import CRITERIA
 
 
@@ -64,18 +68,49 @@ class TestConsensusExperiment:
 
     def test_validity(self):
         run = window_consensus(3, 3, seed=6)
-        assert run.agreed and run.valid
+        assert run.agreed and all(d in (1, 2, 3) for d in run.decisions)
 
     def test_matrix_formatting(self):
         rates = {(1, 1): 1.0, (2, 1): 0.5}
         assert "n\\k" in format_matrix(rates)
 
     def test_exhaustive_consensus_boundary(self):
-        from repro.analysis.consensus import solves_consensus_exhaustively
-
+        """Every sequentially consistent execution of the protocol agrees
+        on a proposed value iff n <= k: a model check at small scale over
+        all interleavings, complementing the sampled matrix."""
         for n in range(1, 5):
             for k in range(1, 4):
-                assert solves_consensus_exhaustively(n, k) == (n <= k), (n, k)
+                proposals = set(range(1, n + 1))
+                solves = all(
+                    len(set(vector)) == 1 and set(vector) <= proposals
+                    for vector in _sc_decision_vectors(n, k)
+                )
+                assert solves == (n <= k), (n, k)
+
+
+def _sc_decision_vectors(n, k):
+    """All decision vectors over every SC execution of the protocol:
+    process i writes i + 1 into a ``W_k`` and then decides the oldest
+    non-default value of the window it reads.  SC fixes the outputs as
+    functions of the interleaving, so enumerating the interleavings that
+    keep each process's write before its read enumerates every outcome."""
+    adt = WindowStream(k)
+    outcomes = set()
+    for order in itertools.permutations(range(2 * n)):
+        position = {e: i for i, e in enumerate(order)}
+        if any(position[2 * pid] > position[2 * pid + 1] for pid in range(n)):
+            continue
+        state = adt.initial_state()
+        decisions = [None] * n
+        for index in order:
+            pid, is_read = divmod(index, 2)
+            if not is_read:
+                state = adt.transition(state, Invocation("w", (pid + 1,)))
+            else:
+                non_default = [v for v in state if v != 0]
+                decisions[pid] = non_default[0] if non_default else None
+        outcomes.add(tuple(decisions))
+    return outcomes
 
 
 class TestConvergenceExperiment:

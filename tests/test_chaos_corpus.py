@@ -57,3 +57,31 @@ def test_a_misspelt_injection_is_refused_not_run_clean(tmp_path):
     message = str(info.value)
     assert "unknown injection 'gc_frontier'" in message
     assert "known: none, gc-frontier, oneshot-resync, pull-starve" in message
+
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc.pop("spec"), "missing field 'spec'"),
+        (lambda doc: doc["spec"].pop("name"), "field 'spec' has no 'name'"),
+        (lambda doc: doc.update(algorithm="lwww"), "unknown algorithm 'lwww'"),
+    ],
+    ids=["no-spec", "no-spec-name", "unknown-algorithm"],
+)
+def test_a_malformed_repro_is_refused_with_its_field(tmp_path, capsys, edit, field):
+    """A repro missing its spec, its spec's name, or naming an algorithm
+    the registry lacks is refused: ``replay_file`` raises ``ValueError``
+    naming the file and the field, and the CLI prints that one line and
+    exits 2, not a traceback with the "NOT reproduced" exit code 1."""
+    with open(os.path.join(CORPUS_DIR, "chaos-repro-s0-t3-lww.json")) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as info:
+        replay_file(str(path))
+    assert str(path) in str(info.value) and field in str(info.value)
+    assert main(["chaos", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(path) in err and field in err

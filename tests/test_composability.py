@@ -12,9 +12,27 @@ consistent, because the cross-register data dependencies form a cycle.
 """
 
 from repro.adts import MemoryADT, Register
-from repro.adts.memory import project_register
-from repro.core import History
+from repro.core import History, Invocation, Operation
 from repro.criteria import check
+
+
+def project_register(history, adt, register):
+    """The history of the events touching ``register`` only, relabelled
+    on the single-register alphabet (``w(v)`` / ``r``), with the program
+    order restricted per process."""
+    rows = {}
+    for event in history:
+        target = adt.write_target(event.invocation)
+        source = adt.read_target(event.invocation)
+        if target is not None and target[0] == register:
+            rows.setdefault(event.process, []).append(
+                Operation(Invocation("w", (target[1],)), event.output)
+            )
+        elif source == register:
+            rows.setdefault(event.process, []).append(
+                Operation(Invocation("r"), event.output)
+            )
+    return History.from_processes([rows[p] for p in sorted(rows)])
 
 
 def _witness():

@@ -4,7 +4,8 @@ import pytest
 
 from repro.adts import Counter, FifoQueue, MemoryADT, WindowStream
 from repro.core import History
-from repro.criteria import mandatory_edges, render_dependencies, semantic_dependencies
+from repro.criteria import mandatory_edges, semantic_dependencies
+from repro.criteria.explain import explain
 from repro.litmus import fig3b, fig3e
 
 
@@ -66,15 +67,20 @@ class TestWindowAndQueueDependencies:
 
 
 class TestRendering:
+    """Failure explanations draw the mandatory dependencies as arrows."""
+
     def test_render_contains_arrows(self):
         litmus = fig3b()
-        text = render_dependencies(litmus.history, litmus.adt)
-        assert "-->" in text
+        text = explain(litmus.history, litmus.adt, "CC").render(litmus.history)
+        edges = mandatory_edges(litmus.history, litmus.adt)
+        assert edges and text.count(" --> ") == len(edges)
 
     def test_render_empty(self):
         w2 = WindowStream(2)
-        h = History.from_processes([[w2.write(1)]])
-        assert "no semantic dependencies" in render_dependencies(h, w2)
+        h = History.from_processes([[w2.write(1), w2.read(0, 5)]])
+        assert mandatory_edges(h, w2) == []
+        text = explain(h, w2, "WCC").render(h)
+        assert "locally inexplicable" in text and "-->" not in text
 
     def test_unsupported_adt_rejected(self):
         c = Counter()

@@ -2,12 +2,11 @@
 
 from repro.adts import FifoQueue, WindowStream
 from repro.core import inv
-from repro.criteria.engine import (
-    LinItem,
-    LinearizationProblem,
-    find_linearization,
-    replay_fixed_order,
-)
+from repro.criteria.engine import LinItem, LinearizationProblem
+
+
+def find_linearization(adt, items, pred_masks):
+    return LinearizationProblem(adt, items, pred_masks).solve()
 
 
 def _items_w2(*specs):
@@ -80,7 +79,7 @@ class TestPruneNoops:
         ]
         pred = [0, 0b0001, 0b0010, 0b0111]
         problem = LinearizationProblem(w2, items, pred)
-        pruned = problem.prune_noops()
+        pruned, _ = problem._pruned()
         assert len(pruned.items) == 3
         # the bypassed constraint: w1 must still precede w2
         w1_pos = [i for i, it in enumerate(pruned.items) if it.key == "w1"][0]
@@ -94,7 +93,7 @@ class TestPruneNoops:
             LinItem("push", inv("push", 5)),  # hidden but an update
             LinItem("pop", inv("pop"), 5, check=True),
         ]
-        pruned = LinearizationProblem(q, items, [0, 0]).prune_noops()
+        pruned, _ = LinearizationProblem(q, items, [0, 0])._pruned()
         assert len(pruned.items) == 2
 
 
@@ -114,14 +113,14 @@ class TestMemoisation:
 
 class TestReplayFixedOrder:
     def test_deterministic_replay(self):
+        """Under a total order of constraints the search only replays."""
         w2 = WindowStream(2)
         items = [
             LinItem("w1", inv("w", 1)),
             LinItem("w2", inv("w", 2)),
             LinItem("r", inv("r"), (1, 2), check=True),
         ]
-        ok, state = replay_fixed_order(w2, items)
-        assert ok and state == (1, 2)
+        chain = [0, 0b001, 0b011]
+        assert find_linearization(w2, items, chain) == ["w1", "w2", "r"]
         items[2] = LinItem("r", inv("r"), (2, 1), check=True)
-        ok, _ = replay_fixed_order(w2, items)
-        assert not ok
+        assert find_linearization(w2, items, chain) is None

@@ -12,6 +12,7 @@ from repro.adts import WindowStream, WindowStreamArray
 from repro.core import History, op
 from repro.core.history import Event
 from repro.core.operations import BOTTOM, Invocation, Operation, operations
+from repro.criteria.causal_search import CausalSearch
 
 
 def _w2_rows():
@@ -125,9 +126,10 @@ class TestOrderAccessors:
         assert h.ipred_mask(2) == 0b010  # only 1 is immediate
 
     def test_update_mask(self):
+        """The update events, as the causal search selects them."""
         rows, w2 = _w2_rows()
         h = History.from_processes(rows)
-        assert h.update_mask(w2) == 0b0101
+        assert CausalSearch(h, w2, "CC").updates == h.eids(0b0101)
 
     def test_eids_decoding(self):
         rows, _ = _w2_rows()
@@ -228,7 +230,6 @@ class TestRowsAnswerLikeMasks:
                 assert history.past_mask(e) == oracle.past_mask(e)
                 assert history.ipred_mask(e) == oracle.ipred_mask(e)
                 assert history.succ_mask(e) == oracle.succ_mask(e)
-                assert history.process_of(e) == oracle.process_of(e)
                 for a in range(n):
                     assert history.po_lt(a, e) == oracle.po_lt(a, e)
                     assert history.concurrent(a, e) == oracle.concurrent(a, e)

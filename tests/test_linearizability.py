@@ -6,8 +6,18 @@ from repro.adts import MemoryADT, WindowStreamArray
 from repro.algorithms import CCWindowArray, ScSequencer
 from repro.core import History
 from repro.core.operations import Invocation
-from repro.criteria import check, check_linearizable, intervals_from_recorder
+from repro.criteria import check, check_linearizable
 from repro.scenarios import DelaySpec, Scenario, ScenarioSpec, WorkloadSpec
+
+
+def intervals_from_recorder(recorder):
+    """Invocation/response intervals in :meth:`HistoryRecorder.to_history`
+    event numbering."""
+    intervals = {}
+    for row in recorder.rows:
+        for record in row:
+            intervals[len(intervals)] = (record.start, record.end)
+    return intervals
 
 
 class TestChecker:

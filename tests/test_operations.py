@@ -12,6 +12,8 @@ from repro.core.operations import (
     inv,
     op,
     operations,
+    output_from_json,
+    output_to_json,
 )
 
 
@@ -39,11 +41,14 @@ class TestOperation:
         assert not Operation(inv("r"), (0, 1)).hidden
 
     def test_hide_round_trip(self):
+        """Hiding drops the output; the classify-JSON history format
+        keeps a hidden operation hidden and a visible one's output."""
         visible = op("r", returns=(0, 1))
-        hidden = visible.hide()
-        assert hidden.hidden
-        assert hidden.invocation == visible.invocation
-        assert hidden.hide() is hidden
+        hidden = Operation(visible.invocation)
+        assert hidden.hidden and hidden.invocation == visible.invocation
+        assert output_from_json(output_to_json(hidden.output)) is HIDDEN
+        assert output_from_json(output_to_json(visible.output)) == (0, 1)
+        assert output_from_json(output_to_json(BOTTOM)) is BOTTOM
 
     def test_repr_shows_output_only_when_visible(self):
         assert repr(op("w", 1)) == "w(1)"

@@ -26,10 +26,14 @@ class TestProductSemantics:
         assert product.is_update(inv("q.pop")) and product.is_query(inv("q.pop"))
 
     def test_lift(self):
+        """A component's word, its methods prefixed with the component's
+        name, runs on the product with the same outputs."""
         q = FifoQueue()
-        product = ProductADT({"q": q})
-        lifted = product.lift("q", q.push(3))
-        assert lifted.invocation.method == "q.push"
+        product = ProductADT({"c": Counter(), "q": q})
+        word = [inv("push", 3), inv("push", 4), inv("pop"), inv("pop")]
+        lifted = [inv(f"q.{i.method}", *i.args) for i in word]
+        assert product.run(lifted)[1] == q.run(word)[1]
+        assert q.run(word)[1][2:] == [3, 4]
 
     def test_errors(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,10 @@ from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import seal
 
 from repro.adts import FifoQueue, GrowSet, MemoryADT, WindowStream
-from repro.core import History, accepts, inv, seal
+from repro.core import History, accepts, inv
 from repro.core.operations import Operation
 from repro.criteria import check
 from repro.criteria.engine import LinItem, LinearizationProblem

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from repro.adts import Counter
+from repro.algorithms import GenericCCv, LwwReplication
 from repro.runtime import (
+    CausalBroadcast,
     DelayModel,
     HistoryRecorder,
-    LamportClock,
     Network,
     Simulator,
-    VectorClock,
 )
 from repro.core import inv
 
@@ -146,33 +147,126 @@ class TestNetwork:
         assert all(model.sample(rng, 0, 1) >= 0 for _ in range(200))
 
 
+class _CausalDeliveries:
+    """A broadcast monitor recording each causal delivery as ``(pid, mid,
+    origin, stamp, receiver's vector just before)``; other hooks no-op."""
+
+    def __init__(self, service):
+        self.service = service
+        self.seen = []
+        service.monitor = self
+
+    def on_causal_deliver(self, pid, mid, origin, stamp):
+        vc = list(self.service.endpoints[pid].vc)
+        self.seen.append((pid, mid, origin, stamp, vc))
+
+    def __getattr__(self, name):
+        return lambda *args: None
+
+
 class TestClocks:
+    """The clocks the runtime keeps: the generic CCv replica's Lamport
+    ``vtime`` and the causal endpoint's delivery vector ``vc``."""
+
+    @staticmethod
+    def _ccv(n):
+        sim = Simulator(seed=1)
+        net = Network(sim, n, delay=DelayModel.constant(1.0))
+        return sim, GenericCCv(sim, net, adt=Counter())
+
     def test_lamport_tick_and_merge(self):
-        clock = LamportClock(pid=2)
-        assert clock.tick() == (1, 2)
-        clock.merge(10)
-        assert clock.tick() == (11, 2)
+        _, obj = self._ccv(2)
+        replica = obj.replicas[1]
+        obj.invoke(1, inv("inc"))  # delivered locally at once
+        assert replica.log[-1][0] == (1, 1, 0) and replica.vtime == 1
+        replica.on_deliver(0, ((10, 0, 0), "inc", ()))
+        obj.invoke(1, inv("inc"))
+        assert replica.log[-1][0] == (11, 1, 1)
 
     def test_lamport_stamps_totally_ordered(self):
-        a, b = LamportClock(0), LamportClock(1)
-        assert a.tick() < b.tick()  # equal times broken by pid
+        sim, obj = self._ccv(2)
+        obj.invoke(1, inv("inc"))
+        obj.invoke(0, inv("inc"))  # concurrent: equal times, broken by pid
+        sim.run()
+        logs = [[key for key, _ in obj.replicas[pid].log] for pid in (0, 1)]
+        assert logs[0] == logs[1] == [(1, 0, 0), (1, 1, 0)]
+
+    def test_physical_stamp_ignores_the_lamport_clock(self):
+        """LWW keeps ``vtime`` but stamps with the run's time (no skew
+        here): a merged-in large timestamp does not feed the next stamp."""
+        sim = Simulator(seed=1)
+        obj = LwwReplication(sim, Network(sim, 2), adt=Counter())
+        replica = obj.replicas[1]
+        replica.on_deliver(0, ((10, 0, 0), "inc", ()))
+        sim.schedule(2.5, obj.invoke, 1, inv("inc"))
+        sim.run()
+        assert replica.vtime == 10
+        assert [key for key, _ in replica.log] == [(2.5, 1, 0), (10, 0, 0)]
+
+    def test_stamp_counts_the_message_itself(self):
+        sim = Simulator(seed=1)
+        service = CausalBroadcast(Network(sim, 3))
+        deliveries = _CausalDeliveries(service)
+        endpoint = service.endpoint(1, lambda origin, payload: None)
+        endpoint.vc[:] = [4, 0, 2]
+        endpoint.broadcast("m")  # delivered at its origin at once
+        assert [(pid, stamp) for pid, _, _, stamp, _ in deliveries.seen] == [
+            (1, (4, 1, 2))
+        ]
+        assert endpoint.vc == [4, 1, 2]
 
     def test_vector_clock_causal_delivery_condition(self):
-        vc = VectorClock(3)
-        # message 1 from p0 with no dependencies
-        assert vc.can_deliver(0, (1, 0, 0))
-        vc.deliver(0)
-        # message from p1 depending on p0's first message
-        assert vc.can_deliver(1, (1, 1, 0))
-        # message from p2 depending on an unseen p1 message
-        assert not vc.can_deliver(2, (0, 2, 1))
-        # out-of-order from p0 (its message 3 before 2)
-        assert not vc.can_deliver(0, (3, 0, 0))
+        sim = Simulator(seed=1)
+        service = CausalBroadcast(Network(sim, 4))
+        got = []
+        endpoint = service.endpoint(3, lambda origin, payload: got.append(payload))
+
+        def arrive(origin, seq, stamp):
+            payload = f"p{origin}#{seq + 1}"
+            message = {"id": (origin, seq), "origin": origin,
+                       "payload": payload, "stamp": stamp}
+            endpoint.receive(origin, message)
+
+        arrive(0, 0, (1, 0, 0, 0))  # no dependencies
+        arrive(1, 0, (1, 1, 0, 0))  # depends on p0's first message
+        arrive(2, 0, (0, 2, 1, 0))  # depends on an unseen p1 message
+        arrive(0, 2, (3, 0, 0, 0))  # p0's third before its second
+        assert got == ["p0#1", "p1#1"] and endpoint.vc == [1, 1, 0, 0]
+        assert endpoint.pending() == 2
+        arrive(0, 1, (2, 0, 0, 0))
+        arrive(1, 1, (1, 2, 0, 0))
+        assert got[2:] == ["p0#2", "p0#3", "p1#2", "p2#1"]
+        assert endpoint.vc == [3, 2, 1, 0] and endpoint.pending() == 0
 
     def test_vector_clock_dominates(self):
-        vc = VectorClock(2)
-        vc.deliver(0)
-        assert vc.dominates((1, 0)) and not vc.dominates((1, 1))
+        """At each delivery the receiver's vector dominates the message's
+        causal past: its stamp less the message itself."""
+        sim = Simulator(seed=2)
+        service = CausalBroadcast(
+            Network(sim, 3, delay=DelayModel.uniform(0.5, 5.0))
+        )
+        deliveries = _CausalDeliveries(service)
+
+        def echo(pid):
+            # a delivered k > 0 makes the receiver broadcast k - 1
+            return lambda origin, k: k and service.broadcast(pid, k - 1)
+
+        for pid in range(3):
+            service.endpoint(pid, echo(pid))
+        for pid in range(3):
+            sim.schedule(0.1 * pid, service.broadcast, pid, 2)
+        sim.run()
+        mids = [mid for _, mid, _, _, _ in deliveries.seen]
+        assert len(mids) == 3 * len(set(mids)) == 3 * 39  # all, everywhere
+        for _, _, origin, stamp, vc in deliveries.seen:
+            past = list(stamp)
+            past[origin] -= 1
+            assert all(v >= p for v, p in zip(vc, past)), (vc, stamp)
+            assert vc[origin] == past[origin]
+        assert all(
+            service.endpoints[pid].vc == service.endpoints[0].vc
+            for pid in range(3)
+        )
 
 
 class TestRecorder:

@@ -3,8 +3,8 @@
 Three families of guarantees:
 
 - the indexed causal delivery (:class:`CausalBroadcast`) is delivery-for-
-  delivery identical to the retained reference drain
-  (:class:`ReferenceCausalBroadcast`) across randomized fault schedules —
+  delivery identical to the reference drain
+  (``oracles.ReferenceCausalBroadcast``) across randomized fault schedules —
   partitions, crashes, loss, resync;
 - recorded scenario histories are bit-identical per seed across the
   scheduler/broadcast rewrite (golden fingerprints generated with the
@@ -20,6 +20,7 @@ import pathlib
 import random
 
 import pytest
+from oracles import ReferenceCausalBroadcast
 
 from repro.adts.window_stream import WindowStreamArray
 from repro.algorithms import CCvWindowArray, GenericCCv, LwwReplication
@@ -30,7 +31,6 @@ from repro.runtime import (
     ReliableBroadcast,
     Simulator,
 )
-from repro.runtime.broadcast import ReferenceCausalBroadcast
 from repro.scenarios import (
     SCALE_SCENARIOS,
     Scenario,

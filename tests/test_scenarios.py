@@ -50,7 +50,7 @@ class TestSpecRoundTrip:
     def test_every_builtin_scenario_round_trips_through_json(self):
         for name in scenario_names():
             spec = get_scenario(name)
-            again = ScenarioSpec.from_json(spec.to_json())
+            again = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
             assert again == spec, name
 
     def test_minimal_dict_fills_defaults(self):
@@ -167,7 +167,7 @@ class TestSpecParseValidation:
             loss_rate=0.25,
             faults=(FaultEvent.loss(1.0, 0.5), FaultEvent.repair(2.0)),
         )
-        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 class TestWorkloads:

@@ -13,6 +13,7 @@ import gc
 import json
 
 import pytest
+from oracles import stability_frontier
 
 from repro.cli import load_history, main
 from repro.criteria.streaming_monitor import replay_history
@@ -402,7 +403,7 @@ def test_node_hosts_one_endpoint_and_learns_peers_from_digests_only():
         assert peer_rows() == [[3, 0, 0], [2, 0, 1]]
         # the stability frontier is what every row has reached
         node.broadcast.sweep()
-        assert node.broadcast.stability_frontier(1) == [2, 0, 0]
+        assert stability_frontier(node.broadcast, 1) == [2, 0, 0]
         assert [m["id"] for m in node.broadcast.retained_log(1)] == [(0, 2)]
         await asyncio.sleep(0)  # let the view's heartbeat tasks finish
 

@@ -258,13 +258,26 @@ class TestSlowReader:
             await transport.start()
             try:
                 payload = "x" * 2048
-                total = 4000
+                # 16 MB: the kernel's socket buffers alone take up to
+                # tcp_wmem's max (4 MB by default) before the first
+                # drain blocks, so the burst must be several times that
+                total = 8000
                 for i in range(total):
                     transport.send(0, 1, {"seq": i, "pad": payload})
-                # give the writer time to push as much as the sockets
-                # will take while the sink refuses to read
-                await asyncio.sleep(1.0)
+                # let the writer push as much as the sockets will take
+                # while the sink refuses to read: wait until bytes_out
+                # holds still for 0.3 s (at least 1 s, at most 10 s)
                 stats = transport.wire_stats
+                loop = asyncio.get_event_loop()
+                start = loop.time()
+                seen, since = stats["bytes_out"], start
+                while loop.time() - start < 10.0:
+                    await asyncio.sleep(0.1)
+                    now = loop.time()
+                    if stats["bytes_out"] != seen:
+                        seen, since = stats["bytes_out"], now
+                    elif now - since >= 0.3 and now - start >= 1.0:
+                        break
                 stalled_bytes = stats["bytes_out"]
                 # the drain stalls the writer: most of the traffic must
                 # still be parked in the transport queue, not dumped
