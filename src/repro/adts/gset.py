@@ -8,7 +8,7 @@ the criteria collapse as expected on commutative updates.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet
+from typing import Any
 
 from ..core.adt import AbstractDataType, State
 from ..core.operations import BOTTOM, Invocation, Operation

@@ -4,7 +4,7 @@ Causal consistency is *not composable*, so a causal memory is a causally
 consistent *pool of registers*, not a pool of causally consistent registers
 (Sec. 4.2).  ``M_X`` has methods ``w(x, v)`` (write ``v`` to register
 ``x``, output ``⊥``) and ``r(x)`` (read register ``x``); unwritten
-registers hold the default value 0.
+registers hold the initial value 0.
 
 This module also carries the memory-specific introspection (which
 invocation writes/reads which register) used by the causal-memory checker
@@ -17,6 +17,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..core.adt import AbstractDataType, State
 from ..core.operations import BOTTOM, HIDDEN, Invocation, Operation
+from .window_stream import INITIAL_VALUE
 
 
 class MemoryADT(AbstractDataType):
@@ -28,8 +29,9 @@ class MemoryADT(AbstractDataType):
     generality for checking.
     """
 
-    def __init__(self, registers: Sequence[Any] = "abcdefghijklmnopqrstuvwxyz",
-                 default: Any = 0) -> None:
+    def __init__(
+        self, registers: Sequence[Any] = "abcdefghijklmnopqrstuvwxyz"
+    ) -> None:
         names = list(registers)
         if len(set(names)) != len(names):
             raise ValueError("duplicate register names")
@@ -37,11 +39,10 @@ class MemoryADT(AbstractDataType):
             raise ValueError("memory needs at least one register")
         self.registers = tuple(names)
         self.index: Dict[Any, int] = {x: i for i, x in enumerate(names)}
-        self.default = default
         self.name = f"Memory[{len(names)}]"
 
     def initial_state(self) -> State:
-        return (self.default,) * len(self.registers)
+        return (INITIAL_VALUE,) * len(self.registers)
 
     def _reg(self, x: Any) -> int:
         try:

@@ -16,7 +16,7 @@ Empty-queue reads return ``BOTTOM`` (the paper's ``⊥``).
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any
 
 from ..core.adt import AbstractDataType, State
 from ..core.operations import BOTTOM, Invocation, Operation

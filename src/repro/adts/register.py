@@ -11,17 +11,16 @@ from typing import Any
 
 from ..core.adt import AbstractDataType, State
 from ..core.operations import BOTTOM, Invocation, Operation
+from .window_stream import INITIAL_VALUE
 
 
 class Register(AbstractDataType):
-    """A single read/write register with default value 0."""
+    """A single read/write register with initial value 0."""
 
-    def __init__(self, default: Any = 0) -> None:
-        self.default = default
-        self.name = "Register"
+    name = "Register"
 
     def initial_state(self) -> State:
-        return self.default
+        return INITIAL_VALUE
 
     def transition(self, state: State, invocation: Invocation) -> State:
         if invocation.method == "w":

@@ -2,7 +2,7 @@
 
 A window stream of size ``k`` generalises a register: ``w(v)`` appends a
 value, ``r`` returns the sequence of the last ``k`` written values (missing
-values replaced by the default).  ``W_1`` is an integer register.  A window
+values replaced by the initial value ``INITIAL_VALUE``, 0).  ``W_1`` is an integer register.  A window
 stream of size ``k`` has consensus number ``k`` (Sec. 2.1), which
 :mod:`repro.analysis.consensus` demonstrates experimentally.
 
@@ -12,10 +12,14 @@ implemented by the algorithms of Figs. 4 and 5.
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any
 
 from ..core.adt import AbstractDataType, State
 from ..core.operations import BOTTOM, Invocation, Operation
+
+#: every slot no write has reached yet: ``W_k``'s initial state is part
+#: of its sequential specification, so it is no constructor's option
+INITIAL_VALUE = 0
 
 
 class WindowStream(AbstractDataType):
@@ -25,15 +29,14 @@ class WindowStream(AbstractDataType):
     ``delta(q, w(v)) = (q_2, ..., q_k, v)``; ``lambda(q, r) = q``.
     """
 
-    def __init__(self, k: int, default: Any = 0) -> None:
+    def __init__(self, k: int) -> None:
         if k < 1:
             raise ValueError("window size must be >= 1")
         self.k = k
-        self.default = default
         self.name = f"W_{k}"
 
     def initial_state(self) -> State:
-        return (self.default,) * self.k
+        return (INITIAL_VALUE,) * self.k
 
     def transition(self, state: State, invocation: Invocation) -> State:
         if invocation.method == "w":
@@ -77,16 +80,15 @@ class WindowStreamArray(AbstractDataType):
     convergence).
     """
 
-    def __init__(self, streams: int, k: int, default: Any = 0) -> None:
+    def __init__(self, streams: int, k: int) -> None:
         if streams < 1 or k < 1:
             raise ValueError("need at least one stream of size >= 1")
         self.streams = streams
         self.k = k
-        self.default = default
         self.name = f"W_{k}^{streams}"
 
     def initial_state(self) -> State:
-        return ((self.default,) * self.k,) * self.streams
+        return ((INITIAL_VALUE,) * self.k,) * self.streams
 
     def _check_stream(self, x: int) -> None:
         if not (0 <= x < self.streams):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from ..adts.window_stream import INITIAL_VALUE
 from ..core.operations import BOTTOM, Invocation
 from ..runtime.broadcast import CausalBroadcast
 from ..runtime.recorder import HistoryRecorder
@@ -23,11 +24,11 @@ from .base import Replica, ReplicatedObject
 class CCWindowReplica(Replica):
     """The algorithm of Fig. 4: code for process ``p_i``."""
 
-    def __init__(self, pid: int, streams: int, k: int, default: Any) -> None:
+    def __init__(self, pid: int, streams: int, k: int) -> None:
         super().__init__(pid)
         self.k = k
         # str_i in the paper: this process's copy of the K windows
-        self.str: List[List[Any]] = [[default] * k for _ in range(streams)]
+        self.str: List[List[Any]] = [[INITIAL_VALUE] * k for _ in range(streams)]
 
     def invoke(self, invocation: Invocation) -> Any:
         if invocation.method == "r":
@@ -67,10 +68,8 @@ class CCWindowArray(ReplicatedObject):
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
-        default: Any = 0,
         relay: str = "flood",
     ) -> None:
         super().__init__(
-            sim, network, recorder, {"relay": relay},
-            streams=streams, k=k, default=default,
+            sim, network, recorder, {"relay": relay}, streams=streams, k=k
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from ..adts.window_stream import INITIAL_VALUE
 from ..core.operations import BOTTOM, Invocation
 from ..runtime.broadcast import CausalBroadcast
 from ..runtime.recorder import HistoryRecorder
@@ -39,15 +40,15 @@ class CCvWindowReplica(Replica):
     docstring): code for process ``p_i``."""
 
     def __init__(
-        self, pid: int, streams: int, k: int, default: Any, paper_literal: bool
+        self, pid: int, streams: int, k: int, paper_literal: bool
     ) -> None:
         super().__init__(pid)
         self.k = k
         self.paper_literal = paper_literal
         # str_i: per stream, k cells (value, (vt, j)), oldest timestamp
-        # first; (0, 0) stamps the initial default values
+        # first; (0, 0) stamps the initial values
         self.str: List[List[Tuple[Any, Stamp]]] = [
-            [(default, (0, 0))] * k for _ in range(streams)
+            [(INITIAL_VALUE, (0, 0))] * k for _ in range(streams)
         ]
         # vtime_i: this process's Lamport clock
         self.vtime = 0
@@ -107,13 +108,12 @@ class CCvWindowArray(ReplicatedObject):
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
-        default: Any = 0,
         relay: str = "flood",
         paper_literal: bool = False,
     ) -> None:
         super().__init__(
             sim, network, recorder, {"relay": relay},
-            streams=streams, k=k, default=default, paper_literal=paper_literal,
+            streams=streams, k=k, paper_literal=paper_literal,
         )
 
     # restated, not inherited: the benchmark's per-layer ledger wraps

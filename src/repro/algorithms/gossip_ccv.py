@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
+from ..adts.window_stream import INITIAL_VALUE
 from ..core.operations import BOTTOM, Invocation
 from ..runtime.recorder import HistoryRecorder
 from ..runtime.simulator import Simulator
@@ -47,13 +48,13 @@ class GossipReplica(Replica):
     Lamport clock; it has no broadcast endpoint — its host pushes
     :meth:`snapshot` to a peer each round, whose ``on_deliver`` joins it."""
 
-    def __init__(self, pid: int, streams: int, k: int, default: Any) -> None:
+    def __init__(self, pid: int, streams: int, k: int) -> None:
         super().__init__(pid)
         self.k = k
         # the k initial cells need distinct stamps, below every write's,
         # or the first merge dedupes them into one cell
         self.str: List[List[Cell]] = [
-            [(default, (0, slot - k)) for slot in range(k)]
+            [(INITIAL_VALUE, (0, slot - k)) for slot in range(k)]
             for _ in range(streams)
         ]
         self.vtime = 0
@@ -96,6 +97,8 @@ class GossipCCvWindowArray(ReplicatedObject):
     name = "CCv(W_k^K) [gossip]"
     replica_cls = GossipReplica
     broadcast_cls = None
+    #: time between two rounds; in each, every live replica pushes to one peer
+    gossip_interval = 1.0
 
     def __init__(
         self,
@@ -104,17 +107,10 @@ class GossipCCvWindowArray(ReplicatedObject):
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
-        default: Any = 0,
-        gossip_interval: float = 1.0,
-        fanout: int = 1,
     ) -> None:
-        self.gossip_interval = gossip_interval
-        self.fanout = max(1, fanout)
         self.rounds = 0
         self._running = False
-        super().__init__(
-            sim, network, recorder, {}, streams=streams, k=k, default=default
-        )
+        super().__init__(sim, network, recorder, {}, streams=streams, k=k)
 
     # ------------------------------------------------------------------
     # Gossip engine: one scheduled tick per round for every hosted
@@ -143,10 +139,9 @@ class GossipCCvWindowArray(ReplicatedObject):
         for pid, replica in self.replicas.items():
             if self.network.is_crashed(pid):
                 continue
-            for _ in range(self.fanout):
-                peer = self.sim.rng.randrange(self.n - 1)
-                if peer >= pid:
-                    peer += 1
-                self.network.send(pid, peer, replica.snapshot())
+            peer = self.sim.rng.randrange(self.n - 1)
+            if peer >= pid:
+                peer += 1
+            self.network.send(pid, peer, replica.snapshot())
         if self._running and (self._budget is None or self._budget > 0):
             self.sim.schedule(self.gossip_interval, self._gossip_tick)

@@ -85,13 +85,12 @@ class ScSequencer(ReplicatedObject):
         network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
-        sequencer: int = 0,
     ) -> None:
         if adt is None:
             raise ValueError("ScSequencer requires an ADT")
         self.adt = adt
         self.name = f"SC({adt.name}) [sequencer]"
-        super().__init__(sim, network, recorder, {"sequencer": sequencer}, adt=adt)
+        super().__init__(sim, network, recorder, {}, adt=adt)
 
     def invoke(
         self, pid: int, invocation: Invocation, callback: Optional[Callback] = None

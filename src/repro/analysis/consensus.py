@@ -16,11 +16,10 @@ agreed; the expected shape is: always 1.0 for n <= k, < 1.0 for n > k
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from ..adts.window_stream import WindowStreamArray
+from ..adts.window_stream import INITIAL_VALUE, WindowStreamArray
 from ..core.operations import Invocation
 from ..runtime.network import DelayModel, Network
 from ..runtime.recorder import HistoryRecorder
@@ -39,12 +38,7 @@ class ConsensusRun:
         return len(set(self.decisions)) == 1
 
 
-def window_consensus(
-    n: int,
-    k: int,
-    seed: int = 0,
-    delay: Optional[DelayModel] = None,
-) -> ConsensusRun:
+def window_consensus(n: int, k: int, seed: int = 0) -> ConsensusRun:
     """Run the W_k consensus protocol with ``n`` proposers.
 
     Process ``i`` proposes ``i + 1``.  All operations go through a
@@ -52,14 +46,14 @@ def window_consensus(
     writes, then reads, then decides the oldest non-default value.
     """
     sim = Simulator(seed=seed)
-    network = Network(sim, n, delay=delay or DelayModel.uniform(0.5, 1.5))
+    network = Network(sim, n, delay=DelayModel.uniform(0.5, 1.5))
     recorder = HistoryRecorder(n)
     obj = ScSequencer(sim, network, recorder, adt=WindowStreamArray(1, k))
     decisions: List[Any] = [None] * n
 
     def decide(pid: int) -> None:
         def on_read(window: Any) -> None:
-            non_default = [v for v in window if v != 0]
+            non_default = [v for v in window if v != INITIAL_VALUE]
             decisions[pid] = non_default[0] if non_default else None
 
         obj.invoke(pid, Invocation("r", (0,)), on_read)

@@ -15,11 +15,9 @@ algorithm (Fig. 4) and the LWW baseline and measures:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple, Type
 
-from ..adts.window_stream import WindowStreamArray
 from ..core.operations import Invocation
 from ..runtime.network import DelayModel, Network
 from ..runtime.recorder import HistoryRecorder
@@ -36,6 +34,10 @@ class ConvergenceResult:
     last_update_time: float
 
 
+#: simulated time between two samples of the replica states
+SAMPLE_STEP = 0.25
+
+
 def _snapshot(obj: ReplicatedObject) -> List[Tuple[Any, ...]]:
     return [obj.state_of(pid) for pid in range(obj.n)]
 
@@ -45,13 +47,12 @@ def measure_convergence(
     n: int = 4,
     streams: int = 1,
     k: int = 2,
-    writes_per_process: int = 3,
     seed: int = 0,
     delay: Optional[DelayModel] = None,
-    sample_step: float = 0.25,
     **kwargs: Any,
 ) -> ConvergenceResult:
-    """Issue concurrent writes, then sample replica states until stable."""
+    """Issue 3 concurrent writes per process, then sample replica states
+    until stable."""
     sim = Simulator(seed=seed)
     network = Network(sim, n, delay=delay or DelayModel.uniform(0.5, 3.0))
     recorder = HistoryRecorder(n)
@@ -59,7 +60,7 @@ def measure_convergence(
 
     last_update = 0.0
     for pid in range(n):
-        for i in range(writes_per_process):
+        for i in range(3):
             when = sim.rng.uniform(0, 2.0)
             last_update = max(last_update, when)
             sim.schedule(
@@ -77,9 +78,9 @@ def measure_convergence(
         # network elided or folded included until they arrive: the samples
         # of a network that schedules every copy
         if sim.pending > 1 or sim.now < sim.elided_until:
-            sim.schedule(sample_step, sample)
+            sim.schedule(SAMPLE_STEP, sample)
 
-    sim.schedule(sample_step, sample)
+    sim.schedule(SAMPLE_STEP, sample)
     sim.run()
     samples.append((sim.now, _snapshot(obj)))
 

@@ -30,14 +30,11 @@ class LatencyPoint:
     messages_per_op: float
 
 
+N, STREAMS, K = 3, 2, 2  # processes sharing STREAMS streams of size K
+
+
 def latency_sweep(
     delays: Sequence[float] = (0.5, 1.0, 2.0, 5.0, 10.0),
-    algorithms: Sequence[str] = (
-        "cc-fig4", "ccv-fig5", "pram", "lww", "sc-sequencer"
-    ),
-    n: int = 3,
-    streams: int = 2,
-    k: int = 2,
     ops_per_process: int = 10,
     seed: int = 0,
 ) -> List[LatencyPoint]:
@@ -45,22 +42,24 @@ def latency_sweep(
     points: List[LatencyPoint] = []
     for mean_delay in delays:
         scripts = [
-            window_script(random.Random(seed * 7_919 + pid), ops_per_process, streams)
-            for pid in range(n)
+            window_script(
+                random.Random(seed * 7_919 + pid), ops_per_process, STREAMS
+            )
+            for pid in range(N)
         ]
         scenario = Scenario(ScenarioSpec(
             name=f"latency-d{mean_delay:g}",
-            n=n,
-            streams=streams,
-            k=k,
+            n=N,
+            streams=STREAMS,
+            k=K,
             delay=DelaySpec("uniform", (0.5 * mean_delay, 1.5 * mean_delay)),
             quiescence_reads=False,
         ))
-        for key in algorithms:
+        for key in ("cc-fig4", "ccv-fig5", "pram", "lww", "sc-sequencer"):
             entry = ALGORITHMS[key]
             result = scenario.run(
                 entry.cls, seed=seed, scripts=scripts,
-                **entry.kwargs(streams, k),
+                **entry.kwargs(STREAMS, K),
             )
             points.append(
                 LatencyPoint(

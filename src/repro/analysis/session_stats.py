@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, List
 
 from ..adts.memory import MemoryADT
 from ..core.operations import Invocation
 from ..criteria.session import all_session_guarantees
-from ..algorithms.base import ReplicatedObject
 from ..algorithms.generic_causal import GenericCausal, PramReplication
 from ..algorithms.generic_ccv import GenericCCv, LwwReplication
 from ..scenarios.scenario import Scenario
@@ -77,12 +76,6 @@ class SessionReport:
 
 
 def session_guarantee_rates(
-    algorithms: Sequence[Tuple[Type[ReplicatedObject], Dict]] = (
-        (GenericCausal, {"relay": "direct"}),
-        (GenericCCv, {"relay": "direct"}),
-        (PramReplication, {"relay": "direct"}),
-        (LwwReplication, {"clock_skew": 2.0, "relay": "direct"}),
-    ),
     runs: int = 20,
     n: int = 4,
     ops_per_process: int = 8,
@@ -104,7 +97,12 @@ def session_guarantee_rates(
         quiescence_reads=False,
     ))
     reports: List[SessionReport] = []
-    for cls, extra in algorithms:
+    for cls, extra in (
+        (GenericCausal, {"relay": "direct"}),
+        (GenericCCv, {"relay": "direct"}),
+        (PramReplication, {"relay": "direct"}),
+        (LwwReplication, {"clock_skew": 2.0, "relay": "direct"}),
+    ):
         report = SessionReport(algorithm=cls.__name__, runs=runs)
         for r in range(runs):
             rng = random.Random(seed * 65_537 + r)

@@ -45,15 +45,13 @@ def _split(rng: random.Random, n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]
     return tuple(sorted(pids[:cut])), tuple(sorted(pids[cut:]))
 
 
-def random_fault_events(
-    rng: random.Random, n: int, horizon: float = 10.0
-) -> List[FaultEvent]:
+def random_fault_events(rng: random.Random, n: int) -> List[FaultEvent]:
     """Draw 1–4 random fault events (plus their natural companions) over
-    ``[0.5, horizon]`` for an ``n``-process run."""
+    ``[0.5, 10]`` for an ``n``-process run."""
     events: List[FaultEvent] = []
     for _ in range(rng.randint(1, 4)):
         kind = rng.randrange(10)
-        at = _t(rng, 0.5, horizon)
+        at = _t(rng, 0.5, 10.0)
         if kind == 0:
             a, b = _split(rng, n)
             events.append(F.partition(at, a, b))

@@ -27,6 +27,9 @@ The JSON history format accepted by ``classify``::
       "criteria": ["SC", "CC", "CCV"]            // optional
     }
 
+An op may carry its real-time interval, numbers ``"start"`` and ``"end"``;
+``LIN`` is checked against them, ``?`` when an op lacks one.
+
 Outputs are printed as plain-text tables; exit status is 0 unless a
 requested assertion (e.g. litmus match) fails.
 """
@@ -131,6 +134,32 @@ def load_history(spec: Dict[str, Any]):
     # captures always include them; hand-written litmus files need not.
     history = History.from_processes(rows, times=times if timed else None)
     return history, adt, criteria
+
+
+def _decide_lin(spec: Dict[str, Any], history: History, adt: Any, search: bool):
+    """LIN needs what a history does not hold, each op's real-time
+    interval: checked against the file's numeric ``start``/``end``, ``?``
+    where one is missing, never the SC answer under LIN's name."""
+    from .criteria import check_linearizable
+    from .criteria.verdict import SEARCH_MAX_OPS, Verdict
+
+    ops = [  # in event order: row-major, as History.from_processes numbers
+        (f"processes[{pid}][{index}]", op)
+        for pid, row in enumerate(spec.get("processes", []))
+        for index, op in enumerate(row)
+    ]
+    missing = [
+        f'{where} "{name}"' for where, op in ops for name in ("start", "end")
+        if not isinstance(op.get(name), (int, float))
+    ]
+    if missing:
+        note = "LIN needs each op's real-time interval: no " + ", ".join(missing[:3])
+        return Verdict("LIN", None, note=note + (", ..." if missing[3:] else ""))
+    if not search or len(history) > SEARCH_MAX_OPS:
+        return decide(history, adt, "LIN", search=search)
+    intervals = {eid: (op["start"], op["end"]) for eid, (_, op) in enumerate(ops)}
+    result = check_linearizable(history, adt, intervals)
+    return Verdict("LIN", result.ok, result)
 
 
 # ----------------------------------------------------------------------
@@ -396,11 +425,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
     doc: Dict[str, Any] = {"file": args.file, "history": str(history), "criteria": {}}
     for criterion in criteria:
         # below the op cutoff nothing bounds the search's time
-        verdict = decide(
-            history, adt, criterion,
-            search=not args.streaming_only,
-            monitor=monitored.get(criterion),
-        )
+        if criterion == "LIN":
+            verdict = _decide_lin(spec, history, adt, not args.streaming_only)
+        else:
+            verdict = decide(
+                history, adt, criterion,
+                search=not args.streaming_only,
+                monitor=monitored.get(criterion),
+            )
         work = dict(verdict.result.stats or {}) if verdict.result else {}
         rows.append(
             [criterion, _holds(verdict.ok), verdict.reason, _format_work(work)]

@@ -221,13 +221,11 @@ class History:
         cls,
         ops: Sequence[Any],
         edges: Iterable[Tuple[int, int]],
-        processes: Optional[Sequence[int]] = None,
     ) -> "History":
         """Build a history over an arbitrary program order.
 
         ``edges`` are pairs ``(a, b)`` meaning ``a |-> b`` (need not be
-        transitively closed or reduced).  ``processes`` optionally tags each
-        event with a process id for display purposes.
+        transitively closed or reduced).  The events carry no process id.
         """
         row_ops = operations(ops)
         n = len(row_ops)
@@ -249,9 +247,8 @@ class History:
                 rest ^= low
                 mask |= past[low.bit_length() - 1]
             past[e] = mask
-        tags = list(processes) if processes is not None else [None] * n
         events = [
-            Event(eid, tags[eid], operation.invocation, operation.output)
+            Event(eid, None, operation.invocation, operation.output)
             for eid, operation in enumerate(row_ops)
         ]
         return cls(events, past)
@@ -321,13 +318,13 @@ class History:
     # ------------------------------------------------------------------
     # Processes = maximal chains (Sec. 2.2)
     # ------------------------------------------------------------------
-    def processes(self, max_chains: int = 4096) -> Tuple[Tuple[int, ...], ...]:
+    def processes(self) -> Tuple[Tuple[int, ...], ...]:
         """The maximal chains ``P_H`` of the program order.
 
         For a history built with :meth:`from_processes` these are exactly
         the declared rows.  For general DAGs they are enumerated from the
         Hasse diagram (paths from a minimal to a maximal event); the count
-        is capped to guard against pathological inputs.
+        is capped at 4096 against pathological inputs.
         """
         if self._chains is None and self._rows is not None:
             self._chains = tuple(tuple(row) for row in self._rows if row)
@@ -349,10 +346,9 @@ class History:
                 path = [start]
                 branch: List[int] = [0]  # next successor index per depth
                 while path:
-                    if len(chains) >= max_chains:
+                    if len(chains) >= 4096:
                         raise RuntimeError(
-                            f"history has more than {max_chains} "
-                            "maximal chains"
+                            "history has more than 4096 maximal chains"
                         )
                     succs = isucc[path[-1]]
                     if not succs:

@@ -21,7 +21,7 @@ This module defines the two value types shared by the whole library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Tuple
 
 

@@ -12,26 +12,23 @@ checker agrees on what "conforms to the sequential specification" means.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from .adt import AbstractDataType, State
 from .operations import HIDDEN, Operation
 
 
 def replay(
-    adt: AbstractDataType,
-    word: Iterable[Operation],
-    state: Optional[State] = None,
+    adt: AbstractDataType, word: Iterable[Operation]
 ) -> Tuple[bool, State]:
-    """Replay ``word`` from ``state`` (default ``q0``).
+    """Replay ``word`` from the initial state ``q0``.
 
     Returns ``(accepted, final_state)``.  ``accepted`` is False as soon as a
     non-hidden operation's recorded output differs from ``lambda`` at that
     point; the returned state is then the state reached *before* the
     offending operation.
     """
-    if state is None:
-        state = adt.initial_state()
+    state = adt.initial_state()
     for operation in word:
         invocation = operation.invocation
         if operation.output is not HIDDEN:

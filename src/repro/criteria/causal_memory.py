@@ -24,8 +24,8 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from ..adts.memory import MemoryADT
+from ..adts.window_stream import INITIAL_VALUE
 from ..core.history import History
-from ..util.bitset import bits
 from ..util.orders import transitive_closure
 from .base import CheckResult, register
 from .engine import LinItem, LinearizationProblem
@@ -46,7 +46,7 @@ def _binding_candidates(
             continue
         value = event.output
         candidates: List[Optional[int]] = []
-        if value == adt.default:
+        if value == INITIAL_VALUE:
             candidates.append(None)
         for other in history:
             target = adt.write_target(other.invocation)
@@ -59,11 +59,7 @@ def _binding_candidates(
 
 
 @register("CM")
-def check_causal_memory(
-    history: History,
-    adt: MemoryADT,
-    max_bindings: int = 100_000,
-) -> CheckResult:
+def check_causal_memory(history: History, adt: MemoryADT) -> CheckResult:
     """Decide whether ``H`` is ``M_X``-causal (Def. 11)."""
     if not isinstance(adt, MemoryADT):
         raise TypeError("causal memory is defined for the memory ADT only")
@@ -80,8 +76,8 @@ def check_causal_memory(
     combos = itertools.product(*candidate_lists) if reads else iter([()])
     for combo in combos:
         tried += 1
-        if tried > max_bindings:
-            raise RuntimeError(f"more than {max_bindings} writes-into bindings")
+        if tried > 100_000:
+            raise RuntimeError("more than 100000 writes-into bindings")
         # build TC(po ∪ writes-into); reject cycles
         pred = [history.past_mask(e) for e in range(n)]
         for read_eid, write_eid in zip(read_eids, combo):

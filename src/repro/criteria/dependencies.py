@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from ..adts.memory import MemoryADT
 from ..adts.queue import FifoQueue, SplitQueue
-from ..adts.window_stream import WindowStream, WindowStreamArray
+from ..adts.window_stream import INITIAL_VALUE, WindowStream, WindowStreamArray
 from ..core.adt import AbstractDataType
 from ..core.history import History
 from ..core.operations import BOTTOM
@@ -84,7 +84,7 @@ def semantic_dependencies(
         writers_by_target = _writer_index(history, "w")
         for event in history:
             register = adt.read_target(event.invocation)
-            if register is None or event.hidden or event.output == adt.default:
+            if register is None or event.hidden or event.output == INITIAL_VALUE:
                 continue
             writers = writers_by_target.get((register, event.output), ())
             for writer in writers:
@@ -107,7 +107,7 @@ def semantic_dependencies(
                     history,
                     event.eid,
                     event.output,
-                    adt.default,
+                    INITIAL_VALUE,
                     lambda value: writers_by_value.get((value,), ()),
                 )
             )
@@ -123,7 +123,7 @@ def semantic_dependencies(
                     history,
                     event.eid,
                     event.output,
-                    adt.default,
+                    INITIAL_VALUE,
                     lambda value, stream=stream: writers_by_args.get(
                         (stream, value), ()
                     ),

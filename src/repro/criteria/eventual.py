@@ -45,7 +45,7 @@ def default_stable_events(history: History, adt: AbstractDataType) -> Set[int]:
 
 
 def _reachable_final_states(
-    history: History, adt: AbstractDataType, cap: int = 200_000
+    history: History, adt: AbstractDataType
 ) -> Set[State]:
     """All states reachable by linearising every update event consistently
     with the program order (memoised over consumed-update masks)."""
@@ -68,7 +68,7 @@ def _reachable_final_states(
         if (consumed, state) in seen:
             continue
         seen.add((consumed, state))
-        if len(seen) > cap:
+        if len(seen) > 200_000:
             raise RuntimeError("update interleaving state-space too large")
         if consumed == full:
             finals.add(state)

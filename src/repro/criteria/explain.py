@@ -23,12 +23,11 @@ from the definitions, so they are safe to show to users.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..core.adt import AbstractDataType
 from ..core.history import History
 from ..util.bitset import bits
-from .engine import LinItem, LinearizationProblem
 
 
 @dataclass

@@ -25,7 +25,7 @@ DIRECT_EDGES: Dict[str, Set[str]] = {
 }
 
 #: Edges whose weaker side is an eventual-style criterion, meaningful only
-#: on quiescent histories.
+#: on quiescent histories; the consistency audit skips them.
 QUIESCENT_EDGES: FrozenSet[Tuple[str, str]] = frozenset({("CCV", "EC")})
 
 ALL_CRITERIA: Tuple[str, ...] = ("SC", "CC", "CCV", "PC", "WCC", "EC")
@@ -44,9 +44,7 @@ def implied(criterion: str) -> Set[str]:
     return seen
 
 
-def check_classification_consistency(
-    verdicts: Dict[str, bool], quiescent: bool = False
-) -> List[str]:
+def check_classification_consistency(verdicts: Dict[str, bool]) -> List[str]:
     """Given per-criterion verdicts for one history, list hierarchy
     violations (a stronger criterion holding while a weaker one fails).
 
@@ -59,7 +57,7 @@ def check_classification_consistency(
         if not verdicts.get(stronger, False):
             continue
         for weaker in weakers:
-            if (stronger, weaker) in QUIESCENT_EDGES and not quiescent:
+            if (stronger, weaker) in QUIESCENT_EDGES:
                 continue
             if weaker in verdicts and not verdicts[weaker]:
                 problems.append(

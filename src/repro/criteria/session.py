@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..adts.memory import MemoryADT
+from ..adts.window_stream import INITIAL_VALUE
 from ..core.history import History
 from ..util.orders import transitive_closure
 from .base import CheckResult, register
@@ -63,7 +64,7 @@ class SessionAnalysis:
             reg = adt.read_target(event.invocation)
             if reg is None or event.hidden:
                 continue
-            if event.output == adt.default:
+            if event.output == INITIAL_VALUE:
                 self.binding[event.eid] = None
             else:
                 writers = self.writes_of_value.get((reg, event.output))

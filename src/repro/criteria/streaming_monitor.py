@@ -9,7 +9,8 @@ violations of the causal criteria reduce to a fixed catalogue of **bad
 patterns** over the *minimal* causal order ``co = (po ∪ rf)⁺``, each
 checkable in polynomial time.  This module generalises that catalogue
 from read/write registers to the paper's window streams ``W_k`` (a read
-returns the ``k`` most recent writes, oldest first, ``default``-padded)
+returns the ``k`` most recent writes, oldest first, padded with
+``INITIAL_VALUE``)
 and evaluates it *incrementally*: operations are consumed one at a time,
 either live from a :class:`repro.runtime.recorder.HistoryRecorder`
 subscription or by replaying a finished :class:`History`, and the first
@@ -86,8 +87,9 @@ from typing import (
     Tuple,
 )
 
+from ..adts.window_stream import INITIAL_VALUE
 from ..core.history import History
-from ..core.operations import BOTTOM, HIDDEN, Invocation
+from ..core.operations import HIDDEN, Invocation
 from ..util.dynamic_order import DynamicOrder
 
 __all__ = [
@@ -210,7 +212,6 @@ class StreamingMonitor:
         *,
         streams: int = 1,
         k: int = 1,
-        default: Any = 0,
         criteria: Sequence[str] = SUPPORTED_CRITERIA,
         propagation_budget: int = 4_000_000,
         _window_reads: bool = True,
@@ -230,7 +231,6 @@ class StreamingMonitor:
         self.n = n
         self.streams = streams
         self.k = k
-        self.default = default
         self.criteria = tuple(dict.fromkeys(criteria))
         self._window_reads = _window_reads
         self.propagation_budget = propagation_budget
@@ -375,7 +375,7 @@ class StreamingMonitor:
                 values = self._writer.get(key)
                 if values is None:
                     values = self._writer[key] = self._new_stream(key)
-                if value == self.default:
+                if value == INITIAL_VALUE:
                     self._mark_nondiff(
                         f"write of the default value {value!r} to stream {key}"
                     )
@@ -473,7 +473,7 @@ class StreamingMonitor:
         pw[0].append(lidx)
         pw[1].append(u)
         if not self._diff_checked:
-            if value == self.default:
+            if value == INITIAL_VALUE:
                 self._mark_nondiff(
                     f"write of the default value {value!r} to stream {key}"
                 )
@@ -515,11 +515,10 @@ class StreamingMonitor:
                 f"window of {len(window)} slots, not {self.k}: {window!r}",
             )
         # malformed-window screen: defaults only in the oldest slots
-        default = self.default
         slots: List[Any] = []
         seen_value = False
         for v in window:
-            if v == default:
+            if v == INITIAL_VALUE:
                 if seen_value:
                     return self._record(
                         "MalformedWindow",
@@ -1294,19 +1293,19 @@ class StreamingMonitor:
 # ----------------------------------------------------------------------
 # ADT adaptation and history replay
 # ----------------------------------------------------------------------
-def _adt_shape(adt: Any) -> Optional[Tuple[int, int, Any, bool]]:
-    """(streams, k, default, window_reads) for window-like ADTs, None
-    otherwise: window streams read a window of k slots, registers and
-    memory one value, which may itself be a tuple."""
+def _adt_shape(adt: Any) -> Optional[Tuple[Any, int, bool]]:
+    """(streams, k, window_reads) for window-like ADTs, None otherwise:
+    window streams read a window of k slots, registers and memory one
+    value, which may itself be a tuple."""
     name = type(adt).__name__
     if name == "WindowStreamArray":
-        return adt.streams, adt.k, adt.default, True
+        return adt.streams, adt.k, True
     if name == "WindowStream":
-        return 1, adt.k, adt.default, True
+        return 1, adt.k, True
     if name == "MemoryADT":
-        return adt.registers, 1, adt.default, False
+        return adt.registers, 1, False
     if name == "Register":
-        return 1, 1, adt.default, False
+        return 1, 1, False
     return None
 
 
@@ -1323,12 +1322,11 @@ def monitor_for_adt(
     shape = _adt_shape(adt)
     if shape is None:
         return None
-    streams, k, default, window_reads = shape
+    streams, k, window_reads = shape
     return StreamingMonitor(
         n,
         streams=streams,
         k=k,
-        default=default,
         criteria=criteria,
         _window_reads=window_reads,
         **kwargs,

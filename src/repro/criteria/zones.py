@@ -90,7 +90,7 @@ CRITERION_ZONES: Dict[str, Dict[str, str]] = {
 }
 
 
-def render_zones(history: History, zones: TimeZones, width: int = 14) -> str:
+def render_zones(history: History, zones: TimeZones) -> str:
     """ASCII rendering of the Fig. 2 grid for one event.
 
     Events are laid out by process row; each cell is tagged with the zone
@@ -113,7 +113,7 @@ def render_zones(history: History, zones: TimeZones, width: int = 14) -> str:
     for event in history:
         label = f"{event.operation!r}[{tags.get(event.eid, '?')}]"
         rows.setdefault(event.process if event.process is not None else -1, []).append(
-            label.ljust(width)
+            label.ljust(14)
         )
     lines = []
     for process in sorted(rows):

@@ -16,7 +16,7 @@ what the caption states plus the hierarchy's consequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..adts.memory import MemoryADT
 from ..adts.queue import FifoQueue, SplitQueue

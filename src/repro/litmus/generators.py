@@ -20,14 +20,18 @@ Combining the sources gives the classification population used by
 from __future__ import annotations
 
 import random
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from ..adts.memory import MemoryADT
 from ..adts.queue import FifoQueue
-from ..adts.window_stream import WindowStream
+from ..adts.window_stream import INITIAL_VALUE, WindowStream
 from ..core.adt import AbstractDataType
 from ..core.history import History
-from ..core.operations import BOTTOM, HIDDEN, Invocation, Operation
+from ..core.operations import BOTTOM, Invocation, Operation
+
+#: the generated ``W_k`` window size, written values and memory registers,
+#: and the share of reads that replay an interleaving (plausible ones)
+K, VALUES, REGISTERS, PLAUSIBLE = 2, (1, 2, 3), "ab", 0.8
 
 
 def _interleaving_prefix_state(
@@ -49,9 +53,6 @@ def recorded_window_history(
     processes: int = 3,
     ops_per_process: int = 4,
     update_prob: float = 0.6,
-    k: int = 2,
-    values: Sequence[int] = (1, 2, 3),
-    max_lag: float = 3.0,
 ) -> Tuple[History, WindowStream]:
     """A timed W_k history *recorded* from a simulated plausible run.
 
@@ -69,7 +70,7 @@ def recorded_window_history(
     """
     from ..runtime.recorder import HistoryRecorder
 
-    adt = WindowStream(k)
+    adt = WindowStream(K)
     recorder = HistoryRecorder(processes)
     sequence = [p for p in range(processes) for _ in range(ops_per_process)]
     rng.shuffle(sequence)  # per-process subsequences keep their row order
@@ -78,11 +79,11 @@ def recorded_window_history(
     for position, p in enumerate(sequence):
         t = float(position + 1)
         if rng.random() < update_prob:
-            invocation = Invocation("w", (rng.choice(values),))
+            invocation = Invocation("w", (rng.choice(VALUES),))
             writes.append((t, p, invocation))
             recorder.record(p, invocation, BOTTOM, t, t + 0.5)
         else:
-            cuts[p] = max(cuts[p], t - rng.uniform(0.0, max_lag))
+            cuts[p] = max(cuts[p], t - rng.uniform(0.0, 3.0))
             state = adt.initial_state()
             for wt, wp, winv in writes:
                 if wt <= cuts[p] or wp == p:
@@ -95,19 +96,16 @@ def random_window_history(
     rng: random.Random,
     processes: int = 2,
     ops_per_process: int = 3,
-    k: int = 2,
-    values: Sequence[int] = (1, 2, 3),
-    plausible: float = 0.8,
 ) -> Tuple[History, WindowStream]:
     """A random W_k history (see module docstring for the regimes)."""
-    adt = WindowStream(k)
+    adt = WindowStream(K)
     all_writes: List[Invocation] = []
     plan: List[List[str]] = []
     for _p in range(processes):
         row_kinds = []
         for _i in range(ops_per_process):
             if rng.random() < 0.5:
-                invocation = Invocation("w", (rng.choice(list(values)),))
+                invocation = Invocation("w", (rng.choice(VALUES),))
                 all_writes.append(invocation)
                 row_kinds.append(invocation)
             else:
@@ -118,11 +116,13 @@ def random_window_history(
         row: List[Operation] = []
         for kind in row_kinds:
             if kind == "r":
-                if rng.random() < plausible:
+                if rng.random() < PLAUSIBLE:
                     state = _interleaving_prefix_state(rng, adt, all_writes)
                     row.append(Operation(Invocation("r"), state))
                 else:
-                    window = tuple(rng.choice([0] + list(values)) for _ in range(k))
+                    window = tuple(
+                        rng.choice((INITIAL_VALUE,) + VALUES) for _ in range(K)
+                    )
                     row.append(Operation(Invocation("r"), window))
             else:
                 row.append(Operation(kind, BOTTOM))
@@ -134,8 +134,6 @@ def random_queue_history(
     rng: random.Random,
     processes: int = 2,
     ops_per_process: int = 3,
-    values: Sequence[int] = (1, 2, 3),
-    plausible: float = 0.8,
 ) -> Tuple[History, FifoQueue]:
     """A random FIFO-queue history mixing pushes and pops."""
     adt = FifoQueue()
@@ -145,7 +143,7 @@ def random_queue_history(
         row = []
         for _i in range(ops_per_process):
             if rng.random() < 0.5:
-                invocation = Invocation("push", (rng.choice(list(values)),))
+                invocation = Invocation("push", (rng.choice(VALUES),))
                 pushes.append(invocation)
                 row.append(invocation)
             else:
@@ -156,11 +154,11 @@ def random_queue_history(
         row = []
         for kind in row_plan:
             if kind == "pop":
-                if rng.random() < plausible:
+                if rng.random() < PLAUSIBLE:
                     state = _interleaving_prefix_state(rng, adt, pushes)
                     out = state[0] if state else BOTTOM
                 else:
-                    out = rng.choice(list(values) + [BOTTOM])
+                    out = rng.choice(VALUES + (BOTTOM,))
                 row.append(Operation(Invocation("pop"), out))
             else:
                 row.append(Operation(kind, BOTTOM))
@@ -172,17 +170,16 @@ def scenario_window_history(
     scenario: str = "partition-during-writes",
     algorithm: str = "ccv-fig5",
     seed: int = 0,
-    fast_ops: int = 3,
 ) -> Tuple[History, AbstractDataType]:
     """Algorithm-produced W_k history under a named fault scenario.
 
     Runs one (shrunk) cell of the scenario × algorithm matrix and returns
     its observed history plus the matching checker ADT.  Deterministic in
     ``(scenario, algorithm, seed)``."""
-    from ..scenarios import Scenario, get_scenario
-    from ..scenarios.matrix import run_scenario_cell
+    from ..scenarios import Scenario
+    from ..scenarios.matrix import FAST_OPS, run_scenario_cell
 
-    result = run_scenario_cell(scenario, algorithm, seed, fast_ops)
+    result = run_scenario_cell(scenario, algorithm, seed, FAST_OPS)
     return result.history, Scenario(result.spec).adt()
 
 
@@ -190,14 +187,12 @@ def random_memory_history(
     rng: random.Random,
     processes: int = 2,
     ops_per_process: int = 4,
-    registers: str = "ab",
     distinct_values: bool = True,
-    plausible: float = 0.8,
 ) -> Tuple[History, MemoryADT]:
     """A random memory history; with ``distinct_values`` every written
     value is unique (the hypothesis of Prop. 4 and of the session-guarantee
     checkers)."""
-    adt = MemoryADT(registers)
+    adt = MemoryADT(REGISTERS)
     counter = [0]
 
     def fresh_value() -> int:
@@ -211,11 +206,11 @@ def random_memory_history(
         for _i in range(ops_per_process):
             if rng.random() < 0.5:
                 value = fresh_value() if distinct_values else rng.randrange(1, 4)
-                invocation = Invocation("w", (rng.choice(registers), value))
+                invocation = Invocation("w", (rng.choice(REGISTERS), value))
                 writes.append(invocation)
                 row.append(invocation)
             else:
-                row.append(("r", rng.choice(registers)))
+                row.append(("r", rng.choice(REGISTERS)))
         plan.append(row)
     rows: List[List[Operation]] = []
     for row_plan in plan:
@@ -223,11 +218,11 @@ def random_memory_history(
         for kind in row_plan:
             if isinstance(kind, tuple):
                 _, reg = kind
-                if rng.random() < plausible:
+                if rng.random() < PLAUSIBLE:
                     state = _interleaving_prefix_state(rng, adt, writes)
                     out = state[adt.index[reg]]
                 else:
-                    out = rng.choice([0] + [w.args[1] for w in writes] or [0])
+                    out = rng.choice([INITIAL_VALUE] + [w.args[1] for w in writes])
                 row.append(Operation(Invocation("r", (reg,)), out))
             else:
                 row.append(Operation(kind, BOTTOM))

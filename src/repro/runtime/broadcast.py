@@ -11,7 +11,36 @@ The paper's algorithms assume a *reliable causal broadcast* [10]:
 
 Like Figs. 4 and 5, every primitive is a per-process state machine, an
 :class:`Endpoint`: process ``pid`` owns its endpoint's fields and learns
-everything else from messages.
+everything else from messages.  A :class:`ReliableEndpoint` at pᵢ::
+
+    originate(v):                          # if pᵢ is up
+        m <- (id (i, frontier[i]), v[, causal stamp]); note(m)
+        accept(m); relay(m)                # local delivery comes first
+    receive(m) from q:
+        if seq(m) < frontier[origin(m)] or id(m) in spill: drop
+        note(m); unless relay="direct": relay(m); accept(m)
+    note(m):  if seq(m) = frontier[origin(m)]: advance that frontier past
+              m and the spilled ids after it, else add id(m) to spill;
+              append m to log; every GC_INTERVAL notes: sweep
+    relay(m): send m to every peer ("lazy": LazyPush's relay and receive)
+    sweep:    s <- per origin, the minimum of the peer view's rows;
+              if s moved: drop every m with seq(m) < s[origin(m)] from log
+    resync(helper = the lowest live peer), once recovered:
+              send ("resync-req", frontier, spill) to helper
+    on ("resync-req", frontier, spill) from q:
+              learn q's row; send q every m in log that row lacks
+
+``accept`` is the ordering layer's delivery condition::
+
+    Reliable: deliver m
+    Fifo:     pending += m; with o = origin(m), while pending holds
+              (o, expected[o]): deliver it, expected[o] += 1
+    Causal:   stamp(m) <- vc with vc[i] + 1, at originate; m waits until
+              vc[j] >= stamp(m)[j] for every j != origin(m) and
+              vc[origin(m)] >= stamp(m)[origin(m)] - 1, then cascade(m):
+              deliver m; vc[origin(m)] += 1; deliver next every waiting
+              message no component holds back any more, in arrival
+              order from m's on, wrapping round
 
 **Own state.**  What pᵢ has seen — a contiguous per-origin *frontier*
 (everything of ``origin`` below ``frontier[origin]``; ``frontier[pid]``
@@ -783,7 +812,5 @@ class TotalOrderBroadcast(BroadcastService):
 
     name = "total-order"
     endpoint_cls = TotalOrderEndpoint
-
-    def __init__(self, network: Transport, sequencer: int = 0) -> None:
-        super().__init__(network)
-        self.sequencer = sequencer
+    #: the pid every broadcast is unicast to for its sequence number
+    sequencer = 0

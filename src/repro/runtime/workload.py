@@ -23,7 +23,7 @@ it again on recovery.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator
 
 from ..core.operations import Invocation
 from .simulator import Simulator
@@ -43,14 +43,12 @@ class Client:
         invoke: Callable[[int, Invocation, Callable[[Any], None]], None],
         script: Iterable[Invocation],
         think: Callable[[random.Random], float],
-        on_done: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.sim = sim
         self.pid = pid
         self.invoke = invoke
         self.script: Iterator[Invocation] = iter(script)
         self.think = think
-        self.on_done = on_done
         self.issued = 0
         self.completed = 0
         self.active = False
@@ -58,12 +56,9 @@ class Client:
         self._pending = False  # a _next callback is already scheduled
         self._epoch = 0  # bumped on pause: orphans in-flight completions
 
-    def start(self, initial_delay: float = 0.0) -> None:
+    def start(self) -> None:
         self.active = True
-        self._schedule_next(initial_delay)
-
-    def stop(self) -> None:
-        self.active = False
+        self._schedule_next(0.0)
 
     # ------------------------------------------------------------------
     # Fault-schedule interface
@@ -73,7 +68,7 @@ class Client:
         self.active = False
         self._epoch += 1
 
-    def resume(self, delay: float = 0.0) -> None:
+    def resume(self) -> None:
         """Wake a paused client (its process recovered).
 
         An operation that was in flight across the crash is considered
@@ -83,7 +78,7 @@ class Client:
         if self._exhausted:
             return
         self.active = True
-        self._schedule_next(delay)
+        self._schedule_next(0.0)
 
     # ------------------------------------------------------------------
     def _schedule_next(self, delay: float) -> None:
@@ -101,8 +96,6 @@ class Client:
         except StopIteration:
             self.active = False
             self._exhausted = True
-            if self.on_done is not None:
-                self.on_done(self.pid)
             return
         self.issued += 1
         epoch = self._epoch
@@ -135,35 +128,30 @@ class OpenLoopClient:
         invoke: Callable[[int, Invocation, Callable[[Any], None]], None],
         script: Iterable[Invocation],
         interarrival: Callable[[random.Random], float],
-        on_done: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.sim = sim
         self.pid = pid
         self.invoke = invoke
         self.script: Iterator[Invocation] = iter(script)
         self.interarrival = interarrival
-        self.on_done = on_done
         self.issued = 0
         self.completed = 0
         self.active = False
         self._exhausted = False
         self._pending = False
 
-    def start(self, initial_delay: float = 0.0) -> None:
+    def start(self) -> None:
         self.active = True
-        self._schedule_next(initial_delay + self.interarrival(self.sim.rng))
-
-    def stop(self) -> None:
-        self.active = False
+        self._schedule_next(self.interarrival(self.sim.rng))
 
     def pause(self) -> None:
         self.active = False
 
-    def resume(self, delay: float = 0.0) -> None:
+    def resume(self) -> None:
         if self._exhausted:
             return
         self.active = True
-        self._schedule_next(delay + self.interarrival(self.sim.rng))
+        self._schedule_next(self.interarrival(self.sim.rng))
 
     # ------------------------------------------------------------------
     def _schedule_next(self, delay: float) -> None:
@@ -181,8 +169,6 @@ class OpenLoopClient:
         except StopIteration:
             self.active = False
             self._exhausted = True
-            if self.on_done is not None:
-                self.on_done(self.pid)
             return
         self.issued += 1
         self.invoke(self.pid, invocation, self._completed)

@@ -34,6 +34,8 @@ from .workloads import interarrival_sampler, make_script, think_sampler
 
 #: rng stream separator for per-process script generation
 _SCRIPT_SALT = 9_176_731
+#: the simulator events one run may execute before it is cut off
+MAX_EVENTS = 5_000_000
 
 
 @dataclass
@@ -125,7 +127,6 @@ class Scenario:
         scripts: Optional[Sequence[Sequence[Invocation]]] = None,
         quiescence_reads: Optional[Sequence[Invocation]] = None,
         post_setup: Optional[Callable[[Any], None]] = None,
-        max_events: int = 5_000_000,
         monitors: bool = True,
         subscriber: Optional[Callable[[Any], None]] = None,
         **algorithm_kwargs: Any,
@@ -210,8 +211,8 @@ class Scenario:
         schedule = FaultSchedule(spec.faults)
         schedule.install(network, algorithm, clients)
         for client in clients:
-            client.start(initial_delay=0.0)
-        sim.run(max_events=max_events)
+            client.start()
+        sim.run(max_events=MAX_EVENTS)
 
         # quiescence: nothing in flight anymore (the heap is drained)
         recorder.mark_quiescent()
@@ -225,7 +226,7 @@ class Scenario:
                     continue
                 for invocation in quiescence_reads:
                     algorithm.invoke(pid, invocation)
-            sim.run(max_events=max_events)
+            sim.run(max_events=MAX_EVENTS)
 
         ops = recorder.count()
         return RunResult(

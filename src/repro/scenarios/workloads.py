@@ -75,20 +75,16 @@ def make_script(
 
 
 def window_script(
-    rng: random.Random,
-    length: int,
-    streams: int,
-    values: range = range(1, 1_000_000),
-    write_ratio: float = 0.5,
+    rng: random.Random, length: int, streams: int
 ) -> List[Invocation]:
     """Random read/write script for a window-stream array: a uniform
-    stream per op, a write of a value drawn from ``values`` with
-    probability ``write_ratio``, else a read."""
+    stream per op, with probability 1/2 a write of a value drawn from
+    ``[1, 10^6)``, else a read."""
     script: List[Invocation] = []
     for _ in range(length):
         x = rng.randrange(streams)
-        if rng.random() < write_ratio:
-            script.append(Invocation("w", (x, rng.choice(values))))
+        if rng.random() < 0.5:
+            script.append(Invocation("w", (x, rng.choice(range(1, 1_000_000)))))
         else:
             script.append(Invocation("r", (x,)))
     return script

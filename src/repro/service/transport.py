@@ -171,14 +171,13 @@ class WallClock:
     its gossip peer picks) is reproducible per seed.
     """
 
-    def __init__(
-        self, seed: int = 0, loop: Optional[asyncio.AbstractEventLoop] = None
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         import random
 
         self.seed = seed
         self.rng = random.Random(seed)
-        self._loop = loop
+        #: the running loop, bound at first use
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0: Optional[float] = None
 
     @property
@@ -194,13 +193,13 @@ class WallClock:
             self._t0 = loop.time()
         return loop.time() - self._t0
 
-    def rebase(self, t0: Optional[float] = None) -> None:
-        """Pin the epoch (default: now).  A cluster whose nodes share one
+    def rebase(self, t0: float) -> None:
+        """Pin the epoch at loop time ``t0``.  A cluster whose nodes share one
         event loop rebases every clock to a single instant, so recorded
         timestamps are mutually comparable — the streaming monitor
         replays captures in recorded-time order, and a per-node epoch
         would skew that order by the nodes' start stagger."""
-        self._t0 = self.loop.time() if t0 is None else t0
+        self._t0 = t0
 
     def schedule(self, delay: float, cb: Callable, *args: Any) -> Any:
         if delay < 0:

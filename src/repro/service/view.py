@@ -23,7 +23,7 @@ event loop.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Set
 
 HB_INTERVAL = 0.25
 HB_TIMEOUT = 1.2

@@ -6,18 +6,17 @@ from typing import Any, List, Sequence
 
 
 def render_table(
-    headers: Sequence[str],
-    rows: Sequence[Sequence[Any]],
-    align_left_first: bool = True,
+    headers: Sequence[str], rows: Sequence[Sequence[Any]]
 ) -> str:
-    """Render a fixed-width table with a separator under the header."""
+    """Render a fixed-width table with a separator under the header: the
+    first column left-aligned, the others right-aligned."""
     cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
 
     def fmt(row: List[str]) -> str:
         parts = []
         for i, cell in enumerate(row):
-            if i == 0 and align_left_first:
+            if i == 0:
                 parts.append(cell.ljust(widths[i]))
             else:
                 parts.append(cell.rjust(widths[i]))

@@ -37,10 +37,6 @@ class TestWindowStream:
     def test_write_output_is_bottom(self):
         assert WindowStream(2).output((0, 0), inv("w", 9)) is BOTTOM
 
-    def test_custom_default(self):
-        w2 = WindowStream(2, default=-1)
-        assert w2.initial_state() == (-1, -1)
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             WindowStream(0)

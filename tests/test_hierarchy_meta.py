@@ -26,10 +26,9 @@ class TestHierarchy:
         problems = check_classification_consistency(verdicts)
         assert problems and "SC holds but implied CC fails" in problems[0]
 
-    def test_quiescent_edge_skipped_by_default(self):
+    def test_quiescent_edge_skipped(self):
         verdicts = {"CCV": True, "EC": False}
         assert check_classification_consistency(verdicts) == []
-        assert check_classification_consistency(verdicts, quiescent=True)
 
     def test_all_criteria_listed(self):
         assert set(ALL_CRITERIA) == set(DIRECT_EDGES)

@@ -130,3 +130,63 @@ def test_every_kept_name_is_still_defined_and_still_uncalled():
     defined = {name for _, _, _, name, _ in _definitions()}
     assert set(KEPT) <= defined
     assert not set(KEPT) & used
+
+
+def _annotation_names(node):
+    """Names inside a quoted annotation (``-> "History"``)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            expr = ast.parse(node.value, mode="eval")
+        except SyntaxError:
+            return set()
+        return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _unused_imports(path):
+    """``(line, name)`` of every name ``path`` imports and never uses.
+
+    A package ``__init__`` re-exports, a name in ``__all__`` is exported,
+    ``from __future__`` is a compiler directive, and an import marked
+    ``# noqa: F401`` is made for its side effect."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = "\n".join(lines[node.lineno - 1:node.end_lineno])
+            if "noqa: F401" in span:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                elt.value for elt in ast.walk(node.value)
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_every_src_import_is_used():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line} {name}"
+        for path in _python_files("src")
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, "imported and never used:\n  " + "\n  ".join(unused)

@@ -1,11 +1,14 @@
 """Linearizability checker ([13]) and its contrast with the weak criteria."""
 
+import json
+
 import pytest
 
 from repro.adts import MemoryADT, WindowStreamArray
 from repro.algorithms import CCWindowArray, ScSequencer
 from repro.core import History
 from repro.core.operations import Invocation
+from repro.cli import main
 from repro.criteria import check, check_linearizable
 from repro.scenarios import DelaySpec, Scenario, ScenarioSpec, WorkloadSpec
 
@@ -53,11 +56,46 @@ class TestChecker:
         with pytest.raises(ValueError):
             check_linearizable(h, mem, intervals={0: (0, 1)})
 
-    def test_degenerates_to_sc_without_intervals(self):
-        mem = MemoryADT("a")
-        h = History.from_processes([[mem.write("a", 1)], [mem.read("a", 0)]])
-        result = check_linearizable(h, mem)
-        assert result.ok and "degenerates" in result.reason
+
+
+def _classify_lin(tmp_path, capsys, write, read):
+    """``repro classify`` on ``w(a,1)`` and a later ``r(a)/0``, each op
+    carrying the given extra fields; the LIN row of the table."""
+    doc = {
+        "adt": {"type": "memory", "registers": "a"},
+        "processes": [
+            [{"method": "w", "args": ["a", 1], **write}],
+            [{"method": "r", "args": ["a"], "output": 0, **read}],
+        ],
+        "criteria": ["SC", "LIN"],
+    }
+    path = tmp_path / "history.json"
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert next(line for line in lines if line.startswith("SC")).split()[1] == "yes"
+    return next(line for line in lines if line.startswith("LIN"))
+
+
+class TestClassifyFile:
+    def test_lin_is_checked_against_the_files_intervals(self, tmp_path, capsys):
+        """The write responds at 1, the read is invoked at 2: SC holds,
+        linearizability does not."""
+        row = _classify_lin(
+            tmp_path, capsys, {"start": 0, "end": 1}, {"start": 2, "end": 3}
+        )
+        assert row.split()[1] == "no", row
+
+    def test_lin_is_unknown_without_intervals(self, tmp_path, capsys):
+        """Never the SC answer under LIN's name: ``?``, naming what the
+        file lacks."""
+        row = _classify_lin(tmp_path, capsys, {}, {"start": 2})
+        assert row.split()[1] == "?", row
+        for field in (
+            'processes[0][0] "start"', 'processes[0][0] "end"',
+            'processes[1][0] "end"',
+        ):
+            assert field in row
 
 
 class TestAlgorithms:
