@@ -433,7 +433,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 search=not args.streaming_only,
                 monitor=monitored.get(criterion),
             )
-        work = dict(verdict.result.stats or {}) if verdict.result else {}
+        work = dict(verdict.result.stats or {}) if verdict.result is not None else {}
         rows.append(
             [criterion, _holds(verdict.ok), verdict.reason, _format_work(work)]
         )

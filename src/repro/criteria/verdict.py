@@ -50,7 +50,8 @@ class Verdict:
 
     @property
     def reason(self) -> str:
-        parts = (self.result.reason if self.result else "", self.note)
+        # a CheckResult is falsy when its ``ok`` is: test for one
+        parts = (self.result.reason if self.result is not None else "", self.note)
         return "; ".join(part for part in parts if part)
 
 

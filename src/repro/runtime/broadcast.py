@@ -29,6 +29,11 @@ everything else from messages.  A :class:`ReliableEndpoint` at pᵢ::
               send ("resync-req", frontier, spill) to helper
     on ("resync-req", frontier, spill) from q:
               learn q's row; send q every m in log that row lacks
+    on digest (frontier, spill) from q:    # a live node's heartbeat
+              learn q's row; send q ("repair", m) for every m in log
+              that row lacks and this endpoint had seen when q's
+              previous digest came (one heartbeat of grace)
+    on ("repair", m) from q: receive(m) from q
 
 ``accept`` is the ordering layer's delivery condition::
 
@@ -73,8 +78,9 @@ live node runs with one endpoint, heartbeat digests and control frames.
 service builds: ``Reliable`` (none), ``Fifo`` (the PRAM baseline's),
 ``Causal`` (Figs. 4 and 5's).  *Dissemination* is the service's
 ``relay``, one of :data:`RELAYS`: ``"flood"`` (relay each message when
-first seen), ``"direct"`` (only the broadcaster sends) or ``"lazy"``
-(push/lazy-push: the endpoint's
+first seen), ``"direct"`` (only the broadcaster sends; a live node's
+default, where heartbeat digests repair what the wire lost) or
+``"lazy"`` (push/lazy-push: the endpoint's
 :class:`~repro.runtime.lazy_push.LazyPush` part).
 ``TotalOrder`` stands apart: sequencer-based and *not* wait-free, which
 is exactly why sequentially consistent objects cannot have latency
@@ -93,6 +99,11 @@ Handler = Callable[[int, Any], None]  # (origin pid, payload)
 
 #: how a reliable broadcast spreads a message (see the module docstring)
 RELAYS = ("flood", "direct", "lazy")
+
+#: most spilled ids a digest lists: a peer reading a cut digest takes
+#: the ids past the cut as missing, so the cut costs repeated sends at
+#: worst, and a digest can make its reader build no bigger set than this
+DIGEST_SPILL = 4096
 
 
 class Endpoint:
@@ -135,6 +146,7 @@ class BroadcastService:
     # what :meth:`stats` reports; zero for good in a layer without resync
     resync_attempts = resync_retries = resync_converged = resync_gave_up = 0
     resyncs_requested = resyncs_served = 0
+    repairs_sent = repairs_received = 0
 
     def __init__(self, network: Transport) -> None:
         self.network = network
@@ -176,6 +188,8 @@ class BroadcastService:
             "resync_gave_up": self.resync_gave_up,
             "resyncs_served": self.resyncs_served,
             "resyncs_requested": self.resyncs_requested,
+            "repairs_sent": self.repairs_sent,
+            "repairs_received": self.repairs_received,
         }
 
 
@@ -198,7 +212,8 @@ class PeerView:
         self, pid: int, frontier: Sequence[int], spill: Optional[Any] = None
     ) -> None:
         """Digest receipt: ``pid`` says it has seen everything below
-        ``frontier`` and, when it says so, exactly ``spill`` above it."""
+        ``frontier`` and, when it says so, the ids of ``spill``'s
+        ``(origin, lo, hi)`` runs above it (:meth:`ReliableEndpoint.digest`)."""
         if pid not in self.remote:
             return  # aliased, already exact
         row = self.rows[pid]
@@ -206,7 +221,9 @@ class PeerView:
             if head > row[origin]:
                 row[origin] = head
         if spill is not None:
-            self.spills[pid] = {tuple(mid) for mid in spill}
+            self.spills[pid] = {
+                (origin, seq) for origin, lo, hi in spill for seq in range(lo, hi)
+            }
 
     def seen(self, pid: int, mid: Mid) -> bool:
         return mid[1] < self.rows[pid][mid[0]] or mid in self.spills[pid]
@@ -227,9 +244,13 @@ class ReliableEndpoint(Endpoint):
 
     A process relays each message the first time it sees it, so a
     message delivered anywhere reaches every non-faulty process even if
-    the broadcaster crashes mid-broadcast.  ``relay="direct"`` degrades
-    to best-effort direct sends (n-1 messages instead of O(n^2)); the
-    fault injection tests exercise the difference.  ``relay="lazy"``
+    the broadcaster crashes mid-broadcast.  ``relay="direct"`` sends
+    each message once per peer, from its origin (n-1 messages instead of
+    O(n^2)): best-effort where no digests flow, as on the simulated
+    plane, and reliable again where they do — a live node's heartbeat
+    digest has every peer that holds a message resend it
+    (:meth:`on_control`), the origin's crash mid-send included.
+    ``relay="lazy"``
     plugs a :class:`LazyPush` part in at two seams, the outbound relay
     and the transport sink (``adv``/``pull``/``pull-reply``/``pull-miss``
     beside the bodies); it answers pulls from this endpoint's ``log``.
@@ -254,6 +275,9 @@ class ReliableEndpoint(Endpoint):
         self._resync_epoch = 0
         # relay a message seen from a peer onward (flood and lazy)
         self.forwards = service.relay != "direct"
+        # per remote peer, this endpoint's frontier and spill when that
+        # peer's last digest came: what its next digest may get repaired
+        self._grace: Dict[int, Tuple[List[int], Set[Mid]]] = {}
         self.lazy: Optional[LazyPush] = None
         if service.relay == "lazy":
             self.lazy = service.lazy_cls(self)
@@ -267,7 +291,15 @@ class ReliableEndpoint(Endpoint):
         return mid[1] < self.frontier[mid[0]] or mid in self.spill
 
     def digest(self) -> Dict[str, Any]:
-        return {"frontier": list(self.frontier)}
+        """The frontier row, and the spill as ``(origin, lo, hi)`` runs
+        lowest first, cut after :data:`DIGEST_SPILL` ids."""
+        runs: List[List[int]] = []
+        for origin, seq in sorted(self.spill)[:DIGEST_SPILL]:
+            if runs and runs[-1][0] == origin and runs[-1][2] == seq:
+                runs[-1][2] = seq + 1
+            else:
+                runs.append([origin, seq, seq + 1])
+        return {"frontier": list(self.frontier), "spill": runs}
 
     def _note_seen(self, message: Any) -> None:
         mid = message["id"]
@@ -365,20 +397,26 @@ class ReliableEndpoint(Endpoint):
             if helper is None:
                 return 0
         self.service.resyncs_requested += 1
-        request = {
-            "kind": "resync-req",
-            "frontier": list(self.frontier),
-            "spill": sorted(self.spill),
-        }
+        request = {"kind": "resync-req", **self.digest()}
         return self.transport.control(self.pid, helper, request) or 0
 
     def on_control(self, src: int, body: Dict[str, Any]) -> Optional[int]:
-        """The transport's control sink: any control body may carry its
-        sender's digest; a ``resync-req`` also asks for a replay."""
+        """The transport's control sink.  A ``repair`` carries one
+        message, received as if ``src`` had relayed it.  Any other body
+        may carry its sender's digest: a ``resync-req`` then asks for
+        everything the sender lacks, and a heartbeat gets what
+        :meth:`_repair` finds."""
+        kind = body.get("kind")
+        if kind == "repair":
+            self.service.repairs_received += 1
+            self.receive(src, body["body"])
+            return None
         frontier = body.get("frontier")
-        if frontier is not None:
-            self.peers.learn(src, frontier, body.get("spill"))
-        if body.get("kind") != "resync-req":
+        if frontier is None:
+            return None
+        self.peers.learn(src, frontier, body.get("spill"))
+        if kind != "resync-req":
+            self._repair(src)
             return None
         self.service.resyncs_served += 1
         seen = self.peers.seen
@@ -387,6 +425,33 @@ class ReliableEndpoint(Endpoint):
         for message in missing:
             send(self.pid, src, message)
         return len(missing)
+
+    def _repair(self, q: int) -> None:
+        """Peer ``q``'s digest just came: resend it every logged message
+        its row lacks that this endpoint had seen when ``q``'s previous
+        digest came.  That grace of one heartbeat keeps a copy still in
+        flight from being sent twice; the stability GC has kept every
+        such message, since ``q``'s row holds the minimum below it."""
+        frontier, spill = self._grace.get(q, (None, set()))
+        self._grace[q] = (list(self.frontier), set(self.spill))
+        if frontier is None:
+            return  # q's first digest: nothing was seen before one
+        seen = self.peers.seen
+        row = self.peers.rows[q]
+        if all(head <= got for head, got in zip(frontier, row)) and all(
+            seen(q, mid) for mid in spill
+        ):
+            return  # q holds all of it: the fault-free case, O(n)
+        missing = [
+            m
+            for m in self.log
+            if not seen(q, m["id"])
+            and (m["id"][1] < frontier[m["id"][0]] or m["id"] in spill)
+        ]
+        self.service.repairs_sent += len(missing)
+        control = self.transport.control
+        for message in missing:
+            control(self.pid, q, {"kind": "repair", "body": message})
 
     # ------------------------------------------------------------------
     # Supervised resync: timeout + exponential backoff + helper failover

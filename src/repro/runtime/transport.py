@@ -10,9 +10,10 @@ seven things from the layer below them:
 - point-to-point **send** and pid-ordered **multicast** with asynchronous
   delivery into per-process handlers (``attach``);
 - an out-of-band **control call** (``control``, into the sink given to
-  ``attach_control``) for the layer's own requests — today the resync
-  request, which carries the requester's seen-digest to a helper.  Not a
-  broadcast message: never deduplicated, relayed or delivered.  The
+  ``attach_control``) for the layer's own requests — the resync
+  request, which carries the requester's seen-digest to a helper, and,
+  live, the heartbeat digest and the ``repair`` frames it draws.  Not a
+  broadcast message: never deduplicated or relayed by the transport.  The
   simulated plane makes it an immediate in-line call — no delay, no rng
   draw, no ``NetworkStats`` entry, blind to partitions and crashes — and
   returns the sink's result; what the sink *sends* in response (the

@@ -14,14 +14,21 @@ view (:class:`~repro.service.view.ViewManager`), so helper selection
 skips peers that stopped answering — whether crashed or cut off by the
 fault proxy.
 
-**Digests.**  Each heartbeat carries the endpoint's ``digest()`` (its
-contiguous seen-frontier row), and the transport hands every control
-frame to the endpoint's control sink as well as to the node: peers' rows
-reach the endpoint's peer view — what keeps the stability GC sound and
-feeds the resync verification check — without the node touching them.
-Resync itself (request, serve, supervision) is the broadcast layer's own
-code, its timers now wall-clock timeouts on the event loop; the node
-only sets ``RESYNC_TIMEOUT`` to wall seconds.
+**Digests.**  A write leaves its origin once per peer and is relayed by
+no one (``relay="direct"``, see :func:`build_algorithm`); the heartbeat
+is what makes that reliable.  Each heartbeat carries the endpoint's
+``digest()`` — its contiguous seen-frontier row and its spill as
+bounded per-origin runs — and the transport hands every control frame
+to the endpoint's control sink as well as to the node.  Peers' rows
+reach the endpoint's peer view, which keeps the stability GC sound and
+feeds the resync verification check, and a peer's digest has the
+endpoint resend it, as ``repair`` frames, whatever the digest shows it
+lacks of what the endpoint held one heartbeat earlier: a frame the wire
+lost is back within about two heartbeats, with no relay on the path of
+a fault-free write.  The node touches none of it.  Resync itself
+(request, serve, supervision) is the broadcast layer's own code, its
+timers now wall-clock timeouts on the event loop; the node only sets
+``RESYNC_TIMEOUT`` to wall seconds.
 
 The client protocol is tiny: length-prefixed request/response frames
 with a correlation id (``rid``), in either :mod:`~repro.service.wire`
@@ -39,10 +46,11 @@ from __future__ import annotations
 
 import asyncio
 import math
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.operations import Invocation, output_to_json
-from ..runtime.broadcast import BroadcastService
+from ..runtime.broadcast import BroadcastService, ReliableBroadcast
 from ..runtime.monitors import RuntimeMonitor
 from ..runtime.recorder import HistoryRecorder
 from . import wire
@@ -62,7 +70,10 @@ def build_algorithm(
     """Instantiate a registry algorithm against an arbitrary transport —
     the live counterpart of the matrix runner's construction.  The
     request handler replies synchronously, so an algorithm that is not
-    wait-free is refused here rather than on its first operation."""
+    wait-free is refused here rather than on its first operation.  A
+    row over a reliable broadcast that leaves ``relay`` unset sends each
+    message once per peer (``relay="direct"``): the node's heartbeat
+    digests repair what the wire loses, so nothing relays eagerly."""
     from ..scenarios.matrix import ALGORITHMS
 
     try:
@@ -75,6 +86,9 @@ def build_algorithm(
             f"algorithm {key!r} is not wait-free: a live node answers each "
             "client operation before it returns to the event loop"
         )
+    broadcast = entry.cls.broadcast_cls
+    if entry.relay is None and broadcast and issubclass(broadcast, ReliableBroadcast):
+        entry = replace(entry, relay="direct")
     return entry, entry.cls(clock, transport, recorder, **entry.kwargs(streams, k))
 
 

@@ -27,21 +27,24 @@ through ``repro status --json``.  ``coalesce=False`` restores the PR 9
 frame-at-a-time pump — the A/B baseline whose numbers are frozen in
 ``benchmarks/results/BENCH_service_seed.json``.
 
-Message frames (PR 13).  The eager flood puts n(n-1) message frames on
-the wire per write, of which all but n-1 are duplicates, and every relay
-is a message decoded a microsecond earlier.  The binary codec's packed
-message layout (``repro.service.wire``) lets the inbound path spend
-nothing on either: a header peek (:func:`~repro.service.wire.msg_header`)
-plus the broadcast layer's own "seen?" predicate (registered through
-:meth:`~repro.runtime.transport.Transport.attach_dedup`) drops a
+Message frames.  A live node sends each write once per peer, from its
+origin, and relays nothing (``relay="direct"``): n-1 message frames per
+write.  A frame the wire loses is resent from the retained log of a
+peer whose heartbeat digest shows the hole, as a ``repair`` control
+frame (``ReliableEndpoint.on_control``), so no receiver floods to cover
+it.  The inbound path still spends nothing on a copy it has seen — a
+frame the wire duplicated, a repair racing the original, a resync
+replay, a lazy relay's push: the binary codec's packed message layout
+(``repro.service.wire``) lets a header peek
+(:func:`~repro.service.wire.msg_header`) plus the broadcast layer's own
+"seen?" predicate (registered through
+:meth:`~repro.runtime.transport.Transport.attach_dedup`) drop a
 duplicate before it is decoded, and a relay of the message being
-dispatched re-addresses the bytes it arrived in.  The flood still sends
-every copy — agreement under a mid-send crash is unchanged — and frames
-in any other shape (JSON senders, generic TLV) take the old path, dedup
-in the handler included, after the header's cluster check is made on
-their decoded fields.  ``wire_stats`` counts it all
-(``msg_frames_in``, ``dups_dropped``, ``relays_spliced``): the duplicate
-share the broadcast handler no longer sees is still in the node's status.
+dispatched (the lazy relay's) re-addresses the bytes it arrived in.
+Frames in any other shape (JSON senders, generic TLV) take the old
+path, dedup in the handler included, after the header's cluster check
+is made on their decoded fields.  ``wire_stats`` counts it all
+(``msg_frames_in``, ``dups_dropped``, ``relays_spliced``).
 
 The crucial difference from the simulated plane: in the simulator one
 ``Network`` hosts all ``n`` processes; live, each node owns one
@@ -61,6 +64,7 @@ import socket
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
+from ..runtime.broadcast import DIGEST_SPILL
 from ..runtime.network import NetworkStats
 from ..runtime.transport import ControlHandler, Handler, Transport
 from . import wire
@@ -136,12 +140,27 @@ def _check_message(message: Dict[str, Any], n: int) -> None:
             )
 
 
+def _is_run(run: Any, n: int) -> bool:
+    """A digest's spill run ``(origin, lo, hi)``: ids ``lo..hi-1`` of
+    ``origin``, a pid of a cluster of ``n``."""
+    return (
+        type(run) in (list, tuple)
+        and len(run) == 3
+        and all(type(entry) is int for entry in run)
+        and 0 <= run[0] < n
+        and 0 <= run[1] < run[2]
+    )
+
+
 def _check_control(frame: Dict[str, Any], n: int) -> None:
     """Raise ``ValueError`` unless a control frame fits a cluster of
     ``n``: a pid's ``src``, a body dict, and in it the sender's digest
     as ``PeerView.learn`` takes it — a ``frontier`` of n ints >= 0 and a
-    ``spill`` list of ids.  Unchecked, a stray entry moved a peer's row
-    part-way, then raised ``TypeError`` inside the connection task."""
+    ``spill`` of runs covering at most ``DIGEST_SPILL`` ids — or, in a
+    ``repair``, a message body as :func:`_check_message` takes one.
+    Unchecked, a stray entry moved a peer's row part-way, then raised
+    ``TypeError`` inside the connection task, and a run as long as it
+    liked had the reader build a set that size."""
     src, body = frame.get("src"), frame.get("body")
     digest = body if type(body) is dict else {}
     frontier, spill = digest.get("frontier"), digest.get("spill")
@@ -153,11 +172,16 @@ def _check_control(frame: Dict[str, Any], n: int) -> None:
         ))
         and (spill is None or (
             type(spill) in (list, tuple)
-            and all(type(mid) in (list, tuple) and _is_mid(tuple(mid), n)
-                    for mid in spill)
+            and all(_is_run(run, n) for run in spill)
+            and sum(hi - lo for _, lo, hi in spill) <= DIGEST_SPILL
         ))
     ):
         raise ValueError(f"control frame outside this cluster of {n}: {frame!r}")
+    if digest.get("kind") == "repair":
+        message = digest.get("body")
+        if type(message) is not dict or "kind" in message:
+            raise ValueError(f"repair without a message body: {frame!r}")
+        _check_message(message, n)
 
 
 class WallClock:

@@ -11,7 +11,9 @@ drops out of the helper pools off real RPC timeouts, exactly the role
 
 Heartbeats double as anti-entropy digests: each carries the sender's
 broadcast endpoint's ``digest()``, which the transport also hands to the
-receiving endpoint's control sink — the view manager only times them.
+receiving endpoint's control sink, where it moves the peer view and has
+the endpoint repair what the sender lacks — the view manager only times
+them.
 
 View transitions are serialized through an ``asyncio.Lock`` — heartbeat
 arrivals and the sweep timer both mutate the view under it, so a rejoin

@@ -28,7 +28,7 @@ codecs share the framing, distinguished by the body's first byte:
     One frame shape dominates a saturated cluster — the broadcast body
     envelope ``{"t": "msg", "src": s, "body": {"id": (origin, seq),
     "origin": origin, "payload": p[, "stamp": (...)]}}``, sent n-1 times
-    per write and relayed (n-1)(n-2) times more by the eager flood — so
+    per write, once to each peer — so
     the binary codec gives it a **packed layout** (PR 13), a third
     self-describing body kind with first byte ``0xB3``::
 
@@ -52,12 +52,13 @@ codecs share the framing, distinguished by the body's first byte:
     * :func:`msg_header` reads the fixed fields off the header without
       decoding — the transport refuses a frame whose pids or stamp do
       not fit its cluster, then asks the broadcast layer "seen?" and
-      drops a duplicate (two of every three message frames at n=3)
-      unparsed;
+      drops a duplicate (a frame the wire duplicated, a resync replay,
+      a lazy relay's push of an id already held) unparsed;
     * the encoding is canonical, so :func:`readdress` — overwrite the
       two ``src`` bytes — yields byte for byte what encoding the same
-      message from the new sender would; the flood relay forwards the
-      bytes it received instead of re-encoding the dict it just decoded.
+      message from the new sender would; a relay (the lazy one's push,
+      or the flood where a node runs it) forwards the bytes it received
+      instead of re-encoding the dict it just decoded.
 
     The client hop gets the same treatment for the frames every
     operation pays for — one request and one reply — as two more

@@ -101,6 +101,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "SC" in out and "yes" in out
 
+    def test_classify_keeps_the_reason_and_work_of_a_no(self, tmp_path, capsys):
+        """A search that answers "no" returns a falsy ``CheckResult``
+        (its truth is its ``ok``): the verdict's reason and the work
+        counters are read whenever a result exists, not when it is true."""
+        spec = {
+            "adt": {"type": "window", "k": 1},
+            "processes": [
+                [{"method": "w", "args": [1]}, {"method": "r", "output": [2]}],
+                [{"method": "w", "args": [2]}, {"method": "r", "output": [1]}],
+            ],
+            "criteria": ["SC"],
+        }
+        path = tmp_path / "history.json"
+        path.write_text(json.dumps(spec))
+        report = tmp_path / "report.json"
+        assert main(["classify", str(path), "--json", str(report)]) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("SC ")
+        )
+        assert row.split()[:2] == ["SC", "no"]
+        assert len(row.split()) > 2
+        sc = json.loads(report.read_text())["criteria"]["SC"]
+        assert sc["ok"] is False
+        assert sc["reason"] and sc["stats"]
+
     def test_classify_survives_search_budget(self, tmp_path, capsys, monkeypatch):
         """A criterion whose search runs out of budget is inconclusive —
         ``?`` in the table, ``"ok": null`` in the JSON — and the other

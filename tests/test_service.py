@@ -362,6 +362,96 @@ def test_smoke_schedule_runs_on_the_simulator_too():
 
 
 # ----------------------------------------------------------------------
+# A write crosses each peer link once; heartbeat digests repair the loss
+# ----------------------------------------------------------------------
+#: loss and duplication under load, then the wire heals: no crash, and
+#: no `repair` event — the heartbeats are the only anti-entropy
+LOSSY_THEN_HEALED = (
+    FaultEvent.loss(0.0, 0.05),
+    FaultEvent.duplicate(0.0, 0.05),
+    FaultEvent.loss(2.0, 0.0),
+    FaultEvent.duplicate(2.0, 0.0),
+)
+
+
+def _node_state(node):
+    broadcast = node.broadcast
+    pid = node.my_pid
+    return broadcast.seen_ids(pid), broadcast.pending_messages(pid)
+
+
+def test_heartbeat_digests_heal_wire_loss_without_a_repair_event():
+    async def body():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        cluster = LiveCluster(3, base_port=BASE_PORT + 100, streams=2, seed=6)
+        await cluster.start()
+        try:
+            await asyncio.sleep(0.4)
+            assert {node.entry.relay for node in cluster.nodes} == {"direct"}
+            addrs = {pid: cluster.client_addr(pid) for pid in range(3)}
+            FaultSchedule(LOSSY_THEN_HEALED).install(cluster)
+            spec = WorkloadSpec(kind="open", rate=40.0, write_ratio=0.8)
+            report = await run_load(addrs, spec, streams=2, duration=2.0, seed=6)
+            assert report.completed > 200 and report.errors == 0, report
+            await asyncio.sleep(max(0.0, LOSSY_THEN_HEALED[-1].time - cluster.now))
+            # healed: within a few heartbeats every node holds every id
+            healed = cluster.now
+            for _ in range(40):
+                states = [_node_state(node) for node in cluster.nodes]
+                if all(s == (states[0][0], 0) for s in states):
+                    break
+                await asyncio.sleep(0.05)
+            took = cluster.now - healed
+            assert all(s == (states[0][0], 0) for s in states), took
+            assert took < 8 * cluster.nodes[0].HB_INTERVAL, took
+            assert await converged_windows(addrs, 2)
+            docs = [node.status() for node in cluster.nodes]
+            for doc in docs:
+                assert doc["monitor"]["ok"] and doc["monitor"]["total"] == 0, doc
+                assert doc["broadcast"]["resyncs_requested"] == 0, doc
+            lost = sum(proxy.stats["lost"] for proxy in cluster.proxies.values())
+            sent = sum(doc["broadcast"]["repairs_sent"] for doc in docs)
+            received = sum(doc["broadcast"]["repairs_received"] for doc in docs)
+            assert lost > 0 and sent > 0 and received > 0, (lost, sent, received)
+        finally:
+            await cluster.close()
+        assert not errors, errors
+
+    asyncio.run(body())
+
+
+def test_a_fault_free_saturated_burst_repairs_nothing():
+    async def body():
+        cluster = LiveCluster(3, base_port=BASE_PORT + 110, streams=4, proxied=False)
+        await cluster.start()
+        try:
+            await asyncio.sleep(0.3)
+            addrs = {pid: cluster.client_addr(pid) for pid in range(3)}
+            spec = WorkloadSpec(kind="closed", write_ratio=0.9)
+            report = await run_load(
+                addrs, spec, streams=4, duration=1.5, seed=7, window=8,
+                closed=True, codec=wire.CODEC_BINARY,
+            )
+            assert report.completed > 1000 and report.errors == 0, report
+            # let every node's digest of the burst's end go round twice
+            await asyncio.sleep(3 * cluster.nodes[0].HB_INTERVAL)
+            for node in cluster.nodes:
+                stats = node.broadcast.stats()
+                assert stats["repairs_sent"] == 0, (node.my_pid, stats)
+                assert stats["repairs_received"] == 0, (node.my_pid, stats)
+                wire_stats = node.transport.wire_stats
+                assert wire_stats["dups_dropped"] == 0, wire_stats
+                assert wire_stats["relays_spliced"] == 0, wire_stats
+        finally:
+            await cluster.close()
+
+    asyncio.run(body())
+
+
+# ----------------------------------------------------------------------
 # A node is one process: one endpoint, peers known from digests only
 # ----------------------------------------------------------------------
 def _frame(node, frame):
@@ -418,7 +508,7 @@ STATUS_KEYS = {
 BROADCAST_STATUS_KEYS = {
     "delivered", "log_sizes", "resync_attempts", "resync_retries",
     "resync_converged", "resync_gave_up", "resyncs_served",
-    "resyncs_requested",
+    "resyncs_requested", "repairs_sent", "repairs_received",
 }
 
 

@@ -29,6 +29,7 @@ import random
 
 import pytest
 
+from repro.runtime.broadcast import DIGEST_SPILL
 from repro.service import wire
 from repro.service.cluster import ClientSession, LiveCluster, client_call
 from repro.service.transport import AsyncioTransport
@@ -478,6 +479,14 @@ FOREIGN_DIGESTS = [
     {"kind": "hb", "frontier": [0, 0, 0], "spill": [[99, 0]]},
     {"kind": "hb", "frontier": [0, 0, 0], "spill": [[1, "x"]]},
     {"kind": "resync-req", "frontier": [1, 0, 0], "spill": [7]},
+    # spill runs (origin, lo, hi): empty, a foreign origin, too long
+    {"kind": "hb", "frontier": [0, 0, 0], "spill": [[0, 5, 3]]},
+    {"kind": "hb", "frontier": [0, 0, 0], "spill": [[3, 0, 1]]},
+    {"kind": "hb", "frontier": [0, 0, 0], "spill": [[0, 0, DIGEST_SPILL + 1]]},
+    # a repair carries one message body of this cluster
+    {"kind": "repair", "body": 5},
+    {"kind": "repair", "body": {"kind": "adv", "ids": ((0, 0),)}},
+    {"kind": "repair", "body": {"id": (7, 0), "origin": 7, "payload": 1}},
 ]
 
 
