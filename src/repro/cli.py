@@ -240,6 +240,7 @@ _WORK_COUNTERS = (
     ("orders_to_witness", "witness@"),
     ("orders_pruned", "pruned"),
     ("conflict_cuts", "cut"),
+    ("lin_nodes", "lin"),
 )
 
 

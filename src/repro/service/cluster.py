@@ -26,7 +26,7 @@ from ..scenarios.spec import FAULT_ACTIONS, FaultEvent
 from . import wire
 from .node import ServiceNode
 from .proxy import FaultProxy
-from .transport import Address, enable_nodelay
+from .transport import Address
 
 HOST = "127.0.0.1"
 
@@ -261,27 +261,30 @@ async def client_call(
         writer.close()
 
 
-class ClientSession:
+class ClientSession(asyncio.Protocol):
     """A multiplexed client connection: many in-flight requests over one
     socket, correlated by ``rid`` — thousands of open-loop sessions can
-    share one connection per node.
+    share one connection per node.  The session is the socket's
+    protocol: replies resolve their calls in the callback that read
+    them, and no task runs per session.
 
     ``window`` is the pipelining depth: with ``window=1`` every call is
-    lock-step (write, drain, await the reply — byte-for-byte the PR 9
-    client, the A/B baseline), while ``window>1`` lets that many calls
-    ride in flight at once and routes their requests through a small
-    send pump that folds everything queued into one framing-level
-    batch container per write+drain cycle — the
-    server replies with one container per request batch, so a full
-    window costs two writes total instead of ``2·window``.  ``codec``
-    picks the wire encoding for this session's frames; the server
-    always answers in the request's codec.
+    lock-step (one request frame written as the call is made, then the
+    reply awaited — byte-for-byte the PR 9 client, the A/B baseline),
+    while ``window>1`` lets that many calls ride in flight at once and
+    queues their requests for a flush scheduled once per loop pass,
+    which folds everything queued into one framing-level batch
+    container — the server replies with one container per request
+    batch, so a full window costs two writes total instead of
+    ``2·window``.  Calls past the window wait, in arrival order, for a
+    slot.  ``codec`` picks the wire encoding for this session's frames;
+    the server always answers in the request's codec.
 
     Timeouts cost one loop timer per session, not one per call: each
     in-flight call's deadline sits next to its future, and a single
     ``call_at`` is armed at the earliest of them.  When it fires it
     fails every expired call and re-arms at the earliest left, so a call
-    still times out at its own ``timeout``.  A session whose read pump
+    still times out at its own ``timeout``.  A session whose connection
     has stopped — ``close()``, EOF, a garbage reply — is dead: its
     in-flight calls fail with ``ConnectionError`` at once and it refuses
     new ones.
@@ -303,8 +306,8 @@ class ClientSession:
         self.addr = addr
         self.codec = codec
         self.window = window
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._sock: Any = None
+        self._splitter = wire.FrameSplitter(self._replies)
         #: rid -> (reply future, deadline on the loop's clock)
         self._pending: Dict[int, Tuple[asyncio.Future, float]] = {}
         self._next_rid = 0
@@ -312,49 +315,46 @@ class ClientSession:
         #: the one deadline timer; armed no later than any pending deadline
         self._timer: Optional[asyncio.TimerHandle] = None
         self._dead = False
-        self._pump: Optional[asyncio.Task] = None
-        self._sendq: Deque[Dict[str, Any]] = deque()
-        self._send_wake: Optional[asyncio.Event] = None
-        self._send_task: Optional[asyncio.Task] = None
-        self._sem: Optional[asyncio.Semaphore] = None
+        #: requests waiting for this loop pass's flush
+        self._sendq: List[Dict[str, Any]] = []
+        #: window slots free, and the calls waiting for one, in order
+        self._free = window
+        self._waiters: Deque[asyncio.Future] = deque()
 
     async def connect(self) -> None:
         host, port = self.addr
-        self._reader, self._writer = await asyncio.open_connection(host, port)
-        enable_nodelay(self._writer)
         self._loop = asyncio.get_running_loop()
-        self._pump = asyncio.ensure_future(self._read_loop())
-        self._sem = asyncio.Semaphore(self.window)
-        if self.window > 1:
-            self._send_wake = asyncio.Event()
-            self._send_task = asyncio.ensure_future(self._send_loop())
+        await self._loop.create_connection(lambda: self, host, port)
 
-    def _resolve(self, frame: Any) -> None:
-        if not isinstance(frame, dict):
-            raise ValueError(f"reply is not a dict: {type(frame).__name__}")
-        entry = self._pending.pop(frame.get("rid"), None)
-        if entry is not None and not entry[0].done():
-            entry[0].set_result(frame)
+    # -- the socket's protocol ------------------------------------------
+    def connection_made(self, transport: Any) -> None:
+        self._sock = transport
 
-    async def _read_loop(self) -> None:
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                body = await wire.read_body(self._reader)
-                if wire.is_batch(body):
-                    for sub in wire.split_batch(body):
-                        self._resolve(wire.decode(sub))
-                else:
-                    self._resolve(wire.decode(body))
-        except (OSError, asyncio.IncompleteReadError, ValueError):
-            pass
-        finally:
-            # by any route, cancellation included: nobody is left to
-            # resolve a reply future
+            self._splitter.feed(data)
+        except ValueError:
+            self._sock.close()
             self._die()
+
+    def _replies(self, bodies: List[bytes], _batched: bool) -> None:
+        pending = self._pending
+        for body in bodies:
+            frame = wire.decode(body)
+            if not isinstance(frame, dict):
+                raise ValueError(f"reply is not a dict: {type(frame).__name__}")
+            entry = pending.pop(frame.get("rid"), None)
+            if entry is not None and not entry[0].done():
+                entry[0].set_result(frame)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        # by any route: nobody is left to resolve a reply future
+        self._die()
 
     def _die(self) -> None:
         """Fail every in-flight call and refuse new ones."""
         self._dead = True
+        self._sendq.clear()
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -363,6 +363,7 @@ class ClientSession:
                 fut.set_exception(ConnectionError("session closed"))
         self._pending.clear()
 
+    # -- deadlines --------------------------------------------------------
     def _arm(self, deadline: float) -> None:
         if self._timer is not None:
             self._timer.cancel()
@@ -384,34 +385,51 @@ class ClientSession:
         if earliest is not None:
             self._arm(earliest)
 
-    async def _send_loop(self) -> None:
-        wake = self._send_wake
-        queue = self._sendq
+    # -- the window -------------------------------------------------------
+    async def _slot(self) -> None:
+        if self._free and not self._waiters:
+            self._free -= 1
+            return
+        fut = self._loop.create_future()
+        self._waiters.append(fut)
         try:
-            while True:
-                if not queue:
-                    wake.clear()
-                    await wake.wait()
-                    continue
-                if len(queue) == 1:
-                    wire.write_frame(self._writer, queue.popleft(), self.codec)
-                else:
-                    bodies = []
-                    while queue and len(bodies) < self.BATCH_MAX:
-                        bodies.append(
-                            wire.encode_body(queue.popleft(), self.codec)
-                        )
-                    self._writer.write(wire.encode_batch(bodies))
-                await self._writer.drain()
-        except (OSError, ConnectionResetError):
-            pass
-        except asyncio.CancelledError:
-            pass
+            await fut  # a released slot is handed over, never counted free
+        except BaseException:
+            if not fut.cancelled():  # handed over just as this call was cancelled
+                self._release()
+            raise
+
+    def _release(self) -> None:
+        waiters = self._waiters
+        while waiters:
+            fut = waiters.popleft()
+            if not fut.done():
+                fut.set_result(None)
+                return
+        self._free += 1
+
+    # -- requests ---------------------------------------------------------
+    def _flush(self) -> None:
+        """Write everything queued this loop pass: one frame, or batch
+        containers of up to ``BATCH_MAX`` requests."""
+        queue, self._sendq = self._sendq, []
+        if self._dead:
+            return
+        codec = self.codec
+        if len(queue) == 1:
+            self._sock.write(wire.encode(queue[0], codec))
+        else:
+            for at in range(0, len(queue), self.BATCH_MAX):
+                bodies = [
+                    wire.encode_body(request, codec)
+                    for request in queue[at : at + self.BATCH_MAX]
+                ]
+                self._sock.write(wire.encode_batch(bodies))
 
     async def call(
         self, request: Dict[str, Any], timeout: float = 10.0
     ) -> Dict[str, Any]:
-        await self._sem.acquire()
+        await self._slot()
         rid = self._next_rid
         self._next_rid += 1
         try:
@@ -419,31 +437,28 @@ class ClientSession:
                 raise ConnectionError("session closed")
             request = dict(request)
             request["rid"] = rid
-            fut = self._loop.create_future()
-            deadline = self._loop.time() + timeout
+            loop = self._loop
+            fut = loop.create_future()
+            deadline = loop.time() + timeout
             self._pending[rid] = (fut, deadline)
             timer = self._timer
             if timer is None or deadline < timer.when():
                 self._arm(deadline)
-            if self._send_task is not None:
-                self._sendq.append(request)
-                self._send_wake.set()
+            if self.window == 1:
+                self._sock.write(wire.encode(request, self.codec))
             else:
-                wire.write_frame(self._writer, request, self.codec)
-                await self._writer.drain()
+                if not self._sendq:
+                    loop.call_soon(self._flush)
+                self._sendq.append(request)
             return await fut
         finally:
             # a reply, a timeout and a dead session pop the entry
             # themselves; a cancellation or a failed write must not leave
             # one behind for a reply that may never come
             self._pending.pop(rid, None)
-            self._sem.release()
+            self._release()
 
     async def close(self) -> None:
-        if self._send_task is not None:
-            self._send_task.cancel()
-        if self._pump is not None:
-            self._pump.cancel()
-        if self._writer is not None:
-            self._writer.close()
+        if self._sock is not None:
+            self._sock.close()
         self._die()

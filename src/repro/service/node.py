@@ -39,7 +39,10 @@ their ``ok`` replies into fixed headers.  Commands: ``get`` / ``put`` /
 operator controls ``crash`` / ``recover``.  ``status`` exposes the
 monitor's violations and ``NetworkStats``-style counters; ``watch``
 streams it.  Request fields are validated here, at the boundary, on the
-decoded dict — whichever layout carried it.
+decoded dict — whichever layout carried it.  Each client connection is
+an ``asyncio.Protocol``: the wait-free operations are answered in the
+callback that read them, a batch's replies in one write, and only a
+``watch`` (or a ``put`` waiting out a peer backlog) runs as a task.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from ..core.operations import Invocation, output_to_json
 from ..runtime.broadcast import BroadcastService, ReliableBroadcast
@@ -171,6 +174,8 @@ class ServiceNode:
         #: (the rest fell back to generic TLV, or are JSON)
         self.client_stats = {"client_frames_in": 0, "client_frames_packed": 0}
         self._server: Optional[asyncio.AbstractServer] = None
+        #: open client connections, closed with the node
+        self._clients: Set[_ClientConnection] = set()
         self._hb_task: Optional[asyncio.Task] = None
         self._closed = False
 
@@ -214,56 +219,8 @@ class ServiceNode:
     # ------------------------------------------------------------------
     # Client protocol
     # ------------------------------------------------------------------
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One client connection.  Requests may arrive singly or inside a
-        framing-level batch container (the pipelined client's shape); a
-        batch's replies return as one container, so a full client window
-        costs one reply write + one drain.  Replies go
-        back in the codec the request arrived in, so a JSON-only client
-        (or ``repro status`` against a binary node) just works.  Every
-        write path awaits ``drain()`` — a slow or stalled reader blocks
-        its own connection's coroutine instead of growing the transport
-        buffer without bound (regression-tested in
-        ``tests/test_service_perf.py``)."""
-        try:
-            while True:
-                body = await wire.read_body(reader)
-                if wire.is_batch(body):
-                    reply_bodies = []
-                    for sub in wire.split_batch(body):
-                        req, codec = self._request(sub)
-                        reply = await self._handle_client(req, writer, codec)
-                        if reply is not None:
-                            reply["rid"] = req.get("rid")
-                            reply_bodies.append(
-                                wire.encode_body(reply, codec)
-                            )
-                    if reply_bodies:
-                        writer.write(wire.encode_batch(reply_bodies))
-                        await writer.drain()
-                    continue
-                req, codec = self._request(body)
-                reply = await self._handle_client(req, writer, codec)
-                if reply is not None:
-                    reply["rid"] = req.get("rid")
-                    wire.write_frame(writer, reply, codec)
-                    await writer.drain()
-        except (
-            OSError,
-            asyncio.IncompleteReadError,
-            ValueError,
-            ConnectionResetError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            writer.close()
-
-    def _request(self, body: bytes) -> Tuple[Dict[str, Any], str]:
-        """One decoded request and the codec to answer it in."""
+    def _request(self, body: bytes) -> Dict[str, Any]:
+        """One decoded request, counted."""
         req = wire.decode(body)
         if not isinstance(req, dict):
             raise ValueError(f"request is not a dict: {type(req).__name__}")
@@ -271,7 +228,7 @@ class ServiceNode:
         stats["client_frames_in"] += 1
         if body[0] == wire.MAGIC_REQUEST:
             stats["client_frames_packed"] += 1
-        return req, wire.body_codec(body)
+        return req
 
     def _bad_stream(self, req: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """An error reply unless ``req["x"]`` is a stream index.  Checked
@@ -284,12 +241,11 @@ class ServiceNode:
             return None
         return {"ok": False, "error": f"x must be an int in [0, {self.streams})"}
 
-    async def _handle_client(
-        self,
-        req: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        codec: str = wire.CODEC_JSON,
+    def _handle_client(
+        self, req: Dict[str, Any], conn: "_ClientConnection", codec: str
     ) -> Optional[Dict[str, Any]]:
+        """The reply to one request, made before this returns — ``None``
+        for a ``watch``, whose frames its own task writes."""
         cmd = req.get("cmd")
         if cmd == "ping":
             return {"ok": True, "pid": self.my_pid}
@@ -302,10 +258,6 @@ class ServiceNode:
                 return {"ok": False, "error": "put needs a value v"}
             if self.crashed:
                 return {"ok": False, "error": "crashed"}
-            if self.transport.backlog() > self.transport.HIGH_WATER:
-                await self.transport.drained()
-                if self.crashed:
-                    return {"ok": False, "error": "crashed"}
             inv = Invocation("w", (req["x"], req["v"]))
             self.algorithm.invoke(self.my_pid, inv)
             return {"ok": True}
@@ -332,12 +284,7 @@ class ServiceNode:
             interval = req.get("interval", 0.5)
             if type(interval) not in (int, float) or not 0 < interval < math.inf:
                 return {"ok": False, "error": "interval must be finite and > 0"}
-            while not self._closed:
-                frame = {"ok": True, "status": self.status(0)}
-                frame["rid"] = req.get("rid")
-                wire.write_frame(writer, frame, codec)
-                await writer.drain()
-                await asyncio.sleep(interval)
+            conn.spawn(self._watch(conn, req.get("rid"), interval, codec))
             return None
         if cmd == "crash":
             self.crash()
@@ -346,6 +293,17 @@ class ServiceNode:
             self.recover()
             return {"ok": True}
         return {"ok": False, "error": f"unknown cmd {cmd!r}"}
+
+    async def _watch(
+        self, conn: "_ClientConnection", rid: Any, interval: float, codec: str
+    ) -> None:
+        """Stream ``status`` frames to one connection until it or the
+        node closes, each written only once the last has drained."""
+        while not self._closed:
+            frame = {"ok": True, "status": self.status(0), "rid": rid}
+            conn.sock.write(wire.encode(frame, codec))
+            await conn.drained()
+            await asyncio.sleep(interval)
 
     def _history_row(self) -> List[Dict[str, Any]]:
         """This node's recorded operations in classify-JSON op format,
@@ -411,8 +369,8 @@ class ServiceNode:
             self.tap.start()
         await self.transport.start()
         host, port = self.client_addr
-        self._server = await asyncio.start_server(
-            self._serve_client, host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ClientConnection(self), host, port
         )
         if self.entry.gossip:
             self.algorithm.start_gossip()
@@ -424,7 +382,141 @@ class ServiceNode:
             self._hb_task.cancel()
         if self._server is not None:
             self._server.close()
+            tasks = []
+            for conn in list(self._clients):
+                conn.sock.close()
+                tasks.extend(conn.tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
         await self.transport.close()
         if self.tap is not None:
             self.tap.close()
+
+
+class _ClientConnection(asyncio.Protocol):
+    """One client connection, answered in the callback that read its
+    requests.  Requests may arrive singly or inside a framing-level
+    batch container (the pipelined client's shape); a batch's replies
+    return as one container, so a full client window costs one reply
+    write.  Replies go back in the codec the request arrived in, so a
+    JSON-only client (or ``repro status`` against a binary node) just
+    works.  Two things stop the reading, each until it clears: a reply
+    write that takes the socket's buffer over its high-water mark (a
+    slow or stalled reader stalls its own connection, and only its
+    own), and a ``put`` that meets a peer backlog over
+    ``AsyncioTransport.HIGH_WATER`` (its frame waits for
+    :meth:`~repro.service.transport.AsyncioTransport.drained`).  Any
+    ``ValueError`` — hostile bytes, a request that is not a dict —
+    closes this connection and nothing else."""
+
+    def __init__(self, node: ServiceNode) -> None:
+        self.node = node
+        self.sock: Any = None
+        self.splitter = wire.FrameSplitter(self._requests)
+        #: why reading stopped: the socket's buffer, a peer backlog
+        self._stalled = False
+        self._held = False
+        self._drain_waiter: Optional[asyncio.Future] = None
+        #: what this connection runs besides its callbacks: a watch, or
+        #: a batch waiting out a peer backlog
+        self.tasks: Set[asyncio.Task] = set()
+
+    def connection_made(self, transport: Any) -> None:
+        self.sock = transport
+        self.node._clients.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.splitter.feed(data)
+        except ValueError:
+            self.sock.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.node._clients.discard(self)
+        for task in self.tasks:
+            task.cancel()
+        self._wake()
+
+    # -- flow control ---------------------------------------------------
+    def pause_writing(self) -> None:
+        self._stalled = self.splitter.held = True
+        self.sock.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._stalled = False
+        self._wake()
+        self._read_on()
+
+    def _wake(self) -> None:
+        waiter, self._drain_waiter = self._drain_waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    async def drained(self) -> None:
+        """Wait until the socket's buffer is back under its mark."""
+        while self._stalled and not self.sock.is_closing():
+            if self._drain_waiter is None:
+                self._drain_waiter = asyncio.get_running_loop().create_future()
+            await self._drain_waiter
+
+    def _read_on(self) -> None:
+        """Resume reading once neither reason to stop holds."""
+        if self._stalled or self._held or self.sock.is_closing():
+            return
+        self.sock.resume_reading()
+        try:
+            self.splitter.resume()
+        except ValueError:
+            self.sock.close()
+
+    def spawn(self, coro: Any) -> None:
+        task = asyncio.ensure_future(coro)
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
+
+    # -- requests ---------------------------------------------------------
+    def _requests(self, bodies: List[bytes], batched: bool) -> None:
+        """One frame's requests.  Should any be a put while a peer queue
+        is over its mark, the frame waits for the drain, and the
+        connection's reading with it."""
+        node = self.node
+        reqs = [node._request(body) for body in bodies]
+        transport = node.transport
+        for req in reqs:
+            if req.get("cmd") == "put":
+                if transport.backlog() > transport.HIGH_WATER and not node.crashed:
+                    self._held = self.splitter.held = True
+                    self.sock.pause_reading()
+                    self.spawn(self._after_drain(bodies, reqs, batched))
+                    return
+                break
+        self._answer(bodies, reqs, batched)
+
+    def _answer(
+        self, bodies: List[bytes], reqs: List[Dict[str, Any]], batched: bool
+    ) -> None:
+        """Answer a frame's requests, each in its own codec; a batch's
+        replies go back as one container."""
+        replies = []
+        for body, req in zip(bodies, reqs):
+            codec = wire.body_codec(body)
+            reply = self.node._handle_client(req, self, codec)
+            if reply is not None:
+                reply["rid"] = req.get("rid")
+                replies.append(wire.encode_body(reply, codec))
+        if not replies:
+            return
+        if batched:
+            self.sock.write(wire.encode_batch(replies))
+        else:
+            self.sock.write(wire.frame(replies[0]))
+
+    async def _after_drain(
+        self, bodies: List[bytes], reqs: List[Dict[str, Any]], batched: bool
+    ) -> None:
+        await self.node.transport.drained()
+        self._held = False
+        self._answer(bodies, reqs, batched)
+        self._read_on()

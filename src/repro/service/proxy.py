@@ -40,7 +40,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from . import wire
-from .transport import Address, enable_nodelay
+from .transport import Address
 
 
 class FaultProxy:
@@ -168,13 +168,11 @@ class FaultProxy:
         up_writer: Optional[asyncio.StreamWriter] = None
         src = None
         try:
-            enable_nodelay(writer)
             hello_raw = await wire.read_raw_frame(reader)
             hello = wire.decode(hello_raw[4:])
             src = hello.get("src") if isinstance(hello, dict) else None
             host, port = self.upstream
             up_reader, up_writer = await asyncio.open_connection(host, port)
-            enable_nodelay(up_writer)
             up_writer.write(hello_raw)  # hello is never lost or held
             await up_writer.drain()
             if src is not None:

@@ -8,11 +8,12 @@ client operation straight into the
 work inside the asyncio hot path, charged to every frame and every
 client reply.  PR 10 moves both behind a :class:`RingTap`: the hot path
 appends a ``(sink_method, args)`` event to a bounded ring (one deque
-append) and returns; a background task drains the ring and applies the
-events to the real monitor/recorder **in append order**, which is
-exactly the order the synchronous calls would have run in — so the
-monitor's verdicts and the recorder's rows are identical to the
-synchronous tap's on the same event stream (pinned by
+append) and returns; the first push of a burst schedules one loop
+callback (``call_soon``), which drains the ring on the loop's next pass
+and applies the events to the real monitor/recorder **in append
+order**, which is exactly the order the synchronous calls would have
+run in — so the monitor's verdicts and the recorder's rows are
+identical to the synchronous tap's on the same event stream (pinned by
 ``tests/test_service_perf.py``), merely later.
 
 Boundedness without lying: when the ring reaches capacity the producer
@@ -47,7 +48,7 @@ from ..runtime.recorder import HistoryRecorder, OpRecord
 
 
 class RingTap:
-    """Bounded FIFO event ring drained by a background asyncio task."""
+    """Bounded FIFO event ring, drained by one loop callback per burst."""
 
     #: events held before the producer drains inline (spill)
     CAPACITY = 1 << 15
@@ -57,9 +58,9 @@ class RingTap:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
         self._ring: Deque[Tuple[Callable[..., Any], Tuple[Any, ...]]] = deque()
-        self._wake: Optional[asyncio.Event] = None
-        self._task: Optional[asyncio.Task] = None
-        self._closed = False
+        #: the loop the drain runs on, between start() and close()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._scheduled = False
         # observability
         self.pushed = 0
         self.drained = 0
@@ -79,8 +80,9 @@ class RingTap:
             # verdicts unaffected, hot path momentarily synchronous
             self.spills += 1
             self.flush()
-        elif self._wake is not None:
-            self._wake.set()
+        elif not self._scheduled and self._loop is not None:
+            self._scheduled = True
+            self._loop.call_soon(self._drain)
 
     # -- consumer side ---------------------------------------------------
     def flush(self) -> None:
@@ -91,29 +93,20 @@ class RingTap:
             self.drained += 1
             fn(*args)
 
-    async def _run(self) -> None:
-        wake = self._wake
-        assert wake is not None
-        while not self._closed:
-            await wake.wait()
-            wake.clear()
-            self.flush()
+    def _drain(self) -> None:
+        self._scheduled = False
+        self.flush()
 
     def start(self) -> None:
-        """Begin background draining on the running event loop."""
-        if self._task is not None:
-            return
-        self._wake = asyncio.Event()
-        if self._ring:
-            self._wake.set()
-        self._task = asyncio.ensure_future(self._run())
+        """Begin draining on the running event loop."""
+        self._loop = asyncio.get_running_loop()
+        if self._ring and not self._scheduled:
+            self._scheduled = True
+            self._loop.call_soon(self._drain)
 
     def close(self) -> None:
-        """Stop the drainer and apply whatever is still buffered."""
-        self._closed = True
-        if self._task is not None:
-            self._task.cancel()
-            self._task = None
+        """Stop draining and apply whatever is still buffered."""
+        self._loop = None
         self.flush()
 
     def stats(self) -> dict:

@@ -10,21 +10,23 @@ surfaces backpressure to the layer above (the service node pauses
 client intake while any queue is over the mark — a synchronous ``send``
 cannot block, so the pressure is exposed as an awaitable instead).
 
-Hot path (PR 10).  The per-peer sender used to make one ``write`` + one
-``await drain()`` per frame; under load that is one syscall, one flow
--control future and one codec pass *per broadcast per peer*.  Two
-changes: every logical frame is now **encoded exactly once**, at
-enqueue time (a multicast shares the one encoding across all
-destination queues), and the pump drains its whole queue per cycle —
-up to :attr:`BATCH_MAX` queued bodies fold into a single **batch
-container frame** (:func:`repro.service.wire.encode_batch`, pure bytes
-concatenation) — one length prefix, one write, one drain for the lot.
-``TCP_NODELAY`` is set on every connection so the single write leaves
-immediately.  The receiver unfolds containers in order, preserving
-per-link FIFO exactly.  The ``wire_stats`` counters (logical frames vs
-actual writes, batch sizes, bytes) quantify the coalescing and surface
-through ``repro status --json``.  ``coalesce=False`` restores the PR 9
-frame-at-a-time pump — the A/B baseline whose numbers are frozen in
+Hot path.  Every logical frame is **encoded exactly once**, at enqueue
+time (a multicast shares the one encoding across all destination
+queues).  The first frame queued in a loop pass schedules one flush
+(``call_soon``); the flush writes each connected peer's queue straight
+to its socket, up to :attr:`BATCH_MAX` queued bodies folded into a
+single **batch container frame** per write
+(:func:`repro.service.wire.encode_batch`, pure bytes concatenation),
+and stops at a socket whose buffer is over its high-water mark until
+the socket asks to resume.  Each socket is an ``asyncio.Protocol``:
+inbound, the callback that reads bytes splits them into frames
+(:class:`~repro.service.wire.FrameSplitter`), unfolds containers in
+order — per-link FIFO exactly — and hands each frame to the broadcast
+layer; outbound, one task per peer only connects and reconnects.  The
+``wire_stats`` counters (logical frames vs actual writes, batch sizes,
+bytes) quantify the coalescing and surface through ``repro status
+--json``.  ``coalesce=False`` writes one frame per write — the PR 9
+shape, the A/B baseline whose numbers are frozen in
 ``benchmarks/results/BENCH_service_seed.json``.
 
 Message frames.  A live node sends each write once per peer, from its
@@ -60,9 +62,8 @@ pull timeouts run unmodified against wall-clock RPC timeouts.
 from __future__ import annotations
 
 import asyncio
-import socket
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..runtime.broadcast import DIGEST_SPILL
 from ..runtime.network import NetworkStats
@@ -70,16 +71,6 @@ from ..runtime.transport import ControlHandler, Handler, Transport
 from . import wire
 
 Address = Tuple[str, int]
-
-
-def enable_nodelay(writer: asyncio.StreamWriter) -> None:
-    """Set TCP_NODELAY on a stream's socket (no-op for non-TCP)."""
-    sock = writer.get_extra_info("socket")
-    if sock is not None:
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except (OSError, ValueError):  # pragma: no cover - non-TCP socket
-            pass
 
 
 def _is_mid(mid: Any, n: int) -> bool:
@@ -278,8 +269,8 @@ class AsyncioTransport(Transport):
         self.stats = NetworkStats()
         #: coalescing/codec observability, surfaced via `repro status`
         self.wire_stats: Dict[str, int] = {
-            "frames_out": 0,  # logical frames handed to the pumps
-            "writes": 0,  # actual write+drain cycles
+            "frames_out": 0,  # logical frames queued for the peers
+            "writes": 0,  # socket writes (one frame or one container)
             "bytes_out": 0,
             "batches_out": 0,  # container frames sent
             "batched_frames": 0,  # logical frames that rode a container
@@ -316,9 +307,14 @@ class AsyncioTransport(Transport):
         self._queues: Dict[int, Deque[bytes]] = {
             pid: deque() for pid in addrs if pid != my_pid
         }
-        self._kick: Dict[int, asyncio.Event] = {}
+        #: outbound links by peer, while connected
+        self._links: Dict[int, _PeerLink] = {}
+        self._flush_pending = False
         self._drain_waiters: Deque[asyncio.Future] = deque()
         self._server: Optional[asyncio.AbstractServer] = None
+        #: inbound peer connections, closed with the transport
+        self._inbound: Set[_PeerConnection] = set()
+        #: one connect/reconnect task per peer
         self._tasks: list = []
         self._closed = False
         #: peers currently connected outbound (observability)
@@ -435,9 +431,9 @@ class AsyncioTransport(Transport):
         self.stats.sent += 1
         self.wire_stats["frames_out"] += 1
         self._queues[dst].append(body)
-        kick = self._kick.get(dst)
-        if kick is not None:
-            kick.set()
+        if self._links and not self._flush_pending:
+            self._flush_pending = True
+            self.clock.loop.call_soon(self._flush)
 
     def backlog(self) -> int:
         """Largest per-peer outbound queue (the backpressure signal)."""
@@ -466,11 +462,10 @@ class AsyncioTransport(Transport):
     BATCH_BYTES = 1 << 20
 
     def _fold(self, queue: Deque[bytes]) -> bytes:
-        """Assemble the next pump cycle: everything queued (capped at
-        BATCH_MAX frames / BATCH_BYTES) as one wire write — a single
-        body framed as itself, more concatenated into one batch
-        container.  No codec work happens here; bodies were encoded at
-        enqueue."""
+        """Assemble the next write: everything queued (capped at
+        BATCH_MAX frames / BATCH_BYTES) — a single body framed as
+        itself, more concatenated into one batch container.  No codec
+        work happens here; bodies were encoded at enqueue."""
         wstats = self.wire_stats
         first = queue.popleft()
         if not queue or not self.coalesce:
@@ -498,94 +493,71 @@ class AsyncioTransport(Transport):
         self.stats.payload_bytes += len(raw)
         return raw
 
-    async def _writer(self, dst: int) -> None:
-        """One peer's outbound pump: connect (with exponential backoff),
-        say hello, then drain the queue — whole-queue folds into batch
-        container frames when coalescing (one write + one drain per
-        cycle); on any connection error, loop back to reconnect with the
-        queue intact."""
+    def _flush(self) -> None:
+        """Write every connected peer's queue, fold by fold, until it is
+        empty or its socket asks to pause; scheduled once per loop pass
+        by the first frame queued in it."""
+        self._flush_pending = False
+        for dst, link in self._links.items():
+            queue = self._queues[dst]
+            sock = link.sock
+            while queue and not link.paused and not sock.is_closing():
+                sock.write(self._fold(queue))
+        self._wake_drain_waiters()
+
+    async def _connect(self, dst: int) -> None:
+        """Keep one peer's outbound connection up: connect (with
+        exponential backoff), say hello, hand the link to the flush,
+        and when the connection is lost, reconnect with the queue
+        intact."""
+        loop = self.clock.loop
         backoff = self.BACKOFF_BASE
-        queue = self._queues[dst]
-        kick = self._kick[dst] = asyncio.Event()
         while not self._closed:
             host, port = self.addrs[dst]
+            link = _PeerLink(self)
             try:
-                reader, writer = await asyncio.open_connection(host, port)
+                await loop.create_connection(lambda: link, host, port)
             except OSError:
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.BACKOFF_CAP)
                 continue
             backoff = self.BACKOFF_BASE
-            enable_nodelay(writer)
+            # hello is always JSON (the compat floor) and declares the
+            # codec the data frames will arrive in
+            link.sock.write(
+                wire.encode({"t": "hello", "src": self.my_pid, "codec": self.codec})
+            )
+            self._links[dst] = link
             self.connected[dst] = True
             try:
-                # hello is always JSON (the compat floor) and declares
-                # the codec the data frames will arrive in
-                writer.write(
-                    wire.encode(
-                        {"t": "hello", "src": self.my_pid, "codec": self.codec}
-                    )
-                )
-                await writer.drain()
-                while not self._closed:
-                    if not queue:
-                        kick.clear()
-                        self._wake_drain_waiters()
-                        await kick.wait()
-                        continue
-                    raw = self._fold(queue)
-                    self._wake_drain_waiters()
-                    writer.write(raw)
-                    await writer.drain()
-            except (OSError, asyncio.IncompleteReadError):
-                pass
+                self._flush()
+                await link.lost
             finally:
+                del self._links[dst]
                 self.connected[dst] = False
-                writer.close()
+                link.sock.close()
 
     # ------------------------------------------------------------------
     # Inbound path
     # ------------------------------------------------------------------
-    async def _serve_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            enable_nodelay(writer)
-            hello = await wire.read_frame(reader)
-            if not (isinstance(hello, dict) and hello.get("t") == "hello"):
-                return
-            while True:
-                body = await wire.read_body(reader)
-                if wire.is_batch(body):
-                    # unfold in order, one frame at a time: per-link
-                    # FIFO preserved, and an earlier frame of the batch
-                    # makes a later copy of it a duplicate
-                    self.wire_stats["batches_in"] += 1
-                    for sub in wire.split_batch(body):
-                        self._receive_body(sub)
-                else:
-                    self._receive_body(body)
-        except (
-            OSError,
-            asyncio.IncompleteReadError,
-            ValueError,
-            ConnectionResetError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            # loop teardown cancels server-held connections; exiting
-            # cleanly keeps shutdown quiet
-            pass
-        finally:
-            writer.close()
+    def _receive_frame(self, bodies: List[bytes], batched: bool) -> None:
+        """One inbound wire frame: a batch container's sub-bodies are
+        received in fold order, one at a time — per-link FIFO
+        preserved, and an earlier frame of the batch makes a later copy
+        of it a duplicate."""
+        if batched:
+            self.wire_stats["batches_in"] += 1
+        for body in bodies:
+            self._receive_body(body)
 
     def _receive_body(self, body: bytes) -> None:
         """One inbound frame body.  A packed message frame gives up its
         pids, ``(origin, seq)`` and stamp length to a header peek, so one
         that does not fit this cluster is refused, and a copy the
         broadcast layer has already seen is counted and dropped, without
-        being decoded; a fresh one is remembered with its bytes while it
-        is dispatched (see :meth:`_msg_body`).  Every other body — JSON,
+        being decoded; a fresh one is decoded once and its message goes
+        straight to the handler, remembered with its bytes while it is
+        handled (see :meth:`_msg_body`).  Every other body — JSON,
         generic TLV, control — decodes and dispatches as before,
         deduplicated by the broadcast layer itself; a message frame among
         them gets the header's check on its decoded fields: its ``src``
@@ -615,24 +587,30 @@ class AsyncioTransport(Transport):
         if src >= n or origin >= n or (stamps is not None and stamps != n):
             # the broadcast layers index per-process rows by all three: a
             # peer from another cluster (or a hostile one) would raise
-            # IndexError inside this connection's task — refuse it here
+            # IndexError inside this connection's callback — refuse it here
             raise ValueError(
                 f"message frame outside this cluster of {n}: src {src}, "
                 f"origin {origin}, {stamps} stamp entries"
             )
+        wstats = self.wire_stats
         seen = self._seen
         if seen is not None and seen((origin, seq)):
-            wstats = self.wire_stats
             wstats["frames_in"] += 1
             wstats["msg_frames_in"] += 1
             wstats["dups_dropped"] += 1
             return
-        frame = wire.decode(body)
+        message = wire.decode(body)["body"]
+        wstats["frames_in"] += 1
+        wstats["msg_frames_in"] += 1
+        self.stats.delivered += 1
+        handler = self.handlers.get(self.my_pid)
+        if handler is None:
+            return
         if self.codec == wire.CODEC_BINARY:
             # a JSON node relays in JSON: nothing to splice
-            self._inflight = (frame["body"], body)
+            self._inflight = (message, body)
         try:
-            self._dispatch(frame)
+            handler(src, message)
         finally:
             self._inflight = None
 
@@ -663,19 +641,77 @@ class AsyncioTransport(Transport):
     # ------------------------------------------------------------------
     async def start(self) -> None:
         host, port = self.my_addr
-        self._server = await asyncio.start_server(
-            self._serve_conn, host, port
+        self._server = await self.clock.loop.create_server(
+            lambda: _PeerConnection(self), host, port
         )
         for dst in self._queues:
-            self._tasks.append(asyncio.ensure_future(self._writer(dst)))
+            self._tasks.append(asyncio.ensure_future(self._connect(dst)))
 
     async def close(self) -> None:
         self._closed = True
-        for kick in self._kick.values():
-            kick.set()
         for task in self._tasks:
             task.cancel()
         if self._server is not None:
             self._server.close()
+            for conn in list(self._inbound):
+                conn.sock.close()
             await self._server.wait_closed()
         await asyncio.gather(*self._tasks, return_exceptions=True)
+
+
+class _PeerLink(asyncio.Protocol):
+    """The outbound connection to one peer.  Nothing is read from it:
+    the transport's flush writes it, and stops while the socket's
+    buffer is over its high-water mark."""
+
+    def __init__(self, owner: AsyncioTransport) -> None:
+        self.owner = owner
+        self.sock: Any = None
+        self.paused = False
+        #: resolved when the connection is gone, for whatever reason
+        self.lost = owner.clock.loop.create_future()
+
+    def connection_made(self, transport: Any) -> None:
+        self.sock = transport
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.owner._flush()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+
+class _PeerConnection(asyncio.Protocol):
+    """One inbound peer connection: a hello first, then every frame goes
+    to the transport's receive path in the callback that read it.  Any
+    ``ValueError`` — hostile bytes, a frame from outside the cluster, no
+    hello — closes this connection and nothing else."""
+
+    def __init__(self, owner: AsyncioTransport) -> None:
+        self.owner = owner
+        self.sock: Any = None
+        self.splitter = wire.FrameSplitter(self._hello)
+
+    def connection_made(self, transport: Any) -> None:
+        self.sock = transport
+        self.owner._inbound.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            self.splitter.feed(data)
+        except ValueError:
+            self.sock.close()
+
+    def _hello(self, bodies: List[bytes], batched: bool) -> None:
+        hello = None if batched else wire.decode(bodies[0])
+        if not (isinstance(hello, dict) and hello.get("t") == "hello"):
+            raise ValueError("a peer connection opens with a hello frame")
+        self.splitter.on_frame = self.owner._receive_frame
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.owner._inbound.discard(self)

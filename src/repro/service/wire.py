@@ -86,7 +86,7 @@ itself self-describing, so a container can carry either codec's frames
 free: the transport encodes each logical frame exactly once when it is
 queued (a multicast shares one encoding across all destinations), and
 folding a queue into a container is pure bytes concatenation — one
-length prefix, one write, one drain for up to
+length prefix, one write for up to
 :attr:`~repro.service.transport.AsyncioTransport.BATCH_MAX` frames.
 
 :func:`decode` dispatches on the first byte, so a receiver handles both
@@ -105,9 +105,9 @@ rely on.  The framing helpers cap the body size so a corrupt length
 prefix cannot balloon a read, and every decoder here — TLV, packed
 header and peek, batch split, JSON — turns truncation, unknown tags,
 out-of-table key indices and nesting past :data:`MAX_DEPTH` into
-``ValueError``, the one exception the connection loops treat as "close
-this connection": hostile bytes cost a peer its socket, never a node its
-task.
+``ValueError``, the one exception the connections treat as "close
+this connection": hostile bytes cost a peer its socket and nothing
+more.
 """
 
 from __future__ import annotations
@@ -301,7 +301,11 @@ def _enc_value(obj: Any, out: bytearray) -> None:
             out.append(wide)
             out += _U32.pack(size)
         for value in obj:
-            _enc_value(value, out)
+            # the small ints of stamps and payloads, without a call each
+            if value.__class__ is int and -128 <= value <= 127:
+                out += _INT8_ENC[value + 128]
+            else:
+                _enc_value(value, out)
     elif obj is None:
         out.append(_T_NONE)
     elif obj is True:
@@ -399,9 +403,15 @@ def _dec_value(buf: bytes, pos: int, depth: int) -> Tuple[Any, int]:
             raise ValueError(f"binary codec: nesting deeper than {MAX_DEPTH}")
         depth += 1
         items: List[Any] = []
+        append = items.append
         for _ in range(size):
-            value, pos = _dec_value(buf, pos, depth)
-            items.append(value)
+            if buf[pos] == _T_INT8:  # inline, as the encoder writes them
+                value = buf[pos + 1]
+                append(value - 256 if value > 127 else value)
+                pos += 2
+            else:
+                value, pos = _dec_value(buf, pos, depth)
+                append(value)
         if tag == _T_TUPLE8 or tag == _T_TUPLE32:
             return tuple(items), pos
         return items, pos
@@ -441,7 +451,7 @@ def _dec_value(buf: bytes, pos: int, depth: int) -> Tuple[Any, int]:
 
 #: what a truncated or corrupt body makes the decoders trip over — a
 #: read past the end, a short fixed-width field, an unhashable dict key
-#: — all surfaced as the one exception the connection loops catch
+#: — all surfaced as the one exception the connections catch
 _MALFORMED = (IndexError, struct.error, TypeError)
 
 
@@ -471,6 +481,22 @@ _MSG_ID_AT = 3  # where (origin, seq) starts: all that follows the src
 _MSG_BODY_AT = 1 + _MSG_HEAD.size
 _U16 = struct.Struct(">H")
 _NO_STAMP = 0xFFFF
+
+#: compiled layouts by stamp length: the whole header for packing, the
+#: stamp entries alone for unpacking (a cluster uses one length; hostile
+#: lengths are compiled each time once the caches are full)
+_MSG_PACKERS: Dict[int, struct.Struct] = {}
+_STAMP_UNPACKERS: Dict[int, struct.Struct] = {}
+_LAYOUTS_CACHED = 64
+
+
+def _layout(cache: Dict[int, struct.Struct], fmt: str, count: int) -> struct.Struct:
+    layout = cache.get(count)
+    if layout is None:
+        layout = struct.Struct(fmt % count)
+        if len(cache) < _LAYOUTS_CACHED:
+            cache[count] = layout
+    return layout
 
 
 def _pack_msg(obj: Dict[str, Any]) -> Optional[bytes]:
@@ -510,9 +536,8 @@ def _pack_msg(obj: Dict[str, Any]) -> Optional[bytes]:
                 return None
     try:
         out = bytearray(
-            struct.pack(
-                ">BHHIH%dI" % len(stamp),
-                MAGIC_MSG, src, origin, mid[1], count, *stamp,
+            _layout(_MSG_PACKERS, ">BHHIH%dI", len(stamp)).pack(
+                MAGIC_MSG, src, origin, mid[1], count, *stamp
             )
         )
     except struct.error:  # an int outside its header field
@@ -527,7 +552,9 @@ def _decode_msg(body: bytes) -> Dict[str, Any]:
     try:
         src, origin, seq, count = _MSG_HEAD.unpack_from(body, 1)
         if count != _NO_STAMP:
-            stamp = struct.unpack_from(">%dI" % count, body, pos)
+            stamp = _layout(_STAMP_UNPACKERS, ">%dI", count).unpack_from(
+                body, pos
+            )
             pos += 4 * count
     except struct.error:
         raise ValueError("binary codec: truncated message header") from None
@@ -738,6 +765,68 @@ def split_batch(body: bytes) -> List[bytes]:
         out.append(body[pos : pos + length])
         pos += length
     return out
+
+
+class FrameSplitter:
+    """Wire bytes in, frame bodies out, for a connection's protocol.
+
+    :meth:`feed` takes whatever a socket read returned and hands each
+    complete wire frame to ``on_frame(bodies, batched)`` as it
+    completes: a plain frame as ``[body], False``, a batch container as
+    its sub-bodies in fold order and ``True``.  A length prefix over
+    :data:`MAX_FRAME` raises ``ValueError`` before any of its body is
+    buffered, as does a malformed container, and so does whatever
+    ``on_frame`` raises — the protocol closes that one connection.
+
+    Setting :attr:`held` (from inside ``on_frame``, or while the reads
+    are paused) stops the splitting after the current frame; what is
+    left stays buffered until :meth:`resume`.
+    """
+
+    def __init__(self, on_frame: Callable[[List[bytes], bool], None]) -> None:
+        self.on_frame = on_frame
+        self.held = False
+        self._buf = bytearray()
+        #: buffered bytes needed before the next frame can complete
+        self._need = _LEN.size
+
+    def feed(self, data: bytes) -> None:
+        buf = self._buf
+        if buf:
+            buf += data
+            if len(buf) < self._need or self.held:
+                return
+            data = bytes(buf)
+            buf.clear()
+        self._split(data)
+
+    def resume(self) -> None:
+        """Clear :attr:`held` and split what was buffered meanwhile."""
+        self.held = False
+        data = bytes(self._buf)
+        self._buf.clear()
+        self._split(data)
+
+    def _split(self, data: bytes) -> None:
+        pos, end = 0, len(data)
+        need = _LEN.size
+        while not self.held and end - pos >= _LEN.size:
+            (length,) = _LEN.unpack_from(data, pos)
+            if length > MAX_FRAME:
+                raise ValueError(f"frame too large: {length} bytes")
+            stop = pos + _LEN.size + length
+            if stop > end:
+                need = stop - pos
+                break
+            body = data[pos + _LEN.size : stop]
+            pos = stop
+            if body and body[0] == MAGIC_BATCH:
+                self.on_frame(split_batch(body), True)
+            else:
+                self.on_frame([body], False)
+        if pos < end:
+            self._buf += memoryview(data)[pos:]
+        self._need = need
 
 
 def decode_frames(body: bytes) -> List[Any]:

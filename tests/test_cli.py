@@ -126,6 +126,8 @@ class TestCommands:
         sc = json.loads(report.read_text())["criteria"]["SC"]
         assert sc["ok"] is False
         assert sc["reason"] and sc["stats"]
+        # the SC, PC and LIN searches count only the nodes they visit
+        assert row.split()[-1] == f"lin={sc['stats']['lin_nodes']}"
 
     def test_classify_survives_search_budget(self, tmp_path, capsys, monkeypatch):
         """A criterion whose search runs out of budget is inconclusive —

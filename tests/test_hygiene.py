@@ -9,7 +9,10 @@ count), ``examples/`` or ``benchmarks/``.  A name is also reached
   the benchmark's tracer, ``getattr(proxy, "set_extra_delay")``, the
   method string ``Invocation("top")`` an ADT constructor is named after);
 - through the criteria registry, when the function is decorated
-  ``@register("...")``.
+  ``@register("...")``;
+- by the standard library, when the method overrides one that a
+  standard-library base of its class defines (the event loop calls
+  ``data_received`` on an ``asyncio.Protocol``).
 
 Code that only tests use belongs in ``tests/`` (reference oracles and
 test tools live in ``tests/oracles.py``).  The scan matches names, so a
@@ -17,7 +20,9 @@ dead method that shares its name with a live symbol is missed.
 """
 
 import ast
+import importlib
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -43,10 +48,58 @@ def _python_files(*dirs):
         yield from sorted((ROOT / name).rglob("*.py"))
 
 
+def _imported_modules(tree):
+    """Local name -> dotted path of what a module imports at top level."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    names[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    names[top] = top
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
+
+
+def _dotted(expr):
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        head = _dotted(expr.value)
+        return f"{head}.{expr.attr}" if head else None
+    return None
+
+
+def _stdlib_inherited(tree, cls):
+    """Every attribute a class inherits from its standard-library bases
+    (``asyncio.Protocol``'s callbacks): the library calls an override."""
+    imported = _imported_modules(tree)
+    names = set()
+    for base in cls.bases:
+        dotted = _dotted(base)
+        if dotted is None:
+            continue
+        head, _, rest = dotted.partition(".")
+        path = ".".join(filter(None, [imported.get(head), rest]))
+        if path.split(".")[0] not in sys.stdlib_module_names:
+            continue
+        module, _, attr = path.rpartition(".")
+        base_cls = getattr(importlib.import_module(module), attr)
+        if isinstance(base_cls, type):  # not typing.NamedTuple, a function
+            for klass in base_cls.__mro__[:-1]:  # all but object
+                names.update(vars(klass))
+    return names
+
+
 def _definitions():
     """(file, line, qualified name, name, registered?) of every
     top-level function and class in src/ and every method of a
-    top-level class; dunder methods are called by the language."""
+    top-level class; dunder methods are called by the language, and
+    overrides of a standard-library base's methods by the library."""
     for path in _python_files("src"):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -56,12 +109,13 @@ def _definitions():
                 continue
             yield path, node.lineno, node.name, node.name, _registered(node)
             if isinstance(node, ast.ClassDef):
+                inherited = _stdlib_inherited(tree, node)
                 for sub in node.body:
                     if isinstance(
                         sub, (ast.FunctionDef, ast.AsyncFunctionDef)
                     ) and not (
                         sub.name.startswith("__") and sub.name.endswith("__")
-                    ):
+                    ) and sub.name not in inherited:
                         yield (
                             path, sub.lineno, f"{node.name}.{sub.name}",
                             sub.name, False,

@@ -32,30 +32,39 @@ import pytest
 from repro.runtime.broadcast import DIGEST_SPILL
 from repro.service import wire
 from repro.service.cluster import ClientSession, LiveCluster, client_call
-from repro.service.transport import AsyncioTransport
+from repro.service.transport import AsyncioTransport, _PeerConnection
 
 BASE_PORT = 7720
 ADDRS = {pid: ("127.0.0.1", BASE_PORT + pid) for pid in range(3)}
 
 
-class NullWriter:
-    """The part of a StreamWriter the inbound loop touches."""
+class FakeSocket:
+    """The part of an asyncio transport the inbound protocol touches."""
 
-    def get_extra_info(self, _name):
-        return None
+    def __init__(self):
+        self.closed = False
 
     def close(self):
-        pass
+        self.closed = True
 
 
-def serve(transport, stream: bytes) -> None:
-    """Run ``transport``'s inbound loop over an in-memory byte stream."""
+def serve(transport, stream: bytes, seed: int = 0) -> None:
+    """Feed ``stream`` to ``transport``'s inbound protocol after a hello,
+    cut into seeded random reads, as a socket would deliver it; reading
+    stops when the protocol closes the connection."""
+    rng = random.Random(seed)
+    data = wire.encode({"t": "hello", "src": 0}) + stream
 
     async def body():
-        reader = asyncio.StreamReader()
-        reader.feed_data(wire.encode({"t": "hello", "src": 0}) + stream)
-        reader.feed_eof()
-        await transport._serve_conn(reader, NullWriter())
+        conn = _PeerConnection(transport)
+        sock = FakeSocket()
+        conn.connection_made(sock)
+        at = 0
+        while at < len(data) and not sock.closed:
+            step = rng.randint(1, 600)
+            conn.data_received(data[at : at + step])
+            at += step
+        conn.connection_lost(None)
 
     asyncio.run(body())
 

@@ -251,6 +251,138 @@ class TestBatchContainer:
 
 
 # ----------------------------------------------------------------------
+# The incremental splitter every connection reads through
+# ----------------------------------------------------------------------
+def split_all(chunks):
+    """Frames a splitter hands on for ``chunks`` fed one by one, as
+    ``(decoded bodies, batched)``."""
+    got = []
+    splitter = wire.FrameSplitter(
+        lambda bodies, batched: got.append(
+            ([wire.decode(b) for b in bodies], batched)
+        )
+    )
+    for chunk in chunks:
+        splitter.feed(chunk)
+    return got
+
+
+class TestFrameSplitter:
+    FRAMES = [{"rid": i, "v": (i, -i, 300 * i)} for i in range(6)]
+
+    def stream(self):
+        bodies = [wire.encode_body(f, wire.CODEC_BINARY) for f in self.FRAMES]
+        return (
+            wire.frame(bodies[0])
+            + wire.encode_batch(bodies[1:4])
+            + wire.frame(wire.encode_body(self.FRAMES[4], wire.CODEC_JSON))
+            + wire.encode_batch(bodies[5:])
+        )
+
+    def expected(self):
+        f = self.FRAMES
+        return [([f[0]], False), (f[1:4], True), ([f[4]], False), ([f[5]], True)]
+
+    def test_any_cut_of_the_stream_splits_the_same(self):
+        stream = self.stream()
+        assert split_all([stream]) == self.expected()
+        for cut in range(len(stream) + 1):
+            assert split_all([stream[:cut], stream[cut:]]) == self.expected()
+        assert split_all([stream[i : i + 1] for i in range(len(stream))]) == (
+            self.expected()
+        )
+
+    def test_an_oversize_prefix_fails_before_its_body_arrives(self):
+        splitter = wire.FrameSplitter(lambda bodies, batched: None)
+        splitter.feed(b"\x01")  # a partial prefix is only buffered
+        with pytest.raises(ValueError):
+            splitter.feed((wire.MAX_FRAME + 1).to_bytes(4, "big")[1:])
+
+    def test_a_malformed_container_raises(self):
+        body = wire.encode_batch([b"\xb1\x00"])[4:]
+        with pytest.raises(ValueError):
+            split_all([wire.frame(body[:-1])])
+
+    def test_held_stops_after_the_frame_and_resume_goes_on(self):
+        got = []
+
+        def on_frame(bodies, batched):
+            got.append(wire.decode(bodies[0]))
+            splitter.held = True
+
+        splitter = wire.FrameSplitter(on_frame)
+        stream = self.stream()
+        splitter.feed(stream[:-3])
+        assert got == self.FRAMES[:1]
+        splitter.feed(stream[-3:])  # held: buffered, not split
+        assert got == self.FRAMES[:1]
+        for _ in range(3):
+            splitter.resume()
+        assert got == [self.FRAMES[i] for i in (0, 1, 4, 5)]
+
+
+# ----------------------------------------------------------------------
+# The bytes on the wire
+# ----------------------------------------------------------------------
+#: a packed message, request and reply, and generic TLV, byte for byte:
+#: encoders may get faster, the bytes may not move
+WIRE_BYTES = [
+    (
+        {
+            "t": "msg",
+            "src": 1,
+            "body": {
+                "id": (2, 300),
+                "origin": 2,
+                "payload": (1, -5, 70000, [3, 200, -129, (0,)], "v"),
+                "stamp": (4, 0, 301),
+            },
+        },
+        "b3000100020000012c000300000004000000000000012d0e05030103fb04000111"
+        "700c04030304000000c804ffffff7f0e010300080176",
+    ),
+    (
+        {
+            "t": "msg",
+            "src": 0,
+            "body": {
+                "id": (0, 7),
+                "origin": 0,
+                "payload": [0, 1, -1, 127, -128, 128],
+            },
+        },
+        "b30000000000000007ffff0c060300030103ff037f03800400000080",
+    ),
+    (
+        {"cmd": "put", "x": 1, "v": (5, -3, 1000), "rid": 9},
+        "b4010000000900010e03030503fd04000003e8",
+    ),
+    ({"cmd": "get", "x": 1, "rid": 10}, "b4020000000a0001"),
+    (
+        {"ok": True, "value": (7, [1, 2], 300), "rid": 9},
+        "b501000000090e0303070c0203010302040000012c",
+    ),
+    ({"ok": True, "rid": 11}, "b5000000000b"),
+    (
+        {
+            "t": "ctl",
+            "src": 2,
+            "body": {"kind": "hb", "frontier": [3, 0, 129], "spill": [(1, 4, 6)]},
+        },
+        "b110031200080363746c120103021202100312030802686212190c03030303000400"
+        "000081121a0c010e03030103040306",
+    ),
+]
+
+
+@pytest.mark.parametrize("frame, hexbytes", WIRE_BYTES)
+def test_the_binary_codec_bytes_are_pinned(frame, hexbytes):
+    body = wire.encode_body(frame, wire.CODEC_BINARY)
+    assert body.hex() == hexbytes
+    assert wire.decode(body) == frame
+
+
+# ----------------------------------------------------------------------
 # Packed broadcast-message frames (0xB3)
 # ----------------------------------------------------------------------
 SEQ_EDGES = (0, 1, 127, 128, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1)
