@@ -287,9 +287,6 @@ class History:
             return bool((self._past_masks[b] >> a) & 1)
         return self._row(b).start <= a < b
 
-    def concurrent(self, a: int, b: int) -> bool:
-        return a != b and not self.po_lt(a, b) and not self.po_lt(b, a)
-
     def ipred_mask(self, eid: int) -> int:
         """Immediate predecessors (Hasse diagram) of ``eid``."""
         if self._rows is not None:
@@ -391,15 +388,6 @@ class History:
                     return None
                 expected |= 1 << eid
         return chains
-
-    def eids(self, mask: int) -> List[int]:
-        """Decode a bitmask into a sorted list of event ids."""
-        out = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out.append(low.bit_length() - 1)
-        return out
 
     def label(self, eid: int) -> Operation:
         return self.events[eid].operation

@@ -27,7 +27,7 @@ events); the benchmark ``bench_checkers`` tracks how this scales.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.adt import AbstractDataType, State
 from ..core.operations import HIDDEN, Invocation
@@ -74,24 +74,6 @@ class LinearizationProblem:
         self.solve_cache = solve_cache
         self.cache_hit = False
         self.nodes_visited = 0
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        adt: AbstractDataType,
-        items: Sequence[LinItem],
-        precedes: Callable[[Any, Any], bool],
-    ) -> "LinearizationProblem":
-        """Build from a pairwise ``precedes(key_a, key_b)`` predicate."""
-        masks = []
-        for b_pos, b in enumerate(items):
-            mask = 0
-            for a_pos, a in enumerate(items):
-                if a_pos != b_pos and precedes(a.key, b.key):
-                    mask |= 1 << a_pos
-            masks.append(mask)
-        return cls(adt, items, masks)
 
     # ------------------------------------------------------------------
     def _pruned(self) -> Tuple["LinearizationProblem", List[int]]:

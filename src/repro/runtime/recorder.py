@@ -169,9 +169,6 @@ class HistoryRecorder:
         with and without subscribers."""
         self._subscribers.append(callback)
 
-    def unsubscribe(self, callback: Callable[[OpRecord], None]) -> None:
-        self._subscribers.remove(callback)
-
     def mark_quiescent(self) -> None:
         """All records added from now on are tagged stable (post-quiescence)."""
         if not self._quiescent:

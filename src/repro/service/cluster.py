@@ -248,17 +248,13 @@ class LiveCluster:
 async def client_call(
     addr: Address, request: Dict[str, Any], timeout: float = 5.0
 ) -> Dict[str, Any]:
-    """One request/response round trip on a fresh connection."""
-    host, port = addr
-    reader, writer = await asyncio.open_connection(host, port)
+    """One request/response round trip on a fresh JSON session."""
+    session = ClientSession(addr)
+    await session.connect()
     try:
-        request = dict(request)
-        request.setdefault("rid", 0)
-        wire.write_frame(writer, request)
-        await writer.drain()
-        return await asyncio.wait_for(wire.read_frame(reader), timeout)
+        return await session.call(request, timeout)
     finally:
-        writer.close()
+        await session.close()
 
 
 class ClientSession(asyncio.Protocol):
@@ -315,8 +311,8 @@ class ClientSession(asyncio.Protocol):
         #: the one deadline timer; armed no later than any pending deadline
         self._timer: Optional[asyncio.TimerHandle] = None
         self._dead = False
-        #: requests waiting for this loop pass's flush
-        self._sendq: List[Dict[str, Any]] = []
+        #: encoded request bodies waiting for this loop pass's flush
+        self._sendq: List[bytes] = []
         #: window slots free, and the calls waiting for one, in order
         self._free = window
         self._waiters: Deque[asyncio.Future] = deque()
@@ -411,20 +407,16 @@ class ClientSession(asyncio.Protocol):
     # -- requests ---------------------------------------------------------
     def _flush(self) -> None:
         """Write everything queued this loop pass: one frame, or batch
-        containers of up to ``BATCH_MAX`` requests."""
+        containers of up to ``BATCH_MAX`` requests, of the bodies their
+        calls encoded."""
         queue, self._sendq = self._sendq, []
         if self._dead:
             return
-        codec = self.codec
         if len(queue) == 1:
-            self._sock.write(wire.encode(queue[0], codec))
+            self._sock.write(wire.frame(queue[0]))
         else:
             for at in range(0, len(queue), self.BATCH_MAX):
-                bodies = [
-                    wire.encode_body(request, codec)
-                    for request in queue[at : at + self.BATCH_MAX]
-                ]
-                self._sock.write(wire.encode_batch(bodies))
+                self._sock.write(wire.encode_batch(queue[at : at + self.BATCH_MAX]))
 
     async def call(
         self, request: Dict[str, Any], timeout: float = 10.0
@@ -437,6 +429,9 @@ class ClientSession(asyncio.Protocol):
                 raise ConnectionError("session closed")
             request = dict(request)
             request["rid"] = rid
+            # encoded here, not in the flush: a request the codec refuses
+            # fails its own call, at once
+            body = wire.encode_body(request, self.codec)
             loop = self._loop
             fut = loop.create_future()
             deadline = loop.time() + timeout
@@ -445,11 +440,11 @@ class ClientSession(asyncio.Protocol):
             if timer is None or deadline < timer.when():
                 self._arm(deadline)
             if self.window == 1:
-                self._sock.write(wire.encode(request, self.codec))
+                self._sock.write(wire.frame(body))
             else:
                 if not self._sendq:
                     loop.call_soon(self._flush)
-                self._sendq.append(request)
+                self._sendq.append(body)
             return await fut
         finally:
             # a reply, a timeout and a dead session pop the entry

@@ -12,7 +12,10 @@ two things a process cannot get from the simulator's shared memory:
 **Membership.**  ``Transport.is_crashed`` is wired to the heartbeat
 view (:class:`~repro.service.view.ViewManager`), so helper selection
 skips peers that stopped answering — whether crashed or cut off by the
-fault proxy.
+fault proxy.  The view is housekeeping the algorithm only reads: a
+heartbeat is marked in the callback that read its frame, and the node's
+own heartbeat is a timer chain on the clock (sweep the view, multicast,
+re-arm), like the broadcast layer's timers — no task runs for either.
 
 **Digests.**  A write leaves its origin once per peer and is relayed by
 no one (``relay="direct"``, see :func:`build_algorithm`); the heartbeat
@@ -59,7 +62,7 @@ from ..runtime.recorder import HistoryRecorder
 from . import wire
 from .tap import MonitorTap, RecorderTap, RingTap
 from .transport import Address, AsyncioTransport, WallClock
-from .view import ViewManager
+from .view import HB_INTERVAL, ViewManager
 
 
 def build_algorithm(
@@ -98,9 +101,6 @@ def build_algorithm(
 class ServiceNode:
     """One node of a live cluster."""
 
-    #: heartbeat cadence / staleness horizon (seconds)
-    HB_INTERVAL = 0.25
-    HB_TIMEOUT = 1.2
     #: first supervised-resync verification check fires this long after
     #: the catch-up RPC (wall seconds; the simulator default of 6.0 is
     #: tuned to simulated delays, not loopback RTTs)
@@ -128,7 +128,6 @@ class ServiceNode:
         self.client_addr = client_addr
         self.algorithm_key = algorithm
         self.codec = codec
-        self.tap_mode = tap
         self.clock = WallClock(seed)
         self.transport = AsyncioTransport(
             my_pid,
@@ -149,13 +148,7 @@ class ServiceNode:
         self.entry, self.algorithm = build_algorithm(
             algorithm, self.clock, self.transport, algo_recorder, streams, k
         )
-        self.view = ViewManager(
-            my_pid,
-            self.n,
-            lambda: self.clock.now,
-            hb_interval=self.HB_INTERVAL,
-            hb_timeout=self.HB_TIMEOUT,
-        )
+        self.view = ViewManager(lambda: self.clock.now)
         self.transport.crash_oracle = self.view.is_down
         self.transport.control_handler = self._on_control
         #: the algorithm's broadcast service (state-based gossip has none)
@@ -176,7 +169,8 @@ class ServiceNode:
         self._server: Optional[asyncio.AbstractServer] = None
         #: open client connections, closed with the node
         self._clients: Set[_ClientConnection] = set()
-        self._hb_task: Optional[asyncio.Task] = None
+        #: the next heartbeat's timer
+        self._hb: Optional[asyncio.TimerHandle] = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -184,17 +178,18 @@ class ServiceNode:
     # ------------------------------------------------------------------
     def _on_control(self, src: int, body: Dict[str, Any]) -> None:
         if body.get("kind") == "hb":
-            asyncio.ensure_future(self.view.heartbeat(src))
+            self.view.heartbeat(src)
 
-    async def _heartbeat_loop(self) -> None:
-        while not self._closed:
-            await self.view.sweep()
-            if not self.transport.crashed_local:
-                body: Dict[str, Any] = {"kind": "hb"}
-                if self.broadcast is not None:
-                    body.update(self.broadcast.endpoints[self.my_pid].digest())
-                self.transport.multicast_control(body)
-            await asyncio.sleep(self.HB_INTERVAL)
+    def _heartbeat(self) -> None:
+        """Sweep the view, multicast this node's heartbeat (unless
+        crashed) and arm the next one."""
+        self.view.sweep()
+        if not self.transport.crashed_local:
+            body: Dict[str, Any] = {"kind": "hb"}
+            if self.broadcast is not None:
+                body.update(self.broadcast.endpoints[self.my_pid].digest())
+            self.transport.multicast_control(body)
+        self._hb = self.clock.schedule(HB_INTERVAL, self._heartbeat)
 
     # ------------------------------------------------------------------
     # Operator controls
@@ -365,6 +360,8 @@ class ServiceNode:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
+        """Open the peer and client ports, then arm the heartbeat chain
+        (its first beat on the loop's next pass)."""
         if self.tap is not None:
             self.tap.start()
         await self.transport.start()
@@ -374,12 +371,13 @@ class ServiceNode:
         )
         if self.entry.gossip:
             self.algorithm.start_gossip()
-        self._hb_task = asyncio.ensure_future(self._heartbeat_loop())
+        self._hb = self.clock.schedule(0.0, self._heartbeat)
 
     async def close(self) -> None:
+        """Cancel the next heartbeat, close the client connections and
+        their tasks, the transport, and apply what the tap still holds."""
         self._closed = True
-        if self._hb_task is not None:
-            self._hb_task.cancel()
+        self.clock.cancel(self._hb)
         if self._server is not None:
             self._server.close()
             tasks = []

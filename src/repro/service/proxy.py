@@ -68,7 +68,6 @@ class FaultProxy:
         self.blocked_from: Set[int] = set()
         #: held frames in arrival order: (src_pid, raw)
         self._held: List[Tuple[int, bytes]] = []
-        self._conn_tasks: List[asyncio.Task] = []
         #: open upstream writers by dialing peer pid (for flush)
         self._upstreams: Dict[int, asyncio.StreamWriter] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -168,17 +167,17 @@ class FaultProxy:
         up_writer: Optional[asyncio.StreamWriter] = None
         src = None
         try:
-            hello_raw = await wire.read_raw_frame(reader)
-            hello = wire.decode(hello_raw[4:])
+            hello_body = await wire.read_body(reader)
+            hello = wire.decode(hello_body)
             src = hello.get("src") if isinstance(hello, dict) else None
             host, port = self.upstream
             up_reader, up_writer = await asyncio.open_connection(host, port)
-            up_writer.write(hello_raw)  # hello is never lost or held
+            up_writer.write(wire.frame(hello_body))  # never lost or held
             await up_writer.drain()
             if src is not None:
                 self._upstreams[src] = up_writer
             while True:
-                raw = await wire.read_raw_frame(reader)
+                raw = wire.frame(await wire.read_body(reader))
                 if self._separated(src):
                     self.stats["held"] += 1
                     self._held.append((src, raw))

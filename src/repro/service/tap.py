@@ -44,7 +44,7 @@ from typing import Any, Callable, Deque, Optional, Tuple
 
 from ..core.operations import Invocation
 from ..runtime.monitors import RuntimeMonitor
-from ..runtime.recorder import HistoryRecorder, OpRecord
+from ..runtime.recorder import HistoryRecorder
 
 
 class RingTap:
@@ -122,32 +122,18 @@ class RingTap:
 class MonitorTap:
     """RuntimeMonitor facade that defers every hook through a RingTap.
 
-    Mutable arguments (the GC sweep's live frontier rows, vector
-    stamps) are snapshotted at enqueue time; immutable ones (pids,
-    message-id tuples, counts) pass through.
+    It only forwards: the broadcast layer calls the seven hooks, and
+    every read (verdicts, counters) goes to the sink, which the service
+    node holds as ``node.monitor`` and reads after a flush.  Mutable
+    arguments (the GC sweep's live frontier rows, vector stamps) are
+    snapshotted at enqueue time; immutable ones (pids, message-id
+    tuples, counts) pass through.
     """
 
     def __init__(self, tap: RingTap, sink: RuntimeMonitor) -> None:
         self._tap = tap
         self.sink = sink
 
-    # pass-through observability used by the service node
-    @property
-    def ok(self) -> bool:
-        return self.sink.ok
-
-    @property
-    def violations(self):
-        return self.sink.violations
-
-    @property
-    def dropped(self) -> int:
-        return self.sink.dropped
-
-    def stats(self) -> dict:
-        return self.sink.stats()
-
-    # deferred hooks
     def on_deliver(self, pid: int, mid: Any) -> None:
         self._tap.push(self.sink.on_deliver, pid, mid)
 
@@ -183,15 +169,14 @@ class RecorderTap:
     """HistoryRecorder facade whose ``record`` defers through a RingTap.
 
     The algorithms only ever call :meth:`record`, which returns nothing
-    here as on the sink; reads (the ``rows`` view, counts, history
-    assembly) go to the underlying sink's columns — callers flush the
-    tap first (the service node does, on every observability request).
+    here as on the sink.  Every read (rows, counts, history assembly)
+    goes to the sink, which the service node holds as ``node.recorder``
+    and reads after a flush.
     """
 
     def __init__(self, tap: RingTap, sink: HistoryRecorder) -> None:
         self._tap = tap
         self.sink = sink
-        self.n = sink.n
 
     def record(
         self,
@@ -205,23 +190,3 @@ class RecorderTap:
         # safe to defer without copying.  The sink packs them into its
         # columns at drain time.
         self._tap.push(self.sink.record, pid, invocation, output, start, end)
-
-    # delegated read/config surface
-    def subscribe(self, callback: Callable[[OpRecord], None]) -> None:
-        self.sink.subscribe(callback)
-
-    def unsubscribe(self, callback: Callable[[OpRecord], None]) -> None:
-        self.sink.unsubscribe(callback)
-
-    def mark_quiescent(self) -> None:
-        self._tap.push(self.sink.mark_quiescent)
-
-    @property
-    def rows(self):
-        return self.sink.rows
-
-    def count(self) -> int:
-        return self.sink.count()
-
-    def to_history(self):
-        return self.sink.to_history()

@@ -92,8 +92,8 @@ length prefix, one write for up to
 :func:`decode` dispatches on the first byte, so a receiver handles both
 codecs frame by frame with no negotiation state — which is what lets a
 mixed cluster (one JSON node among binary nodes) interoperate, and what
-keeps the :class:`~repro.service.proxy.FaultProxy`'s opaque
-``read_raw_frame`` forwarding codec-blind.  *Senders* declare their
+keeps the :class:`~repro.service.proxy.FaultProxy`'s opaque forwarding
+(:func:`read_body`, then :func:`frame`) codec-blind.  *Senders* declare their
 codec in the hello frame (which is always JSON so the oldest receiver
 can read it); a receiver that sees an unknown codec name simply relies
 on the per-frame dispatch.
@@ -855,44 +855,11 @@ def decode(body: bytes) -> Any:
 
 
 async def read_body(reader: asyncio.StreamReader) -> bytes:
-    """Read one frame's body (length prefix stripped, not decoded);
-    raises ``asyncio.IncompleteReadError`` on EOF."""
+    """Read one frame's body off a stream (length prefix stripped, not
+    decoded) — how the fault proxy reads the frames it forwards; raises
+    ``asyncio.IncompleteReadError`` on EOF."""
     prefix = await reader.readexactly(_LEN.size)
     (length,) = _LEN.unpack(prefix)
     if length > MAX_FRAME:
         raise ValueError(f"frame too large: {length} bytes")
     return await reader.readexactly(length)
-
-
-async def read_frame(reader: asyncio.StreamReader) -> Any:
-    """Read one frame; raises ``asyncio.IncompleteReadError`` on EOF.
-    Batch containers are not unfolded here — callers that can receive
-    them read bodies and use :func:`decode_frames` instead."""
-    return decode(await read_body(reader))
-
-
-def write_frame(
-    writer: asyncio.StreamWriter, obj: Any, codec: str = CODEC_JSON
-) -> None:
-    """Queue one frame on ``writer``.
-
-    The caller **must** bound the transport buffer: either ``await
-    writer.drain()`` on the same code path (every request/reply and
-    proxy-forwarding path does), or cap the buffer with
-    ``transport.set_write_buffer_limits`` and drain when exceeded — an
-    un-drained writer facing a slow reader grows without bound (the
-    regression test in ``tests/test_service_perf.py`` pins this).
-    """
-    writer.write(encode(obj, codec))
-
-
-async def read_raw_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one frame *without* decoding, returning the full wire bytes
-    (prefix included) — the fault proxy forwards frames opaquely (either
-    codec, batch containers included) and only decodes the ones it must
-    inspect."""
-    prefix = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(prefix)
-    if length > MAX_FRAME:
-        raise ValueError(f"frame too large: {length} bytes")
-    return prefix + await reader.readexactly(length)

@@ -14,6 +14,8 @@ and their ``ok`` replies into fixed headers.  Neither may be observable:
   in-flight call with ``ConnectionError`` at once (it used to strand them
   until their timeout), calls queued for a window slot included, and a
   dead session refuses new calls;
+* **refused requests** — a request the codec cannot encode fails its
+  own call at once, pipelined or not, and the session keeps serving;
 * **the boundary** — on a 3-node cluster the packed and the generic-TLV
   spelling of the same request get equal replies (a put, a get, an
   out-of-range stream, a missing value), a put still waits out
@@ -207,6 +209,30 @@ def test_a_call_after_the_server_hung_up_is_refused_at_once():
         assert session._pending == {} and timers() == []
 
     run_against(hangs_up, BASE_PORT + 5, scenario)
+
+
+def test_a_request_the_codec_refuses_fails_its_own_call_at_once():
+    """A pipelined call encodes its request before it queues it, so the
+    codec's refusal raises from that call — not from the loop-pass flush
+    into the loop's exception handler, which left the call to wait out
+    its whole timeout — and the session keeps serving."""
+
+    async def scenario(session):
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _loop, context: errors.append(context))
+        start = loop.time()
+        with pytest.raises(TypeError):
+            await session.call({"cmd": "put", "x": 0, "v": object()}, timeout=5.0)
+        assert loop.time() - start < 0.5
+        await asyncio.sleep(0.05)  # any flush the call scheduled has run
+        assert errors == [] and session._pending == {}
+        assert (await session.call({"cmd": "ping"}, timeout=1.0))["ok"]
+        assert errors == []
+
+    run_against(
+        acking, BASE_PORT + 6, scenario, codec=wire.CODEC_BINARY, window=4
+    )
 
 
 # ----------------------------------------------------------------------

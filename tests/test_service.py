@@ -38,6 +38,8 @@ from repro.service import (
 )
 from repro.service import wire
 from repro.service.cluster import ClientSession, client_call
+from repro.service.node import ServiceNode
+from repro.service.view import HB_INTERVAL, HB_TIMEOUT
 
 
 # ----------------------------------------------------------------------
@@ -158,21 +160,44 @@ def test_serve_reports_a_schedule_driver_that_died(tmp_path, capsys, monkeypatch
 # View manager
 # ----------------------------------------------------------------------
 def test_view_manager_times_out_silent_peers():
+    clock = {"t": 0.0}
+    view = ViewManager(lambda: clock["t"])
+    view.heartbeat(1)
+    view.heartbeat(2)
+    view.sweep()
+    assert not view.is_down(1) and not view.is_down(2)
+    clock["t"] = 0.8
+    view.heartbeat(2)
+    clock["t"] = 1.5  # pid 1 last seen at 0 -> stale; pid 2 fresh
+    view.sweep()
+    assert view.is_down(1) and not view.is_down(2)
+    view.heartbeat(1)  # rejoin
+    view.sweep()
+    assert not view.is_down(1)
+
+
+def test_a_heartbeat_brings_a_down_peer_up_before_on_control_returns():
+    """Membership is marked in the callback that read the heartbeat:
+    no task, no lock, nothing left for a later loop pass."""
+
     async def body():
-        clock = {"t": 0.0}
-        view = ViewManager(0, 3, lambda: clock["t"], hb_timeout=1.0)
-        await view.heartbeat(1)
-        await view.heartbeat(2)
-        await view.sweep()
-        assert not view.is_down(1) and not view.is_down(2)
-        clock["t"] = 0.8
-        await view.heartbeat(2)
-        clock["t"] = 1.5  # pid 1 last seen at 0 -> stale; pid 2 fresh
-        await view.sweep()
-        assert view.is_down(1) and not view.is_down(2)
-        await view.heartbeat(1)  # rejoin
-        await view.sweep()
-        assert not view.is_down(1)
+        layout = port_layout(3, BASE_PORT + 140)
+        node = ServiceNode(
+            0, layout["dial"], layout["client"][0], my_addr=layout["peer"][0]
+        )
+        try:
+            node.view.heartbeat(1)
+            # the clock jumps past the staleness horizon: peer 1 is down
+            node.clock.rebase(node.clock.loop.time() - 2 * HB_TIMEOUT)
+            node.view.sweep()
+            assert node.view.is_down(1) and node.transport.is_crashed(1)
+            before = asyncio.all_tasks()
+            node._on_control(1, {"kind": "hb"})
+            assert not node.view.is_down(1)
+            assert not node.transport.is_crashed(1)
+            assert asyncio.all_tasks() == before
+        finally:
+            await node.close()
 
     asyncio.run(body())
 
@@ -406,7 +431,7 @@ def test_heartbeat_digests_heal_wire_loss_without_a_repair_event():
                 await asyncio.sleep(0.05)
             took = cluster.now - healed
             assert all(s == (states[0][0], 0) for s in states), took
-            assert took < 8 * cluster.nodes[0].HB_INTERVAL, took
+            assert took < 8 * HB_INTERVAL, took
             assert await converged_windows(addrs, 2)
             docs = [node.status() for node in cluster.nodes]
             for doc in docs:
@@ -437,7 +462,7 @@ def test_a_fault_free_saturated_burst_repairs_nothing():
             )
             assert report.completed > 1000 and report.errors == 0, report
             # let every node's digest of the burst's end go round twice
-            await asyncio.sleep(3 * cluster.nodes[0].HB_INTERVAL)
+            await asyncio.sleep(3 * HB_INTERVAL)
             for node in cluster.nodes:
                 stats = node.broadcast.stats()
                 assert stats["repairs_sent"] == 0, (node.my_pid, stats)

@@ -1087,9 +1087,6 @@ class TestRecorderSubscription:
         ]
         # the columns build a fresh record on every read
         assert recorder.rows[0][0] is not recorder.rows[0][0]
-        recorder.unsubscribe(seen.append)
-        recorder.record(0, Invocation("r", (0,)), (0, 1), 2.0, 3.0)
-        assert len(seen) == 2
 
     def test_history_bit_identical_with_and_without_subscriber(self):
         """Property test over seeds: subscribing is a pure observation —
