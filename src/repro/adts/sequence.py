@@ -58,8 +58,5 @@ class EditSequence(AbstractDataType):
     def insert(self, pos: int, ch: Any) -> Operation:
         return Operation(Invocation("insert", (pos, ch)), BOTTOM)
 
-    def delete(self, pos: int) -> Operation:
-        return Operation(Invocation("delete", (pos,)), BOTTOM)
-
     def read(self, text: str) -> Operation:
         return Operation(Invocation("read"), text)

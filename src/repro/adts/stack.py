@@ -52,6 +52,3 @@ class Stack(AbstractDataType):
 
     def pop(self, value: Any = BOTTOM) -> Operation:
         return Operation(Invocation("pop"), value)
-
-    def top(self, value: Any = BOTTOM) -> Operation:
-        return Operation(Invocation("top"), value)

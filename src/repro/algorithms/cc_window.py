@@ -68,7 +68,7 @@ class CCWindowArray(ReplicatedObject):
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
-        relay: str = "flood",
+        relay: str = "direct",
     ) -> None:
         super().__init__(
             sim, network, recorder, {"relay": relay}, streams=streams, k=k

@@ -108,7 +108,7 @@ class CCvWindowArray(ReplicatedObject):
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
-        relay: str = "flood",
+        relay: str = "direct",
         paper_literal: bool = False,
     ) -> None:
         super().__init__(

@@ -75,7 +75,7 @@ class GenericCausal(ReplicatedObject):
         network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
-        relay: str = "flood",
+        relay: str = "direct",
     ) -> None:
         if adt is None:
             raise ValueError(f"{type(self).__name__} requires an ADT")

@@ -138,7 +138,7 @@ class GenericCCv(ReplicatedObject):
         network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
-        relay: str = "flood",
+        relay: str = "direct",
         **replica_config: Any,
     ) -> None:
         if adt is None:

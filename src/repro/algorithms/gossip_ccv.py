@@ -8,8 +8,10 @@ in Fig. 5, and replicas periodically push their whole state to a random
 peer instead of broadcasting operations.
 
 Because the state is a semilattice and gossip retries forever, the
-algorithm converges even over *lossy* links, where the op-based Fig. 5
-without flooding loses writes permanently — the trade-off measured in
+algorithm converges even over *lossy* links with no repair protocol,
+where the op-based Fig. 5 needs one: over the flood it loses a write
+every copy and relay of which was lost, and its direct sends converge
+only through heartbeat-digest repair — the trade-off measured in
 ``benchmarks/bench_gossip.py``.  The price is message size (the whole
 window array travels) and the loss of per-operation causality across
 streams during a partition of the gossip graph.

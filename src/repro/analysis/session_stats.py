@@ -83,12 +83,7 @@ def session_guarantee_rates(
     seed: int = 0,
     delay: DelaySpec = DelaySpec("per-link", (0.2, 40.0)),
 ) -> List[SessionReport]:
-    """Violation-run rates per algorithm per guarantee.
-
-    ``relay="direct"`` keeps channels reliable-direct (the paper's crash-free
-    model); flooding's redundant relays statistically mask the FIFO/LWW
-    anomalies by accidentally restoring causal delivery order.
-    """
+    """Violation-run rates per algorithm per guarantee."""
     scenario = Scenario(ScenarioSpec(
         name="session-guarantees",
         n=n,
@@ -98,10 +93,10 @@ def session_guarantee_rates(
     ))
     reports: List[SessionReport] = []
     for cls, extra in (
-        (GenericCausal, {"relay": "direct"}),
-        (GenericCCv, {"relay": "direct"}),
-        (PramReplication, {"relay": "direct"}),
-        (LwwReplication, {"clock_skew": 2.0, "relay": "direct"}),
+        (GenericCausal, {}),
+        (GenericCCv, {}),
+        (PramReplication, {}),
+        (LwwReplication, {"clock_skew": 2.0}),
     ):
         report = SessionReport(algorithm=cls.__name__, runs=runs)
         for r in range(runs):

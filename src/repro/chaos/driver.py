@@ -36,7 +36,7 @@ from .sentinels import plant, sentinel
 CHAOS_GC_INTERVAL = 16
 
 #: what a hunt runs unless told otherwise: one eventually consistent
-#: baseline and Fig. 5 over the flood and over the lazy relay
+#: baseline and Fig. 5 over direct sends and over the lazy relay
 CHAOS_ALGORITHMS = ("lww", "ccv-fig5", "ccv-lazy")
 
 #: seed mixing constants (any odd multipliers; fixed forever for replay)
@@ -56,6 +56,9 @@ class ChaosFailure:
     original_events: int
     minimized: List[FaultEvent]
     spec: ScenarioSpec
+    #: how the run's reliable broadcast spread messages (``None``: it
+    #: had none)
+    relay: Optional[str] = None
     path: Optional[str] = None
 
 
@@ -83,8 +86,11 @@ def run_chaos_trial(
     run_seed: int,
     inject: str = "none",
     check_criterion: bool = True,
+    relay: Optional[str] = None,
 ) -> CheckedRun:
-    """One monitored run of ``spec``, judged by :func:`check_run`.
+    """One monitored run of ``spec``, judged by :func:`check_run`, with
+    the row's reliable broadcast spreading by ``relay`` when one is
+    named (a replayed repro names the one it was found under).
 
     Failure kinds: every monitor violation kind (``double-apply``,
     ``fifo-order``, ``causal-order``, ``gc-frontier``, ``pruned-gap``,
@@ -96,6 +102,8 @@ def run_chaos_trial(
     ``criterion`` (the search refutes it), ``bad-pattern:<name>`` (the
     monitor does) and ``monitor-disagreement``."""
     entry = ALGORITHMS[algo_key]
+    if relay is not None:
+        entry = entry.with_relay(relay)
     planted = {"broadcast_cls": plant(entry.cls.broadcast_cls, inject)}
     return check_run(
         spec, entry, run_seed,
@@ -201,6 +209,7 @@ def run_chaos(
                 original_events=len(faults),
                 minimized=minimized,
                 spec=spec,
+                relay=getattr(outcome.result.algorithm.broadcast, "relay", None),
             )
             if save_dir:
                 failure.path = save_repro(failure, inject, save_dir)
@@ -220,6 +229,7 @@ def save_repro(failure: ChaosFailure, inject: str, save_dir: str) -> str:
         "kind": "chaos-repro",
         "version": 1,
         "algorithm": failure.algorithm,
+        "relay": failure.relay,
         "run_seed": failure.run_seed,
         "inject": inject,
         "failure_kinds": failure.kinds,
@@ -242,7 +252,9 @@ def replay_file(path: str) -> Tuple[CheckedRun, Dict[str, Any]]:
     test the corpus provides.  A document without its ``spec`` (or a
     spec without its ``name``), ``algorithm`` or ``run_seed``, or one
     naming an algorithm the registry lacks, raises ``ValueError`` naming
-    the file and the field."""
+    the file and the field.  A document without ``relay`` was found
+    before the reliable broadcast sent directly by default, and replays
+    a row that leaves its relay unset over the flood."""
     with open(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("kind") != "chaos-repro":
@@ -264,5 +276,6 @@ def replay_file(path: str) -> Tuple[CheckedRun, Dict[str, Any]]:
         algorithm,
         doc["run_seed"],
         doc.get("inject", "none"),
+        relay=doc.get("relay", ALGORITHMS[algorithm].relay or "flood"),
     )
     return outcome, doc

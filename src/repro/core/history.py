@@ -389,9 +389,6 @@ class History:
                 expected |= 1 << eid
         return chains
 
-    def label(self, eid: int) -> Operation:
-        return self.events[eid].operation
-
     def __repr__(self) -> str:
         rows: Dict[Optional[int], List[int]] = {}
         for event in self.events:

@@ -29,10 +29,10 @@ everything else from messages.  A :class:`ReliableEndpoint` at pᵢ::
               send ("resync-req", frontier, spill) to helper
     on ("resync-req", frontier, spill) from q:
               learn q's row; send q every m in log that row lacks
-    on digest (frontier, spill) from q:    # a live node's heartbeat
-              learn q's row; send q ("repair", m) for every m in log
-              that row lacks and this endpoint had seen when q's
-              previous digest came (one heartbeat of grace)
+    on digest (frontier, spill) from q:    # live; simulated: "direct"
+              learn q's row; resend q every m in log that row lacks
+              and this endpoint had seen when q's previous digest came
+              (one heartbeat of grace)
     on ("repair", m) from q: receive(m) from q
 
 ``accept`` is the ordering layer's delivery condition::
@@ -73,13 +73,17 @@ whatever its last digest said.  The simulator hosts all n processes on
 one ``Network``: every row is aliased and the control call is an
 in-line function call — the all-peers-hosted special case of the code a
 live node runs with one endpoint, heartbeat digests and control frames.
+Its heartbeat is the service's own timer chain
+(:meth:`ReliableBroadcast._beat`): every ``HB_INTERVAL`` each live
+process's digest reaches every live peer it is not separated from, and
+the repairs it draws are ordinary network copies (``Transport.repair``).
 
 **Two axes.**  *Delivery order* is the endpoint class an ``XBroadcast``
 service builds: ``Reliable`` (none), ``Fifo`` (the PRAM baseline's),
 ``Causal`` (Figs. 4 and 5's).  *Dissemination* is the service's
-``relay``, one of :data:`RELAYS`: ``"flood"`` (relay each message when
-first seen), ``"direct"`` (only the broadcaster sends; a live node's
-default, where heartbeat digests repair what the wire lost) or
+``relay``, one of :data:`RELAYS`: ``"direct"`` (the default on both
+planes: only the broadcaster sends, and heartbeat digests repair what
+the network lost), ``"flood"`` (relay each message when first seen) or
 ``"lazy"`` (push/lazy-push: the endpoint's
 :class:`~repro.runtime.lazy_push.LazyPush` part).
 ``TotalOrder`` stands apart: sequencer-based and *not* wait-free, which
@@ -90,6 +94,7 @@ independent of the network (Sec. 1, [3, 16]; experiment E6 measures it).
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .lazy_push import LazyPush, Mid
@@ -240,16 +245,17 @@ class PeerView:
 
 
 class ReliableEndpoint(Endpoint):
-    """Reliable broadcast, eager (flooding) by default.
+    """Reliable broadcast, direct by default.
 
-    A process relays each message the first time it sees it, so a
-    message delivered anywhere reaches every non-faulty process even if
-    the broadcaster crashes mid-broadcast.  ``relay="direct"`` sends
-    each message once per peer, from its origin (n-1 messages instead of
-    O(n^2)): best-effort where no digests flow, as on the simulated
-    plane, and reliable again where they do — a live node's heartbeat
-    digest has every peer that holds a message resend it
-    (:meth:`on_control`), the origin's crash mid-send included.
+    ``relay="direct"`` sends each message once per peer, from its origin
+    (n-1 messages instead of O(n^2)), and heartbeat digests make that
+    reliable: a peer's digest has every process that holds a message
+    the peer lacks resend it (:meth:`_repair`), the origin's crash
+    mid-send included — on a live node from the node's heartbeat
+    (:meth:`on_control`), on the simulated plane from the service's
+    (:meth:`ReliableBroadcast._beat`).  ``relay="flood"`` relays each
+    message the first time a process sees it, so a message delivered
+    anywhere reaches every non-faulty process with no digest at all.
     ``relay="lazy"``
     plugs a :class:`LazyPush` part in at two seams, the outbound relay
     and the transport sink (``adv``/``pull``/``pull-reply``/``pull-miss``
@@ -278,6 +284,9 @@ class ReliableEndpoint(Endpoint):
         # per remote peer, this endpoint's frontier and spill when that
         # peer's last digest came: what its next digest may get repaired
         self._grace: Dict[int, Tuple[List[int], Set[Mid]]] = {}
+        # the log by id, as far as :meth:`_retained` has read it
+        self._indexed: List[Any] = []
+        self._index: Dict[Mid, Any] = {}
         self.lazy: Optional[LazyPush] = None
         if service.relay == "lazy":
             self.lazy = service.lazy_cls(self)
@@ -436,22 +445,64 @@ class ReliableEndpoint(Endpoint):
         self._grace[q] = (list(self.frontier), set(self.spill))
         if frontier is None:
             return  # q's first digest: nothing was seen before one
-        seen = self.peers.seen
-        row = self.peers.rows[q]
-        if all(head <= got for head, got in zip(frontier, row)) and all(
-            seen(q, mid) for mid in spill
-        ):
-            return  # q holds all of it: the fault-free case, O(n)
+        retained = self._retained
         missing = [
-            m
-            for m in self.log
-            if not seen(q, m["id"])
-            and (m["id"][1] < frontier[m["id"][0]] or m["id"] in spill)
+            message
+            for message in map(retained, self._lacking(q, frontier, spill))
+            if message is not None
         ]
         self.service.repairs_sent += len(missing)
-        control = self.transport.control
+        repair = self.transport.repair
         for message in missing:
-            control(self.pid, q, {"kind": "repair", "body": message})
+            repair(self.pid, q, message)
+
+    def _lacking(self, q: int, frontier: List[int], spill: Set[Mid]) -> List[Mid]:
+        """The ids below ``frontier`` or in ``spill`` that peer ``q``'s
+        row and spill do not hold, origin by origin: O(n) when ``q``'s
+        row covers ``frontier`` and nothing is spilled, the fault-free
+        case."""
+        row, held = self.peers.rows[q], self.peers.spills[q]
+        lacking: List[Mid] = []
+        for origin, got in enumerate(row):
+            head = frontier[origin]
+            if got < head:
+                lacking.extend(
+                    mid
+                    for mid in zip(repeat(origin), range(got, head))
+                    if mid not in held
+                )
+        if spill:
+            lacking.extend(
+                sorted(mid for mid in spill - held if mid[1] >= row[mid[0]])
+            )
+        return lacking
+
+    def _holds_missing(self, q: int) -> bool:
+        """Does this endpoint's log hold a message peer ``q`` lacks?"""
+        retained = self._retained
+        return any(
+            retained(mid) is not None
+            for mid in self._lacking(q, self.frontier, self.spill)
+        )
+
+    def _retained(self, mid: Mid) -> Optional[Any]:
+        """The message ``mid`` if the log still holds it.  The index is
+        brought up to date here, not per note: the log only grows until
+        a sweep replaces it with a pruned copy."""
+        log = self.log
+        if log is not self._indexed:
+            self._indexed, self._index = log, {}
+        index = self._index
+        if len(index) < len(log):
+            for message in log[len(index) :]:  # ids in the log are distinct
+                index[message["id"]] = message
+        return index.get(mid)
+
+    def _relay_and_beat(self, message: Any) -> None:
+        """The outbound relay of a direct endpoint whose service hosts
+        every process: the multicast, and the service's heartbeat armed."""
+        self.transport.multicast(self.pid, message)
+        self.service.arm_heartbeat()
 
     # ------------------------------------------------------------------
     # Supervised resync: timeout + exponential backoff + helper failover
@@ -587,8 +638,14 @@ class ReliableBroadcast(BroadcastService):
     RESYNC_TIMEOUT = 6.0
     RESYNC_BACKOFF = 1.6
     RESYNC_MAX_ATTEMPTS = 8
+    #: heartbeat period of a direct service that hosts every process,
+    #: in simulated time units: 24 mean default delays, so a copy still
+    #: in flight (a slow link, a reorder burst) is seldom taken for a
+    #: lost one, and a beat's O(n^2) digest round stays rare next to
+    #: the traffic it covers
+    HB_INTERVAL = 24.0
 
-    def __init__(self, network: Transport, relay: str = "flood") -> None:
+    def __init__(self, network: Transport, relay: str = "direct") -> None:
         if relay not in RELAYS:
             raise ValueError(f"unknown relay {relay!r}; known: {', '.join(RELAYS)}")
         self.relay = relay  # read by the endpoints the base class builds
@@ -596,10 +653,43 @@ class ReliableBroadcast(BroadcastService):
         self._notes_since_gc = 0
         self.gc_runs = 0
         self.gc_pruned = 0
+        #: the next heartbeat's timer; ``None`` while the chain is off
+        self._hb: Any = None
+        beats = relay == "direct" and len(self.endpoints) == self.n
         for pid, endpoint in self.endpoints.items():
             endpoint.peers = PeerView(self.n, self.endpoints)
             network.attach_dedup(pid, endpoint.is_seen)
             network.attach_control(pid, endpoint.on_control)
+            if beats:
+                endpoint._relay = endpoint._relay_and_beat
+
+    def arm_heartbeat(self) -> None:
+        """Start the heartbeat chain unless it is running."""
+        if self._hb is None:
+            self._hb = self.network.schedule(self.HB_INTERVAL, self._beat)
+
+    def _beat(self) -> None:
+        """One heartbeat where this service hosts every process: each
+        live process's digest reaches every live peer it is not
+        separated from (either way), whose endpoint runs
+        :meth:`ReliableEndpoint._repair` on it — the rows are aliased,
+        so the digest is the row itself.  The chain re-arms only while
+        such a pair can still repair something, so a permanent
+        partition, a crash that never recovers and a gap no log holds
+        all let the simulator drain; the next broadcast re-arms it."""
+        self._hb = None
+        network = self.network
+        crashed, separated = network.is_crashed, network.separated
+        live = [pid for pid in self.endpoints if not crashed(pid)]
+        again = False
+        for pid in live:
+            endpoint = self.endpoints[pid]
+            for q in live:
+                if q != pid and not (separated(q, pid) or separated(pid, q)):
+                    endpoint._repair(q)
+                    again = again or endpoint._holds_missing(q)
+        if again:
+            self.arm_heartbeat()
 
     def sweep(self) -> None:
         """One stability sweep of every hosted endpoint."""

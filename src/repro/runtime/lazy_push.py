@@ -98,10 +98,6 @@ class LazyPush:
         self.adv_base = 0
         self.adv_cursor: Dict[int, int] = {q: 0 for q in self.lazy_peers}
         self.adv_timer: Optional[Any] = None
-        # the endpoint's retained log by id, built when a pull asks: the
-        # log only grows until a sweep replaces it with a pruned copy
-        self._indexed: List[Any] = []
-        self._index: Dict[Mid, Any] = {}
         self.pulls_sent = self.pull_replies = self.pull_misses = 0
         self.pulls_stranded = self.adv_sent = 0
 
@@ -183,16 +179,6 @@ class LazyPush:
             self.transport.cancel(entry[2])
         self.endpoint._first_seen(body)
 
-    def _retained(self, mid: Any) -> Optional[Any]:
-        """The body of ``mid`` if the endpoint's log still holds it."""
-        log = self.endpoint.log
-        if log is not self._indexed:
-            self._indexed, self._index = log, {}
-        index = self._index
-        for message in log[len(index) :]:  # ids in the log are distinct
-            index[message["id"]] = message
-        return index.get(mid)
-
     def _advertised(self, src: int, mid: Mid) -> None:
         if self.endpoint.is_seen(mid):
             return
@@ -258,7 +244,7 @@ class LazyPush:
         )
 
     def _pull_request(self, requester: int, mid: Any) -> None:
-        body = self._retained(mid)
+        body = self.endpoint._retained(mid)
         if body is not None:
             self.pull_replies += 1
             reply = {"kind": "pull-reply", "body": body}

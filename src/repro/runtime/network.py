@@ -75,10 +75,6 @@ class _Constant(DelayModel):
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         return self.delay
 
-    @property
-    def mean(self) -> float:
-        return self.delay
-
 
 @dataclass
 class _Uniform(DelayModel):
@@ -90,10 +86,6 @@ class _Uniform(DelayModel):
         # this is the hottest rng call in the simulator
         return self.low + (self.high - self.low) * rng.random()
 
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
-
 
 @dataclass
 class _Exponential(DelayModel):
@@ -102,10 +94,6 @@ class _Exponential(DelayModel):
 
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         return self.floor + rng.expovariate(1.0 / self.mean_delay)
-
-    @property
-    def mean(self) -> float:
-        return self.floor + self.mean_delay
 
 
 class _PerLink(DelayModel):
@@ -121,10 +109,6 @@ class _PerLink(DelayModel):
             base = rng.uniform(self.low, self.high)
             self._base[(src, dst)] = base
         return base * (1.0 + rng.uniform(-self.jitter, self.jitter))
-
-    @property
-    def mean(self) -> float:
-        return (self.low + self.high) / 2
 
 
 @dataclass
@@ -319,6 +303,12 @@ class Network(Transport):
         no ``stats`` entry, blind to partitions and crashes (what the
         sink *sends* in response goes through :meth:`send` as usual)."""
         return self._control[dst](src, body)
+
+    def repair(self, src: int, dst: int, message: Any) -> None:
+        """A repair is an ordinary copy of ``message``: drawn, delayed,
+        lost, held and elided like any other (and, unlike a ``repair``
+        control body, not counted by the receiver's ``repairs_received``)."""
+        self.send(src, dst, message)
 
     def crash(self, pid: int) -> None:
         """Crash-stop ``pid``: it stops sending and receiving immediately."""

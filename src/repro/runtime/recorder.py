@@ -54,10 +54,6 @@ class OpRecord:
     end: float
     stable: bool = False
 
-    @property
-    def latency(self) -> float:
-        return self.end - self.start
-
 
 class RecordRow(Sequence):
     """One process's recorded operations, kept as columns.

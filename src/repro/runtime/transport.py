@@ -2,7 +2,7 @@
 
 The runtime algorithms (``ReliableBroadcast``, ``CausalBroadcast``, the
 lazy-push variants, and every ``ReplicatedObject`` subclass) need exactly
-seven things from the layer below them:
+eight things from the layer below them:
 
 - which processes it **hosts** (``hosted``): the pids whose handlers it
   dispatches.  The broadcast layer builds one endpoint per hosted pid
@@ -12,13 +12,16 @@ seven things from the layer below them:
 - an out-of-band **control call** (``control``, into the sink given to
   ``attach_control``) for the layer's own requests — the resync
   request, which carries the requester's seen-digest to a helper, and,
-  live, the heartbeat digest and the ``repair`` frames it draws.  Not a
-  broadcast message: never deduplicated or relayed by the transport.  The
-  simulated plane makes it an immediate in-line call — no delay, no rng
-  draw, no ``NetworkStats`` entry, blind to partitions and crashes — and
-  returns the sink's result; what the sink *sends* in response (the
-  replayed messages) is what the fault model acts on.  The live plane
-  sends one control frame and returns ``None``;
+  live, the heartbeat digest.  Not a broadcast message: never
+  deduplicated or relayed by the transport.  The simulated plane makes
+  it an immediate in-line call — no delay, no rng draw, no
+  ``NetworkStats`` entry, blind to partitions and crashes — and returns
+  the sink's result; what the sink *sends* in response (the replayed
+  messages) is what the fault model acts on.  The live plane sends one
+  control frame and returns ``None``;
+- a **repair** send (``repair``) for a logged message a peer's digest
+  shows it lacks: live, a ``repair`` control frame; simulated, an
+  ordinary message copy, drawn, delayed, lossy and held by partitions;
 - a **clock** (``now``) and **deferred scheduling** (``schedule`` /
   ``cancel``) for timers — advertisement batching, pull retries, and the
   supervised resync timeouts;
@@ -121,6 +124,12 @@ class Transport:
         returns the sink's result when the call is in-line, else
         ``None`` (see the module docstring for the two semantics)."""
         raise NotImplementedError
+
+    def repair(self, src: int, dst: int, message: Any) -> None:
+        """Resend the logged broadcast ``message`` to ``dst``, whose
+        digest shows it lacks it: a ``repair`` control body, which
+        ``dst``'s sink receives as if ``src`` had relayed the message."""
+        self.control(src, dst, {"kind": "repair", "body": message})
 
     # -- clock and timers ----------------------------------------------
     @property

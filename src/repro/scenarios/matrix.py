@@ -18,7 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..adts.window_stream import WindowStreamArray
@@ -35,6 +35,7 @@ from ..algorithms import (
 from ..criteria.hierarchy import implied
 from ..criteria.streaming_monitor import monitor_for_adt
 from ..criteria.verdict import CHECK_BUDGET, decide
+from ..runtime.broadcast import ReliableBroadcast
 from ..util.tables import render_table
 from .registry import get_scenario, scenario_names
 from .scenario import RunResult, Scenario
@@ -64,6 +65,13 @@ class AlgorithmEntry:
     default: bool = True
     #: the reliable broadcast's ``relay`` (``None``: the host's default)
     relay: Optional[str] = None
+
+    def with_relay(self, relay: str) -> "AlgorithmEntry":
+        """This row with its reliable broadcast spreading by ``relay``;
+        a row over no reliable broadcast comes back as it is."""
+        if not issubclass(self.cls.broadcast_cls or object, ReliableBroadcast):
+            return self
+        return replace(self, relay=relay)
 
     def kwargs(self, streams: int, k: int) -> Dict[str, Any]:
         """Constructor kwargs of ``cls`` for an array of ``streams``
@@ -125,9 +133,11 @@ ALGORITHMS: Dict[str, AlgorithmEntry] = {
         AlgorithmEntry(
             "sc-sequencer", ScSequencer, "SC", "adt", needs_reliable=True
         ),
-        # the push/lazy-push relay (PR 8): ~n·log n messages per
-        # broadcast instead of n(n-1), but other delivery schedules, so
-        # outside the bit-identity default sweep; the n=32/64 tiers run these
+        # the push/lazy-push relay: ~n·log n bodies per
+        # broadcast, pushed along a log-degree overlay and pulled where
+        # an advertisement shows a gap — against n-1 direct sends plus
+        # heartbeat-digest repair for the default rows — kept outside
+        # the bit-identity default sweep; the n=32/64 tiers run these
         AlgorithmEntry(
             "lww-lazy", LwwReplication, "CONV", "adt", default=False,
             relay="lazy",
@@ -150,8 +160,8 @@ ALGORITHMS: Dict[str, AlgorithmEntry] = {
 #: ~0.5 s for ``gossip``, ~1.4 s for ``ccv-fig5`` and ~2.0 s for
 #: ``ccv-generic``.  Widening n8/n12 to every wait-free key waits on
 #: that CC side getting cheaper.  The n=32/64 tiers run the lazy-push
-#: family: the eager flood's n(n-1) fan-out drowns the simulation plane
-#: there.
+#: family, chosen while the default rows flooded (n(n-1) copies per
+#: broadcast); the default rows now send n-1 there too.
 SCALE_TIER_ALGORITHMS: Dict[str, Tuple[str, ...]] = {
     "scale-n8-hotkey": ("lww", "gossip"),
     "scale-n12-hotkey": ("lww", "gossip"),

@@ -18,7 +18,7 @@ own heartbeat is a timer chain on the clock (sweep the view, multicast,
 re-arm), like the broadcast layer's timers — no task runs for either.
 
 **Digests.**  A write leaves its origin once per peer and is relayed by
-no one (``relay="direct"``, see :func:`build_algorithm`); the heartbeat
+no one (``relay="direct"``, the reliable broadcast's default); the heartbeat
 is what makes that reliable.  Each heartbeat carries the endpoint's
 ``digest()`` — its contiguous seen-frontier row and its spill as
 bounded per-origin runs — and the transport hands every control frame
@@ -52,11 +52,10 @@ from __future__ import annotations
 
 import asyncio
 import math
-from dataclasses import replace
 from typing import Any, Dict, List, Optional, Set
 
 from ..core.operations import Invocation, output_to_json
-from ..runtime.broadcast import BroadcastService, ReliableBroadcast
+from ..runtime.broadcast import BroadcastService
 from ..runtime.monitors import RuntimeMonitor
 from ..runtime.recorder import HistoryRecorder
 from . import wire
@@ -77,9 +76,9 @@ def build_algorithm(
     the live counterpart of the matrix runner's construction.  The
     request handler replies synchronously, so an algorithm that is not
     wait-free is refused here rather than on its first operation.  A
-    row over a reliable broadcast that leaves ``relay`` unset sends each
-    message once per peer (``relay="direct"``): the node's heartbeat
-    digests repair what the wire loses, so nothing relays eagerly."""
+    row over a reliable broadcast that leaves ``relay`` unset gets the
+    broadcast's default, ``relay="direct"``: each message goes once per
+    peer and the node's heartbeat digests repair what the wire loses."""
     from ..scenarios.matrix import ALGORITHMS
 
     try:
@@ -92,9 +91,6 @@ def build_algorithm(
             f"algorithm {key!r} is not wait-free: a live node answers each "
             "client operation before it returns to the event loop"
         )
-    broadcast = entry.cls.broadcast_cls
-    if entry.relay is None and broadcast and issubclass(broadcast, ReliableBroadcast):
-        entry = replace(entry, relay="direct")
     return entry, entry.cls(clock, transport, recorder, **entry.kwargs(streams, k))
 
 

@@ -14,7 +14,7 @@ from repro.adts import (
     WindowStream,
     WindowStreamArray,
 )
-from repro.core import BOTTOM, accepts, inv
+from repro.core import BOTTOM, accepts, inv, op
 
 
 class TestWindowStream:
@@ -139,7 +139,7 @@ class TestQueues:
 class TestStack:
     def test_lifo(self):
         s = Stack()
-        word = [s.push(1), s.push(2), s.pop(2), s.top(1), s.pop(1), s.pop()]
+        word = [s.push(1), s.push(2), s.pop(2), op("top", returns=1), s.pop(1), s.pop()]
         assert accepts(s, word)
 
     def test_top_is_pure_query(self):

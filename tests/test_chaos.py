@@ -485,25 +485,38 @@ class TestSupervisedResync:
 
     def test_stranded_schedule_differential_at_scenario_level(self):
         """The chaos driver's differential predicate on a hand-written
-        lossy-recovery schedule: the one-shot run fails, the supervised
-        run of the identical schedule is clean."""
+        lossy-recovery schedule, over the flood: the one-shot run fails,
+        the supervised run of the identical schedule is clean.  Over
+        direct sends (the default) heartbeat-digest repair heals what
+        the one-shot catch-up lost, so the predicate blames nothing."""
         faults = [
             F.crash(1.0, 2),
             F.loss(3.3, 0.9),
             F.recover(3.5, 2),
             F.loss(5.0, 0.0),
         ]
+        # a differential hunt's spec: no repair sweeps
+        spec = make_spec("stranded", 4, 6, faults, repairs=False)
         # ccv-fig5, not lww: a last-writer-wins register papers over
         # missed *early* writes, window arrays expose them
+        oneshot, supervised = (
+            run_chaos_trial(
+                spec, "ccv-fig5", 5, inject, check_criterion=False, relay="flood"
+            )
+            for inject in ("oneshot-resync", "none")
+        )
+        assert oneshot.failed, (
+            "one-shot resync should strand under 90% catch-up loss "
+            "while supervised resync recovers"
+        )
+        assert "divergence" in oneshot.kinds
+        assert not supervised.failed
         outcome = trial_fails(
             faults, "ccv-fig5", run_seed=5, inject="oneshot-resync",
             n=4, ops=6, check_criterion=False,
         )
-        assert outcome.failed, (
-            "one-shot resync should strand under 90% catch-up loss "
-            "while supervised resync recovers"
-        )
-        assert "divergence" in outcome.kinds
+        assert not outcome.failed
+        assert outcome.result.algorithm.broadcast.repairs_sent > 0
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ class TestGossipConvergence:
 
     def test_converges_despite_heavy_loss(self):
         """The semilattice + retry structure tolerates a 40%-lossy
-        network, where op-based CCv without flooding loses writes."""
+        network with no repair protocol at all."""
         sim, net, obj = _setup(seed=2, loss=0.4)
         for pid in range(4):
             obj.invoke(pid, Invocation("w", (0, 20 + pid)))
@@ -56,19 +56,35 @@ class TestGossipConvergence:
         assert obj.converged()
         assert net.stats.lost > 0  # losses actually happened
 
-    def test_opbased_ccv_without_flooding_diverges_under_loss(self):
-        diverged = 0
+    @staticmethod
+    def _opbased_under_loss(**kwargs):
+        """Ten lossy runs of op-based CCv: how many end diverged, and
+        the repairs their digests drew."""
+        diverged = repairs = 0
         for seed in range(10):
             sim = Simulator(seed=seed)
             net = Network(sim, 3, delay=DelayModel.constant(1.0), loss_rate=0.5)
-            obj = CCvWindowArray(sim, net, None, streams=1, k=2, relay="direct")
+            obj = CCvWindowArray(sim, net, None, streams=1, k=2, **kwargs)
             for pid in range(3):
                 obj.invoke(pid, Invocation("w", (0, pid + 1)))
             sim.run()
             windows = {obj.window(pid, 0) for pid in range(3)}
             if len(windows) > 1:
                 diverged += 1
-        assert diverged > 0
+            repairs += obj.broadcast.repairs_sent
+        return diverged, repairs
+
+    def test_opbased_ccv_over_the_flood_diverges_under_loss(self):
+        """Relays are the flood's only redundancy: a write every copy
+        and relay of which was lost stays lost."""
+        diverged, repairs = self._opbased_under_loss(relay="flood")
+        assert diverged > 0 and repairs == 0
+
+    def test_opbased_ccv_over_direct_sends_converges_under_loss(self):
+        """Direct sends (the default) are repaired from heartbeat
+        digests until every live peer holds every write."""
+        diverged, repairs = self._opbased_under_loss()
+        assert diverged == 0 and repairs > 0
 
     def test_heals_after_partition(self):
         sim, net, obj = _setup(seed=3)

@@ -5,9 +5,13 @@ top-level class, must have a caller outside the tests: its name occurs in
 ``src/`` (an ``__init__`` re-export or an ``__all__`` entry does not
 count), ``examples/`` or ``benchmarks/``.  A name is also reached
 
-- by string, when a string literal equals it (``vars(cls)["invoke"]`` in
-  the benchmark's tracer, ``getattr(proxy, "set_extra_delay")``, the
-  method string ``Invocation("top")`` an ADT constructor is named after);
+- by string, where a string literal that equals it is an attribute name:
+  the name argument of ``getattr``/``hasattr``, the key of
+  ``vars(...)[...]`` (the benchmark's tracer), an argument of a function
+  that hands its parameter to ``getattr`` (``_each_proxy("set_extra_delay")``),
+  or the second field of a method table row ``(owner, "name", ...)``.  A
+  dict key, a JSON field or an operation name such as
+  ``Invocation("top")`` reaches nothing;
 - through the criteria registry, when the function is decorated
   ``@register("...")``;
 - by the standard library, when the method overrides one that a
@@ -57,6 +61,8 @@ KEPT = {
     "hierarchy_dot": "util/dot.py waits for its caller (see history_dot)",
     "ReliableBroadcast.seen_ids": "the broadcast layer's seen set as an "
     "observable; five test files compare replicas through it",
+    "TimeZones.present": "Fig. 2's present zone beside the five stored "
+    "ones; CRITERION_ZONES names it and the zone tests read it",
     "_StarvePulls._pull_request": "a planted bug: chaos/sentinels.plant "
     "mixes it into the lazy-push part class with type() at run time, a "
     "subclass no static scan sees",
@@ -214,7 +220,12 @@ class _Scan:
 
     def __init__(self):
         self.names = set()
+        #: string literals used as attribute names (see the module doc)
         self.strings = set()
+        #: (callee name, string literal argument) of every call, and the
+        #: functions that pass a parameter to ``getattr`` as the name
+        self._string_args = set()
+        self._forwarders = set()
         #: class name -> names read in that class's body
         self.class_reads = defaultdict(set)
         #: attribute name -> [(receiver expression, scope)]
@@ -240,6 +251,10 @@ class _Scan:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     self.functions[node.name].append(node)
                 self._statement(node, scope, None)
+        self.strings.update(
+            string for callee, string in self._string_args
+            if callee in self._forwarders
+        )
         self._family = {}
 
     # -- collecting -------------------------------------------------------
@@ -308,10 +323,44 @@ class _Scan:
                 self.sites[node.attr].append((node.value, scope))
             elif _on_self(node, owner) and id(node) not in self._handled:
                 self.members[owner[0]][node.attr].append(_UNKNOWN)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            self.strings.add(node.value)
+        elif isinstance(node, ast.Call):
+            self.strings.update(_attribute_name_args(node))
+            callee = _dotted(node.func)
+            if callee is not None:
+                self._string_args.update(
+                    (callee.rpartition(".")[2], arg.value)
+                    for arg in node.args
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                )
+        elif isinstance(node, ast.Subscript):
+            value, key = node.value, node.slice
+            if (
+                isinstance(value, ast.Call)
+                and _dotted(value.func) == "vars"
+                and isinstance(key, ast.Constant)
+                and isinstance(key.value, str)
+            ):
+                self.strings.add(key.value)
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            owner, name = node.elts[:2]
+            if (
+                _dotted(owner) is not None
+                and isinstance(name, ast.Constant)
+                and isinstance(name.value, str)
+            ):
+                self.strings.add(name.value)
 
     def _function(self, node, scope, owner, cls=None):
+        params = {arg.arg for arg in _all_args(node.args)}
+        if any(
+            isinstance(call, ast.Call)
+            and _dotted(call.func) == "getattr"
+            and len(call.args) >= 2
+            and isinstance(call.args[1], ast.Name)
+            and call.args[1].id in params
+            for call in ast.walk(node)
+        ):
+            self._forwarders.add(node.name)
         for part in (*node.decorator_list, node.args, node.returns):
             if part is not None:
                 self._statement(part, scope, owner)
@@ -506,6 +555,17 @@ class _Scan:
             ):
                 return True
         return False
+
+
+def _attribute_name_args(call):
+    """The string literal ``getattr``/``hasattr`` is given as a name."""
+    if (
+        _dotted(call.func) in ("getattr", "hasattr")
+        and len(call.args) >= 2
+        and isinstance(call.args[1], ast.Constant)
+        and isinstance(call.args[1].value, str)
+    ):
+        yield call.args[1].value
 
 
 def _all_args(args):

@@ -439,7 +439,10 @@ class TestEagerLazyEquivalence:
         spec = ScenarioSpec.from_dict(golden["spec"])
         seen, sent = {}, {}
         for algo in ("ccv-fig5", "ccv-lazy"):
+            # the ccv-fig5 goldens were recorded while it flooded
             entry = ALGORITHMS[algo]
+            if algo == "ccv-fig5":
+                entry = entry.with_relay("flood")
             result = Scenario(spec).run(
                 entry.cls, seed=golden["seed"],
                 **entry.kwargs(spec.streams, spec.k),

@@ -30,6 +30,7 @@ import struct
 
 from repro.service import wire
 from repro.service.cluster import ClientSession, LiveCluster, client_call
+from repro.service.view import HB_INTERVAL
 
 BASE_PORT = 7500
 HOST = "127.0.0.1"
@@ -260,15 +261,24 @@ def test_a_peer_backlog_pauses_client_intake_until_it_drains():
 
 
 def test_connections_cost_no_tasks():
+    """No task of the node's starts while clients connect, call and the
+    nodes beat: every task created in the window is counted as it is
+    created, so a short-lived one (a task per heartbeat) counts as much
+    as an idle one."""
+
     async def body():
-        def running():
-            return {task for task in asyncio.all_tasks() if not task.done()}
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def counting(loop, coro, **kwargs):
+            created.append(getattr(coro, "__qualname__", repr(coro)))
+            return asyncio.Task(coro, loop=loop, **kwargs)
 
         cluster = LiveCluster(3, base_port=BASE_PORT + 33, seed=8, proxied=False)
         await cluster.start()
         await asyncio.sleep(0.2)
-        before = running()
         sessions = []
+        loop.set_task_factory(counting)
         try:
             for i in range(8):
                 session = ClientSession(
@@ -278,13 +288,19 @@ def test_connections_cost_no_tasks():
                 )
                 await session.connect()
                 sessions.append(session)
+            # the event loop accepts each connection in a task of its own
+            assert len(created) == 8
+            assert all("_accept_connection" in name for name in created), created
+            created.clear()
             for session in sessions:
                 for _ in range(5):
                     reply = await session.call({"cmd": "put", "x": 1, "v": 3})
                     assert reply["ok"]
-            await asyncio.sleep(0.05)
-            assert not running() - before, running() - before
+            # every node sends and hears a few heartbeats in the window
+            await asyncio.sleep(3 * HB_INTERVAL)
+            assert created == []
         finally:
+            loop.set_task_factory(None)
             for session in sessions:
                 await session.close()
             await cluster.close()

@@ -51,7 +51,7 @@ class ListRecorder:
         return {eid for eid, stable in enumerate(eids) if stable}
 
     def latencies(self):
-        return [rec.latency for row in self.rows for rec in row]
+        return [rec.end - rec.start for row in self.rows for rec in row]
 
     def count(self):
         return sum(len(row) for row in self.rows)

@@ -206,16 +206,52 @@ for _row in RUNTIME_GOLDENS["histories"]:
         GOLDEN_FINGERPRINTS[(_spec.name, _row["algorithm"], _seed)] = _fingerprint
 
 
+#: the same cells under the reliable broadcast's default, direct sends
+#: with heartbeat-digest repair, for every row that leaves ``relay`` unset
+DIRECT_FINGERPRINTS = {
+    (scenario, algorithm, seed): fingerprint
+    for scenario, algorithm, seed, fingerprint in json.loads(
+        (pathlib.Path(__file__).parent / "goldens" / "runtime_direct.json").read_text()
+    )["fingerprints"]
+}
+
+
+def as_recorded(algorithm):
+    """The row the flood goldens were recorded under: a reliable
+    broadcast that leaves ``relay`` unset flooded then, so the flood is
+    named; every other row is its registry row."""
+    entry = ALGORITHMS[algorithm]
+    return entry if entry.relay else entry.with_relay("flood")
+
+
 class TestHistoryGoldens:
     @pytest.mark.parametrize(
         "scenario,algorithm,seed", sorted(GOLDEN_FINGERPRINTS)
     )
     def test_fingerprint_unchanged(self, scenario, algorithm, seed):
         spec = GOLDEN_SPECS.get(scenario) or get_scenario(scenario)
-        result = ALGORITHMS[algorithm].run(spec, seed)
+        result = as_recorded(algorithm).run(spec, seed)
         assert (
             result.fingerprint()
             == GOLDEN_FINGERPRINTS[(scenario, algorithm, seed)]
+        )
+
+    @pytest.mark.parametrize(
+        "scenario,algorithm,seed", sorted(DIRECT_FINGERPRINTS)
+    )
+    def test_direct_fingerprint_unchanged(self, scenario, algorithm, seed):
+        spec = GOLDEN_SPECS.get(scenario) or get_scenario(scenario)
+        result = ALGORITHMS[algorithm].run(spec, seed)
+        assert (
+            result.fingerprint()
+            == DIRECT_FINGERPRINTS[(scenario, algorithm, seed)]
+        )
+
+    def test_every_flooded_cell_has_a_direct_row(self):
+        assert sorted(DIRECT_FINGERPRINTS) == sorted(
+            key
+            for key in GOLDEN_FINGERPRINTS
+            if as_recorded(key[1]) is not ALGORITHMS[key[1]]
         )
 
     def test_explore_verdicts_unchanged(self):

@@ -466,13 +466,33 @@ class TestNetworkConservation:
     @pytest.mark.parametrize("profile", ["lossdup", "reorder", "partition", "crash"])
     def test_sim_faults_profiles_account_for_every_copy(self, profile):
         spec = sim_faults_specs()[profile]
-        result = Scenario(spec).run(CCvWindowArray, seed=1, streams=4, k=2)
+        result = Scenario(spec).run(
+            CCvWindowArray, seed=1, streams=4, k=2, relay="flood"
+        )
         assert result.monitor.ok and result.blocked == 0
         assert_every_copy_accounted_for(result)
         # the eager flood: most copies reach a process that already has
         # the message by the time they are sent
         s = result.network_stats
         assert s.elided > 0.3 * s.sent
+
+    @pytest.mark.parametrize("profile", ["lossdup", "reorder", "partition", "crash"])
+    def test_direct_sends_and_their_repairs_account_for_every_copy(self, profile):
+        spec = sim_faults_specs()[profile]
+        result = Scenario(spec).run(CCvWindowArray, seed=1, streams=4, k=2)
+        assert result.monitor.ok and result.blocked == 0
+        assert_every_copy_accounted_for(result)
+        # a repair is an ordinary copy, counted like any other; loss and
+        # a reorder burst longer than a heartbeat draw repairs, and a
+        # partition only holds copies, so each broadcast is sent once
+        # per peer there
+        service = result.algorithm.broadcast
+        assert (service.repairs_sent > 0) == (profile in ("lossdup", "reorder"))
+        if profile == "partition":
+            broadcasts = sum(
+                endpoint.frontier[pid] for pid, endpoint in service.endpoints.items()
+            )
+            assert result.network_stats.sent == broadcasts * (spec.n - 1)
 
     @pytest.mark.parametrize("key", sorted(ALGORITHMS))
     def test_only_a_broadcast_that_offers_a_predicate_elides(self, key):
@@ -500,13 +520,16 @@ class TestNetworkConservation:
     def test_the_matrix_cell_reports_elided_copies(self):
         report = run_matrix(
             scenarios=["partition-during-writes"],
-            algorithms=["ccv-fig5", "sc-sequencer"],
+            algorithms=["ccv-lazy", "ccv-fig5", "sc-sequencer"],
             seeds=1,
             jobs=1,
             fast=True,
         )
         elided = {c.algorithm: c.network["elided"] for c in report.cells}
-        assert elided["ccv-fig5"] > 0 and elided["sc-sequencer"] == 0
+        # the lazy relay forwards, so some copies find their id held;
+        # direct sends reach each peer once, and no fault here drops one
+        assert elided["ccv-lazy"] > 0
+        assert elided["ccv-fig5"] == 0 and elided["sc-sequencer"] == 0
 
 
 class TestMatrixRunner:

@@ -274,7 +274,10 @@ def grown_hot_key(ops_per_process, monitor_cls=StreamingMonitor):
         spec, workload=replace(spec.workload, ops_per_process=ops_per_process)
     )
     monitor = monitor_cls(spec.n, streams=spec.streams, k=spec.k, criteria=CCV_SIDE)
-    ALGORITHMS["ccv-fig5"].run(spec, 0, subscriber=monitor.subscriber())
+    # the flood the hot-key goldens were recorded under, named
+    ALGORITHMS["ccv-fig5"].with_relay("flood").run(
+        spec, 0, subscriber=monitor.subscriber()
+    )
     return monitor.finalize(), monitor
 
 
