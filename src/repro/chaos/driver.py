@@ -36,8 +36,8 @@ from .sentinels import plant, sentinel
 CHAOS_GC_INTERVAL = 16
 
 #: what a hunt runs unless told otherwise: one eventually consistent
-#: baseline and Fig. 5 over direct sends and over the lazy relay
-CHAOS_ALGORITHMS = ("lww", "ccv-fig5", "ccv-lazy")
+#: baseline and Fig. 5
+CHAOS_ALGORITHMS = ("lww", "ccv-fig5")
 
 #: seed mixing constants (any odd multipliers; fixed forever for replay)
 _TRIAL_SALT = 1_000_003
@@ -94,9 +94,9 @@ def run_chaos_trial(
 
     Failure kinds: every monitor violation kind (``double-apply``,
     ``fifo-order``, ``causal-order``, ``gc-frontier``, ``pruned-gap``,
-    ``resync-stranded``, ``pull-stranded``); ``divergence`` (live
-    replicas disagree after the final heal) where the advertised
-    criterion promises convergence — CONV, CCv and SC, never CC or PC
+    ``resync-stranded``); ``divergence`` (live replicas disagree after
+    the final heal) where the advertised criterion promises
+    convergence — CONV, CCv and SC, never CC or PC
     (Fig. 1); with ``check_criterion``, what :func:`decide` reports on
     the advertised criterion, the streaming monitor fed live:
     ``criterion`` (the search refutes it), ``bad-pattern:<name>`` (the
@@ -254,7 +254,7 @@ def replay_file(path: str) -> Tuple[CheckedRun, Dict[str, Any]]:
     naming an algorithm the registry lacks, raises ``ValueError`` naming
     the file and the field.  A document without ``relay`` was found
     before the reliable broadcast sent directly by default, and replays
-    a row that leaves its relay unset over the flood."""
+    over the flood."""
     with open(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("kind") != "chaos-repro":
@@ -276,6 +276,6 @@ def replay_file(path: str) -> Tuple[CheckedRun, Dict[str, Any]]:
         algorithm,
         doc["run_seed"],
         doc.get("inject", "none"),
-        relay=doc.get("relay", ALGORITHMS[algorithm].relay or "flood"),
+        relay=doc.get("relay", "flood"),
     )
     return outcome, doc

@@ -1,24 +1,21 @@
 """Sentinel bugs: known defects planted for the chaos hunt to find.
 
 Each is a mixin overriding one method of the broadcast service or of
-the part class its row names (``endpoint_cls`` or ``lazy_cls``), which
-:func:`plant` subclasses with it, so :mod:`repro.runtime` carries no
-switch for any; :data:`SENTINELS` is the ``--inject`` vocabulary:
+its endpoint class (``endpoint_cls``), which :func:`plant` subclasses
+with it, so :mod:`repro.runtime` carries no switch for any;
+:data:`SENTINELS` is the ``--inject`` vocabulary:
 
 ``gc-frontier``
     the peer view counts each crashed replica one message ahead, so the
     stability sweep prunes what a downed replica has not seen (caught
     by the ``gc-frontier``/``pruned-gap`` monitors);
 ``oneshot-resync``
-    supervised resync degrades to the one-shot catch-up it replaced;
-``pull-starve``
-    lazy-push holders drop pull requests, stranding the bodies the push
-    overlay missed (``pull-stranded`` or divergence); inert on a flood.
+    supervised resync degrades to the one-shot catch-up it replaced.
 
-The last two are *differential*: a trial fails only if the clean run of
-the same schedule passes — a schedule no strategy could survive is not
-the sentinel's fault — and runs without repair sweeps, which would mask
-the stranding being hunted.
+The last is *differential*: a trial fails only if the clean run of the
+same schedule passes — a schedule no strategy could survive is not the
+sentinel's fault — and runs without repair sweeps, which would mask the
+stranding being hunted.
 """
 
 from typing import Any, Dict, List, NamedTuple, Optional
@@ -48,22 +45,15 @@ class _OneShotResync:
         self.resync()
 
 
-class _StarvePulls:
-    def _pull_request(self, requester: int, mid: Any) -> None:
-        pass  # dropped on the floor
-
-
 class Sentinel(NamedTuple):
     service_mixin: Optional[type]
-    part: Optional[str]  # the service attribute naming the part class it bugs
-    part_mixin: Optional[type]
+    endpoint_mixin: Optional[type]
     differential: bool
 
 
 SENTINELS: Dict[str, Sentinel] = {
-    "gc-frontier": Sentinel(_GcFrontier, None, None, False),
-    "oneshot-resync": Sentinel(None, "endpoint_cls", _OneShotResync, True),
-    "pull-starve": Sentinel(None, "lazy_cls", _StarvePulls, True),
+    "gc-frontier": Sentinel(_GcFrontier, None, False),
+    "oneshot-resync": Sentinel(None, _OneShotResync, True),
 }
 
 #: the ``--inject`` vocabulary: ``none`` plants nothing
@@ -87,8 +77,8 @@ def plant(service_cls: Any, inject: str) -> Any:
     if row is None or not issubclass(service_cls or object, ReliableBroadcast):
         return service_cls
     attrs = {}
-    if row.part is not None:
-        base = getattr(service_cls, row.part)
-        attrs[row.part] = type(base.__name__, (row.part_mixin, base), {})
+    if row.endpoint_mixin is not None:
+        base = service_cls.endpoint_cls
+        attrs["endpoint_cls"] = type(base.__name__, (row.endpoint_mixin, base), {})
     mixins = (row.service_mixin,) if row.service_mixin else ()
     return type(service_cls.__name__, (*mixins, service_cls), attrs)

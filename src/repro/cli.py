@@ -443,9 +443,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         }
     print(render_table(["criterion", "holds", "reason", "work"], rows))
     # histories exported with per-run network accounting (an explore
-    # --json cell has a "network" block: sent/delivered/elided
-    # /suppressed_relays/pulled, where delivered counts first arrivals and
-    # elided the copies skipped or folded into them) surface it here,
+    # --json cell has a "network" block: sent/delivered/elided, where
+    # delivered counts first arrivals and elided the copies skipped or
+    # folded into them) surface it here,
     # msgs/op included; a bare history carries no traffic, so classify
     # stays a pure history tool otherwise
     network = spec.get("network")

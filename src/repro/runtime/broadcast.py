@@ -18,11 +18,11 @@ everything else from messages.  A :class:`ReliableEndpoint` at pᵢ::
         accept(m); relay(m)                # local delivery comes first
     receive(m) from q:
         if seq(m) < frontier[origin(m)] or id(m) in spill: drop
-        note(m); unless relay="direct": relay(m); accept(m)
+        note(m); if flooding: relay(m); accept(m)
     note(m):  if seq(m) = frontier[origin(m)]: advance that frontier past
               m and the spilled ids after it, else add id(m) to spill;
               append m to log; every GC_INTERVAL notes: sweep
-    relay(m): send m to every peer ("lazy": LazyPush's relay and receive)
+    relay(m): send m to every peer
     sweep:    s <- per origin, the minimum of the peer view's rows;
               if s moved: drop every m with seq(m) < s[origin(m)] from log
     resync(helper = the lowest live peer), once recovered:
@@ -83,9 +83,7 @@ service builds: ``Reliable`` (none), ``Fifo`` (the PRAM baseline's),
 ``Causal`` (Figs. 4 and 5's).  *Dissemination* is the service's
 ``relay``, one of :data:`RELAYS`: ``"direct"`` (the default on both
 planes: only the broadcaster sends, and heartbeat digests repair what
-the network lost), ``"flood"`` (relay each message when first seen) or
-``"lazy"`` (push/lazy-push: the endpoint's
-:class:`~repro.runtime.lazy_push.LazyPush` part).
+the network lost) or ``"flood"`` (relay each message when first seen).
 ``TotalOrder`` stands apart: sequencer-based and *not* wait-free, which
 is exactly why sequentially consistent objects cannot have latency
 independent of the network (Sec. 1, [3, 16]; experiment E6 measures it).
@@ -97,13 +95,13 @@ from heapq import heappop, heappush
 from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .lazy_push import LazyPush, Mid
 from .transport import Transport
 
 Handler = Callable[[int, Any], None]  # (origin pid, payload)
+Mid = Tuple[int, int]  # (origin pid, origin's sequence number)
 
 #: how a reliable broadcast spreads a message (see the module docstring)
-RELAYS = ("flood", "direct", "lazy")
+RELAYS = ("flood", "direct")
 
 #: most spilled ids a digest lists: a peer reading a cut digest takes
 #: the ids past the cut as missing, so the cut costs repeated sends at
@@ -256,10 +254,6 @@ class ReliableEndpoint(Endpoint):
     (:meth:`ReliableBroadcast._beat`).  ``relay="flood"`` relays each
     message the first time a process sees it, so a message delivered
     anywhere reaches every non-faulty process with no digest at all.
-    ``relay="lazy"``
-    plugs a :class:`LazyPush` part in at two seams, the outbound relay
-    and the transport sink (``adv``/``pull``/``pull-reply``/``pull-miss``
-    beside the bodies); it answers pulls from this endpoint's ``log``.
 
     Memory stays bounded on long runs through causal-stability GC
     (:meth:`sweep`), and a crash-recovered process catches up by
@@ -279,19 +273,14 @@ class ReliableEndpoint(Endpoint):
         self.peers: PeerView  # built once every hosted endpoint exists
         # a re-crash + re-recover orphans the old supervision chain
         self._resync_epoch = 0
-        # relay a message seen from a peer onward (flood and lazy)
-        self.forwards = service.relay != "direct"
+        # relay a message seen from a peer onward
+        self.forwards = service.relay == "flood"
         # per remote peer, this endpoint's frontier and spill when that
         # peer's last digest came: what its next digest may get repaired
         self._grace: Dict[int, Tuple[List[int], Set[Mid]]] = {}
         # the log by id, as far as :meth:`_retained` has read it
         self._indexed: List[Any] = []
         self._index: Dict[Mid, Any] = {}
-        self.lazy: Optional[LazyPush] = None
-        if service.relay == "lazy":
-            self.lazy = service.lazy_cls(self)
-            self._relay = self.lazy.relay
-            self.receive = self.lazy.receive
 
     # ------------------------------------------------------------------
     # Dedup bookkeeping
@@ -375,9 +364,6 @@ class ReliableEndpoint(Endpoint):
         # inlined is_seen (hot path) — keep in sync with that helper
         if mid[1] < self.frontier[mid[0]] or mid in self.spill:
             return
-        self._first_seen(message)
-
-    def _first_seen(self, message: Any) -> None:
         self._note_seen(message)
         if self.forwards:
             self._relay(message)
@@ -626,8 +612,6 @@ class ReliableBroadcast(BroadcastService):
 
     name = "reliable"
     endpoint_cls = ReliableEndpoint
-    #: the part a ``relay="lazy"`` endpoint holds
-    lazy_cls = LazyPush
 
     #: first-seen notes (across the hosted endpoints) between sweeps
     GC_INTERVAL = 1024

@@ -15,8 +15,8 @@ supposed to maintain:
     the length of that prefix, and one set of the ``(receiver, origin,
     k)`` delivered above it — the same information as one set entry per
     delivery ever made, in O(n² + ids out of order) instead of O(run
-    length).  A causal layer never leaves the prefix, the reliable,
-    lazy and total-order layers do for as long as a message is in
+    length).  A causal layer never leaves the prefix, the reliable
+    and total-order layers do for as long as a message is in
     flight, and an entry that stays names a receiver missing a message
     for good (``stats()["out_of_order"]``).  A check is two list
     indexings.  Nothing is read from the endpoint under observation:
@@ -46,10 +46,10 @@ supposed to maintain:
     would be unrepairable;
 ``resync-stranded``
     supervised resync exhausted its attempts with the target still
-    missing messages;
-``pull-stranded``
-    a lazy-push receiver exhausted its pull attempts with an advertised
-    body still missing.
+    missing messages.
+
+(``pull-stranded``, :meth:`RuntimeMonitor.on_pull_stranded`, is the
+kind a pull-based relay would raise; no broadcast layer here pulls.)
 
 Monitors deliberately do **not** touch the rng and do not schedule
 events, so a run with monitors attached delivers a bit-identical
@@ -275,9 +275,10 @@ class RuntimeMonitor:
         )
 
     def on_pull_stranded(self, pid: int, mid: Any, attempts: int) -> None:
-        """A lazy-push receiver exhausted its pull attempts with the
-        advertised body still missing (mirror of ``resync-stranded`` for
-        the pull path)."""
+        """A pull-based receiver exhausted its pull attempts with an
+        advertised body still missing (mirror of ``resync-stranded``).
+        No broadcast layer pulls any more; the benchmark's tracer still
+        wraps this hook by name."""
         self._flag(
             "pull-stranded",
             pid,

@@ -132,11 +132,6 @@ class NetworkStats:
     #: dropped_to_crashed + elided``
     elided: int = 0
     total_delay: float = 0.0
-    #: relays an eager flood would have sent but a lazy-push broadcast
-    #: replaced with (batched) id advertisements
-    suppressed_relays: int = 0
-    #: pull requests issued by lazy-push receivers for missing bodies
-    pulled: int = 0
     #: payload bytes handed to the wire; only the live transport counts
     #: them (the simulated network has no wire format and leaves it 0)
     payload_bytes: int = 0
@@ -179,8 +174,8 @@ class Network(Transport):
     drain still advances to the latest elided arrival, which keeps every
     recorded history, ``RunResult.duration`` and the quiescence reads'
     times exactly as if the copy had been delivered.  Payloads without an
-    id (the lazy relay's ``adv``/``pull`` messages, total order, gossip)
-    and destinations that offered no predicate are scheduled as always.
+    id (total order, gossip) and destinations that offered no predicate
+    are scheduled as always.
 
     Arrival-time folding: per destination that offered a predicate, the
     network tracks the earliest copy of each id in flight.  A copy that
@@ -341,13 +336,6 @@ class Network(Transport):
 
     def schedule(self, delay: float, cb: Callable, *args: Any) -> Any:
         return self.sim.schedule(delay, cb, *args)
-
-    def cancel(self, handle: Any) -> None:
-        self.sim.cancel(handle)
-
-    @property
-    def seed(self) -> int:
-        return getattr(self.sim, "seed", 0)
 
     def separated(self, src: int, dst: int) -> bool:
         return self._separated(src, dst)

@@ -30,10 +30,6 @@ class Simulator:
     """A seeded discrete-event scheduler."""
 
     def __init__(self, seed: int = 0) -> None:
-        #: the run's seed, kept so seeded-but-deterministic structure
-        #: (e.g. the lazy broadcast's per-seed relay subsets) can be
-        #: derived without consuming rng draws
-        self.seed = seed
         self.rng = random.Random(seed)
         self.now: float = 0.0
         self._heap: List[Tuple[float, int]] = []

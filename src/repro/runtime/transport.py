@@ -1,8 +1,8 @@
 """The transport interface the broadcast/replication stack is written to.
 
-The runtime algorithms (``ReliableBroadcast``, ``CausalBroadcast``, the
-lazy-push variants, and every ``ReplicatedObject`` subclass) need exactly
-eight things from the layer below them:
+The runtime algorithms (``ReliableBroadcast``, ``CausalBroadcast`` and
+every ``ReplicatedObject`` subclass) need exactly seven things from the
+layer below them:
 
 - which processes it **hosts** (``hosted``): the pids whose handlers it
   dispatches.  The broadcast layer builds one endpoint per hosted pid
@@ -22,13 +22,11 @@ eight things from the layer below them:
 - a **repair** send (``repair``) for a logged message a peer's digest
   shows it lacks: live, a ``repair`` control frame; simulated, an
   ordinary message copy, drawn, delayed, lossy and held by partitions;
-- a **clock** (``now``) and **deferred scheduling** (``schedule`` /
-  ``cancel``) for timers — advertisement batching, pull retries, and the
-  supervised resync timeouts;
+- a **clock** (``now``) and **deferred scheduling** (``schedule``) for
+  timers — the supervised resync timeouts and the simulated heartbeat;
 - **membership** queries (``is_crashed``) so helpers skip dead peers;
 - **reachability** queries (``separated``) so resync picks helpers it can
-  actually talk to;
-- a **seed** for deterministic tie-breaking (helper rotation, adv jitter).
+  actually talk to.
 
 :class:`Transport` names that contract.  The simulated stack
 (:class:`repro.runtime.network.Network`, re-exported as ``SimTransport``)
@@ -42,8 +40,8 @@ assertions against both.
 
 Timer semantics the implementations must honour:
 
-- ``schedule(delay, cb, *args)`` returns an opaque handle; ``cancel``
-  with a handle that already fired (or was already cancelled) is a no-op;
+- ``schedule(delay, cb, *args)`` runs ``cb(*args)`` once, ``delay``
+  time units later, and returns an opaque handle;
 - callbacks run on the transport's single event thread/loop, never
   concurrently with message delivery — the broadcast layers are written
   lock-free on that assumption;
@@ -139,11 +137,7 @@ class Transport:
 
     def schedule(self, delay: float, cb: Callable, *args: Any) -> Any:
         """Run ``cb(*args)`` after ``delay`` time units; returns an opaque
-        cancellation handle."""
-        raise NotImplementedError
-
-    def cancel(self, handle: Any) -> None:
-        """Cancel a pending :meth:`schedule`; no-op if already fired."""
+        handle."""
         raise NotImplementedError
 
     # -- membership and reachability -----------------------------------
@@ -154,11 +148,3 @@ class Transport:
         """True while the directed pair cannot currently communicate
         (partitioned or blocked); used by resync helper selection."""
         raise NotImplementedError
-
-    # -- determinism hooks ---------------------------------------------
-    @property
-    def seed(self) -> int:
-        """Seed for deterministic tie-breaking in the layers above (e.g.
-        lazy-push helper rotation).  Live transports return a fixed value
-        per node."""
-        return 0

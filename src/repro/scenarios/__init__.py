@@ -15,7 +15,6 @@ from .matrix import (
     AlgorithmEntry,
     MatrixCell,
     MatrixReport,
-    algorithm_names,
     format_matrix_report,
     run_matrix,
     run_scenario_cell,
@@ -47,7 +46,6 @@ __all__ = [
     "Scenario",
     "ScenarioSpec",
     "WorkloadSpec",
-    "algorithm_names",
     "format_matrix_report",
     "get_scenario",
     "make_script",

@@ -58,11 +58,6 @@ class AlgorithmEntry:
     #: operation take effect remotely without ever completing at its
     #: origin, so the recorded history can expose unwritten values
     needs_reliable: bool = False
-    #: part of the default sweep?  Non-default entries (the lazy relay)
-    #: are resolvable by explicit ``--algorithm`` / the scale tiers but
-    #: excluded from :func:`algorithm_names`, so the bit-identity
-    #: runtime-bench baseline never gains rows
-    default: bool = True
     #: the reliable broadcast's ``relay`` (``None``: the host's default)
     relay: Optional[str] = None
 
@@ -133,19 +128,6 @@ ALGORITHMS: Dict[str, AlgorithmEntry] = {
         AlgorithmEntry(
             "sc-sequencer", ScSequencer, "SC", "adt", needs_reliable=True
         ),
-        # the push/lazy-push relay: ~n·log n bodies per
-        # broadcast, pushed along a log-degree overlay and pulled where
-        # an advertisement shows a gap — against n-1 direct sends plus
-        # heartbeat-digest repair for the default rows — kept outside
-        # the bit-identity default sweep; the n=32/64 tiers run these
-        AlgorithmEntry(
-            "lww-lazy", LwwReplication, "CONV", "adt", default=False,
-            relay="lazy",
-        ),
-        AlgorithmEntry(
-            "ccv-lazy", CCvWindowArray, "CCV", "window", default=False,
-            relay="lazy",
-        ),
     )
 }
 
@@ -159,27 +141,21 @@ ALGORITHMS: Dict[str, AlgorithmEntry] = {
 #: 3.11) a ``cc-fig4`` cell takes ~7.2 s, against ~1.4 s for ``lww``,
 #: ~0.5 s for ``gossip``, ~1.4 s for ``ccv-fig5`` and ~2.0 s for
 #: ``ccv-generic``.  Widening n8/n12 to every wait-free key waits on
-#: that CC side getting cheaper.  The n=32/64 tiers run the lazy-push
-#: family, chosen while the default rows flooded (n(n-1) copies per
-#: broadcast); the default rows now send n-1 there too.
+#: that CC side getting cheaper.  The n=32/64 tiers run ``lww`` and
+#: ``ccv-fig5``, each write sent once per peer (n-1 copies per
+#: broadcast, against the flood's n(n-1)).
 SCALE_TIER_ALGORITHMS: Dict[str, Tuple[str, ...]] = {
     "scale-n8-hotkey": ("lww", "gossip"),
     "scale-n12-hotkey": ("lww", "gossip"),
-    "scale-n32-hotkey": ("lww-lazy", "ccv-lazy"),
-    "scale-n64-hotkey": ("lww-lazy", "ccv-lazy"),
+    "scale-n32-hotkey": ("lww", "ccv-fig5"),
+    "scale-n64-hotkey": ("lww", "ccv-fig5"),
 }
-
-
-def algorithm_names() -> List[str]:
-    """The default sweep's algorithms (non-default entries — the lazy
-    transport family — are resolvable by explicit key only)."""
-    return [key for key, entry in ALGORITHMS.items() if entry.default]
 
 
 def default_algorithms(scenario: str) -> Tuple[str, ...]:
     """The algorithms ``scenario`` runs unless the caller names others:
-    its :data:`SCALE_TIER_ALGORITHMS` row, else the default sweep's."""
-    return SCALE_TIER_ALGORITHMS.get(scenario) or tuple(algorithm_names())
+    its :data:`SCALE_TIER_ALGORITHMS` row, else every registry row."""
+    return SCALE_TIER_ALGORITHMS.get(scenario) or tuple(ALGORITHMS)
 
 
 # ----------------------------------------------------------------------
@@ -210,11 +186,10 @@ class MatrixCell:
     #: streaming-monitor verdicts + stats (None when the ADT is outside
     #: the monitor's scope): ``{"criteria": {...}, "stats": {...}}``
     streaming: Optional[Dict[str, Any]] = None
-    #: per-run network accounting (sent / delivered / elided /
-    #: suppressed_relays / pulled), the message-complexity surface of the
-    #: lazy transport and of send-time dedup; on the simulated network
-    #: ``delivered`` counts first arrivals only, the later copies it
-    #: folded into them are in ``elided``
+    #: per-run network accounting (sent / delivered / elided), the
+    #: message-complexity surface of the relay and of send-time dedup;
+    #: on the simulated network ``delivered`` counts first arrivals
+    #: only, the later copies it folded into them are in ``elided``
     network: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -398,8 +373,6 @@ def _run_cell(job: Tuple[Any, ...]) -> MatrixCell:
             "sent": result.network_stats.sent,
             "delivered": result.network_stats.delivered,
             "elided": result.network_stats.elided,
-            "suppressed_relays": result.network_stats.suppressed_relays,
-            "pulled": result.network_stats.pulled,
         },
     )
 

@@ -180,17 +180,17 @@ def _scale() -> List[ScenarioSpec]:
                 write_ratio=0.5, hot_key_weight=0.8,
             ),
         ),
-        # the PR 8 fan-out tiers: at n=32 the eager flood costs 992
-        # sends per broadcast, at n=64 it is 4032 — these cells default
-        # to the lazy-push algorithm family (see
+        # the fan-out tiers: a flood would cost 992 sends per broadcast
+        # at n=32 and 4032 at n=64, direct sends cost n-1 (31 and 63);
+        # these cells default to lww and ccv-fig5 (see
         # ``matrix.SCALE_TIER_ALGORITHMS``); their CC/CCv verdicts come
         # from the streaming monitor (search cannot start at 10k ops)
         # and CONV from the live-state comparison
         ScenarioSpec(
             name="scale-n32-hotkey",
             description="10,240 Poisson ops over 32 replicas, hot-key "
-            "contention — the relay-suppression tier: runs on the "
-            "push/lazy-push broadcast family",
+            "contention — the fan-out tier: 31 direct sends per write, "
+            "where a flood would cost 992",
             n=32,
             streams=4,
             workload=WorkloadSpec(
@@ -200,9 +200,8 @@ def _scale() -> List[ScenarioSpec]:
         ),
         ScenarioSpec(
             name="scale-n64-hotkey",
-            description="10,240 Poisson ops over 64 replicas — the "
-            "eager flood would cost 4032 sends per broadcast here; "
-            "only the lazy family finishes inside a CI wall cap",
+            description="10,240 Poisson ops over 64 replicas — 63 "
+            "direct sends per write, where a flood would cost 4032",
             n=64,
             streams=4,
             workload=WorkloadSpec(

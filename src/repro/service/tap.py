@@ -122,7 +122,7 @@ class RingTap:
 class MonitorTap:
     """RuntimeMonitor facade that defers every hook through a RingTap.
 
-    It only forwards: the broadcast layer calls the seven hooks, and
+    It only forwards: the broadcast layer calls the six hooks, and
     every read (verdicts, counters) goes to the sink, which the service
     node holds as ``node.monitor`` and reads after a flush.  Mutable
     arguments (the GC sweep's live frontier rows, vector stamps) are
@@ -160,9 +160,6 @@ class MonitorTap:
 
     def on_resync_stranded(self, target: int, attempts: int) -> None:
         self._tap.push(self.sink.on_resync_stranded, target, attempts)
-
-    def on_pull_stranded(self, pid: int, mid: Any, attempts: int) -> None:
-        self._tap.push(self.sink.on_pull_stranded, pid, mid, attempts)
 
 
 class RecorderTap:

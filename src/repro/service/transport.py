@@ -36,17 +36,16 @@ peer whose heartbeat digest shows the hole, as a ``repair`` control
 frame (``ReliableEndpoint.on_control``), so no receiver floods to cover
 it.  The inbound path still spends nothing on a copy it has seen — a
 frame the wire duplicated, a repair racing the original, a resync
-replay, a lazy relay's push: the binary codec's packed message layout
+replay: the binary codec's packed message layout
 (``repro.service.wire``) lets a header peek
 (:func:`~repro.service.wire.msg_header`) plus the broadcast layer's own
 "seen?" predicate (registered through
 :meth:`~repro.runtime.transport.Transport.attach_dedup`) drop a
-duplicate before it is decoded, and a relay of the message being
-dispatched (the lazy relay's) re-addresses the bytes it arrived in.
-Frames in any other shape (JSON senders, generic TLV) take the old
-path, dedup in the handler included, after the header's cluster check
-is made on their decoded fields.  ``wire_stats`` counts it all
-(``msg_frames_in``, ``dups_dropped``, ``relays_spliced``).
+duplicate before it is decoded.  Frames in any other shape (JSON
+senders, generic TLV) take the old path, dedup in the handler
+included, after the header's cluster check is made on their decoded
+fields.  ``wire_stats`` counts it all (``msg_frames_in``,
+``dups_dropped``).
 
 The crucial difference from the simulated plane: in the simulator one
 ``Network`` hosts all ``n`` processes; live, each node owns one
@@ -55,8 +54,8 @@ broadcast layer therefore builds a single endpoint here and knows its
 peers only through what arrives: message frames, and control frames —
 the node's heartbeats, whose digests feed the endpoint's peer view, and
 the resync request (``control``).  Timers run on the event loop
-(``loop.call_later``), so the supervised-resync chain and the lazy-push
-pull timeouts run unmodified against wall-clock RPC timeouts.
+(``loop.call_later``), so the supervised-resync chain runs unmodified
+against wall-clock RPC timeouts.
 """
 
 from __future__ import annotations
@@ -87,48 +86,27 @@ def _is_mid(mid: Any, n: int) -> bool:
 
 def _check_message(message: Dict[str, Any], n: int) -> None:
     """Raise ``ValueError`` unless a broadcast message body fits a cluster
-    of ``n``: its id, its ``origin`` (the id's), its stamp (n ints), and
-    the lazy relay's ``adv`` ids, ``pull``/``pull-miss`` id and
-    ``pull-reply`` body.  The broadcast layers index per-process rows by
-    all of these, so a frame that got past a decode unchecked raised
+    of ``n``: its id, its ``origin`` (the id's) and its stamp (n ints).
+    The broadcast layers index per-process rows by all of these, so a
+    frame that got past a decode unchecked raised
     ``IndexError``/``KeyError`` inside the connection task — or, fitting
     by accident, marked an id seen that its origin had not sent yet."""
-    kind = message.get("kind")
-    # an id list that is not a tuple stands in as one bad id, [None]
-    adv = message.get("adv", ())
-    mids = list(adv) if type(adv) is tuple else [None]
-    if kind == "adv":
-        ids = message.get("ids")
-        mids.extend(ids if type(ids) is tuple else [None])
-    elif kind in ("pull", "pull-miss"):
-        mids.append(message.get("mid"))
-    elif kind == "pull-reply":
-        inner = message.get("body")
-        if type(inner) is not dict:
-            raise ValueError("pull-reply without a message body")
-        _check_message(inner, n)
-    else:
-        mid = message.get("id")
-        origin = message.get("origin")
-        stamp = message.get("stamp", ())
-        if not (
-            _is_mid(mid, n)
-            and type(origin) is int
-            and origin == mid[0]
-            and "payload" in message
-            and type(stamp) is tuple
-            and ("stamp" not in message or len(stamp) == n)
-            and all(type(entry) is int for entry in stamp)
-        ):
-            raise ValueError(
-                f"message outside this cluster of {n}: id {mid!r}, origin "
-                f"{origin!r}, stamp {message.get('stamp')!r}"
-            )
-    for mid in mids:
-        if not _is_mid(mid, n):
-            raise ValueError(
-                f"{kind} message id {mid!r} outside this cluster of {n}"
-            )
+    mid = message.get("id")
+    origin = message.get("origin")
+    stamp = message.get("stamp", ())
+    if not (
+        _is_mid(mid, n)
+        and type(origin) is int
+        and origin == mid[0]
+        and "payload" in message
+        and type(stamp) is tuple
+        and ("stamp" not in message or len(stamp) == n)
+        and all(type(entry) is int for entry in stamp)
+    ):
+        raise ValueError(
+            f"message outside this cluster of {n}: id {mid!r}, origin "
+            f"{origin!r}, stamp {message.get('stamp')!r}"
+        )
 
 
 def _is_run(run: Any, n: int) -> bool:
@@ -179,9 +157,9 @@ class WallClock:
     """Wall-clock stand-in for the ``sim`` handle algorithms hold.
 
     Provides the exact surface the algorithms use — ``now``, ``rng``,
-    ``schedule``/``cancel``, ``seed`` — with time measured from the
-    clock's creation so recorded timestamps are small and comparable
-    across a cluster started together.  The rng is seeded with the
+    ``schedule``/``cancel`` — with time measured from the clock's
+    creation so recorded timestamps are small and comparable across a
+    cluster started together.  The rng is seeded with the
     *cluster* seed, so what a node derives from it (its LWW clock skew,
     its gossip peer picks) is reproducible per seed.
     """
@@ -189,7 +167,6 @@ class WallClock:
     def __init__(self, seed: int = 0) -> None:
         import random
 
-        self.seed = seed
         self.rng = random.Random(seed)
         #: the running loop, bound at first use
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -263,7 +240,6 @@ class AsyncioTransport(Transport):
         self.addrs = dict(addrs)
         self.my_addr = my_addr or addrs[my_pid]
         self.clock = clock or WallClock(seed)
-        self._seed = seed
         self.codec = codec
         self.coalesce = coalesce
         self.stats = NetworkStats()
@@ -279,16 +255,11 @@ class AsyncioTransport(Transport):
             "batches_in": 0,
             "msg_frames_in": 0,  # broadcast-message frames among frames_in
             "dups_dropped": 0,  # ...dropped on their header, never decoded
-            "relays_spliced": 0,  # relays re-addressed instead of encoded
         }
         self.handlers: Dict[int, Handler] = {}
         #: ``my_pid``'s "already seen this message id?" predicate, once
         #: the broadcast layer has offered one (:meth:`attach_dedup`)
         self._seen: Optional[Callable[[Tuple[int, int]], bool]] = None
-        #: ``(decoded message, its raw body)`` while a packed message
-        #: frame is being dispatched — a relay of that same object from
-        #: inside the handler re-addresses the bytes instead of encoding
-        self._inflight: Optional[Tuple[Any, bytes]] = None
         #: every control frame lands here first (the service node
         #: registers this: heartbeats are its membership signal) ...
         self.control_handler: Optional[Callable[[int, Any], None]] = None
@@ -347,30 +318,20 @@ class AsyncioTransport(Transport):
         stays truthful in the frame so the receiver's dedup and causal
         layers see the same ``(src, message)`` pairs as in the simulator.
         """
+        frame = {"t": "msg", "src": src, "body": payload}
         if dst == self.my_pid:
-            self._send_frame(dst, {"t": "msg", "src": src, "body": payload})
+            self._send_frame(dst, frame)
         elif not self.crashed_local:
-            self._enqueue(dst, self._msg_body(src, payload))
+            self._enqueue(dst, wire.encode_body(frame, self.codec))
 
     def multicast(self, src: int, payload: Any) -> None:
         if self.crashed_local:
             return
-        body = self._msg_body(src, payload)
-        for dst in self._queues:
-            self._enqueue(dst, body)
-
-    def _msg_body(self, src: int, payload: Any) -> bytes:
-        """Encoded message frame body — spliced from the bytes it arrived
-        in when ``payload`` is the very message being dispatched (the
-        flood relay, the lazy relay's push), encoded otherwise (original
-        broadcasts, resync resends from the log, pull replies)."""
-        inflight = self._inflight
-        if inflight is not None and inflight[0] is payload:
-            self.wire_stats["relays_spliced"] += 1
-            return wire.readdress(inflight[1], src)
-        return wire.encode_body(
+        body = wire.encode_body(
             {"t": "msg", "src": src, "body": payload}, self.codec
         )
+        for dst in self._queues:
+            self._enqueue(dst, body)
 
     @property
     def now(self) -> float:
@@ -378,9 +339,6 @@ class AsyncioTransport(Transport):
 
     def schedule(self, delay: float, cb: Callable, *args: Any) -> Any:
         return self.clock.schedule(delay, cb, *args)
-
-    def cancel(self, handle: Any) -> None:
-        self.clock.cancel(handle)
 
     def is_crashed(self, pid: int) -> bool:
         if pid == self.my_pid:
@@ -394,10 +352,6 @@ class AsyncioTransport(Transport):
         # peers look down (missed heartbeats), which the helper-selection
         # pools already handle through is_crashed
         return False
-
-    @property
-    def seed(self) -> int:
-        return self._seed
 
     # ------------------------------------------------------------------
     # Control frames (heartbeat digests, resync requests)
@@ -556,8 +510,7 @@ class AsyncioTransport(Transport):
         that does not fit this cluster is refused, and a copy the
         broadcast layer has already seen is counted and dropped, without
         being decoded; a fresh one is decoded once and its message goes
-        straight to the handler, remembered with its bytes while it is
-        handled (see :meth:`_msg_body`).  Every other body — JSON,
+        straight to the handler.  Every other body — JSON,
         generic TLV, control — decodes and dispatches as before,
         deduplicated by the broadcast layer itself; a message frame among
         them gets the header's check on its decoded fields: its ``src``
@@ -604,15 +557,8 @@ class AsyncioTransport(Transport):
         wstats["msg_frames_in"] += 1
         self.stats.delivered += 1
         handler = self.handlers.get(self.my_pid)
-        if handler is None:
-            return
-        if self.codec == wire.CODEC_BINARY:
-            # a JSON node relays in JSON: nothing to splice
-            self._inflight = (message, body)
-        try:
+        if handler is not None:
             handler(src, message)
-        finally:
-            self._inflight = None
 
     def _dispatch(self, frame: Any) -> None:
         if self.crashed_local:

@@ -3,8 +3,8 @@
 Each node multicasts a heartbeat control frame every ``HB_INTERVAL``
 seconds; a peer with no heartbeat for ``HB_TIMEOUT`` is *down* in this
 node's view.  The view is the live plane's membership oracle: the
-broadcast layers' helper selection (``_resync_helper``, pull-holder
-failover) asks ``Transport.is_crashed``, which the service node wires to
+broadcast layers' helper selection (``_resync_helper``) asks
+``Transport.is_crashed``, which the service node wires to
 :meth:`ViewManager.is_down` — so a crashed or partitioned-away peer
 drops out of the helper pools off real RPC timeouts, exactly the role
 ``Network.crashed`` plays in the simulator.

@@ -39,26 +39,21 @@ codecs share the framing, distinguished by the body's first byte:
     codec-internal optimisation, not a protocol knob: ``encode_body``
     recognises the envelope and packs it, and **falls back to generic
     TLV** whenever the shape does not fit exactly — a non-tuple id, a
-    ``kind`` key (every control message of the lazy relay and the
-    sequencer), any extra or missing key, an int outside its header
-    field, a bool where a pid belongs — never an error; ``decode`` of a
+    ``kind`` key (the sequencer's messages), any extra or missing key,
+    an int outside its header field, a bool where a pid belongs — never
+    an error; ``decode`` of a
     ``0xB3`` body returns the *equal* envelope a generic frame would.
     Callers cannot tell, which is what keeps the fault proxy, captures
-    and mixed JSON/binary clusters codec-blind.  Three things ride on
-    the fixed header:
+    and mixed JSON/binary clusters codec-blind.  Two things ride on the
+    fixed header:
 
     * the header is one ``struct`` call where TLV spends ~15 recursive
       value calls, and only ``payload`` goes through TLV at all;
     * :func:`msg_header` reads the fixed fields off the header without
       decoding — the transport refuses a frame whose pids or stamp do
       not fit its cluster, then asks the broadcast layer "seen?" and
-      drops a duplicate (a frame the wire duplicated, a resync replay,
-      a lazy relay's push of an id already held) unparsed;
-    * the encoding is canonical, so :func:`readdress` — overwrite the
-      two ``src`` bytes — yields byte for byte what encoding the same
-      message from the new sender would; a relay (the lazy one's push,
-      or the flood where a node runs it) forwards the bytes it received
-      instead of re-encoding the dict it just decoded.
+      drops a duplicate (a frame the wire duplicated, a repair racing
+      the original, a resync replay) unparsed.
 
     The client hop gets the same treatment for the frames every
     operation pays for — one request and one reply — as two more
@@ -221,7 +216,9 @@ _T_KEY = 0x12  # 1-byte index into the shared key table
 #: the dict keys the runtime actually sends, interned to 2 bytes each —
 #: a frozen wire-protocol table (append-only: changing an index breaks
 #: decode of in-flight frames across versions, so new keys go at the
-#: end).  Unknown keys fall back to ordinary string encoding.
+#: end).  ``mid``, ``pull``, ``ids`` and ``adv`` are reserved slots: no
+#: message sends them any more.  Unknown keys fall back to ordinary
+#: string encoding.
 _KEYS = (
     "t", "src", "body", "kind", "payload", "origin", "id", "mid",
     "local_id", "stamp", "seq", "pull", "ids", "adv", "op",
@@ -477,9 +474,7 @@ def _decode_binary(body: bytes) -> Any:
 #: stamp length (u16; _NO_STAMP = the message carries no stamp), then
 #: that many u32 stamp entries, then the TLV-encoded payload
 _MSG_HEAD = struct.Struct(">HHIH")
-_MSG_ID_AT = 3  # where (origin, seq) starts: all that follows the src
 _MSG_BODY_AT = 1 + _MSG_HEAD.size
-_U16 = struct.Struct(">H")
 _NO_STAMP = 0xFFFF
 
 #: compiled layouts by stamp length: the whole header for packing, the
@@ -581,14 +576,6 @@ def msg_header(body: bytes) -> Optional[Tuple[int, int, int, Optional[int]]]:
     except struct.error:
         raise ValueError("binary codec: truncated message header") from None
     return src, origin, seq, None if count == _NO_STAMP else count
-
-
-def readdress(body: bytes, src: int) -> bytes:
-    """A packed broadcast-message body re-addressed as sent by ``src``:
-    one concat, and — the encoding being canonical — byte for byte what
-    :func:`encode_body` would produce for the same message from ``src``
-    (which must fit the header's u16, as every pid that packs does)."""
-    return body[:1] + _U16.pack(src) + body[_MSG_ID_AT:]
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_a_misspelt_injection_is_refused_not_run_clean(tmp_path):
         replay_file(str(path))
     message = str(info.value)
     assert "unknown injection 'gc_frontier'" in message
-    assert "known: none, gc-frontier, oneshot-resync, pull-starve" in message
+    assert "known: none, gc-frontier, oneshot-resync" in message
 
 
 

@@ -16,6 +16,7 @@ import pytest
 from repro.chaos.sentinels import INJECTIONS
 from repro.cli import build_parser, load_history, main
 from repro.core.operations import BOTTOM, HIDDEN
+from repro.scenarios.matrix import default_algorithms
 from repro.service import LiveCluster
 
 
@@ -470,14 +471,17 @@ class TestRefusedInput:
         assert captured.out == ""
 
     def test_explore_accepts_a_key_outside_the_default_sweep(self, capsys):
-        # the lazy-push family is resolvable by explicit key only
+        # a scale tier sweeps its own pair of rows; any other registry
+        # row still runs there when named
+        assert "ccv-fig5" not in default_algorithms("scale-n8-hotkey")
         argv = [
             "explore", "--fast", "--seeds", "1", "--jobs", "1",
-            "--scenario", "churn", "--algorithm", "ccv-lazy",
+            "--scenario", "scale-n8-hotkey", "--algorithm", "ccv-fig5",
         ]
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert "ccv-lazy" in captured.out
+        assert "ccv-fig5" in captured.out
+        assert "cells: 1, failures: 0" in captured.out
         assert captured.err == ""
 
     def test_a_timed_capture_loads_as_before(self):

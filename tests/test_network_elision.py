@@ -9,7 +9,8 @@ lives on only here, as :class:`ScheduleEveryCopy`, swapped in for
 ``repro.scenarios.scenario.Network``.  The property requires both to
 record the same run — history fingerprint with every time, duration,
 send-side counters, per-replica seen-sets and runtime-monitor results —
-under random fault schedules, every broadcast family, sizes and seeds.
+under random fault schedules, every broadcast family (each reliable one
+over both relays), sizes and seeds.
 
 ``Network`` also folds a copy into an earlier-arriving copy of the same
 id already in flight to the same destination, and puts the earliest
@@ -269,10 +270,24 @@ class TwoPathNetwork(Network):
             sim.elided_until = arrival
 
 
-def run_cell(network_cls, spec, key, seed):
+#: every registry row as registered, then each row over a reliable
+#: broadcast once more under the flood, whose relays are most of the
+#: copies that fold into an earlier one in flight
+ROWS = [(key, None) for key in sorted(ALGORITHMS)] + [
+    (key, "flood")
+    for key, entry in sorted(ALGORITHMS.items())
+    if entry.with_relay("flood") is not entry
+]
+ROW_IDS = [key if relay is None else f"{key}-{relay}" for key, relay in ROWS]
+
+
+def run_cell(network_cls, spec, key, seed, relay=None):
+    entry = ALGORITHMS[key]
+    if relay is not None:
+        entry = entry.with_relay(relay)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario_module, "Network", network_cls)
-        return ALGORITHMS[key].run(spec, seed)
+        return entry.run(spec, seed)
 
 
 @st.composite
@@ -338,13 +353,13 @@ def monitor_results(result):
     return None if monitor is None else (monitor.violations, monitor.stats())
 
 
-@pytest.mark.parametrize("key", sorted(ALGORITHMS))
+@pytest.mark.parametrize("key,relay", ROWS, ids=ROW_IDS)
 @given(cell=cells())
 @settings(max_examples=20, deadline=None)
-def test_elision_records_the_run_the_reference_records(key, cell):
+def test_elision_records_the_run_the_reference_records(key, relay, cell):
     spec, seed = cell
-    ref = run_cell(ScheduleEveryCopy, spec, key, seed)
-    new = run_cell(Network, spec, key, seed)
+    ref = run_cell(ScheduleEveryCopy, spec, key, seed, relay)
+    new = run_cell(Network, spec, key, seed, relay)
 
     assert new.fingerprint() == ref.fingerprint()
     assert new.duration == ref.duration
@@ -364,7 +379,7 @@ def test_elision_records_the_run_the_reference_records(key, cell):
     # copy the two paths scheduled and ``Network`` folded moves one event
     # (and one delivery or crash drop) into ``elided``, so those fields
     # are compared as sums
-    two_paths = run_cell(TwoPathNetwork, spec, key, seed)
+    two_paths = run_cell(TwoPathNetwork, spec, key, seed, relay)
     assert where_it_ends(new) == where_it_ends(two_paths)
 
 

@@ -8,8 +8,9 @@ them, and no task runs per connection.  These tests pin what that
 plumbing owes:
 
 * **hostile bytes** — an oversize length prefix, a garbage body, a peer
-  frame before the hello and a truncated frame followed by EOF close
-  that one connection on each hop; a bystander client's calls still
+  frame before the hello, a truncated frame followed by EOF and a peer
+  frame carrying a former lazy-push body close that one connection on
+  each hop; a bystander client's calls still
   complete and the loop's exception handler hears nothing;
 * **a stalled reader** — a client that stops reading its replies stops
   its own connection's intake (the socket's write buffer stays under
@@ -101,6 +102,18 @@ def test_hostile_bytes_close_only_their_connection_on_every_hop():
             put = wire.encode(
                 {"cmd": "put", "x": 0, "v": 444, "rid": 1}, wire.CODEC_BINARY
             )
+            # bodies the lazy push sent: no broadcast message any more
+            former = [
+                wire.encode({"t": "msg", "src": 1, "body": lazy}, wire.CODEC_BINARY)
+                for lazy in (
+                    {"kind": "adv", "ids": ((1, 0),)},
+                    {"kind": "pull", "mid": (0, 0)},
+                    {"kind": "pull-reply", "body": {
+                        "id": (1, 0), "origin": 1,
+                        "payload": (0, 555, 1, 1), "stamp": (0, 1),
+                    }},
+                )
+            ]
             cases = [
                 (client, OVERSIZE, False),
                 (client, GARBAGE, False),
@@ -109,13 +122,15 @@ def test_hostile_bytes_close_only_their_connection_on_every_hop():
                 (peer, hello + GARBAGE, False),
                 (peer, message, False),  # a peer frame before the hello
                 (peer, hello + truncated(message), True),
+                *((peer, hello + lazy, False) for lazy in former),
             ]
             for addr, payload, eof in cases:
                 hostile = asyncio.ensure_future(closed_by_far_end(addr, payload, eof))
                 await bystander_calls(bystander)
                 assert await hostile, (addr, payload)
-            # nothing of the truncated put, or of the message that came
-            # before a hello or was cut short, reached the replica
+            # nothing of the truncated put, of the message that came
+            # before a hello or was cut short, or of the pull-reply
+            # that carried it, reached the replica
             window = await client_call(client, {"cmd": "window", "x": 0})
             assert window["value"] == (0, 0), window
 

@@ -178,15 +178,11 @@ GOLDEN_FINGERPRINTS = {
         "ebf4a6e8f87c813fbbba81d74d9087d6f5f6a49512b84ca769a36f31a54852bd",
     ("delay-spike", "sc-sequencer", 0):
         "cabe78e62fb9bb6a96fd6ab1cec7dd11566f7ecfe8be78a7dce14313d063436c",
-    # the three registry keys the cells above do not reach, recorded at
-    # commit 0dc7789 (the n-wide algorithm classes) before the
-    # per-process replica rewrite, so all ten keys are pinned through it
+    # the registry key the cells above do not reach, recorded at commit
+    # 0dc7789 (the n-wide algorithm classes) before the per-process
+    # replica rewrite, so all eight keys are pinned through it
     ("churn", "cc-generic", 0):
         "28fd1c9664cf413f6db20b3d270d4ef1c5ee2a4c4403e9ded2b6547be6f31462",
-    ("rolling-crashes", "lww-lazy", 1):
-        "0540606beccae844b9ad6ba5f46c63c6b1b9c17f00ffc6299f5a617433cb4d79",
-    ("partition-during-writes", "ccv-lazy", 0):
-        "8073fbf0635be8bc53ad2b4d4318e2b5f23d34cb7844d6a2b56494b098383418",
 }
 
 #: the rows of the retired ``bench_runtime.py --smoke --baseline`` drift
@@ -207,7 +203,7 @@ for _row in RUNTIME_GOLDENS["histories"]:
 
 
 #: the same cells under the reliable broadcast's default, direct sends
-#: with heartbeat-digest repair, for every row that leaves ``relay`` unset
+#: with heartbeat-digest repair, for every row over a reliable broadcast
 DIRECT_FINGERPRINTS = {
     (scenario, algorithm, seed): fingerprint
     for scenario, algorithm, seed, fingerprint in json.loads(
@@ -217,11 +213,10 @@ DIRECT_FINGERPRINTS = {
 
 
 def as_recorded(algorithm):
-    """The row the flood goldens were recorded under: a reliable
-    broadcast that leaves ``relay`` unset flooded then, so the flood is
-    named; every other row is its registry row."""
-    entry = ALGORITHMS[algorithm]
-    return entry if entry.relay else entry.with_relay("flood")
+    """The row the flood goldens were recorded under: every reliable
+    broadcast flooded then, so the flood is named; a row over no
+    reliable broadcast is its registry row."""
+    return ALGORITHMS[algorithm].with_relay("flood")
 
 
 class TestHistoryGoldens:

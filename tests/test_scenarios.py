@@ -462,6 +462,16 @@ def assert_every_copy_accounted_for(result):
     )
 
 
+#: every registry row as registered, then each row over a reliable
+#: broadcast once more under the flood
+ROWS = [(key, None) for key in sorted(ALGORITHMS)] + [
+    (key, "flood")
+    for key, entry in sorted(ALGORITHMS.items())
+    if entry.with_relay("flood") is not entry
+]
+ROW_IDS = [key if relay is None else f"{key}-{relay}" for key, relay in ROWS]
+
+
 class TestNetworkConservation:
     @pytest.mark.parametrize("profile", ["lossdup", "reorder", "partition", "crash"])
     def test_sim_faults_profiles_account_for_every_copy(self, profile):
@@ -494,8 +504,8 @@ class TestNetworkConservation:
             )
             assert result.network_stats.sent == broadcasts * (spec.n - 1)
 
-    @pytest.mark.parametrize("key", sorted(ALGORITHMS))
-    def test_only_a_broadcast_that_offers_a_predicate_elides(self, key):
+    @pytest.mark.parametrize("key,relay", ROWS, ids=ROW_IDS)
+    def test_only_a_broadcast_that_offers_a_predicate_elides(self, key, relay):
         spec = ScenarioSpec(
             "lossdup-small",
             n=4,
@@ -510,26 +520,31 @@ class TestNetworkConservation:
             + tuple(F.repair(15.0 + 3.0 * i) for i in range(3)),
             workload=WorkloadSpec(ops_per_process=30, write_ratio=0.5),
         )
-        result = ALGORITHMS[key].run(spec, 1)
+        entry = ALGORITHMS[key]
+        result = (entry if relay is None else entry.with_relay(relay)).run(spec, 1)
         assert_every_copy_accounted_for(result)
-        # the reliable family (eager and lazy) offers its endpoints'
+        # the reliable family (flood and direct) offers its endpoints'
         # is_seen; total order and gossip offer nothing
         offers = isinstance(result.algorithm.broadcast, ReliableBroadcast)
         assert (result.network_stats.elided > 0) == offers
 
     def test_the_matrix_cell_reports_elided_copies(self):
         report = run_matrix(
-            scenarios=["partition-during-writes"],
-            algorithms=["ccv-lazy", "ccv-fig5", "sc-sequencer"],
+            scenarios=["dup-storm-flap", "partition-during-writes"],
+            algorithms=["ccv-fig5", "sc-sequencer"],
             seeds=1,
             jobs=1,
             fast=True,
         )
-        elided = {c.algorithm: c.network["elided"] for c in report.cells}
-        # the lazy relay forwards, so some copies find their id held;
-        # direct sends reach each peer once, and no fault here drops one
-        assert elided["ccv-lazy"] > 0
-        assert elided["ccv-fig5"] == 0 and elided["sc-sequencer"] == 0
+        elided = {
+            (c.scenario, c.algorithm): c.network["elided"] for c in report.cells
+        }
+        # a duplicated copy finds its id held; without duplicates direct
+        # sends reach each peer once; total order offers no predicate
+        assert elided[("dup-storm-flap", "ccv-fig5")] > 0
+        assert elided[("partition-during-writes", "ccv-fig5")] == 0
+        assert elided[("dup-storm-flap", "sc-sequencer")] == 0
+        assert elided[("partition-during-writes", "sc-sequencer")] == 0
 
 
 class TestMatrixRunner:
@@ -594,11 +609,9 @@ class TestMatrixRunner:
             ("churn", "lww"),
             ("scale-n8-hotkey", "lww"),
         ]
-        # the n=32 tier's own lww is the lazy one
-        report = run_matrix(
-            ["scale-n32-hotkey"], seeds=1, fast=True, jobs=1, only="lww"
-        )
-        assert [c.algorithm for c in report.cells] == ["lww-lazy"]
+        # the n=32 tier runs lww and ccv-fig5
+        report = run_matrix(["scale-n32-hotkey"], seeds=1, fast=True, jobs=1)
+        assert [c.algorithm for c in report.cells] == ["lww", "ccv-fig5"]
 
     def test_a_search_out_of_memory_budget_leaves_the_cell_to_the_monitor(
         self,
@@ -608,7 +621,7 @@ class TestMatrixRunner:
         # of every event's row per entry) would reach gigabytes long
         # before the node budget trips
         report = run_matrix(
-            ["scale-n32-hotkey"], ["ccv-lazy"], seeds=1, fast=True, jobs=1
+            ["scale-n32-hotkey"], ["ccv-fig5"], seeds=1, fast=True, jobs=1
         )
         (cell,) = report.cells
         assert cell.ops == 224

@@ -474,7 +474,6 @@ def test_a_fault_free_saturated_burst_repairs_nothing():
                 assert stats["repairs_received"] == 0, (node.my_pid, stats)
                 wire_stats = node.transport.wire_stats
                 assert wire_stats["dups_dropped"] == 0, wire_stats
-                assert wire_stats["relays_spliced"] == 0, wire_stats
         finally:
             await cluster.close()
 
@@ -542,7 +541,7 @@ BROADCAST_STATUS_KEYS = {
 }
 
 
-@pytest.mark.parametrize("algorithm", ["ccv-fig5", "pram", "lww-lazy"])
+@pytest.mark.parametrize("algorithm", ["ccv-fig5", "pram", "lww"])
 def test_status_document_keys_are_pinned(algorithm):
     async def body():
         cluster = LiveCluster(

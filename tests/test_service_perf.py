@@ -52,7 +52,7 @@ def verdict_state(monitor: RuntimeMonitor):
 def drive(sink, n):
     """A deterministic event script touching every monitor hook, with
     deliberate violations (double apply, fifo gap, causal slip, frontier
-    regression, pruned gap, stranded resync/pull) mixed into clean
+    regression, pruned gap, stranded resync) mixed into clean
     traffic."""
     for seq in range(4):
         for pid in range(n):
@@ -66,7 +66,6 @@ def drive(sink, n):
     sink.on_gc([0, 0, 0], [[2, 1, 0], [1, 0, 0], [1, 1, 1]], {1})  # regress
     sink.on_pruned_gap(target=1, origin=0, seq=3)
     sink.on_resync_stranded(target=1, attempts=5)
-    sink.on_pull_stranded(2, (0, 4), attempts=7)
 
 
 class TestMonitorTapIdentity:
@@ -95,7 +94,6 @@ class TestMonitorTapIdentity:
             "gc-frontier",
             "pruned-gap",
             "resync-stranded",
-            "pull-stranded",
         }
 
     def test_mutable_args_snapshotted_at_enqueue(self):

@@ -354,7 +354,7 @@ def golden_cases():
         cases[f"splice/{name}"] = lambda name=name: feed_all(
             spliced_ops(name)[0], CCV_SIDE
         )[0]
-    for algorithm in ("ccv-lazy", "lww-lazy"):
+    for algorithm in ("ccv-fig5", "lww"):
         cases[f"cell/scale-n32-hotkey/{algorithm}/0"] = (
             lambda algorithm=algorithm: _scale_cell(algorithm)
         )

@@ -1,23 +1,22 @@
-"""Header-only dedup, relay by splice and hostile bytes on the live
-transport (PR 13).
+"""Header-only dedup and hostile bytes on the live transport (PR 13).
 
 The packed broadcast-message frame lets :class:`AsyncioTransport` ask
 the broadcast layer "seen?" off the frame header and drop a duplicate
-undecoded, and lets a relay re-address the bytes a message arrived in.
-Both are optimisations the layer above must not be able to observe:
+undecoded, an optimisation the layer above must not be able to observe:
 
 * **dedup equivalence** — the same seeded frame sequence (duplicates,
   reordering, batch containers, generic-TLV and JSON message frames,
   control frames) produces the identical first-seen handler sequence
   with and without the predicate registered, and every message frame is
   accounted for: ``msg_frames_in == handler calls + dups_dropped``;
-* **splice** — relaying the dispatched object queues exactly the bytes a
-  fresh encode would, an equal copy of it (a resync resend) encodes;
+* **relay** — a flood relay of the message being dispatched queues the
+  bytes a fresh send from the relaying node would, in that node's codec;
 * **hostile bytes** — a peer or client connection fed a malformed body,
   a well-formed packed message whose header names a pid or a stamp
   length from another cluster, or a JSON / generic-TLV message envelope
-  that does the same in its decoded fields (ids, origin, stamp, the lazy
-  family's id lists), or a control frame whose digest does not fit the
+  that does the same in its decoded fields (id, origin, stamp) or is no
+  broadcast message at all (a former lazy-push ``adv``/``pull``/
+  ``pull-reply`` body), or a control frame whose digest does not fit the
   cluster, is closed, nothing reaches the loop's exception handler, and
   the node keeps serving and converging; a client whose server never
   answers does not leak its pending entry.
@@ -167,7 +166,10 @@ def test_an_earlier_frame_of_a_batch_makes_a_later_copy_a_duplicate():
     body = wire.encode_body(
         {"t": "msg", "src": 0, "body": message(0, 0)}, wire.CODEC_BINARY
     )
-    serve(transport, wire.encode_batch([body, wire.readdress(body, 2), body]))
+    relayed = wire.encode_body(
+        {"t": "msg", "src": 2, "body": message(0, 0)}, wire.CODEC_BINARY
+    )
+    serve(transport, wire.encode_batch([body, relayed, body]))
     assert calls == [(0, 0)] and first_seen == [(0, message(0, 0))]
     assert transport.wire_stats["dups_dropped"] == 2
 
@@ -261,24 +263,22 @@ FOREIGN_ENVELOPES = {
     "stamp of strings": envelope(
         0, id=(1, 0), origin=1, payload=0, stamp=("a", "b", "c")
     ),
-    "adv id": envelope(0, kind="adv", ids=((0, 0), (200, 0))),
-    "adv ids not a tuple": envelope(0, kind="adv", ids=7),
-    "pull id": envelope(0, kind="pull", mid=(0, -1)),
-    "pull-miss id": envelope(0, kind="pull-miss", mid="x"),
-    "pull-reply body": envelope(
-        0, kind="pull-reply", body={"id": (9, 0), "origin": 9, "payload": 0}
+    "id of three": envelope(0, id=(1, 0, 0), origin=1, payload=0),
+    "seq not an int": envelope(0, id=(1, 0.5), origin=1, payload=0),
+    # the lazy push's bodies, well-formed as it sent them: no member
+    # sends them any more, and they are no broadcast message
+    "former adv": envelope(0, kind="adv", ids=((0, 0), (2, 3))),
+    "former pull": envelope(0, kind="pull", mid=(1, 0), adv=((0, 1),)),
+    "former pull-miss": envelope(0, kind="pull-miss", mid=(2, 5)),
+    "former pull-reply": envelope(
+        0, kind="pull-reply", body={"id": (0, 1), "origin": 0, "payload": 0}
     ),
-    "piggybacked adv": envelope(0, kind="pull", mid=(0, 0), adv=((0, 0), (3, 1))),
 }
 
 #: ...and ones every kind of member sends, in the same two shapes
 MEMBER_ENVELOPES = [
     envelope(0, id=(0, 0), origin=0, payload=0, kind="bcast"),
     envelope(2, id=(2, 0), origin=2, payload=(1, 2), stamp=(0, 0, 1)),
-    envelope(0, kind="adv", ids=((0, 0), (2, 3))),
-    envelope(0, kind="pull", mid=(1, 0), adv=((0, 1),)),
-    envelope(0, kind="pull-miss", mid=(2, 5)),
-    envelope(0, kind="pull-reply", body={"id": (0, 1), "origin": 0, "payload": 0}),
 ]
 
 
@@ -326,19 +326,21 @@ def test_member_envelopes_of_every_kind_pass_the_check(shape, codec):
 
 
 def relaying_transport(codec):
+    """Pid 1 under a flood-shaped handler: each message it is handed is
+    multicast on, and sent to pid 2 once more."""
     transport = AsyncioTransport(1, ADDRS, codec=codec)
     log = []
 
     def handler(_src, msg):
         log.append(msg)
-        transport.multicast(1, msg)  # the flood relay
-        transport.send(1, 2, msg)  # the lazy family's push
+        transport.multicast(1, msg)
+        transport.send(1, 2, msg)
 
     transport.attach(1, handler)
     return transport, log
 
 
-def test_relay_of_the_dispatched_object_is_spliced_byte_for_byte():
+def test_a_relay_of_the_dispatched_message_encodes_as_a_fresh_send():
     transport, log = relaying_transport(wire.CODEC_BINARY)
     msg = message(0, 7)
     serve(
@@ -348,23 +350,11 @@ def test_relay_of_the_dispatched_object_is_spliced_byte_for_byte():
     fresh = wire.encode_body({"t": "msg", "src": 1, "body": msg}, wire.CODEC_BINARY)
     assert list(transport._queues[0]) == [fresh]
     assert list(transport._queues[2]) == [fresh, fresh]
-    assert transport.wire_stats["relays_spliced"] == 2
-    # outside the dispatch an equal message (a resync resend from the
-    # log) is encoded, not spliced — and comes to the same bytes
+    assert wire.decode(fresh)["src"] == 1  # re-addressed from the relay
+    # an equal message sent later (a resync resend from the log) comes
+    # to the same bytes
     transport.send(1, 2, log[0])
     assert transport._queues[2][-1] == fresh
-    assert transport.wire_stats["relays_spliced"] == 2
-
-
-def test_a_copy_of_the_dispatched_message_is_not_spliced():
-    transport = AsyncioTransport(1, ADDRS)
-    transport.attach(1, lambda _src, msg: transport.multicast(1, dict(msg)))
-    serve(
-        transport,
-        wire.encode({"t": "msg", "src": 0, "body": message(0, 7)}, wire.CODEC_BINARY),
-    )
-    assert transport.wire_stats["relays_spliced"] == 0
-    assert wire.decode(transport._queues[0][0])["src"] == 1
 
 
 def test_a_json_node_relays_in_json():
@@ -373,8 +363,8 @@ def test_a_json_node_relays_in_json():
         transport,
         wire.encode({"t": "msg", "src": 0, "body": message(0, 7)}, wire.CODEC_BINARY),
     )
-    assert transport.wire_stats["relays_spliced"] == 0
     assert wire.body_codec(transport._queues[0][0]) == wire.CODEC_JSON
+    assert wire.decode(transport._queues[0][0])["src"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +420,8 @@ def test_garbage_closes_the_connection_and_the_node_keeps_serving():
                     envelope(1, origin=1, payload=0),
                     # fits by accident: would mark node 1's first write seen
                     envelope(1, id=(1, 0), origin=1, payload=0, stamp=(1,)),
+                    # a former lazy-push advertisement of that same write
+                    envelope(1, kind="adv", ids=((1, 0),)),
                 ):
                     raw = hello + wire.frame(encode(forged))
                     assert await closes(peer, raw), forged
@@ -470,7 +462,7 @@ def test_garbage_closes_the_connection_and_the_node_keeps_serving():
                 pytest.fail(f"replicas did not converge on x=1: {windows}")
             status = (await client_call(client, {"cmd": "status"}))["status"]
             assert status["monitor"]["ok"]
-            for counter in ("msg_frames_in", "dups_dropped", "relays_spliced"):
+            for counter in ("msg_frames_in", "dups_dropped"):
                 assert counter in status["wire"]
         finally:
             await cluster.close()
