@@ -28,10 +28,10 @@ PRIMITIVES = {
 }
 
 
-def _run_batch(service_cls, n=4, per_proc=10, seed=1, **kwargs):
+def _run_batch(service_cls, n=4, per_proc=10, seed=1):
     sim = Simulator(seed=seed)
     net = Network(sim, n, delay=DelayModel.uniform(0.5, 4.0))
-    service = service_cls(net, **kwargs)
+    service = service_cls(net)
     counts = [0] * n
     for pid in range(n):
         service.endpoint(pid, lambda o, p, i=pid: counts.__setitem__(i, counts[i] + 1))
@@ -45,10 +45,9 @@ def _run_batch(service_cls, n=4, per_proc=10, seed=1, **kwargs):
 @pytest.mark.parametrize("name", sorted(PRIMITIVES))
 def test_broadcast_throughput(benchmark, name):
     cls = PRIMITIVES[name]
-    kwargs = {"relay": "direct"} if name != "total-order" else {}
 
     def run():
-        return _run_batch(cls, **kwargs)
+        return _run_batch(cls)
 
     sent, counts = benchmark(run)
     assert all(c == 40 for c in counts)  # everyone delivers everything
@@ -56,19 +55,14 @@ def test_broadcast_throughput(benchmark, name):
 
 def test_message_amplification(benchmark):
     lines = ["messages on the wire for 4 procs x 10 broadcasts each:",
-             f"{'primitive':>12s} {'direct':>8s} {'flooded':>8s}"]
+             f"{'primitive':>12s} {'sent':>8s}"]
     for name, cls in sorted(PRIMITIVES.items()):
-        if name == "total-order":
-            sent, _ = _run_batch(cls)
-            lines.append(f"{name:>12s} {sent:8d} {'n/a':>8s}")
-            continue
-        direct, _ = _run_batch(cls, relay="direct")
-        flooded, _ = _run_batch(cls, relay="flood")
-        lines.append(f"{name:>12s} {direct:8d} {flooded:8d}")
-    lines.append("\ntotal-order routes through the sequencer (2 legs);"
-                 " flooding pays (n-1)^2 for crash-tolerant agreement")
+        sent, _ = _run_batch(cls)
+        lines.append(f"{name:>12s} {sent:8d}")
+    lines.append("\nthe reliable family sends each broadcast once per peer"
+                 " (n-1); total-order routes through the sequencer (2 legs)")
     emit("broadcast_amplification", "\n".join(lines))
-    benchmark.pedantic(lambda: _run_batch(ReliableBroadcast, relay="flood"),
+    benchmark.pedantic(lambda: _run_batch(ReliableBroadcast),
                        rounds=2, iterations=1)
 
 
@@ -81,7 +75,7 @@ def test_causal_buffering_grows_with_jitter(benchmark):
     def measure(jitter: float) -> int:
         sim = Simulator(seed=7)
         net = Network(sim, 4, delay=DelayModel.uniform(0.5, jitter))
-        service = CausalBroadcast(net, relay="direct")
+        service = CausalBroadcast(net)
         peak = [0]
         budget = [24]  # bound the reaction cascade
 

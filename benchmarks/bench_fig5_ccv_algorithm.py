@@ -61,8 +61,7 @@ def test_fig5_throughput(benchmark, n):
 
     def run():
         return _scripted(n).run(
-            CCvWindowArray, seed=n, scripts=scripts, streams=2, k=2,
-            relay="direct",
+            CCvWindowArray, seed=n, scripts=scripts, streams=2, k=2
         )
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -127,9 +126,7 @@ def test_fig5_ablation_specialised_vs_generic(benchmark):
         ("generic log replay", GenericCCv, {"adt": adt}),
     ):
         t0 = time.perf_counter()
-        result = _scripted(n).run(
-            cls, seed=6, scripts=scripts, relay="direct", **kwargs
-        )
+        result = _scripted(n).run(cls, seed=6, scripts=scripts, **kwargs)
         timings[name] = (time.perf_counter() - t0, result.ops)
     lines = ["host cost, identical workload (4 procs x 60 ops):"]
     for name, (seconds, ops) in timings.items():
@@ -138,8 +135,7 @@ def test_fig5_ablation_specialised_vs_generic(benchmark):
 
     def run_specialised():
         return _scripted(n).run(
-            CCvWindowArray, seed=6, scripts=scripts, streams=2, k=2,
-            relay="direct",
+            CCvWindowArray, seed=6, scripts=scripts, streams=2, k=2
         )
 
     benchmark.pedantic(run_specialised, rounds=3, iterations=1)

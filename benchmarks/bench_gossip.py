@@ -2,10 +2,9 @@
 
 The paper cites CRDTs [22] as the other road to convergence.  This bench
 quantifies the trade-off on lossy links: the op-based algorithm needs a
-repair protocol — over the flood alone it loses a write every copy and
-relay of which was lost, and its direct sends (the default) converge
-through heartbeat-digest repair — while the state-based gossip converges
-through loss with none, at the cost of shipping whole states.
+repair protocol — its direct sends converge through heartbeat-digest
+repair — while the state-based gossip converges through loss with none,
+at the cost of shipping whole states.
 """
 
 import pytest
@@ -34,10 +33,10 @@ def _run_gossip(loss: float, seed: int, max_rounds: int = 400):
     return obj.converged(), obj.rounds, net.stats
 
 
-def _run_opbased(loss: float, seed: int, relay: str):
+def _run_opbased(loss: float, seed: int):
     sim = Simulator(seed=seed)
     net = Network(sim, 4, delay=DelayModel.uniform(0.2, 1.0), loss_rate=loss)
-    obj = CCvWindowArray(sim, net, None, streams=1, k=2, relay=relay)
+    obj = CCvWindowArray(sim, net, None, streams=1, k=2)
     for pid in range(4):
         obj.invoke(pid, Invocation("w", (0, 10 + pid)))
     sim.run()
@@ -50,24 +49,22 @@ def test_gossip_vs_opbased_under_loss(benchmark):
         rows = []
         for loss in LOSS_RATES:
             gossip_ok = sum(_run_gossip(loss, s)[0] for s in range(5))
-            direct_ok = sum(_run_opbased(loss, s, relay="direct")[0] for s in range(5))
-            flood_ok = sum(_run_opbased(loss, s, relay="flood")[0] for s in range(5))
-            rows.append((loss, gossip_ok, direct_ok, flood_ok))
+            direct_ok = sum(_run_opbased(loss, s)[0] for s in range(5))
+            rows.append((loss, gossip_ok, direct_ok))
         return rows
 
     rows = benchmark.pedantic(experiment, rounds=1, iterations=1)
     lines = ["runs converged out of 5, per message-loss rate:",
-             f"{'loss':>6s} {'gossip':>8s} {'op+direct':>9s} {'op+flood':>9s}"]
-    for loss, gossip_ok, direct_ok, flood_ok in rows:
-        lines.append(f"{loss:6.1f} {gossip_ok:8d} {direct_ok:9d} {flood_ok:9d}")
+             f"{'loss':>6s} {'gossip':>8s} {'op+direct':>9s}"]
+    for loss, gossip_ok, direct_ok in rows:
+        lines.append(f"{loss:6.1f} {gossip_ok:8d} {direct_ok:9d}")
     lines.append("\ngossip (state-based, CRDT-style [22]) rides out loss by")
     lines.append("retrying semilattice merges; op-based needs a repair")
-    lines.append("protocol: direct sends converge through heartbeat-digest")
-    lines.append("repair, the flood's relays alone do not.")
+    lines.append("protocol: its direct sends converge through")
+    lines.append("heartbeat-digest repair.")
     emit("gossip_vs_opbased_loss", "\n".join(lines))
     assert all(r[1] == 5 for r in rows)       # gossip always converges
     assert all(r[2] == 5 for r in rows)       # digest repair heals the loss
-    assert any(r[3] < 5 for r in rows[1:])    # the flood alone breaks under loss
 
 
 @pytest.mark.parametrize("loss", LOSS_RATES)

@@ -107,7 +107,6 @@ class ReplicatedObject:
         sim: Simulator,
         network: Transport,
         recorder: Optional[HistoryRecorder],
-        broadcast_config: Dict[str, Any],
         **replica_config: Any,
     ) -> None:
         self.sim = sim
@@ -116,7 +115,7 @@ class ReplicatedObject:
         self.recorder = recorder
         self.broadcast: Optional[BroadcastService] = None
         if self.broadcast_cls is not None:
-            self.broadcast = self.broadcast_cls(network, **broadcast_config)
+            self.broadcast = self.broadcast_cls(network)
         #: hosted pid -> replica, in pid order
         self.replicas: Dict[int, Replica] = {}
         for pid in network.hosted:

@@ -68,8 +68,5 @@ class CCWindowArray(ReplicatedObject):
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
-        relay: str = "direct",
     ) -> None:
-        super().__init__(
-            sim, network, recorder, {"relay": relay}, streams=streams, k=k
-        )
+        super().__init__(sim, network, recorder, streams=streams, k=k)

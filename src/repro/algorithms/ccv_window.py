@@ -108,11 +108,10 @@ class CCvWindowArray(ReplicatedObject):
         recorder: Optional[HistoryRecorder] = None,
         streams: int = 1,
         k: int = 2,
-        relay: str = "direct",
         paper_literal: bool = False,
     ) -> None:
         super().__init__(
-            sim, network, recorder, {"relay": relay},
+            sim, network, recorder,
             streams=streams, k=k, paper_literal=paper_literal,
         )
 

@@ -75,13 +75,12 @@ class GenericCausal(ReplicatedObject):
         network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
-        relay: str = "direct",
     ) -> None:
         if adt is None:
             raise ValueError(f"{type(self).__name__} requires an ADT")
         self.adt = adt
         self.name = self.label.format(adt.name)
-        super().__init__(sim, network, recorder, {"relay": relay}, adt=adt)
+        super().__init__(sim, network, recorder, adt=adt)
 
 
 class PramReplication(GenericCausal):

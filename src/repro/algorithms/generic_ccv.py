@@ -138,7 +138,6 @@ class GenericCCv(ReplicatedObject):
         network: Transport,
         recorder: Optional[HistoryRecorder] = None,
         adt: Optional[AbstractDataType] = None,
-        relay: str = "direct",
         **replica_config: Any,
     ) -> None:
         if adt is None:
@@ -146,8 +145,7 @@ class GenericCCv(ReplicatedObject):
         self.adt = adt
         self.name = self.label.format(adt.name)
         super().__init__(
-            sim, network, recorder, {"relay": relay},
-            adt=adt, clock=sim, **replica_config,
+            sim, network, recorder, adt=adt, clock=sim, **replica_config
         )
 
 

@@ -9,9 +9,8 @@ peer instead of broadcasting operations.
 
 Because the state is a semilattice and gossip retries forever, the
 algorithm converges even over *lossy* links with no repair protocol,
-where the op-based Fig. 5 needs one: over the flood it loses a write
-every copy and relay of which was lost, and its direct sends converge
-only through heartbeat-digest repair — the trade-off measured in
+where the op-based Fig. 5 needs one: its direct sends converge only
+through heartbeat-digest repair — the trade-off measured in
 ``benchmarks/bench_gossip.py``.  The price is message size (the whole
 window array travels) and the loss of per-operation causality across
 streams during a partition of the gossip graph.
@@ -112,7 +111,7 @@ class GossipCCvWindowArray(ReplicatedObject):
     ) -> None:
         self.rounds = 0
         self._running = False
-        super().__init__(sim, network, recorder, {}, streams=streams, k=k)
+        super().__init__(sim, network, recorder, streams=streams, k=k)
 
     # ------------------------------------------------------------------
     # Gossip engine: one scheduled tick per round for every hosted

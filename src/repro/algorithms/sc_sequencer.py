@@ -90,7 +90,7 @@ class ScSequencer(ReplicatedObject):
             raise ValueError("ScSequencer requires an ADT")
         self.adt = adt
         self.name = f"SC({adt.name}) [sequencer]"
-        super().__init__(sim, network, recorder, {}, adt=adt)
+        super().__init__(sim, network, recorder, adt=adt)
 
     def invoke(
         self, pid: int, invocation: Invocation, callback: Optional[Callback] = None

@@ -56,9 +56,6 @@ class ChaosFailure:
     original_events: int
     minimized: List[FaultEvent]
     spec: ScenarioSpec
-    #: how the run's reliable broadcast spread messages (``None``: it
-    #: had none)
-    relay: Optional[str] = None
     path: Optional[str] = None
 
 
@@ -86,11 +83,9 @@ def run_chaos_trial(
     run_seed: int,
     inject: str = "none",
     check_criterion: bool = True,
-    relay: Optional[str] = None,
 ) -> CheckedRun:
     """One monitored run of ``spec``, judged by :func:`check_run`, with
-    the row's reliable broadcast spreading by ``relay`` when one is
-    named (a replayed repro names the one it was found under).
+    ``inject``'s sentinel planted in the row's broadcast service.
 
     Failure kinds: every monitor violation kind (``double-apply``,
     ``fifo-order``, ``causal-order``, ``gc-frontier``, ``pruned-gap``,
@@ -102,22 +97,12 @@ def run_chaos_trial(
     ``criterion`` (the search refutes it), ``bad-pattern:<name>`` (the
     monitor does) and ``monitor-disagreement``."""
     entry = ALGORITHMS[algo_key]
-    if relay is not None:
-        entry = entry.with_relay(relay)
     planted = {"broadcast_cls": plant(entry.cls.broadcast_cls, inject)}
     return check_run(
         spec, entry, run_seed,
         cls=type(entry.cls.__name__, (entry.cls,), planted),
         post_setup=_chaos_post_setup, check=check_criterion,
     )
-
-
-def _spec_for(
-    faults: Sequence[FaultEvent], n: int, ops: int, inject: str, name: str
-) -> ScenarioSpec:
-    row = sentinel(inject)  # a differential hunt runs without repairs
-    differential = row is not None and row.differential
-    return make_spec(name, n, ops, faults, repairs=not differential)
 
 
 def trial_fails(
@@ -129,24 +114,9 @@ def trial_fails(
     ops: int,
     check_criterion: bool = True,
 ) -> CheckedRun:
-    """The failure predicate shared by the driver loop and ddmin.
-
-    For a differential sentinel the injected run must fail while the
-    clean run of the same schedule succeeds."""
-    spec = _spec_for(faults, n, ops, inject, "chaos-candidate")
-    outcome = run_chaos_trial(
-        spec, algo_key, run_seed, inject, check_criterion
-    )
-    row = sentinel(inject)
-    if row is not None and row.differential and outcome.failed:
-        control = run_chaos_trial(
-            spec, algo_key, run_seed, "none", check_criterion
-        )
-        if control.failed:
-            # the clean code fails the same schedule: not the sentinel's
-            # fault, so the differential predicate does not blame it
-            return CheckedRun(outcome.result)
-    return outcome
+    """The failure predicate shared by the driver loop and ddmin."""
+    spec = make_spec("chaos-candidate", n, ops, faults)
+    return run_chaos_trial(spec, algo_key, run_seed, inject, check_criterion)
 
 
 def run_chaos(
@@ -196,9 +166,8 @@ def run_chaos(
                 f"trial {trial} [{algo_key}]: minimised "
                 f"{len(faults)} -> {len(minimized)} events"
             )
-            spec = _spec_for(
-                minimized, n, ops, inject,
-                f"chaos-repro-s{seed}-t{trial}-{algo_key}",
+            spec = make_spec(
+                f"chaos-repro-s{seed}-t{trial}-{algo_key}", n, ops, minimized
             )
             failure = ChaosFailure(
                 trial=trial,
@@ -209,7 +178,6 @@ def run_chaos(
                 original_events=len(faults),
                 minimized=minimized,
                 spec=spec,
-                relay=getattr(outcome.result.algorithm.broadcast, "relay", None),
             )
             if save_dir:
                 failure.path = save_repro(failure, inject, save_dir)
@@ -229,7 +197,6 @@ def save_repro(failure: ChaosFailure, inject: str, save_dir: str) -> str:
         "kind": "chaos-repro",
         "version": 1,
         "algorithm": failure.algorithm,
-        "relay": failure.relay,
         "run_seed": failure.run_seed,
         "inject": inject,
         "failure_kinds": failure.kinds,
@@ -252,9 +219,8 @@ def replay_file(path: str) -> Tuple[CheckedRun, Dict[str, Any]]:
     test the corpus provides.  A document without its ``spec`` (or a
     spec without its ``name``), ``algorithm`` or ``run_seed``, or one
     naming an algorithm the registry lacks, raises ``ValueError`` naming
-    the file and the field.  A document without ``relay`` was found
-    before the reliable broadcast sent directly by default, and replays
-    over the flood."""
+    the file and the field.  Any other key (an old document's
+    ``relay`` among them) is not read."""
     with open(path) as handle:
         doc = json.load(handle)
     if not isinstance(doc, dict) or doc.get("kind") != "chaos-repro":
@@ -272,10 +238,6 @@ def replay_file(path: str) -> Tuple[CheckedRun, Dict[str, Any]]:
         )
     spec = ScenarioSpec.from_dict(doc["spec"])
     outcome = run_chaos_trial(
-        spec,
-        algorithm,
-        doc["run_seed"],
-        doc.get("inject", "none"),
-        relay=doc.get("relay", "flood"),
+        spec, algorithm, doc["run_seed"], doc.get("inject", "none")
     )
     return outcome, doc

@@ -8,9 +8,9 @@ reproduces the identical schedule forever.
 
 Every generated schedule is followed by a deterministic *cleanup suffix*
 (:func:`cleanup_events`): dials reset, partitions heal, crashed
-processes recover — computed from the events' effective end times so
-that a flap's scheduled cycles or a storm's self-recovery can never land
-*after* the heal and undo it.  The suffix is what makes convergence a
+processes recover, repair sweeps follow a lossy phase — computed from
+the events' effective end times so that a flap's scheduled cycles or a
+storm's self-recovery can never land *after* the heal and undo it.  The suffix is what makes convergence a
 fair check: the paper's convergence criteria are defined for eventually
 well-behaved networks, so every chaos run must eventually be one.
 
@@ -117,19 +117,13 @@ def event_end(event: FaultEvent) -> float:
     return event.time
 
 
-def cleanup_events(
-    events: Sequence[FaultEvent], n: int, repairs: bool = True
-) -> List[FaultEvent]:
+def cleanup_events(events: Sequence[FaultEvent], n: int) -> List[FaultEvent]:
     """The deterministic cleanup suffix for ``events``.
 
     Resets the loss/duplicate/delay dials, heals every partition and
     blocked link, recovers every process still crashed at cleanup time,
-    and — when ``repairs`` and a lossy phase occurred — runs ``n - 1``
-    spaced anti-entropy repair sweeps (op-based algorithms cannot
-    converge through loss without them).  ``repairs=False`` is the
-    differential mode of the chaos driver: resync robustness bugs would
-    be masked by repair sweeps, so the one-shot-vs-supervised comparison
-    runs without them."""
+    and — when a lossy phase occurred — runs ``n - 1`` spaced
+    anti-entropy repair sweeps."""
     at = CLEANUP_MARGIN + max(
         [event_end(e) for e in events], default=0.0
     )
@@ -149,7 +143,7 @@ def cleanup_events(
     for pid in sorted(crashed):
         suffix.append(F.recover(at, pid))
     had_loss = any(e.action == "loss" and e.rate > 0 for e in events)
-    if repairs and had_loss:
+    if had_loss:
         for i in range(1, n):
             suffix.append(F.repair(at + i * REPAIR_SPACING))
     return suffix
@@ -160,12 +154,11 @@ def make_spec(
     n: int,
     ops: int,
     faults: Sequence[FaultEvent],
-    repairs: bool = True,
 ) -> ScenarioSpec:
     """A runnable chaos spec: the injected ``faults`` plus their cleanup
     suffix over the standard chaos workload."""
     events = sorted(faults, key=lambda e: e.time)
-    full = tuple(events) + tuple(cleanup_events(events, n, repairs=repairs))
+    full = tuple(events) + tuple(cleanup_events(events, n))
     return ScenarioSpec(
         name=name,
         description="chaos-generated fault schedule",

@@ -1,24 +1,16 @@
 """Sentinel bugs: known defects planted for the chaos hunt to find.
 
-Each is a mixin overriding one method of the broadcast service or of
-its endpoint class (``endpoint_cls``), which :func:`plant` subclasses
-with it, so :mod:`repro.runtime` carries no switch for any;
-:data:`SENTINELS` is the ``--inject`` vocabulary:
+Each is a mixin overriding one method of the broadcast service, which
+:func:`plant` subclasses with it, so :mod:`repro.runtime` carries no
+switch for any; :data:`SENTINELS` is the ``--inject`` vocabulary:
 
 ``gc-frontier``
     the peer view counts each crashed replica one message ahead, so the
     stability sweep prunes what a downed replica has not seen (caught
-    by the ``gc-frontier``/``pruned-gap`` monitors);
-``oneshot-resync``
-    supervised resync degrades to the one-shot catch-up it replaced.
-
-The last is *differential*: a trial fails only if the clean run of the
-same schedule passes — a schedule no strategy could survive is not the
-sentinel's fault — and runs without repair sweeps, which would mask the
-stranding being hunted.
+    by the ``gc-frontier``/``pruned-gap`` monitors).
 """
 
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, Optional
 
 from ..runtime.broadcast import PeerView, ReliableBroadcast
 
@@ -33,35 +25,22 @@ class _CrashedRowsAhead(PeerView):
 
 
 class _GcFrontier:
-    def __init__(self, network: Any, **config: Any) -> None:
-        super().__init__(network, **config)
+    def __init__(self, network: Any) -> None:
+        super().__init__(network)
         for endpoint in self.endpoints.values():
             endpoint.peers = _CrashedRowsAhead(self.n, self.endpoints)
             endpoint.peers.is_crashed = network.is_crashed
 
 
-class _OneShotResync:
-    def start_resync(self) -> None:
-        self.resync()
-
-
-class Sentinel(NamedTuple):
-    service_mixin: Optional[type]
-    endpoint_mixin: Optional[type]
-    differential: bool
-
-
-SENTINELS: Dict[str, Sentinel] = {
-    "gc-frontier": Sentinel(_GcFrontier, None, False),
-    "oneshot-resync": Sentinel(None, _OneShotResync, True),
-}
+#: each sentinel's service mixin, by ``--inject`` name
+SENTINELS: Dict[str, type] = {"gc-frontier": _GcFrontier}
 
 #: the ``--inject`` vocabulary: ``none`` plants nothing
 INJECTIONS = ("none", *SENTINELS)
 
 
-def sentinel(inject: str) -> Optional[Sentinel]:
-    """The table row of ``inject`` (``None`` for ``"none"``)."""
+def sentinel(inject: str) -> Optional[type]:
+    """The mixin of ``inject`` (``None`` for ``"none"``)."""
     if inject not in INJECTIONS:
         raise ValueError(
             f"unknown injection {inject!r}; known: {', '.join(INJECTIONS)}"
@@ -73,12 +52,7 @@ def plant(service_cls: Any, inject: str) -> Any:
     """The subclass of ``service_cls`` that carries ``inject``, or
     ``service_cls`` itself (``None`` included) when it is no reliable
     broadcast."""
-    row = sentinel(inject)
-    if row is None or not issubclass(service_cls or object, ReliableBroadcast):
+    mixin = sentinel(inject)
+    if mixin is None or not issubclass(service_cls or object, ReliableBroadcast):
         return service_cls
-    attrs = {}
-    if row.endpoint_mixin is not None:
-        base = service_cls.endpoint_cls
-        attrs["endpoint_cls"] = type(base.__name__, (row.endpoint_mixin, base), {})
-    mixins = (row.service_mixin,) if row.service_mixin else ()
-    return type(service_cls.__name__, (*mixins, service_cls), attrs)
+    return type(service_cls.__name__, (mixin, service_cls), {})

@@ -4,7 +4,6 @@ from .broadcast import (
     BroadcastService,
     CausalBroadcast,
     FifoBroadcast,
-    RELAYS,
     ReliableBroadcast,
     TotalOrderBroadcast,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "BroadcastService",
     "CausalBroadcast",
     "FifoBroadcast",
-    "RELAYS",
     "ReliableBroadcast",
     "TotalOrderBroadcast",
     "RuntimeMonitor",

@@ -18,7 +18,7 @@ everything else from messages.  A :class:`ReliableEndpoint` at pᵢ::
         accept(m); relay(m)                # local delivery comes first
     receive(m) from q:
         if seq(m) < frontier[origin(m)] or id(m) in spill: drop
-        note(m); if flooding: relay(m); accept(m)
+        note(m); accept(m)
     note(m):  if seq(m) = frontier[origin(m)]: advance that frontier past
               m and the spilled ids after it, else add id(m) to spill;
               append m to log; every GC_INTERVAL notes: sweep
@@ -29,7 +29,7 @@ everything else from messages.  A :class:`ReliableEndpoint` at pᵢ::
               send ("resync-req", frontier, spill) to helper
     on ("resync-req", frontier, spill) from q:
               learn q's row; send q every m in log that row lacks
-    on digest (frontier, spill) from q:    # live; simulated: "direct"
+    on digest (frontier, spill) from q:
               learn q's row; resend q every m in log that row lacks
               and this endpoint had seen when q's previous digest came
               (one heartbeat of grace)
@@ -78,12 +78,11 @@ Its heartbeat is the service's own timer chain
 process's digest reaches every live peer it is not separated from, and
 the repairs it draws are ordinary network copies (``Transport.repair``).
 
-**Two axes.**  *Delivery order* is the endpoint class an ``XBroadcast``
-service builds: ``Reliable`` (none), ``Fifo`` (the PRAM baseline's),
-``Causal`` (Figs. 4 and 5's).  *Dissemination* is the service's
-``relay``, one of :data:`RELAYS`: ``"direct"`` (the default on both
-planes: only the broadcaster sends, and heartbeat digests repair what
-the network lost) or ``"flood"`` (relay each message when first seen).
+**One axis, one dissemination.**  *Delivery order* is the endpoint
+class an ``XBroadcast`` service builds: ``Reliable`` (none), ``Fifo``
+(the PRAM baseline's), ``Causal`` (Figs. 4 and 5's).  Every one of them
+spreads a message the same way on both planes: only its broadcaster
+sends it, and heartbeat digests repair what the network lost.
 ``TotalOrder`` stands apart: sequencer-based and *not* wait-free, which
 is exactly why sequentially consistent objects cannot have latency
 independent of the network (Sec. 1, [3, 16]; experiment E6 measures it).
@@ -99,9 +98,6 @@ from .transport import Transport
 
 Handler = Callable[[int, Any], None]  # (origin pid, payload)
 Mid = Tuple[int, int]  # (origin pid, origin's sequence number)
-
-#: how a reliable broadcast spreads a message (see the module docstring)
-RELAYS = ("flood", "direct")
 
 #: most spilled ids a digest lists: a peer reading a cut digest takes
 #: the ids past the cut as missing, so the cut costs repeated sends at
@@ -243,17 +239,15 @@ class PeerView:
 
 
 class ReliableEndpoint(Endpoint):
-    """Reliable broadcast, direct by default.
+    """Reliable broadcast by direct sends and digest repair.
 
-    ``relay="direct"`` sends each message once per peer, from its origin
-    (n-1 messages instead of O(n^2)), and heartbeat digests make that
-    reliable: a peer's digest has every process that holds a message
-    the peer lacks resend it (:meth:`_repair`), the origin's crash
-    mid-send included — on a live node from the node's heartbeat
-    (:meth:`on_control`), on the simulated plane from the service's
-    (:meth:`ReliableBroadcast._beat`).  ``relay="flood"`` relays each
-    message the first time a process sees it, so a message delivered
-    anywhere reaches every non-faulty process with no digest at all.
+    Each message goes once per peer, from its origin (n-1 messages), and
+    no receiver passes it on.  Heartbeat digests make that reliable: a
+    peer's digest has every process that holds a message the peer lacks
+    resend it (:meth:`_repair`), the origin's crash mid-send included —
+    on a live node from the node's heartbeat (:meth:`on_control`), on
+    the simulated plane from the service's
+    (:meth:`ReliableBroadcast._beat`).
 
     Memory stays bounded on long runs through causal-stability GC
     (:meth:`sweep`), and a crash-recovered process catches up by
@@ -273,8 +267,6 @@ class ReliableEndpoint(Endpoint):
         self.peers: PeerView  # built once every hosted endpoint exists
         # a re-crash + re-recover orphans the old supervision chain
         self._resync_epoch = 0
-        # relay a message seen from a peer onward
-        self.forwards = service.relay == "flood"
         # per remote peer, this endpoint's frontier and spill when that
         # peer's last digest came: what its next digest may get repaired
         self._grace: Dict[int, Tuple[List[int], Set[Mid]]] = {}
@@ -365,8 +357,6 @@ class ReliableEndpoint(Endpoint):
         if mid[1] < self.frontier[mid[0]] or mid in self.spill:
             return
         self._note_seen(message)
-        if self.forwards:
-            self._relay(message)
         self._accept(message)
 
     def _accept(self, message: Any) -> None:
@@ -397,7 +387,7 @@ class ReliableEndpoint(Endpoint):
 
     def on_control(self, src: int, body: Dict[str, Any]) -> Optional[int]:
         """The transport's control sink.  A ``repair`` carries one
-        message, received as if ``src`` had relayed it.  Any other body
+        message, received as if ``src`` had sent it.  Any other body
         may carry its sender's digest: a ``resync-req`` then asks for
         everything the sender lacks, and a heartbeat gets what
         :meth:`_repair` finds."""
@@ -485,8 +475,8 @@ class ReliableEndpoint(Endpoint):
         return index.get(mid)
 
     def _relay_and_beat(self, message: Any) -> None:
-        """The outbound relay of a direct endpoint whose service hosts
-        every process: the multicast, and the service's heartbeat armed."""
+        """The outbound send of an endpoint whose service hosts every
+        process: the multicast, and the service's heartbeat armed."""
         self.transport.multicast(self.pid, message)
         self.service.arm_heartbeat()
 
@@ -622,24 +612,21 @@ class ReliableBroadcast(BroadcastService):
     RESYNC_TIMEOUT = 6.0
     RESYNC_BACKOFF = 1.6
     RESYNC_MAX_ATTEMPTS = 8
-    #: heartbeat period of a direct service that hosts every process,
+    #: heartbeat period of a service that hosts every process,
     #: in simulated time units: 24 mean default delays, so a copy still
     #: in flight (a slow link, a reorder burst) is seldom taken for a
     #: lost one, and a beat's O(n^2) digest round stays rare next to
     #: the traffic it covers
     HB_INTERVAL = 24.0
 
-    def __init__(self, network: Transport, relay: str = "direct") -> None:
-        if relay not in RELAYS:
-            raise ValueError(f"unknown relay {relay!r}; known: {', '.join(RELAYS)}")
-        self.relay = relay  # read by the endpoints the base class builds
+    def __init__(self, network: Transport) -> None:
         super().__init__(network)
         self._notes_since_gc = 0
         self.gc_runs = 0
         self.gc_pruned = 0
         #: the next heartbeat's timer; ``None`` while the chain is off
         self._hb: Any = None
-        beats = relay == "direct" and len(self.endpoints) == self.n
+        beats = len(self.endpoints) == self.n
         for pid, endpoint in self.endpoints.items():
             endpoint.peers = PeerView(self.n, self.endpoints)
             network.attach_dedup(pid, endpoint.is_seen)

@@ -12,11 +12,9 @@ deliveries, and from interleaving the clients' think times.
 
 The heap holds bare ``(time, seq)`` tuples — no per-event object, no
 generated ``__lt__`` — with the callback (and its arguments) kept in a
-side table keyed by ``seq``.  Cancellation removes the side-table entry
-(the tombstone); the pop loop skips heap entries whose ``seq`` is gone.
-This keeps scheduling and the run loop allocation-free on the hot path
-and makes :attr:`pending` an O(1) table-length read instead of a heap
-scan.
+side table keyed by ``seq``.  This keeps scheduling and the run loop
+allocation-free on the hot path and makes :attr:`pending` an O(1)
+table-length read instead of a heap scan.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> int:
         """Schedule ``callback(*args)`` to run ``delay`` time units from
-        now; returns an opaque handle for :meth:`cancel`.
+        now; returns the event's sequence number.
 
         Ties are broken by insertion order, keeping runs deterministic.
         Passing the arguments here (instead of closing over them) keeps
@@ -85,12 +83,6 @@ class Simulator:
         self._events[seq] = (callback, args)
         heapq.heappush(self._heap, (when, seq))
 
-    def cancel(self, handle: int) -> None:
-        """Cancel a scheduled event (no-op if it already ran or was
-        cancelled).  The heap entry stays behind as a tombstone and is
-        discarded when popped."""
-        self._events.pop(handle, None)
-
     def run(
         self,
         until: Optional[float] = None,
@@ -112,9 +104,7 @@ class Simulator:
                 if until is not None and heap[0][0] > until:
                     break
                 entry_time, seq = pop(heap)
-                entry = events.pop(seq, None)
-                if entry is None:  # tombstone of a cancelled event
-                    continue
+                entry = events.pop(seq)
                 if executed >= budget:
                     # undo the pop so a later run() call still sees it
                     events[seq] = entry
@@ -139,7 +129,6 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Live (non-cancelled, not yet executed) scheduled events; a
-        copy the network elided or folded was never scheduled and is not
-        one."""
+        """Scheduled events not yet executed; a copy the network elided
+        or folded was never scheduled and is not one."""
         return len(self._events)

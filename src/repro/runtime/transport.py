@@ -100,11 +100,7 @@ class Transport:
           copy is decoded and the handler's own check drops it."""
 
     def send(self, src: int, dst: int, payload: Any) -> None:
-        """Asynchronously deliver ``payload`` from ``src`` to ``dst``.
-
-        A handler that passes on the very message object it was handed
-        (a relay) must not have modified it: a transport may forward the
-        bytes that object arrived in rather than encode it again."""
+        """Asynchronously deliver ``payload`` from ``src`` to ``dst``."""
         raise NotImplementedError
 
     def multicast(self, src: int, payload: Any) -> None:
@@ -126,7 +122,7 @@ class Transport:
     def repair(self, src: int, dst: int, message: Any) -> None:
         """Resend the logged broadcast ``message`` to ``dst``, whose
         digest shows it lacks it: a ``repair`` control body, which
-        ``dst``'s sink receives as if ``src`` had relayed the message."""
+        ``dst``'s sink receives as if ``src`` had sent the message."""
         self.control(src, dst, {"kind": "repair", "body": message})
 
     # -- clock and timers ----------------------------------------------

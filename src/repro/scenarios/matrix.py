@@ -18,7 +18,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..adts.window_stream import WindowStreamArray
@@ -35,7 +35,6 @@ from ..algorithms import (
 from ..criteria.hierarchy import implied
 from ..criteria.streaming_monitor import monitor_for_adt
 from ..criteria.verdict import CHECK_BUDGET, decide
-from ..runtime.broadcast import ReliableBroadcast
 from ..util.tables import render_table
 from .registry import get_scenario, scenario_names
 from .scenario import RunResult, Scenario
@@ -58,24 +57,14 @@ class AlgorithmEntry:
     #: operation take effect remotely without ever completing at its
     #: origin, so the recorded history can expose unwritten values
     needs_reliable: bool = False
-    #: the reliable broadcast's ``relay`` (``None``: the host's default)
-    relay: Optional[str] = None
-
-    def with_relay(self, relay: str) -> "AlgorithmEntry":
-        """This row with its reliable broadcast spreading by ``relay``;
-        a row over no reliable broadcast comes back as it is."""
-        if not issubclass(self.cls.broadcast_cls or object, ReliableBroadcast):
-            return self
-        return replace(self, relay=relay)
 
     def kwargs(self, streams: int, k: int) -> Dict[str, Any]:
         """Constructor kwargs of ``cls`` for an array of ``streams``
         window streams of size ``k`` — the one place ``kwargs_style`` is
         decoded, for the matrix runner and the service node alike."""
-        relay = {} if self.relay is None else {"relay": self.relay}
         if self.kwargs_style == "window":
-            return {"streams": streams, "k": k, **relay}
-        return {"adt": WindowStreamArray(streams, k), **relay}
+            return {"streams": streams, "k": k}
+        return {"adt": WindowStreamArray(streams, k)}
 
     def run(
         self,
@@ -187,7 +176,7 @@ class MatrixCell:
     #: the monitor's scope): ``{"criteria": {...}, "stats": {...}}``
     streaming: Optional[Dict[str, Any]] = None
     #: per-run network accounting (sent / delivered / elided), the
-    #: message-complexity surface of the relay and of send-time dedup;
+    #: message-complexity surface of the broadcast and of send-time dedup;
     #: on the simulated network ``delivered`` counts first arrivals
     #: only, the later copies it folded into them are in ``elided``
     network: Dict[str, int] = field(default_factory=dict)

@@ -17,9 +17,8 @@ heartbeat is marked in the callback that read its frame, and the node's
 own heartbeat is a timer chain on the clock (sweep the view, multicast,
 re-arm), like the broadcast layer's timers — no task runs for either.
 
-**Digests.**  A write leaves its origin once per peer and is relayed by
-no one (``relay="direct"``, the reliable broadcast's default); the heartbeat
-is what makes that reliable.  Each heartbeat carries the endpoint's
+**Digests.**  A write leaves its origin once per peer and is passed on
+by no one; the heartbeat is what makes that reliable.  Each heartbeat carries the endpoint's
 ``digest()`` — its contiguous seen-frontier row and its spill as
 bounded per-origin runs — and the transport hands every control frame
 to the endpoint's control sink as well as to the node.  Peers' rows
@@ -27,8 +26,8 @@ reach the endpoint's peer view, which keeps the stability GC sound and
 feeds the resync verification check, and a peer's digest has the
 endpoint resend it, as ``repair`` frames, whatever the digest shows it
 lacks of what the endpoint held one heartbeat earlier: a frame the wire
-lost is back within about two heartbeats, with no relay on the path of
-a fault-free write.  The node touches none of it.  Resync itself
+lost is back within about two heartbeats, with no extra copy on the
+path of a fault-free write.  The node touches none of it.  Resync itself
 (request, serve, supervision) is the broadcast layer's own code, its
 timers now wall-clock timeouts on the event loop; the node only sets
 ``RESYNC_TIMEOUT`` to wall seconds.
@@ -76,9 +75,8 @@ def build_algorithm(
     the live counterpart of the matrix runner's construction.  The
     request handler replies synchronously, so an algorithm that is not
     wait-free is refused here rather than on its first operation.  A
-    row over a reliable broadcast that leaves ``relay`` unset gets the
-    broadcast's default, ``relay="direct"``: each message goes once per
-    peer and the node's heartbeat digests repair what the wire loses."""
+    row over a reliable broadcast sends each message once per peer, and
+    the node's heartbeat digests repair what the wire loses."""
     from ..scenarios.matrix import ALGORITHMS
 
     try:
@@ -225,7 +223,7 @@ class ServiceNode:
         """An error reply unless ``req["x"]`` is a stream index.  Checked
         at the protocol boundary: past it, an out-of-range ``x`` raises
         inside the broadcast's local delivery — after the message was
-        stamped and logged, before it was relayed — and wedges every
+        stamped and logged, before it was sent — and wedges every
         peer's causal buffer behind a message that never leaves."""
         x = req.get("x")
         if type(x) is int and 0 <= x < self.streams:

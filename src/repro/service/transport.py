@@ -30,8 +30,7 @@ shape, the A/B baseline whose numbers are frozen in
 ``benchmarks/results/BENCH_service_seed.json``.
 
 Message frames.  A live node sends each write once per peer, from its
-origin, and relays nothing (``relay="direct"``): n-1 message frames per
-write.  A frame the wire loses is resent from the retained log of a
+origin, and nobody passes it on: n-1 message frames per write.  A frame the wire loses is resent from the retained log of a
 peer whose heartbeat digest shows the hole, as a ``repair`` control
 frame (``ReliableEndpoint.on_control``), so no receiver floods to cover
 it.  The inbound path still spends nothing on a copy it has seen — a
@@ -314,9 +313,10 @@ class AsyncioTransport(Transport):
         """Queue a broadcast-layer message frame for ``dst``.
 
         ``src`` is whatever pid the layer above speaks as — on a live
-        node that is ``my_pid`` for original broadcasts and relays, and
-        stays truthful in the frame so the receiver's dedup and causal
-        layers see the same ``(src, message)`` pairs as in the simulator.
+        node that is ``my_pid`` for original broadcasts and resync
+        replays, and stays truthful in the frame so the receiver's dedup
+        and causal layers see the same ``(src, message)`` pairs as in
+        the simulator.
         """
         frame = {"t": "msg", "src": src, "body": payload}
         if dst == self.my_pid:

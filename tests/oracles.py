@@ -9,6 +9,12 @@ observables.  They live here so ``src/`` holds only what the system runs
 - :class:`ReferenceCausalBroadcast` — the quadratic causal delivery
   drain :class:`repro.runtime.CausalBroadcast`'s indexed cascade must
   match delivery for delivery (``tests/test_runtime_perf.py``);
+- :func:`flooding` / :func:`flooded` / :func:`flooded_chaos_trial` —
+  the flood: every process passes a message on the first time it sees
+  it, the dissemination the reliable broadcast ran before
+  heartbeat-digest repair.  The goldens recorded then are replayed
+  through it, and the direct sends are held to deliver the world it
+  delivers (``tests/test_dissemination.py``);
 - :func:`propagate_reference` — the whole-family K1–K5 fixpoint
   ``CausalSearch._propagate``'s worklist closure must match
   (``tests/test_search_perf.py``);
@@ -24,8 +30,15 @@ from __future__ import annotations
 import itertools
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro.chaos.driver import _chaos_post_setup
 from repro.core import HIDDEN, AbstractDataType, Invocation, Operation
-from repro.runtime.broadcast import CausalBroadcast, CausalEndpoint
+from repro.runtime.broadcast import (
+    CausalBroadcast,
+    CausalEndpoint,
+    ReliableBroadcast,
+)
+from repro.scenarios.matrix import ALGORITHMS, CheckedRun, check_run
+from repro.scenarios.spec import ScenarioSpec
 from repro.util.bitset import bits
 from repro.util.orders import LazyOrderEnumerator
 
@@ -82,6 +95,63 @@ class ReferenceCausalEndpoint(CausalEndpoint):
 class ReferenceCausalBroadcast(CausalBroadcast):
     name = "causal-reference"
     endpoint_cls = ReferenceCausalEndpoint
+
+
+# ----------------------------------------------------------------------
+# Dissemination: the flood
+# ----------------------------------------------------------------------
+class FloodingEndpoint:
+    """Endpoint mixin: a first-seen message is passed on to every peer
+    before it is accepted, so a message delivered anywhere reaches every
+    non-faulty process with no digest at all."""
+
+    def receive(self, src: int, message: Any) -> None:
+        if self.is_seen(message["id"]):
+            return
+        self._note_seen(message)
+        self._relay(message)
+        self._accept(message)
+
+
+def _no_heartbeat(service: Any) -> None:
+    """A flood needs no repair, so its heartbeat is never armed."""
+
+
+def flooding(service_cls: Any) -> Any:
+    """The subclass of the reliable broadcast service ``service_cls``
+    whose endpoints flood and that never beats; any other class
+    (``None`` included) comes back as it is."""
+    if not issubclass(service_cls or object, ReliableBroadcast):
+        return service_cls
+    base = service_cls.endpoint_cls
+    endpoint = type(base.__name__, (FloodingEndpoint, base), {})
+    return type(
+        service_cls.__name__,
+        (service_cls,),
+        {"endpoint_cls": endpoint, "arm_heartbeat": _no_heartbeat},
+    )
+
+
+def flooded(cls: type) -> type:
+    """The replicated-object class ``cls`` over :func:`flooding` of its
+    broadcast service — for ``AlgorithmEntry.run(cls=...)`` or a direct
+    construction; ``cls`` itself when it has no reliable broadcast."""
+    service_cls = flooding(cls.broadcast_cls)
+    if service_cls is cls.broadcast_cls:
+        return cls
+    return type(cls.__name__, (cls,), {"broadcast_cls": service_cls})
+
+
+def flooded_chaos_trial(
+    spec: ScenarioSpec, algo_key: str, run_seed: int, check_criterion: bool = True
+) -> CheckedRun:
+    """:func:`repro.chaos.run_chaos_trial` with nothing planted, over
+    :func:`flooded` of the row's class."""
+    entry = ALGORITHMS[algo_key]
+    return check_run(
+        spec, entry, run_seed, cls=flooded(entry.cls),
+        post_setup=_chaos_post_setup, check=check_criterion,
+    )
 
 
 # ----------------------------------------------------------------------

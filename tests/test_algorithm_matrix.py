@@ -54,13 +54,12 @@ def _run(cls, kwargs, seed, jitter=20.0):
     scripts = [
         window_script(random.Random(seed * 31 + pid), 4, 2) for pid in range(3)
     ]
-    extra = {} if cls is ScSequencer else {"relay": "direct"}
     spec = ScenarioSpec(
         name="matrix", n=3, delay=DelaySpec("uniform", (0.2, jitter)),
         quiescence_reads=False,
     )
     return Scenario(spec).run(
-        cls, seed=seed, scripts=scripts, **extra, **kwargs
+        cls, seed=seed, scripts=scripts, **kwargs
     )
 
 
@@ -119,7 +118,7 @@ def test_reactive_wcc_violation_witness(cls):
         net = Network(sim, 3, delay=DelayModel.uniform(0.5, 25.0))
         rec = HistoryRecorder(3)
         kwargs = {"clock_skew": 3.0} if cls is LwwReplication else {}
-        obj = cls(sim, net, rec, adt=mem, relay="direct", **kwargs)
+        obj = cls(sim, net, rec, adt=mem, **kwargs)
         obj.invoke(0, Invocation("w", ("q", 1)))
 
         def answer() -> None:

@@ -84,7 +84,7 @@ class TestFig4CausalConsistency:
     def test_write_costs_n_minus_1_messages_without_flooding(self):
         sim = Simulator(seed=0)
         net = Network(sim, 4)
-        obj = CCWindowArray(sim, net, None, streams=1, k=2, relay="direct")
+        obj = CCWindowArray(sim, net, None, streams=1, k=2)
         obj.invoke(0, Invocation("w", (0, 5)))
         assert net.stats.sent == 3
         obj.invoke(0, Invocation("r", (0,)))

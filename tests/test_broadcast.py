@@ -5,8 +5,10 @@ import itertools
 import random
 
 import pytest
+from oracles import flooding
 
-from repro.algorithms import CCvWindowArray
+from repro.adts import Counter
+from repro.algorithms import CCvWindowArray, CCWindowArray, GenericCausal, GenericCCv
 from repro.runtime import (
     CausalBroadcast,
     DelayModel,
@@ -39,13 +41,22 @@ class TestReliableBroadcast:
         for log in logs:
             assert sorted(p for _, p in log) == ["a", "b"]
 
-    @pytest.mark.parametrize("relay", ["eager", "", None])
+    @pytest.mark.parametrize("relay", ["eager", "", None, "flood", "direct"])
     def test_an_unknown_relay_is_refused(self, relay):
-        net = Network(Simulator(seed=0), 3)
-        with pytest.raises(ValueError, match="known: flood, direct"):
-            ReliableBroadcast(net, relay=relay)
-        with pytest.raises(ValueError, match="unknown relay"):
-            CCvWindowArray(Simulator(seed=0), net, relay=relay)
+        """A reliable broadcast spreads a write one way, direct sends and
+        digest repair, so no service and no replica takes a ``relay``
+        keyword, the names it once knew included."""
+        sim = Simulator(seed=0)
+        net = Network(sim, 3)
+        knob = {"relay": relay}
+        with pytest.raises(TypeError, match="relay"):
+            ReliableBroadcast(net, **knob)
+        for cls in (CCWindowArray, CCvWindowArray):
+            with pytest.raises(TypeError, match="relay"):
+                cls(sim, net, **knob)
+        for cls in (GenericCausal, GenericCCv):
+            with pytest.raises(TypeError, match="relay"):
+                cls(sim, net, adt=Counter(), **knob)
 
     def test_local_delivery_immediate(self):
         sim, _, _, endpoints, logs = _setup(ReliableBroadcast, 2)
@@ -55,30 +66,35 @@ class TestReliableBroadcast:
         sim.run()
         assert logs[1] == [(0, "x")]
 
-    def test_flooding_survives_mid_broadcast_crash(self):
+    def test_a_mid_broadcast_crash_is_repaired_from_digests(self):
         """Agreement under crash: if any correct process delivers, all do.
-        We crash the broadcaster right after one unicast leg is in flight;
-        flooding relays the message to the rest."""
+        The broadcaster crashes right after one unicast leg landed, its
+        other leg still slow on the wire; the survivor that holds the
+        message resends it on the heartbeat, before the slow copy."""
         sim = Simulator(seed=2)
+
         # p0 -> p1 fast, p0 -> p2 slow: crash p0 in between
         class SplitDelay(DelayModel):
             def sample(self, rng, src, dst):
-                if src == 0 and dst == 2:
-                    return 50.0
-                return 1.0
+                return 200.0 if (src == 0 and dst == 2) else 1.0
 
         net = Network(sim, 3, delay=SplitDelay())
-        service = ReliableBroadcast(net, relay="flood")
+        service = ReliableBroadcast(net)
         logs = [[] for _ in range(3)]
         for pid in range(3):
             service.endpoint(pid, lambda o, p, i=pid: logs[i].append(p))
         service.broadcast(0, "m")
         sim.schedule(2.0, lambda: net.crash(0))
-        sim.run()
+        sim.run(until=100.0)
         assert logs[1] == ["m"]
-        assert logs[2] == ["m"], "flooding must out-run the slow direct leg"
+        assert logs[2] == ["m"], "the repair must out-run the slow direct leg"
+        assert service.repairs_sent == 1
 
-    def test_without_flooding_crash_loses_agreement(self):
+
+    def test_flooding_survives_mid_broadcast_crash(self):
+        """The reference flood (``oracles.flooding``) reaches agreement
+        the other way: the survivor that holds the message passes it on
+        at first sight, before the slow direct leg and with no repair."""
         sim = Simulator(seed=2)
 
         class SplitDelay(DelayModel):
@@ -86,18 +102,46 @@ class TestReliableBroadcast:
                 return 50.0 if (src == 0 and dst == 2) else 1.0
 
         net = Network(sim, 3, delay=SplitDelay())
-        service = ReliableBroadcast(net, relay="direct")
+        service = flooding(ReliableBroadcast)(net)
         logs = [[] for _ in range(3)]
         for pid in range(3):
             service.endpoint(pid, lambda o, p, i=pid: logs[i].append(p))
         service.broadcast(0, "m")
-        sim.schedule(60.0, lambda: None)  # keep sim alive past the slow leg
-        sim.run()
-        # without relay, p2 still gets the slow direct copy eventually —
-        # agreement issues appear only when the message is *lost*; crash
-        # the receiver of the slow leg's source is moot here, so instead
-        # verify the relay count difference
-        assert logs[2] == ["m"]
+        sim.schedule(2.0, lambda: net.crash(0))
+        sim.run(until=10.0)
+        assert logs[1] == ["m"]
+        assert logs[2] == ["m"], "flooding must out-run the slow direct leg"
+        assert service.repairs_sent == 0
+
+    def test_without_flooding_crash_loses_agreement(self):
+        """Direct sends alone do not give agreement: with the leg to p2
+        blocked and the broadcaster crashed, only digest repair carries
+        the message on.  A service whose heartbeat is never armed leaves
+        p2 without it for good; the real one repairs it."""
+
+        class Unrepaired(ReliableBroadcast):
+            def arm_heartbeat(self):
+                pass
+
+        def run(service_cls):
+            sim = Simulator(seed=2)
+            net = Network(sim, 3, delay=DelayModel.constant(1.0))
+            service = service_cls(net)
+            logs = [[] for _ in range(3)]
+            for pid in range(3):
+                service.endpoint(pid, lambda o, p, i=pid: logs[i].append(p))
+            net.block_links([(0, 2)])
+            service.broadcast(0, "m")
+            sim.schedule(2.0, lambda: net.crash(0))
+            sim.run()
+            return service, logs
+
+        service, logs = run(Unrepaired)
+        assert logs[1] == ["m"] and logs[2] == []
+        assert service.repairs_sent == 0
+        service, logs = run(ReliableBroadcast)
+        assert logs[1] == ["m"] and logs[2] == ["m"]
+        assert service.repairs_sent == 1
 
 
 class TestFifoBroadcast:

@@ -1,7 +1,7 @@
 """Heartbeat-digest repair, one endpoint against a stub transport.
 
-A live node sends each message once per peer (``relay="direct"``) and
-covers wire loss from digests: when peer q's digest arrives, the
+A live node sends each message once per peer and covers wire loss from
+digests: when peer q's digest arrives, the
 endpoint resends q every logged message q's row and spill runs lack
 that the endpoint had already seen when q's *previous* digest arrived.
 The stub hosts pid 0 of a 3-process cluster and records what the
@@ -53,7 +53,7 @@ class StubTransport(Transport):
 
 def _node(service_cls=ReliableBroadcast):
     transport = StubTransport()
-    service = service_cls(transport, relay="direct")
+    service = service_cls(transport)
     delivered = []
     endpoint = service.endpoint(0, lambda origin, payload: delivered.append(payload))
     return transport, service, endpoint, delivered

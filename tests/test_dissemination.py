@@ -1,14 +1,14 @@
-"""The reliable broadcast's two relays deliver the same world.
+"""Direct sends deliver the world the flood delivers.
 
-``relay="direct"`` (the default: each message sent once per peer, from
-its origin, loss repaired from heartbeat digests) and ``relay="flood"``
-(each process relays a message the first time it sees it) are two ways
-to spread the same reliable broadcast.  Over randomized fault schedules
-they must leave every replica with the same seen-set, and on a dense
-fault-free workload the direct run must deliver what the recorded flood
-run delivered, with n-1 copies per broadcast instead of ~n(n-1).  Each
-relay also delivers every broadcast once everywhere, in causal order
-under ``CausalBroadcast``; a direct copy only ever crosses an
+The reliable broadcast spreads a message one way: once per peer, from
+its origin, loss repaired from heartbeat digests.  The flood it replaced
+(each process passes a message on the first time it sees it) lives on
+as ``oracles.flooding``, the reference it is held to.  Over randomized
+fault schedules both must leave every replica with the same seen-set,
+and on a dense fault-free workload the direct run must deliver what the
+recorded flood run delivered, with n-1 copies per broadcast instead of
+~n(n-1).  Each also delivers every broadcast once everywhere, in causal
+order under ``CausalBroadcast``; a direct copy only ever crosses an
 origin -> peer link, once per peer.  The scale tiers that exercise the
 fan-out are registered here too.
 """
@@ -19,6 +19,7 @@ import pathlib
 import random
 
 import pytest
+from oracles import flooded, flooded_chaos_trial, flooding
 
 from repro.chaos import make_spec, random_fault_events, run_chaos_trial
 from repro.runtime import (
@@ -80,12 +81,13 @@ class LinkLog(Network):
         super().multicast(src, payload)
 
 
-def _rig(relay, cls=ReliableBroadcast, n=6, seed=0, delay=None):
-    """A bare broadcast service over ``relay``: endpoints record
-    (origin, payload) per replica, a runtime monitor is attached."""
+def _rig(spread, cls=ReliableBroadcast, n=6, seed=0, delay=None):
+    """A bare broadcast service, spreading by direct sends or (``spread``
+    ``"flood"``) by the reference flood: endpoints record (origin,
+    payload) per replica, a runtime monitor is attached."""
     sim = Simulator(seed=seed)
     net = LinkLog(sim, n, delay=delay or DelayModel.constant(1.0))
-    svc = cls(net, relay=relay)
+    svc = (flooding(cls) if spread == "flood" else cls)(net)
     svc.monitor = RuntimeMonitor(n, sim=sim)
     delivered = [[] for _ in range(n)]
     endpoints = [
@@ -100,20 +102,20 @@ def _rig(relay, cls=ReliableBroadcast, n=6, seed=0, delay=None):
     return sim, net, svc, endpoints, delivered
 
 
-RELAY_NAMES = ("direct", "flood")
+SPREADS = ("direct", "flood")
 
 
 # ----------------------------------------------------------------------
-# Full delivery over either relay
+# Full delivery either way
 # ----------------------------------------------------------------------
 class TestDelivery:
     @pytest.mark.parametrize(
         "cls", [ReliableBroadcast, FifoBroadcast, CausalBroadcast]
     )
     @pytest.mark.parametrize("n", [4, 8, 16])
-    @pytest.mark.parametrize("relay", RELAY_NAMES)
-    def test_everyone_delivers_everything_exactly_once(self, relay, n, cls):
-        sim, net, svc, eps, delivered = _rig(relay, cls, n=n, seed=2)
+    @pytest.mark.parametrize("spread", SPREADS)
+    def test_everyone_delivers_everything_exactly_once(self, spread, n, cls):
+        sim, net, svc, eps, delivered = _rig(spread, cls, n=n, seed=2)
         expected = set()
         for pid in range(n):
             for i in range(5):
@@ -136,7 +138,8 @@ class TestDelivery:
     )
     @pytest.mark.parametrize("n", [4, 8])
     def test_direct_sends_lost_in_a_burst_are_repaired(self, n, cls):
-        """No relay covers a lost direct copy: the heartbeat digests do.
+        """Nobody passes a lost direct copy on: the heartbeat digests
+        resend it.
         A fifth of the copies sent while the burst lasts are lost; every
         replica still delivers every broadcast once, in per-origin
         order, and the repair chain ends."""
@@ -159,11 +162,11 @@ class TestDelivery:
                     assert seqs == list(range(5))
         assert svc.monitor.ok
 
-    @pytest.mark.parametrize("relay", RELAY_NAMES)
-    def test_causal_order_preserved_per_origin(self, relay):
+    @pytest.mark.parametrize("spread", SPREADS)
+    def test_causal_order_preserved_per_origin(self, spread):
         n = 8
         sim, net, svc, eps, delivered = _rig(
-            relay, CausalBroadcast, n=n, seed=4,
+            spread, CausalBroadcast, n=n, seed=4,
             delay=DelayModel.uniform(0.5, 5.0),
         )
         for i in range(6):
@@ -179,10 +182,10 @@ class TestDelivery:
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
     def test_the_flood_costs_n_times_the_direct_sends(self, n):
         """Fault-free, a direct broadcast is n-1 copies; the flood adds
-        each receiver's first-sight relay to its n-1 peers: n(n-1)."""
+        each receiver's first-sight copies to its n-1 peers: n(n-1)."""
         sent = {}
-        for relay in RELAY_NAMES:
-            sim, net, svc, eps, delivered = _rig(relay, n=n, seed=0)
+        for spread in SPREADS:
+            sim, net, svc, eps, delivered = _rig(spread, n=n, seed=0)
             for pid in range(n):
                 for i in range(8):
                     eps[pid].broadcast((pid, i))
@@ -190,8 +193,8 @@ class TestDelivery:
             broadcasts = _broadcasts_issued(svc)
             assert broadcasts == 8 * n
             assert all(len(log) == broadcasts for log in delivered)
-            sent[relay] = net.stats.sent
-            assert len(net.copies) == sent[relay]
+            sent[spread] = net.stats.sent
+            assert len(net.copies) == sent[spread]
         assert sent["direct"] == broadcasts * (n - 1)
         assert sent["flood"] == n * sent["direct"]
 
@@ -206,7 +209,7 @@ class TestDirectFanout:
         """A seeded burst of broadcasts, interleaved with partial runs
         over random delays: every copy leaves its message's origin, goes
         to each other process exactly once and never to the origin
-        itself; nothing is relayed, nothing repaired, all delivered."""
+        itself; nothing is passed on, nothing repaired, all delivered."""
         rng = random.Random(seed)
         sim, net, svc, eps, delivered = _rig(
             "direct", CausalBroadcast, n=n, seed=seed,
@@ -267,22 +270,19 @@ class TestFloodDirectEquivalence:
 
         rng = random.Random(schedule_seed)
         faults = random_fault_events(rng, 6)
-        spec = make_spec(f"prop-{schedule_seed}", 6, 5, faults, repairs=True)
+        spec = make_spec(f"prop-{schedule_seed}", 6, 5, faults)
         run_seed = 1000 + schedule_seed
-        outcomes = {}
-        seen = {}
-        for relay in ("flood", None):
-            outcome = run_chaos_trial(
-                spec, "ccv-fig5", run_seed, "none", check_criterion=False,
-                relay=relay,
-            )
-            assert not outcome.failed, (relay, outcome.failures)
-            outcomes[relay] = outcome
-            seen[relay] = _seen_sets(outcome.result.algorithm.broadcast)
-        assert outcomes[None].result.algorithm.broadcast.relay == "direct"
-        assert seen["flood"] == seen[None]
+        flood = flooded_chaos_trial(spec, "ccv-fig5", run_seed, False)
+        direct = run_chaos_trial(
+            spec, "ccv-fig5", run_seed, "none", check_criterion=False
+        )
+        for outcome in (flood, direct):
+            assert not outcome.failed, outcome.failures
+        assert _seen_sets(flood.result.algorithm.broadcast) == _seen_sets(
+            direct.result.algorithm.broadcast
+        )
         verdicts = replay_history(
-            outcomes[None].result.history,
+            direct.result.history,
             Scenario(spec).adt(),
             criteria=("CCV",),
         )
@@ -301,26 +301,25 @@ class TestFloodDirectEquivalence:
         recorded = golden["ccv-fig5"]
         entry = ALGORITHMS["ccv-fig5"]
         seen, sent = {}, {}
-        for relay in ("flood", "direct"):
+        for spread, cls in (("flood", flooded(entry.cls)), ("direct", entry.cls)):
             result = Scenario(spec).run(
-                entry.cls, seed=golden["seed"],
-                **entry.with_relay(relay).kwargs(spec.streams, spec.k),
+                cls, seed=golden["seed"], **entry.kwargs(spec.streams, spec.k)
             )
             service = result.algorithm.broadcast
-            seen[relay] = _seen_sets(service)
-            sent[relay] = result.network_stats.sent
+            seen[spread] = _seen_sets(service)
+            sent[spread] = result.network_stats.sent
             broadcasts = _broadcasts_issued(service)
-            assert result.algorithm.converged(), relay
-            assert result.monitor.ok, (relay, result.monitor.violations)
+            assert result.algorithm.converged(), spread
+            assert result.monitor.ok, (spread, result.monitor.violations)
             assert not any(
                 service.pending_messages(pid) for pid in range(spec.n)
-            ), relay
-            assert all(len(mids) == broadcasts for mids in seen[relay]), relay
-            assert broadcasts == recorded["broadcasts"], relay
+            ), spread
+            assert all(len(mids) == broadcasts for mids in seen[spread]), spread
+            assert broadcasts == recorded["broadcasts"], spread
             digest = hashlib.sha256(
-                repr([sorted(mids) for mids in seen[relay]]).encode()
+                repr([sorted(mids) for mids in seen[spread]]).encode()
             ).hexdigest()
-            assert digest == recorded["delivered_digest"], relay
+            assert digest == recorded["delivered_digest"], spread
         assert sent["flood"] == recorded["messages_sent"]
         assert sent["direct"] == recorded["broadcasts"] * (spec.n - 1)
         assert seen["flood"] == seen["direct"]

@@ -10,7 +10,8 @@ resync-verification questions by reading every process's tables:
 
 An endpoint now answers both from its peer view (frontier rows + spills;
 aliased to the real ones when the peer is hosted beside it).  The
-property below stops seeded runs at arbitrary instants — mid-flood, with
+property below stops seeded runs at arbitrary instants — mid-flood
+(``oracles.flooding``) or mid-fan-out, with
 loss-made spills, a crashed process and GC-pruned logs (soundly pruned
 or, under the chaos sentinel, not) — and checks that
 the view-based answers are exactly the table-based ones, for every
@@ -20,6 +21,7 @@ process as the target and for cutoffs snapshotted at earlier instants.
 import random
 
 import pytest
+from oracles import flooding
 
 from repro.chaos.sentinels import plant
 from repro.runtime import (
@@ -58,13 +60,14 @@ def _random_run(seed):
     sim = Simulator(seed=seed)
     net = Network(sim, n, delay=DelayModel.uniform(0.2, 4.0))
     cls = plan.choice((ReliableBroadcast, CausalBroadcast))
-    relay = "flood" if plan.random() < 0.7 else "direct"
+    if plan.random() < 0.7:
+        cls = flooding(cls)
     gc_interval = plan.choice((4, 16, 64))
     # a third of the runs sweep unsoundly (the chaos sentinel): logs get
     # pruned of messages a crashed process lacks and the stability
     # frontier regresses at its recovery — the answers must still agree
     unsound = plan.random() < 0.33
-    service = (plant(cls, "gc-frontier") if unsound else cls)(net, relay=relay)
+    service = (plant(cls, "gc-frontier") if unsound else cls)(net)
     service.GC_INTERVAL = gc_interval
     service.monitor = RuntimeMonitor(n, sim=sim)
     for pid in range(n):

@@ -1,6 +1,7 @@
 """State-based gossip replication: convergence under loss and partitions."""
 
 import pytest
+from oracles import flooded
 
 from repro.algorithms import CCvWindowArray, GossipCCvWindowArray, merge_windows
 from repro.core.operations import Invocation
@@ -57,14 +58,14 @@ class TestGossipConvergence:
         assert net.stats.lost > 0  # losses actually happened
 
     @staticmethod
-    def _opbased_under_loss(**kwargs):
+    def _opbased_under_loss(cls=CCvWindowArray):
         """Ten lossy runs of op-based CCv: how many end diverged, and
         the repairs their digests drew."""
         diverged = repairs = 0
         for seed in range(10):
             sim = Simulator(seed=seed)
             net = Network(sim, 3, delay=DelayModel.constant(1.0), loss_rate=0.5)
-            obj = CCvWindowArray(sim, net, None, streams=1, k=2, **kwargs)
+            obj = cls(sim, net, None, streams=1, k=2)
             for pid in range(3):
                 obj.invoke(pid, Invocation("w", (0, pid + 1)))
             sim.run()
@@ -75,9 +76,9 @@ class TestGossipConvergence:
         return diverged, repairs
 
     def test_opbased_ccv_over_the_flood_diverges_under_loss(self):
-        """Relays are the flood's only redundancy: a write every copy
-        and relay of which was lost stays lost."""
-        diverged, repairs = self._opbased_under_loss(relay="flood")
+        """Relays are the reference flood's only redundancy: a write
+        every copy and relay of which was lost stays lost."""
+        diverged, repairs = self._opbased_under_loss(flooded(CCvWindowArray))
         assert diverged > 0 and repairs == 0
 
     def test_opbased_ccv_over_direct_sends_converges_under_loss(self):

@@ -10,7 +10,7 @@ lives on only here, as :class:`ScheduleEveryCopy`, swapped in for
 record the same run — history fingerprint with every time, duration,
 send-side counters, per-replica seen-sets and runtime-monitor results —
 under random fault schedules, every broadcast family (each reliable one
-over both relays), sizes and seeds.
+also under ``oracles.flooding``), sizes and seeds.
 
 ``Network`` also folds a copy into an earlier-arriving copy of the same
 id already in flight to the same destination, and puts the earliest
@@ -38,6 +38,7 @@ from typing import Any
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import flooded
 
 from repro.algorithms import CCvWindowArray
 from repro.analysis import convergence
@@ -271,23 +272,22 @@ class TwoPathNetwork(Network):
 
 
 #: every registry row as registered, then each row over a reliable
-#: broadcast once more under the flood, whose relays are most of the
-#: copies that fold into an earlier one in flight
-ROWS = [(key, None) for key in sorted(ALGORITHMS)] + [
-    (key, "flood")
+#: broadcast once more under the flood, whose passed-on copies are most
+#: of the copies that fold into an earlier one in flight
+ROWS = [(key, False) for key in sorted(ALGORITHMS)] + [
+    (key, True)
     for key, entry in sorted(ALGORITHMS.items())
-    if entry.with_relay("flood") is not entry
+    if flooded(entry.cls) is not entry.cls
 ]
-ROW_IDS = [key if relay is None else f"{key}-{relay}" for key, relay in ROWS]
+ROW_IDS = [f"{key}-flood" if over_flood else key for key, over_flood in ROWS]
 
 
-def run_cell(network_cls, spec, key, seed, relay=None):
+def run_cell(network_cls, spec, key, seed, over_flood=False):
     entry = ALGORITHMS[key]
-    if relay is not None:
-        entry = entry.with_relay(relay)
+    cls = flooded(entry.cls) if over_flood else entry.cls
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario_module, "Network", network_cls)
-        return entry.run(spec, seed)
+        return entry.run(spec, seed, cls=cls)
 
 
 @st.composite
@@ -353,13 +353,13 @@ def monitor_results(result):
     return None if monitor is None else (monitor.violations, monitor.stats())
 
 
-@pytest.mark.parametrize("key,relay", ROWS, ids=ROW_IDS)
+@pytest.mark.parametrize("key,over_flood", ROWS, ids=ROW_IDS)
 @given(cell=cells())
 @settings(max_examples=20, deadline=None)
-def test_elision_records_the_run_the_reference_records(key, relay, cell):
+def test_elision_records_the_run_the_reference_records(key, over_flood, cell):
     spec, seed = cell
-    ref = run_cell(ScheduleEveryCopy, spec, key, seed, relay)
-    new = run_cell(Network, spec, key, seed, relay)
+    ref = run_cell(ScheduleEveryCopy, spec, key, seed, over_flood)
+    new = run_cell(Network, spec, key, seed, over_flood)
 
     assert new.fingerprint() == ref.fingerprint()
     assert new.duration == ref.duration
@@ -379,7 +379,7 @@ def test_elision_records_the_run_the_reference_records(key, relay, cell):
     # copy the two paths scheduled and ``Network`` folded moves one event
     # (and one delivery or crash drop) into ``elided``, so those fields
     # are compared as sums
-    two_paths = run_cell(TwoPathNetwork, spec, key, seed, relay)
+    two_paths = run_cell(TwoPathNetwork, spec, key, seed, over_flood)
     assert where_it_ends(new) == where_it_ends(two_paths)
 
 

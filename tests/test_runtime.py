@@ -47,14 +47,6 @@ class TestSimulator:
         assert run(42) == run(42)
         assert run(42) != run(43)
 
-    def test_cancel(self):
-        sim = Simulator()
-        trace = []
-        entry = sim.schedule(1.0, lambda: trace.append("x"))
-        sim.cancel(entry)
-        sim.run()
-        assert trace == []
-
     def test_run_until(self):
         sim = Simulator()
         trace = []

@@ -20,7 +20,7 @@ import pathlib
 import random
 
 import pytest
-from oracles import ReferenceCausalBroadcast
+from oracles import ReferenceCausalBroadcast, flooded, flooding
 
 from repro.adts.window_stream import WindowStreamArray
 from repro.algorithms import CCvWindowArray, GenericCCv, LwwReplication
@@ -60,7 +60,7 @@ def _run_causal(service_cls, seed: int):
         delay=DelayModel.uniform(0.5, 5.0),
         loss_rate=0.0,
     )
-    service = service_cls(net, relay="flood")
+    service = flooding(service_cls)(net)
     service.GC_INTERVAL = plan.choice((8, 64, 1024))
     logs = [[] for _ in range(n)]
     for pid in range(n):
@@ -213,10 +213,10 @@ DIRECT_FINGERPRINTS = {
 
 
 def as_recorded(algorithm):
-    """The row the flood goldens were recorded under: every reliable
-    broadcast flooded then, so the flood is named; a row over no
-    reliable broadcast is its registry row."""
-    return ALGORITHMS[algorithm].with_relay("flood")
+    """The class the flood goldens were recorded under: every reliable
+    broadcast flooded then, so the row runs over ``oracles.flooded``; a
+    row over no reliable broadcast runs its registry class."""
+    return flooded(ALGORITHMS[algorithm].cls)
 
 
 class TestHistoryGoldens:
@@ -225,7 +225,9 @@ class TestHistoryGoldens:
     )
     def test_fingerprint_unchanged(self, scenario, algorithm, seed):
         spec = GOLDEN_SPECS.get(scenario) or get_scenario(scenario)
-        result = as_recorded(algorithm).run(spec, seed)
+        result = ALGORITHMS[algorithm].run(
+            spec, seed, cls=as_recorded(algorithm)
+        )
         assert (
             result.fingerprint()
             == GOLDEN_FINGERPRINTS[(scenario, algorithm, seed)]
@@ -246,7 +248,7 @@ class TestHistoryGoldens:
         assert sorted(DIRECT_FINGERPRINTS) == sorted(
             key
             for key in GOLDEN_FINGERPRINTS
-            if as_recorded(key[1]) is not ALGORITHMS[key[1]]
+            if as_recorded(key[1]) is not ALGORITHMS[key[1]].cls
         )
 
     def test_explore_verdicts_unchanged(self):
@@ -271,25 +273,23 @@ class TestHistoryGoldens:
 
 
 # ----------------------------------------------------------------------
-# Simulator: tuple heap, O(1) pending, cancel semantics
+# Simulator: tuple heap, O(1) pending
 # ----------------------------------------------------------------------
 class TestSimulatorPending:
     def test_pending_matches_shadow_model(self):
         sim = Simulator(seed=3)
         rng = random.Random(17)
-        live = set()
+        due = []  # the shadow: when each scheduled event runs
         for _ in range(200):
-            roll = rng.random()
-            if roll < 0.6 or not live:
-                handle = sim.schedule(rng.uniform(0.0, 10.0), lambda: None)
-                live.add(handle)
-            elif roll < 0.8:
-                victim = rng.choice(sorted(live))
-                sim.cancel(victim)
-                live.discard(victim)
+            if rng.random() < 0.7 or not due:
+                delay = rng.uniform(0.0, 10.0)
+                sim.schedule(delay, lambda: None)
+                due.append(sim.now + delay)
             else:
-                sim.cancel(999_999)  # unknown handle: no-op
-            assert sim.pending == len(live)
+                until = sim.now + rng.uniform(0.0, 5.0)
+                sim.run(until=until)
+                due = [t for t in due if t > until]
+            assert sim.pending == len(due)
         sim.run()
         assert sim.pending == 0
 
@@ -299,16 +299,6 @@ class TestSimulatorPending:
         sim.schedule(5.0, lambda: None)
         sim.run(until=2.0)
         assert sim.pending == 1
-
-    def test_cancel_after_execution_is_noop(self):
-        sim = Simulator()
-        trace = []
-        handle = sim.schedule(1.0, trace.append, "x")
-        sim.run()
-        sim.cancel(handle)  # must not blow up or affect later events
-        sim.schedule(1.0, trace.append, "y")
-        sim.run()
-        assert trace == ["x", "y"]
 
     def test_scheduled_args_passed(self):
         sim = Simulator()

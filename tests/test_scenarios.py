@@ -15,6 +15,7 @@ import sys
 import textwrap
 
 import pytest
+from oracles import flooded
 
 from repro.adts import WindowStreamArray
 from repro.algorithms import (
@@ -406,7 +407,7 @@ class TestScriptedRuns:
         spec = ScenarioSpec(name="scripted", n=2, streams=1, quiescence_reads=False)
         scripts = [[Invocation("w", (0, 1))], [Invocation("r", (0,))]]
         result = Scenario(spec).run(
-            CCWindowArray, seed=6, scripts=scripts, streams=1, k=2, relay="direct"
+            CCWindowArray, seed=6, scripts=scripts, streams=1, k=2
         )
         assert result.messages_per_op == pytest.approx(0.5)  # 1 msg / 2 ops
 
@@ -464,21 +465,19 @@ def assert_every_copy_accounted_for(result):
 
 #: every registry row as registered, then each row over a reliable
 #: broadcast once more under the flood
-ROWS = [(key, None) for key in sorted(ALGORITHMS)] + [
-    (key, "flood")
+ROWS = [(key, False) for key in sorted(ALGORITHMS)] + [
+    (key, True)
     for key, entry in sorted(ALGORITHMS.items())
-    if entry.with_relay("flood") is not entry
+    if flooded(entry.cls) is not entry.cls
 ]
-ROW_IDS = [key if relay is None else f"{key}-{relay}" for key, relay in ROWS]
+ROW_IDS = [f"{key}-flood" if over_flood else key for key, over_flood in ROWS]
 
 
 class TestNetworkConservation:
     @pytest.mark.parametrize("profile", ["lossdup", "reorder", "partition", "crash"])
     def test_sim_faults_profiles_account_for_every_copy(self, profile):
         spec = sim_faults_specs()[profile]
-        result = Scenario(spec).run(
-            CCvWindowArray, seed=1, streams=4, k=2, relay="flood"
-        )
+        result = Scenario(spec).run(flooded(CCvWindowArray), seed=1, streams=4, k=2)
         assert result.monitor.ok and result.blocked == 0
         assert_every_copy_accounted_for(result)
         # the eager flood: most copies reach a process that already has
@@ -504,8 +503,8 @@ class TestNetworkConservation:
             )
             assert result.network_stats.sent == broadcasts * (spec.n - 1)
 
-    @pytest.mark.parametrize("key,relay", ROWS, ids=ROW_IDS)
-    def test_only_a_broadcast_that_offers_a_predicate_elides(self, key, relay):
+    @pytest.mark.parametrize("key,over_flood", ROWS, ids=ROW_IDS)
+    def test_only_a_broadcast_that_offers_a_predicate_elides(self, key, over_flood):
         spec = ScenarioSpec(
             "lossdup-small",
             n=4,
@@ -521,7 +520,8 @@ class TestNetworkConservation:
             workload=WorkloadSpec(ops_per_process=30, write_ratio=0.5),
         )
         entry = ALGORITHMS[key]
-        result = (entry if relay is None else entry.with_relay(relay)).run(spec, 1)
+        cls = flooded(entry.cls) if over_flood else entry.cls
+        result = entry.run(spec, 1, cls=cls)
         assert_every_copy_accounted_for(result)
         # the reliable family (flood and direct) offers its endpoints'
         # is_seen; total order and gossip offer nothing

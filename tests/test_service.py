@@ -415,12 +415,6 @@ def test_heartbeat_digests_heal_wire_loss_without_a_repair_event():
         await cluster.start()
         try:
             await asyncio.sleep(0.4)
-            # the reliable broadcast's default: no endpoint forwards
-            assert {node.broadcast.relay for node in cluster.nodes} == {"direct"}
-            assert not any(
-                node.broadcast.endpoints[node.my_pid].forwards
-                for node in cluster.nodes
-            )
             addrs = {pid: cluster.client_addr(pid) for pid in range(3)}
             FaultSchedule(LOSSY_THEN_HEALED).install(cluster)
             spec = WorkloadSpec(kind="open", rate=40.0, write_ratio=0.8)

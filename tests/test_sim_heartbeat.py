@@ -1,7 +1,7 @@
 """Heartbeat-digest repair on the simulated plane.
 
-A reliable broadcast sends each message once per peer from its origin
-(``relay="direct"``, the default on both planes).  Where one service
+A reliable broadcast sends each message once per peer from its origin,
+on both planes.  Where one service
 hosts every process — the simulator — the service beats every
 ``HB_INTERVAL``: each live process's digest reaches every live peer it
 is not separated from, whose endpoint runs the repair a live node runs
@@ -13,6 +13,7 @@ and the next broadcast starts it again.
 import json
 
 import pytest
+from oracles import flooded, flooded_chaos_trial
 
 from repro.algorithms import CCvWindowArray
 from repro.chaos import make_spec, replay_file, run_chaos_trial
@@ -25,11 +26,11 @@ from repro.service.node import build_algorithm
 
 F = FaultEvent
 
-#: the registry rows over a reliable broadcast that leave ``relay`` unset
+#: the registry rows over a reliable broadcast
 DIRECT_ROWS = sorted(
     key
     for key, entry in ALGORITHMS.items()
-    if entry.relay is None and entry.with_relay("flood") is not entry
+    if issubclass(entry.cls.broadcast_cls or object, ReliableBroadcast)
 )
 
 
@@ -65,7 +66,6 @@ def test_a_fault_free_run_repairs_nothing(key):
     spec = ScenarioSpec("quiet", n=6, workload=WorkloadSpec(ops_per_process=40))
     result = ALGORITHMS[key].run(spec, 3)
     service = result.algorithm.broadcast
-    assert service.relay == "direct"
     assert service.repairs_sent == 0
     # each broadcast crosses each of the n-1 links once, and that is all
     assert result.network_stats.sent == broadcasts(service) * (spec.n - 1)
@@ -87,7 +87,7 @@ def test_lossdup_without_its_repair_sweeps_converges():
 
 
 def test_the_flood_needs_no_repair_for_the_same_run():
-    result = run(lossdup(), relay="flood")
+    result = run(lossdup(), cls=flooded(CCvWindowArray))
     assert result.algorithm.broadcast.repairs_sent == 0
     assert result.algorithm.converged() and result.monitor.ok
 
@@ -134,7 +134,6 @@ def test_a_gap_no_log_holds_drains():
     assert "gc-frontier" in outcome.kinds
     result = outcome.result
     service = result.algorithm.broadcast
-    assert service.relay == "direct"
     assert service.endpoints[3].frontier != service.endpoints[0].frontier
     assert not result.sim.pending and service._hb is None
 
@@ -163,34 +162,37 @@ class OnePeer(Transport):
 
 @pytest.mark.parametrize("key", DIRECT_ROWS)
 def test_a_live_node_sends_directly_and_beats_on_its_own(key):
-    """The live node builds every reliable row with the default, direct,
-    relay and no endpoint that forwards; its broadcast path is the
-    plain multicast, since the node's own heartbeat carries digests."""
+    """The live node builds every reliable row over direct sends; its
+    broadcast path is the plain multicast, since the node's own
+    heartbeat carries digests."""
     _, algorithm = build_algorithm(key, Simulator(seed=0), OnePeer(), None, 2, 2)
     service = algorithm.broadcast
     endpoint = service.endpoints[0]
-    assert isinstance(service, ReliableBroadcast) and service.relay == "direct"
-    assert not endpoint.forwards
+    assert isinstance(service, ReliableBroadcast)
     assert "_relay" not in vars(endpoint)
     algorithm.invoke(0, Invocation("w", (0, 1)))
     assert endpoint.frontier[0] == 1 and service._hb is None
 
 
-def test_a_repro_records_its_relay_and_an_old_one_replays_over_the_flood(tmp_path):
-    spec = make_spec("relay", 4, 6, [F.crash(1.0, 3)])
+def test_a_repro_with_a_stray_relay_key_replays_over_direct_sends(tmp_path):
+    """The repro format names no dissemination: a ``relay`` key, which
+    older documents carry, is not read, and the replay is the run a
+    fresh trial of the same spec records."""
+    spec = make_spec("stray-key", 4, 6, [F.crash(1.0, 3)])
     failure = ChaosFailure(
         trial=0, algorithm="ccv-fig5", run_seed=1, kinds=["divergence"],
         details=[], original_events=1, minimized=list(spec.faults), spec=spec,
-        relay="direct",
     )
     path = save_repro(failure, "none", str(tmp_path))
     with open(path) as handle:
         doc = json.load(handle)
-    assert doc["relay"] == "direct"
-    outcome, _ = replay_file(path)
-    assert outcome.result.algorithm.broadcast.relay == "direct"
-    del doc["relay"]
+    assert "relay" not in doc
+    doc["relay"] = "flood"
     with open(path, "w") as handle:
         json.dump(doc, handle)
     outcome, _ = replay_file(path)
-    assert outcome.result.algorithm.broadcast.relay == "flood"
+    direct = run_chaos_trial(spec, "ccv-fig5", 1).result
+    flood = flooded_chaos_trial(spec, "ccv-fig5", 1).result
+    assert outcome.result.fingerprint() == direct.fingerprint()
+    assert outcome.result.network_stats == direct.network_stats
+    assert direct.network_stats.sent < flood.network_stats.sent

@@ -38,6 +38,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import flooded
 
 from repro.adts.register import Register
 from repro.adts.window_stream import WindowStreamArray
@@ -274,10 +275,9 @@ def grown_hot_key(ops_per_process, monitor_cls=StreamingMonitor):
         spec, workload=replace(spec.workload, ops_per_process=ops_per_process)
     )
     monitor = monitor_cls(spec.n, streams=spec.streams, k=spec.k, criteria=CCV_SIDE)
-    # the flood the hot-key goldens were recorded under, named
-    ALGORITHMS["ccv-fig5"].with_relay("flood").run(
-        spec, 0, subscriber=monitor.subscriber()
-    )
+    # the flood the hot-key goldens were recorded under
+    entry = ALGORITHMS["ccv-fig5"]
+    entry.run(spec, 0, cls=flooded(entry.cls), subscriber=monitor.subscriber())
     return monitor.finalize(), monitor
 
 

@@ -14,8 +14,9 @@ per-link FIFO order, timer scheduling (delay order), the local/remote
 crash surface, duplicate *surfacing* (a duplication fault reaches the
 layer above on both planes — with no "seen?" predicate attached, dedup
 is the broadcast layer's job, and it must get the same raw stream to
-dedup either way), both relays (``direct`` and ``flood``) delivering
-each broadcast once at their own message cost, the offered predicate
+dedup either way), direct sends delivering each broadcast once at n-1
+copies on both planes (and the reference flood, ``oracles.flooding``,
+at n(n-1)), the offered predicate
 (``attach_dedup``: a copy of a message its destination already holds
 never reaches the handler — skipped at send time on the simulated
 plane, on the header peek under the live binary codec; the JSON codec
@@ -28,6 +29,7 @@ frame on the live one.
 import asyncio
 
 import pytest
+from oracles import flooding
 
 from repro.runtime.broadcast import CausalBroadcast
 from repro.runtime.monitors import RuntimeMonitor
@@ -347,16 +349,19 @@ def test_a_copy_the_destination_already_holds_never_reaches_its_handler(plane):
 
 
 # ----------------------------------------------------------------------
-# Both relays over both planes
+# Direct sends and the reference flood over both planes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("plane", PLANES)
-@pytest.mark.parametrize("relay", ("direct", "flood"))
-def test_each_relay_delivers_every_broadcast_once(relay, plane):
-    """A broadcast reaches every process once, in causal order, over
-    either relay on either plane.  Fault-free, a direct broadcast costs
-    n-1 copies and the flood n(n-1): on the simulated plane as sends
-    (an elided copy counts), on the live one as message frames read,
-    because a live node decodes or drops every copy it is sent."""
+@pytest.mark.parametrize("spread", ("direct", "flood"))
+def test_each_relay_delivers_every_broadcast_once(spread, plane):
+    """A broadcast reaches every process once, in causal order, by
+    direct sends and by the reference flood, on either plane: the flood
+    is n-fold duplicate traffic the transport and the broadcast layer
+    must dedup alike on both.  Fault-free, a direct broadcast costs n-1 copies and
+    the flood n(n-1): on the simulated plane as sends (an elided copy
+    counts), on the live one as message frames read, because a live
+    node decodes or drops every copy it is sent."""
+    service_cls = flooding(CausalBroadcast) if spread == "flood" else CausalBroadcast
 
     async def body():
         n = 3
@@ -366,9 +371,7 @@ def test_each_relay_delivers_every_broadcast_once(relay, plane):
             transport = world.transport(pid)
             service = services.get(id(transport))
             if service is None:
-                service = services[id(transport)] = CausalBroadcast(
-                    transport, relay=relay
-                )
+                service = services[id(transport)] = service_cls(transport)
                 service.monitor = RuntimeMonitor(n, sim=transport)
             service.endpoint(pid, lambda origin, p, me=pid: logs[me].append(p))
         for i in range(3):
@@ -385,7 +388,7 @@ def test_each_relay_delivers_every_broadcast_once(relay, plane):
         for service in services.values():
             assert service.monitor.ok, service.monitor.summary()
             assert service.repairs_sent == 0
-        copies = (n - 1) * (n if relay == "flood" else 1) * 3 * n
+        copies = (n - 1) * (n if spread == "flood" else 1) * 3 * n
         if plane == "sim":
             assert world.net.stats.sent == copies
         else:

@@ -9,8 +9,9 @@ undecoded, an optimisation the layer above must not be able to observe:
   control frames) produces the identical first-seen handler sequence
   with and without the predicate registered, and every message frame is
   accounted for: ``msg_frames_in == handler calls + dups_dropped``;
-* **relay** — a flood relay of the message being dispatched queues the
-  bytes a fresh send from the relaying node would, in that node's codec;
+* **relay** — a handler that sends the message being dispatched on (the
+  reference flood, ``oracles.flooding``, run live) queues the bytes a
+  fresh send from that node would, in that node's codec;
 * **hostile bytes** — a peer or client connection fed a malformed body,
   a well-formed packed message whose header names a pid or a stamp
   length from another cluster, or a JSON / generic-TLV message envelope
@@ -81,9 +82,10 @@ def message(origin, seq, n=3, **extra):
 
 def seeded_stream(seed):
     """Wire bytes of a shuffled message sequence: every message two to
-    three times (the flood's copies), a fifth of them in a shape that
-    falls back to generic TLV, a tenth from a JSON sender, heartbeats in
-    between, folded into batch containers of random size."""
+    three times (wire duplicates, repairs), a fifth of them in a shape
+    that falls back to generic TLV, a tenth from a JSON sender,
+    heartbeats in between, folded into batch containers of random
+    size."""
     rng = random.Random(seed)
     bodies = []
     for origin in (0, 2):
@@ -166,10 +168,10 @@ def test_an_earlier_frame_of_a_batch_makes_a_later_copy_a_duplicate():
     body = wire.encode_body(
         {"t": "msg", "src": 0, "body": message(0, 0)}, wire.CODEC_BINARY
     )
-    relayed = wire.encode_body(
+    resent = wire.encode_body(
         {"t": "msg", "src": 2, "body": message(0, 0)}, wire.CODEC_BINARY
     )
-    serve(transport, wire.encode_batch([body, relayed, body]))
+    serve(transport, wire.encode_batch([body, resent, body]))
     assert calls == [(0, 0)] and first_seen == [(0, message(0, 0))]
     assert transport.wire_stats["dups_dropped"] == 2
 
@@ -350,8 +352,8 @@ def test_a_relay_of_the_dispatched_message_encodes_as_a_fresh_send():
     fresh = wire.encode_body({"t": "msg", "src": 1, "body": msg}, wire.CODEC_BINARY)
     assert list(transport._queues[0]) == [fresh]
     assert list(transport._queues[2]) == [fresh, fresh]
-    assert wire.decode(fresh)["src"] == 1  # re-addressed from the relay
-    # an equal message sent later (a resync resend from the log) comes
+    assert wire.decode(fresh)["src"] == 1  # re-addressed from the sender
+    # an equal message sent later (a repair resend from the log) comes
     # to the same bytes
     transport.send(1, 2, log[0])
     assert transport._queues[2][-1] == fresh
