@@ -19,6 +19,7 @@ everything else from messages.  A :class:`ReliableEndpoint` at pᵢ::
     receive(m) from q:
         if seq(m) < frontier[origin(m)] or id(m) in spill: drop
         note(m); accept(m)
+        if q = origin(m) and seq(m) > frontier[q]: on gap(q, seq(m))
     note(m):  if seq(m) = frontier[origin(m)]: advance that frontier past
               m and the spilled ids after it, else add id(m) to spill;
               append m to log; every GC_INTERVAL notes: sweep
@@ -29,10 +30,19 @@ everything else from messages.  A :class:`ReliableEndpoint` at pᵢ::
               send ("resync-req", frontier, spill) to helper
     on ("resync-req", frontier, spill) from q:
               learn q's row; send q every m in log that row lacks
+    repairer(o, q): o, unless o is crashed or cut off from q; then the
+              lowest live pid not cut off from q that holds the message
     on digest (frontier, spill) from q:
-              learn q's row; resend q every m in log that row lacks
-              and this endpoint had seen when q's previous digest came
-              (one heartbeat of grace)
+              learn q's row; resend q every m in log that row lacks,
+              that this endpoint had seen when q's previous digest came
+              (one heartbeat of grace) and whose repairer it is
+    on gap(o, s): once the copy s has been here longer than any copy
+              can be overtaken (at once on FIFO links), send
+              ("nack", o, lo, s) to repairer(o, pᵢ), lo the frontier;
+              the same ids again only once their repair is overdue
+              (never where copies take unknown time)
+    on ("nack", o, lo, hi) from q:
+              resend q every m of o's lo..hi-1 in log that q's row lacks
     on ("repair", m) from q: receive(m) from q
 
 ``accept`` is the ordering layer's delivery condition::
@@ -82,7 +92,9 @@ the repairs it draws are ordinary network copies (``Transport.repair``).
 class an ``XBroadcast`` service builds: ``Reliable`` (none), ``Fifo``
 (the PRAM baseline's), ``Causal`` (Figs. 4 and 5's).  Every one of them
 spreads a message the same way on both planes: only its broadcaster
-sends it, and heartbeat digests repair what the network lost.
+sends it, a receiver that sees a gap in its copies nacks it, and
+heartbeat digests repair a lost tail no later copy shows — one
+repairer per (origin, peer), so a lost copy is resent once.
 ``TotalOrder`` stands apart: sequencer-based and *not* wait-free, which
 is exactly why sequentially consistent objects cannot have latency
 independent of the network (Sec. 1, [3, 16]; experiment E6 measures it).
@@ -90,9 +102,11 @@ independent of the network (Sec. 1, [3, 16]; experiment E6 measures it).
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from .transport import Transport
 
@@ -145,7 +159,7 @@ class BroadcastService:
     # what :meth:`stats` reports; zero for good in a layer without resync
     resync_attempts = resync_retries = resync_converged = resync_gave_up = 0
     resyncs_requested = resyncs_served = 0
-    repairs_sent = repairs_received = 0
+    repairs_sent = repairs_received = nacks_sent = 0
 
     def __init__(self, network: Transport) -> None:
         self.network = network
@@ -189,6 +203,7 @@ class BroadcastService:
             "resyncs_requested": self.resyncs_requested,
             "repairs_sent": self.repairs_sent,
             "repairs_received": self.repairs_received,
+            "nacks_sent": self.nacks_sent,
         }
 
 
@@ -238,16 +253,41 @@ class PeerView:
         return tuple(map(max, zip(*self.rows)))
 
 
+class _Gap:
+    """One origin's copies as a receiver saw them arrive above its
+    frontier: ``arrivals`` that may still be overtaken, as ``(time,
+    seq)`` rising in both; ``proven``, the highest seq below which a
+    missing id is lost; and the last nack, asking up to ``asked`` at
+    ``asked_at``."""
+
+    __slots__ = ("arrivals", "proven", "asked", "asked_at")
+
+    def __init__(self) -> None:
+        self.arrivals: Deque[Tuple[float, int]] = deque()
+        self.proven = self.asked = 0
+        self.asked_at = -math.inf
+
+
 class ReliableEndpoint(Endpoint):
-    """Reliable broadcast by direct sends and digest repair.
+    """Reliable broadcast by direct sends, gap nacks and digest repair.
 
     Each message goes once per peer, from its origin (n-1 messages), and
-    no receiver passes it on.  Heartbeat digests make that reliable: a
-    peer's digest has every process that holds a message the peer lacks
-    resend it (:meth:`_repair`), the origin's crash mid-send included —
-    on a live node from the node's heartbeat (:meth:`on_control`), on
-    the simulated plane from the service's
-    (:meth:`ReliableBroadcast._beat`).
+    no receiver passes it on.  Two requests make that reliable, both
+    answered by the one repairer of the (origin, peer) pair: the origin,
+    or when it is crashed or cut off from the peer, the lowest live
+    holder joined to the peer (:meth:`_repairer`).
+    A receiver whose copies from an origin show a gap nacks the ids
+    missing below it once that copy can no longer be overtaken
+    (:meth:`_on_gap`, ``Transport.overtake``), and the repairer resends
+    them from its log (:meth:`_answer_nack`).  A lost tail shows no
+    gap: a peer's heartbeat digest has the repairer resend what the peer
+    lacks (:meth:`_repair`) — on a live node from the node's heartbeat
+    (:meth:`on_control`), on the simulated plane from the service's
+    (:meth:`ReliableBroadcast._beat`).  Digests also cover a lost nack
+    or repair, and an origin's crash mid-send, once the holders know of
+    it (a live node's view: ``HB_TIMEOUT`` without a heartbeat).  Either
+    way one copy is resent per copy lost, and a digest is compared only
+    for the origins this endpoint repairs.
 
     Memory stays bounded on long runs through causal-stability GC
     (:meth:`sweep`), and a crash-recovered process catches up by
@@ -270,6 +310,8 @@ class ReliableEndpoint(Endpoint):
         # per remote peer, this endpoint's frontier and spill when that
         # peer's last digest came: what its next digest may get repaired
         self._grace: Dict[int, Tuple[List[int], Set[Mid]]] = {}
+        # per origin, what this endpoint knows of the gaps in its copies
+        self._gaps: Dict[int, _Gap] = {}
         # the log by id, as far as :meth:`_retained` has read it
         self._indexed: List[Any] = []
         self._index: Dict[Mid, Any] = {}
@@ -358,6 +400,8 @@ class ReliableEndpoint(Endpoint):
             return
         self._note_seen(message)
         self._accept(message)
+        if mid[1] >= self.frontier[mid[0]] and src == mid[0]:
+            self._on_gap(mid[0], mid[1])
 
     def _accept(self, message: Any) -> None:
         """A first-seen message enters the delivery layer — with no
@@ -387,21 +431,25 @@ class ReliableEndpoint(Endpoint):
 
     def on_control(self, src: int, body: Dict[str, Any]) -> Optional[int]:
         """The transport's control sink.  A ``repair`` carries one
-        message, received as if ``src`` had sent it.  Any other body
-        may carry its sender's digest: a ``resync-req`` then asks for
-        everything the sender lacks, and a heartbeat gets what
+        message, received as if ``src`` had sent it, and a ``nack``
+        asks for a run of one origin's ids (:meth:`_answer_nack`).  Any
+        other body may carry its sender's digest: a ``resync-req`` then
+        asks for everything the sender lacks, and a heartbeat gets what
         :meth:`_repair` finds."""
         kind = body.get("kind")
         if kind == "repair":
             self.service.repairs_received += 1
             self.receive(src, body["body"])
             return None
+        if kind == "nack":
+            self._answer_nack(src, body["origin"], body["lo"], body["hi"])
+            return None
         frontier = body.get("frontier")
         if frontier is None:
             return None
         self.peers.learn(src, frontier, body.get("spill"))
         if kind != "resync-req":
-            self._repair(src)
+            self._repair(src, self._orphans(src))
             return None
         self.service.resyncs_served += 1
         seen = self.peers.seen
@@ -411,36 +459,89 @@ class ReliableEndpoint(Endpoint):
             send(self.pid, src, message)
         return len(missing)
 
-    def _repair(self, q: int) -> None:
+    # ------------------------------------------------------------------
+    # Repair: one repairer per (origin, peer), asked by a digest or a nack
+    # ------------------------------------------------------------------
+    def _reaches(self, a: int, b: int) -> bool:
+        """Is ``a`` up and joined to ``b`` both ways?"""
+        transport = self.transport
+        return not (
+            transport.is_crashed(a)
+            or transport.separated(a, b)
+            or transport.separated(b, a)
+        )
+
+    def _orphans(self, q: int) -> List[int]:
+        """The origins other than ``q`` that cannot repair ``q``
+        themselves: crashed, or cut off from ``q``."""
+        reaches = self._reaches
+        return [o for o in range(self.n) if o != q and not reaches(o, q)]
+
+    def _repairer(self, mid: Mid, q: int) -> Optional[int]:
+        """Who repairs ``mid`` to peer ``q``: its origin, or when that is
+        crashed or cut off from ``q``, the lowest live holder joined to
+        ``q`` (``None``: no one this endpoint knows of).  Rows only ever
+        under-state what a peer holds, so the true lowest holder always
+        takes itself for it."""
+        reaches, seen = self._reaches, self.peers.seen
+        if reaches(mid[0], q):
+            return mid[0]
+        for h in range(self.n):
+            if h != q and reaches(h, q) and seen(h, mid):
+                return h
+        return None
+
+    def _repair(self, q: int, orphans: List[int]) -> None:
         """Peer ``q``'s digest just came: resend it every logged message
-        its row lacks that this endpoint had seen when ``q``'s previous
-        digest came.  That grace of one heartbeat keeps a copy still in
-        flight from being sent twice; the stability GC has kept every
-        such message, since ``q``'s row holds the minimum below it."""
+        this endpoint repairs to ``q`` (:meth:`_repairer`: its own, and
+        the ``orphans``' when it is their lowest holder) that its row
+        lacks and this endpoint had seen when ``q``'s previous digest
+        came.  That grace of one heartbeat keeps a copy still in flight
+        from being sent twice; the stability GC has kept every such
+        message, since ``q``'s row holds the minimum below it."""
+        origins = sorted({self.pid, *orphans})
         frontier, spill = self._grace.get(q, (None, set()))
-        self._grace[q] = (list(self.frontier), set(self.spill))
+        self._grace[q] = (list(self.frontier), self._spilled(origins))
         if frontier is None:
             return  # q's first digest: nothing was seen before one
-        retained = self._retained
-        missing = [
-            message
-            for message in map(retained, self._lacking(q, frontier, spill))
-            if message is not None
+        self._send_repairs(q, self._owed(q, frontier, spill, origins))
+
+    def _answer_nack(self, q: int, origin: int, lo: int, hi: int) -> None:
+        """Peer ``q`` found ``origin``'s ids ``lo..hi-1`` missing: resend
+        it those its row lacks that the log holds."""
+        seen, retained = self.peers.seen, self._retained
+        owed = [
+            retained(mid)
+            for mid in zip(repeat(origin), range(lo, hi))
+            if not seen(q, mid)
         ]
-        self.service.repairs_sent += len(missing)
+        self._send_repairs(q, [message for message in owed if message is not None])
+
+    def _send_repairs(self, q: int, messages: List[Any]) -> None:
+        self.service.repairs_sent += len(messages)
         repair = self.transport.repair
-        for message in missing:
+        for message in messages:
             repair(self.pid, q, message)
 
-    def _lacking(self, q: int, frontier: List[int], spill: Set[Mid]) -> List[Mid]:
-        """The ids below ``frontier`` or in ``spill`` that peer ``q``'s
-        row and spill do not hold, origin by origin: O(n) when ``q``'s
-        row covers ``frontier`` and nothing is spilled, the fault-free
-        case."""
+    def _spilled(self, origins: List[int]) -> Set[Mid]:
+        """This endpoint's spilled ids of ``origins``: none when they are
+        its own alone, the fault-free case, at no cost."""
+        if len(origins) == 1:
+            return set()
+        return {mid for mid in self.spill if mid[0] in origins}
+
+    def _owed(
+        self, q: int, frontier: List[int], spill: Set[Mid], origins: List[int]
+    ) -> List[Any]:
+        """The logged messages below ``frontier`` or in ``spill`` of
+        ``origins`` that peer ``q`` lacks and this endpoint repairs,
+        origin by origin: O(len(origins)) when ``q``'s row covers
+        ``frontier`` and nothing is spilled, the fault-free case."""
+        pid, repairer, retained = self.pid, self._repairer, self._retained
         row, held = self.peers.rows[q], self.peers.spills[q]
         lacking: List[Mid] = []
-        for origin, got in enumerate(row):
-            head = frontier[origin]
+        for origin in origins:
+            got, head = row[origin], frontier[origin]
             if got < head:
                 lacking.extend(
                     mid
@@ -451,14 +552,69 @@ class ReliableEndpoint(Endpoint):
             lacking.extend(
                 sorted(mid for mid in spill - held if mid[1] >= row[mid[0]])
             )
-        return lacking
+        return [
+            message
+            for message in map(retained, lacking)
+            if message is not None and repairer(message["id"], q) == pid
+        ]
 
-    def _holds_missing(self, q: int) -> bool:
-        """Does this endpoint's log hold a message peer ``q`` lacks?"""
-        retained = self._retained
-        return any(
-            retained(mid) is not None
-            for mid in self._lacking(q, self.frontier, self.spill)
+    def _holds_missing(self, q: int, orphans: List[int]) -> bool:
+        """Does this endpoint's log hold a message peer ``q`` lacks that
+        this endpoint repairs?"""
+        origins = sorted({self.pid, *orphans})
+        return bool(self._owed(q, self.frontier, self._spilled(origins), origins))
+
+    def _on_gap(self, origin: int, seq: int) -> None:
+        """``origin``'s own copy of ``seq`` came in above the frontier,
+        so the ids below it that are not spilled may be lost.  They were
+        sent before it, so once it has been here longer than a copy can
+        be overtaken (``Transport.overtake``: at once where links are
+        FIFO) those still missing are, and one ``nack`` asks the
+        repairer for the lowest run of them not asked for yet.  The same
+        ids are asked for again only once their repair is overdue: the
+        nack is answered where it lands, so its copy should be here
+        within ``Transport.latency`` plus ``overtake`` — never, where
+        the latency is not known, and digests repair what a lost nack or
+        repair leaves open.  Checked as copies arrive, so no timer runs
+        per gap, and not at all where no bound on overtaking is known."""
+        transport = self.transport
+        age = transport.overtake
+        if age == math.inf:
+            return
+        now = transport.now
+        gap = self._gaps.get(origin)
+        if gap is None:
+            gap = self._gaps[origin] = _Gap()
+        arrivals, proven = gap.arrivals, gap.proven
+        # an arrival below a younger one's seq proves nothing more
+        if seq > (arrivals[-1][1] if arrivals else proven):
+            arrivals.append((now, seq))
+        while arrivals and now - arrivals[0][0] >= age:
+            proven = arrivals.popleft()[1]
+        gap.proven = proven
+        frontier = self.frontier[origin]
+        if proven <= frontier:
+            return
+        lo = frontier
+        if now - gap.asked_at < transport.latency + age:
+            lo = max(lo, gap.asked)
+        lo = self._gap(origin, lo, proven)
+        if lo is None:
+            return
+        repairer = self._repairer((origin, lo), self.pid)
+        if repairer is None:
+            return
+        # one run of missing ids: those seen above it may not have
+        # reached the repairer's view of this endpoint yet
+        hi, spill = lo + 1, self.spill
+        while hi < proven and hi - lo < DIGEST_SPILL and (origin, hi) not in spill:
+            hi += 1
+        if lo == frontier:  # the grace runs from the lowest id's ask
+            gap.asked_at = now
+        gap.asked = hi
+        self.service.nacks_sent += 1
+        transport.control(
+            self.pid, repairer, {"kind": "nack", "origin": origin, "lo": lo, "hi": hi}
         )
 
     def _retained(self, mid: Mid) -> Optional[Any]:
@@ -652,13 +808,15 @@ class ReliableBroadcast(BroadcastService):
         network = self.network
         crashed, separated = network.is_crashed, network.separated
         live = [pid for pid in self.endpoints if not crashed(pid)]
+        # per peer, the origins that cannot repair it themselves
+        orphans = {q: self.endpoints[q]._orphans(q) for q in live}
         again = False
         for pid in live:
             endpoint = self.endpoints[pid]
             for q in live:
                 if q != pid and not (separated(q, pid) or separated(pid, q)):
-                    endpoint._repair(q)
-                    again = again or endpoint._holds_missing(q)
+                    endpoint._repair(q, orphans[q])
+                    again = again or endpoint._holds_missing(q, orphans[q])
         if again:
             self.arm_heartbeat()
 

@@ -12,6 +12,7 @@ than deploy: a seeded pseudo-random delay preserves the relevant behaviour
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from heapq import heappush
@@ -36,6 +37,19 @@ class DelayModel:
 
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         raise NotImplementedError
+
+    def overtake(self, slow: float, fast: float) -> float:
+        """The most a copy can arrive after one sent later on the same
+        link, when the first was sent at delay scale ``slow`` and the
+        second at ``fast`` (``slow >= fast``); unbounded unless a model
+        says otherwise, so that no gap is taken for loss and digests
+        repair alone."""
+        return math.inf
+
+    def longest(self, scale: float) -> float:
+        """The longest delay a copy can draw at delay scale ``scale``;
+        unbounded unless a model says otherwise."""
+        return math.inf
 
     # Named constructors ------------------------------------------------
     @staticmethod
@@ -75,6 +89,12 @@ class _Constant(DelayModel):
     def sample(self, rng: random.Random, src: int, dst: int) -> float:
         return self.delay
 
+    def overtake(self, slow: float, fast: float) -> float:
+        return (slow - fast) * self.delay
+
+    def longest(self, scale: float) -> float:
+        return scale * self.delay
+
 
 @dataclass
 class _Uniform(DelayModel):
@@ -85,6 +105,12 @@ class _Uniform(DelayModel):
         # open-coded rng.uniform (same expression, so the same draw):
         # this is the hottest rng call in the simulator
         return self.low + (self.high - self.low) * rng.random()
+
+    def overtake(self, slow: float, fast: float) -> float:
+        return slow * self.high - fast * self.low
+
+    def longest(self, scale: float) -> float:
+        return scale * self.high
 
 
 @dataclass
@@ -109,6 +135,13 @@ class _PerLink(DelayModel):
             base = rng.uniform(self.low, self.high)
             self._base[(src, dst)] = base
         return base * (1.0 + rng.uniform(-self.jitter, self.jitter))
+
+    def overtake(self, slow: float, fast: float) -> float:
+        # within one link only the jitter differs: base * (1 +- jitter)
+        return self.high * (slow * (1.0 + self.jitter) - fast * (1.0 - self.jitter))
+
+    def longest(self, scale: float) -> float:
+        return scale * self.high * (1.0 + self.jitter)
 
 
 @dataclass
@@ -237,6 +270,15 @@ class Network(Transport):
         self.delay = delay or DelayModel.uniform(0.5, 1.5)
         self.loss_rate = loss_rate
         self.delay_scale = 1.0
+        #: the most a copy can arrive after one its sender sent later to
+        #: the same destination, over the run so far: the delay model's
+        #: spread at the widest and narrowest delay scales used, or a
+        #: reorder burst's release, whichever is longer.  A gap in one
+        #: sender's copies older than this is loss
+        self.overtake = self.delay.overtake(1.0, 1.0)
+        #: the longest a copy can take, at the widest delay scale so far
+        self.latency = self.delay.longest(1.0)
+        self._scales = (1.0, 1.0)
         self.handlers: Dict[int, Callable[[int, Any], None]] = {}
         #: per pid, the "already seen this id?" predicate it offered
         #: through :meth:`attach_dedup` (None: no offer)
@@ -353,6 +395,11 @@ class Network(Transport):
         if factor <= 0:
             raise ValueError("delay scale must be positive")
         self.delay_scale = factor
+        slow, fast = self._scales = (
+            max(self._scales[0], factor), min(self._scales[1], factor)
+        )
+        self.overtake = max(self.overtake, self.delay.overtake(slow, fast))
+        self.latency = self.delay.longest(slow)
 
     def set_duplicate_rate(self, rate: float) -> None:
         """Deliver a second, independently delayed copy of each message
@@ -416,6 +463,8 @@ class Network(Transport):
                     (src, dst, payload) for payload in reversed(payloads)
                 )
                 continue
+            # the first captured copy lands last, behind all the others
+            self.overtake = max(self.overtake, spacing * len(payloads))
             seen = self._dedup[dst]
             for k, payload in enumerate(reversed(payloads)):
                 delay = spacing * (k + 1)

@@ -29,7 +29,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.history import History
 from ..core.operations import Invocation, Operation
@@ -121,13 +121,16 @@ class RecordRow(Sequence):
     def __iter__(self) -> Iterator[OpRecord]:
         return map(self._record, range(len(self)))
 
-    def entries(self) -> Iterator[Entry]:
-        """``(method, args, output, start, end)`` of every record in
-        order, read straight off the columns: no :class:`OpRecord` or
+    def entries(self, first: int = 0, stop: Optional[int] = None) -> Iterator[Entry]:
+        """``(method, args, output, start, end)`` of the records
+        ``first..stop-1`` (every record by default) in order, read
+        straight off the columns: no :class:`OpRecord` or
         :class:`Invocation` is built."""
         keys, args_of = self._keys, self._args
-        columns = zip(self._codes, self._out, self._start, self._end)
-        for i, (code, output, start, end) in enumerate(columns):
+        columns: Tuple[Sequence, ...] = (self._codes, self._out, self._start, self._end)
+        if first or stop is not None:
+            columns = tuple(column[first:stop] for column in columns)
+        for i, (code, output, start, end) in enumerate(zip(*columns), first):
             method, arity = keys[code]
             yield method, args_of(i, arity), output, start, end
 

@@ -1,7 +1,7 @@
 """The transport interface the broadcast/replication stack is written to.
 
 The runtime algorithms (``ReliableBroadcast``, ``CausalBroadcast`` and
-every ``ReplicatedObject`` subclass) need exactly seven things from the
+every ``ReplicatedObject`` subclass) need exactly nine things from the
 layer below them:
 
 - which processes it **hosts** (``hosted``): the pids whose handlers it
@@ -26,7 +26,16 @@ layer below them:
   timers — the supervised resync timeouts and the simulated heartbeat;
 - **membership** queries (``is_crashed``) so helpers skip dead peers;
 - **reachability** queries (``separated``) so resync picks helpers it can
-  actually talk to.
+  actually talk to;
+- its links' **overtake** (``overtake``): the most a copy can arrive
+  after one its sender sent later to the same destination, so a
+  receiver can tell a gap that is loss from one still in flight — 0 on
+  FIFO links (live TCP), the delay model's spread on the simulated
+  plane;
+- its links' **latency** (``latency``): the longest a copy takes to
+  arrive, so a receiver can tell when a repair it asked for is overdue
+  — unknown (infinite) on the live plane, the delay model's upper
+  bound on the simulated one.
 
 :class:`Transport` names that contract.  The simulated stack
 (:class:`repro.runtime.network.Network`, re-exported as ``SimTransport``)
@@ -53,6 +62,7 @@ Timer semantics the implementations must honour:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Sequence, Tuple
 
 Handler = Callable[[int, Any], None]
@@ -71,6 +81,12 @@ class Transport:
     n: int
     #: the pids whose handlers this transport dispatches
     hosted: Sequence[int]
+    #: the most a copy can arrive after one its sender sent later to the
+    #: same destination (time units; 0: every link is FIFO)
+    overtake: float = 0.0
+    #: the longest a copy takes to arrive, when it does (time units;
+    #: infinite: not known)
+    latency: float = math.inf
 
     # -- delivery -------------------------------------------------------
     def attach(self, pid: int, handler: Handler) -> None:

@@ -46,6 +46,7 @@ from ..scenarios.spec import WorkloadSpec
 from ..scenarios.workloads import pick_stream
 from . import wire
 from .cluster import ClientSession
+from .node import ServiceNode
 from .transport import Address
 
 
@@ -204,8 +205,19 @@ async def capture_history(
     for pid in sorted(client_addrs):
         session = ClientSession(client_addrs[pid])
         await session.connect()
+        ops: List[Dict[str, Any]] = []
         try:
-            reply = await session.call({"cmd": "history"})
+            # page by page, each one frame: a whole row of a fast run
+            # is more than a frame can carry
+            while True:
+                reply = await session.call({"cmd": "history", "since": len(ops)})
+                if not reply.get("ok"):
+                    ops = []
+                    break
+                page = reply.get("ops", [])
+                ops.extend(page)
+                if len(page) < ServiceNode.HISTORY_PAGE:
+                    break
         finally:
             await session.close()
         # the node's rows are already classify-JSON ops; their "start"
@@ -213,7 +225,7 @@ async def capture_history(
         # recorded-time order — the order the wire actually delivered —
         # which is what makes its conflict-order inference conclusive on
         # live captures
-        processes.append(reply.get("ops", []) if reply.get("ok") else [])
+        processes.append(ops)
     doc = {
         "adt": {"type": "window-array", "streams": streams, "k": k},
         "criteria": list(criteria),

@@ -17,27 +17,33 @@ heartbeat is marked in the callback that read its frame, and the node's
 own heartbeat is a timer chain on the clock (sweep the view, multicast,
 re-arm), like the broadcast layer's timers — no task runs for either.
 
-**Digests.**  A write leaves its origin once per peer and is passed on
-by no one; the heartbeat is what makes that reliable.  Each heartbeat carries the endpoint's
+**Nacks and digests.**  A write leaves its origin once per peer and is
+passed on by no one; nacks and the heartbeat make that reliable.  An
+origin's frames reach a peer in order over one TCP connection, so a
+frame whose sequence number skips ids shows that the wire lost them:
+the endpoint nacks them to the origin at once, and the origin resends
+them as ``repair`` frames.  Each heartbeat carries the endpoint's
 ``digest()`` — its contiguous seen-frontier row and its spill as
 bounded per-origin runs — and the transport hands every control frame
 to the endpoint's control sink as well as to the node.  Peers' rows
 reach the endpoint's peer view, which keeps the stability GC sound and
 feeds the resync verification check, and a peer's digest has the
-endpoint resend it, as ``repair`` frames, whatever the digest shows it
-lacks of what the endpoint held one heartbeat earlier: a frame the wire
-lost is back within about two heartbeats, with no extra copy on the
-path of a fault-free write.  The node touches none of it.  Resync itself
-(request, serve, supervision) is the broadcast layer's own code, its
-timers now wall-clock timeouts on the event loop; the node only sets
-``RESYNC_TIMEOUT`` to wall seconds.
+endpoint resend it whatever of its own messages (or a down origin's)
+the digest shows it lacks of what the endpoint held one heartbeat
+earlier: a lost tail, which no later frame exposes, is back within
+about two heartbeats (a crashed origin's, once the view has it down),
+with no extra copy on the path of a fault-free write.  The node
+touches none of it.  Resync itself (request, serve, supervision) is
+the broadcast layer's own code, its timers now wall-clock timeouts on
+the event loop; the node only sets ``RESYNC_TIMEOUT`` to wall seconds.
 
 The client protocol is tiny: length-prefixed request/response frames
 with a correlation id (``rid``), in either :mod:`~repro.service.wire`
 codec — each reply goes back in the codec its request arrived in, and
 the binary codec (the default since PR 10) packs ``put``/``get`` and
 their ``ok`` replies into fixed headers.  Commands: ``get`` / ``put`` /
-``ops`` / ``window`` / ``history`` / ``status`` / ``watch`` and the
+``ops`` / ``window`` / ``history`` (one page of the recorded row per
+call) / ``status`` / ``watch`` and the
 operator controls ``crash`` / ``recover``.  ``status`` exposes the
 monitor's violations and ``NetworkStats``-style counters; ``watch``
 streams it.  Request fields are validated here, at the boundary, on the
@@ -99,6 +105,9 @@ class ServiceNode:
     #: the catch-up RPC (wall seconds; the simulator default of 6.0 is
     #: tuned to simulated delays, not loopback RTTs)
     RESYNC_TIMEOUT = 1.5
+    #: most operations one ``history`` reply carries: ~1.1 MB of JSON,
+    #: far below ``wire.MAX_FRAME``
+    HISTORY_PAGE = 10_000
 
     def __init__(
         self,
@@ -263,7 +272,10 @@ class ServiceNode:
                 self.tap.flush()
             return {"ok": True, "count": self.recorder.count()}
         if cmd == "history":
-            return {"ok": True, "ops": self._history_row()}
+            since = req.get("since", 0)
+            if type(since) is not int or since < 0:
+                return {"ok": False, "error": "since must be an int >= 0"}
+            return {"ok": True, "ops": self._history_page(since)}
         if cmd == "status":
             since = req.get("since", 0)
             if type(since) is not int or since < 0:
@@ -294,9 +306,10 @@ class ServiceNode:
             await conn.drained()
             await asyncio.sleep(interval)
 
-    def _history_row(self) -> List[Dict[str, Any]]:
-        """This node's recorded operations in classify-JSON op format,
-        read off the recorder's columns."""
+    def _history_page(self, since: int) -> List[Dict[str, Any]]:
+        """This node's recorded operations ``since`` on, at most
+        ``HISTORY_PAGE`` of them, in classify-JSON op format, read off
+        the recorder's columns."""
         if self.tap is not None:
             self.tap.flush()
         row = self.recorder.rows[self.my_pid]
@@ -308,7 +321,9 @@ class ServiceNode:
                 "start": start,
                 "end": end,
             }
-            for method, args, out, start, end in row.entries()
+            for method, args, out, start, end in row.entries(
+                since, since + self.HISTORY_PAGE
+            )
         ]
 
     def status(self, since: int = 0) -> Dict[str, Any]:
@@ -400,8 +415,9 @@ class _ClientConnection(asyncio.Protocol):
     own), and a ``put`` that meets a peer backlog over
     ``AsyncioTransport.HIGH_WATER`` (its frame waits for
     :meth:`~repro.service.transport.AsyncioTransport.drained`).  Any
-    ``ValueError`` — hostile bytes, a request that is not a dict —
-    closes this connection and nothing else."""
+    ``ValueError`` while reading — hostile bytes, a request that is not
+    a dict — closes this connection and nothing else; a reply too large
+    for a frame fails only its own call."""
 
     def __init__(self, node: ServiceNode) -> None:
         self.node = node
@@ -490,20 +506,28 @@ class _ClientConnection(asyncio.Protocol):
         self, bodies: List[bytes], reqs: List[Dict[str, Any]], batched: bool
     ) -> None:
         """Answer a frame's requests, each in its own codec; a batch's
-        replies go back as one container."""
+        replies go back as one container, or one frame each when they do
+        not fit in one.  A reply no frame can carry fails its own call
+        with an error reply, and the connection stays open."""
         replies = []
         for body, req in zip(bodies, reqs):
             codec = wire.body_codec(body)
             reply = self.node._handle_client(req, self, codec)
             if reply is not None:
-                reply["rid"] = req.get("rid")
-                replies.append(wire.encode_body(reply, codec))
-        if not replies:
-            return
-        if batched:
-            self.sock.write(wire.encode_batch(replies))
-        else:
-            self.sock.write(wire.frame(replies[0]))
+                rid = reply["rid"] = req.get("rid")
+                replies.append((wire.encode_body(reply, codec), rid, codec))
+        if batched and replies:
+            try:
+                self.sock.write(wire.encode_batch([body for body, _, _ in replies]))
+                return
+            except ValueError:
+                pass
+        for body, rid, codec in replies:
+            try:
+                out = wire.frame(body)
+            except ValueError as exc:
+                out = wire.encode({"ok": False, "error": str(exc), "rid": rid}, codec)
+            self.sock.write(out)
 
     async def _after_drain(
         self, bodies: List[bytes], reqs: List[Dict[str, Any]], batched: bool

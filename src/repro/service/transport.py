@@ -125,7 +125,8 @@ def _check_control(frame: Dict[str, Any], n: int) -> None:
     ``n``: a pid's ``src``, a body dict, and in it the sender's digest
     as ``PeerView.learn`` takes it — a ``frontier`` of n ints >= 0 and a
     ``spill`` of runs covering at most ``DIGEST_SPILL`` ids — or, in a
-    ``repair``, a message body as :func:`_check_message` takes one.
+    ``repair``, a message body as :func:`_check_message` takes one, or,
+    in a ``nack``, one such run as ``origin``, ``lo`` and ``hi``.
     Unchecked, a stray entry moved a peer's row part-way, then raised
     ``TypeError`` inside the connection task, and a run as long as it
     liked had the reader build a set that size."""
@@ -145,11 +146,16 @@ def _check_control(frame: Dict[str, Any], n: int) -> None:
         ))
     ):
         raise ValueError(f"control frame outside this cluster of {n}: {frame!r}")
-    if digest.get("kind") == "repair":
+    kind = digest.get("kind")
+    if kind == "repair":
         message = digest.get("body")
         if type(message) is not dict or "kind" in message:
             raise ValueError(f"repair without a message body: {frame!r}")
         _check_message(message, n)
+    elif kind == "nack":
+        run = (digest.get("origin"), digest.get("lo"), digest.get("hi"))
+        if not (_is_run(run, n) and run[2] - run[1] <= DIGEST_SPILL):
+            raise ValueError(f"nack outside this cluster of {n}: {frame!r}")
 
 
 class WallClock:

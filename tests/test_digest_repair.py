@@ -1,9 +1,13 @@
-"""Heartbeat-digest repair, one endpoint against a stub transport.
+"""Digest and gap repair, one endpoint against a stub transport.
 
-A live node sends each message once per peer and covers wire loss from
-digests: when peer q's digest arrives, the
-endpoint resends q every logged message q's row and spill runs lack
-that the endpoint had already seen when q's *previous* digest arrived.
+A live node sends each message once per peer and covers wire loss two
+ways.  When peer q's digest arrives, the endpoint resends q every logged
+message it repairs to q — its own, and those of an origin that is down,
+when no lower live peer holds them — that q's row and spill runs lack
+and the endpoint had already seen when q's *previous* digest arrived.
+And when an origin's own copy arrives above the frontier, the ids below
+it that are still missing once the copy can no longer be overtaken are
+asked for with one ``nack`` to that origin, which answers from its log.
 The stub hosts pid 0 of a 3-process cluster and records what the
 endpoint hands it, so every resend is visible and nothing is delivered
 anywhere else.
@@ -20,11 +24,14 @@ class StubTransport(Transport):
     """Hosts pid 0 of ``n``: messages and control bodies are recorded as
     ``(dst, ...)`` pairs, never delivered."""
 
+    now = 0.0  # set by hand
+
     def __init__(self, n=3):
         self.n = n
         self.hosted = (0,)
         self.sent = []  # (dst, message id)
         self.controls = []  # (dst, body)
+        self.down = set()
 
     def attach(self, pid, handler):
         self.handler = handler
@@ -45,7 +52,7 @@ class StubTransport(Transport):
         self.controls.append((dst, body))
 
     def is_crashed(self, pid):
-        return False
+        return pid in self.down
 
     def separated(self, src, dst):
         return False
@@ -67,6 +74,17 @@ def _repaired(transport):
     """The ids repaired so far, per destination, and forget them."""
     out = [(dst, body["body"]["id"]) for dst, body in transport.controls]
     assert all(body["kind"] == "repair" for _, body in transport.controls)
+    transport.controls.clear()
+    return out
+
+
+def _nacks(transport):
+    """The nacks sent so far as (dst, origin, lo, hi), and forget them."""
+    out = [
+        (dst, body["origin"], body["lo"], body["hi"])
+        for dst, body in transport.controls
+    ]
+    assert all(body["kind"] == "nack" for _, body in transport.controls)
     transport.controls.clear()
     return out
 
@@ -93,24 +111,119 @@ def test_a_digest_repairs_exactly_what_its_sender_lacks_after_one_heartbeat():
     sink(2, _digest([0, 0, 0]))
     assert _repaired(transport) == []
     endpoint.broadcast("d")  # (0, 3): seen after that digest
-    # peer 2 holds (0, 0) and, spilled, (0, 2): it lacks (0, 1) and
-    # (1, 0), which were seen here before its last digest; (0, 3) is
-    # in its grace heartbeat and may still be in flight
+    # peer 2 holds (0, 0) and, spilled, (0, 2): it lacks (0, 1), seen
+    # here before its last digest; (0, 3) is in its grace heartbeat and
+    # may still be in flight; (1, 0) is origin 1's to repair
     sink(2, _digest([1, 0, 0], spill=[(0, 2, 3)]))
-    assert _repaired(transport) == [(2, (0, 1)), (2, (1, 0))]
-    # the next digest: (0, 3)'s grace is over, and the repairs landed
-    sink(2, _digest([3, 1, 0]))
+    assert _repaired(transport) == [(2, (0, 1))]
+    # the next digest: (0, 3)'s grace is over, and the repair landed
+    sink(2, _digest([3, 0, 0]))
     assert _repaired(transport) == [(2, (0, 3))]
-    # a peer that holds everything costs nothing
-    sink(2, _digest([4, 1, 0]))
+    # a peer that holds everything of this origin costs nothing
+    sink(2, _digest([4, 0, 0]))
     assert _repaired(transport) == []
-    assert service.stats()["repairs_sent"] == 3
+    assert service.stats()["repairs_sent"] == 2
     assert service.stats()["repairs_received"] == 0
     # peer 1's digests are graced on their own
     sink(1, _digest([0, 0, 0]))
     assert _repaired(transport) == []
     sink(1, _digest([0, 1, 0]))
     assert sorted(_repaired(transport)) == [(1, (0, seq)) for seq in range(4)]
+
+
+def test_the_lowest_live_holder_repairs_for_an_origin_that_is_down():
+    transport, service, endpoint, _ = _node()
+    transport.handler(1, _message(1, 0))
+    transport.handler(1, _message(1, 1))
+    sink = transport.sink
+    sink(2, _digest([0, 0, 0]))
+    sink(2, _digest([0, 1, 0]))
+    assert _repaired(transport) == []  # origin 1 is up: its own repairs
+    transport.down.add(1)
+    sink(2, _digest([0, 1, 0]))
+    assert _repaired(transport) == [(2, (1, 1))]
+    assert service.stats()["repairs_sent"] == 1
+
+
+def test_a_gap_in_an_origins_copies_is_nacked_once_at_once_on_fifo_links():
+    transport, service, endpoint, _ = _node()
+    for seq in (0, 3):
+        transport.handler(1, _message(1, seq))
+    assert _nacks(transport) == [(1, 1, 1, 3)]
+    transport.handler(1, _message(1, 4))  # the same gap: asked already
+    assert _nacks(transport) == []
+    transport.handler(1, _message(1, 6))  # a new one above it
+    assert _nacks(transport) == [(1, 1, 5, 6)]
+    # how long a repair takes is not known here: it is never overdue,
+    # and digests repair what a lost nack or repair leaves open
+    transport.now += 1e6
+    transport.handler(1, _message(1, 7))
+    assert _nacks(transport) == []
+    for seq in (1, 2, 5):
+        transport.sink(1, {"kind": "repair", "body": _message(1, seq)})
+    assert endpoint.frontier == [0, 8, 0] and _nacks(transport) == []
+    assert service.stats()["nacks_sent"] == 2
+
+
+def test_a_gap_is_asked_for_again_once_its_repair_is_overdue():
+    transport, service, endpoint, _ = _node()
+    transport.latency, transport.overtake = 1.5, 1.0
+    transport.handler(1, _message(1, 0))
+    transport.handler(1, _message(1, 3))
+    transport.now = 1.0
+    transport.handler(1, _message(1, 5))  # (1, 3) can no longer be overtaken
+    assert _nacks(transport) == [(1, 1, 1, 3)]
+    transport.now = 2.0
+    transport.handler(1, _message(1, 6))  # nor can (1, 5): (1, 4) is lost
+    assert _nacks(transport) == [(1, 1, 4, 5)]
+    # 2.5 after the first ask, latency plus overtake: overdue, and asked
+    # for again a run at a time, lowest first
+    transport.now = 3.5
+    transport.handler(1, _message(1, 7))
+    assert _nacks(transport) == [(1, 1, 1, 3)]
+    transport.handler(1, _message(1, 8))
+    assert _nacks(transport) == [(1, 1, 4, 5)]
+    assert service.stats()["nacks_sent"] == 4
+
+
+def test_a_gap_counts_as_loss_once_its_copy_can_no_longer_be_overtaken():
+    transport, service, endpoint, _ = _node()
+    transport.overtake = 2.0
+    transport.handler(1, _message(1, 2))  # (1, 0), (1, 1) may be in flight
+    transport.now = 1.0
+    transport.handler(1, _message(1, 0))
+    transport.handler(1, _message(1, 4))
+    assert _nacks(transport) == []
+    transport.now = 2.5
+    transport.handler(1, _message(1, 5))
+    # (1, 2) arrived 2.5 ago: (1, 1) is lost; (1, 3) may still come
+    assert _nacks(transport) == [(1, 1, 1, 2)]
+
+
+def test_only_an_origins_own_copy_opens_a_nack():
+    transport, service, endpoint, _ = _node()
+    transport.handler(2, _message(1, 3))  # a resync copy from a helper
+    transport.sink(2, {"kind": "repair", "body": _message(1, 5)})
+    assert _nacks(transport) == [] and service.stats()["nacks_sent"] == 0
+
+
+def test_a_nack_for_an_origin_that_is_down_goes_to_the_lowest_live_holder():
+    transport, _, endpoint, _ = _node()
+    transport.down.add(1)
+    endpoint.peers.learn(2, [0, 2, 0])
+    transport.handler(1, _message(1, 0))
+    transport.handler(1, _message(1, 2))
+    assert _nacks(transport) == [(2, 1, 1, 2)]
+
+
+def test_a_nack_is_answered_from_the_log_with_what_the_row_lacks():
+    transport, service, endpoint, _ = _node()
+    for value in "abcd":
+        endpoint.broadcast(value)
+    transport.sink(2, _digest([1, 0, 0], spill=[(0, 2, 3)]))
+    transport.sink(2, {"kind": "nack", "origin": 0, "lo": 1, "hi": 4})
+    assert _repaired(transport) == [(2, (0, 1)), (2, (0, 3))]
+    assert service.stats()["repairs_sent"] == 2
 
 
 def test_a_repair_that_is_still_missing_is_sent_again():

@@ -291,7 +291,14 @@ def test_connections_cost_no_tasks():
 
         cluster = LiveCluster(3, base_port=BASE_PORT + 33, seed=8, proxied=False)
         await cluster.start()
-        await asyncio.sleep(0.2)
+        # nodes start one after another, so a node's first dial to a
+        # peer not yet listening waits out a back-off, and its retry's
+        # accept may land in the window below: count from when every
+        # link is up, not after a fixed sleep a loaded host outlasts
+        for _ in range(200):
+            if all(all(node.transport.connected.values()) for node in cluster.nodes):
+                break
+            await asyncio.sleep(0.025)
         sessions = []
         loop.set_task_factory(counting)
         try:

@@ -491,12 +491,15 @@ class TestNetworkConservation:
         result = Scenario(spec).run(CCvWindowArray, seed=1, streams=4, k=2)
         assert result.monitor.ok and result.blocked == 0
         assert_every_copy_accounted_for(result)
-        # a repair is an ordinary copy, counted like any other; loss and
-        # a reorder burst longer than a heartbeat draw repairs, and a
-        # partition only holds copies, so each broadcast is sent once
-        # per peer there
+        # a repair is an ordinary copy, counted like any other.  Loss
+        # draws repairs, asked for by nacks; so does a crash, since the
+        # recovered replica's next copy from an origin shows what it
+        # dropped while down; a reorder burst longer than a heartbeat
+        # draws digest repairs; a partition only holds copies, so each
+        # broadcast is sent once per peer there
         service = result.algorithm.broadcast
-        assert (service.repairs_sent > 0) == (profile in ("lossdup", "reorder"))
+        assert (service.repairs_sent > 0) == (profile != "partition")
+        assert (service.nacks_sent > 0) == (profile in ("lossdup", "crash"))
         if profile == "partition":
             broadcasts = sum(
                 endpoint.frontier[pid] for pid, endpoint in service.endpoints.items()

@@ -16,6 +16,7 @@ import pytest
 from oracles import stability_frontier
 
 from repro.cli import load_history, main
+from repro.core.operations import Invocation
 from repro.criteria.streaming_monitor import replay_history
 from repro.runtime.broadcast import CausalBroadcast
 from repro.scenarios import FaultSchedule, Scenario
@@ -440,9 +441,58 @@ def test_heartbeat_digests_heal_wire_loss_without_a_repair_event():
             sent = sum(doc["broadcast"]["repairs_sent"] for doc in docs)
             received = sum(doc["broadcast"]["repairs_received"] for doc in docs)
             assert lost > 0 and sent > 0 and received > 0, (lost, sent, received)
+            # the next frame from the origin shows the gap, and the origin
+            # alone resends it: about one repair per lost frame, where
+            # every holder resending came to ~1.9
+            assert sum(doc["broadcast"]["nacks_sent"] for doc in docs) > 0
+            assert sent < 1.5 * lost, (lost, sent)
         finally:
             await cluster.close()
         assert not errors, errors
+
+    asyncio.run(body())
+
+
+def test_a_down_origins_lost_frames_come_from_the_lowest_live_holder():
+    """Node 2 loses origin 0's last frames and origin 0 crashes: no
+    later frame shows node 2 the gap, and origin 0 repairs nothing.
+    Node 1 holds them and resends them once its view has origin 0 down
+    (``HB_TIMEOUT`` without a heartbeat) and node 2's next digest comes
+    round: ~1.06 s after the crash here, where every holder resending a
+    heartbeat after the loss took ~0.30 s."""
+
+    async def body():
+        cluster = LiveCluster(3, base_port=BASE_PORT + 140, streams=2, proxied=False)
+        await cluster.start()
+        try:
+            await asyncio.sleep(0.4)
+            # node 2 loses every message frame it reads, and only those
+            handlers = cluster.nodes[2].transport.handlers
+            receive = handlers[2]
+            handlers[2] = lambda src, message: None
+            for i in range(5):
+                request = {"cmd": "put", "x": i % 2, "v": i + 1}
+                assert (await client_call(cluster.client_addr(0), request))["ok"]
+            await asyncio.sleep(0.05)  # node 2 has read the frames
+            cluster.crash(0)
+            handlers[2] = receive
+            crashed = cluster.now
+            held = {
+                mid for mid in cluster.nodes[1].broadcast.seen_ids(1) if mid[0] == 0
+            }
+            assert len(held) == 5
+            assert not held & cluster.nodes[2].broadcast.seen_ids(2)
+            for _ in range(80):
+                if held <= cluster.nodes[2].broadcast.seen_ids(2):
+                    break
+                await asyncio.sleep(0.05)
+            took = cluster.now - crashed
+            assert held <= cluster.nodes[2].broadcast.seen_ids(2), took
+            assert took < HB_TIMEOUT + 3 * HB_INTERVAL, took
+            assert cluster.nodes[1].broadcast.stats()["repairs_sent"] >= 5
+            assert cluster.nodes[2].broadcast.stats()["nacks_sent"] == 0
+        finally:
+            await cluster.close()
 
     asyncio.run(body())
 
@@ -472,6 +522,72 @@ def test_a_fault_free_saturated_burst_repairs_nothing():
             await cluster.close()
 
     asyncio.run(body())
+
+
+def _record(node, count):
+    """Record ``count`` writes straight into ``node``'s recorder."""
+    for i in range(count):
+        node.recorder.record(
+            node.my_pid, Invocation("w", (i % 2, i + 1)), None, float(i), i + 0.5
+        )
+
+
+def test_a_capture_pages_a_row_no_one_frame_can_carry(monkeypatch):
+    """A fast run records more of a node's operations than one reply
+    frame can carry (~154k at the real ``MAX_FRAME``); the capture asks
+    for them page by page and gets all of them, in order."""
+    monkeypatch.setattr(wire, "MAX_FRAME", 64 * 1024)
+
+    async def body():
+        cluster = LiveCluster(3, base_port=BASE_PORT + 120, streams=2, proxied=False)
+        await cluster.start()
+        try:
+            _record(cluster.nodes[0], 2000)
+            whole = {"ok": True, "ops": cluster.nodes[0]._history_page(0)}
+            assert len(wire.encode_body(whole)) > wire.MAX_FRAME
+            monkeypatch.setattr(ServiceNode, "HISTORY_PAGE", 200)
+            addrs = {pid: cluster.client_addr(pid) for pid in range(3)}
+            return await capture_history(addrs, 2, 2, criteria=("CCV",))
+        finally:
+            await cluster.close()
+
+    doc = asyncio.run(body())
+    row = doc["processes"][0]
+    assert [op["args"] for op in row] == [[i % 2, i + 1] for i in range(2000)]
+    assert [op["start"] for op in row] == [float(i) for i in range(2000)]
+    assert doc["processes"][1:] == [[], []]
+
+
+@pytest.mark.parametrize("codec", [wire.CODEC_JSON, wire.CODEC_BINARY])
+def test_a_reply_no_frame_can_carry_fails_its_own_call(monkeypatch, codec):
+    """It used to raise inside the connection's callback, which closed
+    the connection: every call on it failed with ``session closed``."""
+    monkeypatch.setattr(wire, "MAX_FRAME", 64 * 1024)
+
+    async def body():
+        cluster = LiveCluster(3, base_port=BASE_PORT + 130, streams=2, proxied=False)
+        await cluster.start()
+        session = ClientSession(cluster.client_addr(0), codec=codec, window=4)
+        try:
+            _record(cluster.nodes[0], 2000)
+            await session.connect()
+            big = {"cmd": "history"}  # one page: all 2000
+            alone = await session.call(big)
+            # batched beside a call whose reply fits: each gets its own
+            batched = await asyncio.gather(
+                session.call(big), session.call({"cmd": "ping"})
+            )
+            after = await session.call({"cmd": "history", "since": 1990})
+        finally:
+            await session.close()
+            await cluster.close()
+        return alone, batched, after
+
+    alone, (big, ping), after = asyncio.run(body())
+    for reply in (alone, big):
+        assert reply["ok"] is False and "too large" in reply["error"], reply
+    assert ping["ok"] is True
+    assert after["ok"] is True and len(after["ops"]) == 10
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +647,7 @@ STATUS_KEYS = {
 BROADCAST_STATUS_KEYS = {
     "delivered", "log_sizes", "resync_attempts", "resync_retries",
     "resync_converged", "resync_gave_up", "resyncs_served",
-    "resyncs_requested", "repairs_sent", "repairs_received",
+    "resyncs_requested", "repairs_sent", "repairs_received", "nacks_sent",
 }
 
 

@@ -11,6 +11,9 @@ and the next broadcast starts it again.
 """
 
 import json
+import math
+import pathlib
+import sys
 
 import pytest
 from oracles import flooded, flooded_chaos_trial
@@ -19,9 +22,19 @@ from repro.algorithms import CCvWindowArray
 from repro.chaos import make_spec, replay_file, run_chaos_trial
 from repro.chaos.driver import ChaosFailure, save_repro
 from repro.core.operations import Invocation
-from repro.runtime import ReliableBroadcast, Simulator
+from repro.runtime import DelayModel, Network, ReliableBroadcast, Simulator
+from repro.runtime.broadcast import ReliableEndpoint
+from repro.runtime.monitors import RuntimeMonitor
 from repro.runtime.transport import Transport
-from repro.scenarios import ALGORITHMS, FaultEvent, Scenario, ScenarioSpec, WorkloadSpec
+from repro.scenarios import (
+    ALGORITHMS,
+    FaultEvent,
+    Scenario,
+    ScenarioSpec,
+    WorkloadSpec,
+    get_scenario,
+)
+from repro.scenarios.spec import DelaySpec
 from repro.service.node import build_algorithm
 
 F = FaultEvent
@@ -66,11 +79,71 @@ def test_a_fault_free_run_repairs_nothing(key):
     spec = ScenarioSpec("quiet", n=6, workload=WorkloadSpec(ops_per_process=40))
     result = ALGORITHMS[key].run(spec, 3)
     service = result.algorithm.broadcast
-    assert service.repairs_sent == 0
+    assert service.repairs_sent == 0 and service.nacks_sent == 0
     # each broadcast crosses each of the n-1 links once, and that is all
     assert result.network_stats.sent == broadcasts(service) * (spec.n - 1)
     assert result.network_stats.elided == 0
     assert not result.sim.pending and service._hb is None
+
+
+@pytest.mark.parametrize("key", DIRECT_ROWS)
+def test_copies_that_overtake_one_another_are_not_nacked(key, monkeypatch):
+    """Per-link delays of 2–12 with 20% jitter let a copy arrive up to
+    4.8 after one sent later on its link: gaps open, and none is old
+    enough to be taken for loss."""
+    spec = ScenarioSpec(
+        "quiet-per-link",
+        n=6,
+        delay=DelaySpec("per-link", (2.0, 12.0, 0.2)),
+        workload=WorkloadSpec(ops_per_process=40),
+    )
+    gaps = []
+    on_gap = ReliableEndpoint._on_gap
+
+    def counted(endpoint, origin, seq):
+        gaps.append(seq)
+        on_gap(endpoint, origin, seq)
+
+    monkeypatch.setattr(ReliableEndpoint, "_on_gap", counted)
+    result = ALGORITHMS[key].run(spec, 3)
+    service = result.algorithm.broadcast
+    assert gaps and service.nacks_sent == 0 and service.repairs_sent == 0
+    assert service.network.overtake == pytest.approx(4.8)
+
+
+def test_where_no_copy_is_ever_proven_lost_no_gap_is_kept(monkeypatch):
+    """Exponential delays bound no overtaking: a gap in an origin's
+    copies is never taken for loss, so nothing is kept about it either
+    (kept, a run's arrivals would grow with it), and the loss is
+    repaired from digests alone."""
+    spec = lossdup(
+        ops=100, faults=(F.reorder(20.0, 30.0), F.reorder(120.0, 30.0))
+    )
+    spec = ScenarioSpec(
+        "lossdup-exponential",
+        n=spec.n,
+        streams=spec.streams,
+        k=spec.k,
+        delay=DelaySpec("exponential", (1.0,)),
+        faults=spec.faults,
+        workload=spec.workload,
+    )
+    gaps = []
+    on_gap = ReliableEndpoint._on_gap
+
+    def counted(endpoint, origin, seq):
+        gaps.append(seq)
+        on_gap(endpoint, origin, seq)
+
+    monkeypatch.setattr(ReliableEndpoint, "_on_gap", counted)
+    result = run(spec)
+    service = result.algorithm.broadcast
+    assert service.network.overtake == math.inf
+    assert gaps and result.network_stats.lost > 0
+    assert all(not endpoint._gaps for endpoint in service.endpoints.values())
+    assert service.nacks_sent == 0 and service.repairs_sent > 0
+    assert result.monitor.ok and result.blocked == 0
+    assert result.algorithm.converged()
 
 
 def test_lossdup_without_its_repair_sweeps_converges():
@@ -196,3 +269,143 @@ def test_a_repro_with_a_stray_relay_key_replays_over_direct_sends(tmp_path):
     assert outcome.result.fingerprint() == direct.fingerprint()
     assert outcome.result.network_stats == direct.network_stats
     assert direct.network_stats.sent < flood.network_stats.sent
+
+
+# ----------------------------------------------------------------------
+# One repair per lost copy: the benchmark's sim_faults cells, counted
+# ----------------------------------------------------------------------
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
+if str(BENCHMARKS) not in sys.path:
+    sys.path.insert(0, str(BENCHMARKS))
+
+from suite import sim as sim_faults  # noqa: E402
+
+
+@pytest.fixture(scope="module")
+def sim_faults_cells():
+    """Each ``sim_faults`` cell at seed 1, as the benchmark runs it, with
+    every broadcast's visibility: from its delivery at its origin to its
+    delivery at the last of the other replicas, in simulated time."""
+    inputs = sim_faults.make_inputs(1)
+    scripts = [
+        [Invocation(op[0], tuple(op[1:])) for op in row] for row in inputs["scripts"]
+    ]
+    delivered = {}
+    hook = RuntimeMonitor.on_causal_deliver
+
+    def observe(monitor, pid, mid, origin, stamp):
+        delivered.setdefault(mid, {})[pid] = monitor.sim.now
+        return hook(monitor, pid, mid, origin, stamp)
+
+    cells = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RuntimeMonitor, "on_causal_deliver", observe)
+        for doc in inputs["specs"]:
+            spec = ScenarioSpec.from_dict(doc)
+            delivered.clear()
+            result = Scenario(spec).run(
+                CCvWindowArray, seed=1, scripts=scripts, streams=spec.streams, k=spec.k
+            )
+            visibility = sorted(
+                max(at for pid, at in times.items() if pid != mid[0]) - times[mid[0]]
+                for mid, times in delivered.items()
+                if mid[0] in times and len(times) > 1
+            )
+            cells[spec.name] = (result, visibility)
+    return cells
+
+
+def percentile(ordered, q):
+    return ordered[round(q * (len(ordered) - 1))]
+
+
+def test_lossdup_repairs_each_lost_copy_about_once_and_soon(sim_faults_cells):
+    """Every holder resent a lost copy a heartbeat late: 687 lost copies
+    drew 3,575 repairs, and visibility was 31.8 / 48.0 at p50 / p99."""
+    result, visibility = sim_faults_cells["lossdup"]
+    service = result.algorithm.broadcast
+    lost = result.network_stats.lost
+    assert lost > 0 and service.nacks_sent > 0
+    assert service.repairs_sent <= 1.2 * lost
+    assert percentile(visibility, 0.50) < 31.8
+    assert percentile(visibility, 0.99) <= 48.0
+    assert result.monitor.ok and result.blocked == 0
+
+
+def test_reorder_repairs_no_more_than_every_holder_did(sim_faults_cells):
+    result, _ = sim_faults_cells["reorder"]
+    assert result.algorithm.broadcast.repairs_sent <= 1162
+    assert result.network_stats.lost == 0 and result.monitor.ok
+
+
+def test_a_partition_without_loss_asks_for_nothing(sim_faults_cells):
+    result, _ = sim_faults_cells["partition"]
+    service = result.algorithm.broadcast
+    assert service.nacks_sent == 0 and service.repairs_sent == 0
+    assert result.monitor.ok and result.blocked == 0
+
+
+def test_a_recovered_replica_nacks_what_it_dropped_while_down(sim_faults_cells):
+    """Copies that reached the crashed replica were dropped: after its
+    recovery the next copy from their origin shows the gap."""
+    result, _ = sim_faults_cells["crash"]
+    service = result.algorithm.broadcast
+    assert result.network_stats.lost == 0
+    assert result.network_stats.dropped_to_crashed > 0
+    assert service.nacks_sent > 0 and result.monitor.ok and result.blocked == 0
+
+
+def test_the_network_bounds_how_far_a_copy_is_overtaken():
+    net = Network(Simulator(seed=0), 4)  # uniform(0.5, 1.5)
+    assert net.overtake == pytest.approx(1.0)
+    net.set_delay_scale(3.0)  # a copy sent now may take 4.5, a later one 0.5
+    net.set_delay_scale(1.0)
+    assert net.overtake == pytest.approx(4.0)
+    net.set_delay_scale(0.5)
+    assert net.overtake == pytest.approx(4.25)
+    net.start_reorder(10.0)
+    for i in range(100):
+        net.send(0, 1, {"id": (0, i), "origin": 0, "payload": i})
+    net.sim.run()  # the release hands the first copy in last, 5.0 on
+    assert net.overtake == pytest.approx(5.0)
+    assert Network(Simulator(), 2, DelayModel.exponential(1.0)).overtake == math.inf
+
+
+def test_a_delay_spike_without_loss_is_not_taken_for_loss():
+    result = ALGORITHMS["ccv-fig5"].run(get_scenario("delay-spike"), 1)
+    assert result.network_stats.lost == 0
+    assert result.algorithm.broadcast.nacks_sent == 0
+
+
+@pytest.mark.parametrize(
+    "delay, faults",
+    [
+        (DelaySpec("per-link", (2.0, 12.0, 0.2)), ()),
+        (DelaySpec(), (F.delay_spike(20.0, 6.0), F.delay_spike(60.0, 1.0))),
+    ],
+    ids=["per-link", "delay-spike"],
+)
+def test_a_nacked_copy_is_not_asked_for_again_before_its_repair_is_due(
+    delay, faults
+):
+    """A repair is overdue only after the longest delay plus the
+    overtaking bound: asked again sooner, a repair still in flight is
+    sent twice (a fixed grace of 3 units drew 1.85 repairs per lost
+    copy here on per-link delays of 2–12, 1.30 under a 6x spike)."""
+    spec = lossdup(faults=faults)
+    spec = ScenarioSpec(
+        "lossy-" + spec.name,
+        n=spec.n,
+        streams=spec.streams,
+        k=spec.k,
+        delay=delay,
+        faults=spec.faults,
+        workload=spec.workload,
+    )
+    result = run(spec)
+    service = result.algorithm.broadcast
+    lost = result.network_stats.lost
+    assert lost > 0 and service.nacks_sent > 0
+    assert service.repairs_sent <= 1.2 * lost
+    assert result.monitor.ok and result.blocked == 0
+    assert result.algorithm.converged()

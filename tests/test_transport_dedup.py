@@ -490,6 +490,12 @@ FOREIGN_DIGESTS = [
     {"kind": "repair", "body": 5},
     {"kind": "repair", "body": {"kind": "adv", "ids": ((0, 0),)}},
     {"kind": "repair", "body": {"id": (7, 0), "origin": 7, "payload": 1}},
+    # a nack asks for one run of this cluster's ids: a foreign origin,
+    # an inverted run, one longer than a digest may list, no run at all
+    {"kind": "nack", "origin": 3, "lo": 0, "hi": 1},
+    {"kind": "nack", "origin": 0, "lo": 5, "hi": 3},
+    {"kind": "nack", "origin": 0, "lo": 0, "hi": DIGEST_SPILL + 1},
+    {"kind": "nack", "origin": 0},
 ]
 
 
